@@ -11,9 +11,12 @@ The axioms are not assumed: `check_axioms` evaluates the anchor-morphism
 and Jacobi residuals at sample points, with all derivatives symbolic.
 """
 
+from operator import mul
+
 import numpy as np
 
 from . import expr as ex
+from .numkernel import VectorFieldTD
 
 
 class AlgebroidError(Exception):
@@ -40,7 +43,7 @@ class LieAlgebroid:
         self.coords = list(coords) if coords is not None else _coords(self.n)
         if len(self.coords) != self.n:
             raise AlgebroidError("need one coordinate name per base dimension")
-        self.anchor = [[_as_expr(anchor[i][a]) for a in range(self.r)]
+        self.anchor = [[ex.as_expr(anchor[i][a]) for a in range(self.r)]
                        for i in range(self.n)]
         self.bracket = {}
         for (c, a, b), e in (bracket or {}).items():
@@ -49,8 +52,8 @@ class LieAlgebroid:
             if a >= b:
                 raise AlgebroidError(
                     f"bracket keys must have a < b, got {(c, a, b)}")
-            self.bracket[(c, a, b)] = _as_expr(e)
-        self.domain = [_as_expr(e) for e in domain]
+            self.bracket[(c, a, b)] = ex.as_expr(e)
+        self.domain = [ex.as_expr(e) for e in domain]
         for e in self._all_exprs():
             extra = e.variables() - set(self.coords)
             if extra:
@@ -64,8 +67,7 @@ class LieAlgebroid:
         self._bracket_fn = (ex.compile_exprs([self.bracket[k] for k in self._bkeys],
                                              self.coords)
                             if self._bkeys else None)
-        self._domain_fn = (ex.compile_exprs(self.domain, self.coords)
-                           if self.domain else None)
+        self.in_domain = ex.domain_predicate(self.domain, self.coords)
         self._danchor_fn = None
         self._dbracket_fn = None
 
@@ -76,15 +78,6 @@ class LieAlgebroid:
         yield from self.domain
 
     # ------------------------------------------------------- evaluation --
-
-    def in_domain(self, x):
-        if self._domain_fn is None:
-            return True
-        try:
-            vals = self._domain_fn(*x)
-        except (ArithmeticError, ValueError):
-            return False
-        return all(v > 0.0 for v in vals)
 
     def anchor_matrix(self, x):
         """rho(x) as an (n, r) array."""
@@ -100,6 +93,20 @@ class LieAlgebroid:
                 f[c, a, b] = v
                 f[c, b, a] = -v
         return f
+
+    def anchored_field(self, section):
+        """The field x' = rho(x) section(t, x) on the domain, where
+        section(t, x) returns r fiber coordinates."""
+        anchor_fn = self._anchor_fn
+        r = self.r
+        rows = [slice(i * r, (i + 1) * r) for i in range(self.n)]
+
+        def fn(t, x):
+            rho = anchor_fn(*x)
+            sv = section(t, x)
+            return [sum(map(mul, rho[row], sv)) for row in rows]
+
+        return VectorFieldTD(self.n, fn, domain=self.in_domain)
 
     def bracket_expr(self, c, a, b):
         """f^c_{ab} as an Expr for any index pair (may be Const 0)."""
@@ -179,14 +186,6 @@ class LieAlgebroid:
                 f"{len(self.bracket)} bracket entries)")
 
 
-def _as_expr(e):
-    if isinstance(e, ex.Expr):
-        return e
-    if isinstance(e, (int, float)):
-        return ex.Const(e)
-    raise AlgebroidError(f"expected Expr or number, got {type(e).__name__}")
-
-
 class SectionTD:
     """Time-dependent section s(t, x) of the algebroid, expression-backed.
 
@@ -197,7 +196,7 @@ class SectionTD:
     def __init__(self, algebroid, exprs):
         self.algebroid = algebroid
         self.variables = ["t"] + list(algebroid.coords)
-        self.exprs = [_as_expr(e) for e in exprs]
+        self.exprs = [ex.as_expr(e) for e in exprs]
         if len(self.exprs) != algebroid.r:
             raise AlgebroidError(
                 f"section needs {algebroid.r} components, got {len(self.exprs)}")
@@ -219,13 +218,14 @@ class SectionTD:
 
 # ------------------------------------------------------------ constructors
 
-def make_tangent(n):
-    """Tangent algebroid TR^n: identity anchor, vanishing bracket."""
+def make_tangent(n, coords=None, domain=()):
+    """Tangent algebroid TR^n: identity anchor, vanishing bracket; with a
+    domain, the tangent algebroid of that open subset."""
     if n < 1:
         raise AlgebroidError("base dimension must be >= 1")
     anchor = [[ex.Const(1.0 if i == a else 0.0) for a in range(n)]
               for i in range(n)]
-    return LieAlgebroid(n, n, anchor, {})
+    return LieAlgebroid(n, n, anchor, {}, domain=domain, coords=coords)
 
 
 def make_lie_algebra(constants, tol=1e-10):
@@ -339,7 +339,7 @@ def check_axioms(A, samples):
     samples = [list(map(float, x)) for x in samples]
     for x in samples:
         if not A.in_domain(x):
-            raise ex.DomainError(f"sample {tuple(float(v) for v in x)} is outside the domain")
+            raise ex.DomainError(f"sample {ex.point(x)} is outside the domain")
     anchor_res = 0.0
     jacobi_res = 0.0
     for x in samples:

@@ -15,16 +15,13 @@ stencils leave O(h^2) components outside the Lie-algebra span, which would
 trip the span tolerance at N = 1000).
 """
 
+import math
+
 import numpy as np
 
-from . import expr as ex
 from .algebroid import AlgebroidError, make_lie_algebra
-from .numkernel import VectorFieldTD, flow
-
-
-def _pt(x):
-    """Point formatted for error messages (plain floats, not numpy reprs)."""
-    return tuple(float(v) for v in np.asarray(x, dtype=float).ravel())
+from .expr import point
+from .numkernel import flow, read_csv_rows
 
 
 class APath:
@@ -49,7 +46,7 @@ class APath:
         for x in self.base:
             if not algebroid.in_domain(x):
                 raise AlgebroidError(
-                    f"base sample {_pt(x)} is outside the domain")
+                    f"base sample {point(x)} is outside the domain")
 
     @property
     def source(self):
@@ -85,30 +82,14 @@ class APath:
 
 def read_apath_csv(f, algebroid):
     """Inverse of APath.write_csv for a known algebroid."""
-    from .numkernel import _STATUS_RE
     header = f.readline().strip().split(",")
     n, r = algebroid.n, algebroid.r
     if len(header) != 1 + n + r or header[0] != "t":
         raise AlgebroidError(
             f"APath CSV header must be t,x1..x{n},eta1..eta{r}")
-    times, base, eta = [], [], []
-    status, t_event = "completed", None
-    for line in f:
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            m = _STATUS_RE.match(line)
-            if m:
-                status = m.group(1)
-                if m.group(2) is not None:
-                    t_event = float(m.group(2))
-            continue
-        vals = [float(v) for v in line.split(",")]
-        times.append(vals[0])
-        base.append(vals[1:1 + n])
-        eta.append(vals[1 + n:])
-    return APath(algebroid, times, base, eta, status, t_event)
+    rows, status, t_event = read_csv_rows(f)
+    return APath(algebroid, [v[0] for v in rows], [v[1:1 + n] for v in rows],
+                 [v[1 + n:] for v in rows], status, t_event)
 
 
 def integrate_apath(A, s, x0, grid_size=1000, bound=1e8):
@@ -117,19 +98,9 @@ def integrate_apath(A, s, x0, grid_size=1000, bound=1e8):
     Returns an APath whose status records blowup/domain exit; the samples
     then cover only the integrated prefix.
     """
-    n, r = A.n, A.r
-    anchor_fn = A._anchor_fn
-    sec = s
-
-    def fn(t, x):
-        rho = anchor_fn(*x)
-        sv = sec(t, x)
-        return [sum(rho[i * r + a] * sv[a] for a in range(r))
-                for i in range(n)]
-
-    vf = VectorFieldTD(n, fn, domain=A.in_domain)
-    traj = flow(vf, x0, (0.0, 1.0), step=1.0 / grid_size, bound=bound)
-    eta = [sec(t, x) for t, x in zip(traj.times, traj.points)]
+    traj = flow(A.anchored_field(s), x0, (0.0, 1.0), step=1.0 / grid_size,
+                bound=bound)
+    eta = [s(t, x) for t, x in zip(traj.times, traj.points)]
     return APath(A, traj.times, traj.points, eta, traj.status, traj.t_event)
 
 
@@ -177,8 +148,8 @@ def concat(g, g2):
                              f"({len(g.times)} vs {len(g2.times)})")
     if float(np.max(np.abs(g.target - g2.source))) > 1e-9:
         raise AlgebroidError(
-            f"endpoint mismatch: target {_pt(g.target)} vs "
-            f"source {_pt(g2.source)}")
+            f"endpoint mismatch: target {point(g.target)} vs "
+            f"source {point(g2.source)}")
     m = len(g.times) - 1
     times = np.concatenate([0.5 * g.times, 0.5 + 0.5 * g2.times[1:]])
     base = np.concatenate([g.base, g2.base[1:]], axis=0)
@@ -259,12 +230,7 @@ def read_ahomotopy_csv(f, algebroid):
     header = f.readline().strip().split(",")
     if len(header) != 2 + n + 2 * r or header[:2] != ["t", "s"]:
         raise AlgebroidError("AHomotopy CSV header mismatch")
-    rows = []
-    for line in f:
-        line = line.strip()
-        if line and not line.startswith("#"):
-            rows.append([float(v) for v in line.split(",")])
-    rows = np.asarray(rows)
+    rows = np.asarray(read_csv_rows(f)[0])
     t_grid = np.unique(rows[:, 0])
     s_grid = np.unique(rows[:, 1])
     nt, ns = len(t_grid), len(s_grid)
@@ -315,9 +281,29 @@ class MatrixPath:
     def endpoint(self):
         return self.matrices[-1]
 
+    def write_csv(self, f):
+        m = self.matrices.shape[-1]
+        cols = ",".join(f"g{i+1}{j+1}" for i in range(m) for j in range(m))
+        f.write(f"t,{cols}\n")
+        for t, G in zip(self.times, self.matrices):
+            flat = ",".join(repr(float(v)) for v in G.reshape(-1))
+            f.write(f"{float(t)!r},{flat}\n")
+
     def __repr__(self):
         m = self.matrices.shape[-1]
         return f"MatrixPath({len(self.times)} samples, {m}x{m})"
+
+
+def read_matrix_csv(f):
+    """Inverse of MatrixPath.write_csv: header t,g11..gmm, row-major."""
+    header = f.readline().strip().split(",")
+    m2 = len(header) - 1
+    m = int(round(math.sqrt(m2)))
+    if header[:1] != ["t"] or m * m != m2:
+        raise ValueError("not a matrix-path CSV header")
+    rows = read_csv_rows(f)[0]
+    return MatrixPath([v[0] for v in rows],
+                      [np.asarray(v[1:]).reshape(m, m) for v in rows])
 
 
 def develop(basis, g):
@@ -423,5 +409,5 @@ __all__ = [
     "APath", "AHomotopy", "MatrixPath", "integrate_apath",
     "admissibility_residual", "concat", "constant_apath",
     "homotopy_residual", "develop", "log_derivative",
-    "read_apath_csv", "read_ahomotopy_csv",
+    "read_apath_csv", "read_ahomotopy_csv", "read_matrix_csv",
 ]

@@ -22,7 +22,8 @@ from . import expr as ex
 from .algebroid import (AlgebroidError, LieAlgebroid, SectionTD,
                         check_axioms, sample_points)
 from .apath import (develop, integrate_apath, admissibility_residual,
-                    log_derivative, read_apath_csv, read_ahomotopy_csv)
+                    log_derivative, read_apath_csv, read_ahomotopy_csv,
+                    read_matrix_csv)
 from .comorph import (Comorphism, LiftError, anchor_compat_residual,
                       completeness_probe, compose, lift_homotopy, lift_path)
 from .ehresmann import (ExampleConnection, FlatConnection, GammaElement,
@@ -180,9 +181,8 @@ def load_workspace(path):
                 ValueError) as e:
             raise ConfigError(f"{pointer}: {e}")
         try:
-            pts = sample_points(c.source, SPOT_SAMPLES, rng)
-            c.spot_check(pts)
-            res = anchor_compat_residual(c, pts)
+            res = anchor_compat_residual(
+                c, sample_points(c.source, SPOT_SAMPLES, rng))
         except (AlgebroidError, ex.ExprError) as e:
             raise ConfigError(f"{pointer}: spot-check failed: {e}")
         if res > SPOT_TOL:
@@ -383,6 +383,7 @@ def cmd_completeness_probe(args):
     seed = _resolve_seed(args)
     horizon = _default(args, ws, "horizon")
     bound = _default(args, ws, "bound")
+    step = _default(args, ws, "step")
     s = SectionTD(c.target, _expr_list(args.section,
                                        ["t"] + c.target.coords))
     if args.x0:
@@ -391,10 +392,10 @@ def cmd_completeness_probe(args):
         n_seeds = int(_default(args, ws, "seeds"))
         rng = np.random.default_rng(seed)
         seeds = sample_points(c.source, n_seeds, rng)
-    verdict = completeness_probe(c, s, horizon, bound, seeds)
+    verdict = completeness_probe(c, s, horizon, bound, seeds, step)
     payload = {"command": "completeness-probe", "comorphism": name,
                "seed": seed,
-               "params": {"horizon": horizon, "bound": bound,
+               "params": {"horizon": horizon, "bound": bound, "step": step,
                           "n_seeds": len(seeds)}}
     payload.update(verdict.to_json())
     _emit(payload)
@@ -568,6 +569,7 @@ def cmd_poisson(args):
     PX, PY, phi = _poisson_pair(args, ws)
     horizon = _default(args, ws, "horizon")
     bound = _default(args, ws, "bound")
+    step = _default(args, ws, "step")
     if args.x0:
         seeds = _point_list(args.x0)
     else:
@@ -576,11 +578,11 @@ def cmd_poisson(args):
     map_samples = sample_points(PX, int(_default(args, ws, "samples")), rng)
     rep = complete_map_probe(phi, PX, PY, test_functions=fs,
                              horizon=horizon, bound=bound, seeds=seeds,
-                             map_samples=map_samples)
+                             map_samples=map_samples, step=step)
     escaped = any(e["hamiltonian"]["escaped"] for e in rep.entries)
     payload = {"command": "poisson probe", "source": args.source,
                "target": args.target, "seed": seed,
-               "params": {"horizon": horizon, "bound": bound,
+               "params": {"horizon": horizon, "bound": bound, "step": step,
                           "n_seeds": len(seeds)},
                "all_agree": rep.all_agree, "escaped": escaped}
     payload["entries"] = rep.to_json()["entries"]
@@ -625,40 +627,13 @@ def _read_apath_auto(path, ws, name):
         return read_apath_csv(f, _abelian_carrier(n, r))
 
 
-def _write_matrix_csv(mp, f):
-    m = mp.matrices.shape[-1]
-    cols = ",".join(f"g{i+1}{j+1}" for i in range(m) for j in range(m))
-    f.write(f"t,{cols}\n")
-    for t, G in zip(mp.times, mp.matrices):
-        flat = ",".join(repr(float(v)) for v in G.reshape(-1))
-        f.write(f"{float(t)!r},{flat}\n")
-
-
-def _read_matrix_csv(f):
-    from .apath import MatrixPath
-    header = f.readline().strip().split(",")
-    m2 = len(header) - 1
-    m = int(round(math.sqrt(m2)))
-    if header[:1] != ["t"] or m * m != m2:
-        raise ConfigError("not a matrix-path CSV header")
-    times, mats = [], []
-    for line in f:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        vals = [float(v) for v in line.split(",")]
-        times.append(vals[0])
-        mats.append(np.asarray(vals[1:]).reshape(m, m))
-    return MatrixPath(times, mats)
-
-
 def cmd_develop(args):
     ws = _workspace(args)
     seed = _resolve_seed(args)
     basis = _parse_basis(args.basis)
     g = _read_apath_auto(args.path, ws, args.name)
     mp = develop(basis, g)
-    if _write_csv(lambda f: _write_matrix_csv(mp, f), args.out):
+    if _write_csv(mp.write_csv, args.out):
         _emit({"command": "develop", "seed": seed,
                "params": {"rank": len(basis),
                           "matrix_dim": int(basis[0].shape[0]),
@@ -671,7 +646,7 @@ def cmd_logderiv(args):
     seed = _resolve_seed(args)
     basis = _parse_basis(args.basis)
     with open(args.gamma) as f:
-        mp = _read_matrix_csv(f)
+        mp = read_matrix_csv(f)
     g = log_derivative(mp, basis, span_tol=args.span_tol)
     if _write_csv(g.write_csv, args.out):
         _emit({"command": "logderiv", "seed": seed,

@@ -13,13 +13,15 @@ or domain exit of that flow is the numerical witness that the lift fails
 to exist over the full interval.
 """
 
+from operator import mul
+
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import expr as ex
 from .algebroid import AlgebroidError, SectionTD
 from .apath import APath, AHomotopy, homotopy_residual
-from .numkernel import VectorFieldTD, flow
+from .expr import point
+from .numkernel import flow
 
 
 class LiftError(Exception):
@@ -39,11 +41,11 @@ class Comorphism:
         if len(phi) != target.n:
             raise AlgebroidError(
                 f"phi needs {target.n} components, got {len(phi)}")
-        self.phi = [_as_expr(e) for e in phi]
+        self.phi = [ex.as_expr(e) for e in phi]
         if len(M) != source.r or any(len(row) != target.r for row in M):
             raise AlgebroidError(
                 f"M must be {source.r} x {target.r}")
-        self.M = [[_as_expr(e) for e in row] for row in M]
+        self.M = [[ex.as_expr(e) for e in row] for row in M]
         for e in self.phi + [e for row in self.M for e in row]:
             extra = e.variables() - set(source.coords)
             if extra:
@@ -77,11 +79,11 @@ class Comorphism:
         for x in samples:
             if not self.source.in_domain(x):
                 raise ex.DomainError(
-                    f"sample {_pt(x)} outside the source domain")
+                    f"sample {point(x)} outside the source domain")
             y = self.phi_at(x)
             if not self.target.in_domain(y):
                 raise ex.DomainError(
-                    f"phi({_pt(x)}) = {_pt(y)} outside the target domain")
+                    f"phi({point(x)}) = {point(y)} outside the target domain")
 
     @classmethod
     def from_dict(cls, d, lookup):
@@ -107,19 +109,6 @@ class Comorphism:
                 f"{self.target.n}d/r{self.target.r})")
 
 
-def _as_expr(e):
-    if isinstance(e, ex.Expr):
-        return e
-    if isinstance(e, (int, float)):
-        return ex.Const(e)
-    raise AlgebroidError(f"expected Expr or number, got {type(e).__name__}")
-
-
-def _pt(x):
-    """Point formatted for error messages (plain floats, not numpy reprs)."""
-    return tuple(float(v) for v in np.asarray(x, dtype=float).ravel())
-
-
 def identity_comorphism(A):
     """The identity comorphism (id, id) on A."""
     phi = [ex.Var(v) for v in A.coords]
@@ -129,17 +118,13 @@ def identity_comorphism(A):
 
 
 def anchor_compat_residual(c, samples):
-    """max over samples of |Dphi(x) rho_A(x) M(x) - rho_B(phi(x))|."""
+    """max over samples of |Dphi(x) rho_A(x) M(x) - rho_B(phi(x))|, after
+    the spot check that the samples and their images lie in the domains."""
+    c.spot_check(samples)
     res = 0.0
     for x in samples:
-        if not c.source.in_domain(x):
-            raise ex.DomainError(f"sample {_pt(x)} outside the source domain")
-        y = c.phi_at(x)
-        if not c.target.in_domain(y):
-            raise ex.DomainError(
-                f"phi({_pt(x)}) = {_pt(y)} outside the target domain")
         lhs = c.dphi_at(x) @ c.source.anchor_matrix(x) @ c.M_at(x)
-        rhs = c.target.anchor_matrix(y)
+        rhs = c.target.anchor_matrix(c.phi_at(x))
         res = max(res, float(np.max(np.abs(lhs - rhs))))
     return res
 
@@ -164,9 +149,8 @@ def compose(c1, c2):
     """Composite comorphism A -> C of c1: A -> B and c2: B -> C:
     core phi2 o phi1, fiber M1(x) . M2(phi1(x)), all symbolic."""
     if c1.target is not c2.source:
-        if c1.target.n != c2.source.n or c1.target.r != c2.source.r:
-            raise AlgebroidError(
-                "compose: c1's target does not chain with c2's source")
+        raise AlgebroidError(
+            "compose: c1's target does not chain with c2's source")
     mapping = {v: c1.phi[j] for j, v in enumerate(c2.source.coords)}
     phi = [ex.substitute(p, mapping) for p in c2.phi]
     M2_sub = [[ex.substitute(e, mapping) for e in row] for row in c2.M]
@@ -198,7 +182,7 @@ class ProbeVerdict:
                     f"bound={self.bound:g})")
         seed, status, t_event = self.witness
         return (f"incomplete witness: {status} at t*={t_event!r} "
-                f"from seed {_pt(seed)}")
+                f"from seed {point(seed)}")
 
     def to_json(self):
         out = {"verdict": str(self), "escaped": self.escaped,
@@ -210,28 +194,17 @@ class ProbeVerdict:
         return out
 
 
-def completeness_probe(c, s, horizon, bound, seeds):
-    """Flow rho_A . Phi† s from every seed over [0, horizon].
+def first_escape(vf, horizon, bound, seeds, step=1e-3):
+    """Flow vf over [0, horizon] from each seed in turn.
 
-    Returns the first escape witness found, or the (inconclusive)
-    no-escape verdict. Seeds outside the source domain are an error.
+    Returns the witness of the first seed whose flow escapes, or the
+    (inconclusive) no-escape verdict. Seeds outside vf's domain are an
+    error.
     """
-    pulled = pullback_section(c, s)
-    A = c.source
-    n, r = A.n, A.r
-    anchor_fn = A._anchor_fn
-
-    def fn(t, x):
-        rho = anchor_fn(*x)
-        sv = pulled(t, x)
-        return [sum(rho[i * r + a] * sv[a] for a in range(r))
-                for i in range(n)]
-
-    vf = VectorFieldTD(n, fn, domain=A.in_domain)
     for seed in seeds:
-        if not A.in_domain(seed):
-            raise ex.DomainError(f"seed {_pt(seed)} outside the source domain")
-        traj = flow(vf, seed, (0.0, horizon), step=1e-3, bound=bound)
+        if not vf.in_domain(seed):
+            raise ex.DomainError(f"seed {point(seed)} outside the domain")
+        traj = flow(vf, seed, (0.0, horizon), step=step, bound=bound)
         if not traj.completed:
             return ProbeVerdict(True, horizon, bound,
                                 witness=(list(seed), traj.status,
@@ -239,13 +212,11 @@ def completeness_probe(c, s, horizon, bound, seeds):
     return ProbeVerdict(False, horizon, bound)
 
 
-class LiftedAPath(APath):
-    """APath produced by lift_path, carrying the phi-projection error
-    max_k |phi(x_k) - y_k| over the integrated prefix."""
-
-    def __init__(self, *args, phi_projection_error=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.phi_projection_error = phi_projection_error
+def completeness_probe(c, s, horizon, bound, seeds, step=1e-3):
+    """Flow rho_A . Phi† s from every seed over [0, horizon]: the first
+    escape witness, or the (inconclusive) no-escape verdict."""
+    vf = c.source.anchored_field(pullback_section(c, s))
+    return first_escape(vf, horizon, bound, seeds, step)
 
 
 def _fiber_table(g, interp, refine):
@@ -253,6 +224,8 @@ def _fiber_table(g, interp, refine):
     m = (len(g.times) - 1) * refine
     stage_t = np.linspace(g.times[0], g.times[-1], 2 * m + 1)
     if interp == "cubic":
+        # scipy is imported here so that only cubic lifts pay for loading it
+        from scipy.interpolate import CubicSpline
         table = CubicSpline(g.times, g.eta, axis=0)(stage_t)
     elif interp == "linear":
         table = np.stack([np.interp(stage_t, g.times, g.eta[:, b])
@@ -264,24 +237,19 @@ def _fiber_table(g, interp, refine):
 
 def _lift_flow(c, g, x0, interp="cubic", refine=1, bound=1e8):
     """Integrate x' = rho_A(x) M(x) xi(t) over g's (refined) grid."""
-    A = c.source
-    n, rA, rB = A.n, A.r, c.target.r
     m, table = _fiber_table(g, interp, refine)
-    anchor_fn = A._anchor_fn
     M_fn = c._M_fn
+    rB = c.target.r
+    rows = [slice(a * rB, (a + 1) * rB) for a in range(c.source.r)]
     t0, t1 = g.times[0], g.times[-1]
     scale = 2.0 * m / (t1 - t0)
 
-    def fn(t, x):
+    def M_xi(t, x):
         xi = table[int(round((t - t0) * scale))]
-        rho = anchor_fn(*x)
         Mf = M_fn(*x)
-        Mxi = [sum(Mf[a * rB + b] * xi[b] for b in range(rB))
-               for a in range(rA)]
-        return [sum(rho[i * rA + a] * Mxi[a] for a in range(rA))
-                for i in range(n)]
+        return [sum(map(mul, Mf[row], xi)) for row in rows]
 
-    vf = VectorFieldTD(n, fn, domain=A.in_domain)
+    vf = c.source.anchored_field(M_xi)
     return flow(vf, x0, (t0, t1), step=(t1 - t0) / m, bound=bound)
 
 
@@ -296,36 +264,29 @@ def lift_path(c, g, x0, interp="cubic", bound=1e8):
     y0 = np.asarray(c.phi_at(x0), dtype=float)
     if float(np.max(np.abs(y0 - g.source))) > 1e-6:
         raise LiftError(
-            f"phi(x0) = {_pt(y0)} does not match the path source "
-            f"{_pt(g.source)}")
+            f"phi(x0) = {point(y0)} does not match the path source "
+            f"{point(g.source)}")
     traj = _lift_flow(c, g, x0, interp=interp, bound=bound)
     eta = [list(c.M_at(x) @ g.eta[k]) for k, x in enumerate(traj.points)]
     proj = 0.0
     for k, x in enumerate(traj.points):
         d = np.asarray(c.phi_at(x)) - g.base[k]
         proj = max(proj, float(np.max(np.abs(d))))
-    return LiftedAPath(c.source, traj.times, traj.points, eta,
-                       traj.status, traj.t_event,
-                       phi_projection_error=proj)
-
-
-class LiftedAHomotopy(AHomotopy):
-    """AHomotopy produced by lift_homotopy, carrying its residuals and
-    the endpoint spread of the slice lifts across s."""
-
-    def __init__(self, *args, residuals=None, endpoint_spread=None,
-                 **kwargs):
-        super().__init__(*args, **kwargs)
-        self.residuals = residuals
-        self.endpoint_spread = endpoint_spread
+    out = APath(c.source, traj.times, traj.points, eta, traj.status,
+                traj.t_event)
+    out.phi_projection_error = proj
+    return out
 
 
 def lift_homotopy(c, H, x0, interp="cubic", bound=1e8):
     """Lift a B-homotopy slice by slice from the common start point x0.
 
     beta lifts as beta_A(t, s) = M(x(t, s)) beta_B(t, s). A failing slice
-    raises LiftError naming the failing s. The lifted homotopy's residuals
-    and endpoint spread across s are attached to the result.
+    raises LiftError naming the failing s. Lifted endpoints that drift
+    across s by more than AHomotopy's 1e-9 tolerance (a lift through a
+    connection that is not flat) raise AlgebroidError. The lifted
+    homotopy's residuals and endpoint spread across s are attached to the
+    result.
     """
     B = c.target
     nt, ns = len(H.t_grid), len(H.s_grid)
@@ -343,10 +304,8 @@ def lift_homotopy(c, H, x0, interp="cubic", bound=1e8):
         etas[:, l] = lifted.eta
         for k in range(nt):
             betas[k, l] = c.M_at(xs[k, l]) @ H.beta[k, l]
-    spread = float(np.max(np.ptp(xs[-1], axis=0)))
-    out = LiftedAHomotopy(c.source, H.t_grid, H.s_grid, xs, etas, betas,
-                          tol=max(1e-9, 10.0 * spread),
-                          endpoint_spread=spread)
+    out = AHomotopy(c.source, H.t_grid, H.s_grid, xs, etas, betas)
+    out.endpoint_spread = float(np.max(np.ptp(xs[-1], axis=0)))
     out.residuals = homotopy_residual(out)
     return out
 
@@ -394,8 +353,7 @@ def lift_uniqueness_check(c, g, x0, bound=1e8):
 
 __all__ = [
     "Comorphism", "LiftError", "ProbeVerdict", "UniquenessReport",
-    "LiftedAPath", "LiftedAHomotopy", "identity_comorphism",
-    "anchor_compat_residual", "pullback_section", "compose",
-    "completeness_probe", "lift_path", "lift_homotopy",
-    "lift_uniqueness_check",
+    "identity_comorphism", "anchor_compat_residual", "pullback_section",
+    "compose", "first_escape", "completeness_probe", "lift_path",
+    "lift_homotopy", "lift_uniqueness_check",
 ]

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from . import expr as ex
-from .algebroid import LieAlgebroid, AlgebroidError
+from .algebroid import AlgebroidError, make_tangent
 from .apath import APath
 from .comorph import Comorphism, lift_path
 
@@ -39,32 +39,22 @@ class FlatConnection:
     def __init__(self, x_coords, phi, H, domain=(), y_coords=None):
         self.x_coords = list(x_coords)
         self.nx = len(self.x_coords)
-        self.phi = [_as_expr(e) for e in phi]
+        self.phi = [ex.as_expr(e) for e in phi]
         self.ny = len(self.phi)
         self.y_coords = (list(y_coords) if y_coords is not None
                          else [f"x{j+1}" for j in range(self.ny)])
         if len(H) != self.nx or any(len(row) != self.ny for row in H):
             raise AlgebroidError(f"H must be {self.nx} x {self.ny}")
-        self.H = [[_as_expr(e) for e in row] for row in H]
-        self.domain = [_as_expr(e) for e in domain]
+        self.H = [[ex.as_expr(e) for e in row] for row in H]
+        self.domain = [ex.as_expr(e) for e in domain]
         self._H_fn = ex.compile_exprs(
             [e for row in self.H for e in row], self.x_coords)
         flat_dphi = [p.d(v) for p in self.phi for v in self.x_coords]
         self._dphi_fn = ex.compile_exprs(flat_dphi, self.x_coords)
         self._phi_fn = ex.compile_exprs(self.phi, self.x_coords)
-        self._domain_fn = (ex.compile_exprs(self.domain, self.x_coords)
-                           if self.domain else None)
+        self.in_domain = ex.domain_predicate(self.domain, self.x_coords)
         self._comorphism = None
         self._vert_fn = None
-
-    def in_domain(self, x):
-        if self._domain_fn is None:
-            return True
-        try:
-            vals = self._domain_fn(*x)
-        except (ArithmeticError, ValueError):
-            return False
-        return all(v > 0.0 for v in vals)
 
     def H_at(self, x):
         return np.asarray(self._H_fn(*x), dtype=float).reshape(self.nx,
@@ -93,16 +83,9 @@ class FlatConnection:
         referring to the same object.
         """
         if self._comorphism is None:
-            src = LieAlgebroid(
-                self.nx, self.nx,
-                [[ex.Const(1.0 if i == a else 0.0) for a in range(self.nx)]
-                 for i in range(self.nx)],
-                {}, domain=self.domain, coords=self.x_coords)
-            tgt = LieAlgebroid(
-                self.ny, self.ny,
-                [[ex.Const(1.0 if i == a else 0.0) for a in range(self.ny)]
-                 for i in range(self.ny)],
-                {}, coords=self.y_coords)
+            src = make_tangent(self.nx, coords=self.x_coords,
+                               domain=self.domain)
+            tgt = make_tangent(self.ny, coords=self.y_coords)
             self._comorphism = Comorphism(src, tgt, list(self.phi),
                                           [list(row) for row in self.H])
         return self._comorphism
@@ -130,14 +113,6 @@ class FlatConnection:
         return [c - H @ (dphi @ c) for c in comms]
 
 
-def _as_expr(e):
-    if isinstance(e, ex.Expr):
-        return e
-    if isinstance(e, (int, float)):
-        return ex.Const(e)
-    raise AlgebroidError(f"expected Expr or number, got {type(e).__name__}")
-
-
 def as_comorphism(fc, samples=None, tol=1e-10):
     """Comorphism view of a flat connection; with samples, the section
     property |Dphi H - I| <= tol is verified first."""
@@ -155,7 +130,7 @@ def flatness_residual(fc, samples):
     res = 0.0
     for x in samples:
         if not fc.in_domain(x):
-            raise ex.DomainError(f"sample {tuple(float(v) for v in x)} outside the domain")
+            raise ex.DomainError(f"sample {ex.point(x)} outside the domain")
         for c in fc._vertical_commutators(x):
             res = max(res, float(np.max(np.abs(c))))
     return res
@@ -337,14 +312,6 @@ class GammaElement:
                 f"tau={self.tau}, z={self.z}, h={self.h})")
 
 
-def gamma_source(g):
-    return g.source()
-
-
-def gamma_target(g):
-    return g.target()
-
-
 class DensityReport:
     """Sampled picture of the (theta', arg z') relation on the 2-torus."""
 
@@ -523,6 +490,6 @@ __all__ = [
     "FlatConnection", "ExampleConnection", "GammaElement",
     "HolonomyReport", "DensityReport", "SelfIntersectionReport",
     "as_comorphism", "flatness_residual", "holonomy", "circle_loop",
-    "sheet_count", "gamma_source", "gamma_target", "density_scan",
+    "sheet_count", "density_scan",
     "self_intersection_witness", "holonomy_sweep", "write_sweep_csv",
 ]

@@ -49,28 +49,28 @@ class Expr:
     prec = 5
 
     def __add__(self, other):
-        return add(self, _wrap(other))
+        return add(self, as_expr(other))
 
     def __radd__(self, other):
-        return add(_wrap(other), self)
+        return add(as_expr(other), self)
 
     def __sub__(self, other):
-        return sub(self, _wrap(other))
+        return sub(self, as_expr(other))
 
     def __rsub__(self, other):
-        return sub(_wrap(other), self)
+        return sub(as_expr(other), self)
 
     def __mul__(self, other):
-        return mul(self, _wrap(other))
+        return mul(self, as_expr(other))
 
     def __rmul__(self, other):
-        return mul(_wrap(other), self)
+        return mul(as_expr(other), self)
 
     def __truediv__(self, other):
-        return div(self, _wrap(other))
+        return div(self, as_expr(other))
 
     def __rtruediv__(self, other):
-        return div(_wrap(other), self)
+        return div(as_expr(other), self)
 
     def __neg__(self):
         return neg(self)
@@ -444,12 +444,18 @@ def _estep(t):
         return 0.0
 
 
-def _wrap(v):
+def as_expr(v):
+    """v as an Expr: Exprs pass through, ints and floats become Consts."""
     if isinstance(v, Expr):
         return v
     if isinstance(v, (int, float)):
         return Const(v)
     raise TypeError(f"cannot use {type(v).__name__} in an expression")
+
+
+def point(x):
+    """A point as a tuple of plain floats (not numpy reprs), for messages."""
+    return tuple(float(v) for v in x)
 
 
 # --------------------------------------------- folding smart constructors --
@@ -788,6 +794,25 @@ def compile_expr(e, variables):
     return lambda *xs: f(*xs)[0]
 
 
+def domain_predicate(exprs, variables):
+    """The test x -> bool for the open set where every expression in exprs
+    is strictly positive (all of R^n when exprs is empty). A point where a
+    predicate cannot be evaluated (log of a negative number, a zero
+    divisor) is outside, not an error."""
+    if not exprs:
+        return lambda x: True
+    fn = compile_exprs(exprs, variables)
+
+    def in_domain(x):
+        try:
+            vals = fn(*x)
+        except (ArithmeticError, ValueError):
+            return False
+        return all(v > 0.0 for v in vals)
+
+    return in_domain
+
+
 # -------------------------------------------------------------- SmoothMap --
 
 class SmoothMap:
@@ -808,8 +833,7 @@ class SmoothMap:
             if extra:
                 raise ExprError(f"expression uses undeclared variables {sorted(extra)}")
         self._fn = compile_exprs(self.components, self.variables)
-        self._dom_fn = (compile_exprs(self.domain, self.variables)
-                        if self.domain else None)
+        self.in_domain = domain_predicate(self.domain, self.variables)
         self._jac = None
 
     @classmethod
@@ -818,18 +842,9 @@ class SmoothMap:
         dom = [parse(s, variables) for s in domain_sources]
         return cls(variables, comps, dom)
 
-    def in_domain(self, x):
-        if self._dom_fn is None:
-            return True
-        try:
-            vals = self._dom_fn(*x)
-        except (EvalError, ValueError, ZeroDivisionError, OverflowError):
-            return False
-        return all(v > 0.0 for v in vals)
-
     def __call__(self, x):
         if not self.in_domain(x):
-            raise DomainError(f"point {tuple(float(v) for v in x)} violates the domain predicate")
+            raise DomainError(f"point {point(x)} violates the domain predicate")
         return self._fn(*x)
 
     def eval_unchecked(self, x):
@@ -852,6 +867,7 @@ class SmoothMap:
 __all__ = [
     "Expr", "Const", "Var", "Add", "Sub", "Mul", "Div", "Neg", "Pow",
     "Fun1", "Atan2", "Gate", "parse", "differentiate", "substitute", "fun",
-    "add", "sub", "mul", "div", "neg", "pow_", "compile_expr", "compile_exprs",
-    "SmoothMap", "ExprError", "ParseError", "EvalError", "DomainError",
+    "add", "sub", "mul", "div", "neg", "pow_", "as_expr", "point",
+    "compile_expr", "compile_exprs", "domain_predicate", "SmoothMap",
+    "ExprError", "ParseError", "EvalError", "DomainError",
 ]

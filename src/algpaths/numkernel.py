@@ -19,6 +19,8 @@ import re
 
 import numpy as np
 
+from .expr import point
+
 
 class FlowError(Exception):
     pass
@@ -88,12 +90,11 @@ class Trajectory:
 _STATUS_RE = re.compile(r"#\s*status=(\w+)(?:\(t\*=([^)]+)\))?")
 
 
-def read_trajectory_csv(f):
-    """Inverse of Trajectory.write_csv (header + rows + status comment)."""
-    header = f.readline()
-    if not header.startswith("t,"):
-        raise FlowError("trajectory CSV must start with a 't,x1,...' header")
-    times, points = [], []
+def read_csv_rows(f):
+    """Rows of floats after the header line of a CSV, and the status of
+    its '# status=' trailer: returns (rows, status, t_event), the status
+    "completed" when there is no trailer. Other '#' lines are skipped."""
+    rows = []
     status, t_event = "completed", None
     for line in f:
         line = line.strip()
@@ -106,10 +107,18 @@ def read_trajectory_csv(f):
                 if m.group(2) is not None:
                     t_event = float(m.group(2))
             continue
-        vals = [float(v) for v in line.split(",")]
-        times.append(vals[0])
-        points.append(vals[1:])
-    return Trajectory(times, points, status, t_event)
+        rows.append([float(v) for v in line.split(",")])
+    return rows, status, t_event
+
+
+def read_trajectory_csv(f):
+    """Inverse of Trajectory.write_csv (header + rows + status comment)."""
+    header = f.readline()
+    if not header.startswith("t,"):
+        raise FlowError("trajectory CSV must start with a 't,x1,...' header")
+    rows, status, t_event = read_csv_rows(f)
+    return Trajectory([v[0] for v in rows], [v[1:] for v in rows], status,
+                      t_event)
 
 
 def _norm(x):
@@ -143,7 +152,8 @@ def _bisect_exit(vf, t0, x0, t1, x1, resolution=1e-9):
 
 def flow(vf, x0, t_span, step=1e-3, bound=1e8):
     """Integrate vf from x0 over t_span=[t_a,t_b] with fixed-step RK4."""
-    t_a, t_b = float(t_span[0]), float(t_span[1])
+    # plain floats, so that event times print as numbers in status trailers
+    t_a, t_b, step = float(t_span[0]), float(t_span[1]), float(step)
     if not t_b > t_a:
         raise FlowError(f"need t_b > t_a, got [{t_a}, {t_b}]")
     if step <= 0 or bound <= 0:
@@ -155,7 +165,7 @@ def flow(vf, x0, t_span, step=1e-3, bound=1e8):
     if not _finite(x):
         raise FlowError("x0 is not finite")
     if not vf.in_domain(x):
-        raise FlowError(f"x0 = {tuple(float(v) for v in x)} is outside the field's domain")
+        raise FlowError(f"x0 = {point(x)} is outside the field's domain")
 
     n_steps = max(1, math.ceil((t_b - t_a) / step - 1e-12))
     times = [t_a]
@@ -223,4 +233,4 @@ def flow_endpoint_order(vf, x0, t_span, step, reference=None):
 
 
 __all__ = ["VectorFieldTD", "Trajectory", "flow", "flow_endpoint_order",
-           "read_trajectory_csv", "FlowError"]
+           "read_csv_rows", "read_trajectory_csv", "FlowError"]

@@ -13,9 +13,10 @@ lift below is antisymmetric by construction, entry by entry).
 import numpy as np
 
 from . import expr as ex
-from .algebroid import SectionTD, make_cotangent_poisson
-from .comorph import Comorphism, ProbeVerdict, completeness_probe, pullback_section
-from .numkernel import VectorFieldTD, flow
+from .algebroid import SectionTD, make_cotangent_poisson, sample_points
+from .comorph import (Comorphism, completeness_probe, first_escape,
+                      pullback_section)
+from .numkernel import VectorFieldTD
 
 
 class PoissonError(Exception):
@@ -39,8 +40,8 @@ class PoissonManifold:
             if not (0 <= i < j < self.dim):
                 raise PoissonError(
                     f"Pi keys need 0 <= i < j < {self.dim}, got {(i, j)}")
-            self.pi[(i, j)] = _as_expr(e)
-        self.domain = [_as_expr(e) for e in domain]
+            self.pi[(i, j)] = ex.as_expr(e)
+        self.domain = [ex.as_expr(e) for e in domain]
         for e in list(self.pi.values()) + list(self.domain):
             extra = e.variables() - set(self.coords)
             if extra:
@@ -50,8 +51,7 @@ class PoissonManifold:
         self._pi_fn = (ex.compile_exprs([self.pi[k] for k in self._keys],
                                         self.coords)
                        if self._keys else None)
-        self._domain_fn = (ex.compile_exprs(self.domain, self.coords)
-                           if self.domain else None)
+        self.in_domain = ex.domain_predicate(self.domain, self.coords)
         self._jac_fn = None
 
     def pi_expr(self, i, j):
@@ -70,15 +70,6 @@ class PoissonManifold:
                 P[i, j] = v
                 P[j, i] = -v
         return P
-
-    def in_domain(self, x):
-        if self._domain_fn is None:
-            return True
-        try:
-            vals = self._domain_fn(*x)
-        except (ArithmeticError, ValueError):
-            return False
-        return all(v > 0.0 for v in vals)
 
     def jacobi_residual(self, samples):
         """max over samples and (i,j,k) of
@@ -127,14 +118,6 @@ class PoissonManifold:
                 f"{len(self.pi)} Pi entries)")
 
 
-def _as_expr(e):
-    if isinstance(e, ex.Expr):
-        return e
-    if isinstance(e, (int, float)):
-        return ex.Const(e)
-    raise PoissonError(f"expected Expr or number, got {type(e).__name__}")
-
-
 def standard_symplectic(n=2):
     """Standard symplectic R^n for even n: Pi^{i, i + n/2} = 1."""
     if n % 2:
@@ -175,20 +158,6 @@ def poisson_map_residual(phi, PX, PY, samples):
     return res
 
 
-def _default_probe_samples(PX, count=20, seed=0):
-    rng = np.random.default_rng(seed)
-    pts = []
-    tries = 0
-    while len(pts) < count and tries < 200 * count:
-        x = rng.uniform(-1.0, 1.0, PX.dim)
-        tries += 1
-        if PX.in_domain(x):
-            pts.append(list(x))
-    if len(pts) < count:
-        raise PoissonError("could not sample the source domain")
-    return pts
-
-
 def cotangent_lift(phi, PX, PY, samples=None, tol=1e-8):
     """The comorphism T*X -> T*Y of a Poisson map: core phi, fiber
     M(x) = Dphi(x)^T, over the cotangent algebroids of PX and PY.
@@ -197,7 +166,8 @@ def cotangent_lift(phi, PX, PY, samples=None, tol=1e-8):
     condition on the probe samples.
     """
     if samples is None:
-        samples = _default_probe_samples(PX)
+        samples = sample_points(PX, 20, np.random.default_rng(0), low=-1.0,
+                                high=1.0, max_tries=4000)
     res = poisson_map_residual(phi, PX, PY, samples)
     if res > tol:
         raise PoissonError(
@@ -255,16 +225,10 @@ class ProbeComparison:
                 f"all_agree={self.all_agree})")
 
 
-def _flow_field_probe(vf, horizon, bound, seeds, step=1e-3):
-    for seed in seeds:
-        if not vf.in_domain(seed):
-            raise ex.DomainError(f"seed {tuple(float(v) for v in seed)} outside the domain")
-        traj = flow(vf, seed, (0.0, horizon), step=step, bound=bound)
-        if not traj.completed:
-            return ProbeVerdict(True, horizon, bound,
-                                witness=(list(seed), traj.status,
-                                         traj.t_event))
-    return ProbeVerdict(False, horizon, bound)
+def _flow_field_probe(vf, horizon, bound, seeds, step):
+    """The Hamiltonian route of complete_map_probe, a function of its own
+    so that traces time it apart from the comorphism route."""
+    return first_escape(vf, horizon, bound, seeds, step)
 
 
 def default_test_functions(PY):
@@ -280,12 +244,12 @@ def default_test_functions(PY):
 
 def complete_map_probe(phi, PX, PY, test_functions=None, horizon=2.0,
                        bound=1e8, seeds=((0.0, 0.0),), map_samples=None,
-                       field_tol=1e-9):
+                       field_tol=1e-9, step=1e-3):
     """Probe phi's completeness along both routes of the equivalence.
 
     For each test function f: flow xi_{phi*f} = Pi_X# d(f o phi) from the
     seeds, and independently run the comorphism completeness probe on
-    cotangent_lift(phi) with the section df. The two fields are asserted
+    cotangent_lift(phi) with the section df, both with RK4 step `step`. The two fields are asserted
     pointwise equal at the seeds (they coincide by the chain rule); the
     verdicts must classify alike, with escape times within 1e-3.
     """
@@ -316,8 +280,8 @@ def complete_map_probe(phi, PX, PY, test_functions=None, horizon=2.0,
             raise PoissonError(
                 f"route fields disagree by {worst:.3e} (> {field_tol:.1e})")
 
-        v_ham = _flow_field_probe(vf, horizon, bound, seeds)
-        v_com = completeness_probe(c, s, horizon, bound, seeds)
+        v_ham = _flow_field_probe(vf, horizon, bound, seeds, step)
+        v_com = completeness_probe(c, s, horizon, bound, seeds, step)
         agree = v_ham.escaped == v_com.escaped
         t_diff = None
         if v_ham.escaped and v_com.escaped:

@@ -275,6 +275,37 @@ def test_completeness_probe_complete(lift_cfg, capsys):
     assert "no escape" in payload["verdict"]
 
 
+def test_probes_use_and_report_the_workspace_step(tmp_path, capsys):
+    # x1' = x1^2 from x1 = 1 blows up at t = 1; a blowup is reported at the
+    # end of the RK4 step that crosses the bound, a multiple of the step
+    step = 0.004
+    cfg = write_config(tmp_path, {
+        "defaults": {"step": step},
+        "algebroids": {"plane": PLANE},
+        "comorphisms": {"id": {"source": "plane", "target": "plane",
+                               "phi": ["x1", "x2"], "M": IDENTITY_M}},
+        "poisson": {"pplane": {"dim": 2, "Pi": {"1,2": "1"}},
+                    "line0": {"dim": 1, "Pi": {}}}})
+    code, payload = run_json(capsys, [
+        "completeness-probe", "--config", cfg, "--comorphism", "id",
+        "--section", "x1^2;0", "--x0", "1,0", "--horizon", "2"])
+    code2, payload2 = run_json(capsys, [
+        "poisson", "probe", "--config", cfg, "--source", "pplane",
+        "--target", "line0", "--map", "x1^2*x2", "--f", "x1",
+        "--x0", "1,0.5", "--horizon", "2"])
+    assert code == code2 == 1
+    (entry,) = payload2["entries"]
+    witnesses = [payload["witness"], entry["hamiltonian"]["witness"],
+                 entry["comorphism"]["witness"]]
+    for report in (payload, payload2):
+        assert report["params"]["step"] == step
+    for w in witnesses:
+        assert w["status"] == "blowup"
+        assert 1.0 < w["t_star"] < 1.05
+        assert w["t_star"] == pytest.approx(
+            round(w["t_star"] / step) * step, abs=1e-12)
+
+
 def test_compose_reports_composite(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "algebroids": {"plane": PLANE},

@@ -7,7 +7,8 @@ import pytest
 from algpaths import expr as ex
 from algpaths.algebroid import (AlgebroidError, LieAlgebroid, SectionTD,
                                 make_tangent, sample_points)
-from algpaths.apath import AHomotopy, APath
+from algpaths.apath import AHomotopy, APath, read_apath_csv
+from algpaths.ehresmann import FlatConnection
 from algpaths.comorph import (Comorphism, LiftError, anchor_compat_residual,
                               completeness_probe, compose,
                               identity_comorphism, lift_homotopy, lift_path,
@@ -178,9 +179,11 @@ def test_compose_pullback_is_contravariant():
 def test_compose_rejects_mismatched_chain():
     c1 = inclusion(disk(), make_tangent(2))
     line = make_tangent(1)
-    c2 = Comorphism(line, line, [ex.Var("x1")], [[1.0]])
-    with pytest.raises(AlgebroidError, match="chain"):
-        compose(c1, c2)
+    # a different shape, and the same shape over another algebroid
+    for c2 in (Comorphism(line, line, [ex.Var("x1")], [[1.0]]),
+               identity_comorphism(disk())):
+        with pytest.raises(AlgebroidError, match="chain"):
+            compose(c1, c2)
 
 
 # --------------------------------------------------- completeness probe
@@ -260,6 +263,17 @@ def test_lift_escape_is_the_non_existence_witness():
     assert c.source.in_domain(lifted.base[-1])
 
 
+def test_escaped_lift_csv_round_trip_keeps_its_witness():
+    B = make_tangent(2)
+    c = inclusion(disk(), B)
+    lifted = lift_path(c, line_path(B, N=200, speed=2.0), (0.0, 0.0))
+    buf = io.StringIO()
+    lifted.write_csv(buf)
+    buf.seek(0)
+    back = read_apath_csv(buf, c.source)
+    assert (back.status, back.t_event) == ("domain_exit", lifted.t_event)
+
+
 def test_lift_uniqueness_on_a_completed_path():
     B = make_tangent(2)
     c = inclusion(disk(), B)
@@ -308,6 +322,25 @@ def test_lift_homotopy_keeps_residuals_and_endpoints():
     assert res_eta <= 1e-3                     # central-difference floor
     assert lifted.endpoint_spread <= 1e-7
     assert np.allclose(lifted.x[-1], 1.0, atol=1e-6)
+
+
+def test_lift_homotopy_rejects_endpoint_drift_of_a_curved_connection():
+    # Heisenberg connection T R^3 -> T R^2 with H_3 = (-x2/2, x1/2): the
+    # lift of t -> (t, s sin(pi t)) ends at x3 = -2s/pi, minus the area
+    # the slice encloses with the x1 axis, so the endpoints drift in s
+    xs = ["x1", "x2", "x3"]
+    fc = FlatConnection(xs, [ex.Var("x1"), ex.Var("x2")],
+                        [[1.0, 0.0], [0.0, 1.0],
+                         [ex.parse("0 - x2/2", xs), ex.parse("x1/2", xs)]])
+    pi = math.pi
+    H = AHomotopy.from_functions(
+        fc.as_comorphism().target,
+        lambda t, s: [t, s * math.sin(pi * t)],
+        lambda t, s: [1.0, s * pi * math.cos(pi * t)],
+        lambda t, s: [0.0, math.sin(pi * t)],
+        nt=50, ns=10)
+    with pytest.raises(AlgebroidError, match="constant in s"):
+        lift_homotopy(fc.as_comorphism(), H, [0.0, 0.0, 0.0])
 
 
 def test_lift_homotopy_names_the_failing_slice():

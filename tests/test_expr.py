@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algpaths import expr as ex
+from algpaths.algebroid import LieAlgebroid
+from algpaths.ehresmann import FlatConnection
 from algpaths.expr import (Const, DomainError, ParseError, SmoothMap, Var,
                            compile_exprs, differentiate, parse, substitute)
+from algpaths.poisson import PoissonManifold
 
 XY = ["x", "y"]
 
@@ -195,6 +198,20 @@ def test_smooth_map_domain_errors_mean_outside():
     m = SmoothMap.from_strings(["x"], ["x"], domain_sources=["log(x)"])
     assert not m.in_domain([-1.0])     # log raises -> outside, not crash
     assert m.in_domain([math.e])
+
+
+@pytest.mark.parametrize("owner", [
+    lambda dom: LieAlgebroid(1, 1, [[1.0]], {}, domain=dom),
+    lambda dom: PoissonManifold(1, {}, domain=dom),
+    lambda dom: FlatConnection(["x1"], [Var("x1")], [[1.0]], domain=dom),
+    lambda dom: SmoothMap(["x1"], [Var("x1")], domain=dom),
+], ids=["LieAlgebroid", "PoissonManifold", "FlatConnection", "SmoothMap"])
+def test_domain_predicate_errors_mean_outside(owner):
+    obj = owner([parse("log(x1)", ["x1"])])
+    assert not obj.in_domain([-1.0])   # log raises -> outside, not crash
+    assert not obj.in_domain([0.0])
+    assert not obj.in_domain([0.5])    # log(0.5) < 0
+    assert obj.in_domain([math.e])
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
