@@ -21,10 +21,10 @@ import numpy as np
 
 from .algebroid import AlgebroidError, make_lie_algebra
 from .expr import point
-from .numkernel import flow, read_csv_rows
+from .numkernel import FlowOutcome, flow, read_csv_rows
 
 
-class APath:
+class APath(FlowOutcome):
     """Sampled A-path: uniform grid on [0,1], base and fiber samples.
 
     junctions: indices excluded from residual maxima (concatenation
@@ -55,15 +55,6 @@ class APath:
     @property
     def target(self):
         return self.base[-1]
-
-    @property
-    def completed(self):
-        return self.status == "completed"
-
-    def status_str(self):
-        if self.status == "completed":
-            return "completed"
-        return f"{self.status}(t*={self.t_event!r})"
 
     def write_csv(self, f):
         n, r = self.algebroid.n, self.algebroid.r
@@ -195,7 +186,8 @@ class AHomotopy:
                     float(np.ptp(self.x[-1], axis=0).max()))
         if drift > tol:
             raise AlgebroidError(
-                f"base endpoints must be constant in s (drift {drift:.3e})")
+                f"base endpoints must be constant in s (drift {drift:.3e} "
+                f"> {tol:.3e})")
 
     @classmethod
     def from_functions(cls, algebroid, x_fn, eta_fn, beta_fn, nt=200, ns=200):

@@ -194,7 +194,7 @@ class ProbeVerdict:
         return out
 
 
-def first_escape(vf, horizon, bound, seeds, step=1e-3):
+def first_escape(vf, horizon, bound, seeds, step):
     """Flow vf over [0, horizon] from each seed in turn.
 
     Returns the witness of the first seed whose flow escapes, or the
@@ -282,19 +282,20 @@ def lift_homotopy(c, H, x0, interp="cubic", bound=1e8):
     """Lift a B-homotopy slice by slice from the common start point x0.
 
     beta lifts as beta_A(t, s) = M(x(t, s)) beta_B(t, s). A failing slice
-    raises LiftError naming the failing s. Lifted endpoints that drift
-    across s by more than AHomotopy's 1e-9 tolerance (a lift through a
-    connection that is not flat) raise AlgebroidError. The lifted
-    homotopy's residuals and endpoint spread across s are attached to the
-    result.
+    raises LiftError naming the failing s. Lifted endpoints must agree
+    across s to 1e-9 plus four times the lift's discretisation error (see
+    _endpoint_error), which is only estimated when the spread exceeds
+    1e-9; a larger drift (a lift through a connection that is not flat)
+    raises AlgebroidError. The lifted homotopy's residuals and endpoint
+    spread across s are attached to the result.
     """
     B = c.target
     nt, ns = len(H.t_grid), len(H.s_grid)
     xs = np.empty((nt, ns, c.source.n))
     etas = np.empty((nt, ns, c.source.r))
     betas = np.empty((nt, ns, c.source.r))
-    for l in range(ns):
-        slice_path = APath(B, H.t_grid, H.x[:, l], H.eta[:, l])
+    slices = [APath(B, H.t_grid, H.x[:, l], H.eta[:, l]) for l in range(ns)]
+    for l, slice_path in enumerate(slices):
         lifted = lift_path(c, slice_path, x0, interp=interp, bound=bound)
         if not lifted.completed:
             raise LiftError(
@@ -304,10 +305,36 @@ def lift_homotopy(c, H, x0, interp="cubic", bound=1e8):
         etas[:, l] = lifted.eta
         for k in range(nt):
             betas[k, l] = c.M_at(xs[k, l]) @ H.beta[k, l]
-    out = AHomotopy(c.source, H.t_grid, H.s_grid, xs, etas, betas)
-    out.endpoint_spread = float(np.max(np.ptp(xs[-1], axis=0)))
+    spread = float(np.max(np.ptp(xs[-1], axis=0)))
+    tol = 1e-9
+    if spread > tol:
+        tol += 4.0 * _endpoint_error(c, H.s_grid, slices, x0, xs[-1],
+                                     interp, bound)
+    out = AHomotopy(c.source, H.t_grid, H.s_grid, xs, etas, betas, tol=tol)
+    out.endpoint_spread = spread
     out.residuals = homotopy_residual(out)
     return out
+
+
+def _endpoint_error(c, s_grid, slices, x0, ends, interp, bound):
+    """Largest discretisation error estimate of the lifted slice endpoints.
+
+    Per slice it is the endpoint's change under a 2x refined step (the
+    RK4 error) plus the distance of phi(endpoint) from the slice's sampled
+    endpoint (the error of interpolating the fiber data between samples).
+    A flat lift's endpoints differ across s by at most twice the largest
+    per-slice error; the second term only sees the directions phi maps.
+    """
+    err = 0.0
+    for s, g, end in zip(s_grid, slices, ends):
+        fine = _lift_flow(c, g, x0, interp=interp, refine=2, bound=bound)
+        if not fine.completed:
+            raise LiftError(f"slice s={s!r} failed to lift at the refined "
+                            f"step: {fine.status_str()}")
+        step_err = np.max(np.abs(np.asarray(fine.endpoint) - end))
+        sample_err = np.max(np.abs(np.asarray(c.phi_at(end)) - g.target))
+        err = max(err, float(step_err + sample_err))
+    return err
 
 
 class UniquenessReport:

@@ -26,6 +26,7 @@ from . import expr as ex
 from .algebroid import AlgebroidError, make_tangent
 from .apath import APath
 from .comorph import Comorphism, lift_path
+from .numkernel import FlowOutcome
 
 
 class FlatConnection:
@@ -205,7 +206,7 @@ def circle_loop(fc, radius=1.0, center=(0.0, 0.0), turns=1, grid=1000):
     return APath(tgt, times, base, eta)
 
 
-class HolonomyReport:
+class HolonomyReport(FlowOutcome):
     """Fiber transport along a lifted loop. phase is the continuity-
     unwrapped angle swept by (z1, z2) (None when the connection does not
     mark complex-fiber indices or the lift failed)."""
@@ -218,10 +219,6 @@ class HolonomyReport:
         self.status = status
         self.t_event = t_event
         self.phi_projection_error = phi_projection_error
-
-    @property
-    def completed(self):
-        return self.status == "completed"
 
     def __repr__(self):
         ph = "None" if self.phase is None else f"{self.phase:.9f}"

@@ -47,12 +47,23 @@ class VectorFieldTD:
         return bool(self.domain(x))
 
 
-class Trajectory:
-    """Samples of an integral curve plus the reason integration ended.
+class FlowOutcome:
+    """How an integration ended: status is one of "completed", "blowup",
+    "domain_exit"; t_event is the event time t* for the latter two and
+    None when completed."""
 
-    status is one of "completed", "blowup", "domain_exit"; t_event is the
-    event time t* for the latter two and None when completed.
-    """
+    @property
+    def completed(self):
+        return self.status == "completed"
+
+    def status_str(self):
+        if self.status == "completed":
+            return "completed"
+        return f"{self.status}(t*={self.t_event!r})"
+
+
+class Trajectory(FlowOutcome):
+    """Samples of an integral curve plus the reason integration ended."""
 
     def __init__(self, times, points, status, t_event=None):
         self.times = np.asarray(times, dtype=float)
@@ -65,15 +76,6 @@ class Trajectory:
     @property
     def endpoint(self):
         return self.points[-1]
-
-    @property
-    def completed(self):
-        return self.status == "completed"
-
-    def status_str(self):
-        if self.status == "completed":
-            return "completed"
-        return f"{self.status}(t*={self.t_event!r})"
 
     def write_csv(self, f):
         n = self.points.shape[1]
@@ -232,5 +234,5 @@ def flow_endpoint_order(vf, x0, t_span, step, reference=None):
     return math.log2(err_h / err_h2)
 
 
-__all__ = ["VectorFieldTD", "Trajectory", "flow", "flow_endpoint_order",
+__all__ = ["VectorFieldTD", "FlowOutcome", "Trajectory", "flow", "flow_endpoint_order",
            "read_csv_rows", "read_trajectory_csv", "FlowError"]

@@ -324,23 +324,59 @@ def test_lift_homotopy_keeps_residuals_and_endpoints():
     assert np.allclose(lifted.x[-1], 1.0, atol=1e-6)
 
 
-def test_lift_homotopy_rejects_endpoint_drift_of_a_curved_connection():
-    # Heisenberg connection T R^3 -> T R^2 with H_3 = (-x2/2, x1/2): the
-    # lift of t -> (t, s sin(pi t)) ends at x3 = -2s/pi, minus the area
-    # the slice encloses with the x1 axis, so the endpoints drift in s
+def vertical_connection(h3):
+    """Connection T R^3 -> T R^2, phi = (x1, x2), with horizontal lift
+    H_3 = h3 in the x3 direction."""
     xs = ["x1", "x2", "x3"]
-    fc = FlatConnection(xs, [ex.Var("x1"), ex.Var("x2")],
-                        [[1.0, 0.0], [0.0, 1.0],
-                         [ex.parse("0 - x2/2", xs), ex.parse("x1/2", xs)]])
+    return FlatConnection(xs, [ex.Var("x1"), ex.Var("x2")],
+                          [[1.0, 0.0], [0.0, 1.0],
+                           [ex.parse(h, xs) for h in h3]])
+
+
+def plane_homotopy(B, x_fn, eta_fn, beta_fn):
+    return AHomotopy.from_functions(B, x_fn, eta_fn, beta_fn, nt=50, ns=10)
+
+
+@pytest.mark.parametrize("scale", [0.5, 0.005])
+def test_lift_homotopy_rejects_endpoint_drift_of_a_curved_connection(scale):
+    # Heisenberg connection H_3 = scale * (-x2, x1): the lift of
+    # t -> (t, s sin(pi t)) ends at x3 = -4 scale s/pi, minus the area the
+    # slice encloses with the x1 axis, so the endpoints drift in s
+    fc = vertical_connection([f"0 - {scale} * x2", f"{scale} * x1"])
     pi = math.pi
-    H = AHomotopy.from_functions(
+    H = plane_homotopy(
         fc.as_comorphism().target,
         lambda t, s: [t, s * math.sin(pi * t)],
         lambda t, s: [1.0, s * pi * math.cos(pi * t)],
-        lambda t, s: [0.0, math.sin(pi * t)],
-        nt=50, ns=10)
+        lambda t, s: [0.0, math.sin(pi * t)])
     with pytest.raises(AlgebroidError, match="constant in s"):
         lift_homotopy(fc.as_comorphism(), H, [0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("h31, shape", [("x3", "symmetric"),
+                                        ("x3", "skewed"), ("0", "skewed")])
+def test_lift_homotopy_accepts_a_flat_connection_at_a_coarse_grid(h31, shape):
+    # The endpoints of a flat lift agree across s only up to its
+    # discretisation error at nt = 50. With H_3 = (x3, 0) the lift
+    # x3' = x3 xi1 depends on x, so the RK4 error shows; the skewed family
+    # adds the error of interpolating xi between samples, which is all
+    # there is for H_3 = 0
+    fc = vertical_connection([h31, "0"])
+    pi = math.pi
+    if shape == "symmetric":
+        f, df = (lambda t: math.sin(pi * t)), (lambda t: pi * math.cos(pi * t))
+    else:
+        f = lambda t: math.sin(pi * t * t)
+        df = lambda t: 2 * pi * t * math.cos(pi * t * t)
+    H = plane_homotopy(
+        fc.as_comorphism().target,
+        lambda t, s: [t + s * f(t), s * f(t)],
+        lambda t, s: [1.0 + s * df(t), s * df(t)],
+        lambda t, s: [f(t), f(t)])
+    lifted = lift_homotopy(fc.as_comorphism(), H, [0.0, 0.0, 1.0])
+    assert 1e-9 < lifted.endpoint_spread <= 1e-5
+    x3_end = math.e if h31 == "x3" else 1.0
+    assert np.allclose(lifted.x[-1], [1.0, 0.0, x3_end], atol=1e-5)
 
 
 def test_lift_homotopy_names_the_failing_slice():
