@@ -11,8 +11,6 @@ The axioms are not assumed: `check_axioms` evaluates the anchor-morphism
 and Jacobi residuals at sample points, with all derivatives symbolic.
 """
 
-from operator import mul
-
 import numpy as np
 
 from . import expr as ex
@@ -94,19 +92,26 @@ class LieAlgebroid:
                 f[c, b, a] = -v
         return f
 
-    def anchored_field(self, section):
-        """The field x' = rho(x) section(t, x) on the domain, where
-        section(t, x) returns r fiber coordinates."""
-        anchor_fn = self._anchor_fn
-        r = self.r
-        rows = [slice(i * r, (i + 1) * r) for i in range(self.n)]
+    def anchored_field(self, section, inputs=("t",)):
+        """x' = rho(x) s compiled into one function of (*inputs, *x).
 
-        def fn(t, x):
-            rho = anchor_fn(*x)
-            sv = section(t, x)
-            return [sum(map(mul, rho[row], sv)) for row in rows]
+        section: the r components of s, Exprs over the names in `inputs`
+        and the base coordinates. Each component sum_a rho^i_a s_a is built
+        left to right with the folding constructors, so it adds the nonzero
+        products in the order a plain loop over a would."""
+        comps = []
+        for row in self.anchor:
+            acc = ex.Const(0.0)
+            for rho, s in zip(row, section):
+                acc = ex.add(acc, ex.mul(rho, s))
+            comps.append(acc)
+        return ex.compile_exprs(comps, list(inputs) + self.coords)
 
-        return VectorFieldTD(self.n, fn, domain=self.in_domain)
+    def flow_field(self, fn):
+        """The field x' = fn(t, *x) on the domain, for a function compiled
+        by `anchored_field` with the time as its one input."""
+        return VectorFieldTD(self.n, lambda t, x: fn(t, *x),
+                             domain=self.in_domain)
 
     def bracket_expr(self, c, a, b):
         """f^c_{ab} as an Expr for any index pair (may be Const 0)."""
@@ -190,7 +195,8 @@ class SectionTD:
     """Time-dependent section s(t, x) of the algebroid, expression-backed.
 
     exprs: r expressions over ("t", x coordinates); __call__(t, x) gives
-    the fiber coordinates of s at time t over base point x.
+    the fiber coordinates of s at time t over base point x (compiled at
+    the first call).
     """
 
     def __init__(self, algebroid, exprs):
@@ -205,7 +211,7 @@ class SectionTD:
             if extra:
                 raise AlgebroidError(
                     f"section expression uses unknown variables {sorted(extra)}")
-        self._fn = ex.compile_exprs(self.exprs, self.variables)
+        self._fn = None
 
     @classmethod
     def from_strings(cls, algebroid, sources):
@@ -213,6 +219,8 @@ class SectionTD:
         return cls(algebroid, [ex.parse(s, variables) for s in sources])
 
     def __call__(self, t, x):
+        if self._fn is None:
+            self._fn = ex.compile_exprs(self.exprs, self.variables)
         return self._fn(t, *x)
 
 

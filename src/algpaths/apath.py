@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebroid import AlgebroidError, make_lie_algebra
 from .expr import point
-from .numkernel import FlowOutcome, flow, read_csv_rows
+from .numkernel import FlowOutcome, check_uniform_grid, flow, read_csv_rows
 
 
 class APath(FlowOutcome):
@@ -72,13 +72,15 @@ class APath(FlowOutcome):
 
 
 def read_apath_csv(f, algebroid):
-    """Inverse of APath.write_csv for a known algebroid."""
+    """Inverse of APath.write_csv for a known algebroid. A malformed
+    header, a non-finite cell or an uneven time grid raises ValueError."""
     header = f.readline().strip().split(",")
     n, r = algebroid.n, algebroid.r
     if len(header) != 1 + n + r or header[0] != "t":
-        raise AlgebroidError(
+        raise ValueError(
             f"APath CSV header must be t,x1..x{n},eta1..eta{r}")
     rows, status, t_event = read_csv_rows(f)
+    check_uniform_grid([v[0] for v in rows])
     return APath(algebroid, [v[0] for v in rows], [v[1:1 + n] for v in rows],
                  [v[1 + n:] for v in rows], status, t_event)
 
@@ -89,8 +91,8 @@ def integrate_apath(A, s, x0, grid_size=1000, bound=1e8):
     Returns an APath whose status records blowup/domain exit; the samples
     then cover only the integrated prefix.
     """
-    traj = flow(A.anchored_field(s), x0, (0.0, 1.0), step=1.0 / grid_size,
-                bound=bound)
+    traj = flow(A.flow_field(A.anchored_field(s.exprs)), x0, (0.0, 1.0),
+                step=1.0 / grid_size, bound=bound)
     eta = [s(t, x) for t, x in zip(traj.times, traj.points)]
     return APath(A, traj.times, traj.points, eta, traj.status, traj.t_event)
 
@@ -217,17 +219,23 @@ class AHomotopy:
 
 
 def read_ahomotopy_csv(f, algebroid):
-    """Inverse of AHomotopy.write_csv for a known algebroid."""
+    """Inverse of AHomotopy.write_csv for a known algebroid. A malformed
+    header, a non-finite cell, a missing grid point or an uneven t or s
+    grid raises ValueError."""
     n, r = algebroid.n, algebroid.r
     header = f.readline().strip().split(",")
     if len(header) != 2 + n + 2 * r or header[:2] != ["t", "s"]:
-        raise AlgebroidError("AHomotopy CSV header mismatch")
+        raise ValueError(
+            f"AHomotopy CSV header must be t,s,x1..x{n},eta1..eta{r},"
+            f"beta1..beta{r}")
     rows = np.asarray(read_csv_rows(f)[0])
     t_grid = np.unique(rows[:, 0])
     s_grid = np.unique(rows[:, 1])
     nt, ns = len(t_grid), len(s_grid)
     if nt * ns != len(rows):
-        raise AlgebroidError("AHomotopy CSV is not a full grid")
+        raise ValueError("AHomotopy CSV is not a full grid")
+    check_uniform_grid(t_grid, "t")
+    check_uniform_grid(s_grid, "s")
     data = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
     x = data[:, 2:2 + n].reshape(nt, ns, n)
     eta = data[:, 2 + n:2 + n + r].reshape(nt, ns, r)
@@ -287,13 +295,16 @@ class MatrixPath:
 
 
 def read_matrix_csv(f):
-    """Inverse of MatrixPath.write_csv: header t,g11..gmm, row-major."""
+    """Inverse of MatrixPath.write_csv: header t,g11..gmm, row-major. A
+    malformed header, a non-finite cell or an uneven time grid raises
+    ValueError."""
     header = f.readline().strip().split(",")
     m2 = len(header) - 1
     m = int(round(math.sqrt(m2)))
     if header[:1] != ["t"] or m * m != m2:
         raise ValueError("not a matrix-path CSV header")
     rows = read_csv_rows(f)[0]
+    check_uniform_grid([v[0] for v in rows])
     return MatrixPath([v[0] for v in rows],
                       [np.asarray(v[1:]).reshape(m, m) for v in rows])
 

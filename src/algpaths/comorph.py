@@ -13,15 +13,13 @@ or domain exit of that flow is the numerical witness that the lift fails
 to exist over the full interval.
 """
 
-from operator import mul
-
 import numpy as np
 
 from . import expr as ex
 from .algebroid import AlgebroidError, SectionTD
 from .apath import APath, AHomotopy, homotopy_residual
 from .expr import point
-from .numkernel import flow
+from .numkernel import VectorFieldTD, flow
 
 
 class LiftError(Exception):
@@ -56,6 +54,7 @@ class Comorphism:
         self._M_fn = ex.compile_exprs(
             [e for row in self.M for e in row], source.coords)
         self._dphi_fn = None
+        self._lift_fn = None
 
     def phi_at(self, x):
         return self._phi_fn(*x)
@@ -64,6 +63,23 @@ class Comorphism:
         flat = self._M_fn(*x)
         return np.asarray(flat, dtype=float).reshape(self.source.r,
                                                      self.target.r)
+
+    def _lift_field(self):
+        """rho_A(x) M(x) xi compiled into one function of (*xi, *x), with
+        the target fiber coordinates xi as inputs; compiled at the first
+        lift and kept."""
+        if self._lift_fn is None:
+            xi = [f"xi{b+1}" for b in range(self.target.r)]
+            while set(xi) & set(self.source.coords):
+                xi = ["_" + v for v in xi]
+            section = []
+            for row in self.M:
+                acc = ex.Const(0.0)
+                for m, v in zip(row, xi):
+                    acc = ex.add(acc, ex.mul(m, ex.Var(v)))
+                section.append(acc)
+            self._lift_fn = self.source.anchored_field(section, xi)
+        return self._lift_fn
 
     def dphi_at(self, x):
         """Jacobian Dphi(x), (target.n x source.n), symbolic partials."""
@@ -215,7 +231,8 @@ def first_escape(vf, horizon, bound, seeds, step):
 def completeness_probe(c, s, horizon, bound, seeds, step=1e-3):
     """Flow rho_A . Phi† s from every seed over [0, horizon]: the first
     escape witness, or the (inconclusive) no-escape verdict."""
-    vf = c.source.anchored_field(pullback_section(c, s))
+    A = c.source
+    vf = A.flow_field(A.anchored_field(pullback_section(c, s).exprs))
     return first_escape(vf, horizon, bound, seeds, step)
 
 
@@ -232,25 +249,30 @@ def _fiber_table(g, interp, refine):
                           for b in range(g.eta.shape[1])], axis=1)
     else:
         raise ValueError(f"unknown interpolation {interp!r}")
-    return m, [list(row) for row in table]
+    return m, table.tolist()
 
 
 def _lift_flow(c, g, x0, interp="cubic", refine=1, bound=1e8):
     """Integrate x' = rho_A(x) M(x) xi(t) over g's (refined) grid."""
     m, table = _fiber_table(g, interp, refine)
-    M_fn = c._M_fn
-    rB = c.target.r
-    rows = [slice(a * rB, (a + 1) * rB) for a in range(c.source.r)]
+    fn = c._lift_field()
     t0, t1 = g.times[0], g.times[-1]
     scale = 2.0 * m / (t1 - t0)
 
-    def M_xi(t, x):
-        xi = table[int(round((t - t0) * scale))]
-        Mf = M_fn(*x)
-        return [sum(map(mul, Mf[row], xi)) for row in rows]
+    def rhs(t, x):
+        return fn(*table[round((t - t0) * scale)], *x)
 
-    vf = c.source.anchored_field(M_xi)
+    vf = VectorFieldTD(c.source.n, rhs, domain=c.source.in_domain)
     return flow(vf, x0, (t0, t1), step=(t1 - t0) / m, bound=bound)
+
+
+def _fiber_products(c, points, vectors):
+    """M(x_k) v_k for every sample k, as one (len(points), rank A) array."""
+    M_fn = c._M_fn
+    Ms = np.array([M_fn(*x) for x in points], dtype=float)
+    Ms = Ms.reshape(len(points), c.source.r, c.target.r)
+    v = np.ascontiguousarray(vectors[:len(points)], dtype=float)
+    return (Ms @ v[:, :, None])[:, :, 0]
 
 
 def lift_path(c, g, x0, interp="cubic", bound=1e8):
@@ -267,11 +289,11 @@ def lift_path(c, g, x0, interp="cubic", bound=1e8):
             f"phi(x0) = {point(y0)} does not match the path source "
             f"{point(g.source)}")
     traj = _lift_flow(c, g, x0, interp=interp, bound=bound)
-    eta = [list(c.M_at(x) @ g.eta[k]) for k, x in enumerate(traj.points)]
-    proj = 0.0
-    for k, x in enumerate(traj.points):
-        d = np.asarray(c.phi_at(x)) - g.base[k]
-        proj = max(proj, float(np.max(np.abs(d))))
+    points = traj.points
+    eta = _fiber_products(c, points, g.eta)
+    phi_fn = c._phi_fn
+    images = np.array([phi_fn(*x) for x in points], dtype=float)
+    proj = float(np.max(np.abs(images - g.base[:len(points)])))
     out = APath(c.source, traj.times, traj.points, eta, traj.status,
                 traj.t_event)
     out.phi_projection_error = proj
@@ -303,8 +325,7 @@ def lift_homotopy(c, H, x0, interp="cubic", bound=1e8):
                 f"{lifted.status_str()}")
         xs[:, l] = lifted.base
         etas[:, l] = lifted.eta
-        for k in range(nt):
-            betas[k, l] = c.M_at(xs[k, l]) @ H.beta[k, l]
+        betas[:, l] = _fiber_products(c, lifted.base, H.beta[:, l])
     spread = float(np.max(np.ptp(xs[-1], axis=0)))
     tol = 1e-9
     if spread > tol:

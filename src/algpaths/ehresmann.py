@@ -246,14 +246,33 @@ def holonomy(fc, loop, x0):
 
 def sheet_count(nu_value, k_max=10**6, tol=1e-9):
     """Order of nu in R/Z: smallest k <= k_max with k*nu within tol of an
-    integer, else math.inf (reported honestly as 'order > k_max')."""
-    nu_value = float(nu_value)
-    k = np.arange(1, k_max + 1, dtype=float)
-    d = np.abs(k * nu_value - np.round(k * nu_value))
-    hits = np.nonzero(d <= tol)[0]
-    if len(hits) == 0:
+    integer, else math.inf (reported honestly as 'order > k_max').
+
+    Only the continued-fraction convergent denominators of nu (of the
+    float's exact value) are tested: the smallest k with |k nu - round(k
+    nu)| <= tol is nearer an integer than every smaller multiple, and such
+    best approximations are convergent denominators. That takes
+    O(log k_max) steps and no memory of size k_max. (A tol near the
+    rounding error of k*nu, about k * |nu| * 2^-53, is below what the
+    float test can resolve: a scan of every k could then also stop at a
+    multiple of a denominator whose product happens to round to an
+    integer.)
+    """
+    nu = float(nu_value)
+    if not math.isfinite(nu):
         return math.inf
-    return int(hits[0]) + 1
+    p, q = nu.as_integer_ratio()       # nu = p/q exactly, q > 0
+    k_prev, k = 0, 1
+    while k <= k_max:
+        x = k * nu
+        if abs(x - round(x)) <= tol:
+            return k
+        # next partial quotient: invert the fractional part of p/q
+        p, q = q, p % q
+        if q == 0:
+            break
+        k_prev, k = k, (p // q) * k + k_prev
+    return math.inf
 
 
 class GammaElement:
@@ -335,11 +354,13 @@ class DensityReport:
 
 
 TWO_PI = 2.0 * math.pi
+DENSITY_MAX_SAMPLES = 4 * 10**6
 
 
 def density_scan(nu_value, theta_offset, z0, tau_max, bins):
     """Sample (theta', arg z') = (theta0 + tau, arg z0 + nu tau) mod 2pi
-    for tau in [0, tau_max].
+    for tau in [0, tau_max], four samples per bin width of theta'; more
+    than DENSITY_MAX_SAMPLES samples are refused before any is taken.
 
     Reports the fraction of bins x bins cells hit, the number of distinct
     lines arg z' = nu theta' + b (cluster count of the intercepts b), and
@@ -353,6 +374,12 @@ def density_scan(nu_value, theta_offset, z0, tau_max, bins):
     nu_value = float(nu_value)
     a0 = math.atan2(z0[1], z0[0])
     step = TWO_PI / (4.0 * bins)
+    samples = float(tau_max) / step + 1.0
+    if not 1.0 <= samples <= DENSITY_MAX_SAMPLES:
+        raise ValueError(
+            f"tau_max = {tau_max!r} with {bins} bins needs {samples:.4g} "
+            f"samples; need tau_max >= 0 and at most "
+            f"{DENSITY_MAX_SAMPLES} samples")
     tau = np.arange(0.0, tau_max + step / 2.0, step)
     theta = np.mod(theta_offset + tau, TWO_PI)
     argz = np.mod(a0 + nu_value * tau, TWO_PI)

@@ -101,7 +101,11 @@ class Expr:
     def _collect_vars(self, out):
         pass
 
-    def _pysrc(self, names, ctx):
+    def _parts(self):
+        """(template, args): the node's Python source as a format string
+        over its arguments' sources, and the argument subexpressions in
+        evaluation order. Two nodes with equal templates and equal
+        arguments compute the same value."""
         raise NotImplementedError
 
 
@@ -125,11 +129,6 @@ class Const(Expr):
                 and abs(self.value) < 1e16:
             return str(int(self.value))
         return repr(self.value)
-
-    def _pysrc(self, names, ctx):
-        if not math.isfinite(self.value):
-            return f"(float({str(self.value)!r}))"
-        return f"({self.value!r})"
 
 
 class Var(Expr):
@@ -156,9 +155,6 @@ class Var(Expr):
     def _collect_vars(self, out):
         out.add(self.name)
 
-    def _pysrc(self, names, ctx):
-        return names[self.name]
-
 
 class _Binary(Expr):
     __slots__ = ("a", "b")
@@ -175,6 +171,9 @@ class _Binary(Expr):
         self.a._collect_vars(out)
         self.b._collect_vars(out)
 
+    def _parts(self):
+        return self.template, (self.a, self.b)
+
     def __str__(self):
         left = _paren(self.a, self.prec, left=True)
         right = _paren(self.b, self.prec, left=False)
@@ -184,6 +183,7 @@ class _Binary(Expr):
 class Add(_Binary):
     __slots__ = ()
     op = "+"
+    template = "({0} + {1})"
     prec = 1
 
     def d(self, var):
@@ -192,13 +192,11 @@ class Add(_Binary):
     def eval(self, env):
         return self.a.eval(env) + self.b.eval(env)
 
-    def _pysrc(self, names, ctx):
-        return f"({self.a._pysrc(names, ctx)} + {self.b._pysrc(names, ctx)})"
-
 
 class Sub(_Binary):
     __slots__ = ()
     op = "-"
+    template = "({0} - {1})"
     prec = 1
 
     def d(self, var):
@@ -207,13 +205,11 @@ class Sub(_Binary):
     def eval(self, env):
         return self.a.eval(env) - self.b.eval(env)
 
-    def _pysrc(self, names, ctx):
-        return f"({self.a._pysrc(names, ctx)} - {self.b._pysrc(names, ctx)})"
-
 
 class Mul(_Binary):
     __slots__ = ()
     op = "*"
+    template = "({0} * {1})"
     prec = 2
 
     def d(self, var):
@@ -222,13 +218,11 @@ class Mul(_Binary):
     def eval(self, env):
         return self.a.eval(env) * self.b.eval(env)
 
-    def _pysrc(self, names, ctx):
-        return f"({self.a._pysrc(names, ctx)} * {self.b._pysrc(names, ctx)})"
-
 
 class Div(_Binary):
     __slots__ = ()
     op = "/"
+    template = "({0} / {1})"
     prec = 2
 
     def d(self, var):
@@ -241,9 +235,6 @@ class Div(_Binary):
         if bv == 0.0:
             raise EvalError("division by zero")
         return self.a.eval(env) / bv
-
-    def _pysrc(self, names, ctx):
-        return f"({self.a._pysrc(names, ctx)} / {self.b._pysrc(names, ctx)})"
 
 
 class Neg(Expr):
@@ -268,8 +259,8 @@ class Neg(Expr):
     def _collect_vars(self, out):
         self.a._collect_vars(out)
 
-    def _pysrc(self, names, ctx):
-        return f"(-{self.a._pysrc(names, ctx)})"
+    def _parts(self):
+        return "(-{0})", (self.a,)
 
 
 class Pow(Expr):
@@ -301,8 +292,8 @@ class Pow(Expr):
     def _collect_vars(self, out):
         self.a._collect_vars(out)
 
-    def _pysrc(self, names, ctx):
-        return f"({self.a._pysrc(names, ctx)} ** {self.n})"
+    def _parts(self):
+        return f"({{0}} ** {self.n})", (self.a,)
 
 
 class Fun1(Expr):
@@ -352,9 +343,9 @@ class Fun1(Expr):
     def _collect_vars(self, out):
         self.a._collect_vars(out)
 
-    def _pysrc(self, names, ctx):
+    def _parts(self):
         fn = "_estep" if self.name == "estep" else f"math.{self.name}"
-        return f"{fn}({self.a._pysrc(names, ctx)})"
+        return fn + "({0})", (self.a,)
 
 
 class Atan2(Expr):
@@ -383,8 +374,8 @@ class Atan2(Expr):
         self.a._collect_vars(out)
         self.b._collect_vars(out)
 
-    def _pysrc(self, names, ctx):
-        return f"math.atan2({self.a._pysrc(names, ctx)}, {self.b._pysrc(names, ctx)})"
+    def _parts(self):
+        return "math.atan2({0}, {1})", (self.a, self.b)
 
 
 class Gate(Expr):
@@ -415,11 +406,8 @@ class Gate(Expr):
         self.g._collect_vars(out)
         self.e._collect_vars(out)
 
-    def _pysrc(self, names, ctx):
-        tmp = ctx.fresh()
-        gsrc = self.g._pysrc(names, ctx)
-        esrc = self.e._pysrc(names, ctx)
-        return f"(0.0 if ({tmp} := {gsrc}) == 0.0 else {tmp} * {esrc})"
+    def _parts(self):
+        return None, (self.g, self.e)      # written as a guarded block
 
 
 def _paren(child, parent_prec, left):
@@ -764,28 +752,166 @@ def substitute(e, mapping):
 
 # ----------------------------------------------------------- compilation ---
 
-class _Ctx:
-    def __init__(self):
-        self.counter = 0
+class _Scope:
+    """Values computed unconditionally at one level of a compiled function:
+    its body, or the guarded arm of the gates that share one guard value
+    inside a parent scope. A value of a scope is visible in its nested
+    scopes; `lines` is the block being written while the scope is open."""
 
-    def fresh(self):
-        self.counter += 1
-        return f"_g{self.counter}"
+    def __init__(self, parent=None, indent="    "):
+        self.parent = parent
+        self.indent = indent
+        self.values = {}      # (template, argument values) -> _Value
+        self.seen = {}        # id(Expr) -> its value
+        self.arms = {}        # guard value -> arm _Scope
+        self.lines = []
 
 
-_COMPILE_GLOBALS = {"math": math, "_estep": _estep, "__builtins__": {}}
+class _Value:
+    """A node's value in a compiled function: its source template, the
+    values of its arguments (a leaf's value is its source text), its scope
+    and its number of users; `src` is the temporary that holds it once
+    written. A gate's value has no template and its arm's scope."""
+
+    __slots__ = ("template", "args", "scope", "arm", "uses", "src")
+
+    def __init__(self, template, args, scope, arm=None):
+        self.template = template
+        self.args = args
+        self.scope = scope
+        self.arm = arm
+        self.uses = 0
+        self.src = None
+
+
+def _const_src(v):
+    if math.isfinite(v):
+        return f"({v!r})"
+    if v != v:
+        return "_nan"
+    return "_inf" if v > 0 else "(-_inf)"
+
+
+class _Compiler:
+    """Common-subexpression elimination and emission of straight-line code.
+
+    `value` numbers every node by its template and its arguments' values,
+    so the pass is linear in the size of the expression DAG and never
+    hashes a subtree. A node equal to one computed in its scope or an
+    enclosing one reuses that value. A gate's guard is a value of the
+    gate's scope and its arm is numbered in the scope of that guard's arms,
+    so nothing is hoisted out of an arm and e stays unevaluated when
+    g == 0. `src` then writes a value used more than once (and every gate)
+    to a temporary at its first use, and inlines the rest.
+    """
+
+    def __init__(self, variables):
+        self.names = dict(zip(variables, map("_v{}".format,
+                                             range(len(variables)))))
+        self.temps = 0
+
+    def value(self, e, scope):
+        cls = type(e)
+        if cls is Var:
+            try:
+                return self.names[e.name]
+            except KeyError:
+                raise ExprError(f"unbound variable {e.name!r}") from None
+        if cls is Const:
+            return _const_src(e.value)
+        key = id(e)
+        s = scope
+        while s is not None:
+            v = s.seen.get(key)
+            if v is not None:
+                return v
+            s = s.parent
+        template, parts = e._parts()
+        arm = None
+        if template is None:                            # a gate
+            g = self.value(parts[0], scope)
+            arm = scope.arms.get(g)
+            if arm is None:
+                arm = scope.arms[g] = _Scope(scope, scope.indent + "    ")
+            args = (g, self.value(parts[1], arm))
+        elif len(parts) == 1:
+            args = (self.value(parts[0], scope),)
+        else:
+            args = (self.value(parts[0], scope), self.value(parts[1], scope))
+        node = (template, args)
+        s = scope
+        while s is not None:
+            v = s.values.get(node)
+            if v is not None:
+                break
+            s = s.parent
+        else:
+            v = scope.values[node] = _Value(template, args, scope, arm)
+            for a in args:
+                if type(a) is _Value:
+                    a.uses += 1
+            if arm is not None and type(args[0]) is _Value:
+                args[0].uses += 1           # tested, then multiplied
+        scope.seen[key] = v
+        return v
+
+    def src(self, v):
+        if type(v) is str:
+            return v
+        if v.src is not None:
+            return v.src
+        scope = v.scope
+        if v.arm is None:
+            text = v.template.format(*map(self.src, v.args))
+            if v.uses < 2:
+                return text
+            v.src = self.temp()
+            scope.lines.append(f"{scope.indent}{v.src} = {text}")
+            return v.src
+        g = self.src(v.args[0])
+        v.arm.lines = []
+        e = self.src(v.args[1])
+        v.src = self.temp()
+        ind = scope.indent
+        scope.lines += [f"{ind}if {g} == 0.0:", f"{ind}    {v.src} = 0.0",
+                        f"{ind}else:", *v.arm.lines,
+                        f"{ind}    {v.src} = {g} * {e}"]
+        return v.src
+
+    def temp(self):
+        self.temps += 1
+        return f"_t{self.temps}"
+
+
+_COMPILE_GLOBALS = {"math": math, "_estep": _estep, "_inf": math.inf,
+                    "_nan": math.nan, "__builtins__": {}}
 
 
 def compile_exprs(exprs, variables):
     """Compile a list of Exprs over the same variables into one callable
-    taking positional floats and returning a list of floats."""
-    names = {v: f"_v{i}" for i, v in enumerate(variables)}
-    ctx = _Ctx()
-    bodies = [e._pysrc(names, ctx) for e in exprs]
-    params = ", ".join(names[v] for v in variables)
-    src = f"def _f({params}):\n    return [{', '.join(bodies)}]\n"
+    taking positional floats and returning a list of floats.
+
+    The callable is straight-line code in which every repeated
+    subexpression is computed once (see `_Compiler`); it returns the same
+    floats as `Expr.eval`, raising ArithmeticError or ValueError where
+    `eval` raises EvalError."""
+    comp = _Compiler(variables)
+    body = _Scope()
+    outs = [comp.value(e, body) for e in exprs]
+    for v in outs:
+        if type(v) is _Value:
+            v.uses += 1
+    ret = ", ".join(map(comp.src, outs))
+    params = ", ".join(map(comp.names.__getitem__, variables))
+    if not body.lines:
+        # without temporaries the body is one expression, and a lambda
+        # compiles faster than a def
+        return eval(compile(f"lambda {params}: [{ret}]", "<expr>", "eval"),
+                    _COMPILE_GLOBALS)
+    src = "\n".join([f"def _f({params}):", *body.lines,
+                     f"    return [{ret}]", ""])
     scope = {}
-    exec(compile(src, "<expr>", "exec"), dict(_COMPILE_GLOBALS), scope)
+    exec(compile(src, "<expr>", "exec"), _COMPILE_GLOBALS, scope)
     return scope["_f"]
 
 

@@ -89,13 +89,21 @@ class Trajectory(FlowOutcome):
                 f"status={self.status_str()})")
 
 
+def _finite(x):
+    return all(math.isfinite(v) for v in x)
+
+
 _STATUS_RE = re.compile(r"#\s*status=(\w+)(?:\(t\*=([^)]+)\))?")
+
+
+GRID_RTOL = 1e-6
 
 
 def read_csv_rows(f):
     """Rows of floats after the header line of a CSV, and the status of
     its '# status=' trailer: returns (rows, status, t_event), the status
-    "completed" when there is no trailer. Other '#' lines are skipped."""
+    "completed" when there is no trailer. Other '#' lines are skipped.
+    A non-finite cell or a file without rows raises ValueError."""
     rows = []
     status, t_event = "completed", None
     for line in f:
@@ -109,26 +117,45 @@ def read_csv_rows(f):
                 if m.group(2) is not None:
                     t_event = float(m.group(2))
             continue
-        rows.append([float(v) for v in line.split(",")])
+        row = [float(v) for v in line.split(",")]
+        if not _finite(row):
+            raise ValueError(f"CSV row {len(rows) + 1} has a non-finite "
+                             f"value: {line}")
+        rows.append(row)
+    if not rows:
+        raise ValueError("CSV has no data rows")
     return rows, status, t_event
+
+
+def check_uniform_grid(times, what="time", short_last=False):
+    """Raise ValueError unless the grid steps up evenly: every spacing
+    equal to the first up to GRID_RTOL of it. With short_last the last
+    spacing may be shorter, as when a flow's span is not a whole number of
+    steps."""
+    d = np.diff(np.asarray(times, dtype=float))
+    if len(d) == 0:
+        return
+    h = d[0]
+    body = d[:-1] if short_last else d
+    if not (h > 0.0 and np.all(np.abs(body - h) <= GRID_RTOL * h)
+            and (not short_last or 0.0 < d[-1] <= h * (1.0 + GRID_RTOL))):
+        raise ValueError(f"{what} grid is not uniform (spacings from "
+                         f"{d.min()!r} to {d.max()!r})")
 
 
 def read_trajectory_csv(f):
     """Inverse of Trajectory.write_csv (header + rows + status comment)."""
     header = f.readline()
     if not header.startswith("t,"):
-        raise FlowError("trajectory CSV must start with a 't,x1,...' header")
+        raise ValueError("trajectory CSV must start with a 't,x1,...' header")
     rows, status, t_event = read_csv_rows(f)
+    check_uniform_grid([v[0] for v in rows], short_last=True)
     return Trajectory([v[0] for v in rows], [v[1:] for v in rows], status,
                       t_event)
 
 
 def _norm(x):
     return math.sqrt(sum(v * v for v in x))
-
-
-def _finite(x):
-    return all(math.isfinite(v) for v in x)
 
 
 _EVAL_ERRORS = (ArithmeticError, ValueError)
@@ -235,4 +262,5 @@ def flow_endpoint_order(vf, x0, t_span, step, reference=None):
 
 
 __all__ = ["VectorFieldTD", "FlowOutcome", "Trajectory", "flow", "flow_endpoint_order",
-           "read_csv_rows", "read_trajectory_csv", "FlowError"]
+           "read_csv_rows", "check_uniform_grid", "read_trajectory_csv",
+           "FlowError"]

@@ -252,6 +252,95 @@ def test_lift_homotopy_cli(lift_cfg, tmp_path, capsys):
     assert payload["endpoint_spread"] <= 1e-5
 
 
+# ----------------------------------------------------------- bad CSV input
+
+def _grid_csv(tmp_path, name, rows, header):
+    path = tmp_path / name
+    path.write_text(header + "\n" + "\n".join(
+        ",".join(repr(float(v)) for v in row) for row in rows) + "\n")
+    return str(path)
+
+
+def _apath_rows(times):
+    # the straight path x(t) = (0.2 t, 0), eta = (0.2, 0)
+    return [[t, 0.2 * t, 0.0, 0.2, 0.0] for t in times]
+
+
+def _ahomotopy_rows(t_grid, s_grid):
+    # the constant homotopy at the origin: every x, eta and beta vanishes
+    return [[t, s] + [0.0] * 6 for t in t_grid for s in s_grid]
+
+
+@pytest.mark.parametrize("interp", ["linear", "cubic"])
+@pytest.mark.parametrize("defect, message", [
+    ("nan", "non-finite"), ("inf", "non-finite"), ("grid", "not uniform")])
+def test_lift_path_rejects_bad_path_csv(lift_cfg, tmp_path, capsys, interp,
+                                        defect, message):
+    times = [k / 10 for k in range(11)]
+    if defect == "grid":
+        times[5] = 0.52
+    rows = _apath_rows(times)
+    if defect != "grid":
+        rows[5][3] = float(defect)
+    path = _grid_csv(tmp_path, "bad.csv", rows, "t,x1,x2,eta1,eta2")
+    assert run(["lift-path", "--config", lift_cfg, "--comorphism", "incl",
+                "--path", path, "--x0", "0,0", "--interp", interp]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command, flag, header", [
+    ("lift-path", "--path", "t,x1,eta1,eta2"),
+    ("lift-homotopy", "--homotopy", "t,s,x1,x2,eta1,eta2,beta1"),
+])
+def test_malformed_csv_header_is_a_usage_error(lift_cfg, tmp_path, capsys,
+                                               command, flag, header):
+    path = _grid_csv(tmp_path, "bad.csv", [[0.0] * 7, [1.0] * 7], header)
+    assert run([command, "--config", lift_cfg, "--comorphism", "incl",
+                flag, path, "--x0", "0,0"]) == 2
+    assert "CSV header must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("nan", "non-finite"), ("t", "t grid is not uniform"),
+    ("s", "s grid is not uniform"), ("hole", "not a full grid")])
+def test_lift_homotopy_rejects_bad_homotopy_csv(lift_cfg, tmp_path, capsys,
+                                                defect, message):
+    t_grid = [k / 10 for k in range(11)]
+    s_grid = [0.0, 0.5, 1.0]
+    if defect == "t":
+        t_grid[3] = 0.35
+    if defect == "s":
+        s_grid[1] = 0.4
+    rows = _ahomotopy_rows(t_grid, s_grid)
+    if defect == "nan":
+        rows[7][4] = math.nan
+    if defect == "hole":
+        del rows[7]
+    path = _grid_csv(tmp_path, "bad.csv", rows,
+                     "t,s,x1,x2,eta1,eta2,beta1,beta2")
+    assert run(["lift-homotopy", "--config", lift_cfg, "--comorphism",
+                "incl", "--homotopy", path, "--x0", "0,0"]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("nan", "non-finite"), ("grid", "not uniform"), ("empty", "no data")])
+def test_logderiv_rejects_bad_matrix_csv(tmp_path, capsys, defect, message):
+    times = [k / 10 for k in range(11)]
+    if defect == "grid":
+        times[-1] = 1.2
+    rows = [[t, 1.0, -0.1 * t, 0.1 * t, 1.0] for t in times]
+    if defect == "nan":
+        rows[2][1] = math.nan
+    if defect == "empty":
+        rows = []
+    path = _grid_csv(tmp_path, "g.csv", rows, "t,g11,g12,g21,g22")
+    assert run(["logderiv", "--gamma", path,
+                "--basis", "[[[0, -1], [1, 0]]]"]) == 2
+    assert message in capsys.readouterr().err
+
+
 # ------------------------------------------------------ completeness/compose
 
 def test_completeness_probe_escape(lift_cfg, capsys):
@@ -388,6 +477,14 @@ def test_example3_density_json(capsys):
     assert payload["max_gap"] == pytest.approx(2.0 * math.pi / 3.0,
                                                abs=1e-6)
     assert payload["cells_total"] == 256
+
+
+def test_example3_density_caps_its_sample_count(capsys):
+    # refused before any sample is taken: 1e9 * 4 * 32 samples
+    assert run(["example3", "density", "--nu", "0.3",
+                "--tau-max", repr(2e9 * math.pi)]) == 2
+    assert "samples" in capsys.readouterr().err
+    assert run(["example3", "density", "--nu", "0.3", "--tau-max", "-1"]) == 2
 
 
 def test_example3_self_intersect_json(capsys):

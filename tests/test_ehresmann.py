@@ -1,8 +1,11 @@
 import io
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algpaths import expr as ex
 from algpaths.algebroid import AlgebroidError
@@ -105,6 +108,17 @@ def test_holonomy_outside_the_support_is_exactly_zero():
     assert rep.phase == 0.0
 
 
+@pytest.mark.parametrize("h", [-1.5, 0.7, 2.0])
+def test_compiled_coefficients_stay_gated_on_the_axis(h):
+    # x = y = 0 with nu(h) = 0: the gated 1/r^2 terms must not be touched
+    conn = ExampleConnection(1.0 / 3.0)
+    assert conn.nu(h) == 0.0
+    x = [0.0, 0.0, 1.0, 0.5, h]
+    assert conn.H_at(x)[2:4].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    lift = conn.as_comorphism()._lift_field()
+    assert lift(0.3, -0.7, *x) == [0.3, -0.7, 0.0, 0.0, 0.0]
+
+
 def test_contractible_loop_has_no_holonomy():
     # a loop not encircling the removed axis transports z trivially
     conn = ExampleConnection(0.25)
@@ -143,6 +157,57 @@ def test_sheet_count_irrational_exceeds_every_k():
     assert sheet_count((math.sqrt(5.0) - 1.0) / 2.0) == math.inf
 
 
+def scan_sheet_count(nu, k_max, tol=1e-9):
+    """The O(k_max) scan sheet_count used to run: every k <= k_max."""
+    k = np.arange(1, k_max + 1, dtype=float)
+    d = np.abs(k * nu - np.round(k * nu))
+    hits = np.nonzero(d <= tol)[0]
+    return math.inf if len(hits) == 0 else int(hits[0]) + 1
+
+
+@st.composite
+def twists(draw):
+    """Arbitrary floats, exact ratios p/q, and ratios moved by up to
+    3e-9/q, which straddle the tolerance at k = q."""
+    kind = draw(st.sampled_from(["float", "ratio", "near"]))
+    if kind == "float":
+        return draw(st.floats(-3.0, 3.0))
+    q = draw(st.integers(1, 20000))
+    p = draw(st.integers(-3 * q, 3 * q))
+    if kind == "ratio":
+        return p / q
+    return p / q + draw(st.floats(-3e-9, 3e-9)) / q
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(twists(), st.integers(1, 10**5), st.sampled_from([1e-9, 1e-6, 1e-3]))
+def test_sheet_count_matches_the_full_scan(nu, k_max, tol):
+    assert sheet_count(nu, k_max=k_max, tol=tol) == scan_sheet_count(
+        nu, k_max, tol)
+
+
+def test_sheet_count_is_logarithmic_in_k_max():
+    nus = [(math.sqrt(5.0) - 1.0) / 2.0, math.pi, 1.0 / 3.0, 2.0 ** -40,
+           math.sqrt(2.0) - 1.0]
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    counts = [sheet_count(nu, k_max=10**12) for nu in nus]
+    elapsed = time.perf_counter() - t0
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert elapsed < 0.1
+    assert peak < 100_000
+    assert counts[2:4] == [3, 1]
+    for nu, k in zip(nus, counts):
+        assert k <= 10**12 and abs(k * nu - round(k * nu)) <= 1e-9
+
+
+def test_sheet_count_of_non_finite_twists_is_infinite():
+    assert sheet_count(math.nan) == math.inf
+    assert sheet_count(math.inf) == math.inf
+    assert sheet_count(0.25, k_max=0) == math.inf
+
+
 # ----------------------------------------------------------- density scan
 
 def test_golden_twist_fills_the_torus():
@@ -165,6 +230,19 @@ def test_density_scan_validates_inputs():
         density_scan(0.5, 0.0, (0.0, 0.0), 10.0, 16)
     with pytest.raises(ValueError, match="bins"):
         density_scan(0.5, 0.0, (1.0, 0.0), 10.0, 1)
+    with pytest.raises(ValueError, match="tau_max >= 0"):
+        density_scan(0.5, 0.0, (1.0, 0.0), -1.0, 16)
+
+
+@pytest.mark.parametrize("tau_max, bins", [
+    (1e12, 32), (math.inf, 32), (math.nan, 32), (1e4 * TWO_PI, 10**6)])
+def test_density_scan_refuses_too_many_samples_before_sampling(tau_max, bins):
+    tracemalloc.start()
+    with pytest.raises(ValueError, match="samples"):
+        density_scan(0.5, 0.0, (1.0, 0.0), tau_max, bins)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_density_report_serializes():

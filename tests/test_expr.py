@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from algpaths import expr as ex
 from algpaths.algebroid import LieAlgebroid
-from algpaths.ehresmann import FlatConnection
+from algpaths.ehresmann import ExampleConnection, FlatConnection
 from algpaths.expr import (Const, DomainError, ParseError, SmoothMap, Var,
                            compile_exprs, differentiate, parse, substitute)
 from algpaths.poisson import PoissonManifold
@@ -221,3 +221,110 @@ def test_compiled_matches_tree_eval(x):
     fn = compile_exprs([e], ["x"])
     ref = e.eval({"x": x})
     assert fn(x)[0] == pytest.approx(ref, rel=1e-14, abs=1e-14)
+
+
+# --------------------------------------------- common subexpressions
+
+_UNARY = ("neg", "sin", "exp", "log", "sqrt", "estep", "square", "inverse")
+_BINARY = ("add", "sub", "mul", "div", "atan2", "gate")
+
+
+@st.composite
+def expression_lists(draw):
+    """Expression lists over x, y, z whose nodes reuse earlier subtrees,
+    both as the same object and as an equal copy, with gates nested in
+    gates (guards include the constant 0 and estep, which vanishes on
+    half the line)."""
+    pool = [Var("x"), Var("y"), Var("z"), Const(0.0),
+            Const(draw(st.floats(-3.0, 3.0)))]
+    for _ in range(draw(st.integers(1, 30))):
+        a = draw(st.sampled_from(pool))
+        if draw(st.booleans()):
+            op = draw(st.sampled_from(_UNARY))
+            node = {"neg": ex.Neg(a), "square": ex.Pow(a, 2),
+                    "inverse": ex.Pow(a, -1)}.get(op) or ex.Fun1(op, a)
+        else:
+            b = draw(st.sampled_from(pool))
+            op = draw(st.sampled_from(_BINARY))
+            node = {"add": ex.Add, "sub": ex.Sub, "mul": ex.Mul,
+                    "div": ex.Div, "atan2": ex.Atan2, "gate": ex.Gate}[op](a, b)
+        pool.append(node)
+        if draw(st.booleans()):
+            pool.append(substitute(node, {}))       # an equal copy
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                          max_size=6))
+    return [pool[-1]] + [pool[i] for i in picks]
+
+
+def _outcome(fn):
+    try:
+        return [repr(v) for v in fn()]    # repr keeps -0.0 and nan apart
+    except (ex.EvalError, ArithmeticError, ValueError):
+        return "raises"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(expression_lists(),
+       st.lists(st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.5, 3.0]),
+                min_size=3, max_size=3))
+def test_common_subexpressions_compile_to_the_reference_values(exprs, point):
+    env = dict(zip("xyz", point))
+    fn = compile_exprs(exprs, ["x", "y", "z"])
+    assert (_outcome(lambda: fn(*point))
+            == _outcome(lambda: [e.eval(env) for e in exprs]))
+
+
+def test_compilation_is_linear_in_the_expression_dag():
+    # 60 levels of e -> e*e + e: a DAG of 121 nodes, a tree of 3^60
+    e = Var("x")
+    for _ in range(60):
+        e = ex.add(ex.mul(e, e), e)
+    fn = compile_exprs([e], ["x"])
+    v = 0.01
+    for _ in range(60):
+        v = v * v + v
+    assert fn(0.01) == [v]
+
+
+def test_a_repeated_subexpression_is_evaluated_once(monkeypatch):
+    calls = []
+
+    def counting_estep(t):
+        calls.append(t)
+        return ex._estep(t)
+
+    monkeypatch.setitem(ex._COMPILE_GLOBALS, "_estep", counting_estep)
+    # the twisted cylinder's four gated coefficients all read nu(h), a
+    # bump with two esteps
+    fc = ExampleConnection(1.0 / 3.0)
+    fn = compile_exprs([e for row in fc.H for e in row], fc.x_coords)
+    values = fn(0.6, 0.8, 1.0, 0.0, 0.1)
+    assert len(calls) == 2
+    assert values == fc.H_at([0.6, 0.8, 1.0, 0.0, 0.1]).reshape(-1).tolist()
+    # equal subtrees parsed apart are separate objects, and still shared
+    calls.clear()
+    e = parse("estep(x + y) * 2 + exp(estep(x + y))", XY)
+    assert compile_exprs([e, parse("estep(x + y)", XY)], XY)(0.5, 0.5) \
+        == [e.eval({"x": 0.5, "y": 0.5}), math.exp(-1.0)]
+    assert len(calls) == 1
+
+
+def test_shared_gate_arms_stay_guarded():
+    # the arms of both gates share 1/x but must not run when estep(x) == 0
+    g = parse("estep(x)", XY)
+    inv = parse("1 / x", XY)
+    exprs = [ex.Gate(g, inv), ex.Gate(g, ex.mul(inv, Var("y"))),
+             ex.Gate(parse("estep(y)", XY), inv)]
+    fn = compile_exprs(exprs, XY)
+    assert fn(0.0, -1.0) == [0.0, 0.0, 0.0]
+    assert fn(-1.0, -1.0) == [0.0, 0.0, 0.0]
+    with pytest.raises(ZeroDivisionError):
+        fn(0.0, 1.0)                  # estep(y) != 0 opens the third arm
+    assert fn(0.5, 2.0) == [e.eval({"x": 0.5, "y": 2.0}) for e in exprs]
+
+
+def test_non_finite_constants_compile():
+    fn = compile_exprs([Const(math.inf), Const(-math.inf), Const(math.nan)],
+                       ["x"])
+    a, b, c = fn(0.0)
+    assert a == math.inf and b == -math.inf and math.isnan(c)

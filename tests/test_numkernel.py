@@ -118,3 +118,25 @@ def test_csv_round_trip_keeps_event_status():
     back = read_trajectory_csv(buf)
     assert back.status == "blowup"
     assert back.t_event == pytest.approx(traj.t_event, abs=0)
+
+
+def test_csv_round_trip_keeps_a_short_last_step():
+    vf = VectorFieldTD(1, lambda t, x: [1.0])
+    traj = flow(vf, [0.0], (0.0, 0.25), step=0.1)     # steps .1 .1 .05
+    buf = io.StringIO()
+    traj.write_csv(buf)
+    buf.seek(0)
+    assert np.array_equal(read_trajectory_csv(buf).times, traj.times)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("t,x1\n0.0,1.0\n0.1,nan\n0.2,1.0\n", "non-finite"),
+    ("t,x1\n0.0,1.0\n0.1,1.0\ninf,1.0\n", "non-finite"),
+    ("t,x1\n0.0,1.0\n0.1,1.0\n0.3,1.0\n0.4,1.0\n", "not uniform"),
+    ("t,x1\n0.0,1.0\n0.1,1.0\n0.1,1.0\n", "not uniform"),
+    ("t,x1\n# status=completed\n", "no data rows"),
+    ("x1\n0.0\n", "header"),
+])
+def test_trajectory_csv_rejects_bad_input(text, message):
+    with pytest.raises(ValueError, match=message):
+        read_trajectory_csv(io.StringIO(text))

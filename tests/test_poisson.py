@@ -236,6 +236,28 @@ def test_probe_blowup_time_matches_the_pole():
     assert coord["t_star_diff"] <= 1e-6
 
 
+def test_probe_compiles_each_route_field_once(monkeypatch):
+    compiled = []
+    compile_exprs = ex.compile_exprs
+
+    def counting(exprs, variables):
+        compiled.append(len(exprs))
+        return compile_exprs(exprs, variables)
+
+    monkeypatch.setattr(ex, "compile_exprs", counting)
+    P = so3_dual()
+    counts = []
+    for fs in (["x1"], ["x1", "x2 * x3", "x1^2 + x3"]):
+        phi = SmoothMap.from_strings(P.coords, P.coords)
+        compiled.clear()
+        rep = complete_map_probe(phi, P, P, test_functions=fs, horizon=0.1,
+                                 seeds=((0.3, -0.2, 0.5),))
+        assert rep.all_agree
+        counts.append(len(compiled))
+    # one Hamiltonian field and one fused comorphism field per function
+    assert counts[1] - counts[0] == 2 * 2
+
+
 def test_probe_rejects_non_poisson_maps():
     P = standard_symplectic(2)
     phi = SmoothMap.from_strings(XY, ["2*x1", "x2"])
