@@ -25,6 +25,41 @@ def _coords(n):
     return [f"x{i+1}" for i in range(n)]
 
 
+def evaluate(fn, x, shape):
+    """The values of a function compiled by `expr.compile_exprs` at the
+    point x, as an array of `shape`; at a stack of points x of shape
+    (N, n), one call per point as plain floats, stacked to (N, *shape)."""
+    if np.ndim(x) == 1:
+        return np.asarray(fn(*x), dtype=float).reshape(shape)
+    pts = np.asarray(x, dtype=float)
+    vals = [fn(*p) for p in pts.tolist()]
+    return np.array(vals, dtype=float).reshape(len(pts), *shape)
+
+
+def matvec(mats, vecs):
+    """mats[k] @ vecs[k] for a stack of K matrices and K vectors, as a
+    (K, rows) array."""
+    v = np.ascontiguousarray(vecs, dtype=float)
+    return (mats @ v[:, :, None])[:, :, 0]
+
+
+def antisymmetric(keys, vals, shape):
+    """Antisymmetric completion in the last two axes: the array of
+    vals.shape[:-1] + shape holding vals[..., k] at keys[k] = (..., i, j),
+    its negation at (..., j, i), and zero elsewhere."""
+    out = np.zeros(vals.shape[:-1] + shape)
+    idx = tuple(np.array(keys).T)
+    out[(..., *idx)] = vals
+    out[(..., *idx[:-2], idx[-1], idx[-2])] = -vals
+    return out
+
+
+def cyclic_sum(term):
+    """T[..., a, b, c] + T[..., c, a, b] + T[..., b, c, a]: the cyclic sum
+    over the last three axes."""
+    return (term + np.moveaxis(term, -3, -1)) + np.moveaxis(term, -1, -3)
+
+
 class LieAlgebroid:
     """Structure-function presentation of a Lie algebroid.
 
@@ -78,19 +113,17 @@ class LieAlgebroid:
     # ------------------------------------------------------- evaluation --
 
     def anchor_matrix(self, x):
-        """rho(x) as an (n, r) array."""
-        flat = self._anchor_fn(*x)
-        return np.asarray(flat, dtype=float).reshape(self.n, self.r)
+        """rho(x) as an (n, r) array; (N, n, r) for a stack of N points."""
+        return evaluate(self._anchor_fn, x, (self.n, self.r))
 
     def bracket_tensor(self, x):
-        """f(x) as an (r, r, r) array indexed [c, a, b], antisymmetrized."""
-        f = np.zeros((self.r, self.r, self.r))
-        if self._bracket_fn is not None:
-            vals = self._bracket_fn(*x)
-            for (c, a, b), v in zip(self._bkeys, vals):
-                f[c, a, b] = v
-                f[c, b, a] = -v
-        return f
+        """f(x) as an (r, r, r) array indexed [c, a, b], antisymmetrized;
+        (N, r, r, r) for a stack of N points."""
+        shape = (self.r, self.r, self.r)
+        if self._bracket_fn is None:
+            return np.zeros(np.shape(x)[:-1] + shape)
+        vals = evaluate(self._bracket_fn, x, (len(self._bkeys),))
+        return antisymmetric(self._bkeys, vals, shape)
 
     def anchored_field(self, section, inputs=("t",)):
         """x' = rho(x) s compiled into one function of (*inputs, *x).
@@ -122,26 +155,26 @@ class LieAlgebroid:
         return ex.neg(self.bracket.get((c, b, a), ex.Const(0.0)))
 
     def _danchor(self, x):
-        """d rho as an (n_deriv, n, r) array: [j, i, a] = d_j rho^i_a."""
+        """d rho as an (n_deriv, n, r) array: [j, i, a] = d_j rho^i_a;
+        (N, n, n, r) for a stack of N points."""
         if self._danchor_fn is None:
             flat = [self.anchor[i][a].d(v)
                     for v in self.coords
                     for i in range(self.n) for a in range(self.r)]
             self._danchor_fn = ex.compile_exprs(flat, self.coords)
-        vals = self._danchor_fn(*x)
-        return np.asarray(vals, dtype=float).reshape(self.n, self.n, self.r)
+        return evaluate(self._danchor_fn, x, (self.n, self.n, self.r))
 
     def _dbracket(self, x):
-        """d f as an (n, r, r, r) array: [j, c, a, b] = d_j f^c_{ab}."""
+        """d f as an (n, r, r, r) array: [j, c, a, b] = d_j f^c_{ab};
+        (N, n, r, r, r) for a stack of N points."""
         if self._dbracket_fn is None:
             flat = [self.bracket_expr(c, a, b).d(v)
                     for v in self.coords
                     for c in range(self.r)
                     for a in range(self.r) for b in range(self.r)]
             self._dbracket_fn = ex.compile_exprs(flat, self.coords)
-        vals = self._dbracket_fn(*x)
-        return np.asarray(vals, dtype=float).reshape(self.n, self.r,
-                                                     self.r, self.r)
+        return evaluate(self._dbracket_fn, x,
+                        (self.n, self.r, self.r, self.r))
 
     # ---------------------------------------------------------- loading --
 
@@ -266,9 +299,7 @@ def lie_jacobi_residual(c):
     c = np.asarray(c, dtype=float)
     # term[d,i,j,k] = sum_e c^e_{jk} c^d_{ie}
     term = np.einsum("ejk,die->dijk", c, c)
-    cyc = (term + np.transpose(term, (0, 2, 3, 1))
-           + np.transpose(term, (0, 3, 1, 2)))
-    return float(np.max(np.abs(cyc)))
+    return float(np.max(np.abs(cyclic_sum(term))))
 
 
 def make_cotangent_poisson(P):
@@ -320,26 +351,33 @@ class AxiomReport:
 
 def anchor_morphism_residual_at(A, x):
     """max_{i,a,b} |rho^i_c f^c_{ab} - (rho^j_a d_j rho^i_b
-                                        - rho^j_b d_j rho^i_a)| at x."""
+                                        - rho^j_b d_j rho^i_a)| at x;
+    at a stack of points, the (N,) array of the residuals at each."""
     rho = A.anchor_matrix(x)          # [i, a]
     f = A.bracket_tensor(x)           # [c, a, b]
     drho = A._danchor(x)              # [j, i, a]
-    lhs = np.einsum("ic,cab->iab", rho, f)
-    grad = np.einsum("ja,jib->iab", rho, drho)
-    rhs = grad - np.transpose(grad, (0, 2, 1))
-    return float(np.max(np.abs(lhs - rhs)))
+    lhs = np.einsum("...ic,...cab->...iab", rho, f)
+    grad = np.einsum("...ja,...jib->...iab", rho, drho)
+    rhs = grad - np.swapaxes(grad, -1, -2)
+    return _point_max(lhs - rhs, 3)
 
 
 def jacobi_residual_at(A, x):
-    """max_d |cyclic_(a,b,c) (f^e_{bc} f^d_{ae} + rho^j_a d_j f^d_{bc})| at x."""
+    """max_d |cyclic_(a,b,c) (f^e_{bc} f^d_{ae} + rho^j_a d_j f^d_{bc})| at x;
+    at a stack of points, the (N,) array of the residuals at each."""
     rho = A.anchor_matrix(x)
     f = A.bracket_tensor(x)
     df = A._dbracket(x)               # [j, d, b, c] = d_j f^d_{bc}
-    term = (np.einsum("ebc,dae->dabc", f, f)
-            + np.einsum("ja,jdbc->dabc", rho, df))
-    cyc = (term + np.transpose(term, (0, 2, 3, 1))
-           + np.transpose(term, (0, 3, 1, 2)))
-    return float(np.max(np.abs(cyc)))
+    term = (np.einsum("...ebc,...dae->...dabc", f, f)
+            + np.einsum("...ja,...jdbc->...dabc", rho, df))
+    return _point_max(cyclic_sum(term), 4)
+
+
+def _point_max(values, point_ndim):
+    """max |values| over the last point_ndim axes: a float for one point,
+    an array over the leading (stack) axes otherwise."""
+    res = np.max(np.abs(values), axis=tuple(range(-point_ndim, 0)))
+    return float(res) if res.ndim == 0 else res
 
 
 def check_axioms(A, samples):
@@ -348,12 +386,10 @@ def check_axioms(A, samples):
     for x in samples:
         if not A.in_domain(x):
             raise ex.DomainError(f"sample {ex.point(x)} is outside the domain")
-    anchor_res = 0.0
-    jacobi_res = 0.0
-    for x in samples:
-        anchor_res = max(anchor_res, anchor_morphism_residual_at(A, x))
-        jacobi_res = max(jacobi_res, jacobi_residual_at(A, x))
-    return AxiomReport(anchor_res, jacobi_res, len(samples))
+    pts = np.array(samples, dtype=float).reshape(len(samples), A.n)
+    anchor_res = np.max(anchor_morphism_residual_at(A, pts), initial=0.0)
+    jacobi_res = np.max(jacobi_residual_at(A, pts), initial=0.0)
+    return AxiomReport(float(anchor_res), float(jacobi_res), len(samples))
 
 
 def sample_points(A, count, rng, low=-1.5, high=1.5, max_tries=10000):

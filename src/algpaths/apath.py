@@ -19,9 +19,10 @@ import math
 
 import numpy as np
 
-from .algebroid import AlgebroidError, make_lie_algebra
+from .algebroid import AlgebroidError, make_lie_algebra, matvec
 from .expr import point
-from .numkernel import FlowOutcome, check_uniform_grid, flow, read_csv_rows
+from .numkernel import (FlowOutcome, check_uniform_grid, flow, read_csv_rows,
+                        write_csv_rows)
 
 
 class APath(FlowOutcome):
@@ -34,6 +35,24 @@ class APath(FlowOutcome):
 
     def __init__(self, algebroid, times, base, eta, status="completed",
                  t_event=None, junctions=()):
+        self._store(algebroid, times, base, eta, status, t_event, junctions)
+        for x in self.base:
+            if not algebroid.in_domain(x):
+                raise AlgebroidError(
+                    f"base sample {point(x)} is outside the domain")
+
+    @classmethod
+    def _from_flow(cls, algebroid, traj, eta):
+        """The A-path on the samples of a flow of a field on algebroid's
+        domain, which are not tested again: `flow` keeps a sample only
+        after its field's domain predicate accepted it."""
+        g = cls.__new__(cls)
+        g._store(algebroid, traj.times, traj.points, eta, traj.status,
+                 traj.t_event, ())
+        return g
+
+    def _store(self, algebroid, times, base, eta, status, t_event,
+               junctions):
         self.algebroid = algebroid
         self.times = np.asarray(times, dtype=float)
         self.base = np.asarray(base, dtype=float).reshape(len(self.times),
@@ -43,10 +62,6 @@ class APath(FlowOutcome):
         self.status = status
         self.t_event = t_event
         self.junctions = frozenset(int(j) for j in junctions)
-        for x in self.base:
-            if not algebroid.in_domain(x):
-                raise AlgebroidError(
-                    f"base sample {point(x)} is outside the domain")
 
     @property
     def source(self):
@@ -58,13 +73,11 @@ class APath(FlowOutcome):
 
     def write_csv(self, f):
         n, r = self.algebroid.n, self.algebroid.r
-        cols = ([f"x{i+1}" for i in range(n)]
+        cols = (["t"] + [f"x{i+1}" for i in range(n)]
                 + [f"eta{a+1}" for a in range(r)])
-        f.write("t," + ",".join(cols) + "\n")
-        for t, x, e in zip(self.times, self.base, self.eta):
-            row = [t] + list(x) + list(e)
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
-        f.write(f"# status={self.status_str()}\n")
+        write_csv_rows(f, cols,
+                       np.column_stack([self.times, self.base, self.eta]),
+                       self.status_str())
 
     def __repr__(self):
         return (f"APath({len(self.times)} samples, n={self.algebroid.n}, "
@@ -94,7 +107,7 @@ def integrate_apath(A, s, x0, grid_size=1000, bound=1e8):
     traj = flow(A.flow_field(A.anchored_field(s.exprs)), x0, (0.0, 1.0),
                 step=1.0 / grid_size, bound=bound)
     eta = [s(t, x) for t, x in zip(traj.times, traj.points)]
-    return APath(A, traj.times, traj.points, eta, traj.status, traj.t_event)
+    return APath._from_flow(A, traj, eta)
 
 
 def _path_derivative(values, h):
@@ -115,14 +128,11 @@ def admissibility_residual(g):
     """
     h = g.times[1] - g.times[0]
     dx = _path_derivative(g.base, h)
-    res = 0.0
-    for k in range(len(g.times)):
-        if k in g.junctions:
-            continue
-        rho = g.algebroid.anchor_matrix(g.base[k])
-        r = dx[k] - rho @ g.eta[k]
-        res = max(res, float(np.max(np.abs(r))))
-    return res
+    keep = np.ones(len(g.times), dtype=bool)
+    keep[list(g.junctions)] = False
+    rho = g.algebroid.anchor_matrix(g.base[keep])
+    r = dx[keep] - matvec(rho, g.eta[keep])
+    return float(np.max(np.abs(r), initial=0.0))
 
 
 def concat(g, g2):
@@ -206,12 +216,12 @@ class AHomotopy:
         cols = (["t", "s"] + [f"x{i+1}" for i in range(n)]
                 + [f"eta{a+1}" for a in range(r)]
                 + [f"beta{a+1}" for a in range(r)])
-        f.write(",".join(cols) + "\n")
-        for k, t in enumerate(self.t_grid):
-            for l, s in enumerate(self.s_grid):
-                row = ([t, s] + list(self.x[k, l]) + list(self.eta[k, l])
-                       + list(self.beta[k, l]))
-                f.write(",".join(repr(float(v)) for v in row) + "\n")
+        nt, ns = len(self.t_grid), len(self.s_grid)
+        # one row per grid point (k, l), row-major: t varies slowest
+        write_csv_rows(f, cols, np.column_stack([
+            np.repeat(self.t_grid, ns), np.tile(self.s_grid, nt),
+            self.x.reshape(nt * ns, n), self.eta.reshape(nt * ns, r),
+            self.beta.reshape(nt * ns, r)]))
 
     def __repr__(self):
         return (f"AHomotopy({len(self.t_grid)}x{len(self.s_grid)} grid, "
@@ -253,21 +263,20 @@ def homotopy_residual(H):
     dx_ds = (H.x[:, 2:] - H.x[:, :-2]) / (2.0 * hs)
     deta_ds = (H.eta[:, 2:] - H.eta[:, :-2]) / (2.0 * hs)
     dbeta_dt = (H.beta[2:] - H.beta[:-2]) / (2.0 * ht)
-    res_x = 0.0
-    res_eta = 0.0
-    nt, ns = len(H.t_grid), len(H.s_grid)
-    for k in range(1, nt - 1):
-        for l in range(1, ns - 1):
-            xkl = H.x[k, l]
-            rho = A.anchor_matrix(xkl)
-            f = A.bracket_tensor(xkl)
-            beta = H.beta[k, l]
-            r1 = dx_ds[k, l - 1] - rho @ beta
-            r2 = (deta_ds[k, l - 1] - dbeta_dt[k - 1, l]
-                  - f @ H.eta[k, l] @ beta)
-            res_x = max(res_x, float(np.max(np.abs(r1))))
-            res_eta = max(res_eta, float(np.max(np.abs(r2))))
-    return res_x, res_eta
+    # the interior points (k, l), 0 < k < nt - 1 and 0 < l < ns - 1, as
+    # one stack in row-major order
+    n, r = A.n, A.r
+    x = H.x[1:-1, 1:-1].reshape(-1, n)
+    eta = H.eta[1:-1, 1:-1].reshape(-1, r)
+    beta = H.beta[1:-1, 1:-1].reshape(-1, r)
+    rho = A.anchor_matrix(x)
+    f = A.bracket_tensor(x)
+    r1 = dx_ds[1:-1].reshape(-1, n) - matvec(rho, beta)
+    f_eta = (f @ eta[:, None, :, None])[..., 0]
+    r2 = (deta_ds[1:-1].reshape(-1, r) - dbeta_dt[:, 1:-1].reshape(-1, r)
+          - matvec(f_eta, beta))
+    return (float(np.max(np.abs(r1), initial=0.0)),
+            float(np.max(np.abs(r2), initial=0.0)))
 
 
 class MatrixPath:
@@ -283,11 +292,9 @@ class MatrixPath:
 
     def write_csv(self, f):
         m = self.matrices.shape[-1]
-        cols = ",".join(f"g{i+1}{j+1}" for i in range(m) for j in range(m))
-        f.write(f"t,{cols}\n")
-        for t, G in zip(self.times, self.matrices):
-            flat = ",".join(repr(float(v)) for v in G.reshape(-1))
-            f.write(f"{float(t)!r},{flat}\n")
+        cols = ["t"] + [f"g{i+1}{j+1}" for i in range(m) for j in range(m)]
+        write_csv_rows(f, cols, np.column_stack(
+            [self.times, self.matrices.reshape(len(self.times), m * m)]))
 
     def __repr__(self):
         m = self.matrices.shape[-1]

@@ -16,7 +16,7 @@ to exist over the full interval.
 import numpy as np
 
 from . import expr as ex
-from .algebroid import AlgebroidError, SectionTD
+from .algebroid import AlgebroidError, SectionTD, evaluate, matvec
 from .apath import APath, AHomotopy, homotopy_residual
 from .expr import point
 from .numkernel import VectorFieldTD, flow
@@ -60,9 +60,9 @@ class Comorphism:
         return self._phi_fn(*x)
 
     def M_at(self, x):
-        flat = self._M_fn(*x)
-        return np.asarray(flat, dtype=float).reshape(self.source.r,
-                                                     self.target.r)
+        """M(x) as a (rank A, rank B) array; stacked to (N, rank A, rank B)
+        for a stack of N points."""
+        return evaluate(self._M_fn, x, (self.source.r, self.target.r))
 
     def _lift_field(self):
         """rho_A(x) M(x) xi compiled into one function of (*xi, *x), with
@@ -82,13 +82,12 @@ class Comorphism:
         return self._lift_fn
 
     def dphi_at(self, x):
-        """Jacobian Dphi(x), (target.n x source.n), symbolic partials."""
+        """Jacobian Dphi(x), (target.n x source.n), symbolic partials;
+        stacked to (N, target.n, source.n) for a stack of N points."""
         if self._dphi_fn is None:
             flat = [p.d(v) for p in self.phi for v in self.source.coords]
             self._dphi_fn = ex.compile_exprs(flat, self.source.coords)
-        flat = self._dphi_fn(*x)
-        return np.asarray(flat, dtype=float).reshape(self.target.n,
-                                                     self.source.n)
+        return evaluate(self._dphi_fn, x, (self.target.n, self.source.n))
 
     def spot_check(self, samples):
         """Verify phi maps sample points of dom(A) into dom(B)."""
@@ -137,12 +136,10 @@ def anchor_compat_residual(c, samples):
     """max over samples of |Dphi(x) rho_A(x) M(x) - rho_B(phi(x))|, after
     the spot check that the samples and their images lie in the domains."""
     c.spot_check(samples)
-    res = 0.0
-    for x in samples:
-        lhs = c.dphi_at(x) @ c.source.anchor_matrix(x) @ c.M_at(x)
-        rhs = c.target.anchor_matrix(c.phi_at(x))
-        res = max(res, float(np.max(np.abs(lhs - rhs))))
-    return res
+    pts = np.asarray(samples, dtype=float).reshape(-1, c.source.n)
+    lhs = c.dphi_at(pts) @ c.source.anchor_matrix(pts) @ c.M_at(pts)
+    rhs = c.target.anchor_matrix(evaluate(c._phi_fn, pts, (c.target.n,)))
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 def pullback_section(c, s):
@@ -268,11 +265,7 @@ def _lift_flow(c, g, x0, interp="cubic", refine=1, bound=1e8):
 
 def _fiber_products(c, points, vectors):
     """M(x_k) v_k for every sample k, as one (len(points), rank A) array."""
-    M_fn = c._M_fn
-    Ms = np.array([M_fn(*x) for x in points], dtype=float)
-    Ms = Ms.reshape(len(points), c.source.r, c.target.r)
-    v = np.ascontiguousarray(vectors[:len(points)], dtype=float)
-    return (Ms @ v[:, :, None])[:, :, 0]
+    return matvec(c.M_at(points), vectors[:len(points)])
 
 
 def lift_path(c, g, x0, interp="cubic", bound=1e8):
@@ -291,11 +284,9 @@ def lift_path(c, g, x0, interp="cubic", bound=1e8):
     traj = _lift_flow(c, g, x0, interp=interp, bound=bound)
     points = traj.points
     eta = _fiber_products(c, points, g.eta)
-    phi_fn = c._phi_fn
-    images = np.array([phi_fn(*x) for x in points], dtype=float)
+    images = evaluate(c._phi_fn, points, (c.target.n,))
     proj = float(np.max(np.abs(images - g.base[:len(points)])))
-    out = APath(c.source, traj.times, traj.points, eta, traj.status,
-                traj.t_event)
+    out = APath._from_flow(c.source, traj, eta)
     out.phi_projection_error = proj
     return out
 

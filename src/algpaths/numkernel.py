@@ -79,10 +79,9 @@ class Trajectory(FlowOutcome):
 
     def write_csv(self, f):
         n = self.points.shape[1]
-        f.write("t," + ",".join(f"x{i+1}" for i in range(n)) + "\n")
-        for t, x in zip(self.times, self.points):
-            f.write(f"{float(t)!r}," + ",".join(repr(float(v)) for v in x) + "\n")
-        f.write(f"# status={self.status_str()}\n")
+        write_csv_rows(f, ["t"] + [f"x{i+1}" for i in range(n)],
+                       np.column_stack([self.times, self.points]),
+                       self.status_str())
 
     def __repr__(self):
         return (f"Trajectory({len(self.times)} samples, "
@@ -97,6 +96,18 @@ _STATUS_RE = re.compile(r"#\s*status=(\w+)(?:\(t\*=([^)]+)\))?")
 
 
 GRID_RTOL = 1e-6
+
+
+def write_csv_rows(f, header, table, status=None):
+    """Write the header names, one line per row of the 2-D table, and a
+    '# status=' trailer when status is given; the inverse of
+    read_csv_rows. Each cell is the repr of a Python float, which reads
+    back to the same bits. Lines are written one at a time."""
+    f.write(",".join(header) + "\n")
+    f.writelines(",".join(map(repr, row)) + "\n"
+                 for row in np.asarray(table, dtype=float).tolist())
+    if status is not None:
+        f.write(f"# status={status}\n")
 
 
 def read_csv_rows(f):
@@ -262,5 +273,5 @@ def flow_endpoint_order(vf, x0, t_span, step, reference=None):
 
 
 __all__ = ["VectorFieldTD", "FlowOutcome", "Trajectory", "flow", "flow_endpoint_order",
-           "read_csv_rows", "check_uniform_grid", "read_trajectory_csv",
-           "FlowError"]
+           "read_csv_rows", "write_csv_rows", "check_uniform_grid",
+           "read_trajectory_csv", "FlowError"]

@@ -13,7 +13,8 @@ lift below is antisymmetric by construction, entry by entry).
 import numpy as np
 
 from . import expr as ex
-from .algebroid import SectionTD, make_cotangent_poisson, sample_points
+from .algebroid import (SectionTD, antisymmetric, cyclic_sum, evaluate,
+                        make_cotangent_poisson, sample_points)
 from .comorph import Comorphism, first_escape, pullback_section
 from .numkernel import VectorFieldTD
 
@@ -62,13 +63,13 @@ class PoissonManifold:
         return ex.neg(self.pi.get((j, i), ex.Const(0.0)))
 
     def pi_matrix(self, x):
-        P = np.zeros((self.dim, self.dim))
-        if self._pi_fn is not None:
-            vals = self._pi_fn(*x)
-            for (i, j), v in zip(self._keys, vals):
-                P[i, j] = v
-                P[j, i] = -v
-        return P
+        """Pi(x) as an (n, n) array; (N, n, n) for a stack of N points."""
+        shape = (self.dim, self.dim)
+        if self._pi_fn is None:
+            return np.zeros(np.shape(x)[:-1] + shape)
+        return antisymmetric(self._keys,
+                             evaluate(self._pi_fn, x, (len(self._keys),)),
+                             shape)
 
     def jacobi_residual(self, samples):
         """max over samples and (i,j,k) of
@@ -78,15 +79,11 @@ class PoissonManifold:
             flat = [self.pi_expr(i, j).d(v)
                     for v in self.coords for i in range(n) for j in range(n)]
             self._jac_fn = ex.compile_exprs(flat, self.coords)
-        res = 0.0
-        for x in samples:
-            P = self.pi_matrix(x)
-            dP = np.asarray(self._jac_fn(*x), float).reshape(n, n, n)
-            term = np.einsum("il,ljk->ijk", P, dP)
-            cyc = (term + np.transpose(term, (1, 2, 0))
-                   + np.transpose(term, (2, 0, 1)))
-            res = max(res, float(np.max(np.abs(cyc))))
-        return res
+        pts = np.asarray(samples, dtype=float).reshape(-1, n)
+        P = self.pi_matrix(pts)
+        dP = evaluate(self._jac_fn, pts, (n, n, n))
+        term = np.einsum("...il,...ljk->...ijk", P, dP)
+        return float(np.max(np.abs(cyclic_sum(term)), initial=0.0))
 
     @classmethod
     def from_dict(cls, d):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from algpaths import expr as ex
@@ -12,7 +13,8 @@ from algpaths.apath import (AHomotopy, APath, MatrixPath,
                             admissibility_residual, concat, constant_apath,
                             develop, homotopy_residual, integrate_apath,
                             log_derivative, read_apath_csv,
-                            read_ahomotopy_csv)
+                            read_ahomotopy_csv, read_matrix_csv)
+from algpaths.numkernel import Trajectory, read_trajectory_csv
 
 
 def so3_constants():
@@ -216,3 +218,125 @@ def test_apath_base_must_stay_in_domain():
                 domain=[ex.parse("1 - x1^2", ["x1"])])
     with pytest.raises(AlgebroidError, match="outside"):
         APath(D, [0.0, 1.0], [[0.0], [5.0]], [[1.0], [1.0]])
+
+
+def test_apath_csv_base_must_stay_in_domain():
+    D = make_tangent(1, domain=[ex.parse("1 - x1^2", ["x1"])])
+    with pytest.raises(AlgebroidError, match="outside"):
+        read_apath_csv(io.StringIO("t,x1,eta1\n0.0,0.0,1.0\n1.0,5.0,1.0\n"),
+                       D)
+
+
+def test_integrated_samples_are_tested_against_the_domain_once():
+    # the flow tests x0 and every sample it keeps; building the A-path
+    # from them tests none again
+    D = make_tangent(2, domain=[ex.parse("4 - x1^2 - x2^2", ["x1", "x2"])])
+    test, calls = D.in_domain, []
+    D.in_domain = lambda x: calls.append(1) or test(x)
+    g = integrate_apath(D, SectionTD.from_strings(D, ["x2", "-x1"]),
+                        [1.0, 0.0], grid_size=50)
+    assert g.completed
+    assert len(calls) == len(g.times) == 51
+
+
+# CSV round trips must be exact for every finite float: negative zero,
+# subnormals and the largest exponents included.
+cells = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.225073858507201e-308,
+                     1.7976931348623157e308, -1e-310]))
+
+
+@st.composite
+def tables(draw, rows, cols):
+    flat = draw(st.lists(cells, min_size=rows * cols, max_size=rows * cols))
+    return np.array(flat, dtype=float).reshape(rows, cols)
+
+
+@st.composite
+def grids(draw, size):
+    t0 = draw(st.floats(-1e3, 1e3))
+    h = draw(st.floats(1e-3, 1e3))
+    return t0 + h * np.arange(size)
+
+
+@st.composite
+def outcomes(draw):
+    """A flow status with its event time: completed, or an escape."""
+    status = draw(st.sampled_from(["completed", "blowup", "domain_exit"]))
+    if status == "completed":
+        return status, None
+    return status, draw(st.floats(allow_nan=False, allow_infinity=False))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def round_trip(obj, read):
+    """Write obj, read it back with read(file), and check that writing the
+    result gives the same text."""
+    buf = io.StringIO()
+    obj.write_csv(buf)
+    text = buf.getvalue()
+    back = read(io.StringIO(text))
+    again = io.StringIO()
+    back.write_csv(again)
+    assert again.getvalue() == text
+    return back
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 6), st.integers(1, 3), st.data())
+def test_trajectory_csv_round_trip_is_bitwise(size, n, data):
+    times = data.draw(grids(size))
+    # a flow's last step may be shorter than the others
+    times[-1] = times[-2] + data.draw(st.floats(0.01, 1.0)) * (times[1]
+                                                             - times[0])
+    status, t_event = data.draw(outcomes())
+    traj = Trajectory(times, data.draw(tables(size, n)), status, t_event)
+    back = round_trip(traj, read_trajectory_csv)
+    assert same_bits(back.times, traj.times)
+    assert same_bits(back.points, traj.points)
+    assert (back.status, back.t_event) == (status, t_event)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(3, 6), st.integers(1, 3), st.data())
+def test_apath_csv_round_trip_is_bitwise(size, n, data):
+    A = make_tangent(n)
+    status, t_event = data.draw(outcomes())
+    g = APath(A, data.draw(grids(size)), data.draw(tables(size, n)),
+              data.draw(tables(size, n)), status, t_event)
+    back = round_trip(g, lambda f: read_apath_csv(f, A))
+    for field in ("times", "base", "eta"):
+        assert same_bits(getattr(back, field), getattr(g, field))
+    assert (back.status, back.t_event) == (status, t_event)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(2, 5), st.integers(2, 5), st.integers(1, 2), st.data())
+def test_ahomotopy_csv_round_trip_is_bitwise(nt, ns, n, data):
+    A = make_tangent(n)
+    x = data.draw(tables(nt * ns, n)).reshape(nt, ns, n)
+    x[0] = x[0, 0]
+    x[-1] = x[-1, 0]
+    beta = data.draw(tables(nt * ns, n)).reshape(nt, ns, n)
+    beta[0] = data.draw(st.sampled_from([0.0, -0.0, 5e-324]))
+    beta[-1] = -0.0
+    H = AHomotopy(A, data.draw(grids(nt)), data.draw(grids(ns)), x,
+                  data.draw(tables(nt * ns, n)).reshape(nt, ns, n), beta)
+    back = round_trip(H, lambda f: read_ahomotopy_csv(f, A))
+    for field in ("t_grid", "s_grid", "x", "eta", "beta"):
+        assert same_bits(getattr(back, field), getattr(H, field))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(2, 6), st.integers(1, 3), st.data())
+def test_matrix_path_csv_round_trip_is_bitwise(size, m, data):
+    mp = MatrixPath(data.draw(grids(size)),
+                    data.draw(tables(size, m * m)).reshape(size, m, m))
+    back = round_trip(mp, read_matrix_csv)
+    assert same_bits(back.times, mp.times)
+    assert same_bits(back.matrices, mp.matrices)

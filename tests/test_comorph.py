@@ -274,6 +274,17 @@ def test_escaped_lift_csv_round_trip_keeps_its_witness():
     assert (back.status, back.t_event) == ("domain_exit", lifted.t_event)
 
 
+def test_lifted_samples_are_tested_against_the_domain_once():
+    # the flow tests x0 and every sample it keeps; building the lifted
+    # A-path from them tests none again
+    A, B = disk(), make_tangent(2)
+    test, calls = A.in_domain, []
+    A.in_domain = lambda x: calls.append(1) or test(x)
+    lifted = lift_path(inclusion(A, B), circle_path(B, N=100), (0.5, 0.0))
+    assert lifted.completed
+    assert len(calls) == len(lifted.times) == 101
+
+
 def test_lift_uniqueness_on_a_completed_path():
     B = make_tangent(2)
     c = inclusion(disk(), B)
