@@ -129,15 +129,9 @@ class LieAlgebroid:
         """x' = rho(x) s compiled into one function of (*inputs, *x).
 
         section: the r components of s, Exprs over the names in `inputs`
-        and the base coordinates. Each component sum_a rho^i_a s_a is built
-        left to right with the folding constructors, so it adds the nonzero
-        products in the order a plain loop over a would."""
-        comps = []
-        for row in self.anchor:
-            acc = ex.Const(0.0)
-            for rho, s in zip(row, section):
-                acc = ex.add(acc, ex.mul(rho, s))
-            comps.append(acc)
+        and the base coordinates. Each component sum_a rho^i_a s_a is the
+        `expr.dot` of an anchor row with the section."""
+        comps = [ex.dot(row, section) for row in self.anchor]
         return ex.compile_exprs(comps, list(inputs) + self.coords)
 
     def flow_field(self, fn):
@@ -338,7 +332,7 @@ class AxiomReport:
         self.n_samples = n_samples
 
     def max_residual(self):
-        return max(self.anchor_residual, self.jacobi_residual)
+        return float(np.max([self.anchor_residual, self.jacobi_residual]))
 
     def ok(self, tol=1e-10):
         return self.max_residual() <= tol

@@ -189,14 +189,13 @@ class AHomotopy:
         self.x = np.asarray(x, dtype=float).reshape(nt, ns, algebroid.n)
         self.eta = np.asarray(eta, dtype=float).reshape(nt, ns, algebroid.r)
         self.beta = np.asarray(beta, dtype=float).reshape(nt, ns, algebroid.r)
-        bmax = max(float(np.max(np.abs(self.beta[0]))),
-                   float(np.max(np.abs(self.beta[-1]))))
-        if bmax > tol:
+        # the negated comparisons reject nan
+        bmax = float(np.max(np.abs(self.beta[[0, -1]])))
+        if not bmax <= tol:
             raise AlgebroidError(
                 f"beta must vanish at t = 0, 1 (max |beta| there: {bmax:.3e})")
-        drift = max(float(np.ptp(self.x[0], axis=0).max()),
-                    float(np.ptp(self.x[-1], axis=0).max()))
-        if drift > tol:
+        drift = float(np.ptp(self.x[[0, -1]], axis=1).max())
+        if not drift <= tol:
             raise AlgebroidError(
                 f"base endpoints must be constant in s (drift {drift:.3e} "
                 f"> {tol:.3e})")
@@ -395,7 +394,7 @@ def log_derivative(gamma, basis, algebroid=None, span_tol=1e-6):
     B_pinv = np.linalg.pinv(B)
     dgam = _matrix_path_derivative(gam, h)
     eta = np.empty((len(times), r))
-    worst = 0.0
+    defects = np.empty(len(times))
     for k in range(len(times)):
         try:
             V = np.linalg.solve(gam[k], dgam[k])
@@ -403,9 +402,9 @@ def log_derivative(gamma, basis, algebroid=None, span_tol=1e-6):
             raise AlgebroidError(f"gamma(t_{k}) is singular") from None
         v = V.reshape(-1)
         eta[k] = B_pinv @ v
-        defect = float(np.linalg.norm(v - B @ eta[k]))
-        worst = max(worst, defect)
-    if worst > span_tol:
+        defects[k] = np.linalg.norm(v - B @ eta[k])
+    worst = float(np.max(defects))
+    if not worst <= span_tol:
         raise AlgebroidError(
             f"logarithmic derivative leaves the basis span "
             f"(defect {worst:.3e} > {span_tol:.1e})")

@@ -72,12 +72,8 @@ class Comorphism:
             xi = [f"xi{b+1}" for b in range(self.target.r)]
             while set(xi) & set(self.source.coords):
                 xi = ["_" + v for v in xi]
-            section = []
-            for row in self.M:
-                acc = ex.Const(0.0)
-                for m, v in zip(row, xi):
-                    acc = ex.add(acc, ex.mul(m, ex.Var(v)))
-                section.append(acc)
+            section = [ex.dot(row, [ex.Var(v) for v in xi])
+                       for row in self.M]
             self._lift_fn = self.source.anchored_field(section, xi)
         return self._lift_fn
 
@@ -149,13 +145,7 @@ def pullback_section(c, s):
         raise AlgebroidError("section must live on the comorphism's target")
     mapping = {v: c.phi[j] for j, v in enumerate(c.target.coords)}
     s_at_phi = [ex.substitute(e, mapping) for e in s.exprs]
-    comps = []
-    for a in range(c.source.r):
-        acc = ex.Const(0.0)
-        for b in range(c.target.r):
-            acc = ex.add(acc, ex.mul(c.M[a][b], s_at_phi[b]))
-        comps.append(acc)
-    return SectionTD(c.source, comps)
+    return SectionTD(c.source, [ex.dot(row, s_at_phi) for row in c.M])
 
 
 def compose(c1, c2):
@@ -167,15 +157,8 @@ def compose(c1, c2):
     mapping = {v: c1.phi[j] for j, v in enumerate(c2.source.coords)}
     phi = [ex.substitute(p, mapping) for p in c2.phi]
     M2_sub = [[ex.substitute(e, mapping) for e in row] for row in c2.M]
-    M = []
-    for a in range(c1.source.r):
-        row = []
-        for cc in range(c2.target.r):
-            acc = ex.Const(0.0)
-            for b in range(c1.target.r):
-                acc = ex.add(acc, ex.mul(c1.M[a][b], M2_sub[b][cc]))
-            row.append(acc)
-        M.append(row)
+    M = [[ex.dot(c1.M[a], [M2_sub[b][cc] for b in range(c1.target.r)])
+          for cc in range(c2.target.r)] for a in range(c1.source.r)]
     return Comorphism(c1.source, c2.target, phi, M)
 
 

@@ -71,11 +71,9 @@ class FlatConnection:
     def section_residual(self, samples):
         """max over samples of |Dphi(x) H(x) - I|."""
         eye = np.eye(self.ny)
-        res = 0.0
-        for x in samples:
-            res = max(res, float(np.max(np.abs(
-                self.dphi_at(x) @ self.H_at(x) - eye))))
-        return res
+        return float(np.max(np.abs(
+            [self.dphi_at(x) @ self.H_at(x) - eye for x in samples]),
+            initial=0.0))
 
     def as_comorphism(self):
         """The tangent-algebroid comorphism (phi, H): TX -> TY.
@@ -128,13 +126,12 @@ def as_comorphism(fc, samples=None, tol=1e-10):
 def flatness_residual(fc, samples):
     """max over samples and base pairs (i, j) of the vertical part of
     [H e_i, H e_j], all derivatives symbolic."""
-    res = 0.0
+    comms = []
     for x in samples:
         if not fc.in_domain(x):
             raise ex.DomainError(f"sample {ex.point(x)} outside the domain")
-        for c in fc._vertical_commutators(x):
-            res = max(res, float(np.max(np.abs(c))))
-    return res
+        comms.extend(fc._vertical_commutators(x))
+    return float(np.max(np.abs(comms), initial=0.0))
 
 
 # ------------------------------------------------------- the 3.x example --

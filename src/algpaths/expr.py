@@ -487,6 +487,15 @@ def mul(a, b):
     return Mul(a, b)
 
 
+def dot(us, vs):
+    """sum_k us[k] * vs[k], folded left to right from Const(0.0) with the
+    folding constructors: the expression a plain loop over k builds."""
+    acc = Const(0.0)
+    for u, v in zip(us, vs):
+        acc = add(acc, mul(u, v))
+    return acc
+
+
 def div(a, b):
     ca, cb = _const(a), _const(b)
     if cb is not None and cb != 0.0:
@@ -993,7 +1002,7 @@ class SmoothMap:
 __all__ = [
     "Expr", "Const", "Var", "Add", "Sub", "Mul", "Div", "Neg", "Pow",
     "Fun1", "Atan2", "Gate", "parse", "differentiate", "substitute", "fun",
-    "add", "sub", "mul", "div", "neg", "pow_", "as_expr", "point",
+    "add", "sub", "mul", "dot", "div", "neg", "pow_", "as_expr", "point",
     "compile_expr", "compile_exprs", "domain_predicate", "SmoothMap",
     "ExprError", "ParseError", "EvalError", "DomainError",
 ]

@@ -125,13 +125,9 @@ def standard_symplectic(n=2):
 
 def hamiltonian_vf_exprs(P, f):
     """Components of xi_f = Pi# df as Exprs: xi^i = Pi^{ij} d_j f."""
-    comps = []
-    for i in range(P.dim):
-        acc = ex.Const(0.0)
-        for j in range(P.dim):
-            acc = ex.add(acc, ex.mul(P.pi_expr(i, j), f.d(P.coords[j])))
-        comps.append(acc)
-    return comps
+    grad = [f.d(v) for v in P.coords]
+    return [ex.dot([P.pi_expr(i, j) for j in range(P.dim)], grad)
+            for i in range(P.dim)]
 
 
 def hamiltonian_vf(P, f):
@@ -151,13 +147,12 @@ def poisson_map_residual(phi, PX, PY, samples):
     """max over samples of |Dphi(x) Pi_X(x) Dphi(x)^T - Pi_Y(phi(x))|."""
     if phi.variables != PX.coords:
         raise PoissonError("phi must be a map in the source coordinates")
-    res = 0.0
+    diffs = []
     for x in samples:
         J = np.asarray(phi.jacobian(x), dtype=float)
         push = J @ PX.pi_matrix(x) @ J.T
-        pull = PY.pi_matrix(phi.eval_unchecked(x))
-        res = max(res, float(np.max(np.abs(push - pull))))
-    return res
+        diffs.append(np.abs(push - PY.pi_matrix(phi.eval_unchecked(x))))
+    return float(np.max(diffs, initial=0.0))
 
 
 def cotangent_lift(phi, PX, PY, samples=None, tol=1e-8):
@@ -171,7 +166,7 @@ def cotangent_lift(phi, PX, PY, samples=None, tol=1e-8):
         samples = sample_points(PX, 20, np.random.default_rng(0), low=-1.0,
                                 high=1.0, max_tries=4000)
     res = poisson_map_residual(phi, PX, PY, samples)
-    if res > tol:
+    if not res <= tol:
         raise PoissonError(
             f"phi is not a Poisson map (residual {res:.3e} > {tol:.1e} "
             f"on {len(samples)} samples)")
@@ -197,10 +192,7 @@ def tangent_lift_bivector(P):
                 pi[(i, n + j)] = e
     for i in range(n):
         for j in range(i + 1, n):
-            acc = ex.Const(0.0)
-            for k in range(n):
-                acc = ex.add(acc, ex.mul(vvars[k],
-                                         P.pi_expr(i, j).d(P.coords[k])))
+            acc = ex.dot(vvars, [P.pi_expr(i, j).d(v) for v in P.coords])
             if acc != ex.Const(0.0):
                 pi[(n + i, n + j)] = acc
     return PoissonManifold(2 * n, pi, domain=P.domain, coords=coords)
@@ -237,9 +229,8 @@ def default_test_functions(PY):
     """Coordinate functions plus a bump-cutoff quadratic (compactly
     supported, hence complete on Y)."""
     fs = [ex.Var(c) for c in PY.coords]
-    q = ex.Const(0.0)
-    for c in PY.coords:
-        q = ex.add(q, ex.mul(ex.Const(0.5), ex.pow_(ex.Var(c), 2)))
+    q = ex.dot([ex.Const(0.5)] * len(PY.coords),
+               [ex.pow_(ex.Var(c), 2) for c in PY.coords])
     fs.append(ex.fun("bump", ex.Const(-1.0), ex.Const(1.0), q))
     return fs
 
@@ -269,11 +260,10 @@ def complete_map_probe(phi, PX, PY, test_functions=None, horizon=2.0,
         ham_fn = _hamiltonian_fn(PX, ex.substitute(f, mapping))
         s = SectionTD(c.target, [f.d(v) for v in PY.coords])
         com_fn = A.anchored_field(pullback_section(c, s).exprs)
-        worst = 0.0
-        for seed in seeds:
-            for a, b in zip(com_fn(0.0, *seed), ham_fn(*seed)):
-                worst = max(worst, abs(a - b))
-        if worst > field_tol:
+        worst = float(np.max(np.abs(
+            [np.subtract(com_fn(0.0, *x), ham_fn(*x)) for x in seeds]),
+            initial=0.0))
+        if not worst <= field_tol:
             raise PoissonError(
                 f"route fields disagree by {worst:.3e} (> {field_tol:.1e})")
 

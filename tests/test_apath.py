@@ -135,6 +135,21 @@ def test_homotopy_endpoints_enforced():
             lambda t, s: [t], nt=20, ns=20)
 
 
+@pytest.mark.parametrize("field, t, message", [
+    ("beta", 0.0, "beta must vanish"), ("beta", 1.0, "beta must vanish"),
+    ("x", 0.0, "endpoints must be constant"),
+    ("x", 1.0, "endpoints must be constant")])
+def test_homotopy_endpoints_reject_nan(field, t, message):
+    # the constant homotopy at the origin, with one nan at t = 0 or 1
+    def sample(name):
+        def fn(tt, s):
+            return [math.nan if (name, tt, s) == (field, t, 0.5) else 0.0]
+        return fn
+    with pytest.raises(AlgebroidError, match=message):
+        AHomotopy.from_functions(make_tangent(1), sample("x"), sample("eta"),
+                                 sample("beta"), nt=4, ns=4)
+
+
 def test_homotopy_csv_round_trip():
     H = sine_homotopy(20, 20)
     buf = io.StringIO()

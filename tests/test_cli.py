@@ -5,6 +5,7 @@ captured stdout; one test goes through ``python -m algpaths.cli`` to pin
 the module entry point.  Workspace configs are written to ``tmp_path``.
 """
 
+import argparse
 import json
 import math
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 import algpaths.expr as ex
 from algpaths.algebroid import make_tangent
 from algpaths.apath import AHomotopy
-from algpaths.cli import run
+from algpaths.cli import build_parser, run
 
 PLANE = {"base_dim": 2, "rank": 2,
          "anchor": [["1", "0"], ["0", "1"]], "bracket": {}}
@@ -74,6 +75,87 @@ def test_sheets_irrational_prints_inf(capsys):
     assert run(["example3", "sheets", "--nu", "0.41421356237309515",
                 "--k-max", "10000"]) == 0
     assert capsys.readouterr().out == "inf\n"
+
+
+# ----------------------------------------------------------- flag surface
+
+# Per leaf subcommand: its required flags, its optional flags, the
+# defaults that are not None, and the choices.
+FLAG_SURFACE = {
+    "check-algebroid": ("--config", "--name --samples --tol --seed",
+                        {"--tol": 1e-10}, {}),
+    "integrate-path": ("--config --section --x0",
+                       "--name --grid --bound --out --seed", {}, {}),
+    "lift-path": ("--config --comorphism --path --x0",
+                  "--interp --bound --out --seed", {"--interp": "cubic"},
+                  {"--interp": ("cubic", "linear")}),
+    "lift-homotopy": ("--config --comorphism --homotopy --x0",
+                      "--interp --bound --out --seed", {"--interp": "cubic"},
+                      {"--interp": ("cubic", "linear")}),
+    "completeness-probe": ("--config --comorphism --section",
+                           "--horizon --bound --seeds --x0 --seed", {}, {}),
+    "compose": ("--config --first --second", "--seed", {}, {}),
+    "holonomy": ("", "--config --connection --nu0 --h --h-grid --radius "
+                     "--grid --z0 --x0 --k-max --out --seed",
+                 {"--nu0": "1/3", "--h": "0.0", "--radius": 1.0,
+                  "--z0": "1,0", "--k-max": 1e6}, {}),
+    "example3 sheets": ("--nu", "--k-max --tol --seed",
+                        {"--k-max": 1e6, "--tol": 1e-9}, {}),
+    "example3 density": ("--nu", "--theta0 --z0 --tau-max --bins --seed",
+                         {"--theta0": "0.0", "--z0": "1,0", "--bins": 32},
+                         {}),
+    "example3 self-intersect": ("--nu", "--h --tau --r --theta --rp --seed",
+                                {"--h": "0.0", "--tau": "0.0", "--r": 1.0,
+                                 "--theta": "0.0", "--rp": 1.0}, {}),
+    "example3 gamma": ("", "--nu --r --theta --rp --tau --z --h --seed",
+                       {"--nu": "1/3", "--r": 1.0, "--theta": "0.0",
+                        "--rp": 1.0, "--tau": "0.0", "--z": "1,0",
+                        "--h": "0.0"}, {}),
+    "poisson check-map": ("--config --source --target --map",
+                          "--samples --tol --seed", {"--tol": 1e-8}, {}),
+    "poisson flow": ("--config --f --x0",
+                     "--name --t1 --step --bound --out --seed", {}, {}),
+    "poisson lift": ("--config --source --target --map",
+                     "--samples --tol --seed", {"--tol": 1e-8}, {}),
+    "poisson probe": ("--config --source --target --map",
+                      "--f --horizon --bound --seeds --x0 --samples --seed",
+                      {}, {}),
+    "develop": ("--path --basis", "--config --name --out --seed", {}, {}),
+    "logderiv": ("--gamma --basis", "--span-tol --out --seed",
+                 {"--span-tol": 1e-6}, {}),
+}
+
+
+def leaf_parsers(parser, path=""):
+    """(subcommand, parser) of every leaf subcommand."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path.strip(), parser
+    else:
+        for name, sub in subs[0].choices.items():
+            yield from leaf_parsers(sub, f"{path} {name}")
+
+
+def test_cli_flag_surface():
+    surface = {}
+    for path, leaf in leaf_parsers(build_parser()):
+        required, optional, defaults, choices = set(), set(), {}, {}
+        for action in leaf._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            flag = "/".join(action.option_strings)
+            (required if action.required else optional).add(flag)
+            if action.default is not None:
+                defaults[flag] = action.default
+            if action.choices is not None:
+                choices[flag] = tuple(action.choices)
+        surface[path] = (required, optional, defaults, choices)
+    assert surface == {
+        path: (set(required.split()), set(optional.split()), defaults,
+               choices)
+        for path, (required, optional, defaults, choices)
+        in FLAG_SURFACE.items()}
 
 
 # --------------------------------------------------------- config loading
@@ -168,6 +250,59 @@ def test_bare_algebroid_config_accepted(tmp_path, capsys):
     code, payload = run_json(capsys, ["check-algebroid", "--config", cfg])
     assert code == 0
     assert payload["name"] == "main"
+
+
+# ---------------------------------------------- flag and default validation
+
+INTEGRATE = ["integrate-path", "--config", "{cfg}", "--name", "plane",
+             "--section", "1;0", "--x0", "0,0"]
+PROBE = ["completeness-probe", "--config", "{cfg}", "--comorphism", "id",
+         "--section", "1;0", "--x0", "0,0"]
+CHECK = ["check-algebroid", "--config", "{cfg}", "--name", "plane"]
+# Dphi.H - I is nan wherever x2 != 0
+NAN_SECTION = {"x_coords": ["x1", "x2"], "phi": ["x1"],
+               "H": [["1"], ["x2*1e300*1e300 - x2*1e300*1e300"]]}
+
+
+BAD_INPUTS = [
+    (INTEGRATE + ["--grid", "0"], {}, "--grid"),
+    (INTEGRATE, {"defaults": {"grid": 0.5}}, "/defaults/grid"),
+    (PROBE + ["--horizon", "inf"], {}, "--horizon"),
+    (["example3", "sheets", "--nu", "1/3", "--k-max", "inf"], {}, "--k-max"),
+    (INTEGRATE + ["--bound", "nan"], {}, "--bound"),
+    (INTEGRATE, {"defaults": {"bound": math.nan}}, "/defaults/bound"),
+    (CHECK + ["--tol", "nan"], {}, "--tol"),
+    (["example3", "gamma", "--tau", "nan"], {}, "--tau"),
+    (["holonomy", "--h", "nan"], {}, "--h"),
+    (CHECK + ["--samples", "0"], {}, "--samples"),
+    (PROBE[:-2] + ["--seeds", "0"], {}, "--seeds"),
+    (["example3", "density", "--nu", "1/3", "--bins", "1000001"], {},
+     "--bins"),
+    (["holonomy", "--h-grid", "0:1:0"], {}, "--h-grid"),
+    (["example3", "sheets", "--nu", "nan"], {}, "--nu"),
+    (INTEGRATE[:-1] + ["nan,0"], {}, "--x0"),
+    (["poisson", "flow", "--config", "{cfg}", "--name", "pplane", "--f",
+      "x1", "--x0", "0,0", "--t1", "0"], {}, "--t1"),
+    (["logderiv", "--gamma", "g.csv", "--basis", "[[[NaN]]]"], {},
+     "--basis"),
+    (CHECK, {"defaults": {"step": 0}}, "/defaults/step"),
+    (CHECK, {"defaults": {"seeds": 2000000}}, "/defaults/seeds"),
+    (CHECK, {"connections": {"bad": NAN_SECTION}}, "/connections/bad"),
+]
+
+
+@pytest.mark.parametrize("argv, extra, where", BAD_INPUTS,
+                         ids=[where for _, _, where in BAD_INPUTS])
+def test_bad_flag_or_default_exits_2_naming_it(tmp_path, capsys, argv, extra,
+                                               where):
+    cfg = write_config(tmp_path, {
+        "algebroids": {"plane": PLANE},
+        "comorphisms": {"id": {"source": "plane", "target": "plane",
+                               "phi": ["x1", "x2"], "M": IDENTITY_M}},
+        "poisson": {"pplane": {"dim": 2, "Pi": {"1,2": "1"}}}, **extra})
+    assert run([a.format(cfg=cfg) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert where in captured.err and captured.out == ""
 
 
 # ------------------------------------------------------- path integration

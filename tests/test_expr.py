@@ -166,6 +166,16 @@ def test_substitute():
     assert fn(0.0, 2.0)[0] == pytest.approx(11.0)
 
 
+def test_dot_is_the_left_fold_of_a_loop():
+    x, y = Var("x"), Var("y")
+    assert ex.dot([], []) == Const(0.0)
+    # zero terms and unit factors fold away; the rest adds left to right
+    assert (ex.dot([Const(0.0), x, Const(2.0), y], [y, Const(1.0), y, x])
+            == ex.add(ex.add(x, ex.mul(Const(2.0), y)), ex.mul(y, x)))
+    assert ex.dot([Const(2.0), Const(3.0)],
+                  [Const(4.0), Const(5.0)]) == Const(23.0)
+
+
 def test_constant_folding_keeps_finite_values_only():
     e = parse("2 * 3 + x", XY)
     assert str(e) == "6 + x" or "6" in str(e)

@@ -12,13 +12,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algpaths import expr as ex
-from algpaths.algebroid import (LieAlgebroid, anchor_morphism_residual_at,
-                                check_axioms, jacobi_residual_at,
-                                make_tangent)
-from algpaths.apath import (AHomotopy, APath, admissibility_residual,
-                            homotopy_residual)
+from algpaths.algebroid import (AlgebroidError, AxiomReport, LieAlgebroid,
+                                anchor_morphism_residual_at, check_axioms,
+                                jacobi_residual_at, make_tangent)
+from algpaths.apath import (AHomotopy, APath, MatrixPath,
+                            admissibility_residual, homotopy_residual,
+                            log_derivative)
 from algpaths.comorph import Comorphism, anchor_compat_residual
-from algpaths.poisson import PoissonManifold
+from algpaths.ehresmann import FlatConnection, flatness_residual
+from algpaths.poisson import (PoissonError, PoissonManifold,
+                              complete_map_probe, cotangent_lift,
+                              poisson_map_residual, standard_symplectic)
 
 COORDS = ["x1", "x2", "x3", "x4"]
 
@@ -312,15 +316,54 @@ def test_residuals_over_no_points_are_zero():
     assert A.bracket_tensor(np.empty((0, 1))).shape == (0, 2, 2, 2)
 
 
+def nan_where_nonzero(v, variables):
+    """inf - inf: an expression that is nan wherever v != 0."""
+    return ex.parse(f"{v}*1e300*1e300 - {v}*1e300*1e300", variables)
+
+
 def test_a_nan_residual_is_not_read_as_zero():
-    # inf - inf: the anchor is nan wherever x1 != 0, and a nan residual
-    # must fail its check rather than drop out of the maximum
-    nan_entry = ex.parse("x1*1e300*1e300 - x1*1e300*1e300", ["x1"])
+    # a nan residual must fail its check rather than drop out of the maximum
+    nan_entry = nan_where_nonzero("x1", ["x1"])
     A = LieAlgebroid(1, 1, [[nan_entry]], {})
     rep = check_axioms(A, [[0.5], [0.25]])
     assert np.isnan(rep.anchor_residual)
     assert not rep.ok()
+    assert np.isnan(AxiomReport(0.0, np.nan, 1).max_residual())
     g = APath(A, [0.0, 0.5, 1.0], [[0.25], [0.5], [0.75]],
               [[1.0], [1.0], [1.0]])
     assert np.isnan(admissibility_residual(g))
     assert np.isnan(homotopy_residual(random_homotopy(A, 5, 4, 4))[0])
+
+    # Pi_Y^{12} = nan + 5 is no Poisson structure the identity maps to
+    xy = ["x1", "x2"]
+    PX = standard_symplectic(2)
+    PY = PoissonManifold(2, {(0, 1): ex.add(nan_where_nonzero("x1", xy),
+                                            ex.Const(5.0))})
+    phi = ex.SmoothMap(xy, [ex.Var(v) for v in xy])
+    assert np.isnan(poisson_map_residual(phi, PX, PY, [[0.5, 0.5]]))
+    with pytest.raises(PoissonError, match="not a Poisson map"):
+        cotangent_lift(phi, PX, PY, samples=[[0.5, 0.5]])
+    # a test function with a nan gradient: both route fields are nan
+    with pytest.raises(PoissonError, match="route fields disagree by nan"):
+        complete_map_probe(phi, PX, PX,
+                           test_functions=[nan_where_nonzero("x1", xy)],
+                           seeds=[[0.5, 0.5]], map_samples=[[0.5, 0.5]])
+
+    # a horizontal lift with a nan entry: Dphi.H - I and the vertical
+    # commutator [H e1, H e2] are nan wherever x2 != 0
+    xyz = ["x1", "x2", "x3"]
+    one, zero = ex.Const(1.0), ex.Const(0.0)
+    fc = FlatConnection(xyz, [ex.Var("x1"), ex.Var("x2")],
+                        [[one, zero], [zero, one],
+                         [nan_where_nonzero("x2", xyz), zero]])
+    assert np.isnan(fc.section_residual([[0.5, 0.5, 0.5]]))
+    assert np.isnan(flatness_residual(fc, [[0.5, 0.5, 0.5]]))
+
+    # a rotation path with one nan sample leaves the span by nan
+    t = np.linspace(0.0, 1.0, 101)
+    rotations = np.array([[[np.cos(s), -np.sin(s)], [np.sin(s), np.cos(s)]]
+                          for s in t])
+    rotations[50, 0, 0] = np.nan
+    with pytest.raises(AlgebroidError, match="defect nan"):
+        log_derivative(MatrixPath(t, rotations),
+                       [np.array([[0.0, -1.0], [1.0, 0.0]])], span_tol=1e-3)
