@@ -125,14 +125,17 @@ class LieAlgebroid:
         vals = evaluate(self._bracket_fn, x, (len(self._bkeys),))
         return antisymmetric(self._bkeys, vals, shape)
 
-    def anchored_field(self, section, inputs=("t",)):
-        """x' = rho(x) s compiled into one function of (*inputs, *x).
+    def anchored_field(self, section, inputs=("t",), extra=()):
+        """x' = rho(x) s compiled into one function of (*inputs, *x),
+        which returns the n components of x' followed by the values of the
+        Exprs in `extra`.
 
         section: the r components of s, Exprs over the names in `inputs`
         and the base coordinates. Each component sum_a rho^i_a s_a is the
         `expr.dot` of an anchor row with the section."""
         comps = [ex.dot(row, section) for row in self.anchor]
-        return ex.compile_exprs(comps, list(inputs) + self.coords)
+        return ex.compile_exprs(comps + list(extra),
+                                list(inputs) + self.coords)
 
     def flow_field(self, fn):
         """The field x' = fn(t, *x) on the domain, for a function compiled

@@ -19,10 +19,10 @@ import math
 
 import numpy as np
 
-from .algebroid import AlgebroidError, make_lie_algebra, matvec
+from .algebroid import AlgebroidError, evaluate, make_lie_algebra, matvec
 from .expr import point
-from .numkernel import (FlowOutcome, check_uniform_grid, flow, read_csv_rows,
-                        write_csv_rows)
+from .numkernel import (FlowOutcome, VectorFieldTD, check_uniform_grid, flow,
+                        read_csv_rows, write_csv_rows)
 
 
 class APath(FlowOutcome):
@@ -104,9 +104,13 @@ def integrate_apath(A, s, x0, grid_size=1000, bound=1e8):
     Returns an APath whose status records blowup/domain exit; the samples
     then cover only the integrated prefix.
     """
-    traj = flow(A.flow_field(A.anchored_field(s.exprs)), x0, (0.0, 1.0),
-                step=1.0 / grid_size, bound=bound)
-    eta = [s(t, x) for t, x in zip(traj.times, traj.points)]
+    n = A.n
+    # one compiled function of (t, *x) gives rho(x) s(t, x), then s(t, x)
+    fn = A.anchored_field(s.exprs, extra=s.exprs)
+    vf = VectorFieldTD(n, lambda t, x: fn(t, *x)[:n], domain=A.in_domain)
+    traj = flow(vf, x0, (0.0, 1.0), step=1.0 / grid_size, bound=bound)
+    tx = np.column_stack([traj.times, traj.points])
+    eta = evaluate(fn, tx, (n + A.r,))[:, n:]
     return APath._from_flow(A, traj, eta)
 
 

@@ -31,7 +31,7 @@ from .ehresmann import (ExampleConnection, FlatConnection, GammaElement,
                         circle_loop, density_scan, holonomy, holonomy_sweep,
                         self_intersection_witness, sheet_count,
                         write_sweep_csv)
-from .numkernel import FlowError, flow
+from .numkernel import MAX_COUNT, FlowError, flow
 from .poisson import (PoissonError, PoissonManifold, complete_map_probe,
                       cotangent_lift, hamiltonian_vf, poisson_map_residual)
 
@@ -41,9 +41,9 @@ DEFAULTS = {"step": 1e-3, "bound": 1e8, "horizon": 10.0, "grid": 1000,
 SPOT_TOL = 1e-8          # load-time axiom spot-check tolerance
 SPOT_SAMPLES = 10
 
-# Largest --grid, --samples, --seeds, --bins and --h-grid count: each sizes
-# an allocation or a loop, so an unbounded one is refused up front.
-MAX_COUNT = 1_000_000
+# MAX_COUNT bounds --grid, --samples, --seeds, --bins and the --h-grid
+# count: each sizes an allocation or a loop, so an unbounded one is refused
+# up front.
 
 
 class ConfigError(Exception):
@@ -92,6 +92,18 @@ def _count(value):
         raise argparse.ArgumentTypeError(
             f"expected an integer from 1 to {MAX_COUNT}, got {value!r}")
     return int(n)
+
+
+def _seed(value):
+    """A non-negative integer, the seeds numpy's generators take."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {value!r}")
+    return n
 
 
 def _vector(text):
@@ -153,7 +165,7 @@ FLAGS = {
                     {"type": _finite, "default": 1.0}),
     **dict.fromkeys(("--h", "--theta", "--theta0", "--tau"),
                     {"type": _fraction, "default": "0.0"}),
-    "--seed": {"type": int,
+    "--seed": {"type": _seed,
                "help": "PRNG seed (default: ALGPATHS_SEED or 0)"},
     "--x0": {"required": True, "type": _vector},
     "--interp": {"choices": ("cubic", "linear"), "default": "cubic"},
@@ -340,6 +352,16 @@ def _write_csv(write_fn, out_path):
     return False
 
 
+def _read_csv(path, read, *args):
+    """read(f, *args) on the open CSV file at path; a malformed file is a
+    usage error that names it."""
+    with open(path) as f:
+        try:
+            return read(f, *args)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
+
+
 def _pick(table, name, kind):
     if name is None:
         if len(table) == 1:
@@ -389,8 +411,7 @@ def cmd_integrate_path(args, ws):
 
 def cmd_lift_path(args, ws):
     name, c = _pick(ws.comorphisms, args.comorphism, "comorphisms")
-    with open(args.path) as f:
-        g = read_apath_csv(f, c.target)
+    g = _read_csv(args.path, read_apath_csv, c.target)
     lifted = lift_path(c, g, args.x0, interp=args.interp, bound=args.bound)
     if _write_csv(lifted.write_csv, args.out):
         _emit({"command": "lift-path", "comorphism": name, "seed": args.seed,
@@ -404,8 +425,7 @@ def cmd_lift_path(args, ws):
 
 def cmd_lift_homotopy(args, ws):
     name, c = _pick(ws.comorphisms, args.comorphism, "comorphisms")
-    with open(args.homotopy) as f:
-        H = read_ahomotopy_csv(f, c.target)
+    H = _read_csv(args.homotopy, read_ahomotopy_csv, c.target)
     lifted = lift_homotopy(c, H, args.x0, interp=args.interp,
                            bound=args.bound)
     if _write_csv(lifted.write_csv, args.out):
@@ -615,18 +635,17 @@ def cmd_poisson_probe(args, ws):
 
 
 def _read_apath_auto(path, ws, name):
+    if ws is not None and (name is not None or len(ws.algebroids) == 1):
+        _, A = _pick(ws.algebroids, name, "algebroids")
+        return _read_csv(path, read_apath_csv, A)
     with open(path) as f:
-        if ws is not None and (name is not None or len(ws.algebroids) == 1):
-            _, A = _pick(ws.algebroids, name, "algebroids")
-            return read_apath_csv(f, A)
         header = f.readline().strip().split(",")
-        n = sum(1 for c in header if c.startswith("x"))
-        r = sum(1 for c in header if c.startswith("eta"))
-        if header[:1] != ["t"] or 1 + n + r != len(header):
-            raise ConfigError(f"{path}: not an A-path CSV header")
-        f.seek(0)
-        zero = [[ex.Const(0.0) for _ in range(r)] for _ in range(n)]
-        return read_apath_csv(f, LieAlgebroid(n, r, zero, {}))
+    n = sum(1 for c in header if c.startswith("x"))
+    r = sum(1 for c in header if c.startswith("eta"))
+    if header[:1] != ["t"] or 1 + n + r != len(header):
+        raise ConfigError(f"{path}: not an A-path CSV header")
+    zero = [[ex.Const(0.0) for _ in range(r)] for _ in range(n)]
+    return _read_csv(path, read_apath_csv, LieAlgebroid(n, r, zero, {}))
 
 
 def cmd_develop(args, ws):
@@ -642,8 +661,7 @@ def cmd_develop(args, ws):
 
 
 def cmd_logderiv(args, ws):
-    with open(args.gamma) as f:
-        mp = read_matrix_csv(f)
+    mp = _read_csv(args.gamma, read_matrix_csv)
     g = log_derivative(mp, args.basis, span_tol=args.span_tol)
     if _write_csv(g.write_csv, args.out):
         _emit({"command": "logderiv", "seed": args.seed,
@@ -759,7 +777,10 @@ def run(argv=None):
         ws = (load_workspace(args.config)
               if getattr(args, "config", None) is not None else None)
         if args.seed is None:
-            args.seed = int(os.environ.get("ALGPATHS_SEED", 0))
+            try:
+                args.seed = _seed(os.environ.get("ALGPATHS_SEED", 0))
+            except argparse.ArgumentTypeError as e:
+                raise ConfigError(f"ALGPATHS_SEED: {e}")
         for key, value in (DEFAULTS if ws is None else ws.defaults).items():
             if getattr(args, key, None) is None:
                 setattr(args, key, value)

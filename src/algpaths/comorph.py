@@ -8,7 +8,8 @@ B-fiber vector over phi(x) to an A-fiber vector over x. The defining
 anchor condition Dphi . rho_A . M = rho_B o phi is measured, not assumed.
 
 Lifting integrates x' = rho_A(x) M(x) xi(t) with the fiber data xi of the
-path to lift interpolated between its samples (cubic by default); blowup
+path to lift interpolated between its samples (by default with the
+not-a-knot cubic spline, `numkernel.not_a_knot_table`); blowup
 or domain exit of that flow is the numerical witness that the lift fails
 to exist over the full interval.
 """
@@ -19,7 +20,7 @@ from . import expr as ex
 from .algebroid import AlgebroidError, SectionTD, evaluate, matvec
 from .apath import APath, AHomotopy, homotopy_residual
 from .expr import point
-from .numkernel import VectorFieldTD, flow
+from .numkernel import VectorFieldTD, flow, not_a_knot_table
 
 
 class LiftError(Exception):
@@ -221,9 +222,7 @@ def _fiber_table(g, interp, refine):
     m = (len(g.times) - 1) * refine
     stage_t = np.linspace(g.times[0], g.times[-1], 2 * m + 1)
     if interp == "cubic":
-        # scipy is imported here so that only cubic lifts pay for loading it
-        from scipy.interpolate import CubicSpline
-        table = CubicSpline(g.times, g.eta, axis=0)(stage_t)
+        table = not_a_knot_table(g.times, g.eta, stage_t)
     elif interp == "linear":
         table = np.stack([np.interp(stage_t, g.times, g.eta[:, b])
                           for b in range(g.eta.shape[1])], axis=1)

@@ -12,6 +12,9 @@ A trajectory stops early in two ways:
   accepted RK4 segment.
 
 In both cases the last recorded sample strictly precedes t*.
+
+`not_a_knot_table` tabulates the cubic spline through sampled data at the
+stage times of such a flow, for fields driven by sampled paths.
 """
 
 import math
@@ -97,6 +100,11 @@ _STATUS_RE = re.compile(r"#\s*status=(\w+)(?:\(t\*=([^)]+)\))?")
 
 GRID_RTOL = 1e-6
 
+# Largest count that outside input may ask for: a CSV holds at most
+# MAX_COUNT + 1 data rows (the samples of MAX_COUNT steps), and the CLI
+# bounds its counts by it.
+MAX_COUNT = 1_000_000
+
 
 def write_csv_rows(f, header, table, status=None):
     """Write the header names, one line per row of the 2-D table, and a
@@ -114,7 +122,9 @@ def read_csv_rows(f):
     """Rows of floats after the header line of a CSV, and the status of
     its '# status=' trailer: returns (rows, status, t_event), the status
     "completed" when there is no trailer. Other '#' lines are skipped.
-    A non-finite cell or a file without rows raises ValueError."""
+    A non-finite cell, a file without rows or one with more than
+    MAX_COUNT + 1 rows raises ValueError; the last is raised on reaching
+    the first row too many."""
     rows = []
     status, t_event = "completed", None
     for line in f:
@@ -128,6 +138,8 @@ def read_csv_rows(f):
                 if m.group(2) is not None:
                     t_event = float(m.group(2))
             continue
+        if len(rows) > MAX_COUNT:
+            raise ValueError(f"CSV has more than {MAX_COUNT + 1} data rows")
         row = [float(v) for v in line.split(",")]
         if not _finite(row):
             raise ValueError(f"CSV row {len(rows) + 1} has a non-finite "
@@ -247,6 +259,95 @@ def flow(vf, x0, t_span, step=1e-3, bound=1e8):
     return Trajectory(times, points, "completed")
 
 
+def _slope_equations(x, m):
+    """Lower, diagonal and upper entries, and right-hand sides (one row
+    per spline, from its secant slopes m), of the equations for the knot
+    slopes of the not-a-knot cubic spline on knots x, set up as scipy's
+    CubicSpline does. Interior row i matches S'' across x[i]; the end rows
+    make S''' continuous across x[1] and x[-2] (de Boor, ch. IV). On 3
+    knots the two ask the same, so S is the parabola through them; on 2,
+    the line."""
+    dx = np.diff(x)
+    lower = np.concatenate([[0.0], dx[1:], [0.0]])
+    diag = np.concatenate([[1.0], 2.0 * (dx[:-1] + dx[1:]), [1.0]])
+    upper = np.concatenate([[0.0], dx[:-1], [0.0]])
+    rhs = np.empty((len(m), len(x)))
+    rhs[:, 1:-1] = 3 * (dx[1:] * m[:, :-1] + dx[:-1] * m[:, 1:])
+    if len(x) == 2:
+        rhs[:, 0] = rhs[:, 1] = m[:, 0]
+    elif len(x) == 3:
+        lower[-1] = upper[0] = 1.0
+        rhs[:, 0], rhs[:, -1] = 2.0 * m[:, 0], 2.0 * m[:, -1]
+    else:
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        diag[0], upper[0], diag[-1], lower[-1] = dx[1], d0, dx[-2], d1
+        rhs[:, 0] = ((dx[0] + 2 * d0) * dx[1] * m[:, 0]
+                     + dx[0] ** 2 * m[:, 1]) / d0
+        rhs[:, -1] = (dx[-1] ** 2 * m[:, -2]
+                      + (2 * d1 + dx[-1]) * dx[-2] * m[:, -1]) / d1
+    return lower, diag, upper, rhs
+
+
+def not_a_knot_table(x, y, t):
+    """Values at the times t of the not-a-knot cubic spline through
+    (x[i], y[i]), splining each column of the (n, k) array y on its own.
+
+    t holds (n-1)*q + 1 times: q in each interval [x[i], x[i+1]), the
+    last at x[-1]. The knot slopes solve the spline's tridiagonal
+    equations by one Thomas sweep: the elimination factors depend on x
+    only, then one forward and one backward pass per column. Each time
+    is evaluated in its own interval. Equations, coefficients and order
+    of operations are those of scipy's CubicSpline, so on 4 or more knots
+    the values are its values to the bit, unless its solver pivots.
+    Fewer than 2 knots raise ValueError.
+    """
+    x = np.asarray(x, dtype=float)
+    yt = np.asarray(y, dtype=float).T          # one row per spline
+    if len(x) < 2:
+        raise ValueError(f"a spline needs at least 2 knots, got {len(x)}")
+    n, q = len(x), (len(t) - 1) // (len(x) - 1)
+    dx = np.diff(x)
+    m = np.diff(yt) / dx
+    lower, diag, upper, rhs = _slope_equations(x, m)
+    # the sweep runs on plain floats: numpy scalars cost 10x per operation
+    p = diag[0].item()
+    pivots = [p]
+    for a, b, c in zip(lower[1:].tolist(), diag[1:].tolist(),
+                       upper.tolist()):
+        p = b - a / p * c
+        pivots.append(p)
+    facts = (lower[1:] / pivots[:-1]).tolist()
+    up_rev, piv_rev = upper[-2::-1].tolist(), pivots[-2::-1]
+    s = []
+    for row in rhs.tolist():
+        acc = row[0]
+        fwd = [acc]
+        for f, r in zip(facts, row[1:]):
+            acc = r - f * acc
+            fwd.append(acc)
+        acc /= pivots[-1]
+        back = [acc]
+        for r, u, piv in zip(fwd[-2::-1], up_rev, piv_rev):
+            acc = (r - u * acc) / piv
+            back.append(acc)
+        s.append(back[::-1])
+    s = np.array(s)
+    tt = (s[:, :-1] + s[:, 1:] - 2 * m) / dx
+    coef = [tt / dx, (m - s[:, :-1]) / dx - tt, s[:, :-1], yt[:, :-1]]
+
+    def at(u, c0, c1, c2, c3):
+        u2 = u * u
+        return ((c3 + c2 * u) + c1 * u2) + c0 * (u2 * u)
+
+    t = np.asarray(t, dtype=float)
+    # body[b, j, i]: spline b at the j-th time of interval i
+    body = at(t[:-1].reshape(n - 1, q).T - x[:-1],
+              *(ci[:, None] for ci in coef))
+    last = at(t[-1] - x[-2], *(ci[:, -1] for ci in coef))
+    return np.concatenate([body.transpose(2, 1, 0).reshape(-1, len(s)),
+                           last[None]])
+
+
 def flow_endpoint_order(vf, x0, t_span, step, reference=None):
     """Observed RK4 convergence order from endpoint errors at h and h/2.
 
@@ -273,5 +374,5 @@ def flow_endpoint_order(vf, x0, t_span, step, reference=None):
 
 
 __all__ = ["VectorFieldTD", "FlowOutcome", "Trajectory", "flow", "flow_endpoint_order",
-           "read_csv_rows", "write_csv_rows", "check_uniform_grid",
-           "read_trajectory_csv", "FlowError"]
+           "not_a_knot_table", "read_csv_rows", "write_csv_rows",
+           "check_uniform_grid", "read_trajectory_csv", "FlowError"]

@@ -7,14 +7,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from algpaths import expr as ex
-from algpaths.algebroid import (AlgebroidError, SectionTD, make_lie_algebra,
-                                make_tangent)
+from algpaths.algebroid import (AlgebroidError, LieAlgebroid, SectionTD,
+                                make_lie_algebra, make_tangent)
 from algpaths.apath import (AHomotopy, APath, MatrixPath,
                             admissibility_residual, concat, constant_apath,
                             develop, homotopy_residual, integrate_apath,
                             log_derivative, read_apath_csv,
                             read_ahomotopy_csv, read_matrix_csv)
-from algpaths.numkernel import Trajectory, read_trajectory_csv
+from algpaths.numkernel import Trajectory, flow, read_trajectory_csv
 
 
 def so3_constants():
@@ -240,6 +240,47 @@ def test_apath_csv_base_must_stay_in_domain():
     with pytest.raises(AlgebroidError, match="outside"):
         read_apath_csv(io.StringIO("t,x1,eta1\n0.0,0.0,1.0\n1.0,5.0,1.0\n"),
                        D)
+
+
+def _rank2_algebroid():
+    coords = ["x1", "x2"]
+    anchor = [[ex.parse(e, coords) for e in row]
+              for row in (["1", "x1"], ["x2^2", "cos(x1)"])]
+    return LieAlgebroid(2, 2, anchor, {})
+
+
+@pytest.mark.parametrize("section, status", [
+    (["sin(3*t) - x2", "x1*exp(0 - t) + 1/3"], "completed"),
+    (["5*x1^2 + t", "x1*x2/7"], "blowup"),
+])
+def test_integrated_eta_is_the_section_at_each_sample(section, status):
+    # oracle: the flow of the field compiled on its own, and the section
+    # evaluated point by point; the samples must agree to the bit
+    A = _rank2_algebroid()
+    s = SectionTD.from_strings(A, section)
+    g = integrate_apath(A, s, [0.5, -0.25], grid_size=200, bound=1e3)
+    traj = flow(A.flow_field(A.anchored_field(s.exprs)), [0.5, -0.25],
+                (0.0, 1.0), step=1.0 / 200, bound=1e3)
+    eta = [s(t, x) for t, x in zip(traj.times, traj.points)]
+    assert g.status == traj.status == status
+    assert g.t_event == traj.t_event
+    assert np.array_equal(g.times, traj.times)
+    assert np.array_equal(g.base, traj.points)
+    assert np.array_equal(g.eta, np.asarray(eta))
+
+
+def test_integrate_apath_compiles_once(monkeypatch):
+    A = _rank2_algebroid()
+    s = SectionTD.from_strings(A, ["x2", "t - x1"])
+    compile_exprs, calls = ex.compile_exprs, []
+
+    def counted(*args):
+        calls.append(args)
+        return compile_exprs(*args)
+
+    monkeypatch.setattr(ex, "compile_exprs", counted)
+    g = integrate_apath(A, s, [0.1, 0.2], grid_size=20)
+    assert g.completed and len(calls) == 1
 
 
 def test_integrated_samples_are_tested_against_the_domain_once():

@@ -14,6 +14,7 @@ import sys
 import pytest
 
 import algpaths.expr as ex
+from algpaths import numkernel
 from algpaths.algebroid import make_tangent
 from algpaths.apath import AHomotopy
 from algpaths.cli import build_parser, run
@@ -288,6 +289,9 @@ BAD_INPUTS = [
     (CHECK, {"defaults": {"step": 0}}, "/defaults/step"),
     (CHECK, {"defaults": {"seeds": 2000000}}, "/defaults/seeds"),
     (CHECK, {"connections": {"bad": NAN_SECTION}}, "/connections/bad"),
+    (INTEGRATE + ["--seed", "-1"], {}, "--seed"),
+    (["example3", "sheets", "--nu", "1/3", "--seed", "-1"], {}, "--seed"),
+    (CHECK + ["--seed", "2.5"], {}, "--seed"),
 ]
 
 
@@ -303,6 +307,22 @@ def test_bad_flag_or_default_exits_2_naming_it(tmp_path, capsys, argv, extra,
     assert run([a.format(cfg=cfg) for a in argv]) == 2
     captured = capsys.readouterr()
     assert where in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("seed", ["-1", "2.5", "x"])
+@pytest.mark.parametrize("argv", [
+    INTEGRATE + ["--grid", "10"], ["example3", "sheets", "--nu", "1/3"]],
+    ids=["integrate-path", "example3 sheets"])
+def test_bad_seed_variable_exits_2_naming_it(tmp_path, capsys, monkeypatch,
+                                             argv, seed):
+    cfg = write_config(tmp_path, {"algebroids": {"plane": PLANE}})
+    argv = [a.format(cfg=cfg) for a in argv]
+    monkeypatch.setenv("ALGPATHS_SEED", seed)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "ALGPATHS_SEED" in captured.err and captured.out == ""
+    # the flag takes precedence, so the variable is not read
+    assert run(argv + ["--seed", "3"]) == 0
 
 
 # ------------------------------------------------------- path integration
@@ -422,6 +442,33 @@ def test_lift_path_rejects_bad_path_csv(lift_cfg, tmp_path, capsys, interp,
                 "--path", path, "--x0", "0,0", "--interp", interp]) == 2
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+def test_cubic_lift_of_a_one_sample_path_is_a_usage_error(lift_cfg, tmp_path,
+                                                         capsys):
+    path = _grid_csv(tmp_path, "one.csv", _apath_rows([0.0]),
+                     "t,x1,x2,eta1,eta2")
+    assert run(["lift-path", "--config", lift_cfg, "--comorphism", "incl",
+                "--path", path, "--x0", "0,0", "--interp", "cubic"]) == 2
+    captured = capsys.readouterr()
+    assert "at least 2 knots" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command, flag, header, row", [
+    ("lift-path", "--path", "t,x1,x2,eta1,eta2", [0.0] * 4),
+    ("lift-homotopy", "--homotopy", "t,s,x1,x2,eta1,eta2,beta1,beta2",
+     [0.0, 0.0] + [0.0] * 6),
+])
+def test_csv_with_too_many_rows_exits_2_naming_the_file(
+        lift_cfg, tmp_path, capsys, monkeypatch, command, flag, header, row):
+    monkeypatch.setattr(numkernel, "MAX_COUNT", 10)
+    path = _grid_csv(tmp_path, "long.csv",
+                     [[k / 11] + row[1:] for k in range(12)], header)
+    assert run([command, "--config", lift_cfg, "--comorphism", "incl",
+                flag, path, "--x0", "0,0"]) == 2
+    captured = capsys.readouterr()
+    assert path in captured.err and "more than 11 data rows" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command, flag, header", [

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from algpaths import cli, numkernel
 from algpaths.numkernel import (FlowError, Trajectory, VectorFieldTD, flow,
-                                flow_endpoint_order, read_trajectory_csv)
+                                flow_endpoint_order, read_csv_rows,
+                                read_trajectory_csv)
 
 
 def exp_field():
@@ -140,3 +142,22 @@ def test_csv_round_trip_keeps_a_short_last_step():
 def test_trajectory_csv_rejects_bad_input(text, message):
     with pytest.raises(ValueError, match=message):
         read_trajectory_csv(io.StringIO(text))
+
+
+def test_csv_row_count_is_capped_where_it_is_read(monkeypatch):
+    assert numkernel.MAX_COUNT == cli.MAX_COUNT == 1_000_000
+    monkeypatch.setattr(numkernel, "MAX_COUNT", 100)
+    rows, _, _ = read_csv_rows(io.StringIO("0.5,1.0\n" * 101))
+    assert len(rows) == 101
+    served = []
+
+    def endless():
+        yield "# a comment\n"
+        while True:
+            served.append(1)
+            yield "0.5,1.0\n"
+
+    with pytest.raises(ValueError, match="more than 101 data rows"):
+        read_csv_rows(endless())
+    # the reader stops at the first row too many
+    assert len(served) == 102
