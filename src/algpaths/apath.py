@@ -86,13 +86,17 @@ class APath(FlowOutcome):
 
 def read_apath_csv(f, algebroid):
     """Inverse of APath.write_csv for a known algebroid. A malformed
-    header, a non-finite cell or an uneven time grid raises ValueError."""
+    header, a non-finite cell, fewer than 2 samples or an uneven time grid
+    raises ValueError."""
     header = f.readline().strip().split(",")
     n, r = algebroid.n, algebroid.r
     if len(header) != 1 + n + r or header[0] != "t":
         raise ValueError(
             f"APath CSV header must be t,x1..x{n},eta1..eta{r}")
     rows, status, t_event = read_csv_rows(f)
+    if len(rows) < 2:
+        raise ValueError(f"an A-path needs at least 2 samples, got "
+                         f"{len(rows)}")
     check_uniform_grid([v[0] for v in rows])
     return APath(algebroid, [v[0] for v in rows], [v[1:1 + n] for v in rows],
                  [v[1 + n:] for v in rows], status, t_event)

@@ -217,8 +217,25 @@ def completeness_probe(c, s, horizon, bound, seeds, step=1e-3):
     return first_escape(vf, horizon, bound, seeds, step)
 
 
+# The last fiber table built, under a key that holds the bytes of its
+# path's arrays: a holonomy sweep lifts one loop once per lane, and a
+# changed array (written in place or replaced) misses the cache. One entry
+# only, so that tables of the slices of a homotopy are not kept.
+_LAST_TABLE = {}
+
+
 def _fiber_table(g, interp, refine):
     """Tabulate g's fiber data at all RK4 stage times (half-step grid)."""
+    key = (interp, refine, g.times.tobytes(), g.eta.tobytes())
+    cached = _LAST_TABLE.get(key)
+    if cached is None:
+        cached = _build_fiber_table(g, interp, refine)
+        _LAST_TABLE.clear()
+        _LAST_TABLE[key] = cached
+    return cached
+
+
+def _build_fiber_table(g, interp, refine):
     m = (len(g.times) - 1) * refine
     stage_t = np.linspace(g.times[0], g.times[-1], 2 * m + 1)
     if interp == "cubic":
@@ -235,7 +252,8 @@ def _lift_flow(c, g, x0, interp="cubic", refine=1, bound=1e8):
     """Integrate x' = rho_A(x) M(x) xi(t) over g's (refined) grid."""
     m, table = _fiber_table(g, interp, refine)
     fn = c._lift_field()
-    t0, t1 = g.times[0], g.times[-1]
+    # plain floats: rounding a numpy scalar costs 10x a float's, per stage
+    t0, t1 = float(g.times[0]), float(g.times[-1])
     scale = 2.0 * m / (t1 - t0)
 
     def rhs(t, x):

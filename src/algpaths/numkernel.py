@@ -3,7 +3,11 @@ blowup and domain-exit detection.
 
 The single integration routine is `flow`; adaptive behaviour is obtained by
 the caller halving the step and rerunning (see `flow_endpoint_order`).
-A trajectory stops early in two ways:
+Its stepping loop is generated as straight-line Python per state dimension
+n, compiled on first use and kept in a dict keyed by n (`_rk4_loop`): the
+state is held in scalar locals, and every step makes one field call per
+stage and one domain test, in the order and with the floats of a plain
+per-step loop. A trajectory stops early in two ways:
 
 * blowup(t*): the euclidean norm of the state exceeds `bound`, or a field
   evaluation produces a non-finite number or raises.
@@ -32,8 +36,10 @@ class FlowError(Exception):
 class VectorFieldTD:
     """Time-dependent field (t, x) -> dx/dt on an open subset of R^n.
 
-    fn(t, x) takes a float and a length-n sequence and returns a length-n
-    sequence; domain(x) -> bool guards the open set (None means all of R^n).
+    fn(t, x) takes a float and a list of n numbers and returns a sequence
+    of exactly n numbers (`flow` unpacks it, so a result of another length
+    fails the step like an evaluation error); domain(x) -> bool guards the
+    open set (None means all of R^n).
     """
 
     def __init__(self, n, fn, domain=None):
@@ -177,10 +183,6 @@ def read_trajectory_csv(f):
                       t_event)
 
 
-def _norm(x):
-    return math.sqrt(sum(v * v for v in x))
-
-
 _EVAL_ERRORS = (ArithmeticError, ValueError)
 
 
@@ -200,6 +202,76 @@ def _bisect_exit(vf, t0, x0, t1, x1, resolution=1e-9):
         else:
             hi = mid
     return hi
+
+
+def _rk4_source(n):
+    """Source of the RK4 stepping loop for states of dimension n.
+
+    The state lives in the scalar locals x0..x{n-1}; each stage state is
+    one list literal. The loop appends every accepted step to times and
+    points and returns None when all n_steps are taken. At the first step
+    that fails it returns (cause, t, x, t_next, v) with the last accepted
+    time and state: cause "stage" when a stage raised (v None) or k1 or
+    the new state is not finite (v is k1), "domain" when the new state v
+    is outside the domain, "bound" when its norm exceeds bound (v None).
+    """
+    idx = range(n)
+
+    def each(fmt, sep=", "):
+        return sep.join(fmt.format(i=i) for i in idx)
+
+    x = each("x{i}")
+    # -INF < v < INF is math.isfinite(v) for floats and numpy scalars
+    # alike, and comparing a nan raises no warning
+    finite = " and ".join(f"-INF < {v}{i} < INF" for v in "ay" for i in idx)
+    return f"""\
+def rk4_loop(f, in_domain, x, t_a, t_b, step, n_steps, bound, times, points):
+    {x}, = x
+    t = t_a
+    last = n_steps - 1
+    for k in range(n_steps):
+        t_next = t_b if k == last else t_a + (k + 1) * step
+        h = t_next - t
+        hh = 0.5 * h
+        th = t + hh
+        try:
+            k1 = f(t, [{x}])
+            {each("a{i}")}, = k1
+            {each("b{i}")}, = f(th, [{each("x{i} + hh * a{i}")}])
+            {each("c{i}")}, = f(th, [{each("x{i} + hh * b{i}")}])
+            {each("d{i}")}, = f(t + h, [{each("x{i} + h * c{i}")}])
+            h6 = h / 6.0
+{each("            y{i} = x{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})", chr(10))}
+        except EVAL_ERRORS:
+            return "stage", t, [{x}], t_next, None
+        if not ({finite}):
+            return "stage", t, [{x}], t_next, k1
+        y = [{each("y{i}")}]
+        if not in_domain(y):
+            return "domain", t, [{x}], t_next, y
+        if sqrt({each("y{i} * y{i}", " + ")}) > bound:
+            return "bound", t, [{x}], t_next, None
+        t = t_next
+{each("        x{i} = y{i}", chr(10))}
+        times.append(t)
+        points.append(y)
+    return None
+"""
+
+
+_RK4_LOOPS = {}     # state dimension -> generated stepping loop
+
+
+def _rk4_loop(n):
+    """The stepping loop for dimension n, generated and compiled on first
+    use (see _rk4_source)."""
+    loop = _RK4_LOOPS.get(n)
+    if loop is None:
+        scope = {"INF": math.inf, "sqrt": math.sqrt,
+                 "EVAL_ERRORS": _EVAL_ERRORS}
+        exec(compile(_rk4_source(n), f"<rk4 loop, n={n}>", "exec"), scope)
+        loop = _RK4_LOOPS[n] = scope["rk4_loop"]
+    return loop
 
 
 def flow(vf, x0, t_span, step=1e-3, bound=1e8):
@@ -222,41 +294,23 @@ def flow(vf, x0, t_span, step=1e-3, bound=1e8):
     n_steps = max(1, math.ceil((t_b - t_a) / step - 1e-12))
     times = [t_a]
     points = [list(x)]
-    f = vf.fn
-    t = t_a
-    for k in range(n_steps):
-        t_next = t_b if k == n_steps - 1 else t_a + (k + 1) * step
+    failed = _rk4_loop(vf.n)(vf.fn, vf.in_domain, x, t_a, t_b, step,
+                             n_steps, bound, times, points)
+    if failed is None:
+        return Trajectory(times, points, "completed")
+    cause, t, x, t_next, v = failed
+    if cause == "domain":
+        t_star = _bisect_exit(vf, t, x, t_next, v)
+        return Trajectory(times, points, "domain_exit", t_star)
+    if cause == "stage" and v is not None and _finite(v):
+        # a stage blew through the domain boundary or diverged; decide
+        # which by probing an Euler predictor
         h = t_next - t
-        try:
-            k1 = f(t, x)
-            k2 = f(t + 0.5 * h, [xi + 0.5 * h * ki for xi, ki in zip(x, k1)])
-            k3 = f(t + 0.5 * h, [xi + 0.5 * h * ki for xi, ki in zip(x, k2)])
-            k4 = f(t + h, [xi + h * ki for xi, ki in zip(x, k3)])
-            x_next = [xi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-                      for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
-            stage_ok = _finite(k1) and _finite(x_next)
-        except _EVAL_ERRORS:
-            stage_ok = False
-            k1 = None
-        if not stage_ok:
-            # a stage blew through the domain boundary or diverged; decide
-            # which by probing an Euler predictor when k1 is available
-            if k1 is not None and _finite(k1):
-                x_pred = [xi + h * ki for xi, ki in zip(x, k1)]
-                if _finite(x_pred) and not vf.in_domain(x_pred):
-                    t_star = _bisect_exit(vf, t, x, t_next, x_pred)
-                    return Trajectory(times, points, "domain_exit", t_star)
-            return Trajectory(times, points, "blowup", t_next)
-        if not vf.in_domain(x_next):
-            t_star = _bisect_exit(vf, t, x, t_next, x_next)
+        x_pred = [xi + h * ki for xi, ki in zip(x, v)]
+        if _finite(x_pred) and not vf.in_domain(x_pred):
+            t_star = _bisect_exit(vf, t, x, t_next, x_pred)
             return Trajectory(times, points, "domain_exit", t_star)
-        if _norm(x_next) > bound:
-            return Trajectory(times, points, "blowup", t_next)
-        t = t_next
-        x = x_next
-        times.append(t)
-        points.append(list(x))
-    return Trajectory(times, points, "completed")
+    return Trajectory(times, points, "blowup", t_next)
 
 
 def _slope_equations(x, m):

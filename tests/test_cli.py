@@ -444,14 +444,16 @@ def test_lift_path_rejects_bad_path_csv(lift_cfg, tmp_path, capsys, interp,
     assert message in captured.err and captured.out == ""
 
 
-def test_cubic_lift_of_a_one_sample_path_is_a_usage_error(lift_cfg, tmp_path,
-                                                         capsys):
+@pytest.mark.parametrize("interp", ["cubic", "linear"])
+def test_lift_of_a_one_sample_path_is_a_usage_error(lift_cfg, tmp_path,
+                                                    capsys, interp):
     path = _grid_csv(tmp_path, "one.csv", _apath_rows([0.0]),
                      "t,x1,x2,eta1,eta2")
     assert run(["lift-path", "--config", lift_cfg, "--comorphism", "incl",
-                "--path", path, "--x0", "0,0", "--interp", "cubic"]) == 2
+                "--path", path, "--x0", "0,0", "--interp", interp]) == 2
     captured = capsys.readouterr()
-    assert "at least 2 knots" in captured.err and captured.out == ""
+    assert f"{path}: an A-path needs at least 2 samples, got 1" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command, flag, header, row", [

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from algpaths import expr as ex
+from algpaths import comorph, expr as ex
 from algpaths.algebroid import (AlgebroidError, LieAlgebroid, SectionTD,
                                 make_tangent, sample_points)
 from algpaths.apath import AHomotopy, APath, read_apath_csv
@@ -240,6 +240,27 @@ def test_lift_circle_path_projects_back_onto_it():
     # fiber data transports through M = identity unchanged
     assert np.allclose(lifted.eta, g.eta)
     assert lifted.algebroid.n == 2
+
+
+@pytest.mark.parametrize("change", ["in place", "replaced", "read-only"])
+def test_fiber_table_does_not_outlive_a_change_to_the_path(change):
+    B = make_tangent(2)
+    c = inclusion(disk(), B)
+    g = circle_path(B, N=200)
+    before = lift_path(c, g, (0.5, 0.0))
+    if change == "in place":
+        g.eta *= 1.5
+    elif change == "replaced":
+        g.eta = 1.5 * g.eta
+    else:
+        g.eta.setflags(write=False)
+        g.times.setflags(write=False)
+    after = lift_path(c, g, (0.5, 0.0))
+    comorph._LAST_TABLE.clear()
+    fresh = lift_path(c, g, (0.5, 0.0))
+    assert after.base.tobytes() == fresh.base.tobytes()
+    same = after.base.tobytes() == before.base.tobytes()
+    assert same == (change == "read-only")
 
 
 def test_lift_rejects_start_point_off_the_fiber():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algpaths import expr as ex
+from algpaths import comorph, expr as ex
 from algpaths.algebroid import AlgebroidError
 from algpaths.apath import APath
 from algpaths.ehresmann import (ExampleConnection, FlatConnection,
@@ -331,6 +331,24 @@ def test_holonomy_sweep_rows_and_csv():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "h,nu,holonomy_angle,sheets"
     assert lines[1].endswith(",3") and lines[2].endswith(",1")
+
+
+def test_holonomy_sweep_builds_one_fiber_table(monkeypatch):
+    conn = ExampleConnection(1.0 / 3.0)
+    h_values = [-0.55, -0.2, 0.1, 0.3]
+    cold = []
+    for h in h_values:
+        monkeypatch.setattr(comorph, "_LAST_TABLE", {})
+        cold.append(holonomy_sweep(conn, [h], grid=300)[0])
+    builds = []
+    build = comorph._build_fiber_table
+    monkeypatch.setattr(comorph, "_build_fiber_table",
+                        lambda *a: builds.append(1) or build(*a))
+    monkeypatch.setattr(comorph, "_LAST_TABLE", {})
+    rows = holonomy_sweep(conn, h_values, grid=300)
+    assert len(builds) == 1
+    assert [r["holonomy_angle"] for r in rows] == [
+        r["holonomy_angle"] for r in cold]
 
 
 def test_holonomy_sweep_reports_infinite_sheets():

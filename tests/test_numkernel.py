@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algpaths import cli, numkernel
 from algpaths.numkernel import (FlowError, Trajectory, VectorFieldTD, flow,
@@ -161,3 +162,200 @@ def test_csv_row_count_is_capped_where_it_is_read(monkeypatch):
         read_csv_rows(endless())
     # the reader stops at the first row too many
     assert len(served) == 102
+
+
+# ---------------------------------------------------- kernel equivalence --
+# flow's stepping loop is generated per state dimension; the reference
+# below is the plain per-step RK4 loop it replaced, kept as the oracle.
+
+def _reference_flow(vf, x0, t_span, step=1e-3, bound=1e8):
+    t_a, t_b, step = float(t_span[0]), float(t_span[1]), float(step)
+    x = [float(v) for v in x0]
+    assert vf.in_domain(x)
+    finite = lambda v: all(math.isfinite(a) for a in v)
+
+    def norm(v):
+        acc = 0                       # left to right, on every Python
+        for a in v:
+            acc = acc + a * a
+        return math.sqrt(acc)
+
+    n_steps = max(1, math.ceil((t_b - t_a) / step - 1e-12))
+    times, points = [t_a], [list(x)]
+    f, t = vf.fn, t_a
+    for k in range(n_steps):
+        t_next = t_b if k == n_steps - 1 else t_a + (k + 1) * step
+        h = t_next - t
+        try:
+            k1 = f(t, x)
+            k2 = f(t + 0.5 * h, [xi + 0.5 * h * ki for xi, ki in zip(x, k1)])
+            k3 = f(t + 0.5 * h, [xi + 0.5 * h * ki for xi, ki in zip(x, k2)])
+            k4 = f(t + h, [xi + h * ki for xi, ki in zip(x, k3)])
+            x_next = [xi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+                      for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+            stage_ok = finite(k1) and finite(x_next)
+        except (ArithmeticError, ValueError):
+            stage_ok = False
+            k1 = None
+        if not stage_ok:
+            if k1 is not None and finite(k1):
+                x_pred = [xi + h * ki for xi, ki in zip(x, k1)]
+                if finite(x_pred) and not vf.in_domain(x_pred):
+                    t_star = numkernel._bisect_exit(vf, t, x, t_next, x_pred)
+                    return Trajectory(times, points, "domain_exit", t_star)
+            return Trajectory(times, points, "blowup", t_next)
+        if not vf.in_domain(x_next):
+            t_star = numkernel._bisect_exit(vf, t, x, t_next, x_next)
+            return Trajectory(times, points, "domain_exit", t_star)
+        if norm(x_next) > bound:
+            return Trajectory(times, points, "blowup", t_next)
+        t, x = t_next, x_next
+        times.append(t)
+        points.append(list(x))
+    return Trajectory(times, points, "completed")
+
+
+class CountingField(VectorFieldTD):
+    """A field that counts its evaluations and domain tests, and checks
+    that every evaluation gets a float and a list."""
+
+    def __init__(self, n, fn, domain=None):
+        self.fn_calls = self.domain_calls = 0
+
+        def counted(t, x):
+            assert type(x) is list and len(x) == n
+            self.fn_calls += 1
+            return fn(t, x)
+
+        super().__init__(n, counted, domain)
+
+    def in_domain(self, x):
+        self.domain_calls += 1
+        return super().in_domain(x)
+
+
+def assert_same_flow(make_field, x0, t_span, step, bound=1e8):
+    """flow and the reference give the same bits, and make the same
+    number of field evaluations and domain tests."""
+    got_vf, ref_vf = make_field(), make_field()
+    got = flow(got_vf, x0, t_span, step=step, bound=bound)
+    ref = _reference_flow(ref_vf, x0, t_span, step=step, bound=bound)
+    assert got.times.tobytes() == ref.times.tobytes()
+    assert got.points.tobytes() == ref.points.tobytes()
+    assert (got.status, repr(got.t_event)) == (ref.status, repr(ref.t_event))
+    assert got_vf.fn_calls == ref_vf.fn_calls > 0
+    assert got_vf.domain_calls == ref_vf.domain_calls > 0
+    return got
+
+
+def linear_field(A, b=None, time_dependent=False, domain=None):
+    A = np.asarray(A, dtype=float).tolist()
+    b = [0.0] * len(A) if b is None else list(b)
+    n = len(A)
+
+    def fn(t, x):
+        w = math.cos(3.0 * t) if time_dependent else 1.0
+        return [w * sum(a * v for a, v in zip(row, x)) + bi
+                for row, bi in zip(A, b)]
+
+    return lambda: CountingField(n, fn, domain)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("time_dependent", [False, True])
+def test_flow_matches_the_reference_loop(n, time_dependent):
+    rng = np.random.default_rng(n)
+    A = rng.normal(size=(n, n))
+    b = rng.normal(size=n)
+    make = linear_field(A, b, time_dependent)
+    traj = assert_same_flow(make, rng.normal(size=n), (0.0, 1.0), 0.01)
+    assert traj.completed and len(traj.times) == 101
+
+
+def test_span_that_is_not_a_whole_number_of_steps():
+    make = linear_field([[0.0, 1.0], [-1.0, 0.0]], time_dependent=True)
+    traj = assert_same_flow(make, [1.0, 0.0], (0.25, 1.3), 0.1)
+    assert traj.times[-1] == 1.3 and len(traj.times) == 12
+
+
+def test_norm_bound_matches_the_reference():
+    make = linear_field([[1.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 2.0]])
+    traj = assert_same_flow(make, [1.0, -1.0, 0.5], (0.0, 10.0), 0.01,
+                            bound=50.0)
+    assert traj.status == "blowup"
+
+
+def test_non_finite_stage_matches_the_reference():
+    def fn(t, x):
+        return [math.inf if x[0] > 0.55 else 1.0, -x[1]]
+
+    traj = assert_same_flow(lambda: CountingField(2, fn), [0.0, 1.0],
+                            (0.0, 2.0), 0.1)
+    assert traj.status == "blowup"
+
+
+@pytest.mark.parametrize("domain", [None, lambda x: x[0] < 0.5])
+def test_raising_stage_matches_the_reference(domain):
+    # 1.0 / False raises ZeroDivisionError past x = 0.5; a stage that
+    # raises is a blowup even when the domain would explain it
+    def make():
+        return CountingField(1, lambda t, x: [1.0 / (x[0] < 0.5)], domain)
+
+    traj = assert_same_flow(make, [0.0], (0.0, 2.0), 0.07)
+    assert traj.status == "blowup"
+
+
+def test_euler_predictor_domain_exit_matches_the_reference():
+    # k1 is finite, a later stage is not, and the Euler predictor leaves
+    # the domain x < 1: the step's failure is a domain exit
+    def make():
+        return CountingField(1, lambda t, x: [1.0 if x[0] < 1.0 else math.inf],
+                             lambda x: x[0] < 1.0)
+
+    traj = assert_same_flow(make, [0.0], (0.0, 3.0), 0.3)
+    assert traj.status == "domain_exit"
+    assert traj.t_event == pytest.approx(1.0, abs=1e-8)
+
+
+def test_bisected_domain_exit_matches_the_reference():
+    make = linear_field([[0.0, -1.0], [1.0, 0.0]],
+                        domain=lambda x: x[1] < 0.9)
+    traj = assert_same_flow(make, [1.0, 0.0], (0.0, 3.0), 0.05)
+    assert traj.status == "domain_exit"
+    # the chord of the last step crosses within O(step^2) of the curve
+    assert traj.t_event == pytest.approx(math.asin(0.9), abs=1e-3)
+
+
+def test_numpy_array_field_matches_the_reference():
+    A = np.array([[0.1, -1.0, 0.0], [1.0, 0.1, 0.3], [0.0, -0.3, -0.2]])
+
+    def make():
+        return CountingField(3, lambda t, x: A @ np.asarray(x) + np.sin(t))
+
+    traj = assert_same_flow(make, [1.0, 0.5, -0.5], (0.0, 2.0), 0.01)
+    assert traj.completed
+
+
+def test_loops_are_generated_once_per_dimension():
+    make = linear_field([[0.0] * 7] * 7)
+    flow(make(), [0.0] * 7, (0.0, 0.1), step=0.05)
+    loop = numkernel._RK4_LOOPS[7]
+    flow(make(), [1.0] * 7, (0.0, 0.1), step=0.05)
+    assert numkernel._RK4_LOOPS[7] is loop
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.data())
+def test_random_linear_fields_match_the_reference(n, data):
+    entry = st.floats(-3.0, 3.0)
+    A = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+    b = [data.draw(entry) for _ in range(n)]
+    x0 = [data.draw(st.floats(-1.0, 1.0)) for _ in range(n)]
+    t_a = data.draw(st.floats(-1.0, 1.0))
+    span = data.draw(st.floats(0.01, 2.0))
+    step = data.draw(st.floats(0.005, 0.5))
+    bound = data.draw(st.sampled_from([1e8, 5.0]))
+    edge = data.draw(st.sampled_from([None, 1.5]))
+    domain = None if edge is None else (lambda x: x[0] < edge)
+    make = linear_field(A, b, data.draw(st.booleans()), domain)
+    assert_same_flow(make, x0, (t_a, t_a + span), step, bound)
