@@ -7,9 +7,16 @@ stored as expression-valued structure functions
     bracket entries f^c_{ab}(x) for a < b, with f^c_{ba} = -f^c_{ab}
     domain predicates (expressions required strictly positive)
 
+The bracket is an `Antisymmetric` table, as is a Poisson bivector. Each
+structure function is compiled once and evaluated through `expr.evaluate`,
+at one point or at a stack of points, always with plain floats.
+
 The axioms are not assumed: `check_axioms` evaluates the anchor-morphism
 and Jacobi residuals at sample points, with all derivatives symbolic.
 """
+
+import itertools
+from functools import cached_property
 
 import numpy as np
 
@@ -25,17 +32,6 @@ def _coords(n):
     return [f"x{i+1}" for i in range(n)]
 
 
-def evaluate(fn, x, shape):
-    """The values of a function compiled by `expr.compile_exprs` at the
-    point x, as an array of `shape`; at a stack of points x of shape
-    (N, n), one call per point as plain floats, stacked to (N, *shape)."""
-    if np.ndim(x) == 1:
-        return np.asarray(fn(*x), dtype=float).reshape(shape)
-    pts = np.asarray(x, dtype=float)
-    vals = [fn(*p) for p in pts.tolist()]
-    return np.array(vals, dtype=float).reshape(len(pts), *shape)
-
-
 def matvec(mats, vecs):
     """mats[k] @ vecs[k] for a stack of K matrices and K vectors, as a
     (K, rows) array."""
@@ -43,15 +39,81 @@ def matvec(mats, vecs):
     return (mats @ v[:, :, None])[:, :, 0]
 
 
-def antisymmetric(keys, vals, shape):
-    """Antisymmetric completion in the last two axes: the array of
-    vals.shape[:-1] + shape holding vals[..., k] at keys[k] = (..., i, j),
-    its negation at (..., j, i), and zero elsewhere."""
-    out = np.zeros(vals.shape[:-1] + shape)
-    idx = tuple(np.array(keys).T)
-    out[(..., *idx)] = vals
-    out[(..., *idx[:-2], idx[-1], idx[-2])] = -vals
-    return out
+class Antisymmetric(dict):
+    """Exprs T[..., i, j] over the base coordinates, antisymmetric in the
+    last two indices: the dict holds the entries with i < j under 0-based
+    index tuples, missing ones zero. An algebroid's bracket f^c_{ab} and a
+    Poisson bivector Pi^{ij} are such tables. `kind`, such as
+    (AlgebroidError, "bracket", "c,a,b"), gives the error to raise, the
+    table's name and its index letters, which 1-based are its JSON keys."""
+
+    def __init__(self, entries, size, coords, kind):
+        super().__init__((tuple(k), ex.as_expr(e)) for k, e in entries.items())
+        error, name, letters = kind
+        self.coords = list(coords)
+        self.shape = (size,) * (letters.count(",") + 1)
+        for key in self:
+            if not (len(key) == len(self.shape) and 0 <= min(key)
+                    and max(key) < size and key[-2] < key[-1]):
+                a, b = letters.split(",")[-2:]
+                raise error(f"{name} keys need indices {letters} in "
+                            f"0..{size - 1} with {a} < {b}, got {key} (the "
+                            f"{b},{a} entry is implied by antisymmetry)")
+        self.keys_sorted = sorted(self)
+
+    @staticmethod
+    def parse(src, coords, kind):
+        """The 0-based entries of a JSON object {"c,a,b": expression}."""
+        error, name, letters = kind
+        entries = {}
+        for key, text in (src or {}).items():
+            try:
+                idx = tuple(int(p) - 1 for p in key.split(","))
+            except ValueError:
+                idx = ()
+            if len(idx) != letters.count(",") + 1:
+                raise error(f"bad {name} key {key!r}, want '{letters}'")
+            entries[idx] = ex.parse(str(text), coords)
+        return entries
+
+    def to_json(self):
+        return {",".join(str(k + 1) for k in key): str(e)
+                for key, e in sorted(self.items())}
+
+    def expr(self, *key):
+        """The entry at any index tuple as an Expr (may be Const 0)."""
+        *head, i, j = key
+        if i == j:
+            return ex.Const(0.0)
+        if i < j:
+            return self.get(key, ex.Const(0.0))
+        return ex.neg(self.get((*head, j, i), ex.Const(0.0)))
+
+    @cached_property
+    def _fn(self):
+        return ex.compile_exprs([self[k] for k in self.keys_sorted],
+                                self.coords)
+
+    @cached_property
+    def _dfn(self):
+        keys = list(itertools.product(range(self.shape[0]),
+                                      repeat=len(self.shape)))
+        return ex.compile_exprs([self.expr(*key).d(v) for v in self.coords
+                                 for key in keys], self.coords)
+
+    def at(self, x):
+        """The full table at x, an array of `shape`; stacked at a stack."""
+        out = np.zeros(np.shape(x)[:-1] + self.shape)
+        if self.keys_sorted:
+            vals = ex.evaluate(self._fn, x, (len(self.keys_sorted),))
+            idx = tuple(np.array(self.keys_sorted).T)
+            out[(..., *idx)] = vals
+            out[(..., *idx[:-2], idx[-1], idx[-2])] = -vals
+        return out
+
+    def d_at(self, x):
+        """[j, ...] = d_j T[...] at x, symbolic; stacked at a stack."""
+        return ex.evaluate(self._dfn, x, (len(self.coords),) + self.shape)
 
 
 def cyclic_sum(term):
@@ -60,12 +122,15 @@ def cyclic_sum(term):
     return (term + np.moveaxis(term, -3, -1)) + np.moveaxis(term, -1, -3)
 
 
+_BRACKET = (AlgebroidError, "bracket", "c,a,b")
+
+
 class LieAlgebroid:
     """Structure-function presentation of a Lie algebroid.
 
     anchor: n x r nested list of Expr over the base coordinates.
     bracket: dict {(c, a, b): Expr} with 0-based indices and a < b;
-    missing entries are zero.
+    missing entries are zero. Kept as an `Antisymmetric` table.
     domain: list of Expr, all strictly positive on the admissible set.
     """
 
@@ -78,52 +143,32 @@ class LieAlgebroid:
             raise AlgebroidError("need one coordinate name per base dimension")
         self.anchor = [[ex.as_expr(anchor[i][a]) for a in range(self.r)]
                        for i in range(self.n)]
-        self.bracket = {}
-        for (c, a, b), e in (bracket or {}).items():
-            if not (0 <= c < self.r and 0 <= a < self.r and 0 <= b < self.r):
-                raise AlgebroidError(f"bracket index {(c, a, b)} out of range")
-            if a >= b:
-                raise AlgebroidError(
-                    f"bracket keys must have a < b, got {(c, a, b)}")
-            self.bracket[(c, a, b)] = ex.as_expr(e)
+        self.bracket = Antisymmetric(bracket or {}, self.r, self.coords,
+                                     _BRACKET)
         self.domain = [ex.as_expr(e) for e in domain]
-        for e in self._all_exprs():
-            extra = e.variables() - set(self.coords)
-            if extra:
-                raise AlgebroidError(
-                    f"expression {e} uses unknown variables {sorted(extra)}")
-
-        flat_anchor = [self.anchor[i][a]
-                       for i in range(self.n) for a in range(self.r)]
+        flat_anchor = [e for row in self.anchor for e in row]
+        ex.check_variables(flat_anchor + list(self.bracket.values())
+                           + self.domain, self.coords, AlgebroidError)
         self._anchor_fn = ex.compile_exprs(flat_anchor, self.coords)
-        self._bkeys = sorted(self.bracket)
-        self._bracket_fn = (ex.compile_exprs([self.bracket[k] for k in self._bkeys],
-                                             self.coords)
-                            if self._bkeys else None)
         self.in_domain = ex.domain_predicate(self.domain, self.coords)
-        self._danchor_fn = None
-        self._dbracket_fn = None
-
-    def _all_exprs(self):
-        for row in self.anchor:
-            yield from row
-        yield from self.bracket.values()
-        yield from self.domain
 
     # ------------------------------------------------------- evaluation --
 
+    @cached_property
+    def _danchor_fn(self):
+        return ex.compile_exprs([self.anchor[i][a].d(v)
+                                 for v in self.coords
+                                 for i in range(self.n)
+                                 for a in range(self.r)], self.coords)
+
     def anchor_matrix(self, x):
         """rho(x) as an (n, r) array; (N, n, r) for a stack of N points."""
-        return evaluate(self._anchor_fn, x, (self.n, self.r))
+        return ex.evaluate(self._anchor_fn, x, (self.n, self.r))
 
     def bracket_tensor(self, x):
         """f(x) as an (r, r, r) array indexed [c, a, b], antisymmetrized;
         (N, r, r, r) for a stack of N points."""
-        shape = (self.r, self.r, self.r)
-        if self._bracket_fn is None:
-            return np.zeros(np.shape(x)[:-1] + shape)
-        vals = evaluate(self._bracket_fn, x, (len(self._bkeys),))
-        return antisymmetric(self._bkeys, vals, shape)
+        return self.bracket.at(x)
 
     def anchored_field(self, section, inputs=("t",), extra=()):
         """x' = rho(x) s compiled into one function of (*inputs, *x),
@@ -143,35 +188,10 @@ class LieAlgebroid:
         return VectorFieldTD(self.n, lambda t, x: fn(t, *x),
                              domain=self.in_domain)
 
-    def bracket_expr(self, c, a, b):
-        """f^c_{ab} as an Expr for any index pair (may be Const 0)."""
-        if a == b:
-            return ex.Const(0.0)
-        if a < b:
-            return self.bracket.get((c, a, b), ex.Const(0.0))
-        return ex.neg(self.bracket.get((c, b, a), ex.Const(0.0)))
-
     def _danchor(self, x):
         """d rho as an (n_deriv, n, r) array: [j, i, a] = d_j rho^i_a;
         (N, n, n, r) for a stack of N points."""
-        if self._danchor_fn is None:
-            flat = [self.anchor[i][a].d(v)
-                    for v in self.coords
-                    for i in range(self.n) for a in range(self.r)]
-            self._danchor_fn = ex.compile_exprs(flat, self.coords)
-        return evaluate(self._danchor_fn, x, (self.n, self.n, self.r))
-
-    def _dbracket(self, x):
-        """d f as an (n, r, r, r) array: [j, c, a, b] = d_j f^c_{ab};
-        (N, n, r, r, r) for a stack of N points."""
-        if self._dbracket_fn is None:
-            flat = [self.bracket_expr(c, a, b).d(v)
-                    for v in self.coords
-                    for c in range(self.r)
-                    for a in range(self.r) for b in range(self.r)]
-            self._dbracket_fn = ex.compile_exprs(flat, self.coords)
-        return evaluate(self._dbracket_fn, x,
-                        (self.n, self.r, self.r, self.r))
+        return ex.evaluate(self._danchor_fn, x, (self.n, self.n, self.r))
 
     # ---------------------------------------------------------- loading --
 
@@ -190,17 +210,7 @@ class LieAlgebroid:
             raise AlgebroidError(
                 f"anchor must be {n} rows of {r} expressions")
         anchor = [[ex.parse(str(s), coords) for s in row] for row in anchor_src]
-        bracket = {}
-        for key, src in (d.get("bracket") or {}).items():
-            try:
-                c, a, b = (int(p) for p in key.split(","))
-            except ValueError:
-                raise AlgebroidError(f"bad bracket key {key!r}, want 'c,a,b'")
-            if not a < b:
-                raise AlgebroidError(
-                    f"bracket key {key!r} needs a < b (store each pair "
-                    f"once; the (b, a) entry is implied by antisymmetry)")
-            bracket[(c - 1, a - 1, b - 1)] = ex.parse(str(src), coords)
+        bracket = Antisymmetric.parse(d.get("bracket"), coords, _BRACKET)
         domain = [ex.parse(str(s), coords) for s in d.get("domain") or []]
         return cls(n, r, anchor, bracket, domain)
 
@@ -209,8 +219,7 @@ class LieAlgebroid:
             "base_dim": self.n,
             "rank": self.r,
             "anchor": [[str(e) for e in row] for row in self.anchor],
-            "bracket": {f"{c+1},{a+1},{b+1}": str(e)
-                        for (c, a, b), e in sorted(self.bracket.items())},
+            "bracket": self.bracket.to_json(),
         }
         if self.domain:
             out["domain"] = [str(e) for e in self.domain]
@@ -225,8 +234,7 @@ class SectionTD:
     """Time-dependent section s(t, x) of the algebroid, expression-backed.
 
     exprs: r expressions over ("t", x coordinates); __call__(t, x) gives
-    the fiber coordinates of s at time t over base point x (compiled at
-    the first call).
+    the fiber coordinates of s at time t over base point x.
     """
 
     def __init__(self, algebroid, exprs):
@@ -236,22 +244,21 @@ class SectionTD:
         if len(self.exprs) != algebroid.r:
             raise AlgebroidError(
                 f"section needs {algebroid.r} components, got {len(self.exprs)}")
-        for e in self.exprs:
-            extra = e.variables() - set(self.variables)
-            if extra:
-                raise AlgebroidError(
-                    f"section expression uses unknown variables {sorted(extra)}")
-        self._fn = None
+        ex.check_variables(self.exprs, self.variables, AlgebroidError)
 
     @classmethod
     def from_strings(cls, algebroid, sources):
         variables = ["t"] + list(algebroid.coords)
         return cls(algebroid, [ex.parse(s, variables) for s in sources])
 
+    @cached_property
+    def _fn(self):
+        return ex.compile_exprs(self.exprs, self.variables)
+
     def __call__(self, t, x):
-        if self._fn is None:
-            self._fn = ex.compile_exprs(self.exprs, self.variables)
-        return self._fn(t, *x)
+        """s(t, x) as an (r,) array; (N, r) at a stack of N points."""
+        tx = np.insert(np.asarray(x, dtype=float), 0, t, axis=-1)
+        return ex.evaluate(self._fn, tx, (self.algebroid.r,))
 
 
 # ------------------------------------------------------------ constructors
@@ -311,11 +318,11 @@ def make_cotangent_poisson(P):
     """
     n = P.dim
     coords = P.coords
-    anchor = [[P.pi_expr(i, a) for a in range(n)] for i in range(n)]
+    anchor = [[P.pi.expr(i, a) for a in range(n)] for i in range(n)]
     bracket = {}
     for a in range(n):
         for b in range(a + 1, n):
-            pab = P.pi_expr(a, b)
+            pab = P.pi.expr(a, b)
             for c in range(n):
                 e = ex.neg(pab.d(coords[c]))
                 if e != ex.Const(0.0):
@@ -364,7 +371,7 @@ def jacobi_residual_at(A, x):
     at a stack of points, the (N,) array of the residuals at each."""
     rho = A.anchor_matrix(x)
     f = A.bracket_tensor(x)
-    df = A._dbracket(x)               # [j, d, b, c] = d_j f^d_{bc}
+    df = A.bracket.d_at(x)            # [j, d, b, c] = d_j f^d_{bc}
     term = (np.einsum("...ebc,...dae->...dabc", f, f)
             + np.einsum("...ja,...jdbc->...dabc", rho, df))
     return _point_max(cyclic_sum(term), 4)
@@ -393,9 +400,9 @@ def sample_points(A, count, rng, low=-1.5, high=1.5, max_tries=10000):
     """Rejection-sample `count` points of R^n inside the domain predicate."""
     pts = []
     for _ in range(max_tries):
-        x = rng.uniform(low, high, size=A.n)
+        x = rng.uniform(low, high, size=A.n).tolist()
         if A.in_domain(x):
-            pts.append(list(x))
+            pts.append(x)
             if len(pts) == count:
                 return pts
     raise AlgebroidError(

@@ -19,8 +19,8 @@ import math
 
 import numpy as np
 
-from .algebroid import AlgebroidError, evaluate, make_lie_algebra, matvec
-from .expr import point
+from .algebroid import AlgebroidError, make_lie_algebra, matvec
+from .expr import evaluate, point
 from .numkernel import (FlowOutcome, VectorFieldTD, check_uniform_grid, flow,
                         read_csv_rows, write_csv_rows)
 
@@ -36,7 +36,7 @@ class APath(FlowOutcome):
     def __init__(self, algebroid, times, base, eta, status="completed",
                  t_event=None, junctions=()):
         self._store(algebroid, times, base, eta, status, t_event, junctions)
-        for x in self.base:
+        for x in self.base.tolist():
             if not algebroid.in_domain(x):
                 raise AlgebroidError(
                     f"base sample {point(x)} is outside the domain")
@@ -93,13 +93,13 @@ def read_apath_csv(f, algebroid):
     if len(header) != 1 + n + r or header[0] != "t":
         raise ValueError(
             f"APath CSV header must be t,x1..x{n},eta1..eta{r}")
-    rows, status, t_event = read_csv_rows(f)
+    rows, status, t_event = read_csv_rows(f, len(header))
     if len(rows) < 2:
         raise ValueError(f"an A-path needs at least 2 samples, got "
                          f"{len(rows)}")
-    check_uniform_grid([v[0] for v in rows])
-    return APath(algebroid, [v[0] for v in rows], [v[1:1 + n] for v in rows],
-                 [v[1 + n:] for v in rows], status, t_event)
+    check_uniform_grid(rows[:, 0])
+    return APath(algebroid, rows[:, 0], rows[:, 1:1 + n], rows[:, 1 + n:],
+                 status, t_event)
 
 
 def integrate_apath(A, s, x0, grid_size=1000, bound=1e8):
@@ -245,7 +245,7 @@ def read_ahomotopy_csv(f, algebroid):
         raise ValueError(
             f"AHomotopy CSV header must be t,s,x1..x{n},eta1..eta{r},"
             f"beta1..beta{r}")
-    rows = np.asarray(read_csv_rows(f)[0])
+    rows = read_csv_rows(f, len(header))[0]
     t_grid = np.unique(rows[:, 0])
     s_grid = np.unique(rows[:, 1])
     nt, ns = len(t_grid), len(s_grid)
@@ -317,10 +317,9 @@ def read_matrix_csv(f):
     m = int(round(math.sqrt(m2)))
     if header[:1] != ["t"] or m * m != m2:
         raise ValueError("not a matrix-path CSV header")
-    rows = read_csv_rows(f)[0]
-    check_uniform_grid([v[0] for v in rows])
-    return MatrixPath([v[0] for v in rows],
-                      [np.asarray(v[1:]).reshape(m, m) for v in rows])
+    rows = read_csv_rows(f, len(header))[0]
+    check_uniform_grid(rows[:, 0])
+    return MatrixPath(rows[:, 0], rows[:, 1:].reshape(-1, m, m))
 
 
 def develop(basis, g):

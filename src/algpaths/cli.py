@@ -253,9 +253,10 @@ SECTIONS = {
     "poisson": (lambda d, ws: PoissonManifold.from_dict(d),
                 lambda P, sample: P.jacobi_residual(sample(P)),
                 "Jacobi", "residual"),
+    # a connection's anchor compatibility is its section property
     "connections": (_connection,
-                    lambda fc, sample: fc.section_residual(
-                        sample(fc.as_comorphism().source)),
+                    lambda fc, sample: anchor_compat_residual(
+                        fc, sample(fc.source)),
                     "section", "|Dphi.H - I| ="),
     "comorphisms": (_comorphism,
                     lambda c, sample: anchor_compat_residual(
@@ -309,7 +310,7 @@ def load_workspace(path):
                 raise ConfigError(f"{pointer}: {e}")
             try:
                 res = residual(obj, sample)
-            except (AlgebroidError, ex.ExprError) as e:
+            except (AlgebroidError, ex.ExprError, ArithmeticError) as e:
                 raise ConfigError(f"{pointer}: spot-check failed: {e}")
             if not res <= SPOT_TOL:
                 raise ConfigError(
@@ -591,9 +592,10 @@ def cmd_poisson_flow(args, ws):
     vf = hamiltonian_vf(P, f)
     traj = flow(vf, args.x0, (0.0, t1), step=args.step, bound=args.bound)
     if _write_csv(traj.write_csv, args.out):
-        ffn = ex.compile_exprs([f], P.coords)
-        drift = max(abs(ffn(*p)[0] - ffn(*traj.points[0])[0])
-                    for p in traj.points[::max(1, len(traj.points) // 200)])
+        energy = ex.evaluate(ex.compile_exprs([f], P.coords),
+                             traj.points[::max(1, len(traj.points) // 200)],
+                             (1,))[:, 0]
+        drift = float(np.max(np.abs(energy - energy[0])))
         _emit({"command": "poisson flow", "name": name, "seed": args.seed,
                "params": {"step": args.step, "bound": args.bound, "t1": t1,
                           "f": str(f)},
@@ -795,7 +797,7 @@ def run(argv=None):
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     except (ex.ExprError, AlgebroidError, FlowError, LiftError,
-            PoissonError) as e:
+            PoissonError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

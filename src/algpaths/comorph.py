@@ -14,12 +14,14 @@ or domain exit of that flow is the numerical witness that the lift fails
 to exist over the full interval.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from . import expr as ex
-from .algebroid import AlgebroidError, SectionTD, evaluate, matvec
+from .algebroid import AlgebroidError, SectionTD, matvec
 from .apath import APath, AHomotopy, homotopy_residual
-from .expr import point
+from .expr import evaluate, point
 from .numkernel import VectorFieldTD, flow, not_a_knot_table
 
 
@@ -45,57 +47,54 @@ class Comorphism:
             raise AlgebroidError(
                 f"M must be {source.r} x {target.r}")
         self.M = [[ex.as_expr(e) for e in row] for row in M]
-        for e in self.phi + [e for row in self.M for e in row]:
-            extra = e.variables() - set(source.coords)
-            if extra:
-                raise AlgebroidError(
-                    f"comorphism expression uses unknown variables "
-                    f"{sorted(extra)}")
+        flat_M = [e for row in self.M for e in row]
+        ex.check_variables(self.phi + flat_M, source.coords, AlgebroidError)
         self._phi_fn = ex.compile_exprs(self.phi, source.coords)
-        self._M_fn = ex.compile_exprs(
-            [e for row in self.M for e in row], source.coords)
-        self._dphi_fn = None
-        self._lift_fn = None
+        self._M_fn = ex.compile_exprs(flat_M, source.coords)
+
+    @cached_property
+    def _dphi_fn(self):
+        return ex.compile_exprs([p.d(v) for p in self.phi
+                                 for v in self.source.coords],
+                                self.source.coords)
+
+    @cached_property
+    def _lift_field(self):
+        """rho_A(x) M(x) xi compiled into one function of (*xi, *x), with
+        the target fiber coordinates xi as inputs."""
+        xi = [f"xi{b+1}" for b in range(self.target.r)]
+        while set(xi) & set(self.source.coords):
+            xi = ["_" + v for v in xi]
+        section = [ex.dot(row, [ex.Var(v) for v in xi]) for row in self.M]
+        return self.source.anchored_field(section, xi)
 
     def phi_at(self, x):
-        return self._phi_fn(*x)
+        """phi(x) as a (target.n,) array; stacked for a stack of points."""
+        return evaluate(self._phi_fn, x, (self.target.n,))
 
     def M_at(self, x):
         """M(x) as a (rank A, rank B) array; stacked to (N, rank A, rank B)
         for a stack of N points."""
         return evaluate(self._M_fn, x, (self.source.r, self.target.r))
 
-    def _lift_field(self):
-        """rho_A(x) M(x) xi compiled into one function of (*xi, *x), with
-        the target fiber coordinates xi as inputs; compiled at the first
-        lift and kept."""
-        if self._lift_fn is None:
-            xi = [f"xi{b+1}" for b in range(self.target.r)]
-            while set(xi) & set(self.source.coords):
-                xi = ["_" + v for v in xi]
-            section = [ex.dot(row, [ex.Var(v) for v in xi])
-                       for row in self.M]
-            self._lift_fn = self.source.anchored_field(section, xi)
-        return self._lift_fn
-
     def dphi_at(self, x):
-        """Jacobian Dphi(x), (target.n x source.n), symbolic partials;
-        stacked to (N, target.n, source.n) for a stack of N points."""
-        if self._dphi_fn is None:
-            flat = [p.d(v) for p in self.phi for v in self.source.coords]
-            self._dphi_fn = ex.compile_exprs(flat, self.source.coords)
+        """Dphi(x), (target.n x source.n), symbolic; stacked at a stack."""
         return evaluate(self._dphi_fn, x, (self.target.n, self.source.n))
 
     def spot_check(self, samples):
-        """Verify phi maps sample points of dom(A) into dom(B)."""
-        for x in samples:
+        """Verify the samples lie in dom(A) and phi maps them into dom(B);
+        returns the samples and their images as stacks of floats."""
+        pts = np.asarray(samples, dtype=float).reshape(-1, self.source.n)
+        for x in pts.tolist():
             if not self.source.in_domain(x):
                 raise ex.DomainError(
                     f"sample {point(x)} outside the source domain")
-            y = self.phi_at(x)
+        images = self.phi_at(pts)
+        for x, y in zip(pts.tolist(), images.tolist()):
             if not self.target.in_domain(y):
                 raise ex.DomainError(
                     f"phi({point(x)}) = {point(y)} outside the target domain")
+        return pts, images
 
     @classmethod
     def from_dict(cls, d, lookup):
@@ -132,10 +131,9 @@ def identity_comorphism(A):
 def anchor_compat_residual(c, samples):
     """max over samples of |Dphi(x) rho_A(x) M(x) - rho_B(phi(x))|, after
     the spot check that the samples and their images lie in the domains."""
-    c.spot_check(samples)
-    pts = np.asarray(samples, dtype=float).reshape(-1, c.source.n)
+    pts, images = c.spot_check(samples)
     lhs = c.dphi_at(pts) @ c.source.anchor_matrix(pts) @ c.M_at(pts)
-    rhs = c.target.anchor_matrix(evaluate(c._phi_fn, pts, (c.target.n,)))
+    rhs = c.target.anchor_matrix(images)
     return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
@@ -251,7 +249,7 @@ def _build_fiber_table(g, interp, refine):
 def _lift_flow(c, g, x0, interp="cubic", refine=1, bound=1e8):
     """Integrate x' = rho_A(x) M(x) xi(t) over g's (refined) grid."""
     m, table = _fiber_table(g, interp, refine)
-    fn = c._lift_field()
+    fn = c._lift_field
     # plain floats: rounding a numpy scalar costs 10x a float's, per stage
     t0, t1 = float(g.times[0]), float(g.times[-1])
     scale = 2.0 * m / (t1 - t0)
@@ -276,7 +274,7 @@ def lift_path(c, g, x0, interp="cubic", bound=1e8):
     does not exist globally), and its phi_projection_error reports
     max_k |phi(x_k) - y_k| over the integrated prefix.
     """
-    y0 = np.asarray(c.phi_at(x0), dtype=float)
+    y0 = c.phi_at(x0)
     if float(np.max(np.abs(y0 - g.source))) > 1e-6:
         raise LiftError(
             f"phi(x0) = {point(y0)} does not match the path source "
@@ -284,7 +282,7 @@ def lift_path(c, g, x0, interp="cubic", bound=1e8):
     traj = _lift_flow(c, g, x0, interp=interp, bound=bound)
     points = traj.points
     eta = _fiber_products(c, points, g.eta)
-    images = evaluate(c._phi_fn, points, (c.target.n,))
+    images = c.phi_at(points)
     proj = float(np.max(np.abs(images - g.base[:len(points)])))
     out = APath._from_flow(c.source, traj, eta)
     out.phi_projection_error = proj
@@ -344,7 +342,7 @@ def _endpoint_error(c, s_grid, slices, x0, ends, interp, bound):
             raise LiftError(f"slice s={s!r} failed to lift at the refined "
                             f"step: {fine.status_str()}")
         step_err = np.max(np.abs(np.asarray(fine.endpoint) - end))
-        sample_err = np.max(np.abs(np.asarray(c.phi_at(end)) - g.target))
+        sample_err = np.max(np.abs(c.phi_at(end) - g.target))
         err = max(err, float(step_err + sample_err))
     return err
 

@@ -1,5 +1,5 @@
-"""Flat Ehresmann connections as tangent-algebroid comorphisms, and the
-twisted-cylinder example: X = R^2 x C x R minus the slab
+"""Flat Ehresmann connections, which are tangent-algebroid comorphisms, and
+the twisted-cylinder example: X = R^2 x C x R minus the slab
 J = {x = y = 0, -1 <= h <= 1}, fibered over Y = R^2 by forgetting (z, h),
 with connection form i nu(h) dtheta.
 
@@ -14,11 +14,17 @@ expressions are gate-wrapped so that they evaluate to exactly 0 (without
 touching 1/r^2) wherever nu vanishes, which is what lets the connection
 extend over r = 0 for |h| > 1.
 
+A `FlatConnection` (phi, H) is the comorphism TX -> TY of tangent
+algebroids with core phi and fiber matrix H, and nothing else: it is
+compiled, evaluated, spot-checked (`anchor_compat_residual`, which for
+tangent algebroids is |Dphi H - I|) and lifted through as one.
+
 The complex fiber is stored as (z1, z2) = (Re z, Im z); phases are atan2
 angles unwrapped by continuity along trajectories.
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -29,109 +35,56 @@ from .comorph import Comorphism, lift_path
 from .numkernel import FlowOutcome
 
 
-class FlatConnection:
-    """A submersion phi: X -> Y with an expression-valued horizontal lift.
-
-    H is a (dim X) x (dim Y) matrix of Exprs over the X coordinates with
-    Dphi(x) H(x) = I; neither the section property nor flatness is
-    assumed — both are measured on samples.
-    """
+class FlatConnection(Comorphism):
+    """A submersion phi: X -> Y with an expression-valued horizontal lift
+    H, as the comorphism (phi, H) from the tangent algebroid of the domain
+    in X to that of Y. H, its fiber matrix M, is (dim X) x (dim Y) with
+    Dphi(x) H(x) = I; neither this section property
+    (`anchor_compat_residual`) nor flatness (`flatness_residual`) is
+    assumed: both are measured on samples."""
 
     def __init__(self, x_coords, phi, H, domain=(), y_coords=None):
-        self.x_coords = list(x_coords)
-        self.nx = len(self.x_coords)
-        self.phi = [ex.as_expr(e) for e in phi]
-        self.ny = len(self.phi)
-        self.y_coords = (list(y_coords) if y_coords is not None
-                         else [f"x{j+1}" for j in range(self.ny)])
-        if len(H) != self.nx or any(len(row) != self.ny for row in H):
-            raise AlgebroidError(f"H must be {self.nx} x {self.ny}")
-        self.H = [[ex.as_expr(e) for e in row] for row in H]
-        self.domain = [ex.as_expr(e) for e in domain]
-        self._H_fn = ex.compile_exprs(
-            [e for row in self.H for e in row], self.x_coords)
-        flat_dphi = [p.d(v) for p in self.phi for v in self.x_coords]
-        self._dphi_fn = ex.compile_exprs(flat_dphi, self.x_coords)
-        self._phi_fn = ex.compile_exprs(self.phi, self.x_coords)
-        self.in_domain = ex.domain_predicate(self.domain, self.x_coords)
-        self._comorphism = None
-        self._vert_fn = None
-
-    def H_at(self, x):
-        return np.asarray(self._H_fn(*x), dtype=float).reshape(self.nx,
-                                                               self.ny)
-
-    def dphi_at(self, x):
-        return np.asarray(self._dphi_fn(*x), dtype=float).reshape(self.ny,
-                                                                  self.nx)
-
-    def phi_at(self, x):
-        return self._phi_fn(*x)
-
-    def section_residual(self, samples):
-        """max over samples of |Dphi(x) H(x) - I|."""
-        eye = np.eye(self.ny)
-        return float(np.max(np.abs(
-            [self.dphi_at(x) @ self.H_at(x) - eye for x in samples]),
-            initial=0.0))
+        x_coords = list(x_coords)
+        nx, ny = len(x_coords), len(phi)
+        if len(H) != nx or any(len(row) != ny for row in H):
+            raise AlgebroidError(f"H must be {nx} x {ny}")
+        super().__init__(make_tangent(nx, coords=x_coords, domain=domain),
+                         make_tangent(ny, coords=y_coords), phi, H)
 
     def as_comorphism(self):
-        """The tangent-algebroid comorphism (phi, H): TX -> TY.
+        """The connection itself, which is its tangent comorphism."""
+        return self
 
-        Cached so that paths built against the target algebroid keep
-        referring to the same object.
-        """
-        if self._comorphism is None:
-            src = make_tangent(self.nx, coords=self.x_coords,
-                               domain=self.domain)
-            tgt = make_tangent(self.ny, coords=self.y_coords)
-            self._comorphism = Comorphism(src, tgt, list(self.phi),
-                                          [list(row) for row in self.H])
-        return self._comorphism
-
-    def _vertical_commutators(self, x):
-        """All commutators [H e_i, H e_j] (i < j) at x, with their
-        horizontal parts projected out."""
-        if self._vert_fn is None:
-            flat = []
-            for i in range(self.ny):
-                for j in range(i + 1, self.ny):
-                    for k in range(self.nx):
-                        acc = ex.Const(0.0)
-                        for l, v in enumerate(self.x_coords):
-                            acc = ex.add(acc, ex.sub(
-                                ex.mul(self.H[l][i], self.H[k][j].d(v)),
-                                ex.mul(self.H[l][j], self.H[k][i].d(v))))
-                        flat.append(acc)
-            self._vert_fn = ex.compile_exprs(flat, self.x_coords)
-        vals = np.asarray(self._vert_fn(*x), dtype=float)
-        npairs = self.ny * (self.ny - 1) // 2
-        comms = vals.reshape(npairs, self.nx)
-        H = self.H_at(x)
-        dphi = self.dphi_at(x)
-        return [c - H @ (dphi @ c) for c in comms]
-
-
-def as_comorphism(fc, samples=None, tol=1e-10):
-    """Comorphism view of a flat connection; with samples, the section
-    property |Dphi H - I| <= tol is verified first."""
-    if samples is not None:
-        res = fc.section_residual(samples)
-        if res > tol:
-            raise AlgebroidError(
-                f"H is not a section of Dphi (residual {res:.3e})")
-    return fc.as_comorphism()
+    @cached_property
+    def _vert_fn(self):
+        """The commutators [H e_i, H e_j] (i < j), compiled."""
+        H, coords = self.M, self.source.coords
+        flat = []
+        for i in range(self.target.n):
+            for j in range(i + 1, self.target.n):
+                for k in range(self.source.n):
+                    acc = ex.Const(0.0)
+                    for l, v in enumerate(coords):
+                        acc = ex.add(acc, ex.sub(
+                            ex.mul(H[l][i], H[k][j].d(v)),
+                            ex.mul(H[l][j], H[k][i].d(v))))
+                    flat.append(acc)
+        return ex.compile_exprs(flat, coords)
 
 
 def flatness_residual(fc, samples):
-    """max over samples and base pairs (i, j) of the vertical part of
-    [H e_i, H e_j], all derivatives symbolic."""
-    comms = []
-    for x in samples:
-        if not fc.in_domain(x):
+    """max over samples and base pairs (i, j) of the vertical part
+    c - H (Dphi c) of the commutator c = [H e_i, H e_j], all derivatives
+    symbolic."""
+    nx, ny = fc.source.n, fc.target.n
+    pts = np.asarray(samples, dtype=float).reshape(-1, nx)
+    for x in pts.tolist():
+        if not fc.source.in_domain(x):
             raise ex.DomainError(f"sample {ex.point(x)} outside the domain")
-        comms.extend(fc._vertical_commutators(x))
-    return float(np.max(np.abs(comms), initial=0.0))
+    comms = ex.evaluate(fc._vert_fn, pts, (ny * (ny - 1) // 2, nx))
+    cols = np.swapaxes(comms, 1, 2)          # one column per commutator
+    vert = cols - fc.M_at(pts) @ (fc.dphi_at(pts) @ cols)
+    return float(np.max(np.abs(vert), initial=0.0))
 
 
 # ------------------------------------------------------- the 3.x example --
@@ -159,7 +112,7 @@ class ExampleConnection(FlatConnection):
             self.nu_expr = ex.mul(
                 ex.Const(nu0),
                 ex.fun("bump", ex.Const(support[0]), ex.Const(support[1]), h))
-        self._nu_fn = ex.compile_expr(self.nu_expr, ["h"])
+        self._nu_fn = ex.compile_exprs([self.nu_expr], ["h"])
         x, y, z1, z2 = (ex.Var(v) for v in ("x", "y", "z1", "z2"))
         r2 = ex.add(ex.pow_(x, 2), ex.pow_(y, 2))
         nu = self.nu_expr
@@ -184,13 +137,13 @@ class ExampleConnection(FlatConnection):
         self.z_indices = (2, 3)
 
     def nu(self, h):
-        return self._nu_fn(float(h))
+        return self._nu_fn(float(h))[0]
 
 
 def circle_loop(fc, radius=1.0, center=(0.0, 0.0), turns=1, grid=1000):
-    """Closed circle in the base of fc's comorphism target, with exact
-    fiber data eta = dy/dt."""
-    tgt = fc.as_comorphism().target
+    """Closed circle in the base of fc's target, with exact fiber data
+    eta = dy/dt."""
+    tgt = fc.target
     times = np.linspace(0.0, 1.0, grid + 1)
     w = 2.0 * math.pi * turns
     base = np.stack([center[0] + radius * np.cos(w * times),
@@ -229,7 +182,7 @@ def holonomy(fc, loop, x0):
     unwrapped phase of z."""
     if float(np.max(np.abs(loop.base[0] - loop.base[-1]))) > 1e-9:
         raise AlgebroidError("holonomy needs a closed loop")
-    lifted = lift_path(fc.as_comorphism(), loop, x0)
+    lifted = lift_path(fc, loop, x0)
     phase = None
     zi = getattr(fc, "z_indices", None)
     if zi is not None and len(lifted.base) >= 2:
@@ -510,7 +463,7 @@ def write_sweep_csv(rows, f):
 __all__ = [
     "FlatConnection", "ExampleConnection", "GammaElement",
     "HolonomyReport", "DensityReport", "SelfIntersectionReport",
-    "as_comorphism", "flatness_residual", "holonomy", "circle_loop",
+    "flatness_residual", "holonomy", "circle_loop",
     "sheet_count", "density_scan",
     "self_intersection_witness", "holonomy_sweep", "write_sweep_csv",
 ]

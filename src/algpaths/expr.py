@@ -17,7 +17,10 @@ supported on [a,b], equal to 1 at the midpoint.
 so -x^2 parses as -(x^2). Everything is immutable after construction.
 """
 
+import functools
 import math
+
+import numpy as np
 
 
 class ExprError(Exception):
@@ -99,13 +102,16 @@ class Expr:
         return out
 
     def _collect_vars(self, out):
-        pass
+        for a in self._parts()[1]:
+            a._collect_vars(out)
 
     def _parts(self):
         """(template, args): the node's Python source as a format string
         over its arguments' sources, and the argument subexpressions in
         evaluation order. Two nodes with equal templates and equal
-        arguments compute the same value."""
+        arguments compute the same value. Beside it, each node class has
+        `_substitute(mapping)`, which rebuilds the node bottom-up with the
+        folding constructors."""
         raise NotImplementedError
 
 
@@ -129,6 +135,12 @@ class Const(Expr):
                 and abs(self.value) < 1e16:
             return str(int(self.value))
         return repr(self.value)
+
+    def _collect_vars(self, out):
+        pass
+
+    def _substitute(self, mapping):
+        return self
 
 
 class Var(Expr):
@@ -155,6 +167,9 @@ class Var(Expr):
     def _collect_vars(self, out):
         out.add(self.name)
 
+    def _substitute(self, mapping):
+        return mapping.get(self.name, self)
+
 
 class _Binary(Expr):
     __slots__ = ("a", "b")
@@ -167,12 +182,12 @@ class _Binary(Expr):
     def _key(self):
         return (self.a, self.b)
 
-    def _collect_vars(self, out):
-        self.a._collect_vars(out)
-        self.b._collect_vars(out)
-
     def _parts(self):
         return self.template, (self.a, self.b)
+
+    def _substitute(self, mapping):
+        return self.fold(self.a._substitute(mapping),
+                         self.b._substitute(mapping))
 
     def __str__(self):
         left = _paren(self.a, self.prec, left=True)
@@ -256,11 +271,11 @@ class Neg(Expr):
     def __str__(self):
         return f"-{_paren(self.a, self.prec, left=False)}"
 
-    def _collect_vars(self, out):
-        self.a._collect_vars(out)
-
     def _parts(self):
         return "(-{0})", (self.a,)
+
+    def _substitute(self, mapping):
+        return neg(self.a._substitute(mapping))
 
 
 class Pow(Expr):
@@ -289,11 +304,11 @@ class Pow(Expr):
         base = _paren(self.a, self.prec, left=True)
         return f"{base}^{self.n}"
 
-    def _collect_vars(self, out):
-        self.a._collect_vars(out)
-
     def _parts(self):
         return f"({{0}} ** {self.n})", (self.a,)
+
+    def _substitute(self, mapping):
+        return pow_(self.a._substitute(mapping), self.n)
 
 
 class Fun1(Expr):
@@ -340,12 +355,12 @@ class Fun1(Expr):
     def __str__(self):
         return f"{self.name}({self.a})"
 
-    def _collect_vars(self, out):
-        self.a._collect_vars(out)
-
     def _parts(self):
         fn = "_estep" if self.name == "estep" else f"math.{self.name}"
         return fn + "({0})", (self.a,)
+
+    def _substitute(self, mapping):
+        return fun(self.name, self.a._substitute(mapping))
 
 
 class Atan2(Expr):
@@ -370,12 +385,12 @@ class Atan2(Expr):
     def __str__(self):
         return f"atan2({self.a}, {self.b})"
 
-    def _collect_vars(self, out):
-        self.a._collect_vars(out)
-        self.b._collect_vars(out)
-
     def _parts(self):
         return "math.atan2({0}, {1})", (self.a, self.b)
+
+    def _substitute(self, mapping):
+        return fun("atan2", self.a._substitute(mapping),
+                   self.b._substitute(mapping))
 
 
 class Gate(Expr):
@@ -402,12 +417,12 @@ class Gate(Expr):
     def __str__(self):
         return f"gate({self.g}, {self.e})"
 
-    def _collect_vars(self, out):
-        self.g._collect_vars(out)
-        self.e._collect_vars(out)
-
     def _parts(self):
         return None, (self.g, self.e)      # written as a guarded block
+
+    def _substitute(self, mapping):
+        return fun("gate", self.g._substitute(mapping),
+                   self.e._substitute(mapping))
 
 
 def _paren(child, parent_prec, left):
@@ -515,6 +530,11 @@ def neg(a):
     if isinstance(a, Neg):
         return a.a
     return Neg(a)
+
+
+# the folding constructor with which a binary node rebuilds itself
+Add.fold, Sub.fold, Mul.fold, Div.fold = map(staticmethod,
+                                             (add, sub, mul, div))
 
 
 def pow_(a, n):
@@ -727,36 +747,9 @@ def parse(source, variables):
     return _Parser(_tokenize(source), set(variables)).parse()
 
 
-def differentiate(e, var):
-    """Exact symbolic derivative of e with respect to the named variable."""
-    return e.d(var)
-
-
 def substitute(e, mapping):
     """Replace variables by expressions (used for symbolic composition)."""
-    if isinstance(e, Var):
-        return mapping.get(e.name, e)
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Neg):
-        return neg(substitute(e.a, mapping))
-    if isinstance(e, Pow):
-        return pow_(substitute(e.a, mapping), e.n)
-    if isinstance(e, Fun1):
-        return fun(e.name, substitute(e.a, mapping))
-    if isinstance(e, Atan2):
-        return fun("atan2", substitute(e.a, mapping), substitute(e.b, mapping))
-    if isinstance(e, Gate):
-        return fun("gate", substitute(e.g, mapping), substitute(e.e, mapping))
-    if isinstance(e, Add):
-        return add(substitute(e.a, mapping), substitute(e.b, mapping))
-    if isinstance(e, Sub):
-        return sub(substitute(e.a, mapping), substitute(e.b, mapping))
-    if isinstance(e, Mul):
-        return mul(substitute(e.a, mapping), substitute(e.b, mapping))
-    if isinstance(e, Div):
-        return div(substitute(e.a, mapping), substitute(e.b, mapping))
-    raise ExprError(f"cannot substitute into {type(e).__name__}")
+    return e._substitute(mapping)
 
 
 # ----------------------------------------------------------- compilation ---
@@ -892,8 +885,9 @@ class _Compiler:
         return f"_t{self.temps}"
 
 
+# __name__ attributes a warning raised in compiled code to this module
 _COMPILE_GLOBALS = {"math": math, "_estep": _estep, "_inf": math.inf,
-                    "_nan": math.nan, "__builtins__": {}}
+                    "_nan": math.nan, "__builtins__": {}, "__name__": __name__}
 
 
 def compile_exprs(exprs, variables):
@@ -924,9 +918,25 @@ def compile_exprs(exprs, variables):
     return scope["_f"]
 
 
-def compile_expr(e, variables):
-    f = compile_exprs([e], variables)
-    return lambda *xs: f(*xs)[0]
+def evaluate(fn, x, shape):
+    """The values of a function compiled by `compile_exprs` at the point x,
+    as an array of `shape`; at a stack of points x of shape (N, n), one
+    call per point, stacked to (N, *shape). The calls take plain floats:
+    numpy scalars would return inf or nan with a warning where a float
+    raises (a zero divisor, an overflowing power)."""
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim == 1:
+        return np.array(fn(*pts.tolist()), dtype=float).reshape(shape)
+    vals = [fn(*p) for p in pts.tolist()]
+    return np.array(vals, dtype=float).reshape(len(pts), *shape)
+
+
+def check_variables(exprs, variables, error):
+    """Raise `error` unless the expressions use only the named variables."""
+    for e in exprs:
+        bad = e.variables() - set(variables)
+        if bad:
+            raise error(f"expression {e} uses unknown variables {sorted(bad)}")
 
 
 def domain_predicate(exprs, variables):
@@ -963,13 +973,10 @@ class SmoothMap:
         self.domain = list(domain)
         self.n = len(self.variables)
         self.m = len(self.components)
-        for e in list(self.components) + list(self.domain):
-            extra = e.variables() - set(self.variables)
-            if extra:
-                raise ExprError(f"expression uses undeclared variables {sorted(extra)}")
+        check_variables(self.components + self.domain, self.variables,
+                        ExprError)
         self._fn = compile_exprs(self.components, self.variables)
         self.in_domain = domain_predicate(self.domain, self.variables)
-        self._jac = None
 
     @classmethod
     def from_strings(cls, variables, sources, domain_sources=()):
@@ -977,32 +984,34 @@ class SmoothMap:
         dom = [parse(s, variables) for s in domain_sources]
         return cls(variables, comps, dom)
 
+    @functools.cached_property
+    def _jac_fn(self):
+        return compile_exprs([c.d(v) for c in self.components
+                              for v in self.variables], self.variables)
+
     def __call__(self, x):
-        if not self.in_domain(x):
-            raise DomainError(f"point {point(x)} violates the domain predicate")
-        return self._fn(*x)
+        """The map at x, or at a stack of points, after the domain test."""
+        pts = np.asarray(x, dtype=float)
+        for p in pts.reshape(-1, self.n).tolist():
+            if not self.in_domain(p):
+                raise DomainError(
+                    f"point {point(p)} violates the domain predicate")
+        return self.eval_unchecked(pts)
 
     def eval_unchecked(self, x):
-        return self._fn(*x)
-
-    def jacobian_exprs(self):
-        if self._jac is None:
-            self._jac = [[c.d(v) for v in self.variables] for c in self.components]
-            flat = [e for row in self._jac for e in row]
-            self._jac_fn = compile_exprs(flat, self.variables)
-        return self._jac
+        """The map at x, or at a stack of points, without the domain test."""
+        return evaluate(self._fn, x, (self.m,))
 
     def jacobian(self, x):
-        """m x n matrix of exact symbolic partials evaluated at x."""
-        self.jacobian_exprs()
-        flat = self._jac_fn(*x)
-        return [flat[i * self.n:(i + 1) * self.n] for i in range(self.m)]
+        """m x n array of exact symbolic partials evaluated at x;
+        (N, m, n) at a stack of N points."""
+        return evaluate(self._jac_fn, x, (self.m, self.n))
 
 
 __all__ = [
     "Expr", "Const", "Var", "Add", "Sub", "Mul", "Div", "Neg", "Pow",
-    "Fun1", "Atan2", "Gate", "parse", "differentiate", "substitute", "fun",
+    "Fun1", "Atan2", "Gate", "parse", "substitute", "fun",
     "add", "sub", "mul", "dot", "div", "neg", "pow_", "as_expr", "point",
-    "compile_expr", "compile_exprs", "domain_predicate", "SmoothMap",
+    "compile_exprs", "domain_predicate", "SmoothMap",
     "ExprError", "ParseError", "EvalError", "DomainError",
 ]

@@ -124,13 +124,15 @@ def write_csv_rows(f, header, table, status=None):
         f.write(f"# status={status}\n")
 
 
-def read_csv_rows(f):
-    """Rows of floats after the header line of a CSV, and the status of
-    its '# status=' trailer: returns (rows, status, t_event), the status
-    "completed" when there is no trailer. Other '#' lines are skipped.
-    A non-finite cell, a file without rows or one with more than
-    MAX_COUNT + 1 rows raises ValueError; the last is raised on reaching
-    the first row too many."""
+def read_csv_rows(f, width):
+    """The data rows after the header line of a CSV, as one 2-D float
+    array, and the status of its '# status=' trailer: returns (table,
+    status, t_event), the status "completed" when there is no trailer.
+    Other '#' lines are skipped. Once all rows are read, ValueError names
+    the first row without `width` cells (the header's count), then the
+    first with a non-finite cell, found by one check over the table. It
+    is also raised for a file without rows, and on reaching a row past
+    MAX_COUNT + 1."""
     rows = []
     status, t_event = "completed", None
     for line in f:
@@ -146,14 +148,19 @@ def read_csv_rows(f):
             continue
         if len(rows) > MAX_COUNT:
             raise ValueError(f"CSV has more than {MAX_COUNT + 1} data rows")
-        row = [float(v) for v in line.split(",")]
-        if not _finite(row):
-            raise ValueError(f"CSV row {len(rows) + 1} has a non-finite "
-                             f"value: {line}")
-        rows.append(row)
+        rows.append(list(map(float, line.split(","))))
     if not rows:
         raise ValueError("CSV has no data rows")
-    return rows, status, t_event
+    for k, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"CSV row {k + 1} has {len(row)} cells, the "
+                             f"header {width}: {','.join(map(repr, row))}")
+    table = np.array(rows)
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if len(bad):
+        raise ValueError(f"CSV row {bad[0] + 1} has a non-finite value: "
+                         f"{','.join(map(repr, rows[bad[0]]))}")
+    return table, status, t_event
 
 
 def check_uniform_grid(times, what="time", short_last=False):
@@ -174,13 +181,12 @@ def check_uniform_grid(times, what="time", short_last=False):
 
 def read_trajectory_csv(f):
     """Inverse of Trajectory.write_csv (header + rows + status comment)."""
-    header = f.readline()
-    if not header.startswith("t,"):
+    header = f.readline().strip().split(",")
+    if header[0] != "t" or len(header) < 2:
         raise ValueError("trajectory CSV must start with a 't,x1,...' header")
-    rows, status, t_event = read_csv_rows(f)
-    check_uniform_grid([v[0] for v in rows], short_last=True)
-    return Trajectory([v[0] for v in rows], [v[1:] for v in rows], status,
-                      t_event)
+    rows, status, t_event = read_csv_rows(f, len(header))
+    check_uniform_grid(rows[:, 0], short_last=True)
+    return Trajectory(rows[:, 0], rows[:, 1:], status, t_event)
 
 
 _EVAL_ERRORS = (ArithmeticError, ValueError)

@@ -5,15 +5,17 @@ completeness equivalence.
 Sign conventions, pinned once and asserted by the harmonic-oscillator
 fixture: (Pi# xi)^i = Pi^{ij} xi_j and xi_f = Pi# df, so on standard
 symplectic R^2 (Pi^{12} = 1) the Hamiltonian field of (x^2+y^2)/2 is
-(y, -x). The bivector is stored as upper-triangle expressions; the full
-matrix is always expanded antisymmetrically (in particular the tangent
-lift below is antisymmetric by construction, entry by entry).
+(y, -x). The bivector is stored as upper-triangle expressions in an
+`algebroid.Antisymmetric` table, the one that holds an algebroid's
+bracket; the full matrix is always expanded antisymmetrically (in
+particular the tangent lift below is antisymmetric by construction, entry
+by entry).
 """
 
 import numpy as np
 
 from . import expr as ex
-from .algebroid import (SectionTD, antisymmetric, cyclic_sum, evaluate,
+from .algebroid import (Antisymmetric, SectionTD, cyclic_sum,
                         make_cotangent_poisson, sample_points)
 from .comorph import Comorphism, first_escape, pullback_section
 from .numkernel import VectorFieldTD
@@ -21,6 +23,9 @@ from .numkernel import VectorFieldTD
 
 class PoissonError(Exception):
     pass
+
+
+_PI = (PoissonError, "Pi", "i,j")
 
 
 class PoissonManifold:
@@ -35,53 +40,22 @@ class PoissonManifold:
         self.n = self.dim
         self.coords = (list(coords) if coords is not None
                        else [f"x{i+1}" for i in range(self.dim)])
-        self.pi = {}
-        for (i, j), e in (pi or {}).items():
-            if not (0 <= i < j < self.dim):
-                raise PoissonError(
-                    f"Pi keys need 0 <= i < j < {self.dim}, got {(i, j)}")
-            self.pi[(i, j)] = ex.as_expr(e)
+        self.pi = Antisymmetric(pi or {}, self.dim, self.coords, _PI)
         self.domain = [ex.as_expr(e) for e in domain]
-        for e in list(self.pi.values()) + list(self.domain):
-            extra = e.variables() - set(self.coords)
-            if extra:
-                raise PoissonError(
-                    f"expression {e} uses unknown variables {sorted(extra)}")
-        self._keys = sorted(self.pi)
-        self._pi_fn = (ex.compile_exprs([self.pi[k] for k in self._keys],
-                                        self.coords)
-                       if self._keys else None)
+        ex.check_variables(list(self.pi.values()) + self.domain, self.coords,
+                           PoissonError)
         self.in_domain = ex.domain_predicate(self.domain, self.coords)
-        self._jac_fn = None
-
-    def pi_expr(self, i, j):
-        """Pi^{ij} as an Expr for any index pair."""
-        if i == j:
-            return ex.Const(0.0)
-        if i < j:
-            return self.pi.get((i, j), ex.Const(0.0))
-        return ex.neg(self.pi.get((j, i), ex.Const(0.0)))
 
     def pi_matrix(self, x):
         """Pi(x) as an (n, n) array; (N, n, n) for a stack of N points."""
-        shape = (self.dim, self.dim)
-        if self._pi_fn is None:
-            return np.zeros(np.shape(x)[:-1] + shape)
-        return antisymmetric(self._keys,
-                             evaluate(self._pi_fn, x, (len(self._keys),)),
-                             shape)
+        return self.pi.at(x)
 
     def jacobi_residual(self, samples):
         """max over samples and (i,j,k) of
         |cyclic_(i,j,k) sum_l Pi^{il} d_l Pi^{jk}|, derivatives symbolic."""
-        n = self.dim
-        if self._jac_fn is None:
-            flat = [self.pi_expr(i, j).d(v)
-                    for v in self.coords for i in range(n) for j in range(n)]
-            self._jac_fn = ex.compile_exprs(flat, self.coords)
-        pts = np.asarray(samples, dtype=float).reshape(-1, n)
+        pts = np.asarray(samples, dtype=float).reshape(-1, self.dim)
         P = self.pi_matrix(pts)
-        dP = evaluate(self._jac_fn, pts, (n, n, n))
+        dP = self.pi.d_at(pts)            # [l, j, k] = d_l Pi^{jk}
         term = np.einsum("...il,...ljk->...ijk", P, dP)
         return float(np.max(np.abs(cyclic_sum(term)), initial=0.0))
 
@@ -91,20 +65,12 @@ class PoissonManifold:
         1-based}, "domain": [expr, ...]}."""
         n = int(d["dim"])
         coords = [f"x{i+1}" for i in range(n)]
-        pi = {}
-        for key, src in (d.get("Pi") or {}).items():
-            try:
-                i, j = (int(p) for p in key.split(","))
-            except ValueError:
-                raise PoissonError(f"bad Pi key {key!r}, want 'i,j'")
-            pi[(i - 1, j - 1)] = ex.parse(str(src), coords)
+        pi = Antisymmetric.parse(d.get("Pi"), coords, _PI)
         domain = [ex.parse(str(s), coords) for s in d.get("domain") or []]
         return cls(n, pi, domain)
 
     def to_dict(self):
-        out = {"dim": self.dim,
-               "Pi": {f"{i+1},{j+1}": str(e)
-                      for (i, j), e in sorted(self.pi.items())}}
+        out = {"dim": self.dim, "Pi": self.pi.to_json()}
         if self.domain:
             out["domain"] = [str(e) for e in self.domain]
         return out
@@ -126,7 +92,7 @@ def standard_symplectic(n=2):
 def hamiltonian_vf_exprs(P, f):
     """Components of xi_f = Pi# df as Exprs: xi^i = Pi^{ij} d_j f."""
     grad = [f.d(v) for v in P.coords]
-    return [ex.dot([P.pi_expr(i, j) for j in range(P.dim)], grad)
+    return [ex.dot([P.pi.expr(i, j) for j in range(P.dim)], grad)
             for i in range(P.dim)]
 
 
@@ -147,11 +113,10 @@ def poisson_map_residual(phi, PX, PY, samples):
     """max over samples of |Dphi(x) Pi_X(x) Dphi(x)^T - Pi_Y(phi(x))|."""
     if phi.variables != PX.coords:
         raise PoissonError("phi must be a map in the source coordinates")
-    diffs = []
-    for x in samples:
-        J = np.asarray(phi.jacobian(x), dtype=float)
-        push = J @ PX.pi_matrix(x) @ J.T
-        diffs.append(np.abs(push - PY.pi_matrix(phi.eval_unchecked(x))))
+    pts = np.asarray(samples, dtype=float).reshape(-1, PX.dim)
+    J = phi.jacobian(pts)
+    push = J @ PX.pi_matrix(pts) @ np.swapaxes(J, -1, -2)
+    diffs = np.abs(push - PY.pi_matrix(phi.eval_unchecked(pts)))
     return float(np.max(diffs, initial=0.0))
 
 
@@ -187,12 +152,12 @@ def tangent_lift_bivector(P):
     pi = {}
     for i in range(n):
         for j in range(n):
-            e = P.pi_expr(i, j)
+            e = P.pi.expr(i, j)
             if e != ex.Const(0.0):
                 pi[(i, n + j)] = e
     for i in range(n):
         for j in range(i + 1, n):
-            acc = ex.dot(vvars, [P.pi_expr(i, j).d(v) for v in P.coords])
+            acc = ex.dot(vvars, [P.pi.expr(i, j).d(v) for v in P.coords])
             if acc != ex.Const(0.0):
                 pi[(n + i, n + j)] = acc
     return PoissonManifold(2 * n, pi, domain=P.domain, coords=coords)
@@ -252,6 +217,7 @@ def complete_map_probe(phi, PX, PY, test_functions=None, horizon=2.0,
     if test_functions is None:
         test_functions = default_test_functions(PY)
     seeds = [list(s) for s in seeds]
+    pts = np.asarray(seeds, dtype=float).reshape(-1, PX.dim)
     A = c.source
     mapping = {v: phi.components[j] for j, v in enumerate(PY.coords)}
     entries = []
@@ -261,8 +227,8 @@ def complete_map_probe(phi, PX, PY, test_functions=None, horizon=2.0,
         s = SectionTD(c.target, [f.d(v) for v in PY.coords])
         com_fn = A.anchored_field(pullback_section(c, s).exprs)
         worst = float(np.max(np.abs(
-            [np.subtract(com_fn(0.0, *x), ham_fn(*x)) for x in seeds]),
-            initial=0.0))
+            ex.evaluate(com_fn, np.insert(pts, 0, 0.0, axis=1), (A.n,))
+            - ex.evaluate(ham_fn, pts, (A.n,))), initial=0.0))
         if not worst <= field_tol:
             raise PoissonError(
                 f"route fields disagree by {worst:.3e} (> {field_tol:.1e})")

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from algpaths import expr as ex
-from algpaths.algebroid import (AlgebroidError, LieAlgebroid, SectionTD,
-                                check_axioms, make_cotangent_poisson,
-                                make_lie_algebra, make_tangent,
-                                sample_points)
+from algpaths.algebroid import (AlgebroidError, Antisymmetric, LieAlgebroid,
+                                SectionTD, check_axioms,
+                                make_cotangent_poisson, make_lie_algebra,
+                                make_tangent, sample_points)
 
 
 def so3_constants():
@@ -121,9 +121,9 @@ def test_sample_points_give_up_on_empty_domain():
 
 def test_bracket_expr_antisymmetry_and_diagonal():
     A = make_lie_algebra(so3_constants())
-    assert A.bracket_expr(2, 0, 1) == ex.Const(1.0)
-    assert str(A.bracket_expr(2, 1, 0)) in ("-1", "-1.0")
-    assert A.bracket_expr(0, 1, 1) == ex.Const(0.0)
+    assert A.bracket.expr(2, 0, 1) == ex.Const(1.0)
+    assert str(A.bracket.expr(2, 1, 0)) in ("-1", "-1.0")
+    assert A.bracket.expr(0, 1, 1) == ex.Const(0.0)
 
 
 def test_bracket_tensor_matches_constants():
@@ -164,16 +164,9 @@ class _PoissonStub:
         self.dim = dim
         self.coords = [f"x{i+1}" for i in range(dim)]
         self.domain = list(domain)
-        self._entries = {}
-        for (i, j), src in entries.items():
-            self._entries[(i, j)] = ex.parse(src, self.coords)
-
-    def pi_expr(self, i, j):
-        if i == j:
-            return ex.Const(0.0)
-        if i < j:
-            return self._entries.get((i, j), ex.Const(0.0))
-        return ex.neg(self._entries.get((j, i), ex.Const(0.0)))
+        self.pi = Antisymmetric(
+            {key: ex.parse(src, self.coords) for key, src in entries.items()},
+            dim, self.coords, (AlgebroidError, "Pi", "i,j"))
 
 
 def test_cotangent_algebroid_of_linear_poisson_passes_axioms():

@@ -242,6 +242,27 @@ def test_apath_csv_base_must_stay_in_domain():
                        D)
 
 
+def test_apath_base_sample_at_a_zero_divisor_is_outside():
+    # 1/x1 raises at x1 = 0 for a float; a numpy scalar would give inf > 0
+    D = make_tangent(1, domain=[ex.parse("1/x1", ["x1"])])
+    with pytest.raises(AlgebroidError, match=r"\(0\.0,\) is outside"):
+        APath(D, [0.0, 0.5, 1.0], np.array([[1.0], [0.0], [1.0]]),
+              [[1.0]] * 3)
+
+
+@pytest.mark.parametrize("read, text, message", [
+    (read_apath_csv, "t,x1,eta1\n0.0,0.0,1.0\n0.5,0.5\n1.0,1.0,1.0\n",
+     "CSV row 2 has 2 cells, the header 3: 0.5,0.5"),
+    (read_apath_csv, "t,x1,eta1\n0.0,0.0,1.0\n0.5,0.5,1.0,7.0\n",
+     "CSV row 2 has 4 cells, the header 3"),
+    (read_ahomotopy_csv, "t,s,x1,eta1,beta1\n" + "0.0,0.0,0.0,1.0,0.0\n" * 3
+     + "1.0,1.0,1.0,1.0\n", "CSV row 4 has 4 cells, the header 5"),
+], ids=["short", "long", "homotopy"])
+def test_a_ragged_csv_row_is_named(read, text, message):
+    with pytest.raises(ValueError, match=message):
+        read(io.StringIO(text), make_tangent(1))
+
+
 def _rank2_algebroid():
     coords = ["x1", "x2"]
     anchor = [[ex.parse(e, coords) for e in row]

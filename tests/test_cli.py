@@ -246,6 +246,18 @@ def test_load_time_axiom_spot_check(tmp_path, capsys):
     assert "/algebroids/bad" in err and "axiom spot-check failed" in err
 
 
+def test_an_overflowing_structure_function_fails_its_spot_check(tmp_path,
+                                                                capsys):
+    # x2^2000 overflows at the samples: a float raises where a numpy
+    # scalar gave inf, and the check fails naming the entry either way
+    big = {"x_coords": ["x1", "x2"], "phi": ["x1"],
+           "H": [["1"], ["x2^2000"]]}
+    cfg = write_config(tmp_path, {"connections": {"big": big}})
+    assert run(["holonomy", "--config", cfg, "--connection", "big"]) == 2
+    assert ("/connections/big: spot-check failed"
+            in capsys.readouterr().err)
+
+
 def test_bare_algebroid_config_accepted(tmp_path, capsys):
     cfg = write_config(tmp_path, PLANE)
     code, payload = run_json(capsys, ["check-algebroid", "--config", cfg])

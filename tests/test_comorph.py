@@ -377,12 +377,12 @@ def test_lift_homotopy_rejects_endpoint_drift_of_a_curved_connection(scale):
     fc = vertical_connection([f"0 - {scale} * x2", f"{scale} * x1"])
     pi = math.pi
     H = plane_homotopy(
-        fc.as_comorphism().target,
+        fc.target,
         lambda t, s: [t, s * math.sin(pi * t)],
         lambda t, s: [1.0, s * pi * math.cos(pi * t)],
         lambda t, s: [0.0, math.sin(pi * t)])
     with pytest.raises(AlgebroidError, match="constant in s"):
-        lift_homotopy(fc.as_comorphism(), H, [0.0, 0.0, 0.0])
+        lift_homotopy(fc, H, [0.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("h31, shape", [("x3", "symmetric"),
@@ -401,11 +401,11 @@ def test_lift_homotopy_accepts_a_flat_connection_at_a_coarse_grid(h31, shape):
         f = lambda t: math.sin(pi * t * t)
         df = lambda t: 2 * pi * t * math.cos(pi * t * t)
     H = plane_homotopy(
-        fc.as_comorphism().target,
+        fc.target,
         lambda t, s: [t + s * f(t), s * f(t)],
         lambda t, s: [1.0 + s * df(t), s * df(t)],
         lambda t, s: [f(t), f(t)])
-    lifted = lift_homotopy(fc.as_comorphism(), H, [0.0, 0.0, 1.0])
+    lifted = lift_homotopy(fc, H, [0.0, 0.0, 1.0])
     assert 1e-9 < lifted.endpoint_spread <= 1e-5
     x3_end = math.e if h31 == "x3" else 1.0
     assert np.allclose(lifted.x[-1], [1.0, 0.0, x3_end], atol=1e-5)

@@ -10,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 from algpaths import comorph, expr as ex
 from algpaths.algebroid import AlgebroidError
 from algpaths.apath import APath
+from algpaths.cli import ConfigError, load_workspace
+from algpaths.comorph import anchor_compat_residual, lift_path
 from algpaths.ehresmann import (ExampleConnection, FlatConnection,
-                                GammaElement, as_comorphism, circle_loop,
-                                density_scan, flatness_residual, holonomy,
-                                holonomy_sweep, self_intersection_witness,
-                                sheet_count, write_sweep_csv)
+                                GammaElement, circle_loop, density_scan,
+                                flatness_residual, holonomy, holonomy_sweep,
+                                self_intersection_witness, sheet_count,
+                                write_sweep_csv)
 
 TWO_PI = 2.0 * math.pi
 
@@ -36,7 +38,7 @@ def conn_samples(count=50, seed=0):
 def test_example_connection_is_a_flat_section():
     conn = ExampleConnection(0.25)
     pts = conn_samples()
-    assert conn.section_residual(pts) == 0.0
+    assert anchor_compat_residual(conn, pts) == 0.0
     assert flatness_residual(conn, pts) <= 1e-10
 
 
@@ -52,19 +54,27 @@ def test_curved_horizontal_lift_is_detected():
     H = [[1.0, 0.0], [0.0, 1.0], [ex.Var("x2"), 0.0]]
     fc = FlatConnection(coords, [ex.Var("x1"), ex.Var("x2")], H)
     pts = [(0.3, -0.4, 0.1), (1.0, 2.0, -1.0)]
-    assert fc.section_residual(pts) == 0.0
+    assert anchor_compat_residual(fc, pts) == 0.0
     assert flatness_residual(fc, pts) == 1.0
 
 
-def test_as_comorphism_verifies_the_section_property():
+def test_the_section_property_is_the_anchor_compatibility(tmp_path):
+    # for tangent algebroids Dphi . rho_X . H - rho_Y(phi) is Dphi H - I
     coords = ["x1", "x2", "x3"]
     bad = FlatConnection(coords, [ex.Var("x1"), ex.Var("x2")],
                          [[1.0, 0.0], [0.0, 0.5], [0.0, 0.0]])
-    with pytest.raises(AlgebroidError, match="not a section"):
-        as_comorphism(bad, [(0.0, 0.0, 0.0)])
+    assert anchor_compat_residual(bad, [(0.0, 0.0, 0.0)]) == 0.5
+    cfg = tmp_path / "ws.json"
+    cfg.write_text('{"connections": {"bad": {"x_coords": ["x1", "x2"], '
+                   '"phi": ["x1"], "H": [["0.5"], ["0"]]}}}')
+    with pytest.raises(ConfigError, match="section spot-check failed"):
+        load_workspace(cfg)
+    # the connection is the comorphism: one object, over tangent algebroids
     good = ExampleConnection(0.25)
-    c = as_comorphism(good, conn_samples(10))
-    assert c is good.as_comorphism()          # cached object
+    assert good.as_comorphism() is good
+    assert good.source.coords == ["x", "y", "z1", "z2", "h"]
+    assert good.target.coords == ["x", "y"]
+    assert np.array_equal(good.source.anchor_matrix([1.0] * 5), np.eye(5))
 
 
 def test_h_shape_is_validated():
@@ -114,8 +124,8 @@ def test_compiled_coefficients_stay_gated_on_the_axis(h):
     conn = ExampleConnection(1.0 / 3.0)
     assert conn.nu(h) == 0.0
     x = [0.0, 0.0, 1.0, 0.5, h]
-    assert conn.H_at(x)[2:4].tolist() == [[0.0, 0.0], [0.0, 0.0]]
-    lift = conn.as_comorphism()._lift_field()
+    assert conn.M_at(x)[2:4].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    lift = conn._lift_field
     assert lift(0.3, -0.7, *x) == [0.3, -0.7, 0.0, 0.0, 0.0]
 
 
@@ -137,12 +147,73 @@ def test_holonomy_is_additive_over_turns():
 
 def test_holonomy_requires_a_closed_loop():
     conn = ExampleConnection(0.25)
-    tgt = conn.as_comorphism().target
+    tgt = conn.target
     times = np.linspace(0.0, 1.0, 11)
     line = APath(tgt, times, [[t, 0.0] for t in times],
                  [[1.0, 0.0]] * 11)
     with pytest.raises(AlgebroidError, match="closed"):
         holonomy(conn, line, [0.0, 0.0, 1.0, 0.0, 0.0])
+
+
+def test_an_example3_connection_loads_and_spot_checks_with_7_compiles(
+        tmp_path, monkeypatch):
+    # nu; the domain predicate; the two tangent anchors, phi and H (as M);
+    # Dphi for the spot-check. A second compiled copy of the comorphism
+    # would show here.
+    counted = []
+    compile_exprs = ex.compile_exprs
+
+    def counting(exprs, variables):
+        counted.append(len(exprs))
+        return compile_exprs(exprs, variables)
+
+    monkeypatch.setattr(ex, "compile_exprs", counting)
+    cfg = tmp_path / "ws.json"
+    cfg.write_text('{"connections": {"twist": {"type": "example3"}}}')
+    assert isinstance(load_workspace(cfg).connections["twist"],
+                      comorph.Comorphism)
+    assert len(counted) == 7
+
+
+# ------------------------------------------------------ inverse identity
+# A reversed A-path, t -> 1 - t with fiber data -eta(1 - t), lifts to the
+# reversed lift, and a reversed loop's holonomy is the inverse phase. At
+# grid 1000 (h = 1e-3) the two lifts compared each carry the error of the
+# not-a-knot interpolation of eta = 2 pi (-sin, cos)(2 pi t), at most
+# 5/384 (2 pi)^5 h^4 < 130 h^4 per unit time, and RK4's global error,
+# (2 pi / 3)^5 h^4 / 120 < h^4 for the fiber rotation. The tolerance is
+# C h^4 with C = 1000, over three times that sum for both lifts.
+
+INVERSE_TOL = 1000.0 * 1e-3 ** 4
+
+
+def reversed_path(g):
+    return APath(g.algebroid, g.times, g.base[::-1], -g.eta[::-1])
+
+
+@pytest.mark.parametrize("nu0", [0.25, 1.0 / 3.0])
+def test_lifting_a_reversed_path_gives_the_reversed_lift(nu0):
+    conn = ExampleConnection(nu0)
+    loop = circle_loop(conn, grid=1000)
+    lifted = lift_path(conn, loop, [1.0, 0.0, 1.0, 0.0, 0.1])
+    back = lift_path(conn, reversed_path(loop), lifted.target)
+    assert lifted.completed and back.completed
+    assert float(np.max(np.abs(back.base - lifted.base[::-1]))) \
+        <= INVERSE_TOL
+    assert float(np.max(np.abs(back.eta + lifted.eta[::-1]))) \
+        <= INVERSE_TOL
+
+
+@pytest.mark.parametrize("nu0", [0.25, 1.0 / 3.0])
+def test_reversed_loop_holonomy_is_the_negated_phase(nu0):
+    conn = ExampleConnection(nu0)
+    loop = circle_loop(conn, grid=1000)
+    x0 = [1.0, 0.0, 1.0, 0.0, 0.0]
+    forward = holonomy(conn, loop, x0)
+    backward = holonomy(conn, reversed_path(loop), x0)
+    assert backward.completed
+    assert abs(backward.phase + TWO_PI * nu0) <= INVERSE_TOL
+    assert abs(backward.phase + forward.phase) <= INVERSE_TOL
 
 
 # ---------------------------------------------------------- sheet counts

@@ -7,14 +7,14 @@ from algpaths import expr as ex
 from algpaths.algebroid import LieAlgebroid
 from algpaths.ehresmann import ExampleConnection, FlatConnection
 from algpaths.expr import (Const, DomainError, ParseError, SmoothMap, Var,
-                           compile_exprs, differentiate, parse, substitute)
+                           compile_exprs, parse, substitute)
 from algpaths.poisson import PoissonManifold
 
 XY = ["x", "y"]
 
 
 def d(source, var="x", variables=XY):
-    return differentiate(parse(source, variables), var)
+    return parse(source, variables).d(var)
 
 
 def val(e, **point):
@@ -102,7 +102,7 @@ def test_derivative_matches_finite_differences(x, y):
     h = 1e-6
     for s in sources:
         e = parse(s, XY)
-        fn = compile_exprs([e, differentiate(e, "x")], XY)
+        fn = compile_exprs([e, e.d("x")], XY)
         lo = fn(x - h, y)[0]
         hi = fn(x + h, y)[0]
         fd = (hi - lo) / (2 * h)
@@ -114,7 +114,7 @@ def test_derivative_matches_finite_differences(x, y):
 
 def test_estep_is_flat_at_zero_and_smooth():
     f = parse("estep(x)", XY)
-    fn = compile_exprs([f, differentiate(f, "x")], XY)
+    fn = compile_exprs([f, f.d("x")], XY)
     assert fn(-1.0, 0.0) == [0.0, 0.0]
     assert fn(0.0, 0.0) == [0.0, 0.0]
     v, dv = fn(0.5, 0.0)
@@ -144,7 +144,7 @@ def test_gate_short_circuits_singular_branch():
 
 def test_estep_derivative_chain_is_gated():
     # d/dx estep(-x) at x > 0 must not divide by zero
-    e = differentiate(parse("estep(-x)", XY), "x")
+    e = parse("estep(-x)", XY).d("x")
     fn = compile_exprs([e], XY)
     assert fn(2.0, 0.0)[0] == 0.0
 
@@ -213,7 +213,8 @@ def test_smooth_map_domain_errors_mean_outside():
 @pytest.mark.parametrize("owner", [
     lambda dom: LieAlgebroid(1, 1, [[1.0]], {}, domain=dom),
     lambda dom: PoissonManifold(1, {}, domain=dom),
-    lambda dom: FlatConnection(["x1"], [Var("x1")], [[1.0]], domain=dom),
+    lambda dom: FlatConnection(["x1"], [Var("x1")], [[1.0]],
+                               domain=dom).source,
     lambda dom: SmoothMap(["x1"], [Var("x1")], domain=dom),
 ], ids=["LieAlgebroid", "PoissonManifold", "FlatConnection", "SmoothMap"])
 def test_domain_predicate_errors_mean_outside(owner):
@@ -307,10 +308,10 @@ def test_a_repeated_subexpression_is_evaluated_once(monkeypatch):
     # the twisted cylinder's four gated coefficients all read nu(h), a
     # bump with two esteps
     fc = ExampleConnection(1.0 / 3.0)
-    fn = compile_exprs([e for row in fc.H for e in row], fc.x_coords)
+    fn = compile_exprs([e for row in fc.M for e in row], fc.source.coords)
     values = fn(0.6, 0.8, 1.0, 0.0, 0.1)
     assert len(calls) == 2
-    assert values == fc.H_at([0.6, 0.8, 1.0, 0.0, 0.1]).reshape(-1).tolist()
+    assert values == fc.M_at([0.6, 0.8, 1.0, 0.0, 0.1]).reshape(-1).tolist()
     # equal subtrees parsed apart are separate objects, and still shared
     calls.clear()
     e = parse("estep(x + y) * 2 + exp(estep(x + y))", XY)

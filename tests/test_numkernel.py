@@ -148,7 +148,7 @@ def test_trajectory_csv_rejects_bad_input(text, message):
 def test_csv_row_count_is_capped_where_it_is_read(monkeypatch):
     assert numkernel.MAX_COUNT == cli.MAX_COUNT == 1_000_000
     monkeypatch.setattr(numkernel, "MAX_COUNT", 100)
-    rows, _, _ = read_csv_rows(io.StringIO("0.5,1.0\n" * 101))
+    rows, _, _ = read_csv_rows(io.StringIO("0.5,1.0\n" * 101), 2)
     assert len(rows) == 101
     served = []
 
@@ -159,7 +159,7 @@ def test_csv_row_count_is_capped_where_it_is_read(monkeypatch):
             yield "0.5,1.0\n"
 
     with pytest.raises(ValueError, match="more than 101 data rows"):
-        read_csv_rows(endless())
+        read_csv_rows(endless(), 2)
     # the reader stops at the first row too many
     assert len(served) == 102
 

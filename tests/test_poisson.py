@@ -245,9 +245,10 @@ def test_probe_compiles_each_route_field_once(monkeypatch):
         return compile_exprs(exprs, variables)
 
     monkeypatch.setattr(ex, "compile_exprs", counting)
-    P = so3_dual()
     counts = []
     for fs in (["x1"], ["x1", "x2 * x3", "x1^2 + x3"]):
+        # fresh objects: what they compile on first use is a fixed cost
+        P = so3_dual()
         phi = SmoothMap.from_strings(P.coords, P.coords)
         compiled.clear()
         rep = complete_map_probe(phi, P, P, test_functions=fs, horizon=0.1,
@@ -281,9 +282,9 @@ def test_default_test_functions_cover_coordinates_and_a_cutoff():
     fs = default_test_functions(P)
     assert len(fs) == 4
     assert [str(f) for f in fs[:3]] == ["x1", "x2", "x3"]
-    cutoff = ex.compile_expr(fs[3], P.coords)
-    assert cutoff(0.0, 0.0, 0.0) == 1.0           # plateau of the bump
-    assert cutoff(3.0, 0.0, 0.0) == 0.0           # outside the support
+    cutoff = ex.compile_exprs([fs[3]], P.coords)
+    assert cutoff(0.0, 0.0, 0.0) == [1.0]         # plateau of the bump
+    assert cutoff(3.0, 0.0, 0.0) == [0.0]         # outside the support
 
 
 # ------------------------------------------------------------ construction
@@ -293,8 +294,8 @@ def test_pi_completion_and_antisymmetry():
     x = (0.4, -0.2, 0.9)
     M = P.pi_matrix(x)
     assert np.array_equal(M, -M.T)
-    assert P.pi_expr(1, 0).eval({"x1": 0, "x2": 0, "x3": 2.0}) == -2.0
-    assert str(P.pi_expr(0, 0)) == "0"
+    assert P.pi.expr(1, 0).eval({"x1": 0, "x2": 0, "x3": 2.0}) == -2.0
+    assert str(P.pi.expr(0, 0)) == "0"
 
 
 def test_json_round_trip():

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from algpaths import expr as ex
 from algpaths.algebroid import (AlgebroidError, AxiomReport, LieAlgebroid,
                                 anchor_morphism_residual_at, check_axioms,
-                                jacobi_residual_at, make_tangent)
+                                jacobi_residual_at, make_tangent,
+                                sample_points)
 from algpaths.apath import (AHomotopy, APath, MatrixPath,
                             admissibility_residual, homotopy_residual,
                             log_derivative)
@@ -78,9 +79,9 @@ def admissibility_residual_loop(g):
 
 def bracket_tensor_loop(A, x):
     f = np.zeros((A.r, A.r, A.r))
-    if A._bracket_fn is not None:
-        vals = A._bracket_fn(*x)
-        for (c, a, b), v in zip(A._bkeys, vals):
+    if A.bracket:
+        vals = A.bracket._fn(*map(float, x))
+        for (c, a, b), v in zip(A.bracket.keys_sorted, vals):
             f[c, a, b] = v
             f[c, b, a] = -v
     return f
@@ -97,7 +98,7 @@ def axioms_loop(A, samples):
         grad = np.einsum("ja,jib->iab", rho, drho)
         rhs = grad - np.transpose(grad, (0, 2, 1))
         anchor_res = max(anchor_res, float(np.max(np.abs(lhs - rhs))))
-        df = A._dbracket(x)
+        df = A.bracket.d_at(x)
         term = (np.einsum("ebc,dae->dabc", f, f)
                 + np.einsum("ja,jdbc->dabc", rho, df))
         cyc = (term + np.transpose(term, (0, 2, 3, 1))
@@ -117,9 +118,9 @@ def anchor_compat_residual_loop(c, samples):
 
 def pi_matrix_loop(P, x):
     M = np.zeros((P.dim, P.dim))
-    if P._pi_fn is not None:
-        vals = P._pi_fn(*x)
-        for (i, j), v in zip(P._keys, vals):
+    if P.pi:
+        vals = P.pi._fn(*map(float, x))
+        for (i, j), v in zip(P.pi.keys_sorted, vals):
             M[i, j] = v
             M[j, i] = -v
     return M
@@ -127,11 +128,10 @@ def pi_matrix_loop(P, x):
 
 def poisson_jacobi_loop(P, samples):
     n = P.dim
-    P.jacobi_residual([])                      # compiles the derivatives
     res = 0.0
     for x in samples:
         M = P.pi_matrix(x)
-        dP = np.asarray(P._jac_fn(*x), float).reshape(n, n, n)
+        dP = np.asarray(P.pi._dfn(*map(float, x)), float).reshape(n, n, n)
         term = np.einsum("il,ljk->ijk", M, dP)
         cyc = (term + np.transpose(term, (1, 2, 0))
                + np.transpose(term, (2, 0, 1)))
@@ -199,7 +199,8 @@ def test_stacked_evaluators_stack_the_point_values(A, data, seed, count):
     for fn, shape in ((A.anchor_matrix, (n, r)),
                       (A.bracket_tensor, (r, r, r)),
                       (A._danchor, (n, n, r)),
-                      (A._dbracket, (n, r, r, r)),
+                      (A.bracket.d_at, (n, r, r, r)),
+                      (c.phi_at, (2,)),
                       (c.M_at, (r, 2)),
                       (c.dphi_at, (2, n))):
         stacked = fn(pts)
@@ -211,6 +212,29 @@ def test_stacked_evaluators_stack_the_point_values(A, data, seed, count):
             assert np.array_equal(fn(list(pts[k])), one)
     for x in pts:
         assert np.array_equal(A.bracket_tensor(x), bracket_tensor_loop(A, x))
+
+
+def test_compiled_code_gets_plain_floats_at_one_point_and_at_a_stack():
+    # a numpy scalar would square 1e200 to inf with a warning; a float
+    # raises, and so must both paths of the one evaluator
+    fn = ex.compile_exprs([ex.parse("x1^2", ["x1"])], ["x1"])
+    for x in (np.array([1e200]), np.array([[1e200]]), [np.float64(1e200)]):
+        with pytest.raises(OverflowError):
+            ex.evaluate(fn, x, (1,))
+
+
+def test_domain_tests_see_plain_floats():
+    # 1/x1 is outside at x1 = 0 only when it raises, that is for a float
+    inv = [ex.parse("1/x1", ["x1"])]
+    A = LieAlgebroid(1, 1, [[ex.Const(1.0)]], {}, domain=inv)
+    rng = np.random.default_rng(0)
+    assert all(type(v) is float
+               for x in sample_points(A, 5, rng) for v in x)
+    c = Comorphism(make_tangent(1), A, [ex.parse("x1 - 1", ["x1"])],
+                   [[ex.Const(1.0)]])
+    c.spot_check(np.array([[2.0]]))
+    with pytest.raises(ex.DomainError, match="target domain"):
+        c.spot_check(np.array([[2.0], [1.0]]))   # phi(1) = 0
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -356,7 +380,7 @@ def test_a_nan_residual_is_not_read_as_zero():
     fc = FlatConnection(xyz, [ex.Var("x1"), ex.Var("x2")],
                         [[one, zero], [zero, one],
                          [nan_where_nonzero("x2", xyz), zero]])
-    assert np.isnan(fc.section_residual([[0.5, 0.5, 0.5]]))
+    assert np.isnan(anchor_compat_residual(fc, [[0.5, 0.5, 0.5]]))
     assert np.isnan(flatness_residual(fc, [[0.5, 0.5, 0.5]]))
 
     # a rotation path with one nan sample leaves the span by nan
