@@ -185,8 +185,7 @@ class LieAlgebroid:
     def flow_field(self, fn):
         """The field x' = fn(t, *x) on the domain, for a function compiled
         by `anchored_field` with the time as its one input."""
-        return VectorFieldTD(self.n, lambda t, x: fn(t, *x),
-                             domain=self.in_domain)
+        return VectorFieldTD(self.n, fn, domain=self.in_domain)
 
     def _danchor(self, x):
         """d rho as an (n_deriv, n, r) array: [j, i, a] = d_j rho^i_a;

@@ -109,9 +109,10 @@ def integrate_apath(A, s, x0, grid_size=1000, bound=1e8):
     then cover only the integrated prefix.
     """
     n = A.n
-    # one compiled function of (t, *x) gives rho(x) s(t, x), then s(t, x)
+    # one compiled function of (t, *x) gives rho(x) s(t, x), then s(t, x);
+    # the flow reads the first n values
     fn = A.anchored_field(s.exprs, extra=s.exprs)
-    vf = VectorFieldTD(n, lambda t, x: fn(t, *x)[:n], domain=A.in_domain)
+    vf = VectorFieldTD(n, fn, domain=A.in_domain)
     traj = flow(vf, x0, (0.0, 1.0), step=1.0 / grid_size, bound=bound)
     tx = np.column_stack([traj.times, traj.points])
     eta = evaluate(fn, tx, (n + A.r,))[:, n:]

@@ -322,24 +322,24 @@ def load_workspace(path):
 
 # ---------------------------------------------------------------- helpers
 
-def _jdefault(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
-
-
 def _emit(payload):
+    """Print the report as strict JSON: inf, -inf and nan become the
+    strings "inf", "-inf" and "nan"."""
     def clean(v):
-        if isinstance(v, float) and math.isinf(v):
+        if isinstance(v, (np.floating, np.integer)):
+            v = float(v)
+        elif isinstance(v, np.ndarray):
+            v = v.tolist()
+        if isinstance(v, float) and not math.isfinite(v):
+            if math.isnan(v):
+                return "nan"
             return "inf" if v > 0 else "-inf"
         if isinstance(v, dict):
             return {k: clean(w) for k, w in v.items()}
         if isinstance(v, (list, tuple)):
             return [clean(w) for w in v]
         return v
-    print(json.dumps(clean(payload), indent=2, default=_jdefault))
+    print(json.dumps(clean(payload), indent=2, allow_nan=False))
 
 
 def _write_csv(write_fn, out_path):

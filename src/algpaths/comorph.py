@@ -22,7 +22,7 @@ from . import expr as ex
 from .algebroid import AlgebroidError, SectionTD, matvec
 from .apath import APath, AHomotopy, homotopy_residual
 from .expr import evaluate, point
-from .numkernel import VectorFieldTD, flow, not_a_knot_table
+from .numkernel import TabulatedField, flow, not_a_knot_table
 
 
 class LiftError(Exception):
@@ -62,9 +62,8 @@ class Comorphism:
     def _lift_field(self):
         """rho_A(x) M(x) xi compiled into one function of (*xi, *x), with
         the target fiber coordinates xi as inputs."""
-        xi = [f"xi{b+1}" for b in range(self.target.r)]
-        while set(xi) & set(self.source.coords):
-            xi = ["_" + v for v in xi]
+        xi = ex.fresh_names([f"xi{b+1}" for b in range(self.target.r)],
+                            self.source.coords)
         section = [ex.dot(row, [ex.Var(v) for v in xi]) for row in self.M]
         return self.source.anchored_field(section, xi)
 
@@ -197,13 +196,14 @@ def first_escape(vf, horizon, bound, seeds, step):
     error.
     """
     for seed in seeds:
+        # plain floats: the domain's compiled predicates take floats
+        seed = [float(v) for v in seed]
         if not vf.in_domain(seed):
             raise ex.DomainError(f"seed {point(seed)} outside the domain")
         traj = flow(vf, seed, (0.0, horizon), step=step, bound=bound)
         if not traj.completed:
             return ProbeVerdict(True, horizon, bound,
-                                witness=(list(seed), traj.status,
-                                         traj.t_event))
+                                witness=(seed, traj.status, traj.t_event))
     return ProbeVerdict(False, horizon, bound)
 
 
@@ -218,46 +218,58 @@ def completeness_probe(c, s, horizon, bound, seeds, step=1e-3):
 # The last fiber table built, under a key that holds the bytes of its
 # path's arrays: a holonomy sweep lifts one loop once per lane, and a
 # changed array (written in place or replaced) misses the cache. One entry
-# only, so that tables of the slices of a homotopy are not kept.
+# only; a homotopy builds one table for all its slices instead.
 _LAST_TABLE = {}
 
 
 def _fiber_table(g, interp, refine):
-    """Tabulate g's fiber data at all RK4 stage times (half-step grid)."""
+    """g's fiber data at all RK4 stage times (half-step grid): the step
+    count m and the table's rows, as lists of floats."""
     key = (interp, refine, g.times.tobytes(), g.eta.tobytes())
     cached = _LAST_TABLE.get(key)
     if cached is None:
-        cached = _build_fiber_table(g, interp, refine)
+        m, table = _build_fiber_table(g.times, g.eta, interp, refine)
+        cached = m, table.tolist()
         _LAST_TABLE.clear()
         _LAST_TABLE[key] = cached
     return cached
 
 
-def _build_fiber_table(g, interp, refine):
-    m = (len(g.times) - 1) * refine
-    stage_t = np.linspace(g.times[0], g.times[-1], 2 * m + 1)
+def _build_fiber_table(times, values, interp, refine):
+    """Each column of the (len(times), k) array values, interpolated at
+    the 2m + 1 stage times of an m-step flow over the refined grid:
+    returns m and the (2m + 1, k) table."""
+    m = (len(times) - 1) * refine
+    stage_t = np.linspace(times[0], times[-1], 2 * m + 1)
     if interp == "cubic":
-        table = not_a_knot_table(g.times, g.eta, stage_t)
+        table = not_a_knot_table(times, values, stage_t)
     elif interp == "linear":
-        table = np.stack([np.interp(stage_t, g.times, g.eta[:, b])
-                          for b in range(g.eta.shape[1])], axis=1)
+        table = np.stack([np.interp(stage_t, times, values[:, b])
+                          for b in range(values.shape[1])], axis=1)
     else:
         raise ValueError(f"unknown interpolation {interp!r}")
-    return m, table.tolist()
+    return m, table
 
 
-def _lift_flow(c, g, x0, interp="cubic", refine=1, bound=1e8):
-    """Integrate x' = rho_A(x) M(x) xi(t) over g's (refined) grid."""
-    m, table = _fiber_table(g, interp, refine)
-    fn = c._lift_field
-    # plain floats: rounding a numpy scalar costs 10x a float's, per stage
+def _slice_tables(H, interp, refine):
+    """The fiber tables of the s-slices of the homotopy H in turn, each as
+    (m, rows), cut from one table with a column per slice and fiber
+    component. Each slice's rows are made as it is reached, so that only
+    one slice's rows are alive at a time."""
+    nt, ns, r = H.eta.shape
+    m, table = _build_fiber_table(H.t_grid, H.eta.reshape(nt, ns * r),
+                                  interp, refine)
+    for rows in np.ascontiguousarray(table.reshape(-1, ns, r).swapaxes(0, 1)):
+        yield m, rows.tolist()
+
+
+def _lift_flow(c, g, x0, fiber, bound=1e8):
+    """Integrate x' = rho_A(x) M(x) xi(t) over g's time span in the m steps
+    of fiber = (m, rows), xi read from the rows at the stage times."""
+    m, table = fiber
     t0, t1 = float(g.times[0]), float(g.times[-1])
-    scale = 2.0 * m / (t1 - t0)
-
-    def rhs(t, x):
-        return fn(*table[round((t - t0) * scale)], *x)
-
-    vf = VectorFieldTD(c.source.n, rhs, domain=c.source.in_domain)
+    vf = TabulatedField(c.source.n, c._lift_field, table,
+                        domain=c.source.in_domain)
     return flow(vf, x0, (t0, t1), step=(t1 - t0) / m, bound=bound)
 
 
@@ -274,12 +286,17 @@ def lift_path(c, g, x0, interp="cubic", bound=1e8):
     does not exist globally), and its phi_projection_error reports
     max_k |phi(x_k) - y_k| over the integrated prefix.
     """
+    return _lift(c, g, x0, _fiber_table(g, interp, 1), bound)
+
+
+def _lift(c, g, x0, fiber, bound):
+    """lift_path with g's fiber table given."""
     y0 = c.phi_at(x0)
     if float(np.max(np.abs(y0 - g.source))) > 1e-6:
         raise LiftError(
             f"phi(x0) = {point(y0)} does not match the path source "
             f"{point(g.source)}")
-    traj = _lift_flow(c, g, x0, interp=interp, bound=bound)
+    traj = _lift_flow(c, g, x0, fiber, bound)
     points = traj.points
     eta = _fiber_products(c, points, g.eta)
     images = c.phi_at(points)
@@ -292,9 +309,10 @@ def lift_path(c, g, x0, interp="cubic", bound=1e8):
 def lift_homotopy(c, H, x0, interp="cubic", bound=1e8):
     """Lift a B-homotopy slice by slice from the common start point x0.
 
-    beta lifts as beta_A(t, s) = M(x(t, s)) beta_B(t, s). A failing slice
-    raises LiftError naming the failing s. Lifted endpoints must agree
-    across s to 1e-9 plus four times the lift's discretisation error (see
+    beta lifts as beta_A(t, s) = M(x(t, s)) beta_B(t, s). The fiber data
+    of all slices is interpolated as one table. A failing slice raises
+    LiftError naming the failing s. Lifted endpoints must agree across s
+    to 1e-9 plus four times the lift's discretisation error (see
     _endpoint_error), which is only estimated when the spread exceeds
     1e-9; a larger drift (a lift through a connection that is not flat)
     raises AlgebroidError. The lifted homotopy's residuals and endpoint
@@ -306,8 +324,9 @@ def lift_homotopy(c, H, x0, interp="cubic", bound=1e8):
     etas = np.empty((nt, ns, c.source.r))
     betas = np.empty((nt, ns, c.source.r))
     slices = [APath(B, H.t_grid, H.x[:, l], H.eta[:, l]) for l in range(ns)]
-    for l, slice_path in enumerate(slices):
-        lifted = lift_path(c, slice_path, x0, interp=interp, bound=bound)
+    fibers = _slice_tables(H, interp, 1)
+    for l, (slice_path, fiber) in enumerate(zip(slices, fibers)):
+        lifted = _lift(c, slice_path, x0, fiber, bound)
         if not lifted.completed:
             raise LiftError(
                 f"slice s={H.s_grid[l]!r} failed to lift: "
@@ -318,15 +337,14 @@ def lift_homotopy(c, H, x0, interp="cubic", bound=1e8):
     spread = float(np.max(np.ptp(xs[-1], axis=0)))
     tol = 1e-9
     if spread > tol:
-        tol += 4.0 * _endpoint_error(c, H.s_grid, slices, x0, xs[-1],
-                                     interp, bound)
+        tol += 4.0 * _endpoint_error(c, H, slices, x0, xs[-1], interp, bound)
     out = AHomotopy(c.source, H.t_grid, H.s_grid, xs, etas, betas, tol=tol)
     out.endpoint_spread = spread
     out.residuals = homotopy_residual(out)
     return out
 
 
-def _endpoint_error(c, s_grid, slices, x0, ends, interp, bound):
+def _endpoint_error(c, H, slices, x0, ends, interp, bound):
     """Largest discretisation error estimate of the lifted slice endpoints.
 
     Per slice it is the endpoint's change under a 2x refined step (the
@@ -336,8 +354,9 @@ def _endpoint_error(c, s_grid, slices, x0, ends, interp, bound):
     per-slice error; the second term only sees the directions phi maps.
     """
     err = 0.0
-    for s, g, end in zip(s_grid, slices, ends):
-        fine = _lift_flow(c, g, x0, interp=interp, refine=2, bound=bound)
+    fibers = _slice_tables(H, interp, 2)
+    for s, g, fiber, end in zip(H.s_grid, slices, fibers, ends):
+        fine = _lift_flow(c, g, x0, fiber, bound)
         if not fine.completed:
             raise LiftError(f"slice s={s!r} failed to lift at the refined "
                             f"step: {fine.status_str()}")
@@ -368,8 +387,8 @@ def lift_uniqueness_check(c, g, x0, bound=1e8):
     runs = []
     for interp in ("cubic", "linear"):
         for refine in (1, 2):
-            traj = _lift_flow(c, g, x0, interp=interp, refine=refine,
-                              bound=bound)
+            traj = _lift_flow(c, g, x0, _fiber_table(g, interp, refine),
+                              bound)
             runs.append({
                 "interp": interp, "refine": refine,
                 "status": traj.status, "t_event": traj.t_event,

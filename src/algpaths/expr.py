@@ -931,6 +931,14 @@ def evaluate(fn, x, shape):
     return np.array(vals, dtype=float).reshape(len(pts), *shape)
 
 
+def fresh_names(names, taken):
+    """The names, each prefixed with "_" as often as it takes for none of
+    them to be among the taken ones."""
+    while set(names) & set(taken):
+        names = ["_" + v for v in names]
+    return names
+
+
 def check_variables(exprs, variables, error):
     """Raise `error` unless the expressions use only the named variables."""
     for e in exprs:
@@ -939,23 +947,39 @@ def check_variables(exprs, variables, error):
             raise error(f"expression {e} uses unknown variables {sorted(bad)}")
 
 
-def domain_predicate(exprs, variables):
-    """The test x -> bool for the open set where every expression in exprs
-    is strictly positive (all of R^n when exprs is empty). A point where a
-    predicate cannot be evaluated (log of a negative number, a zero
-    divisor) is outside, not an error."""
-    if not exprs:
-        return lambda x: True
-    fn = compile_exprs(exprs, variables)
+class Domain:
+    """The open set where each of m predicates is strictly positive.
 
-    def in_domain(x):
+    fn(*x) returns the m predicate values at x, as a function compiled by
+    `compile_exprs` does (fn is None when m is 0: all of R^n). Calling the
+    domain tests a point: x -> bool. A point where a predicate cannot be
+    evaluated (log of a negative number, a zero divisor) is outside, not
+    an error. `numkernel.flow` inlines the same test into its stepping
+    loop, calling fn directly.
+    """
+
+    __slots__ = ("fn", "m")
+
+    def __init__(self, fn, m):
+        self.fn = fn
+        self.m = m
+
+    def __call__(self, x):
+        if not self.m:
+            return True
         try:
-            vals = fn(*x)
+            vals = self.fn(*x)
         except (ArithmeticError, ValueError):
             return False
         return all(v > 0.0 for v in vals)
 
-    return in_domain
+
+def domain_predicate(exprs, variables):
+    """The `Domain` where every expression in exprs is strictly positive
+    (all of R^n when exprs is empty), compiled over the variables."""
+    if not exprs:
+        return Domain(None, 0)
+    return Domain(compile_exprs(exprs, variables), len(exprs))
 
 
 # -------------------------------------------------------------- SmoothMap --
@@ -1012,6 +1036,6 @@ __all__ = [
     "Expr", "Const", "Var", "Add", "Sub", "Mul", "Div", "Neg", "Pow",
     "Fun1", "Atan2", "Gate", "parse", "substitute", "fun",
     "add", "sub", "mul", "dot", "div", "neg", "pow_", "as_expr", "point",
-    "compile_exprs", "domain_predicate", "SmoothMap",
+    "compile_exprs", "Domain", "domain_predicate", "SmoothMap",
     "ExprError", "ParseError", "EvalError", "DomainError",
 ]

@@ -3,11 +3,16 @@ blowup and domain-exit detection.
 
 The single integration routine is `flow`; adaptive behaviour is obtained by
 the caller halving the step and rerunning (see `flow_endpoint_order`).
-Its stepping loop is generated as straight-line Python per state dimension
-n, compiled on first use and kept in a dict keyed by n (`_rk4_loop`): the
-state is held in scalar locals, and every step makes one field call per
-stage and one domain test, in the order and with the floats of a plain
-per-step loop. A trajectory stops early in two ways:
+Its stepping loop is generated as straight-line Python per key (state
+dimension n, number m of domain predicates, and whether the field is fed
+from a stage table), compiled on first use and kept in a dict
+(`_rk4_loop`). The state is held in scalar locals. Every stage is one
+direct call of the field's function with positional floats, and every
+step one direct call of the domain's compiled predicates, compared with
+0.0 inline; the order and the floats are those of a plain per-step loop.
+A `TabulatedField` takes its inputs other than the state from the rows
+of a table sampled at the stage times; a lift of a sampled path takes its
+fiber data so. A trajectory stops early in two ways:
 
 * blowup(t*): the euclidean norm of the state exceeds `bound`, or a field
   evaluation produces a non-finite number or raises.
@@ -26,7 +31,7 @@ import re
 
 import numpy as np
 
-from .expr import point
+from .expr import Domain, point
 
 
 class FlowError(Exception):
@@ -36,24 +41,40 @@ class FlowError(Exception):
 class VectorFieldTD:
     """Time-dependent field (t, x) -> dx/dt on an open subset of R^n.
 
-    fn(t, x) takes a float and a list of n numbers and returns a sequence
-    of exactly n numbers (`flow` unpacks it, so a result of another length
-    fails the step like an evaluation error); domain(x) -> bool guards the
-    open set (None means all of R^n).
+    fn is called with positional floats, fn(t, x0, ..., x{n-1}), as a
+    function compiled by `expr.compile_exprs` over ("t", *coords) is, and
+    returns a sequence whose first n numbers are dx/dt; further values are
+    ignored (`apath.integrate_apath` appends the section's values). domain
+    is the `expr.Domain` that guards the open set; None means all of R^n.
+    `flow` calls fn and domain.fn directly from its stepping loop.
     """
 
+    table = None
+
     def __init__(self, n, fn, domain=None):
+        if domain is None:
+            domain = Domain(None, 0)
+        elif not isinstance(domain, Domain):
+            raise TypeError(f"domain must be an expr.Domain, got "
+                            f"{type(domain).__name__}")
         self.n = n
         self.fn = fn
         self.domain = domain
 
-    def __call__(self, t, x):
-        return self.fn(t, x)
-
     def in_domain(self, x):
-        if self.domain is None:
-            return True
-        return bool(self.domain(x))
+        return self.domain(x)
+
+
+class TabulatedField(VectorFieldTD):
+    """Field x' = fn(*row, x0, ..., x{n-1}) whose inputs other than the
+    state are rows of a table sampled at the RK4 stage times of one flow:
+    step k's four stages read rows 2k, 2k+1, 2k+1 and 2k+2. A flow of
+    n_steps steps needs 2 * n_steps + 1 rows; `flow` raises FlowError
+    otherwise."""
+
+    def __init__(self, n, fn, table, domain=None):
+        super().__init__(n, fn, domain)
+        self.table = table
 
 
 class FlowOutcome:
@@ -111,15 +132,23 @@ GRID_RTOL = 1e-6
 # bounds its counts by it.
 MAX_COUNT = 1_000_000
 
+# Rows per formatted block of write_csv_rows: one string of a block stays
+# small next to the table it formats.
+CSV_BLOCK_ROWS = 2048
+
 
 def write_csv_rows(f, header, table, status=None):
     """Write the header names, one line per row of the 2-D table, and a
     '# status=' trailer when status is given; the inverse of
     read_csv_rows. Each cell is the repr of a Python float, which reads
-    back to the same bits. Lines are written one at a time."""
+    back to the same bits. Rows are formatted in blocks of up to
+    CSV_BLOCK_ROWS, each with one '%r' format over the block's floats."""
+    table = np.asarray(table, dtype=float)
     f.write(",".join(header) + "\n")
-    f.writelines(",".join(map(repr, row)) + "\n"
-                 for row in np.asarray(table, dtype=float).tolist())
+    line = ",".join(["%r"] * table.shape[1]) + "\n"
+    for i in range(0, len(table), CSV_BLOCK_ROWS):
+        block = table[i:i + CSV_BLOCK_ROWS]
+        f.write(line * len(block) % tuple(block.ravel().tolist()))
     if status is not None:
         f.write(f"# status={status}\n")
 
@@ -210,28 +239,52 @@ def _bisect_exit(vf, t0, x0, t1, x1, resolution=1e-9):
     return hi
 
 
-def _rk4_source(n):
-    """Source of the RK4 stepping loop for states of dimension n.
+def _rk4_source(n, m, tabulated):
+    """Source of the RK4 stepping loop for states of dimension n, m domain
+    predicates, and a field fed from a stage table or not.
 
-    The state lives in the scalar locals x0..x{n-1}; each stage state is
-    one list literal. The loop appends every accepted step to times and
-    points and returns None when all n_steps are taken. At the first step
-    that fails it returns (cause, t, x, t_next, v) with the last accepted
-    time and state: cause "stage" when a stage raised (v None) or k1 or
-    the new state is not finite (v is k1), "domain" when the new state v
-    is outside the domain, "bound" when its norm exceeds bound (v None).
+    The state lives in the scalar locals x0..x{n-1}. Each stage calls the
+    field f with positional floats: f(t, x0, ...), or f(*row, x0, ...)
+    with the stage's row of the table when tabulated (step k reads rows
+    2k, 2k+1, 2k+1, 2k+2), and reads the first n values of its result.
+    The new state is tested by calling the domain's compiled predicates
+    dom(y0, ...) and comparing their m values with 0.0; with m = 0 no test
+    is written. The loop appends every accepted step to times and points
+    and returns None when all n_steps are taken. At the first step that
+    fails it returns (cause, t, x, t_next, v) with the last accepted time
+    and state: cause "stage" when a stage raised (v None) or k1 or the new
+    state is not finite (v is k1's first n values), "domain" when the new
+    state v is outside the domain, "bound" when its norm exceeds bound (v
+    None).
     """
     idx = range(n)
 
     def each(fmt, sep=", "):
         return sep.join(fmt.format(i=i) for i in idx)
 
-    x = each("x{i}")
+    def stage(out, t, row, state):
+        args = f"*{row}, {state}" if tabulated else f"{t}, {state}"
+        return (f"            r = f({args})\n"
+                + each(f"            {out}{{i}} = r[{{i}}]", "\n"))
+
+    x, y = each("x{i}"), each("y{i}")
     # -INF < v < INF is math.isfinite(v) for floats and numpy scalars
     # alike, and comparing a nan raises no warning
     finite = " and ".join(f"-INF < {v}{i} < INF" for v in "ay" for i in idx)
+    rows = ("        j = 2 * k\n"
+            "        r0, r1, r2 = table[j], table[j + 1], table[j + 2]\n"
+            if tabulated else "")
+    domain_test = "" if not m else f"""\
+        try:
+            {", ".join(f"g{i}" for i in range(m))}, = dom({y})
+        except EVAL_ERRORS:
+            return "domain", t, [{x}], t_next, [{y}]
+        if not ({" and ".join(f"g{i} > 0.0" for i in range(m))}):
+            return "domain", t, [{x}], t_next, [{y}]
+"""
     return f"""\
-def rk4_loop(f, in_domain, x, t_a, t_b, step, n_steps, bound, times, points):
+def rk4_loop(f, dom, table, x, t_a, t_b, step, n_steps, bound, times,
+             points):
     {x}, = x
     t = t_a
     last = n_steps - 1
@@ -240,43 +293,45 @@ def rk4_loop(f, in_domain, x, t_a, t_b, step, n_steps, bound, times, points):
         h = t_next - t
         hh = 0.5 * h
         th = t + hh
+{rows}\
         try:
-            k1 = f(t, [{x}])
-            {each("a{i}")}, = k1
-            {each("b{i}")}, = f(th, [{each("x{i} + hh * a{i}")}])
-            {each("c{i}")}, = f(th, [{each("x{i} + hh * b{i}")}])
-            {each("d{i}")}, = f(t + h, [{each("x{i} + h * c{i}")}])
+{stage("a", "t", "r0", x)}
+{stage("b", "th", "r1", each("x{i} + hh * a{i}"))}
+{stage("c", "th", "r1", each("x{i} + hh * b{i}"))}
+{stage("d", "t + h", "r2", each("x{i} + h * c{i}"))}
             h6 = h / 6.0
 {each("            y{i} = x{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})", chr(10))}
         except EVAL_ERRORS:
             return "stage", t, [{x}], t_next, None
         if not ({finite}):
-            return "stage", t, [{x}], t_next, k1
-        y = [{each("y{i}")}]
-        if not in_domain(y):
-            return "domain", t, [{x}], t_next, y
+            return "stage", t, [{x}], t_next, [{each("a{i}")}]
+{domain_test}\
         if sqrt({each("y{i} * y{i}", " + ")}) > bound:
             return "bound", t, [{x}], t_next, None
         t = t_next
 {each("        x{i} = y{i}", chr(10))}
         times.append(t)
-        points.append(y)
+        points.append([{y}])
     return None
 """
 
 
-_RK4_LOOPS = {}     # state dimension -> generated stepping loop
+# (state dimension, domain predicates, tabulated) -> stepping loop
+_RK4_LOOPS = {}
 
 
-def _rk4_loop(n):
-    """The stepping loop for dimension n, generated and compiled on first
-    use (see _rk4_source)."""
-    loop = _RK4_LOOPS.get(n)
+def _rk4_loop(n, m, tabulated):
+    """The stepping loop for one key, generated and compiled on first use
+    (see _rk4_source). Its scope's __name__ attributes a warning raised in
+    the loop to this module."""
+    key = (n, m, tabulated)
+    loop = _RK4_LOOPS.get(key)
     if loop is None:
         scope = {"INF": math.inf, "sqrt": math.sqrt,
-                 "EVAL_ERRORS": _EVAL_ERRORS}
-        exec(compile(_rk4_source(n), f"<rk4 loop, n={n}>", "exec"), scope)
-        loop = _RK4_LOOPS[n] = scope["rk4_loop"]
+                 "EVAL_ERRORS": _EVAL_ERRORS, "__name__": __name__}
+        exec(compile(_rk4_source(*key), f"<rk4 loop, key={key}>", "exec"),
+             scope)
+        loop = _RK4_LOOPS[key] = scope["rk4_loop"]
     return loop
 
 
@@ -298,10 +353,16 @@ def flow(vf, x0, t_span, step=1e-3, bound=1e8):
         raise FlowError(f"x0 = {point(x)} is outside the field's domain")
 
     n_steps = max(1, math.ceil((t_b - t_a) / step - 1e-12))
+    table = vf.table
+    if table is not None and len(table) != 2 * n_steps + 1:
+        raise FlowError(f"a flow of {n_steps} steps needs {2 * n_steps + 1} "
+                        f"table rows, got {len(table)}")
+    dom = vf.domain
     times = [t_a]
     points = [list(x)]
-    failed = _rk4_loop(vf.n)(vf.fn, vf.in_domain, x, t_a, t_b, step,
-                             n_steps, bound, times, points)
+    failed = _rk4_loop(vf.n, dom.m, table is not None)(
+        vf.fn, dom.fn, table, x, t_a, t_b, step, n_steps, bound, times,
+        points)
     if failed is None:
         return Trajectory(times, points, "completed")
     cause, t, x, t_next, v = failed

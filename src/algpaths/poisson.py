@@ -102,11 +102,14 @@ def hamiltonian_vf(P, f):
 
 
 def _hamiltonian_fn(P, f):
-    return ex.compile_exprs(hamiltonian_vf_exprs(P, f), P.coords)
+    """xi_f compiled as a time field: one function of (t, *x) that does
+    not use t."""
+    t = ex.fresh_names(["t"], P.coords)
+    return ex.compile_exprs(hamiltonian_vf_exprs(P, f), t + P.coords)
 
 
 def _autonomous_field(P, fn):
-    return VectorFieldTD(P.dim, lambda t, x: fn(*x), domain=P.in_domain)
+    return VectorFieldTD(P.dim, fn, domain=P.in_domain)
 
 
 def poisson_map_residual(phi, PX, PY, samples):
@@ -217,7 +220,9 @@ def complete_map_probe(phi, PX, PY, test_functions=None, horizon=2.0,
     if test_functions is None:
         test_functions = default_test_functions(PY)
     seeds = [list(s) for s in seeds]
-    pts = np.asarray(seeds, dtype=float).reshape(-1, PX.dim)
+    # the seeds at t = 0, where both route fields are compared
+    tpts = np.insert(np.asarray(seeds, dtype=float).reshape(-1, PX.dim),
+                     0, 0.0, axis=1)
     A = c.source
     mapping = {v: phi.components[j] for j, v in enumerate(PY.coords)}
     entries = []
@@ -227,8 +232,8 @@ def complete_map_probe(phi, PX, PY, test_functions=None, horizon=2.0,
         s = SectionTD(c.target, [f.d(v) for v in PY.coords])
         com_fn = A.anchored_field(pullback_section(c, s).exprs)
         worst = float(np.max(np.abs(
-            ex.evaluate(com_fn, np.insert(pts, 0, 0.0, axis=1), (A.n,))
-            - ex.evaluate(ham_fn, pts, (A.n,))), initial=0.0))
+            ex.evaluate(com_fn, tpts, (A.n,))
+            - ex.evaluate(ham_fn, tpts, (A.n,))), initial=0.0))
         if not worst <= field_tol:
             raise PoissonError(
                 f"route fields disagree by {worst:.3e} (> {field_tol:.1e})")

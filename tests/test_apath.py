@@ -308,8 +308,8 @@ def test_integrated_samples_are_tested_against_the_domain_once():
     # the flow tests x0 and every sample it keeps; building the A-path
     # from them tests none again
     D = make_tangent(2, domain=[ex.parse("4 - x1^2 - x2^2", ["x1", "x2"])])
-    test, calls = D.in_domain, []
-    D.in_domain = lambda x: calls.append(1) or test(x)
+    pred, calls = D.in_domain.fn, []
+    D.in_domain.fn = lambda *x: calls.append(1) or pred(*x)
     g = integrate_apath(D, SectionTD.from_strings(D, ["x2", "-x1"]),
                         [1.0, 0.0], grid_size=50)
     assert g.completed

@@ -754,6 +754,24 @@ def test_poisson_flow_energy_drift(poisson_cfg, tmp_path, capsys):
     assert out.read_text().startswith("t,x1,x2\n")
 
 
+def _strict_json(text):
+    """json.loads that refuses the bare NaN, Infinity and -Infinity."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_a_nan_in_a_report_is_a_json_string(poisson_cfg, tmp_path, capsys):
+    # the energy is inf - inf = nan at every point
+    code = run(["poisson", "flow", "--config", poisson_cfg, "--name", "plane",
+                "--f", "x1*1e300*1e300 - x1*1e300*1e300", "--x0", "0.5,0",
+                "--t1", "0.01", "--out", str(tmp_path / "o.csv")])
+    assert code == 1
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["status"] == "blowup"
+    assert payload["energy_drift"] == "nan"
+
+
 def test_poisson_lift_comorphism(poisson_cfg, capsys):
     code, payload = run_json(capsys, [
         "poisson", "lift", "--config", poisson_cfg,

@@ -9,8 +9,9 @@ from algpaths.algebroid import (AlgebroidError, LieAlgebroid, SectionTD,
                                 make_tangent, sample_points)
 from algpaths.apath import AHomotopy, APath, read_apath_csv
 from algpaths.ehresmann import FlatConnection
+from algpaths.numkernel import VectorFieldTD, flow
 from algpaths.comorph import (Comorphism, LiftError, anchor_compat_residual,
-                              completeness_probe, compose,
+                              completeness_probe, compose, first_escape,
                               identity_comorphism, lift_homotopy, lift_path,
                               lift_uniqueness_check, pullback_section)
 
@@ -299,8 +300,8 @@ def test_lifted_samples_are_tested_against_the_domain_once():
     # the flow tests x0 and every sample it keeps; building the lifted
     # A-path from them tests none again
     A, B = disk(), make_tangent(2)
-    test, calls = A.in_domain, []
-    A.in_domain = lambda x: calls.append(1) or test(x)
+    pred, calls = A.in_domain.fn, []
+    A.in_domain.fn = lambda *x: calls.append(1) or pred(*x)
     lifted = lift_path(inclusion(A, B), circle_path(B, N=100), (0.5, 0.0))
     assert lifted.completed
     assert len(calls) == len(lifted.times) == 101
@@ -323,6 +324,66 @@ def test_lift_uniqueness_on_an_escaping_path():
     assert {r["status"] for r in rep.runs} == {"domain_exit"}
     assert rep.endpoint_spread is None
     assert rep.exit_spread <= 1e-6
+
+
+def _rhs_closure_lift(c, g, x0, interp, refine, bound=1e8):
+    """The former lift flow, kept as the oracle: a right-hand side closure
+    that rounds its stage time to a row of the fiber table."""
+    m, table = comorph._fiber_table(g, interp, refine)
+    fn = c._lift_field
+    t0, t1 = float(g.times[0]), float(g.times[-1])
+    scale = 2.0 * m / (t1 - t0)
+
+    def rhs(t, *x):
+        return fn(*table[round((t - t0) * scale)], *x)
+
+    vf = VectorFieldTD(c.source.n, rhs, domain=c.source.in_domain)
+    return flow(vf, x0, (t0, t1), step=(t1 - t0) / m, bound=bound)
+
+
+def blowup_setup():
+    """x' = x1^2 xi along xi = 2 from x1 = 1: blows up at t = 1/2."""
+    A = LieAlgebroid(1, 1, [[ex.parse("x1^2", ["x1"])]], {})
+    B = make_tangent(1)
+    c = Comorphism(A, B, [ex.parse("x1 - 1", ["x1"])], [[1.0]])
+    times = np.linspace(0.0, 1.0, 101)
+    g = APath(B, times, (2.0 * times)[:, None], np.full((101, 1), 2.0))
+    return c, g, [1.0]
+
+
+LIFT_CASES = {
+    "completed": lambda: (inclusion(disk(), make_tangent(2)),
+                          circle_path(make_tangent(2), N=200), [0.5, 0.0]),
+    "domain_exit": lambda: (inclusion(disk(), make_tangent(2)),
+                            line_path(make_tangent(2), N=200), [0.0, 0.0]),
+    "blowup": blowup_setup,
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIFT_CASES))
+@pytest.mark.parametrize("interp", ["cubic", "linear"])
+@pytest.mark.parametrize("refine", [1, 2])
+def test_tabulated_lift_matches_the_rhs_closure(case, interp, refine):
+    c, g, x0 = LIFT_CASES[case]()
+    comorph._LAST_TABLE.clear()
+    got = comorph._lift_flow(c, g, x0,
+                             comorph._fiber_table(g, interp, refine))
+    ref = _rhs_closure_lift(c, g, x0, interp, refine)
+    assert got.status == ref.status == case
+    assert got.times.tobytes() == ref.times.tobytes()
+    assert got.points.tobytes() == ref.points.tobytes()
+    assert repr(got.t_event) == repr(ref.t_event)
+
+
+@pytest.mark.parametrize("seeds", [np.array([[0.0]]), [[0.0]]],
+                         ids=["numpy", "list"])
+def test_a_seed_outside_the_domain_is_named_whatever_its_type(seeds):
+    A = LieAlgebroid(1, 1, [[ex.Const(1.0)]], {},
+                     domain=[ex.parse("1/x1", ["x1"])])
+    vf = A.flow_field(A.anchored_field([ex.Const(1.0)]))
+    with pytest.raises(ex.DomainError,
+                       match=r"seed \(0\.0,\) outside the domain"):
+        first_escape(vf, 1.0, 1e8, seeds, 0.1)
 
 
 # ---------------------------------------------------- homotopy lifting
@@ -416,3 +477,41 @@ def test_lift_homotopy_names_the_failing_slice():
     H = sine_homotopy(B, amp=2.0, nt=50, ns=20)   # large-s slices leave (-2, 2)
     with pytest.raises(LiftError, match=r"slice s=.* failed to lift"):
         lift_homotopy(c, H, [0.0])
+
+
+def flat_plane_homotopy():
+    """A rank-2 homotopy lifted through a flat connection whose endpoint
+    spread exceeds 1e-9, so that the lift also builds refined tables."""
+    fc = vertical_connection(["x3", "0"])
+    f = lambda t: math.sin(math.pi * t * t)
+    df = lambda t: 2 * math.pi * t * math.cos(math.pi * t * t)
+    H = plane_homotopy(fc.target,
+                       lambda t, s: [t + s * f(t), s * f(t)],
+                       lambda t, s: [1.0 + s * df(t), s * df(t)],
+                       lambda t, s: [f(t), f(t)])
+    return fc, H, [0.0, 0.0, 1.0]
+
+
+HOMOTOPY_CASES = {
+    "interval": lambda: (interval_setup()[2],
+                         sine_homotopy(make_tangent(1), amp=0.5, nt=60,
+                                       ns=7), [0.0]),
+    "flat-plane": flat_plane_homotopy,
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOMOTOPY_CASES))
+@pytest.mark.parametrize("interp", ["cubic", "linear"])
+def test_homotopy_slices_are_the_lifts_of_each_slice(case, interp):
+    # one fiber table for all slices gives each slice the bits of its own
+    # table, at the path's grid and at the refined one
+    c, H, x0 = HOMOTOPY_CASES[case]()
+    lifted = lift_homotopy(c, H, x0, interp=interp)
+    refined = list(comorph._slice_tables(H, interp, 2))
+    for l in range(len(H.s_grid)):
+        g = APath(c.target, H.t_grid, H.x[:, l], H.eta[:, l])
+        comorph._LAST_TABLE.clear()
+        alone = lift_path(c, g, x0, interp=interp)
+        assert lifted.x[:, l].tobytes() == alone.base.tobytes()
+        assert lifted.eta[:, l].tobytes() == alone.eta.tobytes()
+        assert refined[l] == comorph._fiber_table(g, interp, 2)

@@ -1,18 +1,21 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from algpaths import cli, numkernel
+from algpaths import expr as ex
+from algpaths.expr import Domain
 from algpaths.numkernel import (FlowError, Trajectory, VectorFieldTD, flow,
                                 flow_endpoint_order, read_csv_rows,
-                                read_trajectory_csv)
+                                read_trajectory_csv, write_csv_rows)
 
 
 def exp_field():
-    return VectorFieldTD(1, lambda t, x: [x[0]])
+    return VectorFieldTD(1, lambda t, x1: [x1])
 
 
 def test_flow_exponential_accuracy():
@@ -28,7 +31,7 @@ def test_flow_is_fourth_order():
 
 
 def test_flow_endpoint_order_exact_field():
-    vf = VectorFieldTD(1, lambda t, x: [2.0])    # RK4 integrates it exactly
+    vf = VectorFieldTD(1, lambda t, x1: [2.0])    # RK4 integrates it exactly
     assert flow_endpoint_order(vf, [0.0], (0.0, 1.0), step=0.1) == "exact"
 
 
@@ -39,7 +42,7 @@ def test_reversed_time_span_rejected():
 
 
 def test_blowup_reports_grid_time_near_one_over_x0():
-    vf = VectorFieldTD(1, lambda t, x: [x[0] ** 2])
+    vf = VectorFieldTD(1, lambda t, x1: [x1 ** 2])
     traj = flow(vf, [1.0], (0.0, 2.0), step=1e-3, bound=1e6)
     assert traj.status == "blowup"
     assert abs(traj.t_event - 1.0) <= 0.01         # within 1% of 1/x0
@@ -48,8 +51,8 @@ def test_blowup_reports_grid_time_near_one_over_x0():
 
 
 def test_domain_exit_is_bisected_to_nanoseconds():
-    vf = VectorFieldTD(1, lambda t, x: [1.0],
-                       domain=lambda x: x[0] < 1.0)
+    vf = VectorFieldTD(1, lambda t, x1: [1.0],
+                       domain=Domain(lambda x1: [1.0 - x1], 1))
     traj = flow(vf, [0.0], (0.0, 2.0), step=1e-3)
     assert traj.status == "domain_exit"
     assert traj.t_event == pytest.approx(1.0, abs=1e-8)
@@ -59,15 +62,15 @@ def test_domain_exit_is_bisected_to_nanoseconds():
 def test_stage_failure_becomes_domain_exit_when_domain_explains_it():
     # 1/(0.5 - x) from 0 reaches x = 0.5 at t = 1/8 ((0.5 - x)^2 = 1/4 - 2t);
     # the stage failure there is explained by the domain predicate
-    vf = VectorFieldTD(1, lambda t, x: [1.0 / (0.5 - x[0])],
-                       domain=lambda x: x[0] < 0.5)
+    vf = VectorFieldTD(1, lambda t, x1: [1.0 / (0.5 - x1)],
+                       domain=Domain(lambda x1: [0.5 - x1], 1))
     traj = flow(vf, [0.0], (0.0, 1.0), step=1e-4)
     assert traj.status == "domain_exit"
     assert traj.t_event == pytest.approx(0.125, abs=1e-3)
 
 
 def test_stage_failure_without_domain_is_blowup():
-    vf = VectorFieldTD(1, lambda t, x: [math.sqrt(0.25 - x[0])])
+    vf = VectorFieldTD(1, lambda t, x1: [math.sqrt(0.25 - x1)])
     traj = flow(vf, [0.0], (0.0, 2.0), step=1e-3)
     assert traj.status == "blowup"
     assert traj.t_event is not None
@@ -80,7 +83,8 @@ def test_flow_rejects_bad_inputs():
         flow(exp_field(), [math.nan], (0.0, 1.0))
     with pytest.raises(FlowError):
         flow(exp_field(), [1.0, 2.0], (0.0, 1.0))   # dimension mismatch
-    vf = VectorFieldTD(1, lambda t, x: [1.0], domain=lambda x: x[0] < 0.0)
+    vf = VectorFieldTD(1, lambda t, x1: [1.0],
+                       domain=Domain(lambda x1: [-x1], 1))
     with pytest.raises(FlowError):
         flow(vf, [1.0], (0.0, 1.0))                 # starts outside
 
@@ -92,13 +96,13 @@ def test_flow_respects_norm_bound():
 
 
 def test_time_dependent_field():
-    vf = VectorFieldTD(1, lambda t, x: [2.0 * t])
+    vf = VectorFieldTD(1, lambda t, x1: [2.0 * t])
     traj = flow(vf, [0.0], (0.0, 1.0), step=1e-3)
     assert traj.endpoint[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_csv_round_trip_exact():
-    vf = VectorFieldTD(2, lambda t, x: [x[1], -x[0]])
+    vf = VectorFieldTD(2, lambda t, x1, x2: [x2, -x1])
     traj = flow(vf, [1.0, 0.0], (0.0, 1.0), step=0.01)
     buf = io.StringIO()
     traj.write_csv(buf)
@@ -110,7 +114,7 @@ def test_csv_round_trip_exact():
 
 
 def test_csv_round_trip_keeps_event_status():
-    vf = VectorFieldTD(1, lambda t, x: [x[0] ** 2])
+    vf = VectorFieldTD(1, lambda t, x1: [x1 ** 2])
     traj = flow(vf, [1.0], (0.0, 2.0), step=1e-2, bound=1e6)
     buf = io.StringIO()
     traj.write_csv(buf)
@@ -124,7 +128,7 @@ def test_csv_round_trip_keeps_event_status():
 
 
 def test_csv_round_trip_keeps_a_short_last_step():
-    vf = VectorFieldTD(1, lambda t, x: [1.0])
+    vf = VectorFieldTD(1, lambda t, x1: [1.0])
     traj = flow(vf, [0.0], (0.0, 0.25), step=0.1)     # steps .1 .1 .05
     buf = io.StringIO()
     traj.write_csv(buf)
@@ -187,10 +191,10 @@ def _reference_flow(vf, x0, t_span, step=1e-3, bound=1e8):
         t_next = t_b if k == n_steps - 1 else t_a + (k + 1) * step
         h = t_next - t
         try:
-            k1 = f(t, x)
-            k2 = f(t + 0.5 * h, [xi + 0.5 * h * ki for xi, ki in zip(x, k1)])
-            k3 = f(t + 0.5 * h, [xi + 0.5 * h * ki for xi, ki in zip(x, k2)])
-            k4 = f(t + h, [xi + h * ki for xi, ki in zip(x, k3)])
+            k1 = f(t, *x)
+            k2 = f(t + 0.5 * h, *[xi + 0.5 * h * ki for xi, ki in zip(x, k1)])
+            k3 = f(t + 0.5 * h, *[xi + 0.5 * h * ki for xi, ki in zip(x, k2)])
+            k4 = f(t + h, *[xi + h * ki for xi, ki in zip(x, k3)])
             x_next = [xi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
                       for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
             stage_ok = finite(k1) and finite(x_next)
@@ -216,27 +220,33 @@ def _reference_flow(vf, x0, t_span, step=1e-3, bound=1e8):
 
 
 class CountingField(VectorFieldTD):
-    """A field that counts its evaluations and domain tests, and checks
-    that every evaluation gets a float and a list."""
+    """A field that counts its evaluations and those of its domain's
+    predicates, by wrapping both functions, and checks that each gets n
+    positional state values."""
 
     def __init__(self, n, fn, domain=None):
         self.fn_calls = self.domain_calls = 0
 
-        def counted(t, x):
-            assert type(x) is list and len(x) == n
+        def counted(t, *x):
+            assert len(x) == n
             self.fn_calls += 1
-            return fn(t, x)
+            return fn(t, *x)
 
+        if domain is not None:
+            pred = domain.fn
+
+            def counted_pred(*x):
+                assert len(x) == n
+                self.domain_calls += 1
+                return pred(*x)
+
+            domain = Domain(counted_pred, domain.m)
         super().__init__(n, counted, domain)
-
-    def in_domain(self, x):
-        self.domain_calls += 1
-        return super().in_domain(x)
 
 
 def assert_same_flow(make_field, x0, t_span, step, bound=1e8):
     """flow and the reference give the same bits, and make the same
-    number of field evaluations and domain tests."""
+    number of field evaluations and domain-predicate evaluations."""
     got_vf, ref_vf = make_field(), make_field()
     got = flow(got_vf, x0, t_span, step=step, bound=bound)
     ref = _reference_flow(ref_vf, x0, t_span, step=step, bound=bound)
@@ -244,7 +254,8 @@ def assert_same_flow(make_field, x0, t_span, step, bound=1e8):
     assert got.points.tobytes() == ref.points.tobytes()
     assert (got.status, repr(got.t_event)) == (ref.status, repr(ref.t_event))
     assert got_vf.fn_calls == ref_vf.fn_calls > 0
-    assert got_vf.domain_calls == ref_vf.domain_calls > 0
+    assert got_vf.domain_calls == ref_vf.domain_calls
+    assert (got_vf.domain_calls > 0) == (got_vf.domain.m > 0)
     return got
 
 
@@ -253,7 +264,7 @@ def linear_field(A, b=None, time_dependent=False, domain=None):
     b = [0.0] * len(A) if b is None else list(b)
     n = len(A)
 
-    def fn(t, x):
+    def fn(t, *x):
         w = math.cos(3.0 * t) if time_dependent else 1.0
         return [w * sum(a * v for a, v in zip(row, x)) + bi
                 for row, bi in zip(A, b)]
@@ -286,20 +297,21 @@ def test_norm_bound_matches_the_reference():
 
 
 def test_non_finite_stage_matches_the_reference():
-    def fn(t, x):
-        return [math.inf if x[0] > 0.55 else 1.0, -x[1]]
+    def fn(t, x1, x2):
+        return [math.inf if x1 > 0.55 else 1.0, -x2]
 
     traj = assert_same_flow(lambda: CountingField(2, fn), [0.0, 1.0],
                             (0.0, 2.0), 0.1)
     assert traj.status == "blowup"
 
 
-@pytest.mark.parametrize("domain", [None, lambda x: x[0] < 0.5])
+@pytest.mark.parametrize("domain", [None, lambda x1: [0.5 - x1]])
 def test_raising_stage_matches_the_reference(domain):
     # 1.0 / False raises ZeroDivisionError past x = 0.5; a stage that
     # raises is a blowup even when the domain would explain it
     def make():
-        return CountingField(1, lambda t, x: [1.0 / (x[0] < 0.5)], domain)
+        return CountingField(1, lambda t, x1: [1.0 / (x1 < 0.5)],
+                             domain and Domain(domain, 1))
 
     traj = assert_same_flow(make, [0.0], (0.0, 2.0), 0.07)
     assert traj.status == "blowup"
@@ -309,8 +321,8 @@ def test_euler_predictor_domain_exit_matches_the_reference():
     # k1 is finite, a later stage is not, and the Euler predictor leaves
     # the domain x < 1: the step's failure is a domain exit
     def make():
-        return CountingField(1, lambda t, x: [1.0 if x[0] < 1.0 else math.inf],
-                             lambda x: x[0] < 1.0)
+        return CountingField(1, lambda t, x1: [1.0 if x1 < 1.0 else math.inf],
+                             Domain(lambda x1: [1.0 - x1], 1))
 
     traj = assert_same_flow(make, [0.0], (0.0, 3.0), 0.3)
     assert traj.status == "domain_exit"
@@ -319,7 +331,7 @@ def test_euler_predictor_domain_exit_matches_the_reference():
 
 def test_bisected_domain_exit_matches_the_reference():
     make = linear_field([[0.0, -1.0], [1.0, 0.0]],
-                        domain=lambda x: x[1] < 0.9)
+                        domain=Domain(lambda x1, x2: [0.9 - x2], 1))
     traj = assert_same_flow(make, [1.0, 0.0], (0.0, 3.0), 0.05)
     assert traj.status == "domain_exit"
     # the chord of the last step crosses within O(step^2) of the curve
@@ -330,18 +342,19 @@ def test_numpy_array_field_matches_the_reference():
     A = np.array([[0.1, -1.0, 0.0], [1.0, 0.1, 0.3], [0.0, -0.3, -0.2]])
 
     def make():
-        return CountingField(3, lambda t, x: A @ np.asarray(x) + np.sin(t))
+        return CountingField(3, lambda t, *x: A @ np.asarray(x) + np.sin(t))
 
     traj = assert_same_flow(make, [1.0, 0.5, -0.5], (0.0, 2.0), 0.01)
     assert traj.completed
 
 
 def test_loops_are_generated_once_per_dimension():
+    # one loop per (dimension, domain predicates, tabulated) key
     make = linear_field([[0.0] * 7] * 7)
     flow(make(), [0.0] * 7, (0.0, 0.1), step=0.05)
-    loop = numkernel._RK4_LOOPS[7]
+    loop = numkernel._RK4_LOOPS[(7, 0, False)]
     flow(make(), [1.0] * 7, (0.0, 0.1), step=0.05)
-    assert numkernel._RK4_LOOPS[7] is loop
+    assert numkernel._RK4_LOOPS[(7, 0, False)] is loop
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -356,6 +369,102 @@ def test_random_linear_fields_match_the_reference(n, data):
     step = data.draw(st.floats(0.005, 0.5))
     bound = data.draw(st.sampled_from([1e8, 5.0]))
     edge = data.draw(st.sampled_from([None, 1.5]))
-    domain = None if edge is None else (lambda x: x[0] < edge)
+    domain = None if edge is None else Domain(lambda *x: [edge - x[0]], 1)
     make = linear_field(A, b, data.draw(st.booleans()), domain)
     assert_same_flow(make, x0, (t_a, t_a + span), step, bound)
+
+
+# ------------------------------------------------ the generated loop's calls --
+
+def _counted(fn, calls):
+    def counted(*args):
+        calls.append(1)
+        return fn(*args)
+    return counted
+
+
+def test_each_step_makes_four_field_calls_and_one_domain_evaluation(
+        monkeypatch):
+    from algpaths.algebroid import make_tangent
+    A = make_tangent(2, domain=[ex.parse("4 - x1^2 - x2^2", ["x1", "x2"])])
+    field, preds = [], []
+    fn = A.anchored_field([ex.parse("0 - x2", ["x1", "x2"]), ex.Var("x1")])
+    monkeypatch.setattr(A.in_domain, "fn", _counted(A.in_domain.fn, preds))
+    traj = flow(A.flow_field(_counted(fn, field)), [1.0, 0.0], (0.0, 1.0),
+                step=0.01)
+    assert traj.completed and len(traj.times) == 101
+    assert len(field) == 4 * 100
+    assert len(preds) == 100 + 1                    # x0 and every step
+
+
+@pytest.mark.parametrize("pred, step", [("1/x1", 0.25),
+                                        ("log(x1) + 1000", 0.3)])
+def test_a_raising_domain_predicate_reads_as_outside(pred, step):
+    # x' = -1 from x1 = 1: at step 0.25 a step lands on x1 = 0, a zero
+    # divisor; at 0.3 on x1 = -0.2, where log raises. Either point is
+    # outside, and t* is bisected as for the predicate x1, which raises
+    # nowhere
+    def exit_time(text):
+        dom = ex.domain_predicate([ex.parse(text, ["x1"])], ["x1"])
+        traj = flow(VectorFieldTD(1, lambda t, x1: [-1.0], dom), [1.0],
+                    (0.0, 2.0), step=step)
+        ref = _reference_flow(VectorFieldTD(1, lambda t, x1: [-1.0], dom),
+                              [1.0], (0.0, 2.0), step=step)
+        assert traj.points.tobytes() == ref.points.tobytes()
+        assert traj.status == ref.status == "domain_exit"
+        assert repr(traj.t_event) == repr(ref.t_event)
+        return traj.t_event
+
+    raising = ex.domain_predicate([ex.parse(pred, ["x1"])], ["x1"])
+    with pytest.raises((ArithmeticError, ValueError)):
+        raising.fn(0.0 if step == 0.25 else -0.2)
+    assert exit_time(pred) == pytest.approx(1.0, abs=1e-9)
+    assert repr(exit_time(pred)) == repr(exit_time("x1"))
+
+
+def test_a_domain_is_a_domain_object():
+    with pytest.raises(TypeError, match="expr.Domain"):
+        VectorFieldTD(1, lambda t, x1: [1.0], domain=lambda x: True)
+
+
+def test_a_tabulated_field_needs_two_rows_per_step_and_one():
+    vf = numkernel.TabulatedField(1, lambda xi, x1: [xi], [[1.0]] * 20)
+    with pytest.raises(FlowError, match="needs 21 table rows, got 20"):
+        flow(vf, [0.0], (0.0, 1.0), step=0.1)
+
+
+def test_a_numpy_scalar_warning_in_the_loop_is_attributed_to_numkernel():
+    # a field that returns numpy scalars overflows in the loop's own sums
+    vf = VectorFieldTD(1, lambda t, x1: [np.float64(1e308)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        warnings.filterwarnings("error", category=RuntimeWarning,
+                                module=r"algpaths\.numkernel\Z")
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            flow(vf, [0.0], (0.0, 1.0), step=0.5)
+
+
+# --------------------------------------------------------------- CSV writer --
+
+def _per_row_csv(header, table, status=None):
+    """The former writer: one join of reprs per row."""
+    lines = [",".join(header)]
+    lines += [",".join(map(repr, row)) for row in np.asarray(table).tolist()]
+    if status is not None:
+        lines.append(f"# status={status}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2047, 2048, 2049, 5000])
+def test_bulk_csv_writer_matches_the_per_row_join(rows):
+    special = [-0.0, 5e-324, 1e16, 0.1 + 0.2, -2.5e-308, 1.7976931348623157e308]
+    rng = np.random.default_rng(rows)
+    table = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-300, 300,
+                                                              (rows, 3))
+    flat = table.reshape(-1)
+    flat[:len(special)] = special[:len(flat)]
+    for status in (None, "blowup(t*=0.5)"):
+        buf = io.StringIO()
+        write_csv_rows(buf, ["t", "x1", "x2"], table, status)
+        assert buf.getvalue() == _per_row_csv(["t", "x1", "x2"], table,
+                                              status)
