@@ -9,7 +9,8 @@ section beta(t,s) and are diagnosed against the two homotopy equations
     dx^i/ds   = rho^i_a beta^a
     deta^c/ds = dbeta^c/dt + f^c_{ab} beta^a eta^b.
 
-Development solves gamma' = gamma . (eta^a(t) E_a) in a matrix group;
+Development solves gamma' = gamma . (eta^a(t) E_a) in a matrix group
+with the one RK4 kernel, `numkernel.flow`;
 `log_derivative` inverts it with 4th-order difference stencils (2nd-order
 stencils leave O(h^2) components outside the Lie-algebra span, which would
 trip the span tolerance at N = 1000).
@@ -19,14 +20,17 @@ import math
 
 import numpy as np
 
+from . import expr as ex
 from .algebroid import AlgebroidError, make_lie_algebra, matvec
 from .expr import evaluate, point
-from .numkernel import (FlowOutcome, VectorFieldTD, check_uniform_grid, flow,
-                        read_csv_rows, write_csv_rows)
+from .numkernel import (FlowOutcome, TabulatedField, VectorFieldTD,
+                        check_uniform_grid, flow, read_csv_rows, stage_table,
+                        write_csv_rows)
 
 
 class APath(FlowOutcome):
-    """Sampled A-path: uniform grid on [0,1], base and fiber samples.
+    """Sampled A-path: uniform grid on [0,1], base and fiber samples. An
+    uneven time grid raises ValueError (`numkernel.check_uniform_grid`).
 
     junctions: indices excluded from residual maxima (concatenation
     points, where the path is only piecewise smooth). status/t_event
@@ -36,6 +40,7 @@ class APath(FlowOutcome):
     def __init__(self, algebroid, times, base, eta, status="completed",
                  t_event=None, junctions=()):
         self._store(algebroid, times, base, eta, status, t_event, junctions)
+        check_uniform_grid(self.times)
         for x in self.base.tolist():
             if not algebroid.in_domain(x):
                 raise AlgebroidError(
@@ -97,7 +102,6 @@ def read_apath_csv(f, algebroid):
     if len(rows) < 2:
         raise ValueError(f"an A-path needs at least 2 samples, got "
                          f"{len(rows)}")
-    check_uniform_grid(rows[:, 0])
     return APath(algebroid, rows[:, 0], rows[:, 1:1 + n], rows[:, 1 + n:],
                  status, t_event)
 
@@ -327,7 +331,9 @@ def develop(basis, g):
     """Develop an A-path over a point into the matrix group: solve
     gamma' = gamma . (eta^a(t) E_a), gamma(0) = I, by RK4 on g's grid.
 
-    eta between grid points is linearly interpolated.
+    gamma . (sum_a xi_a E_a) is compiled once over (xi, gamma's entries)
+    and flowed by `numkernel.flow`, xi being eta interpolated linearly.
+    A development that goes non-finite raises AlgebroidError.
     """
     basis = [np.asarray(E, dtype=float) for E in basis]
     if len(basis) != g.algebroid.r:
@@ -337,33 +343,23 @@ def develop(basis, g):
     m = basis[0].shape[0]
     if any(E.shape != (m, m) for E in basis):
         raise AlgebroidError("basis matrices must share a square shape")
-    times = g.times
-    eta = g.eta
-
-    def eta_at(t):
-        w = (t - times[0]) / (times[-1] - times[0]) * (len(times) - 1)
-        k = min(int(w), len(times) - 2)
-        frac = w - k
-        return (1.0 - frac) * eta[k] + frac * eta[k + 1]
-
-    def omega(t):
-        ev = eta_at(t)
-        M = np.zeros((m, m))
-        for a, E in enumerate(basis):
-            M += ev[a] * E
-        return M
-
-    gam = np.eye(m)
-    out = [gam]
-    for k in range(len(times) - 1):
-        t, h = times[k], times[k + 1] - times[k]
-        k1 = gam @ omega(t)
-        k2 = (gam + 0.5 * h * k1) @ omega(t + 0.5 * h)
-        k3 = (gam + 0.5 * h * k2) @ omega(t + 0.5 * h)
-        k4 = (gam + h * k3) @ omega(t + h)
-        gam = gam + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out.append(gam)
-    return MatrixPath(times, out)
+    if len(g.times) == 1:
+        return MatrixPath(g.times, [np.eye(m)])
+    xi = [ex.Var(f"xi{a+1}") for a in range(len(basis))]
+    gam = [[ex.Var(f"g{i+1}_{j+1}") for j in range(m)] for i in range(m)]
+    omega = [[ex.dot(xi, [ex.Const(E[k, j]) for E in basis])
+              for j in range(m)] for k in range(m)]
+    fn = ex.compile_exprs([ex.dot(gam[i], [row[j] for row in omega])
+                           for i in range(m) for j in range(m)],
+                          [v.name for v in xi + sum(gam, [])])
+    steps, table = stage_table(g.times, g.eta, "linear")
+    t0, t1 = float(g.times[0]), float(g.times[-1])
+    traj = flow(TabulatedField(m * m, fn, table.tolist()), np.eye(m).ravel(),
+                (t0, t1), step=(t1 - t0) / steps, bound=math.inf)
+    if not traj.completed:
+        raise AlgebroidError(f"the development is not finite: "
+                             f"{traj.status_str()}")
+    return MatrixPath(g.times, traj.points.reshape(-1, m, m))
 
 
 def _matrix_path_derivative(gam, h):

@@ -8,10 +8,10 @@ B-fiber vector over phi(x) to an A-fiber vector over x. The defining
 anchor condition Dphi . rho_A . M = rho_B o phi is measured, not assumed.
 
 Lifting integrates x' = rho_A(x) M(x) xi(t) with the fiber data xi of the
-path to lift interpolated between its samples (by default with the
-not-a-knot cubic spline, `numkernel.not_a_knot_table`); blowup
-or domain exit of that flow is the numerical witness that the lift fails
-to exist over the full interval.
+path to lift interpolated between its samples (`numkernel.stage_table`,
+by default with the not-a-knot cubic spline); blowup or domain exit of
+that flow is the numerical witness that the lift fails to exist over the
+full interval.
 """
 
 from functools import cached_property
@@ -22,7 +22,7 @@ from . import expr as ex
 from .algebroid import AlgebroidError, SectionTD, matvec
 from .apath import APath, AHomotopy, homotopy_residual
 from .expr import evaluate, point
-from .numkernel import TabulatedField, flow, not_a_knot_table
+from .numkernel import TabulatedField, flow, stage_table
 
 
 class LiftError(Exception):
@@ -215,95 +215,66 @@ def completeness_probe(c, s, horizon, bound, seeds, step=1e-3):
     return first_escape(vf, horizon, bound, seeds, step)
 
 
-# The last fiber table built, under a key that holds the bytes of its
-# path's arrays: a holonomy sweep lifts one loop once per lane, and a
-# changed array (written in place or replaced) misses the cache. One entry
-# only; a homotopy builds one table for all its slices instead.
-_LAST_TABLE = {}
+def _fiber_table(times, eta, interp, refine):
+    """The fiber samples eta of one path, (len(times), r), or of L paths
+    on the same times, (len(times), L, r), at the RK4 stage times of a
+    lift flow over the grid refined `refine` times: the step count m and
+    one (2m + 1, *eta.shape[1:]) table, whose [:, l] is the table of path
+    l alone."""
+    m, table = stage_table(times, eta.reshape(len(times), -1), interp,
+                           refine)
+    return m, table.reshape(len(table), *eta.shape[1:])
 
 
-def _fiber_table(g, interp, refine):
-    """g's fiber data at all RK4 stage times (half-step grid): the step
-    count m and the table's rows, as lists of floats."""
-    key = (interp, refine, g.times.tobytes(), g.eta.tobytes())
-    cached = _LAST_TABLE.get(key)
-    if cached is None:
-        m, table = _build_fiber_table(g.times, g.eta, interp, refine)
-        cached = m, table.tolist()
-        _LAST_TABLE.clear()
-        _LAST_TABLE[key] = cached
-    return cached
-
-
-def _build_fiber_table(times, values, interp, refine):
-    """Each column of the (len(times), k) array values, interpolated at
-    the 2m + 1 stage times of an m-step flow over the refined grid:
-    returns m and the (2m + 1, k) table."""
-    m = (len(times) - 1) * refine
-    stage_t = np.linspace(times[0], times[-1], 2 * m + 1)
-    if interp == "cubic":
-        table = not_a_knot_table(times, values, stage_t)
-    elif interp == "linear":
-        table = np.stack([np.interp(stage_t, times, values[:, b])
-                          for b in range(values.shape[1])], axis=1)
-    else:
-        raise ValueError(f"unknown interpolation {interp!r}")
-    return m, table
-
-
-def _slice_tables(H, interp, refine):
-    """The fiber tables of the s-slices of the homotopy H in turn, each as
-    (m, rows), cut from one table with a column per slice and fiber
-    component. Each slice's rows are made as it is reached, so that only
-    one slice's rows are alive at a time."""
-    nt, ns, r = H.eta.shape
-    m, table = _build_fiber_table(H.t_grid, H.eta.reshape(nt, ns * r),
-                                  interp, refine)
-    for rows in np.ascontiguousarray(table.reshape(-1, ns, r).swapaxes(0, 1)):
-        yield m, rows.tolist()
-
-
-def _lift_flow(c, g, x0, fiber, bound=1e8):
-    """Integrate x' = rho_A(x) M(x) xi(t) over g's time span in the m steps
-    of fiber = (m, rows), xi read from the rows at the stage times."""
-    m, table = fiber
+def _lift_flow(c, g, x0, m, rows, bound=1e8):
+    """Integrate x' = rho_A(x) M(x) xi(t) over g's time span in m steps,
+    xi read from the fiber table's rows at the stage times."""
     t0, t1 = float(g.times[0]), float(g.times[-1])
-    vf = TabulatedField(c.source.n, c._lift_field, table,
+    vf = TabulatedField(c.source.n, c._lift_field, rows,
                         domain=c.source.in_domain)
     return flow(vf, x0, (t0, t1), step=(t1 - t0) / m, bound=bound)
 
 
-def _fiber_products(c, points, vectors):
-    """M(x_k) v_k for every sample k, as one (len(points), rank A) array."""
-    return matvec(c.M_at(points), vectors[:len(points)])
+def _check_starts(c, starts, sources):
+    """Raise LiftError unless phi maps each of the stacked start points
+    to within 1e-6 of its path source: sources is one point, or one per
+    start."""
+    images = c.phi_at(starts)
+    for y0, source in zip(*np.broadcast_arrays(images, sources)):
+        if float(np.max(np.abs(y0 - source))) > 1e-6:
+            raise LiftError(
+                f"phi(x0) = {point(y0)} does not match the path source "
+                f"{point(source)}")
 
 
 def lift_path(c, g, x0, interp="cubic", bound=1e8):
     """Lift the B-path g through x0 to an A-path projecting onto it.
 
-    The returned path carries status blowup/domain_exit with partial data
+    x0 is one start point, or a stack of N start points as for `M_at`;
+    a stack gives the list of their N lifts, all flowed from one fiber
+    table. A lift carries status blowup/domain_exit with partial data
     when the horizontal flow escapes (the numerical witness that the lift
     does not exist globally), and its phi_projection_error reports
     max_k |phi(x_k) - y_k| over the integrated prefix.
     """
-    return _lift(c, g, x0, _fiber_table(g, interp, 1), bound)
-
-
-def _lift(c, g, x0, fiber, bound):
-    """lift_path with g's fiber table given."""
-    y0 = c.phi_at(x0)
-    if float(np.max(np.abs(y0 - g.source))) > 1e-6:
-        raise LiftError(
-            f"phi(x0) = {point(y0)} does not match the path source "
-            f"{point(g.source)}")
-    traj = _lift_flow(c, g, x0, fiber, bound)
-    points = traj.points
-    eta = _fiber_products(c, points, g.eta)
-    images = c.phi_at(points)
-    proj = float(np.max(np.abs(images - g.base[:len(points)])))
-    out = APath._from_flow(c.source, traj, eta)
-    out.phi_projection_error = proj
-    return out
+    starts = np.asarray(x0, dtype=float)
+    if starts.ndim not in (1, 2) or starts.shape[-1] != c.source.n:
+        raise ValueError(f"x0 must be a point of {c.source.n} coordinates "
+                         f"or a stack of them, got shape {starts.shape}")
+    stack = starts.reshape(-1, c.source.n)
+    _check_starts(c, stack, g.source)
+    m, table = _fiber_table(g.times, g.eta, interp, 1)
+    rows = table.tolist()
+    lifts = []
+    for start in stack.tolist():
+        traj = _lift_flow(c, g, start, m, rows, bound)
+        points = traj.points
+        lifted = APath._from_flow(
+            c.source, traj, matvec(c.M_at(points), g.eta[:len(points)]))
+        lifted.phi_projection_error = float(np.max(np.abs(
+            c.phi_at(points) - g.base[:len(points)])))
+        lifts.append(lifted)
+    return lifts if starts.ndim == 2 else lifts[0]
 
 
 def lift_homotopy(c, H, x0, interp="cubic", bound=1e8):
@@ -324,16 +295,18 @@ def lift_homotopy(c, H, x0, interp="cubic", bound=1e8):
     etas = np.empty((nt, ns, c.source.r))
     betas = np.empty((nt, ns, c.source.r))
     slices = [APath(B, H.t_grid, H.x[:, l], H.eta[:, l]) for l in range(ns)]
-    fibers = _slice_tables(H, interp, 1)
-    for l, (slice_path, fiber) in enumerate(zip(slices, fibers)):
-        lifted = _lift(c, slice_path, x0, fiber, bound)
-        if not lifted.completed:
+    _check_starts(c, [x0], H.x[0])
+    m, table = _fiber_table(H.t_grid, H.eta, interp, 1)
+    for l, g in enumerate(slices):
+        traj = _lift_flow(c, g, x0, m, table[:, l].tolist(), bound)
+        if not traj.completed:
             raise LiftError(
                 f"slice s={H.s_grid[l]!r} failed to lift: "
-                f"{lifted.status_str()}")
-        xs[:, l] = lifted.base
-        etas[:, l] = lifted.eta
-        betas[:, l] = _fiber_products(c, lifted.base, H.beta[:, l])
+                f"{traj.status_str()}")
+        M = c.M_at(traj.points)
+        xs[:, l] = traj.points
+        etas[:, l] = matvec(M, H.eta[:, l])
+        betas[:, l] = matvec(M, H.beta[:, l])
     spread = float(np.max(np.ptp(xs[-1], axis=0)))
     tol = 1e-9
     if spread > tol:
@@ -354,9 +327,9 @@ def _endpoint_error(c, H, slices, x0, ends, interp, bound):
     per-slice error; the second term only sees the directions phi maps.
     """
     err = 0.0
-    fibers = _slice_tables(H, interp, 2)
-    for s, g, fiber, end in zip(H.s_grid, slices, fibers, ends):
-        fine = _lift_flow(c, g, x0, fiber, bound)
+    m, table = _fiber_table(H.t_grid, H.eta, interp, 2)
+    for l, (s, g, end) in enumerate(zip(H.s_grid, slices, ends)):
+        fine = _lift_flow(c, g, x0, m, table[:, l].tolist(), bound)
         if not fine.completed:
             raise LiftError(f"slice s={s!r} failed to lift at the refined "
                             f"step: {fine.status_str()}")
@@ -387,8 +360,8 @@ def lift_uniqueness_check(c, g, x0, bound=1e8):
     runs = []
     for interp in ("cubic", "linear"):
         for refine in (1, 2):
-            traj = _lift_flow(c, g, x0, _fiber_table(g, interp, refine),
-                              bound)
+            m, table = _fiber_table(g.times, g.eta, interp, refine)
+            traj = _lift_flow(c, g, x0, m, table.tolist(), bound)
             runs.append({
                 "interp": interp, "refine": refine,
                 "status": traj.status, "t_event": traj.t_event,

@@ -183,15 +183,20 @@ def holonomy(fc, loop, x0):
     if float(np.max(np.abs(loop.base[0] - loop.base[-1]))) > 1e-9:
         raise AlgebroidError("holonomy needs a closed loop")
     lifted = lift_path(fc, loop, x0)
-    phase = None
-    zi = getattr(fc, "z_indices", None)
-    if zi is not None and len(lifted.base) >= 2:
-        angles = np.unwrap(np.arctan2(lifted.base[:, zi[1]],
-                                      lifted.base[:, zi[0]]))
-        phase = float(angles[-1] - angles[0])
     return HolonomyReport(np.array(lifted.base[0]), np.array(lifted.base[-1]),
-                          phase, lifted.status, lifted.t_event,
+                          _phase(fc, lifted), lifted.status, lifted.t_event,
                           lifted.phi_projection_error)
+
+
+def _phase(fc, lifted):
+    """The unwrapped angle that (z1, z2) sweeps along a lifted loop; None
+    when fc marks no complex fiber or the lift has one sample."""
+    zi = getattr(fc, "z_indices", None)
+    if zi is None or len(lifted.base) < 2:
+        return None
+    angles = np.unwrap(np.arctan2(lifted.base[:, zi[1]],
+                                  lifted.base[:, zi[0]]))
+    return float(angles[-1] - angles[0])
 
 
 def sheet_count(nu_value, k_max=10**6, tol=1e-9):
@@ -435,18 +440,19 @@ def self_intersection_witness(conn, h, tau, r=1.0, theta=0.0, rp=1.0):
 
 def holonomy_sweep(conn, h_values, radius=1.0, grid=1000, z0=(1.0, 0.0),
                    k_max=10**6):
-    """Numeric holonomy phase, nu(h), and sheet count across h values.
+    """Numeric holonomy phase, nu(h), and sheet count across h values;
+    the loop is lifted from all their start points in one call.
 
     Rows serialize to the CSV schema 'h,nu,holonomy_angle,sheets'.
     """
     rows = []
     loop = circle_loop(conn, radius=radius, grid=grid)
-    for h in h_values:
-        x0 = [radius, 0.0, z0[0], z0[1], float(h)]
-        rep = holonomy(conn, loop, x0)
+    starts = [[radius, 0.0, z0[0], z0[1], float(h)] for h in h_values]
+    lifts = lift_path(conn, loop, np.reshape(starts, (len(starts), 5)))
+    for h, lifted in zip(h_values, lifts):
         nu = conn.nu(h)
         rows.append({"h": float(h), "nu": nu,
-                     "holonomy_angle": rep.phase,
+                     "holonomy_angle": _phase(conn, lifted),
                      "sheets": sheet_count(nu, k_max=k_max)})
     return rows
 

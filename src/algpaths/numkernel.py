@@ -22,8 +22,9 @@ fiber data so. A trajectory stops early in two ways:
 
 In both cases the last recorded sample strictly precedes t*.
 
-`not_a_knot_table` tabulates the cubic spline through sampled data at the
-stage times of such a flow, for fields driven by sampled paths.
+`stage_table` tabulates sampled data at the stage times of such a flow,
+linearly or by the not-a-knot cubic spline (`not_a_knot_table`), for the
+fields driven by sampled paths: lifts and matrix-group developments.
 """
 
 import math
@@ -341,7 +342,8 @@ def flow(vf, x0, t_span, step=1e-3, bound=1e8):
     t_a, t_b, step = float(t_span[0]), float(t_span[1]), float(step)
     if not t_b > t_a:
         raise FlowError(f"need t_b > t_a, got [{t_a}, {t_b}]")
-    if step <= 0 or bound <= 0:
+    # negated, so that nan is refused too; an infinite bound is no bound
+    if not step > 0 or not bound > 0:
         raise FlowError("step and bound must be positive")
     x = [float(v) for v in x0]
     if len(x) != vf.n:
@@ -469,6 +471,23 @@ def not_a_knot_table(x, y, t):
                            last[None]])
 
 
+def stage_table(times, values, interp, refine=1):
+    """Each column of the (len(times), k) array values, interpolated
+    ("cubic": `not_a_knot_table`, or "linear") at the 2m + 1 stage times
+    of an m-step flow over the grid refined `refine` times: returns m and
+    the (2m + 1, k) table, whose `tolist()` a `TabulatedField` takes."""
+    m = (len(times) - 1) * refine
+    stage_t = np.linspace(times[0], times[-1], 2 * m + 1)
+    if interp == "cubic":
+        table = not_a_knot_table(times, values, stage_t)
+    elif interp == "linear":
+        table = np.stack([np.interp(stage_t, times, values[:, b])
+                          for b in range(values.shape[1])], axis=1)
+    else:
+        raise ValueError(f"unknown interpolation {interp!r}")
+    return m, table
+
+
 def flow_endpoint_order(vf, x0, t_span, step, reference=None):
     """Observed RK4 convergence order from endpoint errors at h and h/2.
 
@@ -494,6 +513,7 @@ def flow_endpoint_order(vf, x0, t_span, step, reference=None):
     return math.log2(err_h / err_h2)
 
 
-__all__ = ["VectorFieldTD", "FlowOutcome", "Trajectory", "flow", "flow_endpoint_order",
-           "not_a_knot_table", "read_csv_rows", "write_csv_rows",
-           "check_uniform_grid", "read_trajectory_csv", "FlowError"]
+__all__ = ["VectorFieldTD", "FlowOutcome", "Trajectory", "flow",
+           "flow_endpoint_order", "not_a_knot_table", "stage_table",
+           "read_csv_rows", "write_csv_rows", "check_uniform_grid",
+           "read_trajectory_csv", "FlowError"]

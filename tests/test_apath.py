@@ -196,6 +196,88 @@ def test_log_derivative_develop_round_trip_so3():
     assert np.max(np.abs(np.asarray(back.eta) - eta)) <= 1e-4
 
 
+def _numpy_develop(basis, g):
+    """The former development, kept as the oracle: its own numpy RK4 loop
+    on g's grid, eta linearly interpolated at the stage times."""
+    times, eta = g.times, g.eta
+
+    def omega(t):
+        w = (t - times[0]) / (times[-1] - times[0]) * (len(times) - 1)
+        k = min(int(w), len(times) - 2)
+        ev = (1.0 - (w - k)) * eta[k] + (w - k) * eta[k + 1]
+        M = np.zeros_like(basis[0])
+        for a, E in enumerate(basis):
+            M += ev[a] * E
+        return M
+
+    gam = np.eye(len(basis[0]))
+    out = [gam]
+    for k in range(len(times) - 1):
+        t, h = times[k], times[k + 1] - times[k]
+        k1 = gam @ omega(t)
+        k2 = (gam + 0.5 * h * k1) @ omega(t + 0.5 * h)
+        k3 = (gam + 0.5 * h * k2) @ omega(t + 0.5 * h)
+        k4 = (gam + h * k3) @ omega(t + h)
+        gam = gam + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(gam)
+    return np.array(out)
+
+
+def test_develop_matches_the_numpy_loop():
+    times = np.linspace(0.0, 1.0, 1001)
+    so3 = make_lie_algebra(so3_constants())
+    eta3 = np.stack([0.3 * np.sin(math.pi * times), -0.4 * times,
+                     0.5 * np.cos(math.pi * times)], axis=1)
+    for basis, g in ((SO2_BASIS, quarter_turn_path()),
+                     (SO3_BASIS, APath(so3, times, np.zeros((1001, 1)),
+                                       eta3))):
+        mp = develop(basis, g)
+        assert mp.times.tobytes() == g.times.tobytes()
+        assert np.max(np.abs(mp.matrices - _numpy_develop(basis, g))) <= 1e-15
+
+
+def test_develop_runs_on_flow(monkeypatch):
+    import algpaths.apath as apath
+    calls = []
+    monkeypatch.setattr(apath, "flow",
+                        lambda *a, **k: calls.append(1) or flow(*a, **k))
+    develop(SO3_BASIS, APath(make_lie_algebra(so3_constants()),
+                             np.linspace(0.0, 1.0, 11), np.zeros((11, 1)),
+                             np.ones((11, 3))))
+    assert len(calls) == 1
+
+
+def test_a_development_that_goes_non_finite_raises():
+    A = make_lie_algebra(np.zeros((1, 1, 1)))
+    g = APath(A, np.linspace(0.0, 1.0, 11), np.zeros((11, 1)),
+              np.full((11, 1), 10.0))
+    with pytest.raises(AlgebroidError, match="not finite.*blowup"):
+        develop([np.array([[1e300]])], g)
+
+
+def test_develop_of_a_single_sample_is_the_identity():
+    A = make_lie_algebra(np.zeros((1, 1, 1)))
+    mp = develop(SO2_BASIS, APath(A, [0.0], [[0.0]], [[1.0]]))
+    assert np.array_equal(mp.matrices, [np.eye(2)])
+
+
+# eta_a(t) = a + b sin(w t + p) with |a|, |b| <= 1 and w <= 2 pi; the
+# tolerance is criterion 10's
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                          st.floats(0.0, 2.0 * math.pi),
+                          st.floats(0.0, 2.0 * math.pi)),
+                min_size=3, max_size=3))
+def test_log_derivative_recovers_random_so3_developments(coeffs):
+    A = make_lie_algebra(so3_constants())
+    times = np.linspace(0.0, 1.0, 1001)
+    eta = np.stack([a + b * np.sin(w * times + p)
+                    for a, b, w, p in coeffs], axis=1)
+    mp = develop(SO3_BASIS, APath(A, times, np.zeros((1001, 1)), eta))
+    back = log_derivative(mp, SO3_BASIS, algebroid=A)
+    assert np.max(np.abs(back.eta - eta)) <= 1e-4
+
+
 def test_log_derivative_span_defect_raises():
     # gamma(t) = diag(e^t, 1): log-derivative diag(1, 0) is not in so(2)
     times = np.linspace(0.0, 1.0, 101)
@@ -233,6 +315,18 @@ def test_apath_base_must_stay_in_domain():
                 domain=[ex.parse("1 - x1^2", ["x1"])])
     with pytest.raises(AlgebroidError, match="outside"):
         APath(D, [0.0, 1.0], [[0.0], [5.0]], [[1.0], [1.0]])
+
+
+def test_an_apath_on_an_uneven_grid_is_refused():
+    # x = t^2 sampled on the grid u^2: lifting it would pair the fiber
+    # values with the times of a uniform grid
+    B = make_tangent(1)
+    u = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(ValueError, match="time grid is not uniform"):
+        APath(B, u ** 2, (u ** 2)[:, None], (2.0 * u)[:, None])
+    with pytest.raises(ValueError, match="time grid is not uniform"):
+        read_apath_csv(io.StringIO("t,x1,eta1\n0.0,0.0,0.0\n0.25,0.0,0.0\n"
+                                   "1.0,0.0,0.0\n"), B)
 
 
 def test_apath_csv_base_must_stay_in_domain():

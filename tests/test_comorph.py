@@ -6,7 +6,7 @@ import pytest
 
 from algpaths import comorph, expr as ex
 from algpaths.algebroid import (AlgebroidError, LieAlgebroid, SectionTD,
-                                make_tangent, sample_points)
+                                make_tangent, matvec, sample_points)
 from algpaths.apath import AHomotopy, APath, read_apath_csv
 from algpaths.ehresmann import FlatConnection
 from algpaths.numkernel import VectorFieldTD, flow
@@ -243,27 +243,6 @@ def test_lift_circle_path_projects_back_onto_it():
     assert lifted.algebroid.n == 2
 
 
-@pytest.mark.parametrize("change", ["in place", "replaced", "read-only"])
-def test_fiber_table_does_not_outlive_a_change_to_the_path(change):
-    B = make_tangent(2)
-    c = inclusion(disk(), B)
-    g = circle_path(B, N=200)
-    before = lift_path(c, g, (0.5, 0.0))
-    if change == "in place":
-        g.eta *= 1.5
-    elif change == "replaced":
-        g.eta = 1.5 * g.eta
-    else:
-        g.eta.setflags(write=False)
-        g.times.setflags(write=False)
-    after = lift_path(c, g, (0.5, 0.0))
-    comorph._LAST_TABLE.clear()
-    fresh = lift_path(c, g, (0.5, 0.0))
-    assert after.base.tobytes() == fresh.base.tobytes()
-    same = after.base.tobytes() == before.base.tobytes()
-    assert same == (change == "read-only")
-
-
 def test_lift_rejects_start_point_off_the_fiber():
     B = make_tangent(2)
     c = inclusion(disk(), B)
@@ -329,7 +308,8 @@ def test_lift_uniqueness_on_an_escaping_path():
 def _rhs_closure_lift(c, g, x0, interp, refine, bound=1e8):
     """The former lift flow, kept as the oracle: a right-hand side closure
     that rounds its stage time to a row of the fiber table."""
-    m, table = comorph._fiber_table(g, interp, refine)
+    m, table = comorph._fiber_table(g.times, g.eta, interp, refine)
+    table = table.tolist()
     fn = c._lift_field
     t0, t1 = float(g.times[0]), float(g.times[-1])
     scale = 2.0 * m / (t1 - t0)
@@ -365,9 +345,8 @@ LIFT_CASES = {
 @pytest.mark.parametrize("refine", [1, 2])
 def test_tabulated_lift_matches_the_rhs_closure(case, interp, refine):
     c, g, x0 = LIFT_CASES[case]()
-    comorph._LAST_TABLE.clear()
-    got = comorph._lift_flow(c, g, x0,
-                             comorph._fiber_table(g, interp, refine))
+    m, table = comorph._fiber_table(g.times, g.eta, interp, refine)
+    got = comorph._lift_flow(c, g, x0, m, table.tolist())
     ref = _rhs_closure_lift(c, g, x0, interp, refine)
     assert got.status == ref.status == case
     assert got.times.tobytes() == ref.times.tobytes()
@@ -507,11 +486,62 @@ def test_homotopy_slices_are_the_lifts_of_each_slice(case, interp):
     # table, at the path's grid and at the refined one
     c, H, x0 = HOMOTOPY_CASES[case]()
     lifted = lift_homotopy(c, H, x0, interp=interp)
-    refined = list(comorph._slice_tables(H, interp, 2))
+    m, refined = comorph._fiber_table(H.t_grid, H.eta, interp, 2)
     for l in range(len(H.s_grid)):
         g = APath(c.target, H.t_grid, H.x[:, l], H.eta[:, l])
-        comorph._LAST_TABLE.clear()
         alone = lift_path(c, g, x0, interp=interp)
         assert lifted.x[:, l].tobytes() == alone.base.tobytes()
         assert lifted.eta[:, l].tobytes() == alone.eta.tobytes()
-        assert refined[l] == comorph._fiber_table(g, interp, 2)
+        m_alone, table = comorph._fiber_table(g.times, g.eta, interp, 2)
+        assert m == m_alone
+        assert refined[:, l].tobytes() == table.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(HOMOTOPY_CASES))
+def test_homotopy_lift_builds_one_table_per_step_and_one_M_per_slice(
+        case, monkeypatch):
+    # the interval's endpoints agree to 1e-9, so only the flat plane's lift
+    # estimates its discretisation error at the refined step
+    c, H, x0 = HOMOTOPY_CASES[case]()
+    reference = lift_homotopy(c, H, x0)
+    refines, M_points = [], []
+    build, M_at = comorph.stage_table, c.M_at
+    monkeypatch.setattr(comorph, "stage_table",
+                        lambda *a: refines.append(a[3]) or build(*a))
+    monkeypatch.setattr(c, "M_at",
+                        lambda x: M_points.append(len(x)) or M_at(x))
+    lifted = lift_homotopy(c, H, x0)
+    assert refines == ([1] if case == "interval" else [1, 2])
+    assert M_points == [len(H.t_grid)] * len(H.s_grid)
+    for field in ("x", "eta", "beta"):
+        assert (getattr(lifted, field).tobytes()
+                == getattr(reference, field).tobytes())
+    # beta is transported by the M of each lifted slice's samples
+    for l in range(len(H.s_grid)):
+        beta = matvec(M_at(lifted.x[:, l]), H.beta[:, l])
+        assert lifted.beta[:, l].tobytes() == beta.tobytes()
+
+
+def test_a_stack_of_start_points_lifts_from_one_table(monkeypatch):
+    fc = vertical_connection(["x3", "0"])
+    g = APath(fc.target, np.linspace(0.0, 1.0, 201),
+              [[t, t * t] for t in np.linspace(0.0, 1.0, 201)],
+              [[1.0, 2.0 * t] for t in np.linspace(0.0, 1.0, 201)])
+    starts = [[0.0, 0.0, z] for z in (-1.0, 0.0, 2.5)]
+    alone = [lift_path(fc, g, x0) for x0 in starts]
+    builds = []
+    build = comorph.stage_table
+    monkeypatch.setattr(comorph, "stage_table",
+                        lambda *a: builds.append(1) or build(*a))
+    lifts = lift_path(fc, g, np.array(starts))
+    assert len(builds) == 1
+    assert len(lifts) == 3
+    for got, ref in zip(lifts, alone):
+        assert got.base.tobytes() == ref.base.tobytes()
+        assert got.eta.tobytes() == ref.eta.tobytes()
+        assert got.phi_projection_error == ref.phi_projection_error
+    assert len(lift_path(fc, g, np.empty((0, 3)))) == 0
+    with pytest.raises(LiftError, match="does not match"):
+        lift_path(fc, g, [[0.0, 0.0, 1.0], [0.5, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="3 coordinates"):
+        lift_path(fc, g, [0.0, 0.0])

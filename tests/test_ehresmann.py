@@ -407,19 +407,16 @@ def test_holonomy_sweep_rows_and_csv():
 def test_holonomy_sweep_builds_one_fiber_table(monkeypatch):
     conn = ExampleConnection(1.0 / 3.0)
     h_values = [-0.55, -0.2, 0.1, 0.3]
-    cold = []
-    for h in h_values:
-        monkeypatch.setattr(comorph, "_LAST_TABLE", {})
-        cold.append(holonomy_sweep(conn, [h], grid=300)[0])
+    alone = [holonomy_sweep(conn, [h], grid=300)[0] for h in h_values]
     builds = []
-    build = comorph._build_fiber_table
-    monkeypatch.setattr(comorph, "_build_fiber_table",
+    build = comorph.stage_table
+    monkeypatch.setattr(comorph, "stage_table",
                         lambda *a: builds.append(1) or build(*a))
-    monkeypatch.setattr(comorph, "_LAST_TABLE", {})
-    rows = holonomy_sweep(conn, h_values, grid=300)
-    assert len(builds) == 1
-    assert [r["holonomy_angle"] for r in rows] == [
-        r["holonomy_angle"] for r in cold]
+    for _ in range(2):
+        rows = holonomy_sweep(conn, h_values, grid=300)
+        assert rows == alone
+    assert len(builds) == 2
+    assert holonomy_sweep(conn, [], grid=300) == []
 
 
 def test_holonomy_sweep_reports_infinite_sheets():

@@ -89,6 +89,20 @@ def test_flow_rejects_bad_inputs():
         flow(vf, [1.0], (0.0, 1.0))                 # starts outside
 
 
+@pytest.mark.parametrize("step, bound", [
+    (math.nan, 1e8), (0.0, 1e8), (-1e-3, 1e8), (1e-3, math.nan),
+    (1e-3, 0.0), (1e-3, -math.inf)])
+def test_flow_refuses_a_step_or_bound_that_is_not_positive(step, bound):
+    with pytest.raises(FlowError, match="step and bound must be positive"):
+        flow(exp_field(), [1.0], (0.0, 1.0), step=step, bound=bound)
+
+
+def test_an_infinite_bound_is_no_bound():
+    traj = flow(exp_field(), [1.0], (0.0, 1.0), step=1e-2, bound=math.inf)
+    assert traj.completed
+    assert traj.endpoint[0] == pytest.approx(math.e, rel=1e-8)
+
+
 def test_flow_respects_norm_bound():
     traj = flow(exp_field(), [1.0], (0.0, 30.0), step=1e-2, bound=100.0)
     assert traj.status == "blowup"
