@@ -191,13 +191,17 @@ class AHomotopy:
 
     x has shape (Nt, Ns, n); eta and beta have shape (Nt, Ns, r). The
     structural requirements — beta vanishing at t = 0, 1 and base
-    endpoints constant in s — are enforced at construction.
+    endpoints constant in s — are enforced at construction, and an uneven
+    t or s grid raises ValueError (`numkernel.check_uniform_grid`): the
+    residuals difference with the first spacing.
     """
 
     def __init__(self, algebroid, t_grid, s_grid, x, eta, beta, tol=1e-9):
         self.algebroid = algebroid
         self.t_grid = np.asarray(t_grid, dtype=float)
         self.s_grid = np.asarray(s_grid, dtype=float)
+        check_uniform_grid(self.t_grid, "t")
+        check_uniform_grid(self.s_grid, "s")
         nt, ns = len(self.t_grid), len(self.s_grid)
         self.x = np.asarray(x, dtype=float).reshape(nt, ns, algebroid.n)
         self.eta = np.asarray(eta, dtype=float).reshape(nt, ns, algebroid.r)
@@ -256,8 +260,6 @@ def read_ahomotopy_csv(f, algebroid):
     nt, ns = len(t_grid), len(s_grid)
     if nt * ns != len(rows):
         raise ValueError("AHomotopy CSV is not a full grid")
-    check_uniform_grid(t_grid, "t")
-    check_uniform_grid(s_grid, "s")
     data = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
     x = data[:, 2:2 + n].reshape(nt, ns, n)
     eta = data[:, 2 + n:2 + n + r].reshape(nt, ns, r)
@@ -397,17 +399,18 @@ def log_derivative(gamma, basis, algebroid=None, span_tol=1e-6):
     B = np.stack([E.reshape(-1) for E in basis], axis=1)   # (m*m, r)
     B_pinv = np.linalg.pinv(B)
     dgam = _matrix_path_derivative(gam, h)
-    eta = np.empty((len(times), r))
-    defects = np.empty(len(times))
-    for k in range(len(times)):
-        try:
-            V = np.linalg.solve(gam[k], dgam[k])
-        except np.linalg.LinAlgError:
-            raise AlgebroidError(f"gamma(t_{k}) is singular") from None
-        v = V.reshape(-1)
-        eta[k] = B_pinv @ v
-        defects[k] = np.linalg.norm(v - B @ eta[k])
-    worst = float(np.max(defects))
+    # one stacked solve and projection, with the bits of one per sample
+    try:
+        v = np.linalg.solve(gam, dgam).reshape(len(times), -1)
+    except np.linalg.LinAlgError:
+        for k in range(len(times)):             # name the first singular
+            try:
+                np.linalg.solve(gam[k], dgam[k])
+            except np.linalg.LinAlgError:
+                raise AlgebroidError(f"gamma(t_{k}) is singular") from None
+        raise
+    eta = matvec(B_pinv, v)
+    worst = float(np.max(np.linalg.norm(v - matvec(B, eta), axis=1)))
     if not worst <= span_tol:
         raise AlgebroidError(
             f"logarithmic derivative leaves the basis span "

@@ -356,8 +356,9 @@ class Fun1(Expr):
         return f"{self.name}({self.a})"
 
     def _parts(self):
-        fn = "_estep" if self.name == "estep" else f"math.{self.name}"
-        return fn + "({0})", (self.a,)
+        if self.name == "estep":
+            return _ESTEP, (self.a,)
+        return f"math.{self.name}({{0}})", (self.a,)
 
     def _substitute(self, mapping):
         return fun(self.name, self.a._substitute(mapping))
@@ -439,12 +440,10 @@ def _paren(child, parent_prec, left):
 
 
 def _estep(t):
+    # at a subnormal t, -1.0 / t is -inf, not an error, and exp(-inf) is 0
     if t <= 0.0:
         return 0.0
-    try:
-        return math.exp(-1.0 / t)
-    except OverflowError:  # 1/t overflowed to inf for subnormal t
-        return 0.0
+    return math.exp(-1.0 / t)
 
 
 def as_expr(v):
@@ -758,7 +757,9 @@ class _Scope:
     """Values computed unconditionally at one level of a compiled function:
     its body, or the guarded arm of the gates that share one guard value
     inside a parent scope. A value of a scope is visible in its nested
-    scopes; `lines` is the block being written while the scope is open."""
+    scopes; `lines` is the block being written while the scope is open,
+    and `gate` locates its last gate block: (guard source, index of the
+    block's `else:` line, index after the block)."""
 
     def __init__(self, parent=None, indent="    "):
         self.parent = parent
@@ -767,6 +768,7 @@ class _Scope:
         self.seen = {}        # id(Expr) -> its value
         self.arms = {}        # guard value -> arm _Scope
         self.lines = []
+        self.gate = None
 
 
 class _Value:
@@ -786,9 +788,15 @@ class _Value:
         self.src = None
 
 
+# estep(z) written inline: {0} is z, {1} a name that holds it
+_ESTEP = "(0.0 if {0} <= 0.0 else math.exp(-1.0 / {1}))"
+
+
 def _const_src(v):
+    # a negative literal is parenthesised (-0.5 ** 2 would negate the
+    # power); any other stays bare, which is cheaper to compile
     if math.isfinite(v):
-        return f"({v!r})"
+        return f"({v!r})" if math.copysign(1.0, v) < 0 else repr(v)
     if v != v:
         return "_nan"
     return "_inf" if v > 0 else "(-_inf)"
@@ -804,7 +812,11 @@ class _Compiler:
     gate's scope and its arm is numbered in the scope of that guard's arms,
     so nothing is hoisted out of an arm and e stays unevaluated when
     g == 0. `src` then writes a value used more than once (and every gate)
-    to a temporary at its first use, and inlines the rest.
+    to a temporary at its first use, and inlines the rest. An estep names
+    an argument that is not a name with `:=` where it computes it, so that
+    it is tested and divided without a call. A gate block that directly
+    follows one with the same guard joins it: one test of the guard for
+    both, their values still computed in order.
     """
 
     def __init__(self, variables):
@@ -864,20 +876,34 @@ class _Compiler:
             return v.src
         scope = v.scope
         if v.arm is None:
-            text = v.template.format(*map(self.src, v.args))
+            args = list(map(self.src, v.args))
+            if v.template is _ESTEP:
+                z = args[0]
+                if z.isidentifier():
+                    args.append(z)
+                else:
+                    name = self.temp()
+                    args = [f"({name} := {z})", name]
+            text = v.template.format(*args)
             if v.uses < 2:
                 return text
             v.src = self.temp()
             scope.lines.append(f"{scope.indent}{v.src} = {text}")
             return v.src
         g = self.src(v.args[0])
-        v.arm.lines = []
+        v.arm.lines, v.arm.gate = [], None
         e = self.src(v.args[1])
         v.src = self.temp()
-        ind = scope.indent
-        scope.lines += [f"{ind}if {g} == 0.0:", f"{ind}    {v.src} = 0.0",
-                        f"{ind}else:", *v.arm.lines,
-                        f"{ind}    {v.src} = {g} * {e}"]
+        ind, lines, last = scope.indent, scope.lines, scope.gate
+        if last is not None and last[0] == g and last[2] == len(lines):
+            lines.insert(last[1], f"{ind}    {v.src} = 0.0")
+            at = last[1] + 1
+        else:
+            lines += [f"{ind}if {g} == 0.0:", f"{ind}    {v.src} = 0.0"]
+            at = len(lines)
+            lines.append(f"{ind}else:")
+        lines += [*v.arm.lines, f"{ind}    {v.src} = {g} * {e}"]
+        scope.gate = (g, at, len(lines))
         return v.src
 
     def temp(self):
@@ -885,14 +911,35 @@ class _Compiler:
         return f"_t{self.temps}"
 
 
+# the globals that compiled source reads
+SOURCE_GLOBALS = {"math": math, "_inf": math.inf, "_nan": math.nan}
 # __name__ attributes a warning raised in compiled code to this module
-_COMPILE_GLOBALS = {"math": math, "_estep": _estep, "_inf": math.inf,
-                    "_nan": math.nan, "__builtins__": {}, "__name__": __name__}
+_COMPILE_GLOBALS = {**SOURCE_GLOBALS, "__builtins__": {},
+                    "__name__": __name__}
+
+
+class Body:
+    """The straight-line source of a function compiled by `compile_exprs`,
+    kept on it as `fn.body`: its parameters are _v0 .. _v{params - 1};
+    `lines`, indented by four spaces, compute its temporaries _t1, _t2, ...
+    (the only names it assigns); `outs` are the sources of its return
+    values, in order. Besides those, the source reads only the names in
+    `SOURCE_GLOBALS`. `loops` holds the stepping loops `numkernel.flow`
+    writes around the body, so they live as long as the function."""
+
+    __slots__ = ("params", "lines", "outs", "loops")
+
+    def __init__(self, params, lines, outs):
+        self.params = params
+        self.lines = lines
+        self.outs = outs
+        self.loops = {}
 
 
 def compile_exprs(exprs, variables):
     """Compile a list of Exprs over the same variables into one callable
-    taking positional floats and returning a list of floats.
+    taking positional floats and returning a list of floats; its source
+    is kept on it as a `Body`, `fn.body`.
 
     The callable is straight-line code in which every repeated
     subexpression is computed once (see `_Compiler`); it returns the same
@@ -904,18 +951,22 @@ def compile_exprs(exprs, variables):
     for v in outs:
         if type(v) is _Value:
             v.uses += 1
-    ret = ", ".join(map(comp.src, outs))
+    outs = list(map(comp.src, outs))
+    ret = ", ".join(outs)
     params = ", ".join(map(comp.names.__getitem__, variables))
     if not body.lines:
         # without temporaries the body is one expression, and a lambda
         # compiles faster than a def
-        return eval(compile(f"lambda {params}: [{ret}]", "<expr>", "eval"),
-                    _COMPILE_GLOBALS)
-    src = "\n".join([f"def _f({params}):", *body.lines,
-                     f"    return [{ret}]", ""])
-    scope = {}
-    exec(compile(src, "<expr>", "exec"), _COMPILE_GLOBALS, scope)
-    return scope["_f"]
+        fn = eval(compile(f"lambda {params}: [{ret}]", "<expr>", "eval"),
+                  _COMPILE_GLOBALS)
+    else:
+        src = "\n".join([f"def _f({params}):", *body.lines,
+                         f"    return [{ret}]", ""])
+        scope = {}
+        exec(compile(src, "<expr>", "exec"), _COMPILE_GLOBALS, scope)
+        fn = scope["_f"]
+    fn.body = Body(len(variables), body.lines, outs)
+    return fn
 
 
 def evaluate(fn, x, shape):
@@ -954,8 +1005,8 @@ class Domain:
     `compile_exprs` does (fn is None when m is 0: all of R^n). Calling the
     domain tests a point: x -> bool. A point where a predicate cannot be
     evaluated (log of a negative number, a zero divisor) is outside, not
-    an error. `numkernel.flow` inlines the same test into its stepping
-    loop, calling fn directly.
+    an error. `numkernel.flow` writes the same test into its stepping
+    loop, with fn's kept body (or a call of fn) in it.
     """
 
     __slots__ = ("fn", "m")

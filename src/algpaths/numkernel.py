@@ -3,16 +3,16 @@ blowup and domain-exit detection.
 
 The single integration routine is `flow`; adaptive behaviour is obtained by
 the caller halving the step and rerunning (see `flow_endpoint_order`).
-Its stepping loop is generated as straight-line Python per key (state
-dimension n, number m of domain predicates, and whether the field is fed
-from a stage table), compiled on first use and kept in a dict
-(`_rk4_loop`). The state is held in scalar locals. Every stage is one
-direct call of the field's function with positional floats, and every
-step one direct call of the domain's compiled predicates, compared with
-0.0 inline; the order and the floats are those of a plain per-step loop.
-A `TabulatedField` takes its inputs other than the state from the rows
-of a table sampled at the stage times; a lift of a sampled path takes its
-fiber data so. A trajectory stops early in two ways:
+Its stepping loop is generated as straight-line Python for its field
+(`_rk4_source`) and compiled on first use. The state is held in scalar
+locals. A field compiled by `expr.compile_exprs` keeps its source body,
+and the loop is written around it: each stage runs the body inline, the
+domain's compiled predicates likewise after each step, and the loop is
+kept on the body, for as long as the field lives. Any other callable is
+called once per stage. The order and the floats are those of a plain
+per-step loop. A `TabulatedField` takes its inputs other than the state
+from the rows of a table sampled at the stage times; a lift of a sampled
+path takes its fiber data so. A trajectory stops early in two ways:
 
 * blowup(t*): the euclidean norm of the state exceeds `bound`, or a field
   evaluation produces a non-finite number or raises.
@@ -27,12 +27,13 @@ linearly or by the not-a-knot cubic spline (`not_a_knot_table`), for the
 fields driven by sampled paths: lifts and matrix-group developments.
 """
 
+import itertools
 import math
 import re
 
 import numpy as np
 
-from .expr import Domain, point
+from .expr import SOURCE_GLOBALS, Body, Domain, point
 
 
 class FlowError(Exception):
@@ -45,9 +46,10 @@ class VectorFieldTD:
     fn is called with positional floats, fn(t, x0, ..., x{n-1}), as a
     function compiled by `expr.compile_exprs` over ("t", *coords) is, and
     returns a sequence whose first n numbers are dx/dt; further values are
-    ignored (`apath.integrate_apath` appends the section's values). domain
-    is the `expr.Domain` that guards the open set; None means all of R^n.
-    `flow` calls fn and domain.fn directly from its stepping loop.
+    computed but not used (`apath.integrate_apath` appends the section's
+    values). domain is the `expr.Domain` that guards the open set; None
+    means all of R^n. `flow` writes the kept body of fn and of domain.fn
+    into its stepping loop, or calls them from it when they keep none.
     """
 
     table = None
@@ -162,35 +164,71 @@ def read_csv_rows(f, width):
     the first row without `width` cells (the header's count), then the
     first with a non-finite cell, found by one check over the table. It
     is also raised for a file without rows, and on reaching a row past
-    MAX_COUNT + 1."""
+    MAX_COUNT + 1.
+
+    numpy's loadtxt parses the rows, fed at most MAX_COUNT + 1 of them
+    (its own max_rows would allocate that many rows up front). When it
+    refuses a row, or the rows are not `width` cells wide, the rows read
+    so far and the rest of f are parsed again by `_parse_rows`, one
+    float() per cell, which names the first bad row or accepts what
+    float() accepts."""
+    trailer = ["completed", None]
+    rows, refused = [], []
+
+    def data_lines():
+        for line in f:
+            line = line.strip()
+            if line.startswith("#"):
+                m = _STATUS_RE.match(line)
+                if m:
+                    trailer[0] = m.group(1)
+                    if m.group(2) is not None:
+                        try:
+                            trailer[1] = float(m.group(2))
+                        except ValueError:
+                            refused.append(line)
+                            raise
+            elif line:
+                rows.append(line)
+                yield line
+
+    lines = data_lines()
+    first = next(lines, None)
+    if first is None:
+        raise ValueError("CSV has no data rows")
+    try:
+        table = np.loadtxt(
+            itertools.islice(itertools.chain([first], lines), MAX_COUNT + 1),
+            delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        if refused:                     # a t* that float() refuses
+            raise
+        table = None
+    if table is not None and next(lines, None) is not None:
+        raise ValueError(f"CSV has more than {MAX_COUNT + 1} data rows")
+    if table is None or table.shape[1] != width:
+        table = _parse_rows(itertools.chain(rows, lines), width)
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if len(bad):
+        raise ValueError(f"CSV row {bad[0] + 1} has a non-finite value: "
+                         f"{','.join(map(repr, table[bad[0]].tolist()))}")
+    return table, *trailer
+
+
+def _parse_rows(lines, width):
+    """The data lines as a table, each cell parsed by float(): ValueError
+    on reaching a row past MAX_COUNT + 1, then, once all are parsed, for
+    the first row without `width` cells."""
     rows = []
-    status, t_event = "completed", None
-    for line in f:
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            m = _STATUS_RE.match(line)
-            if m:
-                status = m.group(1)
-                if m.group(2) is not None:
-                    t_event = float(m.group(2))
-            continue
+    for line in lines:
         if len(rows) > MAX_COUNT:
             raise ValueError(f"CSV has more than {MAX_COUNT + 1} data rows")
         rows.append(list(map(float, line.split(","))))
-    if not rows:
-        raise ValueError("CSV has no data rows")
     for k, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"CSV row {k + 1} has {len(row)} cells, the "
                              f"header {width}: {','.join(map(repr, row))}")
-    table = np.array(rows)
-    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
-    if len(bad):
-        raise ValueError(f"CSV row {bad[0] + 1} has a non-finite value: "
-                         f"{','.join(map(repr, rows[bad[0]]))}")
-    return table, status, t_event
+    return np.array(rows)
 
 
 def check_uniform_grid(times, what="time", short_last=False):
@@ -240,44 +278,105 @@ def _bisect_exit(vf, t0, x0, t1, x1, resolution=1e-9):
     return hi
 
 
-def _rk4_source(n, m, tabulated):
-    """Source of the RK4 stepping loop for states of dimension n, m domain
-    predicates, and a field fed from a stage table or not.
+# a parameter or temporary of a kept body
+_BODY_NAME = re.compile(r"\b_[vt]\d+\b")
 
-    The state lives in the scalar locals x0..x{n-1}. Each stage calls the
-    field f with positional floats: f(t, x0, ...), or f(*row, x0, ...)
-    with the stage's row of the table when tabulated (step k reads rows
-    2k, 2k+1, 2k+1, 2k+2), and reads the first n values of its result.
-    The new state is tested by calling the domain's compiled predicates
-    dom(y0, ...) and comparing their m values with 0.0; with m = 0 no test
-    is written. The loop appends every accepted step to times and points
-    and returns None when all n_steps are taken. At the first step that
-    fails it returns (cause, t, x, t_next, v) with the last accepted time
-    and state: cause "stage" when a stage raised (v None) or k1 or the new
-    state is not finite (v is k1's first n values), "domain" when the new
-    state v is outside the domain, "bound" when its norm exceeds bound (v
-    None).
+
+def _kept_body(fn):
+    body = getattr(fn, "body", None)
+    return body if isinstance(body, Body) else None
+
+
+def _evaluation(fn, body, args, targets, tag):
+    """Source lines, at the loop's stage indent, that evaluate the
+    function named fn at the argument sources args and assign its first
+    len(targets) values to the names in targets.
+
+    Without a kept `expr.Body` that takes exactly these arguments and has
+    that many values, they call fn once and index its result. Otherwise
+    they are the body itself: a parameter the body reads is replaced by
+    its argument when that is a name, and is bound to its argument first
+    otherwise; temporaries get the suffix `_{tag}`; every value is
+    assigned in order, those past the targets to the throwaway local `_`,
+    so that the lines raise where the call would."""
+    ind = " " * 12
+    if (body is None or body.params != len(args)
+            or len(body.outs) < len(targets)):
+        return ([f"{ind}r = {fn}({', '.join(args)})"]
+                + [f"{ind}{o} = r[{i}]" for i, o in enumerate(targets)])
+    used = set(_BODY_NAME.findall("\n".join(body.lines + body.outs)))
+    names, lines = {}, []
+    for i, a in enumerate(args):
+        v = f"_v{i}"
+        if v not in used:
+            continue
+        if a.isidentifier():
+            names[v] = a
+        else:
+            names[v] = f"{v}_{tag}"
+            lines.append(f"{ind}{names[v]} = {a}")
+
+    def rename(src):
+        return _BODY_NAME.sub(lambda m: names.get(m[0], f"{m[0]}_{tag}"),
+                              src)
+
+    lines += [" " * 8 + rename(line) for line in body.lines]
+    outs = targets + ["_"] * (len(body.outs) - len(targets))
+    lines += [f"{ind}{o} = {rename(src)}" for o, src in zip(outs, body.outs)]
+    return lines
+
+
+def _rk4_source(n, width, field, m, dom):
+    """Source of the RK4 stepping loop for states of dimension n, a field
+    that takes the time (width None) or `width` values from each stage's
+    row of a table, and m domain predicates; field and dom are the kept
+    `expr.Body`s of the field's function and of the predicates, or None.
+
+    The state lives in the scalar locals x0..x{n-1}. Each stage evaluates
+    the field (see `_evaluation`) at the time, or at the stage's row of the
+    table, followed by the stage's state: step k reads rows 2k, 2k+1,
+    2k+1, 2k+2, unpacked before the stages. The new state y0.. is then
+    tested with the domain's predicates, each compared with 0.0; with m = 0
+    no test is written. The loop appends every accepted step to times and
+    points and returns None when all n_steps are taken. At the first step
+    that fails it returns (cause, t, x, t_next, v) with the last accepted
+    time and state: cause "stage" when a stage raised (v None) or k1 or the
+    new state is not finite (v is k1's first n values), "domain" when the
+    new state v is outside the domain, "bound" when its norm exceeds bound
+    (v None).
     """
     idx = range(n)
 
-    def each(fmt, sep=", "):
-        return sep.join(fmt.format(i=i) for i in idx)
+    def seq(fmt):
+        return [fmt.format(i=i) for i in idx]
 
-    def stage(out, t, row, state):
-        args = f"*{row}, {state}" if tabulated else f"{t}, {state}"
-        return (f"            r = f({args})\n"
-                + each(f"            {out}{{i}} = r[{{i}}]", "\n"))
+    def each(fmt, sep=", "):
+        return sep.join(seq(fmt))
+
+    if width is None:
+        fetch = ""
+        inputs = [["t"], ["th"], ["th"], ["t + h"]]
+    else:
+        rows = [[f"q{r}_{i}" for i in range(width)] for r in range(3)]
+        fetch = "        j = 2 * k\n" + "".join(
+            f"        {', '.join(row)}, = table[{at}]\n"
+            for row, at in zip(rows, ["j", "j + 1", "j + 2"]) if width)
+        inputs = [rows[0], rows[1], rows[1], rows[2]]
+    stages = "\n".join(
+        line for tag, args, state in zip(
+            "abcd", inputs, ["x{i}", "x{i} + hh * a{i}", "x{i} + hh * b{i}",
+                             "x{i} + h * c{i}"])
+        for line in _evaluation("f", field, args + seq(state),
+                                seq(tag + "{i}"), tag))
 
     x, y = each("x{i}"), each("y{i}")
-    # -INF < v < INF is math.isfinite(v) for floats and numpy scalars
+    # -_inf < v < _inf is math.isfinite(v) for floats and numpy scalars
     # alike, and comparing a nan raises no warning
-    finite = " and ".join(f"-INF < {v}{i} < INF" for v in "ay" for i in idx)
-    rows = ("        j = 2 * k\n"
-            "        r0, r1, r2 = table[j], table[j + 1], table[j + 2]\n"
-            if tabulated else "")
+    finite = " and ".join(f"-_inf < {v}{i} < _inf" for v in "ay" for i in idx)
     domain_test = "" if not m else f"""\
         try:
-            {", ".join(f"g{i}" for i in range(m))}, = dom({y})
+{chr(10).join(_evaluation("dom", dom, seq("y{i}"),
+                          [f"g{i}" for i in range(m)], "y"))}
         except EVAL_ERRORS:
             return "domain", t, [{x}], t_next, [{y}]
         if not ({" and ".join(f"g{i} > 0.0" for i in range(m))}):
@@ -294,12 +393,9 @@ def rk4_loop(f, dom, table, x, t_a, t_b, step, n_steps, bound, times,
         h = t_next - t
         hh = 0.5 * h
         th = t + hh
-{rows}\
+{fetch}\
         try:
-{stage("a", "t", "r0", x)}
-{stage("b", "th", "r1", each("x{i} + hh * a{i}"))}
-{stage("c", "th", "r1", each("x{i} + hh * b{i}"))}
-{stage("d", "t + h", "r2", each("x{i} + h * c{i}"))}
+{stages}
             h6 = h / 6.0
 {each("            y{i} = x{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})", chr(10))}
         except EVAL_ERRORS:
@@ -317,22 +413,25 @@ def rk4_loop(f, dom, table, x, t_a, t_b, step, n_steps, bound, times,
 """
 
 
-# (state dimension, domain predicates, tabulated) -> stepping loop
-_RK4_LOOPS = {}
-
-
-def _rk4_loop(n, m, tabulated):
-    """The stepping loop for one key, generated and compiled on first use
-    (see _rk4_source). Its scope's __name__ attributes a warning raised in
-    the loop to this module."""
-    key = (n, m, tabulated)
-    loop = _RK4_LOOPS.get(key)
+def _rk4_loop(vf, width):
+    """The stepping loop for vf and a table row width (None: untabulated),
+    generated and compiled on first use (see _rk4_source). A field whose
+    function keeps its `expr.Body` keeps the loop too, in `body.loops`;
+    for any other callable the loop is generated per flow. Its scope's
+    __name__ attributes a warning raised in the loop to this module."""
+    field, dom = _kept_body(vf.fn), vf.domain
+    dom_body = _kept_body(dom.fn)
+    key = (vf.n, width, dom.m, dom_body)
+    loops = {} if field is None else field.loops
+    loop = loops.get(key)
     if loop is None:
-        scope = {"INF": math.inf, "sqrt": math.sqrt,
+        scope = {**SOURCE_GLOBALS, "sqrt": math.sqrt,
                  "EVAL_ERRORS": _EVAL_ERRORS, "__name__": __name__}
-        exec(compile(_rk4_source(*key), f"<rk4 loop, key={key}>", "exec"),
-             scope)
-        loop = _RK4_LOOPS[key] = scope["rk4_loop"]
+        src = _rk4_source(vf.n, width, field, dom.m, dom_body)
+        exec(compile(src, "<rk4 loop>", "exec"), scope)
+        # popped, so that the loop and its scope are no reference cycle
+        # and go with the field
+        loop = loops[key] = scope.pop("rk4_loop")
     return loop
 
 
@@ -359,12 +458,12 @@ def flow(vf, x0, t_span, step=1e-3, bound=1e8):
     if table is not None and len(table) != 2 * n_steps + 1:
         raise FlowError(f"a flow of {n_steps} steps needs {2 * n_steps + 1} "
                         f"table rows, got {len(table)}")
-    dom = vf.domain
     times = [t_a]
     points = [list(x)]
-    failed = _rk4_loop(vf.n, dom.m, table is not None)(
-        vf.fn, dom.fn, table, x, t_a, t_b, step, n_steps, bound, times,
-        points)
+    width = None if table is None else len(table[0])
+    failed = _rk4_loop(vf, width)(
+        vf.fn, vf.domain.fn, table, x, t_a, t_b, step, n_steps, bound,
+        times, points)
     if failed is None:
         return Trajectory(times, points, "completed")
     cause, t, x, t_next, v = failed

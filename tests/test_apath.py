@@ -127,6 +127,17 @@ def test_homotopy_residual_detects_wrong_beta():
     assert res_x > 0.5
 
 
+@pytest.mark.parametrize("axis", ["t", "s"])
+def test_an_uneven_homotopy_grid_is_refused(axis):
+    # on t = u^2 the residuals would difference with the first spacing
+    # everywhere (res_eta read 308.6)
+    H = sine_homotopy(40, 40)
+    u = np.linspace(0.0, 1.0, 41)
+    grids = {"t": H.t_grid, "s": H.s_grid, axis: u ** 2}
+    with pytest.raises(ValueError, match=f"{axis} grid is not uniform"):
+        AHomotopy(H.algebroid, grids["t"], grids["s"], H.x, H.eta, H.beta)
+
+
 def test_homotopy_endpoints_enforced():
     A = make_tangent(1)
     with pytest.raises(AlgebroidError, match="beta"):
@@ -283,6 +294,14 @@ def test_log_derivative_span_defect_raises():
     times = np.linspace(0.0, 1.0, 101)
     mats = np.stack([np.diag([math.exp(t), 1.0]) for t in times])
     with pytest.raises(AlgebroidError, match="span"):
+        log_derivative(MatrixPath(times, mats), SO2_BASIS)
+
+
+def test_log_derivative_names_the_first_singular_sample():
+    times = np.linspace(0.0, 1.0, 101)
+    mats = np.stack([np.eye(2)] * 101)
+    mats[37] = mats[60] = np.zeros((2, 2))
+    with pytest.raises(AlgebroidError, match=r"gamma\(t_37\) is singular"):
         log_derivative(MatrixPath(times, mats), SO2_BASIS)
 
 

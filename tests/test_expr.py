@@ -8,6 +8,7 @@ from algpaths.algebroid import LieAlgebroid
 from algpaths.ehresmann import ExampleConnection, FlatConnection
 from algpaths.expr import (Const, DomainError, ParseError, SmoothMap, Var,
                            compile_exprs, parse, substitute)
+from algpaths.numkernel import VectorFieldTD, flow
 from algpaths.poisson import PoissonManifold
 
 XY = ["x", "y"]
@@ -298,13 +299,20 @@ def test_compilation_is_linear_in_the_expression_dag():
 
 
 def test_a_repeated_subexpression_is_evaluated_once(monkeypatch):
+    # estep is written inline, so count the exp calls of compiled code:
+    # each estep of a positive argument makes one
     calls = []
 
-    def counting_estep(t):
-        calls.append(t)
-        return ex._estep(t)
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
 
-    monkeypatch.setitem(ex._COMPILE_GLOBALS, "_estep", counting_estep)
+        @staticmethod
+        def exp(v):
+            calls.append(v)
+            return math.exp(v)
+
+    monkeypatch.setitem(ex._COMPILE_GLOBALS, "math", CountingMath())
     # the twisted cylinder's four gated coefficients all read nu(h), a
     # bump with two esteps
     fc = ExampleConnection(1.0 / 3.0)
@@ -312,12 +320,30 @@ def test_a_repeated_subexpression_is_evaluated_once(monkeypatch):
     values = fn(0.6, 0.8, 1.0, 0.0, 0.1)
     assert len(calls) == 2
     assert values == fc.M_at([0.6, 0.8, 1.0, 0.0, 0.1]).reshape(-1).tolist()
-    # equal subtrees parsed apart are separate objects, and still shared
+    # equal subtrees parsed apart are separate objects, and still shared:
+    # one exp for the estep, one for exp(estep(..))
     calls.clear()
     e = parse("estep(x + y) * 2 + exp(estep(x + y))", XY)
     assert compile_exprs([e, parse("estep(x + y)", XY)], XY)(0.5, 0.5) \
         == [e.eval({"x": 0.5, "y": 0.5}), math.exp(-1.0)]
-    assert len(calls) == 1
+    assert len(calls) == 2
+
+
+def test_estep_of_the_smallest_subnormal_is_zero():
+    # -1.0 / 5e-324 is -inf, not an error, and exp(-inf) is 0.0
+    e = parse("estep(x)", ["x"])
+    assert e.eval({"x": 5e-324}) == 0.0
+    assert compile_exprs([e], ["x"])(5e-324) == [0.0]
+    fn = compile_exprs([parse("estep(x1)", ["t", "x1"])], ["t", "x1"])
+    traj = flow(VectorFieldTD(1, fn), [5e-324], (0.0, 1.0), step=0.25)
+    assert traj.completed and traj.points.ravel().tolist() == [5e-324] * 5
+
+
+def test_estep_is_written_inline_and_a_shared_guard_tested_once():
+    fc = ExampleConnection(1.0 / 3.0)
+    lines = fc._lift_field.body.lines
+    assert not any("_estep" in line for line in lines)
+    assert sum(line.lstrip().startswith("if ") for line in lines) == 1
 
 
 def test_shared_gate_arms_stay_guarded():

@@ -1,6 +1,9 @@
+import copy
+import gc
 import io
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -182,9 +185,71 @@ def test_csv_row_count_is_capped_where_it_is_read(monkeypatch):
     assert len(served) == 102
 
 
+def _row_loop_reader(f, width):
+    """The former reader: one float() per cell, row by row; the oracle of
+    read_csv_rows, whose rows numpy's loadtxt parses."""
+    rows = []
+    status, t_event = "completed", None
+    for line in f:
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            m = numkernel._STATUS_RE.match(line)
+            if m:
+                status = m.group(1)
+                if m.group(2) is not None:
+                    t_event = float(m.group(2))
+            continue
+        if len(rows) > numkernel.MAX_COUNT:
+            raise ValueError(f"CSV has more than {numkernel.MAX_COUNT + 1} "
+                             f"data rows")
+        rows.append(list(map(float, line.split(","))))
+    if not rows:
+        raise ValueError("CSV has no data rows")
+    for k, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"CSV row {k + 1} has {len(row)} cells, the "
+                             f"header {width}: {','.join(map(repr, row))}")
+    table = np.array(rows)
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if len(bad):
+        raise ValueError(f"CSV row {bad[0] + 1} has a non-finite value: "
+                         f"{','.join(map(repr, rows[bad[0]]))}")
+    return table, status, t_event
+
+
+def _read_outcome(reader, text, width):
+    try:
+        table, status, t_event = reader(io.StringIO(text), width)
+    except ValueError as e:
+        return "raises", str(e)
+    return table.shape, table.tobytes(), status, repr(t_event)
+
+
+CSV_LINES = ["0.5,1.0", "-0.0,5e-324", " 1e16 , 2.5e-308 ", "0.1,0.2,0.3",
+             "7", "nan,1.0", "1.0,-inf", "1e400,0", "1_0,2", "abc,1",
+             "1.0,", "1.0,2.0 # note", "", "   ", "# a comment",
+             "# status=completed", "# status=blowup(t*=0.5)",
+             "# status=domain_exit(t*=x)", "#status=blowup"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(CSV_LINES), max_size=8),
+       st.sampled_from([1, 2, 3]), st.sampled_from(["\n", "\r\n"]))
+def test_csv_reader_matches_the_row_loop(lines, width, newline):
+    text = newline.join(lines) + newline
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numkernel, "MAX_COUNT", 4)      # so that caps are hit
+        assert (_read_outcome(read_csv_rows, text, width)
+                == _read_outcome(_row_loop_reader, text, width))
+
+
 # ---------------------------------------------------- kernel equivalence --
-# flow's stepping loop is generated per state dimension; the reference
-# below is the plain per-step RK4 loop it replaced, kept as the oracle.
+# flow's stepping loop is generated per field; the reference below is the
+# plain per-step RK4 loop it replaced, kept as the oracle. It calls the
+# field once per stage, with the time or, for a TabulatedField, with
+# rows 2k, 2k+1, 2k+1, 2k+2 of its table at step k.
 
 def _reference_flow(vf, x0, t_span, step=1e-3, bound=1e8):
     t_a, t_b, step = float(t_span[0]), float(t_span[1]), float(step)
@@ -200,15 +265,23 @@ def _reference_flow(vf, x0, t_span, step=1e-3, bound=1e8):
 
     n_steps = max(1, math.ceil((t_b - t_a) / step - 1e-12))
     times, points = [t_a], [list(x)]
-    f, t = vf.fn, t_a
+    t, table = t_a, vf.table
+
+    def f(k, row, t, *x):
+        if table is None:
+            return vf.fn(t, *x)
+        return vf.fn(*table[2 * k + row], *x)
+
     for k in range(n_steps):
         t_next = t_b if k == n_steps - 1 else t_a + (k + 1) * step
         h = t_next - t
         try:
-            k1 = f(t, *x)
-            k2 = f(t + 0.5 * h, *[xi + 0.5 * h * ki for xi, ki in zip(x, k1)])
-            k3 = f(t + 0.5 * h, *[xi + 0.5 * h * ki for xi, ki in zip(x, k2)])
-            k4 = f(t + h, *[xi + h * ki for xi, ki in zip(x, k3)])
+            k1 = f(k, 0, t, *x)
+            k2 = f(k, 1, t + 0.5 * h,
+                   *[xi + 0.5 * h * ki for xi, ki in zip(x, k1)])
+            k3 = f(k, 1, t + 0.5 * h,
+                   *[xi + 0.5 * h * ki for xi, ki in zip(x, k2)])
+            k4 = f(k, 2, t + h, *[xi + h * ki for xi, ki in zip(x, k3)])
             x_next = [xi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
                       for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
             stage_ok = finite(k1) and finite(x_next)
@@ -362,13 +435,19 @@ def test_numpy_array_field_matches_the_reference():
     assert traj.completed
 
 
-def test_loops_are_generated_once_per_dimension():
-    # one loop per (dimension, domain predicates, tabulated) key
-    make = linear_field([[0.0] * 7] * 7)
-    flow(make(), [0.0] * 7, (0.0, 0.1), step=0.05)
-    loop = numkernel._RK4_LOOPS[(7, 0, False)]
-    flow(make(), [1.0] * 7, (0.0, 0.1), step=0.05)
-    assert numkernel._RK4_LOOPS[(7, 0, False)] is loop
+def test_a_fused_loop_is_kept_on_its_compiled_field():
+    # the loop lives in the field's kept body, so it goes with the field
+    fn = ex.compile_exprs([ex.parse("x1 * x2", ["t", "x1", "x2"]),
+                           ex.Const(1.0)], ["t", "x1", "x2"])
+    flow(VectorFieldTD(2, fn), [0.0, 1.0], (0.0, 0.1), step=0.05)
+    (loop,) = fn.body.loops.values()
+    flow(VectorFieldTD(2, fn), [1.0, 1.0], (0.0, 0.1), step=0.05)
+    assert list(fn.body.loops.values()) == [loop]
+    gone = weakref.ref(loop)
+    del fn, loop
+    gc.collect()
+    assert gone() is None
+    assert not hasattr(numkernel, "_RK4_LOOPS")
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -386,6 +465,143 @@ def test_random_linear_fields_match_the_reference(n, data):
     domain = None if edge is None else Domain(lambda *x: [edge - x[0]], 1)
     make = linear_field(A, b, data.draw(st.booleans()), domain)
     assert_same_flow(make, x0, (t_a, t_a + span), step, bound)
+
+
+# ------------------------------------------------------------ fused loops --
+# A field compiled by expr.compile_exprs keeps its body, and flow writes
+# that body into its stepping loop, once per stage, with no call. Each
+# case runs the fused loop with a field that must not be called and
+# compares it bit for bit with the reference, which calls the field.
+
+def _uncalled(fn):
+    """A callable that carries fn's kept body and fails when called."""
+    def uncalled(*args):
+        raise AssertionError("a fused loop called its field")
+
+    uncalled.body = fn.body
+    return uncalled
+
+
+def assert_same_fused_flow(vf, x0, t_span, step, bound=1e8):
+    fused = copy.copy(vf)
+    fused.fn = _uncalled(vf.fn)
+    got = flow(fused, x0, t_span, step=step, bound=bound)
+    ref = _reference_flow(vf, x0, t_span, step=step, bound=bound)
+    assert got.times.tobytes() == ref.times.tobytes()
+    assert got.points.tobytes() == ref.points.tobytes()
+    assert (got.status, repr(got.t_event)) == (ref.status, repr(ref.t_event))
+    return got
+
+
+def compiled_field(sources, domain=(), coords=("x1",)):
+    names = ["t", *coords]
+    fn = ex.compile_exprs([ex.parse(s, names) for s in sources], names)
+    dom = ex.domain_predicate([ex.parse(s, list(coords)) for s in domain],
+                              list(coords))
+    return VectorFieldTD(len(coords), fn, dom)
+
+
+def test_fused_lift_of_the_twisted_cylinder_matches_the_reference():
+    from algpaths import comorph
+    from algpaths.ehresmann import ExampleConnection, circle_loop
+    conn = ExampleConnection(1.0 / 3.0)
+    loop = circle_loop(conn, grid=200)
+    m, table = comorph._fiber_table(loop.times, loop.eta, "cubic", 1)
+    # h = -0.7 and 0.55 lie outside the bump support, where the guard
+    # reads 0.0; the others inside it
+    for h in (-0.7, -0.2, 0.0, 0.3, 0.55):
+        vf = numkernel.TabulatedField(5, conn._lift_field, table.tolist(),
+                                      domain=conn.source.in_domain)
+        traj = assert_same_fused_flow(vf, [1.0, 0.0, 1.0, 0.0, h],
+                                      (0.0, 1.0), 1.0 / m)
+        assert traj.completed and len(traj.times) == m + 1
+
+
+def test_a_fused_extra_value_that_raises_stops_the_flow():
+    # integrate_apath's field: x' = -1, then the section's value log(x1),
+    # which raises once a stage reaches x1 <= 0
+    from algpaths.algebroid import make_tangent
+    A = make_tangent(1)
+    fn = A.anchored_field([ex.Const(-1.0)],
+                          extra=[ex.parse("log(x1)", ["x1"])])
+    traj = assert_same_fused_flow(A.flow_field(fn), [1.0], (0.0, 2.0), 0.1)
+    assert traj.status == "blowup" and traj.t_event == pytest.approx(1.0)
+
+
+def test_a_fused_domain_predicate_that_raises_reads_as_outside():
+    vf = compiled_field(["0 - 1"], ["log(x1) + 1000"])
+    counted = []
+
+    def pred(*x):
+        counted.append(1)
+        return fn(*x)
+
+    fn = vf.domain.fn
+    pred.body = fn.body
+    vf.domain = Domain(pred, 1)
+    traj = assert_same_fused_flow(vf, [1.0], (0.0, 2.0), 0.3)
+    assert traj.status == "domain_exit"
+    assert traj.t_event == pytest.approx(1.0, abs=1e-9)
+    # the steps test the kept body inline; only the start point and the
+    # bisection call the predicate
+    counted.clear()
+    assert flow(vf, [1.0], (0.0, 0.9), step=0.01).completed
+    assert len(counted) == 1
+
+
+@pytest.mark.parametrize("domain", [(), ("4 - x1",)])
+@pytest.mark.parametrize("field, bound", [("x1^2", 1e6),
+                                          ("x1 * x1 * x1 * x1", math.inf)])
+def test_fused_blowups_match_the_reference(field, bound, domain):
+    # x1^2 passes the bound; x1^4 without a bound overflows to inf, a
+    # stage that is not finite, or leaves x1 < 4 first
+    vf = compiled_field([field], domain)
+    traj = assert_same_fused_flow(vf, [1.0], (0.0, 2.0), 0.01, bound)
+    assert not traj.completed
+
+
+def _field_exprs(names):
+    """Random expressions over names: sums, products, quotients, esteps
+    and gates of the variables and small constants."""
+    leaves = st.one_of(st.sampled_from(names).map(ex.Var),
+                       st.sampled_from([-1.5, -0.5, 0.25, 1.0, 2.0])
+                       .map(ex.Const))
+
+    def grow(sub):
+        return st.one_of(
+            st.tuples(sub, sub).map(lambda ab: ex.add(*ab)),
+            st.tuples(sub, sub).map(lambda ab: ex.mul(*ab)),
+            st.tuples(sub, sub).map(lambda ab: ex.div(*ab)),
+            sub.map(lambda a: ex.fun("estep", a)),
+            st.tuples(sub, sub).map(lambda ge: ex.fun("gate", ex.fun(
+                "estep", ge[0]), ge[1])))
+
+    return st.recursive(leaves, grow, max_leaves=8)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.data())
+def test_random_fused_fields_match_the_reference(n, data):
+    coords = [f"x{i + 1}" for i in range(n)]
+    exprs = data.draw(st.lists(_field_exprs(["t", *coords]), min_size=n,
+                               max_size=n))
+    x0 = [data.draw(st.floats(-1.0, 1.0)) for _ in range(n)]
+    # the domain p(x) < p(x0) + 1/20, for p = ±x_i or a random p, when
+    # p(x0) is finite
+    axes = [ex.Var(v) for v in coords] + [ex.neg(ex.Var(v)) for v in coords]
+    p = data.draw(st.one_of(st.sampled_from(axes), _field_exprs(coords)))
+    try:
+        level = ex.compile_exprs([p], coords)(*x0)[0] + 0.05
+    except (ArithmeticError, ValueError):
+        level = math.nan
+    dom = ex.domain_predicate([ex.sub(ex.Const(level), p)], coords)
+    if not (data.draw(st.booleans()) and dom(x0)):
+        dom = None                  # (p(x0) + 1/20 may round to p(x0))
+    vf = VectorFieldTD(n, ex.compile_exprs(exprs, ["t", *coords]), dom)
+    span = data.draw(st.floats(0.01, 2.0))
+    step = data.draw(st.floats(0.01, 0.5))
+    bound = data.draw(st.sampled_from([1e8, 5.0]))
+    assert_same_fused_flow(vf, x0, (0.0, span), step, bound)
 
 
 # ------------------------------------------------ the generated loop's calls --
