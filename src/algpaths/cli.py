@@ -436,7 +436,8 @@ def cmd_lift_homotopy(args, ws):
                           "grid": [len(H.t_grid), len(H.s_grid)]},
                "residual_x": lifted.residuals[0],
                "residual_eta": lifted.residuals[1],
-               "endpoint_spread": lifted.endpoint_spread})
+               "endpoint_spread": lifted.endpoint_spread,
+               "endpoint_tol": lifted.endpoint_tol})
     return 0
 
 

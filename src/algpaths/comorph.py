@@ -286,8 +286,10 @@ def lift_homotopy(c, H, x0, interp="cubic", bound=1e8):
     to 1e-9 plus four times the lift's discretisation error (see
     _endpoint_error), which is only estimated when the spread exceeds
     1e-9; a larger drift (a lift through a connection that is not flat)
-    raises AlgebroidError. The lifted homotopy's residuals and endpoint
-    spread across s are attached to the result.
+    raises LiftError naming the two slices whose endpoints are farthest
+    apart. The lifted homotopy's residuals, its endpoint spread across s
+    and the tolerance applied to it (`endpoint_tol`) are attached to the
+    result.
     """
     B = c.target
     nt, ns = len(H.t_grid), len(H.s_grid)
@@ -295,24 +297,37 @@ def lift_homotopy(c, H, x0, interp="cubic", bound=1e8):
     etas = np.empty((nt, ns, c.source.r))
     betas = np.empty((nt, ns, c.source.r))
     slices = [APath(B, H.t_grid, H.x[:, l], H.eta[:, l]) for l in range(ns)]
+    s_vals = H.s_grid.tolist()          # plain floats, for messages
     _check_starts(c, [x0], H.x[0])
     m, table = _fiber_table(H.t_grid, H.eta, interp, 1)
     for l, g in enumerate(slices):
         traj = _lift_flow(c, g, x0, m, table[:, l].tolist(), bound)
         if not traj.completed:
             raise LiftError(
-                f"slice s={H.s_grid[l]!r} failed to lift: "
+                f"slice s={s_vals[l]!r} failed to lift: "
                 f"{traj.status_str()}")
         M = c.M_at(traj.points)
         xs[:, l] = traj.points
         etas[:, l] = matvec(M, H.eta[:, l])
         betas[:, l] = matvec(M, H.beta[:, l])
-    spread = float(np.max(np.ptp(xs[-1], axis=0)))
+    ends = xs[-1]
+    ranges = np.ptp(ends, axis=0)
+    spread = float(np.max(ranges))
     tol = 1e-9
     if spread > tol:
-        tol += 4.0 * _endpoint_error(c, H, slices, x0, xs[-1], interp, bound)
+        tol += 4.0 * _endpoint_error(c, H, slices, x0, ends, interp, bound)
+        if not spread <= tol:
+            # the spread is the widest range of one coordinate
+            k = int(np.argmax(ranges))
+            i, j = sorted([int(np.argmin(ends[:, k])),
+                           int(np.argmax(ends[:, k]))])
+            raise LiftError(
+                f"lifted endpoints drift across s: slices "
+                f"s={s_vals[i]!r} and s={s_vals[j]!r} end {spread:.3e} "
+                f"apart (> tolerance {tol:.3e})")
     out = AHomotopy(c.source, H.t_grid, H.s_grid, xs, etas, betas, tol=tol)
     out.endpoint_spread = spread
+    out.endpoint_tol = tol
     out.residuals = homotopy_residual(out)
     return out
 
@@ -328,7 +343,7 @@ def _endpoint_error(c, H, slices, x0, ends, interp, bound):
     """
     err = 0.0
     m, table = _fiber_table(H.t_grid, H.eta, interp, 2)
-    for l, (s, g, end) in enumerate(zip(H.s_grid, slices, ends)):
+    for l, (s, g, end) in enumerate(zip(H.s_grid.tolist(), slices, ends)):
         fine = _lift_flow(c, g, x0, m, table[:, l].tolist(), bound)
         if not fine.completed:
             raise LiftError(f"slice s={s!r} failed to lift at the refined "

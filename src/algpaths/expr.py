@@ -1,5 +1,6 @@
-"""Scalar expressions in named coordinates: parsing, evaluation, exact
-symbolic differentiation, and compilation to fast python callables.
+"""Scalar expressions in named coordinates: parsing, exact symbolic
+differentiation, and compilation to fast python callables, the one way an
+expression is evaluated (`compile_exprs`).
 
 The grammar is a conventional precedence-climbing calculator grammar over
 +, -, *, /, integer ^, unary minus, parentheses, numbers, named variables
@@ -19,6 +20,7 @@ so -x^2 parses as -(x^2). Everything is immutable after construction.
 
 import functools
 import math
+import re
 
 import numpy as np
 
@@ -35,10 +37,6 @@ class ParseError(ExprError):
         self.offset = offset
 
 
-class EvalError(ExprError):
-    pass
-
-
 class DomainError(ExprError):
     """A domain predicate failed at an evaluation point."""
 
@@ -51,36 +49,6 @@ class Expr:
     # printing precedences: Add/Sub 1, Neg 1.5, Mul/Div 2, Pow 4, atoms 5
     prec = 5
 
-    def __add__(self, other):
-        return add(self, as_expr(other))
-
-    def __radd__(self, other):
-        return add(as_expr(other), self)
-
-    def __sub__(self, other):
-        return sub(self, as_expr(other))
-
-    def __rsub__(self, other):
-        return sub(as_expr(other), self)
-
-    def __mul__(self, other):
-        return mul(self, as_expr(other))
-
-    def __rmul__(self, other):
-        return mul(as_expr(other), self)
-
-    def __truediv__(self, other):
-        return div(self, as_expr(other))
-
-    def __rtruediv__(self, other):
-        return div(as_expr(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, n):
-        return pow_(self, n)
-
     def __eq__(self, other):
         return type(self) is type(other) and self._key() == other._key()
 
@@ -91,9 +59,6 @@ class Expr:
         return f"{type(self).__name__}({str(self)!r})"
 
     def d(self, var):
-        raise NotImplementedError
-
-    def eval(self, env):
         raise NotImplementedError
 
     def variables(self):
@@ -127,12 +92,10 @@ class Const(Expr):
     def d(self, var):
         return Const(0.0)
 
-    def eval(self, env):
-        return self.value
-
     def __str__(self):
+        # -0.0 prints as its repr, so that it reads back with its sign
         if math.isfinite(self.value) and self.value == int(self.value) \
-                and abs(self.value) < 1e16:
+                and abs(self.value) < 1e16 and str(self.value) != "-0.0":
             return str(int(self.value))
         return repr(self.value)
 
@@ -154,12 +117,6 @@ class Var(Expr):
 
     def d(self, var):
         return Const(1.0 if self.name == var else 0.0)
-
-    def eval(self, env):
-        try:
-            return env[self.name]
-        except KeyError:
-            raise EvalError(f"unbound variable {self.name!r}") from None
 
     def __str__(self):
         return self.name
@@ -204,9 +161,6 @@ class Add(_Binary):
     def d(self, var):
         return add(self.a.d(var), self.b.d(var))
 
-    def eval(self, env):
-        return self.a.eval(env) + self.b.eval(env)
-
 
 class Sub(_Binary):
     __slots__ = ()
@@ -217,9 +171,6 @@ class Sub(_Binary):
     def d(self, var):
         return sub(self.a.d(var), self.b.d(var))
 
-    def eval(self, env):
-        return self.a.eval(env) - self.b.eval(env)
-
 
 class Mul(_Binary):
     __slots__ = ()
@@ -229,9 +180,6 @@ class Mul(_Binary):
 
     def d(self, var):
         return add(mul(self.a.d(var), self.b), mul(self.a, self.b.d(var)))
-
-    def eval(self, env):
-        return self.a.eval(env) * self.b.eval(env)
 
 
 class Div(_Binary):
@@ -244,12 +192,6 @@ class Div(_Binary):
         # (a/b)' = (a'b - ab')/b^2
         num = sub(mul(self.a.d(var), self.b), mul(self.a, self.b.d(var)))
         return div(num, pow_(self.b, 2))
-
-    def eval(self, env):
-        bv = self.b.eval(env)
-        if bv == 0.0:
-            raise EvalError("division by zero")
-        return self.a.eval(env) / bv
 
 
 class Neg(Expr):
@@ -264,9 +206,6 @@ class Neg(Expr):
 
     def d(self, var):
         return neg(self.a.d(var))
-
-    def eval(self, env):
-        return -self.a.eval(env)
 
     def __str__(self):
         return f"-{_paren(self.a, self.prec, left=False)}"
@@ -293,12 +232,6 @@ class Pow(Expr):
 
     def d(self, var):
         return mul(mul(Const(self.n), pow_(self.a, self.n - 1)), self.a.d(var))
-
-    def eval(self, env):
-        av = self.a.eval(env)
-        if self.n < 0 and av == 0.0:
-            raise EvalError("zero to a negative power")
-        return av ** self.n
 
     def __str__(self):
         base = _paren(self.a, self.prec, left=True)
@@ -343,15 +276,6 @@ class Fun1(Expr):
             return mul(Gate(Fun1("estep", u), div(Const(1.0), pow_(u, 2))), du)
         raise ExprError(f"no derivative rule for {self.name}")
 
-    def eval(self, env):
-        av = self.a.eval(env)
-        if self.name == "estep":
-            return _estep(av)
-        try:
-            return getattr(math, self.name)(av)
-        except ValueError as e:
-            raise EvalError(f"{self.name}({av}): {e}") from None
-
     def __str__(self):
         return f"{self.name}({self.a})"
 
@@ -380,9 +304,6 @@ class Atan2(Expr):
         num = sub(mul(y.d(var), x), mul(y, x.d(var)))
         return div(num, add(pow_(x, 2), pow_(y, 2)))
 
-    def eval(self, env):
-        return math.atan2(self.a.eval(env), self.b.eval(env))
-
     def __str__(self):
         return f"atan2({self.a}, {self.b})"
 
@@ -409,12 +330,6 @@ class Gate(Expr):
     def d(self, var):
         return add(Gate(self.g.d(var), self.e), Gate(self.g, self.e.d(var)))
 
-    def eval(self, env):
-        gv = self.g.eval(env)
-        if gv == 0.0:
-            return 0.0
-        return gv * self.e.eval(env)
-
     def __str__(self):
         return f"gate({self.g}, {self.e})"
 
@@ -437,13 +352,6 @@ def _paren(child, parent_prec, left):
     if left and cp == parent_prec:
         need = False
     return f"({s})" if need else s
-
-
-def _estep(t):
-    # at a subnormal t, -1.0 / t is -inf, not an error, and exp(-inf) is 0
-    if t <= 0.0:
-        return 0.0
-    return math.exp(-1.0 / t)
 
 
 def as_expr(v):
@@ -572,8 +480,11 @@ def fun(name, *args):
                    fun("estep", sub(Const(1.0), s)))
     (a,) = args
     if isinstance(a, Const):
+        z = a.value
         try:
-            v = _estep(a.value) if name == "estep" else getattr(math, name)(a.value)
+            # as compiled: -1.0 / z at a subnormal z is -inf, not an error
+            v = ((0.0 if z <= 0.0 else math.exp(-1.0 / z)) if name == "estep"
+                 else getattr(math, name)(z))
             if math.isfinite(v):
                 return Const(v)
         except (ValueError, OverflowError):
@@ -617,6 +528,8 @@ def _tokenize(source):
             try:
                 value = float(text)
             except ValueError:
+                value = math.nan
+            if not math.isfinite(value):    # 1.2.3, or 1e400: "inf" in str()
                 raise ParseError(f"bad number {text!r}", i)
             tokens.append(("num", value, i))
             i = j
@@ -918,14 +831,19 @@ _COMPILE_GLOBALS = {**SOURCE_GLOBALS, "__builtins__": {},
                     "__name__": __name__}
 
 
+# a parameter (_v0, _v1, ...) or a temporary (_t1, _t2, ...) of a body
+_BODY_NAME = re.compile(r"\b_[vt]\d+\b")
+
+
 class Body:
     """The straight-line source of a function compiled by `compile_exprs`,
-    kept on it as `fn.body`: its parameters are _v0 .. _v{params - 1};
-    `lines`, indented by four spaces, compute its temporaries _t1, _t2, ...
-    (the only names it assigns); `outs` are the sources of its return
-    values, in order. Besides those, the source reads only the names in
-    `SOURCE_GLOBALS`. `loops` holds the stepping loops `numkernel.flow`
-    writes around the body, so they live as long as the function."""
+    kept on it as `fn.body`: the function takes `params` arguments, its
+    `lines`, indented by four spaces, compute its temporaries, and `outs`
+    are the sources of its return values, in order; `inline` writes it
+    into other source. Besides its own names, the source reads only the
+    names in `SOURCE_GLOBALS`. `loops` holds the stepping loops
+    `numkernel.flow` writes around the body, so they live as long as the
+    function."""
 
     __slots__ = ("params", "lines", "outs", "loops")
 
@@ -935,6 +853,35 @@ class Body:
         self.outs = outs
         self.loops = {}
 
+    def inline(self, args, targets, tag, indent):
+        """Source lines at `indent` that compute the body at the argument
+        sources args and assign its values in order to the targets, those
+        past them to the throwaway `_`, so that the lines raise where a
+        call would. A parameter the body reads is replaced by its argument
+        when that is a name and bound to it first otherwise; the body's
+        other names get the suffix `_{tag}`."""
+        used = set(_BODY_NAME.findall("\n".join(self.lines + self.outs)))
+        names, lines = {}, []
+        for i, a in enumerate(args):
+            v = f"_v{i}"
+            if v not in used:
+                continue
+            if a.isidentifier():
+                names[v] = a
+            else:
+                names[v] = f"{v}_{tag}"
+                lines.append(f"{indent}{names[v]} = {a}")
+
+        def rename(src):
+            return _BODY_NAME.sub(lambda m: names.get(m[0], f"{m[0]}_{tag}"),
+                                  src)
+
+        lines += [indent + rename(line[4:]) for line in self.lines]
+        outs = targets + ["_"] * (len(self.outs) - len(targets))
+        lines += [f"{indent}{o} = {rename(src)}"
+                  for o, src in zip(outs, self.outs)]
+        return lines
+
 
 def compile_exprs(exprs, variables):
     """Compile a list of Exprs over the same variables into one callable
@@ -942,9 +889,9 @@ def compile_exprs(exprs, variables):
     is kept on it as a `Body`, `fn.body`.
 
     The callable is straight-line code in which every repeated
-    subexpression is computed once (see `_Compiler`); it returns the same
-    floats as `Expr.eval`, raising ArithmeticError or ValueError where
-    `eval` raises EvalError."""
+    subexpression is computed once (see `_Compiler`); where a node fails
+    (a zero divisor, log of a negative number, an overflow) it raises
+    ArithmeticError or ValueError."""
     comp = _Compiler(variables)
     body = _Scope()
     outs = [comp.value(e, body) for e in exprs]
@@ -1088,5 +1035,5 @@ __all__ = [
     "Fun1", "Atan2", "Gate", "parse", "substitute", "fun",
     "add", "sub", "mul", "dot", "div", "neg", "pow_", "as_expr", "point",
     "compile_exprs", "Domain", "domain_predicate", "SmoothMap",
-    "ExprError", "ParseError", "EvalError", "DomainError",
+    "ExprError", "ParseError", "DomainError",
 ]

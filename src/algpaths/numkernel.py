@@ -278,10 +278,6 @@ def _bisect_exit(vf, t0, x0, t1, x1, resolution=1e-9):
     return hi
 
 
-# a parameter or temporary of a kept body
-_BODY_NAME = re.compile(r"\b_[vt]\d+\b")
-
-
 def _kept_body(fn):
     body = getattr(fn, "body", None)
     return body if isinstance(body, Body) else None
@@ -290,40 +286,15 @@ def _kept_body(fn):
 def _evaluation(fn, body, args, targets, tag):
     """Source lines, at the loop's stage indent, that evaluate the
     function named fn at the argument sources args and assign its first
-    len(targets) values to the names in targets.
-
-    Without a kept `expr.Body` that takes exactly these arguments and has
-    that many values, they call fn once and index its result. Otherwise
-    they are the body itself: a parameter the body reads is replaced by
-    its argument when that is a name, and is bound to its argument first
-    otherwise; temporaries get the suffix `_{tag}`; every value is
-    assigned in order, those past the targets to the throwaway local `_`,
-    so that the lines raise where the call would."""
+    len(targets) values to the names in targets: its kept `expr.Body`
+    inlined with the tag (see `Body.inline`) when it takes exactly these
+    arguments and has that many values, else one call of fn, indexed."""
     ind = " " * 12
     if (body is None or body.params != len(args)
             or len(body.outs) < len(targets)):
         return ([f"{ind}r = {fn}({', '.join(args)})"]
                 + [f"{ind}{o} = r[{i}]" for i, o in enumerate(targets)])
-    used = set(_BODY_NAME.findall("\n".join(body.lines + body.outs)))
-    names, lines = {}, []
-    for i, a in enumerate(args):
-        v = f"_v{i}"
-        if v not in used:
-            continue
-        if a.isidentifier():
-            names[v] = a
-        else:
-            names[v] = f"{v}_{tag}"
-            lines.append(f"{ind}{names[v]} = {a}")
-
-    def rename(src):
-        return _BODY_NAME.sub(lambda m: names.get(m[0], f"{m[0]}_{tag}"),
-                              src)
-
-    lines += [" " * 8 + rename(line) for line in body.lines]
-    outs = targets + ["_"] * (len(body.outs) - len(targets))
-    lines += [f"{ind}{o} = {rename(src)}" for o, src in zip(outs, body.outs)]
-    return lines
+    return body.inline(args, targets, tag, ind)
 
 
 def _rk4_source(n, width, field, m, dom):

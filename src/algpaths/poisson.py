@@ -12,6 +12,8 @@ particular the tangent lift below is antisymmetric by construction, entry
 by entry).
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from . import expr as ex
@@ -45,6 +47,12 @@ class PoissonManifold:
         ex.check_variables(list(self.pi.values()) + self.domain, self.coords,
                            PoissonError)
         self.in_domain = ex.domain_predicate(self.domain, self.coords)
+
+    @cached_property
+    def cotangent(self):
+        """The cotangent algebroid T*X (`make_cotangent_poisson`), built
+        once, so that the cotangent lifts of composable maps chain."""
+        return make_cotangent_poisson(self)
 
     def pi_matrix(self, x):
         """Pi(x) as an (n, n) array; (N, n, n) for a stack of N points."""
@@ -125,7 +133,8 @@ def poisson_map_residual(phi, PX, PY, samples):
 
 def cotangent_lift(phi, PX, PY, samples=None, tol=1e-8):
     """The comorphism T*X -> T*Y of a Poisson map: core phi, fiber
-    M(x) = Dphi(x)^T, over the cotangent algebroids of PX and PY.
+    M(x) = Dphi(x)^T, over the cotangent algebroids of PX and PY (their
+    `cotangent`, so that `comorph.compose` chains two lifts).
 
     Rejected (with the residual as witness) when phi fails the Poisson-map
     condition on the probe samples.
@@ -138,11 +147,9 @@ def cotangent_lift(phi, PX, PY, samples=None, tol=1e-8):
         raise PoissonError(
             f"phi is not a Poisson map (residual {res:.3e} > {tol:.1e} "
             f"on {len(samples)} samples)")
-    source = make_cotangent_poisson(PX)
-    target = make_cotangent_poisson(PY)
     M = [[phi.components[b].d(PX.coords[a]) for b in range(PY.dim)]
          for a in range(PX.dim)]
-    return Comorphism(source, target, list(phi.components), M)
+    return Comorphism(PX.cotangent, PY.cotangent, list(phi.components), M)
 
 
 def tangent_lift_bivector(P):

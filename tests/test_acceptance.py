@@ -357,12 +357,15 @@ def test_criterion_11_structure_integrity():
     worst_rel = 0.0
     for _ in range(100):
         e = random_expr(3)
-        point = {v: float(rng.uniform(-0.8, 0.8)) for v in variables}
-        for v in variables:
-            analytic = e.d(v).eval(point)
-            hi = dict(point, **{v: point[v] + h})
-            lo = dict(point, **{v: point[v] - h})
-            fd = (e.eval(hi) - e.eval(lo)) / (2.0 * h)
+        point = [float(rng.uniform(-0.8, 0.8)) for _ in variables]
+        # e and its partials, compiled as the library evaluates them
+        fn = ex.compile_exprs([e] + [e.d(v) for v in variables], variables)
+        for i in range(len(variables)):
+            analytic = fn(*point)[1 + i]
+            hi, lo = list(point), list(point)
+            hi[i] += h
+            lo[i] -= h
+            fd = (fn(*hi)[0] - fn(*lo)[0]) / (2.0 * h)
             rel = abs(analytic - fd) / max(1.0, abs(fd))
             worst_rel = max(worst_rel, rel)
 

@@ -39,6 +39,13 @@ def run_json(capsys, argv):
     return code, json.loads(capsys.readouterr().out)
 
 
+def values_at(sources, point):
+    """The printed expressions of a report over x1, x2, read back with
+    parse and compiled, at the point."""
+    xs = ["x1", "x2"]
+    return ex.compile_exprs([ex.parse(s, xs) for s in sources], xs)(*point)
+
+
 @pytest.fixture
 def plane_cfg(tmp_path):
     return write_config(tmp_path, {"algebroids": {"plane": PLANE}})
@@ -417,6 +424,10 @@ def test_lift_homotopy_cli(lift_cfg, tmp_path, capsys):
     assert payload["residual_x"] <= 1e-3
     assert payload["residual_eta"] <= 1e-2
     assert payload["endpoint_spread"] <= 1e-5
+    # the tolerance the spread was held to, 1e-9 plus four estimated
+    # discretisation errors when the spread exceeds 1e-9
+    assert 1e-9 <= payload["endpoint_tol"] and (
+        payload["endpoint_spread"] <= payload["endpoint_tol"])
 
 
 # ----------------------------------------------------------- bad CSV input
@@ -607,11 +618,9 @@ def test_compose_reports_composite(tmp_path, capsys):
     assert payload["anchor_compat_residual"] <= 1e-12
     d = payload["comorphism"]
     assert d["source"] == "plane" and d["target"] == "plane"
-    env = {"x1": 0.3, "x2": -0.2}
-    phi = [ex.parse(s, ["x1", "x2"]).eval(env) for s in d["phi"]]
+    phi = values_at(d["phi"], (0.3, -0.2))
     assert phi == pytest.approx([1.6, -0.4])
-    M = [[ex.parse(s, ["x1", "x2"]).eval(env) for s in row]
-         for row in d["M"]]
+    M = [values_at(row, (0.3, -0.2)) for row in d["M"]]
     assert M == [[0.5, 0.0], [0.0, 0.5]]
 
 
@@ -772,6 +781,20 @@ def test_a_nan_in_a_report_is_a_json_string(poisson_cfg, tmp_path, capsys):
     assert payload["energy_drift"] == "nan"
 
 
+def test_an_overflowing_number_literal_exits_2(poisson_cfg, tmp_path,
+                                               capsys):
+    # 1e400 would read as an infinite constant, which prints as "inf" and
+    # does not parse back; the report would echo "inf - inf + x1"
+    out = tmp_path / "t.csv"
+    code = run(["poisson", "flow", "--config", poisson_cfg, "--name", "plane",
+                "--f", "1e400 - 1e400 + x1", "--x0", "0.5,0", "--t1", "0.01",
+                "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "bad number '1e400' (at offset 0)" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_poisson_lift_comorphism(poisson_cfg, capsys):
     code, payload = run_json(capsys, [
         "poisson", "lift", "--config", poisson_cfg,
@@ -780,9 +803,7 @@ def test_poisson_lift_comorphism(poisson_cfg, capsys):
     assert payload["anchor_compat_residual"] <= 1e-9
     d = payload["comorphism"]
     assert d["source"] == "T*plane" and d["target"] == "T*line0"
-    env = {"x1": 0.3, "x2": 0.4}
-    M = [[ex.parse(s, ["x1", "x2"]).eval(env) for s in row]
-         for row in d["M"]]
+    M = [values_at(row, (0.3, 0.4)) for row in d["M"]]
     assert M == [[1.0], [0.0]]
 
 
