@@ -19,6 +19,7 @@ so -x^2 parses as -(x^2). Everything is immutable after construction.
 """
 
 import functools
+import itertools
 import math
 import re
 
@@ -843,7 +844,7 @@ class Body:
     into other source. Besides its own names, the source reads only the
     names in `SOURCE_GLOBALS`. `loops` holds the stepping loops
     `numkernel.flow` writes around the body, so they live as long as the
-    function."""
+    function: while a caller holds it or `_function` keeps it cached."""
 
     __slots__ = ("params", "lines", "outs", "loops")
 
@@ -858,8 +859,9 @@ class Body:
         sources args and assign its values in order to the targets, those
         past them to the throwaway `_`, so that the lines raise where a
         call would. A parameter the body reads is replaced by its argument
-        when that is a name and bound to it first otherwise; the body's
-        other names get the suffix `_{tag}`."""
+        when that is a name and bound to `_v{i}_{tag}` first otherwise;
+        the temporaries keep their names, since the lines compute each
+        before they read it."""
         used = set(_BODY_NAME.findall("\n".join(self.lines + self.outs)))
         names, lines = {}, []
         for i, a in enumerate(args):
@@ -873,8 +875,7 @@ class Body:
                 lines.append(f"{indent}{names[v]} = {a}")
 
         def rename(src):
-            return _BODY_NAME.sub(lambda m: names.get(m[0], f"{m[0]}_{tag}"),
-                                  src)
+            return _BODY_NAME.sub(lambda m: names.get(m[0], m[0]), src)
 
         lines += [indent + rename(line[4:]) for line in self.lines]
         outs = targets + ["_"] * (len(self.outs) - len(targets))
@@ -891,42 +892,56 @@ def compile_exprs(exprs, variables):
     The callable is straight-line code in which every repeated
     subexpression is computed once (see `_Compiler`); where a node fails
     (a zero divisor, log of a negative number, an overflow) it raises
-    ArithmeticError or ValueError."""
+    ArithmeticError or ValueError. Its parameters are named by position,
+    so equal expressions over other variable names give the same source,
+    and the same source gives the same callable (see `_function`)."""
     comp = _Compiler(variables)
     body = _Scope()
     outs = [comp.value(e, body) for e in exprs]
     for v in outs:
         if type(v) is _Value:
             v.uses += 1
-    outs = list(map(comp.src, outs))
+    outs = tuple(map(comp.src, outs))       # writes the body's lines
+    return _function(len(variables), tuple(body.lines), outs)
+
+
+@functools.lru_cache(maxsize=128)
+def _function(params, lines, outs):
+    """The function of `params` positional parameters _v0.. whose lines
+    compute its temporaries and which returns the list of outs, with its
+    `Body`. It carries no state besides the loops kept on its body, which
+    depend only on the source too, so one function serves every caller
+    that compiles equal source."""
     ret = ", ".join(outs)
-    params = ", ".join(map(comp.names.__getitem__, variables))
-    if not body.lines:
+    params_src = ", ".join(map("_v{}".format, range(params)))
+    if not lines:
         # without temporaries the body is one expression, and a lambda
         # compiles faster than a def
-        fn = eval(compile(f"lambda {params}: [{ret}]", "<expr>", "eval"),
+        fn = eval(compile(f"lambda {params_src}: [{ret}]", "<expr>", "eval"),
                   _COMPILE_GLOBALS)
     else:
-        src = "\n".join([f"def _f({params}):", *body.lines,
+        src = "\n".join([f"def _f({params_src}):", *lines,
                          f"    return [{ret}]", ""])
         scope = {}
         exec(compile(src, "<expr>", "exec"), _COMPILE_GLOBALS, scope)
         fn = scope["_f"]
-    fn.body = Body(len(variables), body.lines, outs)
+    fn.body = Body(params, lines, outs)
     return fn
 
 
 def evaluate(fn, x, shape):
     """The values of a function compiled by `compile_exprs` at the point x,
     as an array of `shape`; at a stack of points x of shape (N, n), one
-    call per point, stacked to (N, *shape). The calls take plain floats:
-    numpy scalars would return inf or nan with a warning where a float
-    raises (a zero divisor, an overflowing power)."""
+    call per point, their values chained into one flat list and reshaped
+    to (N, *shape). ValueError when fn's value count is not the size of
+    shape. The calls take plain floats: numpy scalars would return inf or
+    nan with a warning where a float raises (a zero divisor, an
+    overflowing power)."""
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 1:
         return np.array(fn(*pts.tolist()), dtype=float).reshape(shape)
-    vals = [fn(*p) for p in pts.tolist()]
-    return np.array(vals, dtype=float).reshape(len(pts), *shape)
+    vals = itertools.chain.from_iterable(map(fn, *pts.T.tolist()))
+    return np.array(list(vals), dtype=float).reshape(len(pts), *shape)
 
 
 def fresh_names(names, taken):

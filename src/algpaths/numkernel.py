@@ -8,7 +8,8 @@ Its stepping loop is generated as straight-line Python for its field
 locals. A field compiled by `expr.compile_exprs` keeps its source body,
 and the loop is written around it: each stage runs the body inline, the
 domain's compiled predicates likewise after each step, and the loop is
-kept on the body, for as long as the field lives. Any other callable is
+kept on the body, for as long as the compiled function lives; equal
+sources share that function, and so their loops. Any other callable is
 called once per stage. The order and the floats are those of a plain
 per-step loop. A `TabulatedField` takes its inputs other than the state
 from the rows of a table sampled at the stage times; a lift of a sampled
@@ -308,8 +309,9 @@ def _rk4_source(n, width, field, m, dom):
     table, followed by the stage's state: step k reads rows 2k, 2k+1,
     2k+1, 2k+2, unpacked before the stages. The new state y0.. is then
     tested with the domain's predicates, each compared with 0.0; with m = 0
-    no test is written. The loop appends every accepted step to times and
-    points and returns None when all n_steps are taken. At the first step
+    no test is written. The loop appends every accepted step's time to
+    times and its state, flat, to the flat list points, and returns None
+    when all n_steps are taken. At the first step
     that fails it returns (cause, t, x, t_next, v) with the last accepted
     time and state: cause "stage" when a stage raised (v None) or k1 or the
     new state is not finite (v is k1's first n values), "domain" when the
@@ -379,7 +381,7 @@ def rk4_loop(f, dom, table, x, t_a, t_b, step, n_steps, bound, times,
         t = t_next
 {each("        x{i} = y{i}", chr(10))}
         times.append(t)
-        points.append([{y}])
+        points += {y},
     return None
 """
 
@@ -392,7 +394,10 @@ def _rk4_loop(vf, width):
     __name__ attributes a warning raised in the loop to this module."""
     field, dom = _kept_body(vf.fn), vf.domain
     dom_body = _kept_body(dom.fn)
-    key = (vf.n, width, dom.m, dom_body)
+    # the domain by its source, so that a domain compiled again (after
+    # expr evicted it) finds the loop it had
+    key = (vf.n, width, dom.m, dom_body and (
+        dom_body.params, dom_body.lines, dom_body.outs))
     loops = {} if field is None else field.loops
     loop = loops.get(key)
     if loop is None:
@@ -401,7 +406,7 @@ def _rk4_loop(vf, width):
         src = _rk4_source(vf.n, width, field, dom.m, dom_body)
         exec(compile(src, "<rk4 loop>", "exec"), scope)
         # popped, so that the loop and its scope are no reference cycle
-        # and go with the field
+        # and go with the field's function
         loop = loops[key] = scope.pop("rk4_loop")
     return loop
 
@@ -430,7 +435,8 @@ def flow(vf, x0, t_span, step=1e-3, bound=1e8):
         raise FlowError(f"a flow of {n_steps} steps needs {2 * n_steps + 1} "
                         f"table rows, got {len(table)}")
     times = [t_a]
-    points = [list(x)]
+    # the states flat, one after another; Trajectory reshapes them
+    points = list(x)
     width = None if table is None else len(table[0])
     failed = _rk4_loop(vf, width)(
         vf.fn, vf.domain.fn, table, x, t_a, t_b, step, n_steps, bound,

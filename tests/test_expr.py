@@ -1,6 +1,7 @@
 import math
 import operator
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -423,3 +424,28 @@ def test_non_finite_constants_compile():
                        ["x"])
     a, b, c = fn(0.0)
     assert a == math.inf and b == -math.inf and math.isnan(c)
+
+
+def test_evaluate_stacks_the_values_of_each_point():
+    fn = compile_exprs([parse(s, XY) for s in ("x + y", "x * y", "-x", "y")],
+                       XY)
+    pts = [[1.0, 2.0], [0.5, -3.0], [0.0, 0.25]]
+    got = ex.evaluate(fn, pts, (2, 2))
+    assert got.shape == (3, 2, 2)
+    assert got.reshape(3, 4).tolist() == [fn(*p) for p in pts]
+    assert ex.evaluate(fn, pts[1], (2, 2)).tolist() == [[-2.5, -1.5],
+                                                       [-0.5, -3.0]]
+    assert ex.evaluate(fn, [[1.0, 2.0]], (4,)).shape == (1, 4)
+    assert ex.evaluate(fn, [[1.0, 2.0]] * 4, (4, 1)).shape == (4, 4, 1)
+    for shape in ((4,), (2, 2)):
+        empty = ex.evaluate(fn, np.empty((0, 2)), shape)
+        assert empty.shape == (0, *shape) and empty.dtype == float
+
+
+@pytest.mark.parametrize("shape", [(3,), (5,), (2, 3), ()])
+def test_evaluate_refuses_a_shape_of_another_size(shape):
+    fn = compile_exprs([parse(s, XY) for s in ("x", "y", "x + y", "x * y")],
+                       XY)
+    for pts in ([1.0, 2.0], [[1.0, 2.0]], [[1.0, 2.0]] * 3):
+        with pytest.raises(ValueError):
+            ex.evaluate(fn, pts, shape)

@@ -435,19 +435,78 @@ def test_numpy_array_field_matches_the_reference():
     assert traj.completed
 
 
-def test_a_fused_loop_is_kept_on_its_compiled_field():
-    # the loop lives in the field's kept body, so it goes with the field
-    fn = ex.compile_exprs([ex.parse("x1 * x2", ["t", "x1", "x2"]),
-                           ex.Const(1.0)], ["t", "x1", "x2"])
+def _product_field():
+    names = ["t", "x1", "x2"]
+    return ex.compile_exprs([ex.parse("x1 * x2", names), ex.Const(1.0)],
+                            names)
+
+
+def _fused_loop(fn):
     flow(VectorFieldTD(2, fn), [0.0, 1.0], (0.0, 0.1), step=0.05)
     (loop,) = fn.body.loops.values()
-    flow(VectorFieldTD(2, fn), [1.0, 1.0], (0.0, 0.1), step=0.05)
-    assert list(fn.body.loops.values()) == [loop]
-    gone = weakref.ref(loop)
-    del fn, loop
+    return weakref.ref(loop)
+
+
+def test_a_fused_loop_is_kept_on_its_compiled_field():
+    # the loop lives in the kept body of the field's function, which lives
+    # while it is referenced or among the functions expr keeps cached
+    ex._function.cache_clear()
+    fn = _product_field()
+    loop = _fused_loop(fn)
+    flow(VectorFieldTD(2, _product_field()), [1.0, 1.0], (0.0, 0.1),
+         step=0.05)
+    assert _product_field() is fn
+    assert list(fn.body.loops.values()) == [loop()]
+    del fn
     gc.collect()
-    assert gone() is None
+    assert loop() is not None                      # cached
+    ex._function.cache_clear()
+    gc.collect()
+    assert loop() is None
+
+    # the cache keeps the 128 sources used last, and no more
+    assert ex._function.cache_info().maxsize == 128
+    loop = _fused_loop(_product_field())
+    for i in range(127):
+        ex.compile_exprs([ex.Const(float(i))], ["x1"])
+    gc.collect()
+    assert loop() is not None
+    ex.compile_exprs([ex.Const(127.0)], ["x1"])
+    gc.collect()
+    assert loop() is None
     assert not hasattr(numkernel, "_RK4_LOOPS")
+
+
+def test_equal_fields_over_other_names_share_one_fused_loop():
+    # parameters are named by position, so the names do not reach the source
+    assert (ex.compile_exprs([ex.parse("-x1 * x1", ["x1"])], ["x1"])
+            is ex.compile_exprs([ex.parse("-y * y", ["y"])], ["y"]))
+    fns = [ex.compile_exprs([ex.parse(f"-{x} * {x}", [t, x])], [t, x])
+           for t, x in (["t", "x1"], ["s", "y"])]
+    assert fns[0] is fns[1]
+    ends = [flow(VectorFieldTD(1, fn), [1.0], (0.0, 0.1), step=0.05).endpoint
+            for fn in fns]
+    assert len(fns[0].body.loops) == 1
+    assert ends[0].tobytes() == ends[1].tobytes()
+
+
+def test_a_domain_compiled_again_finds_its_fused_loop():
+    # a field held across a cache clear keeps one loop per domain source
+    vf = compiled_field(["1 + 0.5 * x1"], domain=["4 - x1"])
+    for _ in range(3):
+        ex._function.cache_clear()
+        vf.domain = ex.domain_predicate([ex.parse("4 - x1", ["x1"])], ["x1"])
+        assert flow(vf, [0.0], (0.0, 0.1), step=0.05).completed
+    assert len(vf.fn.body.loops) == 1
+
+
+def test_a_flow_that_fails_at_its_first_step_keeps_its_start_point():
+    for vf in (compiled_field(["1 / (x1 - 1)", "2 * x2"], coords=("x1", "x2")),
+               VectorFieldTD(2, lambda t, x1, x2: [1.0 / (x1 - 1.0), x2])):
+        traj = flow(vf, [1.0, 2.0], (0.0, 1.0), step=0.1)
+        assert traj.status == "blowup" and traj.t_event == 0.1
+        assert traj.points.shape == (1, 2) and traj.times.shape == (1,)
+        assert traj.endpoint.tolist() == [1.0, 2.0]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -279,6 +280,38 @@ def test_probe_compiles_each_route_field_once(monkeypatch):
         counts.append(len(compiled))
     # one Hamiltonian field and one fused comorphism field per function
     assert counts[1] - counts[0] == 2 * 2
+
+
+def _counting_compiles(monkeypatch):
+    """The source names of every compile() that expr and numkernel make."""
+    from algpaths import numkernel
+    names = []
+
+    def counting(source, name, *args, **kwargs):
+        names.append(name)
+        return compile(source, name, *args, **kwargs)
+
+    for module in (ex, numkernel):
+        monkeypatch.setattr(module, "compile", counting, raising=False)
+    return names
+
+
+def test_the_two_routes_share_their_fused_loops(monkeypatch):
+    # f o phi's Hamiltonian field and df's comorphism field are equal
+    # source, so each test function's two routes share one loop
+    ex._function.cache_clear()
+    names = _counting_compiles(monkeypatch)
+    P = so3_dual()
+    phi = SmoothMap.from_strings(P.coords, P.coords)
+    seeds = ((0.3, -0.2, 0.5),)
+    first = complete_map_probe(phi, P, P, seeds=seeds).to_json()
+    assert len(first["entries"]) == 4
+    assert names.count("<rk4 loop>") == 4
+    names.clear()
+    again = complete_map_probe(phi, P, P, seeds=seeds).to_json()
+    assert names == []
+    assert json.dumps(again) == json.dumps(first)
+    assert first["all_agree"]
 
 
 def test_probe_rejects_non_poisson_maps():
