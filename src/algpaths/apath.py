@@ -23,9 +23,8 @@ import numpy as np
 from . import expr as ex
 from .algebroid import AlgebroidError, make_lie_algebra, matvec
 from .expr import evaluate, point
-from .numkernel import (FlowOutcome, TabulatedField, VectorFieldTD,
-                        check_uniform_grid, flow, read_csv_rows, stage_table,
-                        write_csv_rows)
+from .numkernel import (FlowOutcome, TabulatedField, check_uniform_grid,
+                        flow, read_csv_rows, stage_table, write_csv_rows)
 
 
 class APath(FlowOutcome):
@@ -116,8 +115,8 @@ def integrate_apath(A, s, x0, grid_size=1000, bound=1e8):
     # one compiled function of (t, *x) gives rho(x) s(t, x), then s(t, x);
     # the flow reads the first n values
     fn = A.anchored_field(s.exprs, extra=s.exprs)
-    vf = VectorFieldTD(n, fn, domain=A.in_domain)
-    traj = flow(vf, x0, (0.0, 1.0), step=1.0 / grid_size, bound=bound)
+    traj = flow(A.flow_field(fn), x0, (0.0, 1.0), step=1.0 / grid_size,
+                bound=bound)
     tx = np.column_stack([traj.times, traj.points])
     eta = evaluate(fn, tx, (n + A.r,))[:, n:]
     return APath._from_flow(A, traj, eta)

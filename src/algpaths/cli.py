@@ -41,9 +41,9 @@ DEFAULTS = {"step": 1e-3, "bound": 1e8, "horizon": 10.0, "grid": 1000,
 SPOT_TOL = 1e-8          # load-time axiom spot-check tolerance
 SPOT_SAMPLES = 10
 
-# MAX_COUNT bounds --grid, --samples, --seeds, --bins and the --h-grid
-# count: each sizes an allocation or a loop, so an unbounded one is refused
-# up front.
+# MAX_COUNT bounds --grid, --samples, --seeds, --bins, the --h-grid count
+# and a flow's steps (--t1 or --horizon over --step): each sizes an
+# allocation or a loop, so an unbounded one is refused up front.
 
 
 class ConfigError(Exception):
@@ -363,6 +363,14 @@ def _read_csv(path, read, *args):
             raise ValueError(f"{path}: {e}") from None
 
 
+def _steps(span, name, step):
+    """Refuse a flow of more than MAX_COUNT steps of size step over the
+    span given as `name`: each step keeps a sample."""
+    if span / step > MAX_COUNT:
+        raise ValueError(f"{name} {span!r} over step {step!r} is more than "
+                         f"{MAX_COUNT} RK4 steps")
+
+
 def _pick(table, name, kind):
     if name is None:
         if len(table) == 1:
@@ -445,6 +453,7 @@ def cmd_completeness_probe(args, ws):
     name, c = _pick(ws.comorphisms, args.comorphism, "comorphisms")
     s = SectionTD(c.target, _expr_list(args.section,
                                        ["t"] + c.target.coords))
+    _steps(args.horizon, "horizon", args.step)
     seeds = args.x0 or sample_points(c.source, args.seeds,
                                      np.random.default_rng(args.seed))
     verdict = completeness_probe(c, s, args.horizon, args.bound, seeds,
@@ -589,6 +598,7 @@ def cmd_check_map(args, ws):
 def cmd_poisson_flow(args, ws):
     name, P = _pick(ws.poisson, args.name, "poisson manifolds")
     t1 = args.t1 if args.t1 is not None else args.horizon
+    _steps(t1, "horizon" if args.t1 is None else "t1", args.step)
     f = ex.parse(args.f, P.coords)
     vf = hamiltonian_vf(P, f)
     traj = flow(vf, args.x0, (0.0, t1), step=args.step, bound=args.bound)
@@ -620,6 +630,7 @@ def cmd_poisson_lift(args, ws):
 
 def cmd_poisson_probe(args, ws):
     PX, PY, phi, rng, head = _poisson_map(args, ws)
+    _steps(args.horizon, "horizon", args.step)
     seeds = args.x0 or sample_points(PX, args.seeds, rng)
     fs = _expr_list(args.f, PY.coords) if args.f else None
     map_samples = sample_points(PX, args.samples, rng)

@@ -968,7 +968,7 @@ class Domain:
     domain tests a point: x -> bool. A point where a predicate cannot be
     evaluated (log of a negative number, a zero divisor) is outside, not
     an error. `numkernel.flow` writes the same test into its stepping
-    loop, with fn's kept body (or a call of fn) in it.
+    loop, with fn's kept body in it, and refuses an fn that keeps none.
     """
 
     __slots__ = ("fn", "m")

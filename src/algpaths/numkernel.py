@@ -3,17 +3,14 @@ blowup and domain-exit detection.
 
 The single integration routine is `flow`; adaptive behaviour is obtained by
 the caller halving the step and rerunning (see `flow_endpoint_order`).
-Its stepping loop is generated as straight-line Python for its field
-(`_rk4_source`) and compiled on first use. The state is held in scalar
-locals. A field compiled by `expr.compile_exprs` keeps its source body,
-and the loop is written around it: each stage runs the body inline, the
-domain's compiled predicates likewise after each step, and the loop is
-kept on the body, for as long as the compiled function lives; equal
-sources share that function, and so their loops. Any other callable is
-called once per stage. The order and the floats are those of a plain
-per-step loop. A `TabulatedField` takes its inputs other than the state
-from the rows of a table sampled at the stage times; a lift of a sampled
-path takes its fiber data so. A trajectory stops early in two ways:
+Fields and domain predicates are functions compiled by
+`expr.compile_exprs`; the stepping loop (`_rk4_source`) is straight-line
+Python that runs their kept bodies inline, with no call, in each stage
+and in the domain test after each step, with scalar locals for the state
+and the floats of a plain per-step loop. It is kept on the field's body,
+so equal sources share one loop. A `TabulatedField`, such as the field of
+a lift of a sampled path, reads its inputs other than the state from a
+table sampled at the stage times. A trajectory stops early in two ways:
 
 * blowup(t*): the euclidean norm of the state exceeds `bound`, or a field
   evaluation produces a non-finite number or raises.
@@ -44,13 +41,12 @@ class FlowError(Exception):
 class VectorFieldTD:
     """Time-dependent field (t, x) -> dx/dt on an open subset of R^n.
 
-    fn is called with positional floats, fn(t, x0, ..., x{n-1}), as a
-    function compiled by `expr.compile_exprs` over ("t", *coords) is, and
-    returns a sequence whose first n numbers are dx/dt; further values are
-    computed but not used (`apath.integrate_apath` appends the section's
-    values). domain is the `expr.Domain` that guards the open set; None
-    means all of R^n. `flow` writes the kept body of fn and of domain.fn
-    into its stepping loop, or calls them from it when they keep none.
+    fn is a function compiled by `expr.compile_exprs` over ("t", *coords):
+    fn(t, x0, ..., x{n-1}) returns dx/dt as its first n values; further
+    values are computed but not used (`apath.integrate_apath` appends the
+    section's values). domain is the `expr.Domain` that guards the open
+    set; None means all of R^n. `flow` writes the kept bodies of fn and of
+    domain.fn into its stepping loop, and refuses functions without them.
     """
 
     table = None
@@ -258,9 +254,6 @@ def read_trajectory_csv(f):
     return Trajectory(rows[:, 0], rows[:, 1:], status, t_event)
 
 
-_EVAL_ERRORS = (ArithmeticError, ValueError)
-
-
 def _bisect_exit(vf, t0, x0, t1, x1, resolution=1e-9):
     """Bisect the linear segment (t0,x0)->(t1,x1) for the domain boundary.
 
@@ -279,44 +272,36 @@ def _bisect_exit(vf, t0, x0, t1, x1, resolution=1e-9):
     return hi
 
 
-def _kept_body(fn):
+def _compiled_body(fn, params, values, what):
+    """fn's `expr.Body`, kept by `expr.compile_exprs`, for the loop to inline:
+    TypeError unless it takes `params` arguments and has `values` or more."""
     body = getattr(fn, "body", None)
-    return body if isinstance(body, Body) else None
-
-
-def _evaluation(fn, body, args, targets, tag):
-    """Source lines, at the loop's stage indent, that evaluate the
-    function named fn at the argument sources args and assign its first
-    len(targets) values to the names in targets: its kept `expr.Body`
-    inlined with the tag (see `Body.inline`) when it takes exactly these
-    arguments and has that many values, else one call of fn, indexed."""
-    ind = " " * 12
-    if (body is None or body.params != len(args)
-            or len(body.outs) < len(targets)):
-        return ([f"{ind}r = {fn}({', '.join(args)})"]
-                + [f"{ind}{o} = r[{i}]" for i, o in enumerate(targets)])
-    return body.inline(args, targets, tag, ind)
+    if not (isinstance(body, Body) and body.params == params
+            and len(body.outs) >= values):
+        raise TypeError(f"{what} must be compiled by expr.compile_exprs "
+                        f"over {params} variables with at least {values} "
+                        f"values, got {fn!r}")
+    return body
 
 
 def _rk4_source(n, width, field, m, dom):
-    """Source of the RK4 stepping loop for states of dimension n, a field
-    that takes the time (width None) or `width` values from each stage's
-    row of a table, and m domain predicates; field and dom are the kept
-    `expr.Body`s of the field's function and of the predicates, or None.
+    """Source of the RK4 stepping loop for states of dimension n, the kept
+    `expr.Body` field of a field that takes the time (width None) or
+    `width` values from each stage's row of a table, and the body dom of
+    m domain predicates.
 
-    The state lives in the scalar locals x0..x{n-1}. Each stage evaluates
-    the field (see `_evaluation`) at the time, or at the stage's row of the
-    table, followed by the stage's state: step k reads rows 2k, 2k+1,
-    2k+1, 2k+2, unpacked before the stages. The new state y0.. is then
-    tested with the domain's predicates, each compared with 0.0; with m = 0
-    no test is written. The loop appends every accepted step's time to
-    times and its state, flat, to the flat list points, and returns None
-    when all n_steps are taken. At the first step
-    that fails it returns (cause, t, x, t_next, v) with the last accepted
-    time and state: cause "stage" when a stage raised (v None) or k1 or the
-    new state is not finite (v is k1's first n values), "domain" when the
-    new state v is outside the domain, "bound" when its norm exceeds bound
-    (v None).
+    The state lives in the scalar locals x0..x{n-1}. Each stage runs field
+    inline (`Body.inline`) at the time, or at the stage's row of the
+    table, and the stage's state: step k reads rows 2k, 2k+1, 2k+1, 2k+2,
+    unpacked before the stages. The new state y0.. is then tested with dom
+    inline, each predicate compared with 0.0 (no test when m is 0). The
+    loop appends every accepted step's time to times and its state, flat,
+    to the flat list points, and returns None when all n_steps are taken.
+    At the first step that fails it returns (cause, t, x, t_next, v) with
+    the last accepted time and state: cause "stage" when a stage raised (v
+    None) or k1 or the new state is not finite (v is k1's first n values),
+    "domain" when the new state v is outside the domain, "bound" when its
+    norm exceeds bound (v None).
     """
     idx = range(n)
 
@@ -339,8 +324,8 @@ def _rk4_source(n, width, field, m, dom):
         line for tag, args, state in zip(
             "abcd", inputs, ["x{i}", "x{i} + hh * a{i}", "x{i} + hh * b{i}",
                              "x{i} + h * c{i}"])
-        for line in _evaluation("f", field, args + seq(state),
-                                seq(tag + "{i}"), tag))
+        for line in field.inline(args + seq(state), seq(tag + "{i}"), tag,
+                                 " " * 12))
 
     x, y = each("x{i}"), each("y{i}")
     # -_inf < v < _inf is math.isfinite(v) for floats and numpy scalars
@@ -348,16 +333,15 @@ def _rk4_source(n, width, field, m, dom):
     finite = " and ".join(f"-_inf < {v}{i} < _inf" for v in "ay" for i in idx)
     domain_test = "" if not m else f"""\
         try:
-{chr(10).join(_evaluation("dom", dom, seq("y{i}"),
-                          [f"g{i}" for i in range(m)], "y"))}
+{chr(10).join(dom.inline(seq("y{i}"), [f"g{i}" for i in range(m)], "y",
+                         " " * 12))}
         except EVAL_ERRORS:
             return "domain", t, [{x}], t_next, [{y}]
         if not ({" and ".join(f"g{i} > 0.0" for i in range(m))}):
             return "domain", t, [{x}], t_next, [{y}]
 """
     return f"""\
-def rk4_loop(f, dom, table, x, t_a, t_b, step, n_steps, bound, times,
-             points):
+def rk4_loop(table, x, t_a, t_b, step, n_steps, bound, times, points):
     {x}, = x
     t = t_a
     last = n_steps - 1
@@ -388,26 +372,25 @@ def rk4_loop(f, dom, table, x, t_a, t_b, step, n_steps, bound, times,
 
 def _rk4_loop(vf, width):
     """The stepping loop for vf and a table row width (None: untabulated),
-    generated and compiled on first use (see _rk4_source). A field whose
-    function keeps its `expr.Body` keeps the loop too, in `body.loops`;
-    for any other callable the loop is generated per flow. Its scope's
-    __name__ attributes a warning raised in the loop to this module."""
-    field, dom = _kept_body(vf.fn), vf.domain
-    dom_body = _kept_body(dom.fn)
+    generated and compiled on first use (see _rk4_source) and kept in the
+    `body.loops` of the field's function. Its scope's __name__ attributes
+    a warning raised in the loop to this module."""
+    dom = vf.domain
+    field = _compiled_body(vf.fn, vf.n + (1 if width is None else width),
+                           vf.n, "the field")
+    dom_body = dom.m and _compiled_body(dom.fn, vf.n, dom.m, "the domain")
     # the domain by its source, so that a domain compiled again (after
     # expr evicted it) finds the loop it had
-    key = (vf.n, width, dom.m, dom_body and (
-        dom_body.params, dom_body.lines, dom_body.outs))
-    loops = {} if field is None else field.loops
-    loop = loops.get(key)
+    key = (vf.n, width, dom.m, dom_body and (dom_body.lines, dom_body.outs))
+    loop = field.loops.get(key)
     if loop is None:
-        scope = {**SOURCE_GLOBALS, "sqrt": math.sqrt,
-                 "EVAL_ERRORS": _EVAL_ERRORS, "__name__": __name__}
+        scope = {**SOURCE_GLOBALS, "sqrt": math.sqrt, "__name__": __name__,
+                 "EVAL_ERRORS": (ArithmeticError, ValueError)}
         src = _rk4_source(vf.n, width, field, dom.m, dom_body)
         exec(compile(src, "<rk4 loop>", "exec"), scope)
         # popped, so that the loop and its scope are no reference cycle
         # and go with the field's function
-        loop = loops[key] = scope.pop("rk4_loop")
+        loop = field.loops[key] = scope.pop("rk4_loop")
     return loop
 
 
@@ -426,21 +409,18 @@ def flow(vf, x0, t_span, step=1e-3, bound=1e8):
                         f"{vf.n}")
     if not _finite(x):
         raise FlowError("x0 is not finite")
-    if not vf.in_domain(x):
-        raise FlowError(f"x0 = {point(x)} is outside the field's domain")
-
     n_steps = max(1, math.ceil((t_b - t_a) / step - 1e-12))
     table = vf.table
     if table is not None and len(table) != 2 * n_steps + 1:
         raise FlowError(f"a flow of {n_steps} steps needs {2 * n_steps + 1} "
                         f"table rows, got {len(table)}")
+    loop = _rk4_loop(vf, None if table is None else len(table[0]))
+    if not vf.in_domain(x):
+        raise FlowError(f"x0 = {point(x)} is outside the field's domain")
     times = [t_a]
     # the states flat, one after another; Trajectory reshapes them
     points = list(x)
-    width = None if table is None else len(table[0])
-    failed = _rk4_loop(vf, width)(
-        vf.fn, vf.domain.fn, table, x, t_a, t_b, step, n_steps, bound,
-        times, points)
+    failed = loop(table, x, t_a, t_b, step, n_steps, bound, times, points)
     if failed is None:
         return Trajectory(times, points, "completed")
     cause, t, x, t_next, v = failed

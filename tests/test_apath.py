@@ -418,15 +418,16 @@ def test_integrate_apath_compiles_once(monkeypatch):
 
 
 def test_integrated_samples_are_tested_against_the_domain_once():
-    # the flow tests x0 and every sample it keeps; building the A-path
-    # from them tests none again
+    # the flow calls the predicate for x0 and tests every sample it keeps
+    # inline; building the A-path from them tests none again
     D = make_tangent(2, domain=[ex.parse("4 - x1^2 - x2^2", ["x1", "x2"])])
     pred, calls = D.in_domain.fn, []
     D.in_domain.fn = lambda *x: calls.append(1) or pred(*x)
+    D.in_domain.fn.body = pred.body
     g = integrate_apath(D, SectionTD.from_strings(D, ["x2", "-x1"]),
                         [1.0, 0.0], grid_size=50)
-    assert g.completed
-    assert len(calls) == len(g.times) == 51
+    assert g.completed and len(g.times) == 51
+    assert len(calls) == 1
 
 
 # CSV round trips must be exact for every finite float: negative zero,

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import algpaths.expr as ex
-from algpaths import numkernel
+from algpaths import cli, numkernel
 from algpaths.algebroid import make_tangent
 from algpaths.apath import AHomotopy
 from algpaths.cli import build_parser, run
@@ -761,6 +761,53 @@ def test_poisson_flow_energy_drift(poisson_cfg, tmp_path, capsys):
     assert payload["endpoint"] == pytest.approx([1.0, 0.0], abs=1e-6)
     assert payload["energy_drift"] <= 1e-6
     assert out.read_text().startswith("t,x1,x2\n")
+
+
+PFLOW = ["poisson", "flow", "--config", "{cfg}", "--name", "pplane", "--f",
+         "x1", "--x0", "0,0"]
+STEP_COUNTS = [
+    # 10^12 steps would allocate until memory runs out; 10^600 overflows
+    # the step count to inf
+    (PFLOW + ["--t1", "1e6", "--step", "1e-6"], {},
+     "t1 1000000.0 over step 1e-06"),
+    (PFLOW + ["--t1", "1e300", "--step", "1e-300"], {},
+     "t1 1e+300 over step 1e-300"),
+    # the span and the step from workspace defaults
+    (PFLOW, {"horizon": 2.0, "step": 1e-6}, "horizon 2.0 over step 1e-06"),
+    (PROBE + ["--horizon", "20"], {"step": 1e-5},
+     "horizon 20.0 over step 1e-05"),
+    (["poisson", "probe", "--config", "{cfg}", "--source", "pplane",
+      "--target", "pplane", "--map", "x1;x2", "--x0", "0,0"], {"step": 1e-7},
+     "horizon 10.0 over step 1e-07"),
+]
+
+
+@pytest.mark.parametrize("argv, defaults, message", STEP_COUNTS,
+                         ids=["t1", "t1-overflow", "defaults",
+                              "completeness-probe", "poisson-probe"])
+def test_a_flow_of_more_than_max_count_steps_exits_2(tmp_path, capsys, argv,
+                                                     defaults, message):
+    cfg = write_config(tmp_path, {
+        "defaults": defaults, "algebroids": {"plane": PLANE},
+        "comorphisms": {"id": {"source": "plane", "target": "plane",
+                               "phi": ["x1", "x2"], "M": IDENTITY_M}},
+        "poisson": {"pplane": {"dim": 2, "Pi": {"1,2": "1"}}}})
+    assert run([a.format(cfg=cfg) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"usage error: {message} is more than 1000000 "
+                            f"RK4 steps\n")
+
+
+def test_a_flow_of_max_count_steps_runs(poisson_cfg, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_COUNT", 100)
+    argv = ["poisson", "flow", "--config", poisson_cfg, "--name", "plane",
+            "--f", "x1", "--x0", "0,0", "--t1", "1"]
+    assert run(argv + ["--step", "0.01"]) == 0
+    # the header, 101 samples and the status trailer
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 101 + 1
+    assert run(argv + ["--step", "0.0099"]) == 2
+    assert "is more than 100 RK4 steps" in capsys.readouterr().err
 
 
 def _strict_json(text):

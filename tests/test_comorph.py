@@ -3,13 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algpaths import comorph, expr as ex
 from algpaths.algebroid import (AlgebroidError, LieAlgebroid, SectionTD,
                                 make_tangent, matvec, sample_points)
-from algpaths.apath import AHomotopy, APath, read_apath_csv
+from algpaths.apath import (AHomotopy, APath, concat, integrate_apath,
+                            read_apath_csv)
 from algpaths.ehresmann import FlatConnection
-from algpaths.numkernel import VectorFieldTD, flow
+from algpaths.numkernel import VectorFieldTD
+from test_numkernel import _reference_flow
 from algpaths.comorph import (Comorphism, LiftError, anchor_compat_residual,
                               completeness_probe, compose, first_escape,
                               identity_comorphism, lift_homotopy, lift_path,
@@ -277,14 +280,15 @@ def test_escaped_lift_csv_round_trip_keeps_its_witness():
 
 
 def test_lifted_samples_are_tested_against_the_domain_once():
-    # the flow tests x0 and every sample it keeps; building the lifted
-    # A-path from them tests none again
+    # the flow calls the predicate for x0 and tests every sample it keeps
+    # inline; building the lifted A-path from them tests none again
     A, B = disk(), make_tangent(2)
     pred, calls = A.in_domain.fn, []
     A.in_domain.fn = lambda *x: calls.append(1) or pred(*x)
+    A.in_domain.fn.body = pred.body
     lifted = lift_path(inclusion(A, B), circle_path(B, N=100), (0.5, 0.0))
-    assert lifted.completed
-    assert len(calls) == len(lifted.times) == 101
+    assert lifted.completed and len(lifted.times) == 101
+    assert len(calls) == 1
 
 
 def test_lift_uniqueness_on_a_completed_path():
@@ -306,9 +310,90 @@ def test_lift_uniqueness_on_an_escaping_path():
     assert rep.exit_spread <= 1e-6
 
 
+# ------------------------------------------------------ multiplicativity --
+# lift(concat(g1, g2)) = concat(lift g1, lift g2 from its endpoint), for a
+# submersion R^3 -> R^2, phi = (x1, x2), whose M has the rows (1, 0),
+# (0, 1) and (f, g): the lift moves x3 by f xi1 + g xi2. g2 is g1's flow
+# continued: the section at t + 1, from g1's target.
+#
+# The lifts differ by the interpolation of the fiber samples, O(h^4) for
+# the cubic spline. The step-halving run of
+# test_multiplicativity_error_is_fourth_order on its fixed draw gives
+# 2.2e-10, 1.3e-11 and 8.0e-13 at N = 50, 100 and 200: C h^4 with
+# C = 1.3e-3. The drawn fields move the base up to 3 times as fast (so
+# up to 3^4 times the fourth derivative along the path) and grow the
+# state by up to e^2 over the two paths; MULT_TOL is C h^4 at N = 100
+# scaled by both and by a margin of 10: 1.3e-3 * 81 * 7.4 * 1e-8 * 10.
+MULT_N = 100
+MULT_TOL = 1e-7
+
+
+def _submersion_lifts(sec, f, g, N, y0=(0.1, -0.2), z0=0.3):
+    """The lift of concat(g1, g2) through the submersion with fiber row
+    (f, g), and the lifts of g1 and of g2 after it; the section sec over
+    (t, x1, x2) integrates g1 from y0 on N steps."""
+    B, A = make_tangent(2), make_tangent(3)
+    X = ["x1", "x2", "x3"]
+    c = Comorphism(A, B, [ex.Var("x1"), ex.Var("x2")],
+                   [[1.0, 0.0], [0.0, 1.0], [ex.parse(f, X), ex.parse(g, X)]])
+    s1 = SectionTD.from_strings(B, sec)
+    later = {"t": ex.add(ex.Var("t"), ex.Const(1.0))}
+    s2 = SectionTD(B, [ex.substitute(e, later) for e in s1.exprs])
+    g1 = integrate_apath(B, s1, y0, grid_size=N)
+    g2 = integrate_apath(B, s2, g1.target, grid_size=N)
+    lifted = lift_path(c, concat(g1, g2), (*y0, z0))
+    L1 = lift_path(c, g1, (*y0, z0))
+    # phi(L1.target) is within the lift's projection error of g2.source,
+    # and a start point must map to within 1e-6 of it
+    L2 = lift_path(c, g2, (*g2.source, L1.target[2]))
+    assert lifted.completed and L1.completed and L2.completed
+    return lifted, L1, L2
+
+
+def _multiplicativity_error(*draw, N=MULT_N):
+    lifted, L1, L2 = _submersion_lifts(*draw, N)
+    return float(np.max(np.abs(
+        lifted.base - np.concatenate([L1.base, L2.base[1:]]))))
+
+
+def test_multiplicativity_error_is_fourth_order():
+    draw = (["1.2 * sin(x2 - t)", "0.8 + 0.5 * x1"], "cos(x2) * x3",
+            "0.5 * x1 - x3 * 0.4")
+    errs = [_multiplicativity_error(*draw, N=N) for N in (50, 100, 200)]
+    assert 0.0 < errs[2] < errs[1] < errs[0]
+    assert math.log2(errs[0] / errs[1]) > 3.5
+    assert math.log2(errs[1] / errs[2]) > 3.5
+    assert errs[1] < 1.3e-11 * 1.1
+
+
+unit = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def terms(draw, names, t=False):
+    """c0 + c1 * cos(x_i + c2 t) + c3 * x_j as source, over the names,
+    with coefficients up to 1 in size."""
+    c0, c1, c2, c3 = (draw(unit) for _ in range(4))
+    i, j = (draw(st.sampled_from(names)) for _ in range(2))
+    phase = f" + {c2!r} * t" if t else ""
+    return f"{c0!r} + {c1!r} * cos({i}{phase}) + {c3!r} * {j}"
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(terms(["x1", "x2"], t=True), min_size=2, max_size=2),
+       terms(["x1", "x2", "x3"]), terms(["x1", "x2", "x3"]))
+def test_the_lift_of_a_concatenation_is_the_concatenation_of_lifts(sec, f,
+                                                                    g):
+    lifted, L1, L2 = _submersion_lifts(sec, f, g, MULT_N)
+    both = np.concatenate([L1.base, L2.base[1:]])
+    assert np.max(np.abs(lifted.base - both)) <= MULT_TOL
+    assert np.max(np.abs(lifted.target - L2.target)) <= MULT_TOL
+
+
 def _rhs_closure_lift(c, g, x0, interp, refine, bound=1e8):
     """The former lift flow, kept as the oracle: a right-hand side closure
-    that rounds its stage time to a row of the fiber table."""
+    that rounds its stage time to a row of the fiber table, called once
+    per stage by the reference RK4 loop of test_numkernel."""
     m, table = comorph._fiber_table(g.times, g.eta, interp, refine)
     table = table.tolist()
     fn = c._lift_field
@@ -319,7 +404,7 @@ def _rhs_closure_lift(c, g, x0, interp, refine, bound=1e8):
         return fn(*table[round((t - t0) * scale)], *x)
 
     vf = VectorFieldTD(c.source.n, rhs, domain=c.source.in_domain)
-    return flow(vf, x0, (t0, t1), step=(t1 - t0) / m, bound=bound)
+    return _reference_flow(vf, x0, (t0, t1), step=(t1 - t0) / m, bound=bound)
 
 
 def blowup_setup():

@@ -1,7 +1,9 @@
+import ast
 import copy
 import gc
 import io
 import math
+import re
 import warnings
 import weakref
 
@@ -17,8 +19,16 @@ from algpaths.numkernel import (FlowError, Trajectory, VectorFieldTD, flow,
                                 read_trajectory_csv, write_csv_rows)
 
 
+def compiled_field(sources, domain=(), coords=("x1",)):
+    names = ["t", *coords]
+    fn = ex.compile_exprs([ex.parse(s, names) for s in sources], names)
+    dom = ex.domain_predicate([ex.parse(s, list(coords)) for s in domain],
+                              list(coords))
+    return VectorFieldTD(len(coords), fn, dom)
+
+
 def exp_field():
-    return VectorFieldTD(1, lambda t, x1: [x1])
+    return compiled_field(["x1"])
 
 
 def test_flow_exponential_accuracy():
@@ -34,7 +44,7 @@ def test_flow_is_fourth_order():
 
 
 def test_flow_endpoint_order_exact_field():
-    vf = VectorFieldTD(1, lambda t, x1: [2.0])    # RK4 integrates it exactly
+    vf = compiled_field(["2.0"])                  # RK4 integrates it exactly
     assert flow_endpoint_order(vf, [0.0], (0.0, 1.0), step=0.1) == "exact"
 
 
@@ -45,7 +55,7 @@ def test_reversed_time_span_rejected():
 
 
 def test_blowup_reports_grid_time_near_one_over_x0():
-    vf = VectorFieldTD(1, lambda t, x1: [x1 ** 2])
+    vf = compiled_field(["x1^2"])
     traj = flow(vf, [1.0], (0.0, 2.0), step=1e-3, bound=1e6)
     assert traj.status == "blowup"
     assert abs(traj.t_event - 1.0) <= 0.01         # within 1% of 1/x0
@@ -54,8 +64,7 @@ def test_blowup_reports_grid_time_near_one_over_x0():
 
 
 def test_domain_exit_is_bisected_to_nanoseconds():
-    vf = VectorFieldTD(1, lambda t, x1: [1.0],
-                       domain=Domain(lambda x1: [1.0 - x1], 1))
+    vf = compiled_field(["1.0"], domain=["1.0 - x1"])
     traj = flow(vf, [0.0], (0.0, 2.0), step=1e-3)
     assert traj.status == "domain_exit"
     assert traj.t_event == pytest.approx(1.0, abs=1e-8)
@@ -65,15 +74,14 @@ def test_domain_exit_is_bisected_to_nanoseconds():
 def test_stage_failure_becomes_domain_exit_when_domain_explains_it():
     # 1/(0.5 - x) from 0 reaches x = 0.5 at t = 1/8 ((0.5 - x)^2 = 1/4 - 2t);
     # the stage failure there is explained by the domain predicate
-    vf = VectorFieldTD(1, lambda t, x1: [1.0 / (0.5 - x1)],
-                       domain=Domain(lambda x1: [0.5 - x1], 1))
+    vf = compiled_field(["1.0 / (0.5 - x1)"], domain=["0.5 - x1"])
     traj = flow(vf, [0.0], (0.0, 1.0), step=1e-4)
     assert traj.status == "domain_exit"
     assert traj.t_event == pytest.approx(0.125, abs=1e-3)
 
 
 def test_stage_failure_without_domain_is_blowup():
-    vf = VectorFieldTD(1, lambda t, x1: [math.sqrt(0.25 - x1)])
+    vf = compiled_field(["sqrt(0.25 - x1)"])
     traj = flow(vf, [0.0], (0.0, 2.0), step=1e-3)
     assert traj.status == "blowup"
     assert traj.t_event is not None
@@ -86,8 +94,7 @@ def test_flow_rejects_bad_inputs():
         flow(exp_field(), [math.nan], (0.0, 1.0))
     with pytest.raises(FlowError):
         flow(exp_field(), [1.0, 2.0], (0.0, 1.0))   # dimension mismatch
-    vf = VectorFieldTD(1, lambda t, x1: [1.0],
-                       domain=Domain(lambda x1: [-x1], 1))
+    vf = compiled_field(["1.0"], domain=["-x1"])
     with pytest.raises(FlowError):
         flow(vf, [1.0], (0.0, 1.0))                 # starts outside
 
@@ -113,13 +120,13 @@ def test_flow_respects_norm_bound():
 
 
 def test_time_dependent_field():
-    vf = VectorFieldTD(1, lambda t, x1: [2.0 * t])
+    vf = compiled_field(["2.0 * t"])
     traj = flow(vf, [0.0], (0.0, 1.0), step=1e-3)
     assert traj.endpoint[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_csv_round_trip_exact():
-    vf = VectorFieldTD(2, lambda t, x1, x2: [x2, -x1])
+    vf = compiled_field(["x2", "-x1"], coords=("x1", "x2"))
     traj = flow(vf, [1.0, 0.0], (0.0, 1.0), step=0.01)
     buf = io.StringIO()
     traj.write_csv(buf)
@@ -131,7 +138,7 @@ def test_csv_round_trip_exact():
 
 
 def test_csv_round_trip_keeps_event_status():
-    vf = VectorFieldTD(1, lambda t, x1: [x1 ** 2])
+    vf = compiled_field(["x1^2"])
     traj = flow(vf, [1.0], (0.0, 2.0), step=1e-2, bound=1e6)
     buf = io.StringIO()
     traj.write_csv(buf)
@@ -145,7 +152,7 @@ def test_csv_round_trip_keeps_event_status():
 
 
 def test_csv_round_trip_keeps_a_short_last_step():
-    vf = VectorFieldTD(1, lambda t, x1: [1.0])
+    vf = compiled_field(["1.0"])
     traj = flow(vf, [0.0], (0.0, 0.25), step=0.1)     # steps .1 .1 .05
     buf = io.StringIO()
     traj.write_csv(buf)
@@ -246,10 +253,13 @@ def test_csv_reader_matches_the_row_loop(lines, width, newline):
 
 
 # ---------------------------------------------------- kernel equivalence --
-# flow's stepping loop is generated per field; the reference below is the
-# plain per-step RK4 loop it replaced, kept as the oracle. It calls the
-# field once per stage, with the time or, for a TabulatedField, with
-# rows 2k, 2k+1, 2k+1, 2k+2 of its table at step k.
+# flow's stepping loop is generated per field, with the field's compiled
+# body written into each stage; the reference below is the plain per-step
+# RK4 loop it replaced, kept as the oracle. It calls the field once per
+# stage, with the time or, for a TabulatedField, with rows 2k, 2k+1,
+# 2k+1, 2k+2 of its table at step k. Each case runs flow with a field
+# that fails when called (`_uncalled`) and compares it bit for bit with
+# the reference.
 
 def _reference_flow(vf, x0, t_span, step=1e-3, bound=1e8):
     t_a, t_b, step = float(t_span[0]), float(t_span[1]), float(step)
@@ -306,57 +316,42 @@ def _reference_flow(vf, x0, t_span, step=1e-3, bound=1e8):
     return Trajectory(times, points, "completed")
 
 
-class CountingField(VectorFieldTD):
-    """A field that counts its evaluations and those of its domain's
-    predicates, by wrapping both functions, and checks that each gets n
-    positional state values."""
+def _uncalled(fn):
+    """A callable that carries fn's kept body and fails when called."""
+    def uncalled(*args):
+        raise AssertionError("a fused loop called its field")
 
-    def __init__(self, n, fn, domain=None):
-        self.fn_calls = self.domain_calls = 0
-
-        def counted(t, *x):
-            assert len(x) == n
-            self.fn_calls += 1
-            return fn(t, *x)
-
-        if domain is not None:
-            pred = domain.fn
-
-            def counted_pred(*x):
-                assert len(x) == n
-                self.domain_calls += 1
-                return pred(*x)
-
-            domain = Domain(counted_pred, domain.m)
-        super().__init__(n, counted, domain)
+    uncalled.body = fn.body
+    return uncalled
 
 
-def assert_same_flow(make_field, x0, t_span, step, bound=1e8):
-    """flow and the reference give the same bits, and make the same
-    number of field evaluations and domain-predicate evaluations."""
-    got_vf, ref_vf = make_field(), make_field()
-    got = flow(got_vf, x0, t_span, step=step, bound=bound)
-    ref = _reference_flow(ref_vf, x0, t_span, step=step, bound=bound)
+def assert_same_fused_flow(vf, x0, t_span, step, bound=1e8):
+    """flow, run with a field that must not be called, and the reference,
+    which calls it once per stage, give the same bits."""
+    fused = copy.copy(vf)
+    fused.fn = _uncalled(vf.fn)
+    got = flow(fused, x0, t_span, step=step, bound=bound)
+    ref = _reference_flow(vf, x0, t_span, step=step, bound=bound)
     assert got.times.tobytes() == ref.times.tobytes()
     assert got.points.tobytes() == ref.points.tobytes()
     assert (got.status, repr(got.t_event)) == (ref.status, repr(ref.t_event))
-    assert got_vf.fn_calls == ref_vf.fn_calls > 0
-    assert got_vf.domain_calls == ref_vf.domain_calls
-    assert (got_vf.domain_calls > 0) == (got_vf.domain.m > 0)
     return got
 
 
-def linear_field(A, b=None, time_dependent=False, domain=None):
-    A = np.asarray(A, dtype=float).tolist()
-    b = [0.0] * len(A) if b is None else list(b)
+def linear_field(A, b=None, time_dependent=False, domain=()):
+    """x' = w (A x) + b, compiled, with w = cos(3 t) or 1, on the set
+    where the domain sources are positive."""
     n = len(A)
-
-    def fn(t, *x):
-        w = math.cos(3.0 * t) if time_dependent else 1.0
-        return [w * sum(a * v for a, v in zip(row, x)) + bi
-                for row, bi in zip(A, b)]
-
-    return lambda: CountingField(n, fn, domain)
+    coords = [f"x{i + 1}" for i in range(n)]
+    b = [0.0] * n if b is None else list(b)
+    w = (ex.fun("cos", ex.mul(ex.Const(3.0), ex.Var("t"))) if time_dependent
+         else ex.Const(1.0))
+    rows = [ex.add(ex.mul(w, ex.dot([ex.Const(a) for a in row],
+                                    [ex.Var(v) for v in coords])),
+                   ex.Const(bi))
+            for row, bi in zip(np.asarray(A, dtype=float).tolist(), b)]
+    dom = ex.domain_predicate([ex.parse(s, coords) for s in domain], coords)
+    return VectorFieldTD(n, ex.compile_exprs(rows, ["t", *coords]), dom)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -365,74 +360,61 @@ def test_flow_matches_the_reference_loop(n, time_dependent):
     rng = np.random.default_rng(n)
     A = rng.normal(size=(n, n))
     b = rng.normal(size=n)
-    make = linear_field(A, b, time_dependent)
-    traj = assert_same_flow(make, rng.normal(size=n), (0.0, 1.0), 0.01)
+    vf = linear_field(A, b, time_dependent)
+    traj = assert_same_fused_flow(vf, rng.normal(size=n), (0.0, 1.0), 0.01)
     assert traj.completed and len(traj.times) == 101
 
 
 def test_span_that_is_not_a_whole_number_of_steps():
-    make = linear_field([[0.0, 1.0], [-1.0, 0.0]], time_dependent=True)
-    traj = assert_same_flow(make, [1.0, 0.0], (0.25, 1.3), 0.1)
+    vf = linear_field([[0.0, 1.0], [-1.0, 0.0]], time_dependent=True)
+    traj = assert_same_fused_flow(vf, [1.0, 0.0], (0.25, 1.3), 0.1)
     assert traj.times[-1] == 1.3 and len(traj.times) == 12
 
 
 def test_norm_bound_matches_the_reference():
-    make = linear_field([[1.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 2.0]])
-    traj = assert_same_flow(make, [1.0, -1.0, 0.5], (0.0, 10.0), 0.01,
-                            bound=50.0)
+    vf = linear_field([[1.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 2.0]])
+    traj = assert_same_fused_flow(vf, [1.0, -1.0, 0.5], (0.0, 10.0), 0.01,
+                                  bound=50.0)
     assert traj.status == "blowup"
 
 
 def test_non_finite_stage_matches_the_reference():
-    def fn(t, x1, x2):
-        return [math.inf if x1 > 0.55 else 1.0, -x2]
-
-    traj = assert_same_flow(lambda: CountingField(2, fn), [0.0, 1.0],
-                            (0.0, 2.0), 0.1)
+    # past x1 = 0.55 the first value overflows to inf without raising;
+    # with no bound, only a value that is not finite stops the flow
+    vf = compiled_field(["1 + estep(x1 - 0.55) * 1e308 * 1e308", "-x2"],
+                        coords=("x1", "x2"))
+    traj = assert_same_fused_flow(vf, [0.0, 1.0], (0.0, 2.0), 0.1,
+                                  bound=math.inf)
     assert traj.status == "blowup"
+    assert traj.t_event == pytest.approx(0.6)
 
 
-@pytest.mark.parametrize("domain", [None, lambda x1: [0.5 - x1]])
+@pytest.mark.parametrize("domain", [(), ("0.5 - x1",)],
+                         ids=["None", "domain"])
 def test_raising_stage_matches_the_reference(domain):
-    # 1.0 / False raises ZeroDivisionError past x = 0.5; a stage that
-    # raises is a blowup even when the domain would explain it
-    def make():
-        return CountingField(1, lambda t, x1: [1.0 / (x1 < 0.5)],
-                             domain and Domain(domain, 1))
-
-    traj = assert_same_flow(make, [0.0], (0.0, 2.0), 0.07)
+    # sqrt raises ValueError past x1 = 0.5; a stage that raises is a
+    # blowup even when the domain would explain it
+    vf = compiled_field(["1 + sqrt(0.5 - x1)"], domain)
+    traj = assert_same_fused_flow(vf, [0.0], (0.0, 2.0), 0.07)
     assert traj.status == "blowup"
 
 
 def test_euler_predictor_domain_exit_matches_the_reference():
-    # k1 is finite, a later stage is not, and the Euler predictor leaves
-    # the domain x < 1: the step's failure is a domain exit
-    def make():
-        return CountingField(1, lambda t, x1: [1.0 if x1 < 1.0 else math.inf],
-                             Domain(lambda x1: [1.0 - x1], 1))
-
-    traj = assert_same_flow(make, [0.0], (0.0, 3.0), 0.3)
+    # k1 is finite, a later stage is not (it overflows past x1 = 1), and
+    # the Euler predictor leaves the domain x1 < 1: the step's failure is
+    # a domain exit
+    vf = compiled_field(["1 + estep(x1 - 1) * 1e308 * 1e308"], ["1 - x1"])
+    traj = assert_same_fused_flow(vf, [0.0], (0.0, 3.0), 0.3)
     assert traj.status == "domain_exit"
     assert traj.t_event == pytest.approx(1.0, abs=1e-8)
 
 
 def test_bisected_domain_exit_matches_the_reference():
-    make = linear_field([[0.0, -1.0], [1.0, 0.0]],
-                        domain=Domain(lambda x1, x2: [0.9 - x2], 1))
-    traj = assert_same_flow(make, [1.0, 0.0], (0.0, 3.0), 0.05)
+    vf = linear_field([[0.0, -1.0], [1.0, 0.0]], domain=["0.9 - x2"])
+    traj = assert_same_fused_flow(vf, [1.0, 0.0], (0.0, 3.0), 0.05)
     assert traj.status == "domain_exit"
     # the chord of the last step crosses within O(step^2) of the curve
     assert traj.t_event == pytest.approx(math.asin(0.9), abs=1e-3)
-
-
-def test_numpy_array_field_matches_the_reference():
-    A = np.array([[0.1, -1.0, 0.0], [1.0, 0.1, 0.3], [0.0, -0.3, -0.2]])
-
-    def make():
-        return CountingField(3, lambda t, *x: A @ np.asarray(x) + np.sin(t))
-
-    traj = assert_same_flow(make, [1.0, 0.5, -0.5], (0.0, 2.0), 0.01)
-    assert traj.completed
 
 
 def _product_field():
@@ -501,8 +483,11 @@ def test_a_domain_compiled_again_finds_its_fused_loop():
 
 
 def test_a_flow_that_fails_at_its_first_step_keeps_its_start_point():
+    names = ["xi", "x1", "x2"]
+    fn = ex.compile_exprs([ex.parse(s, names)
+                           for s in ("xi / (x1 - 1)", "2 * x2")], names)
     for vf in (compiled_field(["1 / (x1 - 1)", "2 * x2"], coords=("x1", "x2")),
-               VectorFieldTD(2, lambda t, x1, x2: [1.0 / (x1 - 1.0), x2])):
+               numkernel.TabulatedField(2, fn, [[1.0]] * 21)):
         traj = flow(vf, [1.0, 2.0], (0.0, 1.0), step=0.1)
         assert traj.status == "blowup" and traj.t_event == 0.1
         assert traj.points.shape == (1, 2) and traj.times.shape == (1,)
@@ -520,45 +505,12 @@ def test_random_linear_fields_match_the_reference(n, data):
     span = data.draw(st.floats(0.01, 2.0))
     step = data.draw(st.floats(0.005, 0.5))
     bound = data.draw(st.sampled_from([1e8, 5.0]))
-    edge = data.draw(st.sampled_from([None, 1.5]))
-    domain = None if edge is None else Domain(lambda *x: [edge - x[0]], 1)
-    make = linear_field(A, b, data.draw(st.booleans()), domain)
-    assert_same_flow(make, x0, (t_a, t_a + span), step, bound)
+    domain = data.draw(st.sampled_from([(), ("1.5 - x1",)]))
+    vf = linear_field(A, b, data.draw(st.booleans()), domain)
+    assert_same_fused_flow(vf, x0, (t_a, t_a + span), step, bound)
 
 
-# ------------------------------------------------------------ fused loops --
-# A field compiled by expr.compile_exprs keeps its body, and flow writes
-# that body into its stepping loop, once per stage, with no call. Each
-# case runs the fused loop with a field that must not be called and
-# compares it bit for bit with the reference, which calls the field.
-
-def _uncalled(fn):
-    """A callable that carries fn's kept body and fails when called."""
-    def uncalled(*args):
-        raise AssertionError("a fused loop called its field")
-
-    uncalled.body = fn.body
-    return uncalled
-
-
-def assert_same_fused_flow(vf, x0, t_span, step, bound=1e8):
-    fused = copy.copy(vf)
-    fused.fn = _uncalled(vf.fn)
-    got = flow(fused, x0, t_span, step=step, bound=bound)
-    ref = _reference_flow(vf, x0, t_span, step=step, bound=bound)
-    assert got.times.tobytes() == ref.times.tobytes()
-    assert got.points.tobytes() == ref.points.tobytes()
-    assert (got.status, repr(got.t_event)) == (ref.status, repr(ref.t_event))
-    return got
-
-
-def compiled_field(sources, domain=(), coords=("x1",)):
-    names = ["t", *coords]
-    fn = ex.compile_exprs([ex.parse(s, names) for s in sources], names)
-    dom = ex.domain_predicate([ex.parse(s, list(coords)) for s in domain],
-                              list(coords))
-    return VectorFieldTD(len(coords), fn, dom)
-
+# ----------------------------------------------------- fused library fields --
 
 def test_fused_lift_of_the_twisted_cylinder_matches_the_reference():
     from algpaths import comorph
@@ -665,25 +617,69 @@ def test_random_fused_fields_match_the_reference(n, data):
 
 # ------------------------------------------------ the generated loop's calls --
 
-def _counted(fn, calls):
-    def counted(*args):
-        calls.append(1)
-        return fn(*args)
-    return counted
-
-
-def test_each_step_makes_four_field_calls_and_one_domain_evaluation(
-        monkeypatch):
+def test_each_step_runs_the_field_four_times_and_the_domain_once():
     from algpaths.algebroid import make_tangent
     A = make_tangent(2, domain=[ex.parse("4 - x1^2 - x2^2", ["x1", "x2"])])
-    field, preds = [], []
     fn = A.anchored_field([ex.parse("0 - x2", ["x1", "x2"]), ex.Var("x1")])
-    monkeypatch.setattr(A.in_domain, "fn", _counted(A.in_domain.fn, preds))
-    traj = flow(A.flow_field(_counted(fn, field)), [1.0, 0.0], (0.0, 1.0),
-                step=0.01)
+    src = numkernel._rk4_source(2, None, fn.body, 1, A.in_domain.fn.body)
+    # the field's two values are assigned in each stage, the predicate's
+    # once after the step
+    lines = [line.strip() for line in src.splitlines()]
+    values = [line.split(" = ")[0] for line in lines
+              if re.fullmatch(r"[a-dg]\d+ = .*", line)]
+    assert values == ["a0", "a1", "b0", "b1", "c0", "c1", "d0", "d1", "g0"]
+    # and the loop calls neither
+    calls = {ast.unparse(node.func) for node in ast.walk(ast.parse(src))
+             if isinstance(node, ast.Call)}
+    assert calls == {"range", "sqrt", "times.append"}
+    assert src.startswith("def rk4_loop(table, x, t_a, t_b, step, n_steps, "
+                          "bound, times, points):")
+
+    preds = []
+    pred = A.in_domain.fn
+
+    def counted(*x):
+        preds.append(1)
+        return pred(*x)
+
+    counted.body = pred.body
+    vf = A.flow_field(_uncalled(fn))
+    vf.domain = Domain(counted, 1)
+    traj = flow(vf, [1.0, 0.0], (0.0, 1.0), step=0.01)
     assert traj.completed and len(traj.times) == 101
-    assert len(field) == 4 * 100
-    assert len(preds) == 100 + 1                    # x0 and every step
+    assert len(preds) == 1                          # x0's test only
+
+
+def _callable_fields():
+    """Fields that flow cannot inline: (field, the function it names)."""
+    fn = compiled_field(["1 - x1"]).fn
+    two = compiled_field(["x2", "x1"], coords=("x1", "x2")).fn
+    pred = ex.domain_predicate([ex.parse("1 - x1", ["x1"])], ["x1"])
+    return [
+        (VectorFieldTD(1, lambda t, x1: [1.0 - x1]), "the field"),
+        # refused before x0 is tested: x0 = 0 is outside this domain, and
+        # the error is TypeError, not FlowError
+        (VectorFieldTD(1, fn, Domain(lambda x1: [-1.0], 1)), "the domain"),
+        (VectorFieldTD(1, ex.compile_exprs([ex.Var("x1")], ["x1"])),
+         "the field"),                              # no time parameter
+        (VectorFieldTD(2, fn), "the field"),        # 2 parameters, not 3
+        (VectorFieldTD(2, ex.compile_exprs([ex.Var("x2")], ["t", "x1",
+                                                            "x2"])),
+         "the field"),                              # 1 value, not 2
+        (VectorFieldTD(1, fn, Domain(fn, 1)), "the domain"),
+        (VectorFieldTD(1, fn, Domain(pred.fn, 2)), "the domain"),
+        (numkernel.TabulatedField(2, two, [[1.0, 2.0]] * 21), "the field"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(8), ids=[
+    "lambda", "lambda-domain", "no-time", "parameters", "values",
+    "domain-parameters", "domain-values", "table-width"])
+def test_flow_refuses_a_field_it_cannot_inline(case):
+    vf, what = _callable_fields()[case]
+    with pytest.raises(TypeError, match=f"^{what} must be compiled by "
+                                        f"expr.compile_exprs"):
+        flow(vf, [0.0] * vf.n, (0.0, 1.0), step=0.1)
 
 
 @pytest.mark.parametrize("pred, step", [("1/x1", 0.25),
@@ -694,14 +690,9 @@ def test_a_raising_domain_predicate_reads_as_outside(pred, step):
     # outside, and t* is bisected as for the predicate x1, which raises
     # nowhere
     def exit_time(text):
-        dom = ex.domain_predicate([ex.parse(text, ["x1"])], ["x1"])
-        traj = flow(VectorFieldTD(1, lambda t, x1: [-1.0], dom), [1.0],
-                    (0.0, 2.0), step=step)
-        ref = _reference_flow(VectorFieldTD(1, lambda t, x1: [-1.0], dom),
-                              [1.0], (0.0, 2.0), step=step)
-        assert traj.points.tobytes() == ref.points.tobytes()
-        assert traj.status == ref.status == "domain_exit"
-        assert repr(traj.t_event) == repr(ref.t_event)
+        vf = compiled_field(["-1.0"], [text])
+        traj = assert_same_fused_flow(vf, [1.0], (0.0, 2.0), step)
+        assert traj.status == "domain_exit"
         return traj.t_event
 
     raising = ex.domain_predicate([ex.parse(pred, ["x1"])], ["x1"])
@@ -716,15 +707,22 @@ def test_a_domain_is_a_domain_object():
         VectorFieldTD(1, lambda t, x1: [1.0], domain=lambda x: True)
 
 
+def _table_field(table):
+    """x1' = xi, xi read from the one-column table."""
+    fn = ex.compile_exprs([ex.Var("xi")], ["xi", "x1"])
+    return numkernel.TabulatedField(1, fn, table)
+
+
 def test_a_tabulated_field_needs_two_rows_per_step_and_one():
-    vf = numkernel.TabulatedField(1, lambda xi, x1: [xi], [[1.0]] * 20)
+    vf = _table_field([[1.0]] * 20)
     with pytest.raises(FlowError, match="needs 21 table rows, got 20"):
         flow(vf, [0.0], (0.0, 1.0), step=0.1)
 
 
 def test_a_numpy_scalar_warning_in_the_loop_is_attributed_to_numkernel():
-    # a field that returns numpy scalars overflows in the loop's own sums
-    vf = VectorFieldTD(1, lambda t, x1: [np.float64(1e308)])
+    # a table that is an ndarray hands the stages numpy scalars, which
+    # overflow in the loop's own sums
+    vf = _table_field(np.full((5, 1), 1e308))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         warnings.filterwarnings("error", category=RuntimeWarning,
