@@ -8,14 +8,16 @@ stored as expression-valued structure functions
     domain predicates (expressions required strictly positive)
 
 The bracket is an `Antisymmetric` table, as is a Poisson bivector. Each
-structure function is compiled once and evaluated through `expr.evaluate`,
-at one point or at a stack of points, always with plain floats.
+structure function is an `expr.SmoothMap`, the anchor's of shape (n, r)
+and a table's of its full shape: it is compiled once and evaluated at one
+point or at a stack of points, always with plain floats, and its partials
+come last, [..., j] = d_j. Sample points are tested against the domain by
+its `expr.Domain.require`.
 
 The axioms are not assumed: `check_axioms` evaluates the anchor-morphism
 and Jacobi residuals at sample points, with all derivatives symbolic.
 """
 
-import itertools
 from functools import cached_property
 
 import numpy as np
@@ -45,7 +47,8 @@ class Antisymmetric(dict):
     index tuples, missing ones zero. An algebroid's bracket f^c_{ab} and a
     Poisson bivector Pi^{ij} are such tables. `kind`, such as
     (AlgebroidError, "bracket", "c,a,b"), gives the error to raise, the
-    table's name and its index letters, which 1-based are its JSON keys."""
+    table's name and its index letters, which 1-based are its JSON keys.
+    `map` is the full table as one `expr.SmoothMap`, built on first use."""
 
     def __init__(self, entries, size, coords, kind):
         super().__init__((tuple(k), ex.as_expr(e)) for k, e in entries.items())
@@ -59,7 +62,6 @@ class Antisymmetric(dict):
                 raise error(f"{name} keys need indices {letters} in "
                             f"0..{size - 1} with {a} < {b}, got {key} (the "
                             f"{b},{a} entry is implied by antisymmetry)")
-        self.keys_sorted = sorted(self)
 
     @staticmethod
     def parse(src, coords, kind):
@@ -81,39 +83,29 @@ class Antisymmetric(dict):
                 for key, e in sorted(self.items())}
 
     def expr(self, *key):
-        """The entry at any index tuple as an Expr (may be Const 0)."""
+        """The entry at any index tuple as an Expr: Const 0 on the
+        diagonal and where the table holds no entry."""
         *head, i, j = key
-        if i == j:
-            return ex.Const(0.0)
-        if i < j:
-            return self.get(key, ex.Const(0.0))
-        return ex.neg(self.get((*head, j, i), ex.Const(0.0)))
+        if i > j:
+            e = self.get((*head, j, i))
+            return ex.Const(0.0) if e is None else ex.neg(e)
+        return self.get(key, ex.Const(0.0))
 
     @cached_property
-    def _fn(self):
-        return ex.compile_exprs([self[k] for k in self.keys_sorted],
-                                self.coords)
-
-    @cached_property
-    def _dfn(self):
-        keys = list(itertools.product(range(self.shape[0]),
-                                      repeat=len(self.shape)))
-        return ex.compile_exprs([self.expr(*key).d(v) for v in self.coords
-                                 for key in keys], self.coords)
+    def map(self):
+        entries = [self.expr(*key) for key in np.ndindex(self.shape)]
+        return ex.SmoothMap(self.coords, np.array(
+            entries, dtype=object).reshape(self.shape))
 
     def at(self, x):
         """The full table at x, an array of `shape`; stacked at a stack."""
-        out = np.zeros(np.shape(x)[:-1] + self.shape)
-        if self.keys_sorted:
-            vals = ex.evaluate(self._fn, x, (len(self.keys_sorted),))
-            idx = tuple(np.array(self.keys_sorted).T)
-            out[(..., *idx)] = vals
-            out[(..., *idx[:-2], idx[-1], idx[-2])] = -vals
-        return out
+        if not self:
+            return np.zeros(np.shape(x)[:-1] + self.shape)
+        return self.map.eval_unchecked(x)
 
     def d_at(self, x):
-        """[j, ...] = d_j T[...] at x, symbolic; stacked at a stack."""
-        return ex.evaluate(self._dfn, x, (len(self.coords),) + self.shape)
+        """[..., j] = d_j T[...] at x, symbolic; stacked at a stack."""
+        return self.map.jacobian(x)
 
 
 def cyclic_sum(term):
@@ -128,7 +120,8 @@ _BRACKET = (AlgebroidError, "bracket", "c,a,b")
 class LieAlgebroid:
     """Structure-function presentation of a Lie algebroid.
 
-    anchor: n x r nested list of Expr over the base coordinates.
+    anchor: n x r nested list of Expr over the base coordinates, kept as
+    the `expr.SmoothMap` `anchor_map` with the domain.
     bracket: dict {(c, a, b): Expr} with 0-based indices and a < b;
     missing entries are zero. Kept as an `Antisymmetric` table.
     domain: list of Expr, all strictly positive on the admissible set.
@@ -141,29 +134,22 @@ class LieAlgebroid:
         self.coords = list(coords) if coords is not None else _coords(self.n)
         if len(self.coords) != self.n:
             raise AlgebroidError("need one coordinate name per base dimension")
-        self.anchor = [[ex.as_expr(anchor[i][a]) for a in range(self.r)]
-                       for i in range(self.n)]
+        self.anchor_map = ex.SmoothMap(
+            self.coords, [[anchor[i][a] for a in range(self.r)]
+                          for i in range(self.n)], domain, AlgebroidError)
+        self.anchor = self.anchor_map.components
+        self.domain = self.anchor_map.domain
+        self.in_domain = self.anchor_map.in_domain
         self.bracket = Antisymmetric(bracket or {}, self.r, self.coords,
                                      _BRACKET)
-        self.domain = [ex.as_expr(e) for e in domain]
-        flat_anchor = [e for row in self.anchor for e in row]
-        ex.check_variables(flat_anchor + list(self.bracket.values())
-                           + self.domain, self.coords, AlgebroidError)
-        self._anchor_fn = ex.compile_exprs(flat_anchor, self.coords)
-        self.in_domain = ex.domain_predicate(self.domain, self.coords)
+        ex.check_variables(list(self.bracket.values()), self.coords,
+                           AlgebroidError)
 
     # ------------------------------------------------------- evaluation --
 
-    @cached_property
-    def _danchor_fn(self):
-        return ex.compile_exprs([self.anchor[i][a].d(v)
-                                 for v in self.coords
-                                 for i in range(self.n)
-                                 for a in range(self.r)], self.coords)
-
     def anchor_matrix(self, x):
         """rho(x) as an (n, r) array; (N, n, r) for a stack of N points."""
-        return ex.evaluate(self._anchor_fn, x, (self.n, self.r))
+        return self.anchor_map.eval_unchecked(x)
 
     def bracket_tensor(self, x):
         """f(x) as an (r, r, r) array indexed [c, a, b], antisymmetrized;
@@ -188,9 +174,9 @@ class LieAlgebroid:
         return VectorFieldTD(self.n, fn, domain=self.in_domain)
 
     def _danchor(self, x):
-        """d rho as an (n_deriv, n, r) array: [j, i, a] = d_j rho^i_a;
-        (N, n, n, r) for a stack of N points."""
-        return ex.evaluate(self._danchor_fn, x, (self.n, self.n, self.r))
+        """d rho as an (n, r, n) array: [i, a, j] = d_j rho^i_a;
+        (N, n, r, n) for a stack of N points."""
+        return self.anchor_map.jacobian(x)
 
     # ---------------------------------------------------------- loading --
 
@@ -232,32 +218,30 @@ class LieAlgebroid:
 class SectionTD:
     """Time-dependent section s(t, x) of the algebroid, expression-backed.
 
-    exprs: r expressions over ("t", x coordinates); __call__(t, x) gives
-    the fiber coordinates of s at time t over base point x.
+    exprs: r expressions over ("t", x coordinates), kept as the
+    `expr.SmoothMap` `map`; __call__(t, x) gives the fiber coordinates of
+    s at time t over base point x.
     """
 
     def __init__(self, algebroid, exprs):
         self.algebroid = algebroid
-        self.variables = ["t"] + list(algebroid.coords)
-        self.exprs = [ex.as_expr(e) for e in exprs]
-        if len(self.exprs) != algebroid.r:
+        if len(exprs) != algebroid.r:
             raise AlgebroidError(
-                f"section needs {algebroid.r} components, got {len(self.exprs)}")
-        ex.check_variables(self.exprs, self.variables, AlgebroidError)
+                f"section needs {algebroid.r} components, got {len(exprs)}")
+        self.map = ex.SmoothMap(["t"] + list(algebroid.coords), exprs,
+                                error=AlgebroidError)
+        self.variables = self.map.variables
+        self.exprs = self.map.components
 
     @classmethod
     def from_strings(cls, algebroid, sources):
         variables = ["t"] + list(algebroid.coords)
         return cls(algebroid, [ex.parse(s, variables) for s in sources])
 
-    @cached_property
-    def _fn(self):
-        return ex.compile_exprs(self.exprs, self.variables)
-
     def __call__(self, t, x):
         """s(t, x) as an (r,) array; (N, r) at a stack of N points."""
         tx = np.insert(np.asarray(x, dtype=float), 0, t, axis=-1)
-        return ex.evaluate(self._fn, tx, (self.algebroid.r,))
+        return self.map.eval_unchecked(tx)
 
 
 # ------------------------------------------------------------ constructors
@@ -358,9 +342,9 @@ def anchor_morphism_residual_at(A, x):
     at a stack of points, the (N,) array of the residuals at each."""
     rho = A.anchor_matrix(x)          # [i, a]
     f = A.bracket_tensor(x)           # [c, a, b]
-    drho = A._danchor(x)              # [j, i, a]
+    drho = A._danchor(x)              # [i, b, j] = d_j rho^i_b
     lhs = np.einsum("...ic,...cab->...iab", rho, f)
-    grad = np.einsum("...ja,...jib->...iab", rho, drho)
+    grad = np.einsum("...ja,...ibj->...iab", rho, drho)
     rhs = grad - np.swapaxes(grad, -1, -2)
     return _point_max(lhs - rhs, 3)
 
@@ -370,9 +354,9 @@ def jacobi_residual_at(A, x):
     at a stack of points, the (N,) array of the residuals at each."""
     rho = A.anchor_matrix(x)
     f = A.bracket_tensor(x)
-    df = A.bracket.d_at(x)            # [j, d, b, c] = d_j f^d_{bc}
+    df = A.bracket.d_at(x)            # [d, b, c, j] = d_j f^d_{bc}
     term = (np.einsum("...ebc,...dae->...dabc", f, f)
-            + np.einsum("...ja,...jdbc->...dabc", rho, df))
+            + np.einsum("...ja,...dbcj->...dabc", rho, df))
     return _point_max(cyclic_sum(term), 4)
 
 
@@ -385,14 +369,10 @@ def _point_max(values, point_ndim):
 
 def check_axioms(A, samples):
     """Evaluate both axiom residuals, reporting the sup over the samples."""
-    samples = [list(map(float, x)) for x in samples]
-    for x in samples:
-        if not A.in_domain(x):
-            raise ex.DomainError(f"sample {ex.point(x)} is outside the domain")
-    pts = np.array(samples, dtype=float).reshape(len(samples), A.n)
+    pts = A.in_domain.require(samples, A.n, "sample")
     anchor_res = np.max(anchor_morphism_residual_at(A, pts), initial=0.0)
     jacobi_res = np.max(jacobi_residual_at(A, pts), initial=0.0)
-    return AxiomReport(float(anchor_res), float(jacobi_res), len(samples))
+    return AxiomReport(float(anchor_res), float(jacobi_res), len(pts))
 
 
 def sample_points(A, count, rng, low=-1.5, high=1.5, max_tries=10000):

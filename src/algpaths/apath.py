@@ -40,10 +40,8 @@ class APath(FlowOutcome):
                  t_event=None, junctions=()):
         self._store(algebroid, times, base, eta, status, t_event, junctions)
         check_uniform_grid(self.times)
-        for x in self.base.tolist():
-            if not algebroid.in_domain(x):
-                raise AlgebroidError(
-                    f"base sample {point(x)} is outside the domain")
+        algebroid.in_domain.require(self.base, algebroid.n, "base sample",
+                                    AlgebroidError)
 
     @classmethod
     def _from_flow(cls, algebroid, traj, eta):
@@ -394,6 +392,10 @@ def log_derivative(gamma, basis, algebroid=None, span_tol=1e-6):
     h = times[1] - times[0]
     m = gam.shape[-1]
     basis = [np.asarray(E, dtype=float) for E in basis]
+    for E in basis:
+        if E.shape != (m, m):
+            raise ValueError(f"a basis matrix of shape {E.shape} for a path "
+                             f"of {m} x {m} matrices")
     r = len(basis)
     B = np.stack([E.reshape(-1) for E in basis], axis=1)   # (m*m, r)
     B_pinv = np.linalg.pinv(B)

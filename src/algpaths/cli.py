@@ -64,21 +64,28 @@ def _num(text):
     return float(text)
 
 
-def _finite(value, parse=float, positive=False):
-    """`value` parsed by `parse`: finite, and positive when asked."""
+def _finite(value, parse=float, positive=False, low=-math.inf,
+            integral=False):
+    """`value` parsed by `parse`: finite and at least low, and positive
+    and integral when asked."""
     try:
         x = parse(value)
     except (TypeError, ValueError, ZeroDivisionError):
         x = math.nan
-    if not math.isfinite(x) or (positive and x <= 0.0):
+    if not (math.isfinite(x) and x >= low and (x > 0.0 or not positive)
+            and (x == int(x) or not integral)):
+        kind = ("positive" if positive else "finite") + (
+            " integral" if integral else "")
+        at_least = f" >= {low:g}" if low > -math.inf else ""
         raise argparse.ArgumentTypeError(
-            f"expected a {'positive' if positive else 'finite'} number, "
-            f"got {value!r}")
+            f"expected a {kind} number{at_least}, got {value!r}")
     return x
 
 
 _positive = functools.partial(_finite, positive=True)
 _fraction = functools.partial(_finite, parse=_num)
+# a tolerance of 0 asks for exact agreement; below it nothing passes
+_tol = functools.partial(_finite, low=0.0)
 
 
 def _count(value):
@@ -140,6 +147,7 @@ def _basis(src):
     except (ValueError, TypeError) as e:
         raise argparse.ArgumentTypeError(f"not a JSON list of matrices: {e}")
     if not basis or any(M.ndim != 2 or M.shape != basis[0].shape
+                        or M.shape[0] != M.shape[1]
                         or not np.isfinite(M).all() for M in basis):
         raise argparse.ArgumentTypeError(
             "must be a list of equal square matrices of finite numbers")
@@ -169,7 +177,7 @@ FLAGS = {
                "help": "PRNG seed (default: ALGPATHS_SEED or 0)"},
     "--x0": {"required": True, "type": _vector},
     "--interp": {"choices": ("cubic", "linear"), "default": "cubic"},
-    "--tol": {"type": _finite, "default": 1e-8},
+    "--tol": {"type": _tol, "default": 1e-8},
     "--t1": {"type": functools.partial(_finite, parse=_num, positive=True)},
     "--bins": {"type": _count, "default": 32},
     "--section": {"required": True,
@@ -190,8 +198,10 @@ FLAGS = {
     "--tau-max": {"type": _fraction},
     "--z0": {"type": _as_typed(_vector), "default": "1,0"},
     "--z": {"type": _vector, "default": "1,0"},
-    "--k-max": {"type": _finite, "default": 1e6},
-    "--span-tol": {"type": _finite, "default": 1e-6},
+    # sheet_count takes O(log k_max) steps, so k_max has no cap
+    "--k-max": {"type": functools.partial(_finite, low=1, integral=True),
+                "default": 1e6},
+    "--span-tol": {"type": _tol, "default": 1e-6},
 }
 
 GROUPS = {"example3": ("diagnostics for the built-in twisted-cylinder "
@@ -603,9 +613,8 @@ def cmd_poisson_flow(args, ws):
     vf = hamiltonian_vf(P, f)
     traj = flow(vf, args.x0, (0.0, t1), step=args.step, bound=args.bound)
     if _write_csv(traj.write_csv, args.out):
-        energy = ex.evaluate(ex.compile_exprs([f], P.coords),
-                             traj.points[::max(1, len(traj.points) // 200)],
-                             (1,))[:, 0]
+        energy = ex.SmoothMap(P.coords, f).eval_unchecked(
+            traj.points[::max(1, len(traj.points) // 200)])
         drift = float(np.max(np.abs(energy - energy[0])))
         _emit({"command": "poisson flow", "name": name, "seed": args.seed,
                "params": {"step": args.step, "bound": args.bound, "t1": t1,

@@ -3,7 +3,7 @@ compatibility, completeness probing, and path/homotopy lifting.
 
 A comorphism (phi, Phi) from algebroid A over X to algebroid B over Y is
 stored as the core map phi: X -> Y and a fiber matrix M(x) of shape
-(rank A) x (rank B), all expression-valued; Phi(x, xi) = M(x) xi takes a
+(rank A) x (rank B), both `expr.SmoothMap`s; Phi(x, xi) = M(x) xi takes a
 B-fiber vector over phi(x) to an A-fiber vector over x. The defining
 anchor condition Dphi . rho_A . M = rho_B o phi is measured, not assumed.
 
@@ -21,7 +21,7 @@ import numpy as np
 from . import expr as ex
 from .algebroid import AlgebroidError, SectionTD, matvec
 from .apath import APath, AHomotopy, homotopy_residual
-from .expr import evaluate, point
+from .expr import point
 from .numkernel import TabulatedField, flow, stage_table
 
 
@@ -34,6 +34,7 @@ class Comorphism:
 
     phi: list of target-base-dim expressions over source coordinates.
     M:   rank_A x rank_B nested list of expressions over source coords.
+    Each is kept as an `expr.SmoothMap`, `phi_map` and `M_map`.
     """
 
     def __init__(self, source, target, phi, M):
@@ -42,21 +43,14 @@ class Comorphism:
         if len(phi) != target.n:
             raise AlgebroidError(
                 f"phi needs {target.n} components, got {len(phi)}")
-        self.phi = [ex.as_expr(e) for e in phi]
         if len(M) != source.r or any(len(row) != target.r for row in M):
             raise AlgebroidError(
                 f"M must be {source.r} x {target.r}")
-        self.M = [[ex.as_expr(e) for e in row] for row in M]
-        flat_M = [e for row in self.M for e in row]
-        ex.check_variables(self.phi + flat_M, source.coords, AlgebroidError)
-        self._phi_fn = ex.compile_exprs(self.phi, source.coords)
-        self._M_fn = ex.compile_exprs(flat_M, source.coords)
-
-    @cached_property
-    def _dphi_fn(self):
-        return ex.compile_exprs([p.d(v) for p in self.phi
-                                 for v in self.source.coords],
-                                self.source.coords)
+        self.phi_map = ex.SmoothMap(source.coords, phi, error=AlgebroidError)
+        # an object array keeps M's shape when a rank is 0 (M is [])
+        self.M_map = ex.SmoothMap(source.coords, np.array(
+            M, dtype=object).reshape(source.r, target.r), error=AlgebroidError)
+        self.phi, self.M = self.phi_map.components, self.M_map.components
 
     @cached_property
     def _lift_field(self):
@@ -69,30 +63,24 @@ class Comorphism:
 
     def phi_at(self, x):
         """phi(x) as a (target.n,) array; stacked for a stack of points."""
-        return evaluate(self._phi_fn, x, (self.target.n,))
+        return self.phi_map.eval_unchecked(x)
 
     def M_at(self, x):
         """M(x) as a (rank A, rank B) array; stacked to (N, rank A, rank B)
         for a stack of N points."""
-        return evaluate(self._M_fn, x, (self.source.r, self.target.r))
+        return self.M_map.eval_unchecked(x)
 
     def dphi_at(self, x):
-        """Dphi(x), (target.n x source.n), symbolic; stacked at a stack."""
-        return evaluate(self._dphi_fn, x, (self.target.n, self.source.n))
+        """Dphi(x), [i, j] = d_j phi^i, (target.n x source.n), symbolic;
+        stacked at a stack."""
+        return self.phi_map.jacobian(x)
 
     def spot_check(self, samples):
         """Verify the samples lie in dom(A) and phi maps them into dom(B);
         returns the samples and their images as stacks of floats."""
-        pts = np.asarray(samples, dtype=float).reshape(-1, self.source.n)
-        for x in pts.tolist():
-            if not self.source.in_domain(x):
-                raise ex.DomainError(
-                    f"sample {point(x)} outside the source domain")
+        pts = self.source.in_domain.require(samples, self.source.n, "sample")
         images = self.phi_at(pts)
-        for x, y in zip(pts.tolist(), images.tolist()):
-            if not self.target.in_domain(y):
-                raise ex.DomainError(
-                    f"phi({point(x)}) = {point(y)} outside the target domain")
+        self.target.in_domain.require(images, self.target.n, "sample image")
         return pts, images
 
     @classmethod
@@ -192,14 +180,10 @@ def first_escape(vf, horizon, bound, seeds, step):
     """Flow vf over [0, horizon] from each seed in turn.
 
     Returns the witness of the first seed whose flow escapes, or the
-    (inconclusive) no-escape verdict. Seeds outside vf's domain are an
-    error.
+    (inconclusive) no-escape verdict. Every seed is tested against vf's
+    domain before the first flow (`expr.Domain.require`).
     """
-    for seed in seeds:
-        # plain floats: the domain's compiled predicates take floats
-        seed = [float(v) for v in seed]
-        if not vf.in_domain(seed):
-            raise ex.DomainError(f"seed {point(seed)} outside the domain")
+    for seed in vf.domain.require(seeds, vf.n, "seed").tolist():
         traj = flow(vf, seed, (0.0, horizon), step=step, bound=bound)
         if not traj.completed:
             return ProbeVerdict(True, horizon, bound,

@@ -77,10 +77,7 @@ def flatness_residual(fc, samples):
     c - H (Dphi c) of the commutator c = [H e_i, H e_j], all derivatives
     symbolic."""
     nx, ny = fc.source.n, fc.target.n
-    pts = np.asarray(samples, dtype=float).reshape(-1, nx)
-    for x in pts.tolist():
-        if not fc.source.in_domain(x):
-            raise ex.DomainError(f"sample {ex.point(x)} outside the domain")
+    pts = fc.source.in_domain.require(samples, nx, "sample")
     comms = ex.evaluate(fc._vert_fn, pts, (ny * (ny - 1) // 2, nx))
     cols = np.swapaxes(comms, 1, 2)          # one column per commutator
     vert = cols - fc.M_at(pts) @ (fc.dphi_at(pts) @ cols)

@@ -967,8 +967,9 @@ class Domain:
     `compile_exprs` does (fn is None when m is 0: all of R^n). Calling the
     domain tests a point: x -> bool. A point where a predicate cannot be
     evaluated (log of a negative number, a zero divisor) is outside, not
-    an error. `numkernel.flow` writes the same test into its stepping
-    loop, with fn's kept body in it, and refuses an fn that keeps none.
+    an error. `require` tests a set of points. `numkernel.flow` writes the
+    same test into its stepping loop, with fn's kept body in it, and
+    refuses an fn that keeps none.
     """
 
     __slots__ = ("fn", "m")
@@ -986,6 +987,22 @@ class Domain:
             return False
         return all(v > 0.0 for v in vals)
 
+    def require(self, points, n, what, error=DomainError):
+        """The points, one or a stack, as an (N, n) stack of floats, each
+        tested with plain floats. ValueError when they do not have n
+        coordinates, `error` for the first point outside the domain; both
+        name the point as `what`."""
+        pts = np.asarray(points, dtype=float)
+        k = pts.shape[-1] if pts.ndim else 1
+        if k != n and pts.size:
+            raise ValueError(f"{what} {point(pts.reshape(-1, k)[0])} has "
+                             f"{k} coordinates, not {n}")
+        pts = pts.reshape(-1, n)
+        for p in pts.tolist() if self.m else ():
+            if not self(p):
+                raise error(f"{what} {point(p)} is outside the domain")
+        return pts
+
 
 def domain_predicate(exprs, variables):
     """The `Domain` where every expression in exprs is strictly positive
@@ -998,21 +1015,28 @@ def domain_predicate(exprs, variables):
 # -------------------------------------------------------------- SmoothMap --
 
 class SmoothMap:
-    """Expression-backed map from an open subset of R^n to R^m.
+    """Expression-backed map from an open subset of R^n to the arrays of
+    one shape: the compiled form of every structure function.
 
-    components: list of Exprs over `variables`; `domain` is a list of Exprs
-    that must all evaluate strictly positive at admissible points.
+    components: Exprs or numbers over `variables`, nested in lists (or an
+    object array) of `shape`; a single Expr has shape (). `domain` is a
+    list of Exprs that must all evaluate strictly positive at admissible
+    points. An expression over other variables raises `error`, a ragged
+    nesting TypeError. The values and the partials are each compiled into
+    one function on first use; the partial index comes last.
     """
 
-    def __init__(self, variables, components, domain=()):
+    def __init__(self, variables, components, domain=(), error=ExprError):
         self.variables = list(variables)
-        self.components = list(components)
-        self.domain = list(domain)
         self.n = len(self.variables)
-        self.m = len(self.components)
-        check_variables(self.components + self.domain, self.variables,
-                        ExprError)
-        self._fn = compile_exprs(self.components, self.variables)
+        nest = np.array(components, dtype=object)
+        self.shape = nest.shape
+        # a ragged nesting leaves a list among the entries
+        self._flat = [as_expr(e) for e in nest.flat]
+        self.components = np.array(self._flat, dtype=object).reshape(
+            self.shape).tolist()
+        self.domain = [as_expr(e) for e in domain]
+        check_variables(self._flat + self.domain, self.variables, error)
         self.in_domain = domain_predicate(self.domain, self.variables)
 
     @classmethod
@@ -1022,27 +1046,28 @@ class SmoothMap:
         return cls(variables, comps, dom)
 
     @functools.cached_property
+    def _fn(self):
+        return compile_exprs(self._flat, self.variables)
+
+    @functools.cached_property
     def _jac_fn(self):
-        return compile_exprs([c.d(v) for c in self.components
+        return compile_exprs([e.d(v) for e in self._flat
                               for v in self.variables], self.variables)
 
     def __call__(self, x):
         """The map at x, or at a stack of points, after the domain test."""
-        pts = np.asarray(x, dtype=float)
-        for p in pts.reshape(-1, self.n).tolist():
-            if not self.in_domain(p):
-                raise DomainError(
-                    f"point {point(p)} violates the domain predicate")
-        return self.eval_unchecked(pts)
+        self.in_domain.require(x, self.n, "point")
+        return self.eval_unchecked(x)
 
     def eval_unchecked(self, x):
-        """The map at x, or at a stack of points, without the domain test."""
-        return evaluate(self._fn, x, (self.m,))
+        """The map at x, an array of `shape`, or at a stack of N points,
+        (N, *shape), without the domain test."""
+        return evaluate(self._fn, x, self.shape)
 
     def jacobian(self, x):
-        """m x n array of exact symbolic partials evaluated at x;
-        (N, m, n) at a stack of N points."""
-        return evaluate(self._jac_fn, x, (self.m, self.n))
+        """The exact symbolic partials at x, [..., j] = d_j map[...], an
+        array of `shape + (n,)`; (N, *shape, n) at a stack of N points."""
+        return evaluate(self._jac_fn, x, self.shape + (self.n,))
 
 
 __all__ = [

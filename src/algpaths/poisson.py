@@ -61,10 +61,10 @@ class PoissonManifold:
     def jacobi_residual(self, samples):
         """max over samples and (i,j,k) of
         |cyclic_(i,j,k) sum_l Pi^{il} d_l Pi^{jk}|, derivatives symbolic."""
-        pts = np.asarray(samples, dtype=float).reshape(-1, self.dim)
+        pts = self.in_domain.require(samples, self.dim, "sample")
         P = self.pi_matrix(pts)
-        dP = self.pi.d_at(pts)            # [l, j, k] = d_l Pi^{jk}
-        term = np.einsum("...il,...ljk->...ijk", P, dP)
+        dP = self.pi.d_at(pts)            # [j, k, l] = d_l Pi^{jk}
+        term = np.einsum("...il,...jkl->...ijk", P, dP)
         return float(np.max(np.abs(cyclic_sum(term)), initial=0.0))
 
     @classmethod
@@ -124,7 +124,7 @@ def poisson_map_residual(phi, PX, PY, samples):
     """max over samples of |Dphi(x) Pi_X(x) Dphi(x)^T - Pi_Y(phi(x))|."""
     if phi.variables != PX.coords:
         raise PoissonError("phi must be a map in the source coordinates")
-    pts = np.asarray(samples, dtype=float).reshape(-1, PX.dim)
+    pts = PX.in_domain.require(samples, PX.dim, "sample")
     J = phi.jacobian(pts)
     push = J @ PX.pi_matrix(pts) @ np.swapaxes(J, -1, -2)
     diffs = np.abs(push - PY.pi_matrix(phi.eval_unchecked(pts)))
@@ -226,10 +226,10 @@ def complete_map_probe(phi, PX, PY, test_functions=None, horizon=2.0,
     c = cotangent_lift(phi, PX, PY, samples=map_samples)
     if test_functions is None:
         test_functions = default_test_functions(PY)
-    seeds = [list(s) for s in seeds]
+    pts = PX.in_domain.require(seeds, PX.dim, "seed")
+    seeds = pts.tolist()
     # the seeds at t = 0, where both route fields are compared
-    tpts = np.insert(np.asarray(seeds, dtype=float).reshape(-1, PX.dim),
-                     0, 0.0, axis=1)
+    tpts = np.insert(pts, 0, 0.0, axis=1)
     A = c.source
     mapping = {v: phi.components[j] for j, v in enumerate(PY.coords)}
     entries = []

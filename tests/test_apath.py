@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -303,6 +304,17 @@ def test_log_derivative_names_the_first_singular_sample():
     mats[37] = mats[60] = np.zeros((2, 2))
     with pytest.raises(AlgebroidError, match=r"gamma\(t_37\) is singular"):
         log_derivative(MatrixPath(times, mats), SO2_BASIS)
+
+
+@pytest.mark.parametrize("basis", [SO3_BASIS, [np.eye(1)], [np.eye(2, 3)]],
+                         ids=["3x3", "1x1", "2x3"])
+def test_log_derivative_refuses_a_basis_of_another_size(basis):
+    times = np.linspace(0.0, 1.0, 11)
+    mats = np.stack([np.eye(2)] * 11)
+    shape = re.escape(str(basis[0].shape))
+    with pytest.raises(ValueError, match=f"basis matrix of shape {shape} "
+                                         f"for a path of 2 x 2 matrices"):
+        log_derivative(MatrixPath(times, mats), basis)
 
 
 def test_log_derivative_needs_five_samples():

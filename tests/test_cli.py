@@ -85,6 +85,17 @@ def test_sheets_irrational_prints_inf(capsys):
     assert capsys.readouterr().out == "inf\n"
 
 
+@pytest.mark.parametrize("flags, out", [
+    (["--tol", "0"], "3"),              # 3 * fl(1/3) rounds to exactly 1
+    (["--k-max", "1e30"], "3"),         # no cap: O(log k_max) steps
+    (["--k-max", "2"], "inf"),
+    (["--k-max", "3.0"], "3"),
+])
+def test_sheets_take_a_zero_tol_and_any_integral_k_max(capsys, flags, out):
+    assert run(["example3", "sheets", "--nu", "1/3", *flags]) == 0
+    assert capsys.readouterr().out == out + "\n"
+
+
 # ----------------------------------------------------------- flag surface
 
 # Per leaf subcommand: its required flags, its optional flags, the
@@ -282,6 +293,13 @@ CHECK = ["check-algebroid", "--config", "{cfg}", "--name", "plane"]
 # Dphi.H - I is nan wherever x2 != 0
 NAN_SECTION = {"x_coords": ["x1", "x2"], "phi": ["x1"],
                "H": [["1"], ["x2*1e300*1e300 - x2*1e300*1e300"]]}
+# the comorphism "id" with the unit disk as its source
+DISK_ID = {"algebroids": {"plane": PLANE, "disk": DISK},
+           "comorphisms": {"id": {"source": "disk", "target": "plane",
+                                  "phi": ["x1", "x2"], "M": IDENTITY_M}}}
+SHEETS = ["example3", "sheets", "--nu", "1/3"]
+K_MAX = "--k-max: expected a finite integral number >= 1, got "
+AT_LEAST_0 = ": expected a finite number >= 0, got '-1'"
 
 
 BAD_INPUTS = [
@@ -311,6 +329,23 @@ BAD_INPUTS = [
     (INTEGRATE + ["--seed", "-1"], {}, "--seed"),
     (["example3", "sheets", "--nu", "1/3", "--seed", "-1"], {}, "--seed"),
     (CHECK + ["--seed", "2.5"], {}, "--seed"),
+    # a seed of 3 coordinates on a 2-dim source, with and without a domain
+    (PROBE[:-1] + ["0.1,0.2,0.3"], {},
+     "seed (0.1, 0.2, 0.3) has 3 coordinates, not 2"),
+    (PROBE[:-1] + ["0.3,0.2,0.1"], DISK_ID,
+     "seed (0.3, 0.2, 0.1) has 3 coordinates, not 2"),
+    (["poisson", "probe", "--config", "{cfg}", "--source", "pplane",
+      "--target", "pplane", "--map", "x1;x2", "--x0", "0.2,0.1,0.3"], {},
+     "seed (0.2, 0.1, 0.3) has 3 coordinates, not 2"),
+    (SHEETS + ["--k-max", "-1"], {}, K_MAX + "'-1'"),
+    (SHEETS + ["--k-max", "0.5"], {}, K_MAX + "'0.5'"),
+    (SHEETS + ["--k-max", "0"], {}, K_MAX + "'0'"),
+    (["holonomy", "--k-max", "-3"], {}, K_MAX + "'-3'"),
+    (SHEETS + ["--tol", "-1"], {}, "--tol" + AT_LEAST_0),
+    (["logderiv", "--gamma", "g.csv", "--basis", "[[[0]]]", "--span-tol",
+      "-1"], {}, "--span-tol" + AT_LEAST_0),
+    (["logderiv", "--gamma", "g.csv", "--basis", "[[[1, 0, 0], [0, 1, 0]]]"],
+     {}, "--basis: must be a list of equal square matrices"),
 ]
 
 

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from algpaths import expr as ex
 from algpaths.algebroid import LieAlgebroid
 from algpaths.ehresmann import ExampleConnection, FlatConnection
-from algpaths.expr import (Const, DomainError, ParseError, SmoothMap, Var,
-                           compile_exprs, parse, substitute)
+from algpaths.expr import (Const, DomainError, ExprError, ParseError,
+                           SmoothMap, Var, compile_exprs, domain_predicate,
+                           parse, substitute)
 from algpaths.numkernel import VectorFieldTD, flow
 from algpaths.poisson import PoissonManifold
 
@@ -245,6 +246,57 @@ def test_smooth_map_domain_and_jacobian():
     J = m.jacobian([0.5, 2.0])
     assert J[0] == pytest.approx([1.0, 1.0])
     assert J[1] == pytest.approx([2.0, 0.5])
+
+
+def test_a_smooth_map_keeps_the_shape_of_its_nesting():
+    src = [["x", "y", "x * y"], ["x^2", "1", "y^3"]]
+    m = SmoothMap(XY, [[parse(e, XY) for e in row] for row in src])
+    assert m.shape == (2, 3)
+    pts = [[0.5, 2.0], [-1.0, 3.0]]
+    assert m.eval_unchecked(pts[0]).tolist() == [[0.5, 2.0, 1.0],
+                                                 [0.25, 1.0, 8.0]]
+    assert m.eval_unchecked(pts).shape == (2, 2, 3)
+    # the partial index comes last: J[..., j] = d_j m[...]
+    J = m.jacobian(pts)
+    assert J.shape == (2, 2, 3, 2)
+    assert J[0, 0].tolist() == [[1.0, 0.0], [0.0, 1.0], [2.0, 0.5]]
+    assert J[1, 1].tolist() == [[-2.0, 0.0], [0.0, 0.0], [0.0, 27.0]]
+    scalar = SmoothMap(XY, parse("x * y", XY))
+    assert scalar.shape == ()
+    assert scalar.eval_unchecked(pts).tolist() == [1.0, -3.0]
+    assert scalar.jacobian(pts[0]).tolist() == [2.0, 0.5]
+    # the shape of an object array is kept, an empty one's included
+    empty = SmoothMap(XY, np.empty((2, 0, 3), dtype=object))
+    assert empty.eval_unchecked(pts).shape == (2, 2, 0, 3)
+    assert empty.jacobian(pts[0]).shape == (2, 0, 3, 2)
+    with pytest.raises(TypeError):
+        SmoothMap(XY, [[Var("x")], [Var("x"), Var("y")]])
+    with pytest.raises(ExprError, match="unknown variables"):
+        SmoothMap(XY, [Var("z")])
+    with pytest.raises(KeyError, match="unknown variables"):
+        SmoothMap(XY, [[Var("x")], [Var("z")]], error=KeyError)
+
+
+def test_domain_require_tests_every_point_and_names_the_first_outside():
+    disk = domain_predicate([parse("1 - x^2 - y^2", XY)], XY)
+    pts = disk.require([[0.1, 0.2], [0.3, -0.4]], 2, "sample")
+    assert pts.dtype == float and pts.tolist() == [[0.1, 0.2], [0.3, -0.4]]
+    assert disk.require((0.1, 0.2), 2, "seed").shape == (1, 2)
+    assert disk.require([], 2, "sample").shape == (0, 2)
+    with pytest.raises(DomainError,
+                       match=r"^sample \(2\.0, 0\.0\) is outside the domain$"):
+        disk.require([[0.1, 0.2], [2.0, 0.0], [3.0, 0.0]], 2, "sample")
+    with pytest.raises(KeyError, match="seed"):
+        disk.require([[3.0, 0.0]], 2, "seed", KeyError)
+    # the wrong number of coordinates, with or without predicates
+    for dom in (disk, domain_predicate([], XY)):
+        with pytest.raises(ValueError, match=r"^seed \(0\.1, 0\.2, 0\.3\) "
+                                             r"has 3 coordinates, not 2$"):
+            dom.require([[0.1, 0.2, 0.3]], 2, "seed")
+    # the predicate sees plain floats: 1/x is outside at 0 only if it raises
+    inv = domain_predicate([parse("1 / x", ["x"])], ["x"])
+    with pytest.raises(DomainError, match=r"\(0\.0,\)"):
+        inv.require(np.zeros((1, 1)), 1, "point")
 
 
 def test_smooth_map_domain_errors_mean_outside():

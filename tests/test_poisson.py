@@ -111,6 +111,24 @@ def test_map_residual_needs_source_coordinates():
         poisson_map_residual(phi, P, P, [(0.0, 0.0)])
 
 
+def test_residual_samples_need_the_source_dimension_and_domain():
+    # six values of 3-coordinate samples must not pass as three points
+    P = standard_symplectic(2)
+    phi = SmoothMap.from_strings(XY, XY)
+    bad = [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]
+    with pytest.raises(ValueError, match=r"sample \(0\.1, 0\.2, 0\.3\) "
+                                         r"has 3 coordinates, not 2"):
+        P.jacobi_residual(bad)
+    with pytest.raises(ValueError, match="has 3 coordinates, not 2"):
+        poisson_map_residual(phi, P, P, bad)
+    D = PoissonManifold(2, {(0, 1): ex.Const(1.0)},
+                        domain=[ex.parse("1 - x1^2 - x2^2", XY)])
+    with pytest.raises(ex.DomainError, match=r"sample \(2\.0, 0\.0\)"):
+        D.jacobi_residual([[0.1, 0.0], [2.0, 0.0]])
+    with pytest.raises(ex.DomainError, match=r"sample \(2\.0, 0\.0\)"):
+        poisson_map_residual(phi, D, P, [[2.0, 0.0]])
+
+
 # ---------------------------------------------------------- cotangent lift
 
 def test_cotangent_lift_of_the_projection():

@@ -1,10 +1,13 @@
 """The structure-function evaluators over stacks of points, and the residual
 diagnostics built on them, against the per-point loops they replaced.
 
-The loops below are kept verbatim as oracles. Where a loop multiplied with
-`@`, the stacked code must return the same bits; where it contracted with
-`einsum` (the axiom and Poisson Jacobi residuals), summation order may
-differ, and a fixed tolerance applies (see EINSUM_TOL).
+The loops below are kept as oracles. They read the derivative arrays in
+their one layout, the partial index last, and an `Antisymmetric` table
+through `antisymmetric_loop`, which compiles each stored entry on its
+own. Where a loop multiplied with `@`, the stacked code must return the
+same bits; where it contracted with `einsum` (the axiom and Poisson
+Jacobi residuals), summation order may differ, and a fixed tolerance
+applies (see EINSUM_TOL).
 """
 
 import numpy as np
@@ -77,14 +80,15 @@ def admissibility_residual_loop(g):
     return res
 
 
-def bracket_tensor_loop(A, x):
-    f = np.zeros((A.r, A.r, A.r))
-    if A.bracket:
-        vals = A.bracket._fn(*map(float, x))
-        for (c, a, b), v in zip(A.bracket.keys_sorted, vals):
-            f[c, a, b] = v
-            f[c, b, a] = -v
-    return f
+def antisymmetric_loop(T, x):
+    """The full table of an `Antisymmetric` T at x: each stored entry
+    compiled on its own, and its mirror entry negated."""
+    out = np.zeros(T.shape)
+    for key, e in T.items():
+        v = ex.compile_exprs([e], T.coords)(*map(float, x))[0]
+        out[key] = v
+        out[(*key[:-2], key[-1], key[-2])] = -v
+    return out
 
 
 def axioms_loop(A, samples):
@@ -93,14 +97,14 @@ def axioms_loop(A, samples):
     for x in samples:
         rho = A.anchor_matrix(x)
         f = A.bracket_tensor(x)
-        drho = A._danchor(x)
+        drho = A._danchor(x)                     # [i, b, j]
         lhs = np.einsum("ic,cab->iab", rho, f)
-        grad = np.einsum("ja,jib->iab", rho, drho)
+        grad = np.einsum("ja,ibj->iab", rho, drho)
         rhs = grad - np.transpose(grad, (0, 2, 1))
         anchor_res = max(anchor_res, float(np.max(np.abs(lhs - rhs))))
-        df = A.bracket.d_at(x)
+        df = A.bracket.d_at(x)                   # [d, b, c, j]
         term = (np.einsum("ebc,dae->dabc", f, f)
-                + np.einsum("ja,jdbc->dabc", rho, df))
+                + np.einsum("ja,dbcj->dabc", rho, df))
         cyc = (term + np.transpose(term, (0, 2, 3, 1))
                + np.transpose(term, (0, 3, 1, 2)))
         jacobi_res = max(jacobi_res, float(np.max(np.abs(cyc))))
@@ -116,23 +120,16 @@ def anchor_compat_residual_loop(c, samples):
     return res
 
 
-def pi_matrix_loop(P, x):
-    M = np.zeros((P.dim, P.dim))
-    if P.pi:
-        vals = P.pi._fn(*map(float, x))
-        for (i, j), v in zip(P.pi.keys_sorted, vals):
-            M[i, j] = v
-            M[j, i] = -v
-    return M
-
-
 def poisson_jacobi_loop(P, samples):
     n = P.dim
+    # [j, k, l] = d_l Pi^{jk}, compiled apart from the evaluator under test
+    dfn = ex.compile_exprs([P.pi.expr(j, k).d(v) for j in range(n)
+                            for k in range(n) for v in P.coords], P.coords)
     res = 0.0
     for x in samples:
         M = P.pi_matrix(x)
-        dP = np.asarray(P.pi._dfn(*map(float, x)), float).reshape(n, n, n)
-        term = np.einsum("il,ljk->ijk", M, dP)
+        dP = np.asarray(dfn(*map(float, x)), float).reshape(n, n, n)
+        term = np.einsum("il,jkl->ijk", M, dP)
         cyc = (term + np.transpose(term, (1, 2, 0))
                + np.transpose(term, (2, 0, 1)))
         res = max(res, float(np.max(np.abs(cyc))))
@@ -198,8 +195,8 @@ def test_stacked_evaluators_stack_the_point_values(A, data, seed, count):
     n, r = A.n, A.r
     for fn, shape in ((A.anchor_matrix, (n, r)),
                       (A.bracket_tensor, (r, r, r)),
-                      (A._danchor, (n, n, r)),
-                      (A.bracket.d_at, (n, r, r, r)),
+                      (A._danchor, (n, r, n)),
+                      (A.bracket.d_at, (r, r, r, n)),
                       (c.phi_at, (2,)),
                       (c.M_at, (r, 2)),
                       (c.dphi_at, (2, n))):
@@ -211,7 +208,8 @@ def test_stacked_evaluators_stack_the_point_values(A, data, seed, count):
             assert np.array_equal(stacked[k], one)
             assert np.array_equal(fn(list(pts[k])), one)
     for x in pts:
-        assert np.array_equal(A.bracket_tensor(x), bracket_tensor_loop(A, x))
+        assert np.array_equal(A.bracket_tensor(x),
+                              antisymmetric_loop(A.bracket, x))
 
 
 def test_compiled_code_gets_plain_floats_at_one_point_and_at_a_stack():
@@ -233,7 +231,7 @@ def test_domain_tests_see_plain_floats():
     c = Comorphism(make_tangent(1), A, [ex.parse("x1 - 1", ["x1"])],
                    [[ex.Const(1.0)]])
     c.spot_check(np.array([[2.0]]))
-    with pytest.raises(ex.DomainError, match="target domain"):
+    with pytest.raises(ex.DomainError, match="sample image"):
         c.spot_check(np.array([[2.0], [1.0]]))   # phi(1) = 0
 
 
@@ -248,7 +246,7 @@ def test_stacked_pi_matrix_matches_the_loop(n, data, seed, count):
     stacked = P.pi_matrix(pts)
     assert stacked.shape == (count, n, n)
     for k in range(count):
-        assert np.array_equal(stacked[k], pi_matrix_loop(P, pts[k]))
+        assert np.array_equal(stacked[k], antisymmetric_loop(P.pi, pts[k]))
         assert np.array_equal(P.pi_matrix(pts[k]), stacked[k])
 
 
