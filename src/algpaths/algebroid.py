@@ -361,9 +361,10 @@ def jacobi_residual_at(A, x):
 
 
 def _point_max(values, point_ndim):
-    """max |values| over the last point_ndim axes: a float for one point,
-    an array over the leading (stack) axes otherwise."""
-    res = np.max(np.abs(values), axis=tuple(range(-point_ndim, 0)))
+    """max |values| over the last point_ndim axes, 0.0 over none (rank 0):
+    a float for one point, an array over the leading axes otherwise."""
+    res = np.max(np.abs(values), axis=tuple(range(-point_ndim, 0)),
+                 initial=0.0)
     return float(res) if res.ndim == 0 else res
 
 

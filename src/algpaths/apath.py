@@ -23,8 +23,9 @@ import numpy as np
 from . import expr as ex
 from .algebroid import AlgebroidError, make_lie_algebra, matvec
 from .expr import evaluate, point
-from .numkernel import (FlowOutcome, TabulatedField, check_uniform_grid,
-                        flow, read_csv_rows, stage_table, write_csv_rows)
+from .numkernel import (COMPLETED, FlowOutcome, TabulatedField,
+                        check_uniform_grid, flow, read_csv_rows,
+                        stage_table, write_csv_rows)
 
 
 class APath(FlowOutcome):
@@ -32,13 +33,13 @@ class APath(FlowOutcome):
     uneven time grid raises ValueError (`numkernel.check_uniform_grid`).
 
     junctions: indices excluded from residual maxima (concatenation
-    points, where the path is only piecewise smooth). status/t_event
-    record how integration ended when the path came from integrate_apath.
+    points, where the path is only piecewise smooth). ending is the
+    `numkernel.Ending` of the flow it came from, COMPLETED for samples.
     """
 
-    def __init__(self, algebroid, times, base, eta, status="completed",
-                 t_event=None, junctions=()):
-        self._store(algebroid, times, base, eta, status, t_event, junctions)
+    def __init__(self, algebroid, times, base, eta, ending=COMPLETED,
+                 junctions=()):
+        self._store(algebroid, times, base, eta, ending, junctions)
         check_uniform_grid(self.times)
         algebroid.in_domain.require(self.base, algebroid.n, "base sample",
                                     AlgebroidError)
@@ -49,20 +50,17 @@ class APath(FlowOutcome):
         domain, which are not tested again: `flow` keeps a sample only
         after its field's domain predicate accepted it."""
         g = cls.__new__(cls)
-        g._store(algebroid, traj.times, traj.points, eta, traj.status,
-                 traj.t_event, ())
+        g._store(algebroid, traj.times, traj.points, eta, traj.ending, ())
         return g
 
-    def _store(self, algebroid, times, base, eta, status, t_event,
-               junctions):
+    def _store(self, algebroid, times, base, eta, ending, junctions):
         self.algebroid = algebroid
         self.times = np.asarray(times, dtype=float)
         self.base = np.asarray(base, dtype=float).reshape(len(self.times),
                                                           algebroid.n)
         self.eta = np.asarray(eta, dtype=float).reshape(len(self.times),
                                                         algebroid.r)
-        self.status = status
-        self.t_event = t_event
+        self.ending = ending
         self.junctions = frozenset(int(j) for j in junctions)
 
     @property
@@ -79,11 +77,11 @@ class APath(FlowOutcome):
                 + [f"eta{a+1}" for a in range(r)])
         write_csv_rows(f, cols,
                        np.column_stack([self.times, self.base, self.eta]),
-                       self.status_str())
+                       self.ending)
 
     def __repr__(self):
         return (f"APath({len(self.times)} samples, n={self.algebroid.n}, "
-                f"r={self.algebroid.r}, status={self.status_str()})")
+                f"r={self.algebroid.r}, status={self.ending})")
 
 
 def read_apath_csv(f, algebroid):
@@ -95,12 +93,12 @@ def read_apath_csv(f, algebroid):
     if len(header) != 1 + n + r or header[0] != "t":
         raise ValueError(
             f"APath CSV header must be t,x1..x{n},eta1..eta{r}")
-    rows, status, t_event = read_csv_rows(f, len(header))
+    rows, ending = read_csv_rows(f, len(header))
     if len(rows) < 2:
         raise ValueError(f"an A-path needs at least 2 samples, got "
                          f"{len(rows)}")
     return APath(algebroid, rows[:, 0], rows[:, 1:1 + n], rows[:, 1 + n:],
-                 status, t_event)
+                 ending)
 
 
 def integrate_apath(A, s, x0, grid_size=1000, bound=1e8):
@@ -204,7 +202,7 @@ class AHomotopy:
         self.eta = np.asarray(eta, dtype=float).reshape(nt, ns, algebroid.r)
         self.beta = np.asarray(beta, dtype=float).reshape(nt, ns, algebroid.r)
         # the negated comparisons reject nan
-        bmax = float(np.max(np.abs(self.beta[[0, -1]])))
+        bmax = float(np.max(np.abs(self.beta[[0, -1]]), initial=0.0))
         if not bmax <= tol:
             raise AlgebroidError(
                 f"beta must vanish at t = 0, 1 (max |beta| there: {bmax:.3e})")
@@ -275,16 +273,17 @@ def homotopy_residual(H):
     deta_ds = (H.eta[:, 2:] - H.eta[:, :-2]) / (2.0 * hs)
     dbeta_dt = (H.beta[2:] - H.beta[:-2]) / (2.0 * ht)
     # the interior points (k, l), 0 < k < nt - 1 and 0 < l < ns - 1, as
-    # one stack in row-major order
+    # one stack of N points in row-major order (N given: r may be 0)
     n, r = A.n, A.r
     x = H.x[1:-1, 1:-1].reshape(-1, n)
-    eta = H.eta[1:-1, 1:-1].reshape(-1, r)
-    beta = H.beta[1:-1, 1:-1].reshape(-1, r)
+    N = len(x)
+    eta = H.eta[1:-1, 1:-1].reshape(N, r)
+    beta = H.beta[1:-1, 1:-1].reshape(N, r)
     rho = A.anchor_matrix(x)
     f = A.bracket_tensor(x)
-    r1 = dx_ds[1:-1].reshape(-1, n) - matvec(rho, beta)
+    r1 = dx_ds[1:-1].reshape(N, n) - matvec(rho, beta)
     f_eta = (f @ eta[:, None, :, None])[..., 0]
-    r2 = (deta_ds[1:-1].reshape(-1, r) - dbeta_dt[:, 1:-1].reshape(-1, r)
+    r2 = (deta_ds[1:-1].reshape(N, r) - dbeta_dt[:, 1:-1].reshape(N, r)
           - matvec(f_eta, beta))
     return (float(np.max(np.abs(r1), initial=0.0)),
             float(np.max(np.abs(r2), initial=0.0)))
@@ -357,7 +356,7 @@ def develop(basis, g):
                 (t0, t1), step=(t1 - t0) / steps, bound=math.inf)
     if not traj.completed:
         raise AlgebroidError(f"the development is not finite: "
-                             f"{traj.status_str()}")
+                             f"{traj.ending}")
     return MatrixPath(g.times, traj.points.reshape(-1, m, m))
 
 

@@ -418,7 +418,7 @@ def cmd_integrate_path(args, ws):
         payload = {"command": "integrate-path", "algebroid": name,
                    "seed": args.seed,
                    "params": {"grid": args.grid, "bound": args.bound},
-                   "status": g.status, "t_star": g.t_event,
+                   **g.ending._asdict(),
                    "source": list(g.source), "target": list(g.target)}
         try:
             payload["admissibility_residual"] = admissibility_residual(g)
@@ -436,7 +436,7 @@ def cmd_lift_path(args, ws):
         _emit({"command": "lift-path", "comorphism": name, "seed": args.seed,
                "params": {"interp": args.interp, "bound": args.bound,
                           "grid": len(g.times) - 1},
-               "status": lifted.status, "t_star": lifted.t_event,
+               **lifted.ending._asdict(),
                "phi_projection_error": lifted.phi_projection_error,
                "source": list(lifted.source), "target": list(lifted.target)})
     return 0 if lifted.completed else 1
@@ -515,22 +515,21 @@ def cmd_holonomy(args, ws):
         return 0
     loop = circle_loop(fc, radius=args.radius, grid=args.grid)
     x0 = args.x0 or [args.radius, 0.0, z0[0], z0[1], args.h]
-    rep = holonomy(fc, loop, x0)
+    lifted = holonomy(fc, loop, x0)
     nu = fc.nu(args.h) if hasattr(fc, "nu") else None
     payload = {"command": "holonomy", "connection": conn_name,
                "seed": args.seed,
                "params": {"grid": args.grid, "radius": args.radius,
                           "h": args.h},
-               "status": rep.status, "t_star": rep.t_event,
-               "phase": rep.phase,
-               "phi_projection_error": rep.phi_projection_error,
-               "start": list(rep.start), "end": list(rep.end)}
+               **lifted.ending._asdict(), "phase": lifted.phase,
+               "phi_projection_error": lifted.phi_projection_error,
+               "start": list(lifted.source), "end": list(lifted.target)}
     if nu is not None:
         payload["nu"] = nu
         payload["expected_phase"] = 2.0 * math.pi * nu
         payload["sheets"] = sheet_count(nu, k_max=int(args.k_max))
     _emit(payload)
-    return 0 if rep.completed else 1
+    return 0 if lifted.completed else 1
 
 
 def cmd_sheets(args, ws):
@@ -619,7 +618,7 @@ def cmd_poisson_flow(args, ws):
         _emit({"command": "poisson flow", "name": name, "seed": args.seed,
                "params": {"step": args.step, "bound": args.bound, "t1": t1,
                           "f": str(f)},
-               "status": traj.status, "t_star": traj.t_event,
+               **traj.ending._asdict(),
                "endpoint": list(traj.endpoint),
                "energy_drift": drift})
     return 0 if traj.completed else 1

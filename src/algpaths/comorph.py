@@ -150,29 +150,29 @@ def compose(c1, c2):
 
 class ProbeVerdict:
     """Outcome of a completeness probe. Only `escaped` is conclusive;
-    a clean run is bounded by the horizon and bound it was run with."""
+    a clean run is bounded by the horizon and bound it was run with. An
+    escape's witness is (seed, ending): that seed's flow's `Ending`."""
 
     def __init__(self, escaped, horizon, bound, witness=None):
         self.escaped = escaped
         self.horizon = horizon
         self.bound = bound
-        self.witness = witness    # (seed, status, t_event) when escaped
+        self.witness = witness
 
     def __str__(self):
         if not self.escaped:
             return (f"no escape detected (T={self.horizon:g}, "
                     f"bound={self.bound:g})")
-        seed, status, t_event = self.witness
-        return (f"incomplete witness: {status} at t*={t_event!r} "
-                f"from seed {point(seed)}")
+        seed, ending = self.witness
+        return (f"incomplete witness: {ending.status} at "
+                f"t*={ending.t_star!r} from seed {point(seed)}")
 
     def to_json(self):
         out = {"verdict": str(self), "escaped": self.escaped,
                "horizon": self.horizon, "bound": self.bound}
         if self.witness is not None:
-            seed, status, t_event = self.witness
-            out["witness"] = {"seed": list(seed), "status": status,
-                              "t_star": t_event}
+            seed, ending = self.witness
+            out["witness"] = {"seed": list(seed), **ending._asdict()}
         return out
 
 
@@ -187,7 +187,7 @@ def first_escape(vf, horizon, bound, seeds, step):
         traj = flow(vf, seed, (0.0, horizon), step=step, bound=bound)
         if not traj.completed:
             return ProbeVerdict(True, horizon, bound,
-                                witness=(seed, traj.status, traj.t_event))
+                                witness=(seed, traj.ending))
     return ProbeVerdict(False, horizon, bound)
 
 
@@ -289,7 +289,7 @@ def lift_homotopy(c, H, x0, interp="cubic", bound=1e8):
         if not traj.completed:
             raise LiftError(
                 f"slice s={s_vals[l]!r} failed to lift: "
-                f"{traj.status_str()}")
+                f"{traj.ending}")
         M = c.M_at(traj.points)
         xs[:, l] = traj.points
         etas[:, l] = matvec(M, H.eta[:, l])
@@ -331,7 +331,7 @@ def _endpoint_error(c, H, slices, x0, ends, interp, bound):
         fine = _lift_flow(c, g, x0, m, table[:, l].tolist(), bound)
         if not fine.completed:
             raise LiftError(f"slice s={s!r} failed to lift at the refined "
-                            f"step: {fine.status_str()}")
+                            f"step: {fine.ending}")
         step_err = np.max(np.abs(np.asarray(fine.endpoint) - end))
         sample_err = np.max(np.abs(c.phi_at(end) - g.target))
         err = max(err, float(step_err + sample_err))
@@ -363,10 +363,9 @@ def lift_uniqueness_check(c, g, x0, bound=1e8):
             traj = _lift_flow(c, g, x0, m, table.tolist(), bound)
             runs.append({
                 "interp": interp, "refine": refine,
-                "status": traj.status, "t_event": traj.t_event,
-                "endpoint": list(traj.endpoint),
+                "ending": traj.ending, "endpoint": list(traj.endpoint),
             })
-    statuses = {r["status"] for r in runs}
+    statuses = {r["ending"].status for r in runs}
     endpoint_spread = None
     exit_spread = None
     if statuses == {"completed"}:
@@ -374,7 +373,7 @@ def lift_uniqueness_check(c, g, x0, bound=1e8):
         endpoint_spread = max(
             float(np.linalg.norm(p - q)) for p in pts for q in pts)
     elif "completed" not in statuses:
-        ts = [r["t_event"] for r in runs]
+        ts = [r["ending"].t_star for r in runs]
         exit_spread = max(ts) - min(ts)
     return UniquenessReport(runs, endpoint_spread, exit_spread)
 

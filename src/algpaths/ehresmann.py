@@ -32,7 +32,6 @@ from . import expr as ex
 from .algebroid import AlgebroidError, make_tangent
 from .apath import APath
 from .comorph import Comorphism, lift_path
-from .numkernel import FlowOutcome
 
 
 class FlatConnection(Comorphism):
@@ -56,8 +55,8 @@ class FlatConnection(Comorphism):
         return self
 
     @cached_property
-    def _vert_fn(self):
-        """The commutators [H e_i, H e_j] (i < j), compiled."""
+    def _vert_map(self):
+        """The commutators [H e_i, H e_j] (i < j), one row each."""
         H, coords = self.M, self.source.coords
         flat = []
         for i in range(self.target.n):
@@ -69,7 +68,8 @@ class FlatConnection(Comorphism):
                             ex.mul(H[l][i], H[k][j].d(v)),
                             ex.mul(H[l][j], H[k][i].d(v))))
                     flat.append(acc)
-        return ex.compile_exprs(flat, coords)
+        return ex.SmoothMap(coords, np.array(flat, dtype=object).reshape(
+            -1, self.source.n))
 
 
 def flatness_residual(fc, samples):
@@ -78,7 +78,7 @@ def flatness_residual(fc, samples):
     symbolic."""
     nx, ny = fc.source.n, fc.target.n
     pts = fc.source.in_domain.require(samples, nx, "sample")
-    comms = ex.evaluate(fc._vert_fn, pts, (ny * (ny - 1) // 2, nx))
+    comms = fc._vert_map.eval_unchecked(pts)
     cols = np.swapaxes(comms, 1, 2)          # one column per commutator
     vert = cols - fc.M_at(pts) @ (fc.dphi_at(pts) @ cols)
     return float(np.max(np.abs(vert), initial=0.0))
@@ -109,7 +109,7 @@ class ExampleConnection(FlatConnection):
             self.nu_expr = ex.mul(
                 ex.Const(nu0),
                 ex.fun("bump", ex.Const(support[0]), ex.Const(support[1]), h))
-        self._nu_fn = ex.compile_exprs([self.nu_expr], ["h"])
+        self._nu_map = ex.SmoothMap(["h"], self.nu_expr)
         x, y, z1, z2 = (ex.Var(v) for v in ("x", "y", "z1", "z2"))
         r2 = ex.add(ex.pow_(x, 2), ex.pow_(y, 2))
         nu = self.nu_expr
@@ -134,7 +134,7 @@ class ExampleConnection(FlatConnection):
         self.z_indices = (2, 3)
 
     def nu(self, h):
-        return self._nu_fn(float(h))[0]
+        return self._nu_map.eval_unchecked([h]).item()
 
 
 def circle_loop(fc, radius=1.0, center=(0.0, 0.0), turns=1, grid=1000):
@@ -153,36 +153,15 @@ def circle_loop(fc, radius=1.0, center=(0.0, 0.0), turns=1, grid=1000):
     return APath(tgt, times, base, eta)
 
 
-class HolonomyReport(FlowOutcome):
-    """Fiber transport along a lifted loop. phase is the continuity-
-    unwrapped angle swept by (z1, z2) (None when the connection does not
-    mark complex-fiber indices or the lift failed)."""
-
-    def __init__(self, start, end, phase, status, t_event,
-                 phi_projection_error):
-        self.start = start
-        self.end = end
-        self.phase = phase
-        self.status = status
-        self.t_event = t_event
-        self.phi_projection_error = phi_projection_error
-
-    def __repr__(self):
-        ph = "None" if self.phase is None else f"{self.phase:.9f}"
-        return (f"HolonomyReport(phase={ph}, status={self.status}, "
-                f"proj_err={self.phi_projection_error:.3e})")
-
-
 def holonomy(fc, loop, x0):
-    """Lift the closed base loop through x0 and report the fiber
-    transport; for connections with a marked complex fiber, also the
-    unwrapped phase of z."""
+    """Lift the closed base loop through x0: the lifted A-path, which
+    transports the fiber from `source` to `target`, with `phase`, the
+    unwrapped angle z sweeps (None when fc marks no complex fiber)."""
     if float(np.max(np.abs(loop.base[0] - loop.base[-1]))) > 1e-9:
         raise AlgebroidError("holonomy needs a closed loop")
     lifted = lift_path(fc, loop, x0)
-    return HolonomyReport(np.array(lifted.base[0]), np.array(lifted.base[-1]),
-                          _phase(fc, lifted), lifted.status, lifted.t_event,
-                          lifted.phi_projection_error)
+    lifted.phase = _phase(fc, lifted)
+    return lifted
 
 
 def _phase(fc, lifted):
@@ -465,7 +444,7 @@ def write_sweep_csv(rows, f):
 
 __all__ = [
     "FlatConnection", "ExampleConnection", "GammaElement",
-    "HolonomyReport", "DensityReport", "SelfIntersectionReport",
+    "DensityReport", "SelfIntersectionReport",
     "flatness_residual", "holonomy", "circle_loop",
     "sheet_count", "density_scan",
     "self_intersection_witness", "holonomy_sweep", "write_sweep_csv",

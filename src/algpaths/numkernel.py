@@ -18,7 +18,8 @@ table sampled at the stage times. A trajectory stops early in two ways:
   bisected to 1e-9 time resolution along the linear interpolant of the last
   accepted RK4 segment.
 
-In both cases the last recorded sample strictly precedes t*.
+In both cases the last recorded sample strictly precedes t*. One `Ending`
+records how a flow ended, for its trajectory, trailer, witness and report.
 
 `stage_table` tabulates sampled data at the stage times of such a flow,
 linearly or by the not-a-knot cubic spline (`not_a_knot_table`), for the
@@ -27,7 +28,7 @@ fields driven by sampled paths: lifts and matrix-group developments.
 
 import itertools
 import math
-import re
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,29 +78,63 @@ class TabulatedField(VectorFieldTD):
         self.table = table
 
 
-class FlowOutcome:
-    """How an integration ended: status is one of "completed", "blowup",
-    "domain_exit"; t_event is the event time t* for the latter two and
-    None when completed."""
+class Ending(NamedTuple):
+    """How a flow ended: status "completed", "blowup" or "domain_exit",
+    and the event time t_star, None only when completed. str() is the
+    text of a CSV's '# status=' trailer, which `parse` reads back, and
+    `_asdict()` the fields of a report."""
+
+    status: str
+    t_star: "float | None" = None
 
     @property
     def completed(self):
         return self.status == "completed"
 
-    def status_str(self):
-        if self.status == "completed":
-            return "completed"
-        return f"{self.status}(t*={self.t_event!r})"
+    def __str__(self):
+        return ("completed" if self.completed
+                else f"{self.status}(t*={self.t_star!r})")
+
+    @classmethod
+    def parse(cls, text):
+        """The ending whose str() is text; ValueError for any other text,
+        such as another status or a t* that is not a finite float."""
+        if text == "completed":
+            return COMPLETED
+        status, _, rest = text.partition("(t*=")
+        try:
+            t_star = float(rest[:-1])
+        except ValueError:
+            t_star = math.nan
+        if not (status in ("blowup", "domain_exit") and rest.endswith(")")
+                and math.isfinite(t_star)):
+            raise ValueError(f"flow ending {text!r} is not 'completed' or "
+                             f"'<blowup|domain_exit>(t*=<finite time>)'")
+        return cls(status, t_star)
+
+
+COMPLETED = Ending("completed")
+
+
+class FlowOutcome:
+    """The status and completed of a record's `ending`."""
+
+    @property
+    def status(self):
+        return self.ending.status
+
+    @property
+    def completed(self):
+        return self.ending.completed
 
 
 class Trajectory(FlowOutcome):
     """Samples of an integral curve plus the reason integration ended."""
 
-    def __init__(self, times, points, status, t_event=None):
+    def __init__(self, times, points, ending=COMPLETED):
         self.times = np.asarray(times, dtype=float)
         self.points = np.asarray(points, dtype=float)
-        self.status = status
-        self.t_event = t_event
+        self.ending = ending
         if self.points.ndim == 1:
             self.points = self.points.reshape(len(self.times), -1)
 
@@ -111,18 +146,14 @@ class Trajectory(FlowOutcome):
         n = self.points.shape[1]
         write_csv_rows(f, ["t"] + [f"x{i+1}" for i in range(n)],
                        np.column_stack([self.times, self.points]),
-                       self.status_str())
+                       self.ending)
 
     def __repr__(self):
-        return (f"Trajectory({len(self.times)} samples, "
-                f"status={self.status_str()})")
+        return f"Trajectory({len(self.times)} samples, status={self.ending})"
 
 
 def _finite(x):
     return all(math.isfinite(v) for v in x)
-
-
-_STATUS_RE = re.compile(r"#\s*status=(\w+)(?:\(t\*=([^)]+)\))?")
 
 
 GRID_RTOL = 1e-6
@@ -137,9 +168,9 @@ MAX_COUNT = 1_000_000
 CSV_BLOCK_ROWS = 2048
 
 
-def write_csv_rows(f, header, table, status=None):
-    """Write the header names, one line per row of the 2-D table, and a
-    '# status=' trailer when status is given; the inverse of
+def write_csv_rows(f, header, table, ending=None):
+    """Write the header names, one line per row of the 2-D table, and the
+    '# status=' trailer of an `Ending` when one is given; the inverse of
     read_csv_rows. Each cell is the repr of a Python float, which reads
     back to the same bits. Rows are formatted in blocks of up to
     CSV_BLOCK_ROWS, each with one '%r' format over the block's floats."""
@@ -149,18 +180,19 @@ def write_csv_rows(f, header, table, status=None):
     for i in range(0, len(table), CSV_BLOCK_ROWS):
         block = table[i:i + CSV_BLOCK_ROWS]
         f.write(line * len(block) % tuple(block.ravel().tolist()))
-    if status is not None:
-        f.write(f"# status={status}\n")
+    if ending is not None:
+        f.write(f"# status={ending}\n")
 
 
 def read_csv_rows(f, width):
     """The data rows after the header line of a CSV, as one 2-D float
-    array, and the status of its '# status=' trailer: returns (table,
-    status, t_event), the status "completed" when there is no trailer.
-    Other '#' lines are skipped. Once all rows are read, ValueError names
-    the first row without `width` cells (the header's count), then the
-    first with a non-finite cell, found by one check over the table. It
-    is also raised for a file without rows, and on reaching a row past
+    array, and the `Ending` of its '# status=' trailer: returns (table,
+    ending), COMPLETED when there is no trailer. Other '#' lines are
+    skipped. Once all rows are read, ValueError names the first row
+    without `width` cells (the header's count), then the first with a
+    non-finite cell, found by one check over the table, then the first
+    trailer that `Ending.parse` refuses (the last trailer counts). It is
+    also raised for a file without rows, and on reaching a row past
     MAX_COUNT + 1.
 
     numpy's loadtxt parses the rows, fed at most MAX_COUNT + 1 of them
@@ -169,22 +201,15 @@ def read_csv_rows(f, width):
     so far and the rest of f are parsed again by `_parse_rows`, one
     float() per cell, which names the first bad row or accepts what
     float() accepts."""
-    trailer = ["completed", None]
-    rows, refused = [], []
+    rows, trailers = [], []
 
     def data_lines():
         for line in f:
             line = line.strip()
             if line.startswith("#"):
-                m = _STATUS_RE.match(line)
-                if m:
-                    trailer[0] = m.group(1)
-                    if m.group(2) is not None:
-                        try:
-                            trailer[1] = float(m.group(2))
-                        except ValueError:
-                            refused.append(line)
-                            raise
+                text = line[1:].lstrip()
+                if text.startswith("status="):
+                    trailers.append(text[len("status="):])
             elif line:
                 rows.append(line)
                 yield line
@@ -198,8 +223,6 @@ def read_csv_rows(f, width):
             itertools.islice(itertools.chain([first], lines), MAX_COUNT + 1),
             delimiter=",", comments=None, ndmin=2)
     except ValueError:
-        if refused:                     # a t* that float() refuses
-            raise
         table = None
     if table is not None and next(lines, None) is not None:
         raise ValueError(f"CSV has more than {MAX_COUNT + 1} data rows")
@@ -209,7 +232,8 @@ def read_csv_rows(f, width):
     if len(bad):
         raise ValueError(f"CSV row {bad[0] + 1} has a non-finite value: "
                          f"{','.join(map(repr, table[bad[0]].tolist()))}")
-    return table, *trailer
+    endings = [COMPLETED] + [Ending.parse(text) for text in trailers]
+    return table, endings[-1]
 
 
 def _parse_rows(lines, width):
@@ -249,9 +273,9 @@ def read_trajectory_csv(f):
     header = f.readline().strip().split(",")
     if header[0] != "t" or len(header) < 2:
         raise ValueError("trajectory CSV must start with a 't,x1,...' header")
-    rows, status, t_event = read_csv_rows(f, len(header))
+    rows, ending = read_csv_rows(f, len(header))
     check_uniform_grid(rows[:, 0], short_last=True)
-    return Trajectory(rows[:, 0], rows[:, 1:], status, t_event)
+    return Trajectory(rows[:, 0], rows[:, 1:], ending)
 
 
 def _bisect_exit(vf, t0, x0, t1, x1, resolution=1e-9):
@@ -422,20 +446,19 @@ def flow(vf, x0, t_span, step=1e-3, bound=1e8):
     points = list(x)
     failed = loop(table, x, t_a, t_b, step, n_steps, bound, times, points)
     if failed is None:
-        return Trajectory(times, points, "completed")
+        return Trajectory(times, points)
     cause, t, x, t_next, v = failed
-    if cause == "domain":
-        t_star = _bisect_exit(vf, t, x, t_next, v)
-        return Trajectory(times, points, "domain_exit", t_star)
     if cause == "stage" and v is not None and _finite(v):
         # a stage blew through the domain boundary or diverged; decide
-        # which by probing an Euler predictor
+        # which by probing an Euler predictor v
         h = t_next - t
-        x_pred = [xi + h * ki for xi, ki in zip(x, v)]
-        if _finite(x_pred) and not vf.in_domain(x_pred):
-            t_star = _bisect_exit(vf, t, x, t_next, x_pred)
-            return Trajectory(times, points, "domain_exit", t_star)
-    return Trajectory(times, points, "blowup", t_next)
+        v = [xi + h * ki for xi, ki in zip(x, v)]
+        if _finite(v) and not vf.in_domain(v):
+            cause = "domain"
+    if cause == "domain":
+        return Trajectory(times, points, Ending(
+            "domain_exit", _bisect_exit(vf, t, x, t_next, v)))
+    return Trajectory(times, points, Ending("blowup", t_next))
 
 
 def _slope_equations(x, m):
@@ -531,16 +554,19 @@ def stage_table(times, values, interp, refine=1):
     """Each column of the (len(times), k) array values, interpolated
     ("cubic": `not_a_knot_table`, or "linear") at the 2m + 1 stage times
     of an m-step flow over the grid refined `refine` times: returns m and
-    the (2m + 1, k) table, whose `tolist()` a `TabulatedField` takes."""
+    the (2m + 1, k) table, whose `tolist()` a `TabulatedField` takes;
+    with no columns (k = 0, a rank-0 fiber) the table is empty."""
+    if interp not in ("cubic", "linear"):
+        raise ValueError(f"unknown interpolation {interp!r}")
     m = (len(times) - 1) * refine
     stage_t = np.linspace(times[0], times[-1], 2 * m + 1)
-    if interp == "cubic":
+    if not values.shape[1]:
+        table = np.empty((2 * m + 1, 0))
+    elif interp == "cubic":
         table = not_a_knot_table(times, values, stage_t)
-    elif interp == "linear":
+    else:
         table = np.stack([np.interp(stage_t, times, values[:, b])
                           for b in range(values.shape[1])], axis=1)
-    else:
-        raise ValueError(f"unknown interpolation {interp!r}")
     return m, table
 
 
@@ -557,7 +583,7 @@ def flow_endpoint_order(vf, x0, t_span, step, reference=None):
         traj = flow(vf, x0, t_span, step=h)
         if not traj.completed:
             raise FlowError(f"order estimate needs completed flows, "
-                            f"got {traj.status_str()} at step {h}")
+                            f"got {traj.ending} at step {h}")
         ends.append(np.asarray(traj.endpoint))
     ref = np.asarray(reference, dtype=float) if reference is not None else ends[2]
     err_h = float(np.linalg.norm(ends[0] - ref))
@@ -569,7 +595,7 @@ def flow_endpoint_order(vf, x0, t_span, step, reference=None):
     return math.log2(err_h / err_h2)
 
 
-__all__ = ["VectorFieldTD", "FlowOutcome", "Trajectory", "flow",
-           "flow_endpoint_order", "not_a_knot_table", "stage_table",
-           "read_csv_rows", "write_csv_rows", "check_uniform_grid",
-           "read_trajectory_csv", "FlowError"]
+__all__ = ["VectorFieldTD", "Ending", "COMPLETED", "FlowOutcome",
+           "Trajectory", "flow", "flow_endpoint_order", "not_a_knot_table",
+           "stage_table", "read_csv_rows", "write_csv_rows",
+           "check_uniform_grid", "read_trajectory_csv", "FlowError"]

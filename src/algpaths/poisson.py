@@ -252,7 +252,7 @@ def complete_map_probe(phi, PX, PY, test_functions=None, horizon=2.0,
         agree = v_ham.escaped == v_com.escaped
         t_diff = None
         if v_ham.escaped and v_com.escaped:
-            t_diff = abs(v_ham.witness[2] - v_com.witness[2])
+            t_diff = abs(v_ham.witness[1].t_star - v_com.witness[1].t_star)
             agree = agree and t_diff <= 1e-3
         entries.append({
             "f": str(f),

@@ -134,13 +134,13 @@ def test_criterion_05_path_lifting():
     esc = lift_path(incl, ray, [0.0, 0.0])
     ok = (lifted.completed and proj_trivial <= 1e-6
           and rep.completed and rep.phi_projection_error <= 1e-6
-          and esc.status == "domain_exit" and esc.t_event is not None
-          and abs(esc.t_event - 0.5) <= 1e-3)
+          and esc.status == "domain_exit" and esc.ending.t_star is not None
+          and abs(esc.ending.t_star - 0.5) <= 1e-3)
     report(5, ok,
            f"lifts project onto the base path within "
            f"{max(proj_trivial, rep.phi_projection_error):.2e} <= 1e-6 "
            f"(trivial and twisted connections, step 1e-3); open-disk lift "
-           f"fails with status {esc.status!r} at t* = {esc.t_event}")
+           f"fails with status {esc.status!r} at t* = {esc.ending.t_star}")
 
 
 def _interval_inclusion():

@@ -15,7 +15,8 @@ from algpaths.apath import (AHomotopy, APath, MatrixPath,
                             develop, homotopy_residual, integrate_apath,
                             log_derivative, read_apath_csv,
                             read_ahomotopy_csv, read_matrix_csv)
-from algpaths.numkernel import Trajectory, flow, read_trajectory_csv
+from algpaths.numkernel import (COMPLETED, Ending, Trajectory, flow,
+                                read_trajectory_csv)
 
 
 def so3_constants():
@@ -51,7 +52,7 @@ def test_integrate_partial_path_on_escape():
     g = integrate_apath(A, s, [2.0], grid_size=1000, bound=1e6)
     assert g.status == "blowup"
     assert not g.completed
-    assert g.t_event == pytest.approx(0.5, rel=0.05)   # 1 / x0
+    assert g.ending.t_star == pytest.approx(0.5, rel=0.05)   # 1 / x0
 
 
 def test_admissibility_residual_shrinks_at_second_order():
@@ -409,7 +410,7 @@ def test_integrated_eta_is_the_section_at_each_sample(section, status):
                 (0.0, 1.0), step=1.0 / 200, bound=1e3)
     eta = [s(t, x) for t, x in zip(traj.times, traj.points)]
     assert g.status == traj.status == status
-    assert g.t_event == traj.t_event
+    assert g.ending.t_star == traj.ending.t_star
     assert np.array_equal(g.times, traj.times)
     assert np.array_equal(g.base, traj.points)
     assert np.array_equal(g.eta, np.asarray(eta))
@@ -465,11 +466,12 @@ def grids(draw, size):
 
 @st.composite
 def outcomes(draw):
-    """A flow status with its event time: completed, or an escape."""
+    """A flow's Ending: completed, or an escape with a finite t*."""
     status = draw(st.sampled_from(["completed", "blowup", "domain_exit"]))
     if status == "completed":
-        return status, None
-    return status, draw(st.floats(allow_nan=False, allow_infinity=False))
+        return COMPLETED
+    return Ending(status,
+                  draw(st.floats(allow_nan=False, allow_infinity=False)))
 
 
 def same_bits(a, b):
@@ -497,25 +499,25 @@ def test_trajectory_csv_round_trip_is_bitwise(size, n, data):
     # a flow's last step may be shorter than the others
     times[-1] = times[-2] + data.draw(st.floats(0.01, 1.0)) * (times[1]
                                                              - times[0])
-    status, t_event = data.draw(outcomes())
-    traj = Trajectory(times, data.draw(tables(size, n)), status, t_event)
+    ending = data.draw(outcomes())
+    traj = Trajectory(times, data.draw(tables(size, n)), ending)
     back = round_trip(traj, read_trajectory_csv)
     assert same_bits(back.times, traj.times)
     assert same_bits(back.points, traj.points)
-    assert (back.status, back.t_event) == (status, t_event)
+    assert repr(back.ending) == repr(ending)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(3, 6), st.integers(1, 3), st.data())
 def test_apath_csv_round_trip_is_bitwise(size, n, data):
     A = make_tangent(n)
-    status, t_event = data.draw(outcomes())
+    ending = data.draw(outcomes())
     g = APath(A, data.draw(grids(size)), data.draw(tables(size, n)),
-              data.draw(tables(size, n)), status, t_event)
+              data.draw(tables(size, n)), ending)
     back = round_trip(g, lambda f: read_apath_csv(f, A))
     for field in ("times", "base", "eta"):
         assert same_bits(getattr(back, field), getattr(g, field))
-    assert (back.status, back.t_event) == (status, t_event)
+    assert repr(back.ending) == repr(ending)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

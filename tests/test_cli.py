@@ -514,6 +514,51 @@ def test_lift_of_a_one_sample_path_is_a_usage_error(lift_cfg, tmp_path,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("interp", ["cubic", "linear"])
+def test_a_rank_0_lift_loads_and_completes(tmp_path, capsys, interp):
+    # loading spot-checks the axioms of a rank-0 algebroid (residuals
+    # over no fiber components are 0.0); the lift stands still
+    cfg = write_config(tmp_path, {
+        "algebroids": {"pt": {"base_dim": 1, "rank": 0, "anchor": [[]],
+                              "bracket": {}}},
+        "comorphisms": {"c": {"source": "pt", "target": "pt",
+                              "phi": ["x1"], "M": []}}})
+    path = _grid_csv(tmp_path, "still.csv", [[0.0, 0.3], [0.5, 0.3],
+                                              [1.0, 0.3]], "t,x1")
+    code, payload = run_json(capsys, [
+        "lift-path", "--config", cfg, "--comorphism", "c", "--path", path,
+        "--x0", "0.3", "--interp", interp,
+        "--out", str(tmp_path / "lifted.csv")])
+    assert code == 0
+    assert (payload["status"], payload["t_star"]) == ("completed", None)
+    assert payload["target"] == [0.3]
+
+
+@pytest.mark.parametrize("trailer", [
+    "bogus", "blowup", "completed(t*=0.5)", "domain_exit(t*=nan)",
+    "blowup(t*=inf)"])
+@pytest.mark.parametrize("command", ["lift-path", "develop"])
+def test_a_malformed_status_trailer_exits_2_naming_it(
+        lift_cfg, tmp_path, capsys, trailer, command):
+    # a path over a point for develop, one over the plane for lift-path
+    if command == "develop":
+        rows = [[k / 10, 0.0, 1.0] for k in range(11)]
+        header = "t,x1,eta1"
+        args = ["develop", "--basis", "[[[0, -1], [1, 0]]]"]
+    else:
+        rows = _apath_rows([k / 10 for k in range(11)])
+        header = "t,x1,x2,eta1,eta2"
+        args = ["lift-path", "--config", lift_cfg, "--comorphism", "incl",
+                "--x0", "0,0"]
+    path = _grid_csv(tmp_path, "bad.csv", rows, header)
+    with open(path, "a") as f:
+        f.write(f"# status={trailer}\n")
+    assert run(args + ["--path", path]) == 2
+    captured = capsys.readouterr()
+    assert f"{path}: flow ending {trailer!r} is not" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command, flag, header, row", [
     ("lift-path", "--path", "t,x1,x2,eta1,eta2", [0.0] * 4),
     ("lift-homotopy", "--homotopy", "t,s,x1,x2,eta1,eta2,beta1,beta2",

@@ -210,9 +210,9 @@ def test_probe_reports_domain_exit_with_witness():
     # pullback pushes the seed straight at the boundary: exit at t* = 1
     v = completeness_probe(c, s, 2.0, 1e8, [(0.0, 0.0)])
     assert v.escaped
-    seed, status, t_star = v.witness
-    assert status == "domain_exit"
-    assert abs(t_star - 1.0) <= 1e-6
+    seed, ending = v.witness
+    assert ending.status == "domain_exit"
+    assert abs(ending.t_star - 1.0) <= 1e-6
     assert str(v).startswith("incomplete witness: domain_exit at t*=")
     j = v.to_json()
     assert j["escaped"] is True
@@ -272,10 +272,49 @@ def test_lift_escape_is_the_non_existence_witness():
     lifted = lift_path(c, g, (0.0, 0.0))
     assert not lifted.completed
     assert lifted.status == "domain_exit"
-    assert abs(lifted.t_event - 0.5) <= 1e-6
+    assert abs(lifted.ending.t_star - 0.5) <= 1e-6
     # the integrated prefix still projects onto the path
     assert lifted.phi_projection_error <= 1e-9
     assert c.source.in_domain(lifted.base[-1])
+
+
+def rank_0_identity():
+    """The identity of the rank-0 algebroid over the line, whose A-paths
+    stand still: no fiber, and x' = 0."""
+    A = LieAlgebroid(1, 0, [[]])
+    return Comorphism(A, A, [ex.Var("x1")], [])
+
+
+@pytest.mark.parametrize("interp", ["cubic", "linear"])
+def test_a_lift_through_a_rank_0_target_is_the_constant_path(interp):
+    c = rank_0_identity()
+    g = APath(c.target, [0.0, 0.5, 1.0], [[0.3]] * 3, np.zeros((3, 0)))
+    lifted = lift_path(c, g, [0.3], interp=interp)
+    assert lifted.ending == ("completed", None)
+    assert lifted.times.tolist() == [0.0, 0.5, 1.0]
+    assert lifted.base.tolist() == [[0.3]] * 3
+    assert lifted.eta.shape == (3, 0)
+    assert lifted.phi_projection_error == 0.0
+
+
+def test_a_rank_0_lift_still_refuses_an_unknown_interpolation():
+    c = rank_0_identity()
+    g = APath(c.target, [0.0, 1.0], [[0.3]] * 2, np.zeros((2, 0)))
+    with pytest.raises(ValueError, match="unknown interpolation 'spline'"):
+        lift_path(c, g, [0.3], interp="spline")
+
+
+@pytest.mark.parametrize("interp", ["cubic", "linear"])
+def test_a_homotopy_lift_through_a_rank_0_target_is_constant(interp):
+    c = rank_0_identity()
+    grid = [0.0, 0.5, 1.0]
+    H = AHomotopy(c.target, grid, grid, np.full((3, 3, 1), 0.3),
+                  np.zeros((3, 3, 0)), np.zeros((3, 3, 0)))
+    lifted = lift_homotopy(c, H, [0.3], interp=interp)
+    assert lifted.x.tolist() == np.full((3, 3, 1), 0.3).tolist()
+    assert lifted.eta.shape == lifted.beta.shape == (3, 3, 0)
+    assert lifted.endpoint_spread == 0.0
+    assert lifted.residuals == (0.0, 0.0)
 
 
 def test_escaped_lift_csv_round_trip_keeps_its_witness():
@@ -286,7 +325,8 @@ def test_escaped_lift_csv_round_trip_keeps_its_witness():
     lifted.write_csv(buf)
     buf.seek(0)
     back = read_apath_csv(buf, c.source)
-    assert (back.status, back.t_event) == ("domain_exit", lifted.t_event)
+    assert back.status == "domain_exit"
+    assert back.ending == lifted.ending
 
 
 def test_lifted_samples_are_tested_against_the_domain_once():
@@ -305,7 +345,7 @@ def test_lift_uniqueness_on_a_completed_path():
     B = make_tangent(2)
     c = inclusion(disk(), B)
     rep = lift_uniqueness_check(c, circle_path(B, N=2000), (0.5, 0.0))
-    assert {r["status"] for r in rep.runs} == {"completed"}
+    assert {r["ending"].status for r in rep.runs} == {"completed"}
     assert len(rep.runs) == 4
     assert rep.endpoint_spread <= 1e-5
     assert rep.exit_spread is None
@@ -315,7 +355,7 @@ def test_lift_uniqueness_on_an_escaping_path():
     B = make_tangent(2)
     c = inclusion(disk(), B)
     rep = lift_uniqueness_check(c, line_path(B, N=200), (0.0, 0.0))
-    assert {r["status"] for r in rep.runs} == {"domain_exit"}
+    assert {r["ending"].status for r in rep.runs} == {"domain_exit"}
     assert rep.endpoint_spread is None
     assert rep.exit_spread <= 1e-6
 
@@ -497,7 +537,7 @@ def test_tabulated_lift_matches_the_rhs_closure(case, interp, refine):
     assert got.status == ref.status == case
     assert got.times.tobytes() == ref.times.tobytes()
     assert got.points.tobytes() == ref.points.tobytes()
-    assert repr(got.t_event) == repr(ref.t_event)
+    assert repr(got.ending) == repr(ref.ending)
 
 
 @pytest.mark.parametrize("seeds", [np.array([[0.0]]), [[0.0]]],

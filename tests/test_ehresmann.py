@@ -100,8 +100,8 @@ def test_holonomy_quarter_twist():
     assert abs(rep.phase - TWO_PI * 0.25) <= 1e-6
     assert rep.phi_projection_error <= 1e-6
     # z transported from 1 to e^{i pi/2} = i, base point restored
-    assert np.allclose(rep.end[:2], [1.0, 0.0], atol=1e-6)
-    assert np.allclose(rep.end[2:4], [0.0, 1.0], atol=1e-6)
+    assert np.allclose(rep.target[:2], [1.0, 0.0], atol=1e-6)
+    assert np.allclose(rep.target[2:4], [0.0, 1.0], atol=1e-6)
 
 
 def test_holonomy_zero_twist_is_exactly_zero():
@@ -157,9 +157,9 @@ def test_holonomy_requires_a_closed_loop():
 
 def test_an_example3_connection_loads_and_spot_checks_with_7_compiles(
         tmp_path, monkeypatch):
-    # nu; the domain predicate; the two tangent anchors, phi and H (as M);
-    # Dphi for the spot-check. A second compiled copy of the comorphism
-    # would show here.
+    # the domain predicate; the two tangent anchors, phi and H (as M);
+    # Dphi for the spot-check; nu, compiled on its first call. A second
+    # compiled copy of the comorphism would show here.
     counted = []
     compile_exprs = ex.compile_exprs
 
@@ -170,8 +170,10 @@ def test_an_example3_connection_loads_and_spot_checks_with_7_compiles(
     monkeypatch.setattr(ex, "compile_exprs", counting)
     cfg = tmp_path / "ws.json"
     cfg.write_text('{"connections": {"twist": {"type": "example3"}}}')
-    assert isinstance(load_workspace(cfg).connections["twist"],
-                      comorph.Comorphism)
+    conn = load_workspace(cfg).connections["twist"]
+    assert isinstance(conn, comorph.Comorphism)
+    assert len(counted) == 6
+    conn.nu(0.0)
     assert len(counted) == 7
 
 

@@ -14,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 from algpaths import cli, numkernel
 from algpaths import expr as ex
 from algpaths.expr import Domain
-from algpaths.numkernel import (FlowError, Trajectory, VectorFieldTD, flow,
-                                flow_endpoint_order, read_csv_rows,
-                                read_trajectory_csv, write_csv_rows)
+from algpaths.numkernel import (COMPLETED, Ending, FlowError, Trajectory,
+                                VectorFieldTD, flow, flow_endpoint_order,
+                                read_csv_rows, read_trajectory_csv,
+                                write_csv_rows)
 
 
 def compiled_field(sources, domain=(), coords=("x1",)):
@@ -58,16 +59,16 @@ def test_blowup_reports_grid_time_near_one_over_x0():
     vf = compiled_field(["x1^2"])
     traj = flow(vf, [1.0], (0.0, 2.0), step=1e-3, bound=1e6)
     assert traj.status == "blowup"
-    assert abs(traj.t_event - 1.0) <= 0.01         # within 1% of 1/x0
+    assert abs(traj.ending.t_star - 1.0) <= 0.01         # within 1% of 1/x0
     assert not traj.completed
-    assert "blowup" in traj.status_str() and "t*=" in traj.status_str()
+    assert str(traj.ending) == f"blowup(t*={traj.ending.t_star!r})"
 
 
 def test_domain_exit_is_bisected_to_nanoseconds():
     vf = compiled_field(["1.0"], domain=["1.0 - x1"])
     traj = flow(vf, [0.0], (0.0, 2.0), step=1e-3)
     assert traj.status == "domain_exit"
-    assert traj.t_event == pytest.approx(1.0, abs=1e-8)
+    assert traj.ending.t_star == pytest.approx(1.0, abs=1e-8)
     assert traj.points[-1][0] < 1.0                 # last point still inside
 
 
@@ -77,14 +78,14 @@ def test_stage_failure_becomes_domain_exit_when_domain_explains_it():
     vf = compiled_field(["1.0 / (0.5 - x1)"], domain=["0.5 - x1"])
     traj = flow(vf, [0.0], (0.0, 1.0), step=1e-4)
     assert traj.status == "domain_exit"
-    assert traj.t_event == pytest.approx(0.125, abs=1e-3)
+    assert traj.ending.t_star == pytest.approx(0.125, abs=1e-3)
 
 
 def test_stage_failure_without_domain_is_blowup():
     vf = compiled_field(["sqrt(0.25 - x1)"])
     traj = flow(vf, [0.0], (0.0, 2.0), step=1e-3)
     assert traj.status == "blowup"
-    assert traj.t_event is not None
+    assert traj.ending.t_star is not None
 
 
 def test_flow_rejects_bad_inputs():
@@ -116,7 +117,7 @@ def test_an_infinite_bound_is_no_bound():
 def test_flow_respects_norm_bound():
     traj = flow(exp_field(), [1.0], (0.0, 30.0), step=1e-2, bound=100.0)
     assert traj.status == "blowup"
-    assert traj.t_event == pytest.approx(math.log(100.0), abs=0.05)
+    assert traj.ending.t_star == pytest.approx(math.log(100.0), abs=0.05)
 
 
 def test_time_dependent_field():
@@ -148,7 +149,7 @@ def test_csv_round_trip_keeps_event_status():
     buf.seek(0)
     back = read_trajectory_csv(buf)
     assert back.status == "blowup"
-    assert back.t_event == pytest.approx(traj.t_event, abs=0)
+    assert back.ending.t_star == pytest.approx(traj.ending.t_star, abs=0)
 
 
 def test_csv_round_trip_keeps_a_short_last_step():
@@ -167,16 +168,39 @@ def test_csv_round_trip_keeps_a_short_last_step():
     ("t,x1\n0.0,1.0\n0.1,1.0\n0.1,1.0\n", "not uniform"),
     ("t,x1\n# status=completed\n", "no data rows"),
     ("x1\n0.0\n", "header"),
+    # trailers that Ending.parse refuses, named in the message
+    ("t,x1\n0.0,1.0\n0.1,1.0\n# status=bogus\n", "ending 'bogus' is not"),
+    ("t,x1\n0.0,1.0\n0.1,1.0\n# status=blowup\n", "ending 'blowup' is not"),
+    ("t,x1\n0.0,1.0\n# status=completed(t*=0.5)\n0.1,1.0\n",
+     r"ending 'completed\(t\*=0.5\)' is not"),
+    ("t,x1\n0.0,1.0\n0.1,1.0\n# status=domain_exit(t*=nan)\n",
+     r"ending 'domain_exit\(t\*=nan\)' is not"),
+    ("t,x1\n0.0,1.0\n0.1,1.0\n# status=domain_exit(t*=inf)\n",
+     r"ending 'domain_exit\(t\*=inf\)' is not"),
+    ("t,x1\n0.0,1.0\n0.1,1.0\n# status=blowup(t*=0.5\n",
+     r"ending 'blowup\(t\*=0.5' is not"),
 ])
 def test_trajectory_csv_rejects_bad_input(text, message):
     with pytest.raises(ValueError, match=message):
         read_trajectory_csv(io.StringIO(text))
 
 
+@pytest.mark.parametrize("ending, text", [
+    (COMPLETED, "completed"),
+    (Ending("blowup", 1.0010000000000001), "blowup(t*=1.0010000000000001)"),
+    (Ending("domain_exit", -0.0), "domain_exit(t*=-0.0)"),
+])
+def test_an_ending_prints_its_trailer_and_parses_back(ending, text):
+    assert str(ending) == text
+    assert repr(Ending.parse(text)) == repr(ending)
+    assert list(ending._asdict().items()) == [("status", ending.status),
+                                              ("t_star", ending.t_star)]
+
+
 def test_csv_row_count_is_capped_where_it_is_read(monkeypatch):
     assert numkernel.MAX_COUNT == cli.MAX_COUNT == 1_000_000
     monkeypatch.setattr(numkernel, "MAX_COUNT", 100)
-    rows, _, _ = read_csv_rows(io.StringIO("0.5,1.0\n" * 101), 2)
+    rows, _ = read_csv_rows(io.StringIO("0.5,1.0\n" * 101), 2)
     assert len(rows) == 101
     served = []
 
@@ -194,19 +218,17 @@ def test_csv_row_count_is_capped_where_it_is_read(monkeypatch):
 
 def _row_loop_reader(f, width):
     """The former reader: one float() per cell, row by row; the oracle of
-    read_csv_rows, whose rows numpy's loadtxt parses."""
-    rows = []
-    status, t_event = "completed", None
+    read_csv_rows, whose rows numpy's loadtxt parses. Each '# status='
+    trailer is read by Ending.parse once the rows are checked."""
+    rows, trailers = [], []
     for line in f:
         line = line.strip()
         if not line:
             continue
         if line.startswith("#"):
-            m = numkernel._STATUS_RE.match(line)
-            if m:
-                status = m.group(1)
-                if m.group(2) is not None:
-                    t_event = float(m.group(2))
+            text = line[1:].lstrip()
+            if text.startswith("status="):
+                trailers.append(text[len("status="):])
             continue
         if len(rows) > numkernel.MAX_COUNT:
             raise ValueError(f"CSV has more than {numkernel.MAX_COUNT + 1} "
@@ -223,22 +245,28 @@ def _row_loop_reader(f, width):
     if len(bad):
         raise ValueError(f"CSV row {bad[0] + 1} has a non-finite value: "
                          f"{','.join(map(repr, rows[bad[0]]))}")
-    return table, status, t_event
+    ending = COMPLETED
+    for text in trailers:
+        ending = Ending.parse(text)
+    return table, ending
 
 
 def _read_outcome(reader, text, width):
     try:
-        table, status, t_event = reader(io.StringIO(text), width)
+        table, ending = reader(io.StringIO(text), width)
     except ValueError as e:
         return "raises", str(e)
-    return table.shape, table.tobytes(), status, repr(t_event)
+    return table.shape, table.tobytes(), repr(ending)
 
 
 CSV_LINES = ["0.5,1.0", "-0.0,5e-324", " 1e16 , 2.5e-308 ", "0.1,0.2,0.3",
              "7", "nan,1.0", "1.0,-inf", "1e400,0", "1_0,2", "abc,1",
              "1.0,", "1.0,2.0 # note", "", "   ", "# a comment",
              "# status=completed", "# status=blowup(t*=0.5)",
-             "# status=domain_exit(t*=x)", "#status=blowup"]
+             "# status=domain_exit(t*=x)", "#status=blowup",
+             "#  status=domain_exit(t*=-0.0)", "# status=bogus",
+             "# status=completed(t*=0.5)", "# status=blowup(t*=inf)",
+             "# statuses"]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -303,17 +331,18 @@ def _reference_flow(vf, x0, t_span, step=1e-3, bound=1e8):
                 x_pred = [xi + h * ki for xi, ki in zip(x, k1)]
                 if finite(x_pred) and not vf.in_domain(x_pred):
                     t_star = numkernel._bisect_exit(vf, t, x, t_next, x_pred)
-                    return Trajectory(times, points, "domain_exit", t_star)
-            return Trajectory(times, points, "blowup", t_next)
+                    return Trajectory(times, points,
+                                      Ending("domain_exit", t_star))
+            return Trajectory(times, points, Ending("blowup", t_next))
         if not vf.in_domain(x_next):
             t_star = numkernel._bisect_exit(vf, t, x, t_next, x_next)
-            return Trajectory(times, points, "domain_exit", t_star)
+            return Trajectory(times, points, Ending("domain_exit", t_star))
         if norm(x_next) > bound:
-            return Trajectory(times, points, "blowup", t_next)
+            return Trajectory(times, points, Ending("blowup", t_next))
         t, x = t_next, x_next
         times.append(t)
         points.append(list(x))
-    return Trajectory(times, points, "completed")
+    return Trajectory(times, points)
 
 
 def _uncalled(fn):
@@ -334,7 +363,7 @@ def assert_same_fused_flow(vf, x0, t_span, step, bound=1e8):
     ref = _reference_flow(vf, x0, t_span, step=step, bound=bound)
     assert got.times.tobytes() == ref.times.tobytes()
     assert got.points.tobytes() == ref.points.tobytes()
-    assert (got.status, repr(got.t_event)) == (ref.status, repr(ref.t_event))
+    assert repr(got.ending) == repr(ref.ending)
     return got
 
 
@@ -386,7 +415,7 @@ def test_non_finite_stage_matches_the_reference():
     traj = assert_same_fused_flow(vf, [0.0, 1.0], (0.0, 2.0), 0.1,
                                   bound=math.inf)
     assert traj.status == "blowup"
-    assert traj.t_event == pytest.approx(0.6)
+    assert traj.ending.t_star == pytest.approx(0.6)
 
 
 @pytest.mark.parametrize("domain", [(), ("0.5 - x1",)],
@@ -406,7 +435,7 @@ def test_euler_predictor_domain_exit_matches_the_reference():
     vf = compiled_field(["1 + estep(x1 - 1) * 1e308 * 1e308"], ["1 - x1"])
     traj = assert_same_fused_flow(vf, [0.0], (0.0, 3.0), 0.3)
     assert traj.status == "domain_exit"
-    assert traj.t_event == pytest.approx(1.0, abs=1e-8)
+    assert traj.ending.t_star == pytest.approx(1.0, abs=1e-8)
 
 
 def test_bisected_domain_exit_matches_the_reference():
@@ -414,7 +443,7 @@ def test_bisected_domain_exit_matches_the_reference():
     traj = assert_same_fused_flow(vf, [1.0, 0.0], (0.0, 3.0), 0.05)
     assert traj.status == "domain_exit"
     # the chord of the last step crosses within O(step^2) of the curve
-    assert traj.t_event == pytest.approx(math.asin(0.9), abs=1e-3)
+    assert traj.ending.t_star == pytest.approx(math.asin(0.9), abs=1e-3)
 
 
 def _product_field():
@@ -489,7 +518,7 @@ def test_a_flow_that_fails_at_its_first_step_keeps_its_start_point():
     for vf in (compiled_field(["1 / (x1 - 1)", "2 * x2"], coords=("x1", "x2")),
                numkernel.TabulatedField(2, fn, [[1.0]] * 21)):
         traj = flow(vf, [1.0, 2.0], (0.0, 1.0), step=0.1)
-        assert traj.status == "blowup" and traj.t_event == 0.1
+        assert traj.status == "blowup" and traj.ending.t_star == 0.1
         assert traj.points.shape == (1, 2) and traj.times.shape == (1,)
         assert traj.endpoint.tolist() == [1.0, 2.0]
 
@@ -536,7 +565,7 @@ def test_a_fused_extra_value_that_raises_stops_the_flow():
     fn = A.anchored_field([ex.Const(-1.0)],
                           extra=[ex.parse("log(x1)", ["x1"])])
     traj = assert_same_fused_flow(A.flow_field(fn), [1.0], (0.0, 2.0), 0.1)
-    assert traj.status == "blowup" and traj.t_event == pytest.approx(1.0)
+    assert traj.status == "blowup" and traj.ending.t_star == pytest.approx(1.0)
 
 
 def test_a_fused_domain_predicate_that_raises_reads_as_outside():
@@ -552,7 +581,7 @@ def test_a_fused_domain_predicate_that_raises_reads_as_outside():
     vf.domain = Domain(pred, 1)
     traj = assert_same_fused_flow(vf, [1.0], (0.0, 2.0), 0.3)
     assert traj.status == "domain_exit"
-    assert traj.t_event == pytest.approx(1.0, abs=1e-9)
+    assert traj.ending.t_star == pytest.approx(1.0, abs=1e-9)
     # the steps test the kept body inline; only the start point and the
     # bisection call the predicate
     counted.clear()
@@ -693,7 +722,7 @@ def test_a_raising_domain_predicate_reads_as_outside(pred, step):
         vf = compiled_field(["-1.0"], [text])
         traj = assert_same_fused_flow(vf, [1.0], (0.0, 2.0), step)
         assert traj.status == "domain_exit"
-        return traj.t_event
+        return traj.ending.t_star
 
     raising = ex.domain_predicate([ex.parse(pred, ["x1"])], ["x1"])
     with pytest.raises((ArithmeticError, ValueError)):
@@ -733,12 +762,12 @@ def test_a_numpy_scalar_warning_in_the_loop_is_attributed_to_numkernel():
 
 # --------------------------------------------------------------- CSV writer --
 
-def _per_row_csv(header, table, status=None):
+def _per_row_csv(header, table, ending=None):
     """The former writer: one join of reprs per row."""
     lines = [",".join(header)]
     lines += [",".join(map(repr, row)) for row in np.asarray(table).tolist()]
-    if status is not None:
-        lines.append(f"# status={status}")
+    if ending is not None:
+        lines.append(f"# status={ending}")
     return "\n".join(lines) + "\n"
 
 
@@ -750,8 +779,8 @@ def test_bulk_csv_writer_matches_the_per_row_join(rows):
                                                               (rows, 3))
     flat = table.reshape(-1)
     flat[:len(special)] = special[:len(flat)]
-    for status in (None, "blowup(t*=0.5)"):
+    for ending in (None, Ending("blowup", 0.5)):
         buf = io.StringIO()
-        write_csv_rows(buf, ["t", "x1", "x2"], table, status)
+        write_csv_rows(buf, ["t", "x1", "x2"], table, ending)
         assert buf.getvalue() == _per_row_csv(["t", "x1", "x2"], table,
-                                              status)
+                                              ending)
