@@ -19,6 +19,7 @@ and Jacobi residuals at sample points, with all derivatives symbolic.
 """
 
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -316,24 +317,18 @@ def make_cotangent_poisson(P):
 
 # ----------------------------------------------------------------- axioms
 
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Sup-norm residuals of the two algebroid axioms over sample points."""
 
-    def __init__(self, anchor_residual, jacobi_residual, n_samples):
-        self.anchor_residual = anchor_residual
-        self.jacobi_residual = jacobi_residual
-        self.n_samples = n_samples
+    anchor_residual: float
+    jacobi_residual: float
+    n_samples: int
 
     def max_residual(self):
         return float(np.max([self.anchor_residual, self.jacobi_residual]))
 
     def ok(self, tol=1e-10):
         return self.max_residual() <= tol
-
-    def __repr__(self):
-        return (f"AxiomReport(anchor={self.anchor_residual:.3e}, "
-                f"jacobi={self.jacobi_residual:.3e}, "
-                f"samples={self.n_samples})")
 
 
 def anchor_morphism_residual_at(A, x):

@@ -23,9 +23,9 @@ import numpy as np
 from . import expr as ex
 from .algebroid import AlgebroidError, make_lie_algebra, matvec
 from .expr import evaluate, point
-from .numkernel import (COMPLETED, FlowOutcome, TabulatedField,
-                        check_uniform_grid, flow, read_csv_rows,
-                        stage_table, write_csv_rows)
+from .numkernel import (COMPLETED, FlowOutcome, TabulatedField, Trajectory,
+                        check_header, check_uniform_grid, flow,
+                        read_csv_rows, stage_table, write_csv_rows)
 
 
 class APath(FlowOutcome):
@@ -71,11 +71,13 @@ class APath(FlowOutcome):
     def target(self):
         return self.base[-1]
 
+    @staticmethod
+    def columns(n, r):
+        """The CSV header of an A-path over a rank-r algebroid on R^n."""
+        return Trajectory.columns(n) + [f"eta{a+1}" for a in range(r)]
+
     def write_csv(self, f):
-        n, r = self.algebroid.n, self.algebroid.r
-        cols = (["t"] + [f"x{i+1}" for i in range(n)]
-                + [f"eta{a+1}" for a in range(r)])
-        write_csv_rows(f, cols,
+        write_csv_rows(f, self.columns(self.algebroid.n, self.algebroid.r),
                        np.column_stack([self.times, self.base, self.eta]),
                        self.ending)
 
@@ -90,9 +92,7 @@ def read_apath_csv(f, algebroid):
     raises ValueError."""
     header = f.readline().strip().split(",")
     n, r = algebroid.n, algebroid.r
-    if len(header) != 1 + n + r or header[0] != "t":
-        raise ValueError(
-            f"APath CSV header must be t,x1..x{n},eta1..eta{r}")
+    check_header(header, APath.columns(n, r), "APath")
     rows, ending = read_csv_rows(f, len(header))
     if len(rows) < 2:
         raise ValueError(f"an A-path needs at least 2 samples, got "
@@ -222,14 +222,17 @@ class AHomotopy:
         beta = np.array([[beta_fn(t, s) for s in s_grid] for t in t_grid], float)
         return cls(algebroid, t_grid, s_grid, x, eta, beta)
 
+    @staticmethod
+    def columns(n, r):
+        """The CSV header of an A-homotopy over a rank-r algebroid on R^n."""
+        return (["t", "s"] + APath.columns(n, r)[1:]
+                + [f"beta{a+1}" for a in range(r)])
+
     def write_csv(self, f):
         n, r = self.algebroid.n, self.algebroid.r
-        cols = (["t", "s"] + [f"x{i+1}" for i in range(n)]
-                + [f"eta{a+1}" for a in range(r)]
-                + [f"beta{a+1}" for a in range(r)])
         nt, ns = len(self.t_grid), len(self.s_grid)
         # one row per grid point (k, l), row-major: t varies slowest
-        write_csv_rows(f, cols, np.column_stack([
+        write_csv_rows(f, self.columns(n, r), np.column_stack([
             np.repeat(self.t_grid, ns), np.tile(self.s_grid, nt),
             self.x.reshape(nt * ns, n), self.eta.reshape(nt * ns, r),
             self.beta.reshape(nt * ns, r)]))
@@ -241,21 +244,21 @@ class AHomotopy:
 
 def read_ahomotopy_csv(f, algebroid):
     """Inverse of AHomotopy.write_csv for a known algebroid. A malformed
-    header, a non-finite cell, a missing grid point or an uneven t or s
-    grid raises ValueError."""
+    header, a non-finite cell, a grid point missing or repeated, or an
+    uneven t or s grid raises ValueError."""
     n, r = algebroid.n, algebroid.r
     header = f.readline().strip().split(",")
-    if len(header) != 2 + n + 2 * r or header[:2] != ["t", "s"]:
-        raise ValueError(
-            f"AHomotopy CSV header must be t,s,x1..x{n},eta1..eta{r},"
-            f"beta1..beta{r}")
+    check_header(header, AHomotopy.columns(n, r), "AHomotopy")
     rows = read_csv_rows(f, len(header))[0]
     t_grid = np.unique(rows[:, 0])
     s_grid = np.unique(rows[:, 1])
     nt, ns = len(t_grid), len(s_grid)
-    if nt * ns != len(rows):
-        raise ValueError("AHomotopy CSV is not a full grid")
     data = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+    # sorted, the (t, s) columns of a full grid list each point once
+    if not (np.array_equal(data[:, 0], np.repeat(t_grid, ns))
+            and np.array_equal(data[:, 1], np.tile(s_grid, nt))):
+        raise ValueError("AHomotopy CSV is not a full grid: each (t, s) "
+                         "grid point must appear once")
     x = data[:, 2:2 + n].reshape(nt, ns, n)
     eta = data[:, 2 + n:2 + n + r].reshape(nt, ns, r)
     beta = data[:, 2 + n + r:].reshape(nt, ns, r)
@@ -300,10 +303,14 @@ class MatrixPath:
     def endpoint(self):
         return self.matrices[-1]
 
+    @staticmethod
+    def columns(m):
+        """The CSV header of a path of m x m matrices, row-major."""
+        return ["t"] + [f"g{i+1}{j+1}" for i in range(m) for j in range(m)]
+
     def write_csv(self, f):
         m = self.matrices.shape[-1]
-        cols = ["t"] + [f"g{i+1}{j+1}" for i in range(m) for j in range(m)]
-        write_csv_rows(f, cols, np.column_stack(
+        write_csv_rows(f, self.columns(m), np.column_stack(
             [self.times, self.matrices.reshape(len(self.times), m * m)]))
 
     def __repr__(self):
@@ -316,10 +323,8 @@ def read_matrix_csv(f):
     malformed header, a non-finite cell or an uneven time grid raises
     ValueError."""
     header = f.readline().strip().split(",")
-    m2 = len(header) - 1
-    m = int(round(math.sqrt(m2)))
-    if header[:1] != ["t"] or m * m != m2:
-        raise ValueError("not a matrix-path CSV header")
+    m = max(math.isqrt(len(header) - 1), 1)
+    check_header(header, MatrixPath.columns(m), "matrix-path")
     rows = read_csv_rows(f, len(header))[0]
     check_uniform_grid(rows[:, 0])
     return MatrixPath(rows[:, 0], rows[:, 1:].reshape(-1, m, m))
@@ -362,8 +367,6 @@ def develop(basis, g):
 
 def _matrix_path_derivative(gam, h):
     """4th-order finite-difference d/dt of a stacked matrix path."""
-    if len(gam) < 5:
-        raise AlgebroidError("log_derivative needs at least 5 samples")
     d = np.empty_like(gam)
     d[2:-2] = (gam[:-4] - 8.0 * gam[1:-3] + 8.0 * gam[3:-1] - gam[4:]) / (12.0 * h)
     d[0] = (-25.0 * gam[0] + 48.0 * gam[1] - 36.0 * gam[2]
@@ -388,6 +391,9 @@ def log_derivative(gamma, basis, algebroid=None, span_tol=1e-6):
     """
     gam = np.asarray(gamma.matrices, dtype=float)
     times = np.asarray(gamma.times, dtype=float)
+    if len(times) < 5:
+        raise ValueError(f"log_derivative needs at least 5 samples, got "
+                         f"{len(times)}")
     h = times[1] - times[0]
     m = gam.shape[-1]
     basis = [np.asarray(E, dtype=float) for E in basis]

@@ -22,7 +22,7 @@ import numpy as np
 from . import expr as ex
 from .algebroid import (AlgebroidError, LieAlgebroid, SectionTD,
                         check_axioms, sample_points)
-from .apath import (develop, integrate_apath, admissibility_residual,
+from .apath import (APath, develop, integrate_apath, admissibility_residual,
                     log_derivative, read_apath_csv, read_ahomotopy_csv,
                     read_matrix_csv)
 from .comorph import (Comorphism, LiftError, anchor_compat_residual,
@@ -31,7 +31,7 @@ from .ehresmann import (ExampleConnection, FlatConnection, GammaElement,
                         circle_loop, density_scan, holonomy, holonomy_sweep,
                         self_intersection_witness, sheet_count,
                         write_sweep_csv)
-from .numkernel import MAX_COUNT, FlowError, flow
+from .numkernel import MAX_COUNT, FlowError, check_header, flow
 from .poisson import (PoissonError, PoissonManifold, complete_map_probe,
                       cotangent_lift, hamiltonian_vf, poisson_map_residual)
 
@@ -236,8 +236,8 @@ def _connection(d, ws):
     if d.get("type") == "example3":
         return ExampleConnection(
             _num(d.get("nu0", "1/3")),
-            support=tuple(d.get("support", (-0.5, 0.5))),
-            slab=tuple(d.get("slab", (-1.0, 1.0))))
+            support=d.get("support", (-0.5, 0.5)),
+            slab=d.get("slab", (-1.0, 1.0)))
     x_coords = [str(v) for v in d["x_coords"]]
     phi = [ex.parse(str(s), x_coords) for s in d["phi"]]
     H = [[ex.parse(str(s), x_coords) for s in row] for row in d["H"]]
@@ -468,12 +468,11 @@ def cmd_completeness_probe(args, ws):
                                      np.random.default_rng(args.seed))
     verdict = completeness_probe(c, s, args.horizon, args.bound, seeds,
                                  args.step)
-    payload = {"command": "completeness-probe", "comorphism": name,
-               "seed": args.seed,
-               "params": {"horizon": args.horizon, "bound": args.bound,
-                          "step": args.step, "n_seeds": len(seeds)}}
-    payload.update(verdict.to_json())
-    _emit(payload)
+    _emit({"command": "completeness-probe", "comorphism": name,
+           "seed": args.seed,
+           "params": {"horizon": args.horizon, "bound": args.bound,
+                      "step": args.step, "n_seeds": len(seeds)},
+           **verdict.to_json()})
     return 1 if verdict.escaped else 0
 
 
@@ -543,10 +542,9 @@ def cmd_density(args, ws):
                else 1e4 * 2.0 * math.pi)
     rep = density_scan(_num(args.nu), args.theta0, _vector(args.z0),
                        tau_max, args.bins)
-    payload = {"command": "example3 density", "seed": args.seed,
-               "params": {"theta0": args.theta0, "z0": args.z0}}
-    payload.update(rep.to_json())
-    _emit(payload)
+    _emit({"command": "example3 density", "seed": args.seed,
+           "params": {"theta0": args.theta0, "z0": args.z0},
+           **rep._asdict()})
     return 0
 
 
@@ -557,9 +555,7 @@ def cmd_self_intersect(args, ws):
     _emit({"command": "example3 self-intersect", "seed": args.seed,
            "params": {"h": args.h, "tau": args.tau, "r": args.r,
                       "theta": args.theta, "rp": args.rp},
-           "nu": rep.nu, "image_mismatch": rep.image_mismatch,
-           "gap": rep.gap, "expected_gap": rep.expected_gap,
-           "degenerate": rep.degenerate})
+           **rep._asdict()})
     return 0
 
 
@@ -647,12 +643,11 @@ def cmd_poisson_probe(args, ws):
                              seeds=seeds, map_samples=map_samples,
                              step=args.step)
     escaped = any(e["hamiltonian"]["escaped"] for e in rep.entries)
-    payload = {**head,
-               "params": {"horizon": args.horizon, "bound": args.bound,
-                          "step": args.step, "n_seeds": len(seeds)},
-               "all_agree": rep.all_agree, "escaped": escaped}
-    payload["entries"] = rep.to_json()["entries"]
-    _emit(payload)
+    _emit({**head,
+           "params": {"horizon": args.horizon, "bound": args.bound,
+                      "step": args.step, "n_seeds": len(seeds)},
+           "all_agree": rep.all_agree, "escaped": escaped,
+           "entries": rep.entries})
     return 1 if (escaped or not rep.all_agree) else 0
 
 
@@ -662,10 +657,10 @@ def _read_apath_auto(path, ws, name):
         return _read_csv(path, read_apath_csv, A)
     with open(path) as f:
         header = f.readline().strip().split(",")
+    # n and r from the counts; the names must then be APath's, in order
     n = sum(1 for c in header if c.startswith("x"))
     r = sum(1 for c in header if c.startswith("eta"))
-    if header[:1] != ["t"] or 1 + n + r != len(header):
-        raise ConfigError(f"{path}: not an A-path CSV header")
+    check_header(header, APath.columns(n, r), f"{path}: APath")
     zero = [[ex.Const(0.0) for _ in range(r)] for _ in range(n)]
     return _read_csv(path, read_apath_csv, LieAlgebroid(n, r, zero, {}))
 

@@ -15,6 +15,7 @@ full interval.
 """
 
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -148,16 +149,15 @@ def compose(c1, c2):
     return Comorphism(c1.source, c2.target, phi, M)
 
 
-class ProbeVerdict:
+class ProbeVerdict(NamedTuple):
     """Outcome of a completeness probe. Only `escaped` is conclusive;
     a clean run is bounded by the horizon and bound it was run with. An
     escape's witness is (seed, ending): that seed's flow's `Ending`."""
 
-    def __init__(self, escaped, horizon, bound, witness=None):
-        self.escaped = escaped
-        self.horizon = horizon
-        self.bound = bound
-        self.witness = witness
+    escaped: bool
+    horizon: float
+    bound: float
+    witness: "tuple | None" = None
 
     def __str__(self):
         if not self.escaped:
@@ -338,18 +338,14 @@ def _endpoint_error(c, H, slices, x0, ends, interp, bound):
     return err
 
 
-class UniquenessReport:
+class UniquenessReport(NamedTuple):
     """Endpoint (or exit-time) agreement of lifts under different
-    interpolation schemes and step refinements."""
+    interpolation schemes and step refinements; a spread is None where
+    it does not apply."""
 
-    def __init__(self, runs, endpoint_spread, exit_spread):
-        self.runs = runs
-        self.endpoint_spread = endpoint_spread
-        self.exit_spread = exit_spread
-
-    def __repr__(self):
-        return (f"UniquenessReport(endpoint_spread={self.endpoint_spread}, "
-                f"exit_spread={self.exit_spread})")
+    runs: list
+    endpoint_spread: "float | None"
+    exit_spread: "float | None"
 
 
 def lift_uniqueness_check(c, g, x0, bound=1e8):

@@ -25,6 +25,7 @@ angles unwrapped by continuity along trajectories.
 
 import math
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,12 +97,13 @@ class ExampleConnection(FlatConnection):
     midpoint of the support and identically zero outside it. The domain
     predicate x^2 + y^2 + estep(h - h_hi) + estep(h_lo - h) > 0 excludes
     exactly the slab {r = 0, h_lo <= h <= h_hi} (slab [-1, 1] by default).
+    support and slab must each be two finite numbers lo < hi.
     """
 
     def __init__(self, nu0, support=(-0.5, 0.5), slab=(-1.0, 1.0)):
         self.nu0 = float(nu0)
-        self.support = tuple(support)
-        self.slab = tuple(slab)
+        self.support = support = _interval("support", support)
+        self.slab = slab = _interval("slab", slab)
         h = ex.Var("h")
         if nu0 == 0.0:
             self.nu_expr = ex.Const(0.0)
@@ -135,6 +137,19 @@ class ExampleConnection(FlatConnection):
 
     def nu(self, h):
         return self._nu_map.eval_unchecked([h]).item()
+
+
+def _interval(name, value):
+    """value as a pair (lo, hi) of finite floats with lo < hi; ValueError
+    naming it otherwise."""
+    try:
+        lo, hi = map(float, value)
+    except (TypeError, ValueError):
+        lo = hi = math.nan
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"{name} must be two finite numbers lo < hi, got "
+                         f"{value!r}")
+    return lo, hi
 
 
 def circle_loop(fc, radius=1.0, center=(0.0, 0.0), turns=1, grid=1000):
@@ -259,29 +274,17 @@ class GammaElement:
                 f"tau={self.tau}, z={self.z}, h={self.h})")
 
 
-class DensityReport:
+class DensityReport(NamedTuple):
     """Sampled picture of the (theta', arg z') relation on the 2-torus."""
 
-    def __init__(self, nu, tau_max, bins, cells_hit, line_count, max_gap):
-        self.nu = nu
-        self.tau_max = tau_max
-        self.bins = bins
-        self.cells_hit = cells_hit
-        self.cells_total = bins * bins
-        self.coverage = cells_hit / (bins * bins)
-        self.line_count = line_count
-        self.max_gap = max_gap
-
-    def __repr__(self):
-        return (f"DensityReport(nu={self.nu}, coverage={self.cells_hit}/"
-                f"{self.cells_total}, lines={self.line_count}, "
-                f"max_gap={self.max_gap:.6g})")
-
-    def to_json(self):
-        return {"nu": self.nu, "tau_max": self.tau_max, "bins": self.bins,
-                "cells_hit": self.cells_hit, "cells_total": self.cells_total,
-                "coverage": self.coverage, "line_count": self.line_count,
-                "max_gap": self.max_gap}
+    nu: float
+    tau_max: float
+    bins: int
+    cells_hit: int
+    cells_total: int
+    coverage: float
+    line_count: int
+    max_gap: float
 
 
 TWO_PI = 2.0 * math.pi
@@ -336,26 +339,19 @@ def density_scan(nu_value, theta_offset, z0, tau_max, bins):
         arr = np.asarray(merged)
         gaps = np.diff(arr)
         max_gap = float(max(gaps.max(), TWO_PI - arr[-1] + arr[0]))
-    return DensityReport(nu_value, tau_max, bins, cells_hit, line_count,
-                         max_gap)
+    return DensityReport(nu_value, tau_max, bins, cells_hit, bins * bins,
+                         cells_hit / (bins * bins), line_count, max_gap)
 
 
-class SelfIntersectionReport:
+class SelfIntersectionReport(NamedTuple):
     """Witness that the target-source immersion self-intersects: equal
     image points at tau and tau + 2pi, distinct tangent planes."""
 
-    def __init__(self, nu, image_mismatch, gap, expected_gap, degenerate):
-        self.nu = nu
-        self.image_mismatch = image_mismatch
-        self.gap = gap
-        self.expected_gap = expected_gap
-        self.degenerate = degenerate
-
-    def __repr__(self):
-        return (f"SelfIntersectionReport(nu={self.nu}, "
-                f"image_mismatch={self.image_mismatch:.3e}, "
-                f"gap={self.gap:.9f}, expected={self.expected_gap:.9f}, "
-                f"degenerate={self.degenerate})")
+    nu: float
+    image_mismatch: float
+    gap: float
+    expected_gap: float
+    degenerate: bool
 
 
 def _ts_jacobian(nu, r, theta, rp, tau):

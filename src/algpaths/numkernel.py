@@ -142,9 +142,13 @@ class Trajectory(FlowOutcome):
     def endpoint(self):
         return self.points[-1]
 
+    @staticmethod
+    def columns(n):
+        """The CSV header of a trajectory in R^n."""
+        return ["t"] + [f"x{i+1}" for i in range(n)]
+
     def write_csv(self, f):
-        n = self.points.shape[1]
-        write_csv_rows(f, ["t"] + [f"x{i+1}" for i in range(n)],
+        write_csv_rows(f, self.columns(self.points.shape[1]),
                        np.column_stack([self.times, self.points]),
                        self.ending)
 
@@ -182,6 +186,13 @@ def write_csv_rows(f, header, table, ending=None):
         f.write(line * len(block) % tuple(block.ravel().tolist()))
     if ending is not None:
         f.write(f"# status={ending}\n")
+
+
+def check_header(header, names, what):
+    """Raise ValueError unless a CSV's header cells are exactly names, in
+    order: the columns its writer writes."""
+    if header != names:
+        raise ValueError(f"{what} CSV header must be {','.join(names)}")
 
 
 def read_csv_rows(f, width):
@@ -271,8 +282,8 @@ def check_uniform_grid(times, what="time", short_last=False):
 def read_trajectory_csv(f):
     """Inverse of Trajectory.write_csv (header + rows + status comment)."""
     header = f.readline().strip().split(",")
-    if header[0] != "t" or len(header) < 2:
-        raise ValueError("trajectory CSV must start with a 't,x1,...' header")
+    check_header(header, Trajectory.columns(max(len(header) - 1, 1)),
+                 "trajectory")
     rows, ending = read_csv_rows(f, len(header))
     check_uniform_grid(rows[:, 0], short_last=True)
     return Trajectory(rows[:, 0], rows[:, 1:], ending)

@@ -13,6 +13,7 @@ by entry).
 """
 
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -173,13 +174,12 @@ def tangent_lift_bivector(P):
     return PoissonManifold(2 * n, pi, domain=P.domain, coords=coords)
 
 
-class ProbeComparison:
+class ProbeComparison(NamedTuple):
     """Per-test-function agreement of the two completeness routes."""
 
-    def __init__(self, entries, horizon, bound):
-        self.entries = entries
-        self.horizon = horizon
-        self.bound = bound
+    entries: list
+    horizon: float
+    bound: float
 
     @property
     def all_agree(self):
@@ -188,10 +188,6 @@ class ProbeComparison:
     def to_json(self):
         return {"horizon": self.horizon, "bound": self.bound,
                 "all_agree": self.all_agree, "entries": self.entries}
-
-    def __repr__(self):
-        return (f"ProbeComparison({len(self.entries)} functions, "
-                f"all_agree={self.all_agree})")
 
 
 def _flow_field_probe(vf, horizon, bound, seeds, step):

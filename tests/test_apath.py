@@ -319,10 +319,14 @@ def test_log_derivative_refuses_a_basis_of_another_size(basis):
 
 
 def test_log_derivative_needs_five_samples():
-    times = np.linspace(0.0, 1.0, 3)
-    mats = np.stack([np.eye(2)] * 3)
-    with pytest.raises(AlgebroidError):
-        log_derivative(MatrixPath(times, mats), SO2_BASIS)
+    # checked before the first spacing is read, so one sample is refused
+    # with the same message as three
+    for count in (1, 3):
+        times = np.linspace(0.0, 1.0, count)
+        mats = np.stack([np.eye(2)] * count)
+        with pytest.raises(ValueError, match=f"at least 5 samples, got "
+                                             f"{count}$"):
+            log_derivative(MatrixPath(times, mats), SO2_BASIS)
 
 
 # ------------------------------------------------------------------- CSV
@@ -387,6 +391,22 @@ def test_apath_base_sample_at_a_zero_divisor_is_outside():
 def test_a_ragged_csv_row_is_named(read, text, message):
     with pytest.raises(ValueError, match=message):
         read(io.StringIO(text), make_tangent(1))
+
+
+@pytest.mark.parametrize("read, header, names", [
+    (lambda f: read_apath_csv(f, make_tangent(1)), "t,eta1,x1",
+     "APath CSV header must be t,x1,eta1"),
+    (lambda f: read_ahomotopy_csv(f, make_tangent(1)), "t,s,eta1,x1,beta1",
+     "AHomotopy CSV header must be t,s,x1,eta1,beta1"),
+    (read_matrix_csv, "t,a,b,c,d",
+     "matrix-path CSV header must be t,g11,g12,g21,g22"),
+], ids=["apath", "ahomotopy", "matrix"])
+def test_a_csv_header_must_be_the_writers_names(read, header, names):
+    # the right count of cells, under other names or in another order
+    width = len(header.split(","))
+    rows = "".join(",".join([repr(k / 2)] * width) + "\n" for k in range(3))
+    with pytest.raises(ValueError, match=f"^{names}$"):
+        read(io.StringIO(header + "\n" + rows))
 
 
 def _rank2_algebroid():

@@ -346,6 +346,10 @@ BAD_INPUTS = [
       "-1"], {}, "--span-tol" + AT_LEAST_0),
     (["logderiv", "--gamma", "g.csv", "--basis", "[[[1, 0, 0], [0, 1, 0]]]"],
      {}, "--basis: must be a list of equal square matrices"),
+    (CHECK, {"connections": {"cyl": {"type": "example3", "slab": [1]}}},
+     "/connections/cyl: slab must be two finite numbers lo < hi, got [1]"),
+    (CHECK, {"connections": {"cyl": {"type": "example3", "support": [0.5]}}},
+     "/connections/cyl: support must be two finite numbers lo < hi"),
 ]
 
 
@@ -590,7 +594,8 @@ def test_malformed_csv_header_is_a_usage_error(lift_cfg, tmp_path, capsys,
 
 @pytest.mark.parametrize("defect, message", [
     ("nan", "non-finite"), ("t", "t grid is not uniform"),
-    ("s", "s grid is not uniform"), ("hole", "not a full grid")])
+    ("s", "s grid is not uniform"), ("hole", "not a full grid"),
+    ("repeat", "each (t, s) grid point must appear once")])
 def test_lift_homotopy_rejects_bad_homotopy_csv(lift_cfg, tmp_path, capsys,
                                                 defect, message):
     t_grid = [k / 10 for k in range(11)]
@@ -604,6 +609,8 @@ def test_lift_homotopy_rejects_bad_homotopy_csv(lift_cfg, tmp_path, capsys,
         rows[7][4] = math.nan
     if defect == "hole":
         del rows[7]
+    if defect == "repeat":         # (0.2, 0.5) twice and no (0.2, 1.0)
+        rows[8] = list(rows[7])
     path = _grid_csv(tmp_path, "bad.csv", rows,
                      "t,s,x1,x2,eta1,eta2,beta1,beta2")
     assert run(["lift-homotopy", "--config", lift_cfg, "--comorphism",
@@ -612,7 +619,9 @@ def test_lift_homotopy_rejects_bad_homotopy_csv(lift_cfg, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("defect, message", [
-    ("nan", "non-finite"), ("grid", "not uniform"), ("empty", "no data")])
+    ("nan", "non-finite"), ("grid", "not uniform"), ("empty", "no data"),
+    ("one", "needs at least 5 samples, got 1"),
+    ("three", "needs at least 5 samples, got 3")])
 def test_logderiv_rejects_bad_matrix_csv(tmp_path, capsys, defect, message):
     times = [k / 10 for k in range(11)]
     if defect == "grid":
@@ -622,6 +631,8 @@ def test_logderiv_rejects_bad_matrix_csv(tmp_path, capsys, defect, message):
         rows[2][1] = math.nan
     if defect == "empty":
         rows = []
+    if defect in ("one", "three"):
+        rows = rows[:1 if defect == "one" else 3]
     path = _grid_csv(tmp_path, "g.csv", rows, "t,g11,g12,g21,g22")
     assert run(["logderiv", "--gamma", path,
                 "--basis", "[[[0, -1], [1, 0]]]"]) == 2
@@ -1005,6 +1016,19 @@ def test_develop_logderiv_round_trip(tmp_path, capsys):
     assert code == 0
     assert payload["eta_start"][0] == pytest.approx(omega, abs=1e-4)
     assert payload["eta_end"][0] == pytest.approx(omega, abs=1e-4)
+
+
+def test_develop_refuses_a_path_csv_with_other_column_names(tmp_path,
+                                                           capsys):
+    # the counts give n = 2 and r = 1, but eta1 is not the last column
+    path = _grid_csv(tmp_path, "swapped.csv",
+                     [[k / 10, 1.0, 0.0, 0.0] for k in range(11)],
+                     "t,eta1,x1,x2")
+    assert run(["develop", "--path", path,
+                "--basis", "[[[0, -1], [1, 0]]]"]) == 2
+    captured = capsys.readouterr()
+    assert f"{path}: APath CSV header must be t,x1,x2,eta1" in captured.err
+    assert captured.out == ""
 
 
 def test_logderiv_rejects_bad_header(tmp_path, capsys):

@@ -320,7 +320,7 @@ def test_density_scan_refuses_too_many_samples_before_sampling(tau_max, bins):
 
 def test_density_report_serializes():
     rep = density_scan(0.5, 0.0, (1.0, 0.0), 100.0, 8)
-    j = rep.to_json()
+    j = rep._asdict()
     assert j["bins"] == 8 and j["cells_total"] == 64
     assert j["line_count"] == 2 and 0.0 < j["coverage"] <= 1.0
 
@@ -380,6 +380,16 @@ def test_gamma_composition_needs_matching_endpoints():
     g2 = GammaElement(conn, 1.0, 0.0, 1.0, 1.0, (1.0, 0.0), 0.0)
     with pytest.raises(ValueError, match="cannot compose"):
         g1.then(g2)
+
+
+@pytest.mark.parametrize("interval", [
+    [0.5], (0.5, -0.5), (0.5, 0.5), (0.0, math.inf), (math.nan, 1.0), None])
+@pytest.mark.parametrize("name", ["support", "slab"])
+def test_example_connection_needs_finite_increasing_intervals(name,
+                                                             interval):
+    with pytest.raises(ValueError,
+                       match=f"{name} must be two finite numbers lo < hi"):
+        ExampleConnection(0.25, **{name: interval})
 
 
 def test_gamma_element_validates_its_chart():

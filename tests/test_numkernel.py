@@ -168,6 +168,7 @@ def test_csv_round_trip_keeps_a_short_last_step():
     ("t,x1\n0.0,1.0\n0.1,1.0\n0.1,1.0\n", "not uniform"),
     ("t,x1\n# status=completed\n", "no data rows"),
     ("x1\n0.0\n", "header"),
+    ("t,y,zz\n0.0,1.0,2.0\n0.1,1.0,2.0\n", "CSV header must be t,x1,x2$"),
     # trailers that Ending.parse refuses, named in the message
     ("t,x1\n0.0,1.0\n0.1,1.0\n# status=bogus\n", "ending 'bogus' is not"),
     ("t,x1\n0.0,1.0\n0.1,1.0\n# status=blowup\n", "ending 'blowup' is not"),
