@@ -253,22 +253,38 @@ def _comorphism(d, ws):
     return Comorphism.from_dict(d, ws.algebroids.__getitem__)
 
 
-# Workspace sections in load order (comorphisms refer to algebroids):
-# builder, spot-check residual given a sampler of SPOT_SAMPLES points,
-# and the check's name and measure.
+def _check_keys(d, kinds):
+    """Refuse an entry that is not a JSON object or has a key its kind does
+    not read; kinds maps an entry's "type" (None if it has none) to keys."""
+    if not isinstance(d, dict):
+        raise ConfigError(": must be a JSON object")
+    kind = d.get("type")
+    if kind not in kinds:
+        raise ConfigError(f"/type: unknown type {kind!r}")
+    for key in d:
+        if key not in kinds[kind].split():
+            raise ConfigError(f"/{key}: unknown key")
+
+
+# Workspace sections in load order (comorphisms refer to algebroids): an
+# entry's keys by type (`_check_keys`), builder, spot-check residual given
+# a sampler of SPOT_SAMPLES points, and the check's name and measure.
 SECTIONS = {
-    "algebroids": (lambda d, ws: LieAlgebroid.from_dict(d),
+    "algebroids": ({None: "base_dim rank anchor bracket domain"},
+                   lambda d, ws: LieAlgebroid.from_dict(d),
                    lambda A, sample: check_axioms(A, sample(A)).max_residual(),
                    "axiom", "residual"),
-    "poisson": (lambda d, ws: PoissonManifold.from_dict(d),
+    "poisson": ({None: "dim Pi domain"},
+                lambda d, ws: PoissonManifold.from_dict(d),
                 lambda P, sample: P.jacobi_residual(sample(P)),
                 "Jacobi", "residual"),
     # a connection's anchor compatibility is its section property
-    "connections": (_connection,
+    "connections": ({None: "x_coords phi H domain",
+                     "example3": "type nu0 support slab"}, _connection,
                     lambda fc, sample: anchor_compat_residual(
                         fc, sample(fc.source)),
                     "section", "|Dphi.H - I| ="),
-    "comorphisms": (_comorphism,
+    "comorphisms": ({None: "source target phi M"}, _comorphism,
                     lambda c, sample: anchor_compat_residual(
                         c, sample(c.source)),
                     "anchor-compatibility", "residual"),
@@ -294,6 +310,11 @@ def load_workspace(path):
     elif "Pi" in data or ("dim" in data and "algebroids" not in data):
         data = {"poisson": {"main": data}}
 
+    for key, val in data.items():
+        if key not in SECTIONS and key != "defaults":
+            raise ConfigError(f"/{key}: unknown key")
+        if not isinstance(val, (dict, type(None))):
+            raise ConfigError(f"/{key}: must be a JSON object")
     ws = Workspace()
     for key, val in (data.get("defaults") or {}).items():
         if key not in DEFAULTS:
@@ -306,17 +327,18 @@ def load_workspace(path):
     sample = functools.partial(sample_points, count=SPOT_SAMPLES,
                                rng=np.random.default_rng(0))
 
-    for section, (build, residual, check, measure) in SECTIONS.items():
+    for section, (keys, build, residual, check, measure) in SECTIONS.items():
         for name, d in (data.get(section) or {}).items():
             pointer = f"/{section}/{name}"
             if any(name in getattr(ws, other) for other in SECTIONS):
                 raise ConfigError(f"{pointer}: duplicate name {name!r}")
             try:
+                _check_keys(d, keys)
                 obj = build(d, ws)
             except ConfigError as e:     # cites a pointer below the entry
                 raise ConfigError(f"{pointer}{e}")
             except (AlgebroidError, PoissonError, ex.ExprError, KeyError,
-                    TypeError, ValueError) as e:
+                    TypeError, ValueError, ZeroDivisionError) as e:
                 raise ConfigError(f"{pointer}: {e}")
             try:
                 res = residual(obj, sample)

@@ -24,7 +24,6 @@ angles unwrapped by continuity along trajectories.
 """
 
 import math
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -55,33 +54,19 @@ class FlatConnection(Comorphism):
         """The connection itself, which is its tangent comorphism."""
         return self
 
-    @cached_property
-    def _vert_map(self):
-        """The commutators [H e_i, H e_j] (i < j), one row each."""
-        H, coords = self.M, self.source.coords
-        flat = []
-        for i in range(self.target.n):
-            for j in range(i + 1, self.target.n):
-                for k in range(self.source.n):
-                    acc = ex.Const(0.0)
-                    for l, v in enumerate(coords):
-                        acc = ex.add(acc, ex.sub(
-                            ex.mul(H[l][i], H[k][j].d(v)),
-                            ex.mul(H[l][j], H[k][i].d(v))))
-                    flat.append(acc)
-        return ex.SmoothMap(coords, np.array(flat, dtype=object).reshape(
-            -1, self.source.n))
-
 
 def flatness_residual(fc, samples):
     """max over samples and base pairs (i, j) of the vertical part
     c - H (Dphi c) of the commutator c = [H e_i, H e_j], all derivatives
-    symbolic."""
-    nx, ny = fc.source.n, fc.target.n
-    pts = fc.source.in_domain.require(samples, nx, "sample")
-    comms = fc._vert_map.eval_unchecked(pts)
-    cols = np.swapaxes(comms, 1, 2)          # one column per commutator
-    vert = cols - fc.M_at(pts) @ (fc.dphi_at(pts) @ cols)
+    symbolic. Every pair is measured: c vanishes for i = j, and the
+    (j, i) commutator is the negated (i, j) one."""
+    pts = fc.source.in_domain.require(samples, fc.source.n, "sample")
+    H = fc.M_at(pts)                          # [k, i]
+    dH = fc.M_map.jacobian(pts)               # [k, j, l] = d_l H^k_j
+    grad = np.einsum("...li,...kjl->...kij", H, dH)
+    # one column per commutator: [k, (i, j)]
+    cols = (grad - np.swapaxes(grad, -1, -2)).reshape(*H.shape[:2], -1)
+    vert = cols - H @ (fc.dphi_at(pts) @ cols)
     return float(np.max(np.abs(vert), initial=0.0))
 
 
@@ -97,13 +82,13 @@ class ExampleConnection(FlatConnection):
     midpoint of the support and identically zero outside it. The domain
     predicate x^2 + y^2 + estep(h - h_hi) + estep(h_lo - h) > 0 excludes
     exactly the slab {r = 0, h_lo <= h <= h_hi} (slab [-1, 1] by default).
-    support and slab must each be two finite numbers lo < hi.
+    nu0 must be finite, and support and slab two finite numbers lo < hi.
     """
 
     def __init__(self, nu0, support=(-0.5, 0.5), slab=(-1.0, 1.0)):
-        self.nu0 = float(nu0)
-        self.support = support = _interval("support", support)
-        self.slab = slab = _interval("slab", slab)
+        self.nu0 = nu0 = _finite("nu0", nu0)
+        self.support = support = _finite("support", support, interval=True)
+        self.slab = slab = _finite("slab", slab, interval=True)
         h = ex.Var("h")
         if nu0 == 0.0:
             self.nu_expr = ex.Const(0.0)
@@ -139,17 +124,18 @@ class ExampleConnection(FlatConnection):
         return self._nu_map.eval_unchecked([h]).item()
 
 
-def _interval(name, value):
-    """value as a pair (lo, hi) of finite floats with lo < hi; ValueError
-    naming it otherwise."""
+def _finite(name, value, interval=False):
+    """value as a finite float, or as an interval (lo, hi) of two finite
+    floats with lo < hi; ValueError naming it otherwise."""
     try:
-        lo, hi = map(float, value)
+        xs = tuple(map(float, value if interval else [value]))
     except (TypeError, ValueError):
-        lo = hi = math.nan
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"{name} must be two finite numbers lo < hi, got "
-                         f"{value!r}")
-    return lo, hi
+        xs = ()
+    if not (len(xs) == (2 if interval else 1) and all(map(math.isfinite, xs))
+            and (not interval or xs[0] < xs[1])):
+        what = "two finite numbers lo < hi" if interval else "a finite number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return xs if interval else xs[0]
 
 
 def circle_loop(fc, radius=1.0, center=(0.0, 0.0), turns=1, grid=1000):

@@ -653,11 +653,17 @@ def parse(source, variables):
     """Parse source text over the given variable names into an Expr."""
     if not variables:
         raise ValueError("variables must be a nonempty list of names")
-    if len(set(variables)) != len(variables):
-        raise ValueError("variable names must be distinct")
+    _distinct(variables)
     if not source.strip():
         raise ParseError("empty input", 0)
     return _Parser(_tokenize(source), set(variables)).parse()
+
+
+def _distinct(variables):
+    """The variable names; ValueError if a name repeats."""
+    if len(set(variables)) != len(variables):
+        raise ValueError(f"variable names must be distinct, got {variables}")
+    return variables
 
 
 def substitute(e, mapping):
@@ -894,8 +900,9 @@ def compile_exprs(exprs, variables):
     (a zero divisor, log of a negative number, an overflow) it raises
     ArithmeticError or ValueError. Its parameters are named by position,
     so equal expressions over other variable names give the same source,
-    and the same source gives the same callable (see `_function`)."""
-    comp = _Compiler(variables)
+    and the same source gives the same callable (see `_function`); the
+    variable names must be distinct."""
+    comp = _Compiler(_distinct(variables))
     body = _Scope()
     outs = [comp.value(e, body) for e in exprs]
     for v in outs:
@@ -1022,12 +1029,13 @@ class SmoothMap:
     object array) of `shape`; a single Expr has shape (). `domain` is a
     list of Exprs that must all evaluate strictly positive at admissible
     points. An expression over other variables raises `error`, a ragged
-    nesting TypeError. The values and the partials are each compiled into
-    one function on first use; the partial index comes last.
+    nesting TypeError, repeated variable names ValueError. The values and
+    the partials are each compiled into one function on first use; the
+    partial index comes last.
     """
 
     def __init__(self, variables, components, domain=(), error=ExprError):
-        self.variables = list(variables)
+        self.variables = _distinct(list(variables))
         self.n = len(self.variables)
         nest = np.array(components, dtype=object)
         self.shape = nest.shape

@@ -21,7 +21,6 @@ from . import expr as ex
 from .algebroid import (Antisymmetric, SectionTD, cyclic_sum,
                         make_cotangent_poisson, sample_points)
 from .comorph import Comorphism, first_escape, pullback_section
-from .numkernel import VectorFieldTD
 
 
 class PoissonError(Exception):
@@ -98,27 +97,13 @@ def standard_symplectic(n=2):
                                for i in range(half)})
 
 
-def hamiltonian_vf_exprs(P, f):
-    """Components of xi_f = Pi# df as Exprs: xi^i = Pi^{ij} d_j f."""
-    grad = [f.d(v) for v in P.coords]
-    return [ex.dot([P.pi.expr(i, j) for j in range(P.dim)], grad)
-            for i in range(P.dim)]
-
-
 def hamiltonian_vf(P, f):
-    """xi_f as a VectorFieldTD (time-independent), gradient symbolic."""
-    return _autonomous_field(P, _hamiltonian_fn(P, f))
-
-
-def _hamiltonian_fn(P, f):
-    """xi_f compiled as a time field: one function of (t, *x) that does
-    not use t."""
-    t = ex.fresh_names(["t"], P.coords)
-    return ex.compile_exprs(hamiltonian_vf_exprs(P, f), t + P.coords)
-
-
-def _autonomous_field(P, fn):
-    return VectorFieldTD(P.dim, fn, domain=P.in_domain)
+    """xi_f = Pi# df as a VectorFieldTD (time-independent): the cotangent
+    algebroid's anchored field of the exact section df, gradient
+    symbolic."""
+    A = P.cotangent
+    return A.flow_field(A.anchored_field(
+        [f.d(v) for v in P.coords], ex.fresh_names(["t"], P.coords)))
 
 
 def poisson_map_residual(phi, PX, PY, samples):
@@ -231,18 +216,17 @@ def complete_map_probe(phi, PX, PY, test_functions=None, horizon=2.0,
     entries = []
     for f in test_functions:
         f = f if isinstance(f, ex.Expr) else ex.parse(str(f), PY.coords)
-        ham_fn = _hamiltonian_fn(PX, ex.substitute(f, mapping))
+        ham = hamiltonian_vf(PX, ex.substitute(f, mapping))
         s = SectionTD(c.target, [f.d(v) for v in PY.coords])
         com_fn = A.anchored_field(pullback_section(c, s).exprs)
         worst = float(np.max(np.abs(
             ex.evaluate(com_fn, tpts, (A.n,))
-            - ex.evaluate(ham_fn, tpts, (A.n,))), initial=0.0))
+            - ex.evaluate(ham.fn, tpts, (A.n,))), initial=0.0))
         if not worst <= field_tol:
             raise PoissonError(
                 f"route fields disagree by {worst:.3e} (> {field_tol:.1e})")
 
-        v_ham = _flow_field_probe(_autonomous_field(PX, ham_fn), horizon,
-                                  bound, seeds, step)
+        v_ham = _flow_field_probe(ham, horizon, bound, seeds, step)
         v_com = first_escape(A.flow_field(com_fn), horizon, bound, seeds,
                              step)
         agree = v_ham.escaped == v_com.escaped
@@ -263,7 +247,7 @@ def complete_map_probe(phi, PX, PY, test_functions=None, horizon=2.0,
 
 __all__ = [
     "PoissonManifold", "PoissonError", "ProbeComparison",
-    "standard_symplectic", "hamiltonian_vf", "hamiltonian_vf_exprs",
+    "standard_symplectic", "hamiltonian_vf",
     "poisson_map_residual", "cotangent_lift", "tangent_lift_bivector",
     "complete_map_probe", "default_test_functions",
 ]

@@ -55,6 +55,14 @@ def test_integrate_partial_path_on_escape():
     assert g.ending.t_star == pytest.approx(0.5, rel=0.05)   # 1 / x0
 
 
+def test_a_section_over_a_coordinate_named_t_is_refused():
+    # the section's variables are ("t", *coords): a coordinate t would
+    # bind to one of the two, and x' = t would flow as x' = x
+    A = make_tangent(1, coords=["t"])
+    with pytest.raises(ValueError, match="variable names must be distinct"):
+        SectionTD(A, [ex.Var("t")])
+
+
 def test_admissibility_residual_shrinks_at_second_order():
     A = make_tangent(2)
     s = SectionTD.from_strings(A, ["x2", "-x1"])

@@ -350,6 +350,30 @@ BAD_INPUTS = [
      "/connections/cyl: slab must be two finite numbers lo < hi, got [1]"),
     (CHECK, {"connections": {"cyl": {"type": "example3", "support": [0.5]}}},
      "/connections/cyl: support must be two finite numbers lo < hi"),
+    # misspelt or extra keys are refused, not read as their defaults
+    (CHECK, {"connections": {"cyl": {"type": "example3", "nu": 0.5}}},
+     "/connections/cyl/nu: unknown key"),
+    (CHECK, {"connections": {"cyl": {"type": "example3",
+                                     "suport": [-1, 1]}}},
+     "/connections/cyl/suport: unknown key"),
+    (CHECK, {"algebroids": {"plane": PLANE, "disk": {
+        "base_dim": 2, "rank": 2, "anchor": IDENTITY_M,
+        "domian": ["1 - x1^2 - x2^2"]}}},
+     "/algebroids/disk/domian: unknown key"),
+    (CHECK, {"algebroid": PLANE}, "/algebroid: unknown key"),
+    (CHECK, {"comorphisms": {"id": {"source": "plane", "target": "plane",
+                                    "phi": ["x1", "x2"], "M": IDENTITY_M,
+                                    "extra": 1}}},
+     "/comorphisms/id/extra: unknown key"),
+    (CHECK, {"connections": {"cyl": {"type": "twist"}}},
+     "/connections/cyl/type: unknown type 'twist'"),
+    (CHECK, {"connections": {"cyl": ["example3"]}},
+     "/connections/cyl: must be a JSON object"),
+    (CHECK, {"connections": ["cyl"]}, "/connections: must be a JSON object"),
+    (CHECK, {"connections": {"cyl": {"type": "example3", "nu0": "inf"}}},
+     "/connections/cyl: nu0 must be a finite number, got inf"),
+    (CHECK, {"connections": {"cyl": {"type": "example3", "nu0": "1/0"}}},
+     "/connections/cyl: float division by zero"),
 ]
 
 

@@ -58,6 +58,21 @@ def test_curved_horizontal_lift_is_detected():
     assert flatness_residual(fc, pts) == 1.0
 
 
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (2.0, -1.0), (0.5, 0.5),
+                                  (-3.0, 0.25)])
+def test_flatness_residual_is_the_vertical_commutator(a, b):
+    # H e_1 = d_1 + a x2 d_3, H e_2 = d_2 + b x1 d_3: [He_1, He_2] =
+    # (b - a) d_3, fully vertical, so the residual is exactly |b - a|
+    coords = ["x1", "x2", "x3"]
+    H = [[1.0, 0.0], [0.0, 1.0],
+         [ex.mul(ex.Const(a), ex.Var("x2")),
+          ex.mul(ex.Const(b), ex.Var("x1"))]]
+    fc = FlatConnection(coords, [ex.Var("x1"), ex.Var("x2")], H)
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, (10, 3))
+    assert anchor_compat_residual(fc, pts) == 0.0
+    assert flatness_residual(fc, pts) == abs(b - a)
+
+
 def test_the_section_property_is_the_anchor_compatibility(tmp_path):
     # for tangent algebroids Dphi . rho_X . H - rho_Y(phi) is Dphi H - I
     coords = ["x1", "x2", "x3"]
@@ -390,6 +405,14 @@ def test_example_connection_needs_finite_increasing_intervals(name,
     with pytest.raises(ValueError,
                        match=f"{name} must be two finite numbers lo < hi"):
         ExampleConnection(0.25, **{name: interval})
+
+
+@pytest.mark.parametrize(
+    "nu0", [math.inf, "inf", math.nan, "nan", "x", None],
+    ids=["inf", "'inf'", "nan", "'nan'", "'x'", "None"])
+def test_example_connection_needs_a_finite_nu0(nu0):
+    with pytest.raises(ValueError, match="nu0 must be a finite number"):
+        ExampleConnection(nu0)
 
 
 def test_gamma_element_validates_its_chart():

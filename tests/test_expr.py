@@ -103,6 +103,14 @@ def test_parse_errors_carry_offsets():
         parse("x", ["x", "x"])      # distinct names
 
 
+def test_repeated_variable_names_are_refused():
+    # the second "t" would shadow the first, and t would read 2.0
+    with pytest.raises(ValueError, match="variable names must be distinct"):
+        compile_exprs([Var("t")], ["t", "t"])
+    with pytest.raises(ValueError, match="variable names must be distinct"):
+        SmoothMap(["x", "y", "x"], [Var("y")])
+
+
 def test_a_number_literal_must_be_finite():
     # 1e400 would read as an infinite constant, printed as "inf", which
     # does not parse back

@@ -11,8 +11,8 @@ from algpaths.numkernel import flow
 from algpaths.poisson import (PoissonError, PoissonManifold,
                               complete_map_probe, cotangent_lift,
                               default_test_functions, hamiltonian_vf,
-                              hamiltonian_vf_exprs, poisson_map_residual,
-                              standard_symplectic, tangent_lift_bivector)
+                              poisson_map_residual, standard_symplectic,
+                              tangent_lift_bivector)
 
 XY = ["x1", "x2"]
 
@@ -34,12 +34,21 @@ def cube_samples(dim, count=100, seed=0):
 def test_hamiltonian_field_sign_convention():
     P = standard_symplectic(2)
     f = ex.parse("(x1^2 + x2^2)/2", XY)
-    comps = hamiltonian_vf_exprs(P, f)
-    fn = ex.compile_exprs(comps, XY)
-    assert fn(0.3, 0.7) == [0.7, -0.3]            # xi_f = (y, -x)
+    assert hamiltonian_vf(P, f).fn(0.0, 0.3, 0.7) == [0.7, -0.3]  # (y, -x)
     g = ex.parse("x1^2 * x2", XY)
-    gn = ex.compile_exprs(hamiltonian_vf_exprs(P, g), XY)
-    assert gn(0.5, -1.0) == [0.25, 1.0]           # (x^2, -2xy)
+    # (x^2, -2xy)
+    assert hamiltonian_vf(P, g).fn(0.0, 0.5, -1.0) == [0.25, 1.0]
+
+
+def test_a_hamiltonian_field_over_a_coordinate_named_t():
+    # the field's time input takes a fresh name, so the coordinate t is
+    # the state, not the time
+    P = PoissonManifold(2, {(0, 1): ex.Const(1.0)}, coords=["t", "p"])
+    f = ex.parse("(t^2 + p^2)/2", ["t", "p"])
+    vf = hamiltonian_vf(P, f)
+    assert vf.fn(5.0, 0.3, 0.7) == [0.7, -0.3]    # (p, -t), time ignored
+    traj = flow(vf, (1.0, 0.0), (0.0, 0.5 * math.pi), step=1e-3)
+    assert np.allclose(traj.points[-1], [0.0, -1.0], atol=1e-9)
 
 
 def test_harmonic_oscillator_conserves_energy():
