@@ -24,8 +24,8 @@ from . import expr as ex
 from .algebroid import AlgebroidError, make_lie_algebra, matvec
 from .expr import evaluate, point
 from .numkernel import (COMPLETED, FlowOutcome, TabulatedField, Trajectory,
-                        check_header, check_uniform_grid, flow,
-                        read_csv_rows, stage_table, write_csv_rows)
+                        check_uniform_grid, flow, read_csv, stage_table,
+                        write_csv_rows)
 
 
 class APath(FlowOutcome):
@@ -90,10 +90,8 @@ def read_apath_csv(f, algebroid):
     """Inverse of APath.write_csv for a known algebroid. A malformed
     header, a non-finite cell, fewer than 2 samples or an uneven time grid
     raises ValueError."""
-    header = f.readline().strip().split(",")
     n, r = algebroid.n, algebroid.r
-    check_header(header, APath.columns(n, r), "APath")
-    rows, ending = read_csv_rows(f, len(header))
+    rows, ending = read_csv(f, lambda _: APath.columns(n, r), "APath")
     if len(rows) < 2:
         raise ValueError(f"an A-path needs at least 2 samples, got "
                          f"{len(rows)}")
@@ -247,9 +245,7 @@ def read_ahomotopy_csv(f, algebroid):
     header, a non-finite cell, a grid point missing or repeated, or an
     uneven t or s grid raises ValueError."""
     n, r = algebroid.n, algebroid.r
-    header = f.readline().strip().split(",")
-    check_header(header, AHomotopy.columns(n, r), "AHomotopy")
-    rows = read_csv_rows(f, len(header))[0]
+    rows = read_csv(f, lambda _: AHomotopy.columns(n, r), "AHomotopy")[0]
     t_grid = np.unique(rows[:, 0])
     s_grid = np.unique(rows[:, 1])
     nt, ns = len(t_grid), len(s_grid)
@@ -322,11 +318,10 @@ def read_matrix_csv(f):
     """Inverse of MatrixPath.write_csv: header t,g11..gmm, row-major. A
     malformed header, a non-finite cell or an uneven time grid raises
     ValueError."""
-    header = f.readline().strip().split(",")
-    m = max(math.isqrt(len(header) - 1), 1)
-    check_header(header, MatrixPath.columns(m), "matrix-path")
-    rows = read_csv_rows(f, len(header))[0]
+    rows = read_csv(f, lambda header: MatrixPath.columns(
+        max(math.isqrt(len(header) - 1), 1)), "matrix-path")[0]
     check_uniform_grid(rows[:, 0])
+    m = math.isqrt(rows.shape[1] - 1)
     return MatrixPath(rows[:, 0], rows[:, 1:].reshape(-1, m, m))
 
 

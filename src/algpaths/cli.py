@@ -22,7 +22,7 @@ import numpy as np
 from . import expr as ex
 from .algebroid import (AlgebroidError, LieAlgebroid, SectionTD,
                         check_axioms, sample_points)
-from .apath import (APath, develop, integrate_apath, admissibility_residual,
+from .apath import (develop, integrate_apath, admissibility_residual,
                     log_derivative, read_apath_csv, read_ahomotopy_csv,
                     read_matrix_csv)
 from .comorph import (Comorphism, LiftError, anchor_compat_residual,
@@ -31,7 +31,7 @@ from .ehresmann import (ExampleConnection, FlatConnection, GammaElement,
                         circle_loop, density_scan, holonomy, holonomy_sweep,
                         self_intersection_witness, sheet_count,
                         write_sweep_csv)
-from .numkernel import MAX_COUNT, FlowError, check_header, flow
+from .numkernel import MAX_COUNT, FlowError, flow
 from .poisson import (PoissonError, PoissonManifold, complete_map_probe,
                       cotangent_lift, hamiltonian_vf, poisson_map_residual)
 
@@ -679,10 +679,9 @@ def _read_apath_auto(path, ws, name):
         return _read_csv(path, read_apath_csv, A)
     with open(path) as f:
         header = f.readline().strip().split(",")
-    # n and r from the counts; the names must then be APath's, in order
+    # n and r from the counts; read_apath_csv checks the names
     n = sum(1 for c in header if c.startswith("x"))
     r = sum(1 for c in header if c.startswith("eta"))
-    check_header(header, APath.columns(n, r), f"{path}: APath")
     zero = [[ex.Const(0.0) for _ in range(r)] for _ in range(n)]
     return _read_csv(path, read_apath_csv, LieAlgebroid(n, r, zero, {}))
 

@@ -26,7 +26,6 @@ linearly or by the not-a-knot cubic spline (`not_a_knot_table`), for the
 fields driven by sampled paths: lifts and matrix-group developments.
 """
 
-import itertools
 import math
 from typing import NamedTuple
 
@@ -188,11 +187,15 @@ def write_csv_rows(f, header, table, ending=None):
         f.write(f"# status={ending}\n")
 
 
-def check_header(header, names, what):
-    """Raise ValueError unless a CSV's header cells are exactly names, in
-    order: the columns its writer writes."""
+def read_csv(f, columns, what):
+    """read_csv_rows after a CSV's header line. ValueError unless the
+    header's cells are exactly columns(header), in order: the columns its
+    writer writes."""
+    header = f.readline().strip().split(",")
+    names = columns(header)
     if header != names:
         raise ValueError(f"{what} CSV header must be {','.join(names)}")
+    return read_csv_rows(f, len(header))
 
 
 def read_csv_rows(f, width):
@@ -203,42 +206,34 @@ def read_csv_rows(f, width):
     without `width` cells (the header's count), then the first with a
     non-finite cell, found by one check over the table, then the first
     trailer that `Ending.parse` refuses (the last trailer counts). It is
-    also raised for a file without rows, and on reaching a row past
-    MAX_COUNT + 1.
+    also raised for a file without rows, and for one with a row past
+    MAX_COUNT + 1, where reading stops.
 
-    numpy's loadtxt parses the rows, fed at most MAX_COUNT + 1 of them
-    (its own max_rows would allocate that many rows up front). When it
-    refuses a row, or the rows are not `width` cells wide, the rows read
-    so far and the rest of f are parsed again by `_parse_rows`, one
+    numpy's loadtxt parses the rows. When it refuses a row, or the rows
+    are not `width` cells wide, `_parse_rows` parses them again, one
     float() per cell, which names the first bad row or accepts what
     float() accepts."""
     rows, trailers = [], []
-
-    def data_lines():
-        for line in f:
-            line = line.strip()
-            if line.startswith("#"):
-                text = line[1:].lstrip()
-                if text.startswith("status="):
-                    trailers.append(text[len("status="):])
-            elif line:
-                rows.append(line)
-                yield line
-
-    lines = data_lines()
-    first = next(lines, None)
-    if first is None:
+    for line in f:
+        line = line.strip()
+        if line.startswith("#"):
+            text = line[1:].lstrip()
+            if text.startswith("status="):
+                trailers.append(text[len("status="):])
+        elif line:
+            rows.append(line)
+            if len(rows) > MAX_COUNT + 1:
+                break
+    if not rows:
         raise ValueError("CSV has no data rows")
     try:
-        table = np.loadtxt(
-            itertools.islice(itertools.chain([first], lines), MAX_COUNT + 1),
-            delimiter=",", comments=None, ndmin=2)
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         table = None
-    if table is not None and next(lines, None) is not None:
+    if table is not None and len(table) > MAX_COUNT + 1:
         raise ValueError(f"CSV has more than {MAX_COUNT + 1} data rows")
     if table is None or table.shape[1] != width:
-        table = _parse_rows(itertools.chain(rows, lines), width)
+        table = _parse_rows(rows, width)
     bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
     if len(bad):
         raise ValueError(f"CSV row {bad[0] + 1} has a non-finite value: "
@@ -281,10 +276,9 @@ def check_uniform_grid(times, what="time", short_last=False):
 
 def read_trajectory_csv(f):
     """Inverse of Trajectory.write_csv (header + rows + status comment)."""
-    header = f.readline().strip().split(",")
-    check_header(header, Trajectory.columns(max(len(header) - 1, 1)),
-                 "trajectory")
-    rows, ending = read_csv_rows(f, len(header))
+    rows, ending = read_csv(
+        f, lambda header: Trajectory.columns(max(len(header) - 1, 1)),
+        "trajectory")
     check_uniform_grid(rows[:, 0], short_last=True)
     return Trajectory(rows[:, 0], rows[:, 1:], ending)
 
@@ -608,5 +602,5 @@ def flow_endpoint_order(vf, x0, t_span, step, reference=None):
 
 __all__ = ["VectorFieldTD", "Ending", "COMPLETED", "FlowOutcome",
            "Trajectory", "flow", "flow_endpoint_order", "not_a_knot_table",
-           "stage_table", "read_csv_rows", "write_csv_rows",
+           "stage_table", "read_csv", "read_csv_rows", "write_csv_rows",
            "check_uniform_grid", "read_trajectory_csv", "FlowError"]
