@@ -234,9 +234,13 @@ def _reject_duplicate_keys(pairs):
 
 def _connection(d, ws):
     if d.get("type") == "example3":
+        nu0 = d.get("nu0", "1/3")
+        try:
+            nu0 = _num(nu0)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"nu0 must be a finite number, got {nu0!r}")
         return ExampleConnection(
-            _num(d.get("nu0", "1/3")),
-            support=d.get("support", (-0.5, 0.5)),
+            nu0, support=d.get("support", (-0.5, 0.5)),
             slab=d.get("slab", (-1.0, 1.0)))
     x_coords = [str(v) for v in d["x_coords"]]
     phi = [ex.parse(str(s), x_coords) for s in d["phi"]]
@@ -259,7 +263,7 @@ def _check_keys(d, kinds):
     if not isinstance(d, dict):
         raise ConfigError(": must be a JSON object")
     kind = d.get("type")
-    if kind not in kinds:
+    if kind not in list(kinds):     # by ==: a JSON list is unhashable
         raise ConfigError(f"/type: unknown type {kind!r}")
     for key in d:
         if key not in kinds[kind].split():

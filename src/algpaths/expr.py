@@ -547,11 +547,26 @@ def _tokenize(source):
     return tokens
 
 
+# Deepest expression that `parse` accepts, in levels: each operator,
+# function call and parenthesised group is one, and estep two, the
+# parentheses it adds to compiled source. CPython refuses source nested
+# 200 parentheses deep, which a composite of two maps nested 100 levels
+# each reaches. A bump adds six parentheses and writes its argument twice,
+# so the composite of two maps of k nested bumps prints 4^k copies of the
+# innermost argument: counting a bump twelve keeps k at most 5.
+MAX_DEPTH = 64
+_CALL_LEVELS = {"estep": 2, "bump": 12}
+
+
 class _Parser:
+    """Recursive descent; each method returns the Expr it read and its
+    depth in levels (see MAX_DEPTH), 0 for a leaf."""
+
     def __init__(self, tokens, variables):
         self.tokens = tokens
         self.pos = 0
         self.variables = variables
+        self.groups = 0         # parenthesised groups and calls open
 
     def peek(self):
         return self.tokens[self.pos]
@@ -567,39 +582,53 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
+    def deeper(self, depth, offset, levels=1):
+        """depth + levels, refused past MAX_DEPTH at the source offset."""
+        if depth + levels > MAX_DEPTH:
+            raise ParseError(f"expression nested more than {MAX_DEPTH} "
+                             f"levels deep", offset)
+        return depth + levels
+
     def parse(self):
-        e = self.expr()
+        e = self.expr()[0]
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected {tok[1]!r}", tok[2])
         return e
 
     def expr(self):
-        e = self.term()
+        e, depth = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.term()
+            op, _, offset = self.take()
+            rhs, d = self.term()
             e = add(e, rhs) if op == "+" else sub(e, rhs)
-        return e
+            depth = self.deeper(max(depth, d), offset)
+        return e, depth
 
     def term(self):
-        e = self.unary()
+        e, depth = self.unary()
         while self.peek()[0] in ("*", "/"):
-            op = self.take()[0]
-            rhs = self.unary()
+            op, _, offset = self.take()
+            rhs, d = self.unary()
             e = mul(e, rhs) if op == "*" else div(e, rhs)
-        return e
+            depth = self.deeper(max(depth, d), offset)
+        return e, depth
 
     def unary(self):
-        if self.peek()[0] == "-":
-            self.take()
-            return neg(self.unary())
-        return self.power()
+        if self.peek()[0] != "-":
+            return self.power()
+        signs = []          # a loop, not a recursion per sign
+        while self.peek()[0] == "-":
+            signs.append(self.take()[2])
+        e, depth = self.power()
+        for offset in reversed(signs):
+            e, depth = neg(e), self.deeper(depth, offset)
+        return e, depth
 
     def power(self):
-        e = self.atom()
+        e, depth = self.atom()
         while self.peek()[0] == "^":
-            self.take()
+            offset = self.take()[2]
             negate = False
             if self.peek()[0] == "-":
                 self.take()
@@ -608,24 +637,29 @@ class _Parser:
             if tok[0] != "num" or tok[1] != int(tok[1]):
                 raise ParseError("exponent must be an integer literal", tok[2])
             e = pow_(e, -int(tok[1]) if negate else int(tok[1]))
-        return e
+            depth = self.deeper(depth, offset)
+        return e, depth
 
     def atom(self):
         tok = self.take()
         kind, value, offset = tok
         if kind == "num":
-            return Const(value)
+            return Const(value), 0
         if kind == "(":
-            e = self.expr()
+            # a group opens a level before it is read, which bounds the
+            # recursion
+            self.groups = self.deeper(self.groups, offset)
+            e, depth = self.expr()
             closing = self.take()
             if closing[0] != ")":
                 raise ParseError("unbalanced parentheses", closing[2])
-            return e
+            self.groups -= 1
+            return e, self.deeper(depth, offset)
         if kind == "name":
             if self.peek()[0] == "(":
                 return self.call(value, offset)
             if value in self.variables:
-                return Var(value)
+                return Var(value), 0
             raise ParseError(f"unknown identifier {value!r}", offset)
         if kind == "end":
             raise ParseError("unexpected end of input", offset)
@@ -635,18 +669,24 @@ class _Parser:
         if name not in FUNCTION_ARITY:
             raise ParseError(f"unknown function {name!r}", offset)
         self.expect("(")
-        args = [self.expr()]
+        self.groups = self.deeper(self.groups, offset)
+        e, depth = self.expr()
+        args = [e]
         while self.peek()[0] == ",":
             self.take()
-            args.append(self.expr())
+            e, d = self.expr()
+            args.append(e)
+            depth = max(depth, d)
         closing = self.take()
         if closing[0] != ")":
             raise ParseError("unbalanced parentheses", closing[2])
+        self.groups -= 1
         arity = FUNCTION_ARITY[name]
         if len(args) != arity:
             raise ParseError(f"{name} takes {arity} argument(s), got {len(args)}",
                              offset)
-        return fun(name, *args)
+        return (fun(name, *args),
+                self.deeper(depth, offset, _CALL_LEVELS.get(name, 1)))
 
 
 def parse(source, variables):

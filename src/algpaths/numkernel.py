@@ -271,7 +271,7 @@ def check_uniform_grid(times, what="time", short_last=False):
     if not (h > 0.0 and np.all(np.abs(body - h) <= GRID_RTOL * h)
             and (not short_last or 0.0 < d[-1] <= h * (1.0 + GRID_RTOL))):
         raise ValueError(f"{what} grid is not uniform (spacings from "
-                         f"{d.min()!r} to {d.max()!r})")
+                         f"{float(d.min())!r} to {float(d.max())!r})")
 
 
 def read_trajectory_csv(f):
@@ -424,7 +424,10 @@ def _rk4_loop(vf, width):
 
 
 def flow(vf, x0, t_span, step=1e-3, bound=1e8):
-    """Integrate vf from x0 over t_span=[t_a,t_b] with fixed-step RK4."""
+    """Integrate vf from x0 over t_span=[t_a,t_b] with fixed-step RK4, in
+    the fewest steps that cover the span, the last ending at t_b. The
+    count is rounded up from span / step less a relative 1e-12, so that
+    a step of span / m takes exactly m steps."""
     # plain floats, so that event times print as numbers in status trailers
     t_a, t_b, step = float(t_span[0]), float(t_span[1]), float(step)
     if not t_b > t_a:
@@ -438,7 +441,7 @@ def flow(vf, x0, t_span, step=1e-3, bound=1e8):
                         f"{vf.n}")
     if not _finite(x):
         raise FlowError("x0 is not finite")
-    n_steps = max(1, math.ceil((t_b - t_a) / step - 1e-12))
+    n_steps = max(1, math.ceil((t_b - t_a) / step * (1.0 - 1e-12)))
     table = vf.table
     if table is not None and len(table) != 2 * n_steps + 1:
         raise FlowError(f"a flow of {n_steps} steps needs {2 * n_steps + 1} "

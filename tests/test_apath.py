@@ -9,7 +9,8 @@ from scipy.linalg import expm
 
 from algpaths import expr as ex
 from algpaths.algebroid import (AlgebroidError, LieAlgebroid, SectionTD,
-                                make_lie_algebra, make_tangent)
+                                check_axioms, make_lie_algebra, make_tangent,
+                                sample_points)
 from algpaths.apath import (AHomotopy, APath, MatrixPath,
                             admissibility_residual, concat, constant_apath,
                             develop, homotopy_residual, integrate_apath,
@@ -53,6 +54,22 @@ def test_integrate_partial_path_on_escape():
     assert g.status == "blowup"
     assert not g.completed
     assert g.ending.t_star == pytest.approx(0.5, rel=0.05)   # 1 / x0
+
+
+def test_a_grid_of_m_steps_gives_m_plus_1_even_samples():
+    # at grid 100009 the float ratio 1 / (1 / 100009) exceeds 100009 by
+    # more than an absolute 1e-12, and the flow used to take one more,
+    # 1.1e-16 long step, whose CSV read back as an uneven grid
+    A = make_tangent(1)
+    g = integrate_apath(A, SectionTD.from_strings(A, ["1"]), [0.0],
+                        grid_size=100009)
+    assert g.completed and len(g.times) == 100010
+    assert g.times[-1] == 1.0
+    buf = io.StringIO()
+    g.write_csv(buf)
+    buf.seek(0)
+    back = read_apath_csv(buf, A)
+    assert back.times.tobytes() == g.times.tobytes()
 
 
 def test_a_section_over_a_coordinate_named_t_is_refused():
@@ -197,6 +214,36 @@ def test_develop_so2_quarter_turn_matches_expm():
     mp = develop(SO2_BASIS, g)
     exact = expm((math.pi / 2.0) * SO2_BASIS[0])
     assert np.max(np.abs(mp.endpoint - exact)) <= 1e-8
+
+
+def so3_action():
+    """so(3) acting on R^3: the anchor takes e_a to the field -E_a x, and
+    the bracket is the structure constants of the E_a."""
+    xs = [ex.Var(f"x{j + 1}") for j in range(3)]
+    anchor = [[ex.dot([ex.Const(-E[i, j]) for j in range(3)], xs)
+               for E in SO3_BASIS] for i in range(3)]
+    c = so3_constants()
+    bracket = {(d, a, b): ex.Const(c[d, a, b]) for d in range(3)
+               for a in range(3) for b in range(a + 1, 3) if c[d, a, b]}
+    return LieAlgebroid(3, 3, anchor, bracket)
+
+
+def test_an_so3_action_path_ends_at_the_inverse_development():
+    # x' = -xi(t) x and gamma' = gamma xi(t), xi = eta^a E_a, keep gamma x
+    # constant: the A-path from x0 ends at gamma(1)^-1 x0. develop
+    # interpolates eta linearly, so the two meet to C h^2. C = 0.2 bounds
+    # err / h^2 = 0.1645 measured at N = 500, 1000 and 2000 on another
+    # section, (sin 2t, t^2 - 1, 0.7 + t) from (-0.5, 0.2, 0.6).
+    A = so3_action()
+    samples = sample_points(A, 20, np.random.default_rng(0))
+    assert check_axioms(A, samples).max_residual() == 0.0
+    x0 = np.array([0.3, -0.4, 0.8])
+    s = SectionTD.from_strings(A, ["1 + t", "cos(3*t)", "0.5 - t^2"])
+    g = integrate_apath(A, s, x0, grid_size=1000)
+    gamma = develop(SO3_BASIS, g).endpoint
+    assert np.max(np.abs(g.target - np.linalg.solve(gamma, x0))) <= 0.2e-6
+    # acting on the other side misses by far
+    assert np.max(np.abs(g.target - gamma @ x0)) > 1.0
 
 
 def test_develop_rejects_rank_mismatch():

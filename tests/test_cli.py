@@ -373,7 +373,13 @@ BAD_INPUTS = [
     (CHECK, {"connections": {"cyl": {"type": "example3", "nu0": "inf"}}},
      "/connections/cyl: nu0 must be a finite number, got inf"),
     (CHECK, {"connections": {"cyl": {"type": "example3", "nu0": "1/0"}}},
-     "/connections/cyl: float division by zero"),
+     "/connections/cyl: nu0 must be a finite number, got '1/0'"),
+    (CHECK, {"connections": {"cyl": {"type": "example3", "nu0": "x"}}},
+     "/connections/cyl: nu0 must be a finite number, got 'x'"),
+    (CHECK, {"connections": {"cyl": {"type": "example3", "nu0": True}}},
+     "/connections/cyl: nu0 must be a finite number, got True"),
+    (CHECK, {"connections": {"cyl": {"type": ["example3"]}}},
+     "/connections/cyl/type: unknown type ['example3']"),
 ]
 
 
@@ -754,6 +760,36 @@ def test_holonomy_builtin_connection(capsys):
     assert payload["phi_projection_error"] <= 1e-6
 
 
+def test_holonomy_of_a_workspace_connection_matches_the_builtin(tmp_path,
+                                                               capsys):
+    cfg = write_config(tmp_path, {"connections": {
+        "c": {"type": "example3", "nu0": "1/4"}}})
+    code, from_ws = run_json(capsys, ["holonomy", "--config", cfg,
+                                      "--connection", "c"])
+    assert code == 0
+    code, builtin = run_json(capsys, ["holonomy", "--nu0", "1/4"])
+    assert code == 0
+    assert from_ws.pop("connection") == "c"
+    assert builtin.pop("connection") == "example3(nu0=1/4)"
+    assert from_ws == builtin
+
+
+def test_holonomy_connection_needs_a_config(capsys):
+    assert run(["holonomy", "--connection", "c"]) == 2
+    captured = capsys.readouterr()
+    assert "--connection needs --config" in captured.err
+    assert captured.out == ""
+
+
+def test_holonomy_on_a_grid_of_23294_steps_completes(capsys):
+    # the loop's step 1 / 23294 used to be counted as 23295 steps, which
+    # refused the loop's table of 23294
+    code, payload = run_json(capsys, ["holonomy", "--grid", "23294"])
+    assert code == 0
+    assert payload["status"] == "completed"
+    assert payload["phase"] == pytest.approx(2.0 * math.pi / 3.0, abs=1e-9)
+
+
 def test_holonomy_sweep_writes_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code, payload = run_json(capsys, [
@@ -957,6 +993,57 @@ def test_an_overflowing_number_literal_exits_2(poisson_cfg, tmp_path,
     assert captured.out == "" and not out.exists()
 
 
+# expressions over x1 nested n levels, and the largest n that parses: a
+# call, group, sign or operator is a level, an estep two, a bump twelve
+NESTED = {
+    "sin": (lambda n: "sin(" * n + "x1" + ")" * n, 64),
+    "parentheses": (lambda n: "(" * n + "x1" + ")" * n, 64),
+    "minus": (lambda n: "-" * n + "x1", 64),
+    "sum": (lambda n: "+".join(["x1"] * (n + 1)), 64),
+    "estep": (lambda n: "estep(" * n + "x1" + ")" * n, 32),
+    "bump": (lambda n: "bump(-1, 1, " * n + "x1" + ")" * n, 5),
+}
+
+
+def nested_commands(tmp_path, e):
+    """check-algebroid of an anchor e, integrate-path of a section e and
+    compose of the map (e, e) with itself."""
+    cfg = write_config(tmp_path, {
+        "algebroids": {"line": {"base_dim": 1, "rank": 1, "anchor": [[e]]},
+                       "flat": {"base_dim": 1, "rank": 1, "anchor": [["1"]]},
+                       "zero": {"base_dim": 1, "rank": 1, "anchor": [["0"]]}},
+        "comorphisms": {"c": {"source": "zero", "target": "zero",
+                              "phi": [e], "M": [[e]]}}})
+    return [["check-algebroid", "--config", cfg, "--name", "line"],
+            ["integrate-path", "--config", cfg, "--name", "flat",
+             "--section=" + e, "--x0", "0", "--grid", "10"],
+            ["compose", "--config", cfg, "--first", "c", "--second", "c"]]
+
+
+@pytest.mark.parametrize("kind", NESTED)
+def test_an_expression_at_the_nesting_bound_runs(tmp_path, capsys, kind):
+    # the spot-checks differentiate e, and compose builds, differentiates
+    # and prints a composite nested twice as deep
+    assert ex.MAX_DEPTH == 64
+    nested, n = NESTED[kind]
+    for argv in nested_commands(tmp_path, nested(n)):
+        assert run(argv) == 0, argv[0]
+        assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("kind", NESTED)
+def test_an_expression_past_the_nesting_bound_exits_2(tmp_path, capsys,
+                                                      kind):
+    # 199 nested sin( and a 250-term sum used to end in a RecursionError
+    # and a SyntaxError from compiling the generated source
+    nested, n = NESTED[kind]
+    for argv in nested_commands(tmp_path, nested(n + 1)):
+        assert run(argv) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert "expression nested more than 64 levels deep" in captured.err
+        assert captured.out == ""
+
+
 def test_poisson_lift_comorphism(poisson_cfg, capsys):
     code, payload = run_json(capsys, [
         "poisson", "lift", "--config", poisson_cfg,
@@ -1040,6 +1127,26 @@ def test_develop_logderiv_round_trip(tmp_path, capsys):
     assert code == 0
     assert payload["eta_start"][0] == pytest.approx(omega, abs=1e-4)
     assert payload["eta_end"][0] == pytest.approx(omega, abs=1e-4)
+
+
+def test_develop_reads_a_path_of_a_named_algebroid(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"algebroids": {"plane": PLANE,
+                                                 "disk": DISK}})
+    path_csv = tmp_path / "apath.csv"
+    assert run(["integrate-path", "--config", cfg, "--name", "plane",
+                "--section", "1; x1", "--x0", "0,0", "--grid", "100",
+                "--out", str(path_csv)]) == 0
+    capsys.readouterr()
+    develop = ["develop", "--path", str(path_csv),
+               "--basis", "[[[0, -1], [1, 0]], [[1, 0], [0, 0]]]", "--out"]
+    code, named = run_json(capsys, develop + [
+        str(tmp_path / "named.csv"), "--config", cfg, "--name", "plane"])
+    assert code == 0
+    code, counted = run_json(capsys, develop + [str(tmp_path / "g.csv")])
+    assert code == 0
+    assert named == counted
+    assert ((tmp_path / "named.csv").read_text()
+            == (tmp_path / "g.csv").read_text())
 
 
 def test_develop_refuses_a_path_csv_with_other_column_names(tmp_path,

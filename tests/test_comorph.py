@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from algpaths import comorph, expr as ex
 from algpaths.algebroid import (AlgebroidError, LieAlgebroid, SectionTD,
                                 make_tangent, matvec, sample_points)
-from algpaths.apath import (AHomotopy, APath, concat, integrate_apath,
-                            read_apath_csv)
+from algpaths.apath import (AHomotopy, APath, concat, develop,
+                            integrate_apath, read_apath_csv)
 from algpaths.ehresmann import FlatConnection
 from algpaths.numkernel import VectorFieldTD
 from test_numkernel import _reference_flow
@@ -277,6 +277,26 @@ def test_lift_escape_is_the_non_existence_witness():
     # the integrated prefix still projects onto the path
     assert lifted.phi_projection_error <= 1e-9
     assert c.source.in_domain(lifted.base[-1])
+
+
+@pytest.mark.parametrize("t1, m", [(1.0, 23294), (0.3, 18144),
+                                   (1e-3, 16767)])
+def test_a_path_of_m_steps_lifts_and_develops_in_m_steps(t1, m):
+    # the flows take step t1 / m, whose float ratio to the span exceeds m
+    # here by more than an absolute 1e-12; they took m + 1 steps and
+    # refused the table of the path's m steps
+    B = make_tangent(1)
+    times = np.linspace(0.0, t1, m + 1)
+    g = APath(B, times, (times / t1)[:, None], np.full((m + 1, 1), 1.0 / t1))
+    for interp in ("cubic", "linear"):
+        lifted = lift_path(identity_comorphism(B), g, [0.0], interp=interp)
+        assert lifted.completed and len(lifted.times) == m + 1
+        assert lifted.target == pytest.approx([1.0], abs=1e-12)
+    mp = develop([np.array([[0.0, -1.0], [1.0, 0.0]])], g)
+    assert len(mp.times) == m + 1
+    assert mp.endpoint.ravel() == pytest.approx(
+        [math.cos(1.0), -math.sin(1.0), math.sin(1.0), math.cos(1.0)],
+        abs=1e-12)
 
 
 def rank_0_identity():

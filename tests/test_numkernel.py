@@ -15,9 +15,9 @@ from algpaths import cli, numkernel
 from algpaths import expr as ex
 from algpaths.expr import Domain
 from algpaths.numkernel import (COMPLETED, Ending, FlowError, Trajectory,
-                                VectorFieldTD, flow, flow_endpoint_order,
-                                read_csv_rows, read_trajectory_csv,
-                                write_csv_rows)
+                                VectorFieldTD, check_uniform_grid, flow,
+                                flow_endpoint_order, read_csv_rows,
+                                read_trajectory_csv, write_csv_rows)
 
 
 def compiled_field(sources, domain=(), coords=("x1",)):
@@ -186,6 +186,15 @@ def test_trajectory_csv_rejects_bad_input(text, message):
         read_trajectory_csv(io.StringIO(text))
 
 
+def test_an_uneven_grid_is_named_by_plain_numbers():
+    # a t cell of 10.0 where 0.005 belongs: numpy scalars printed their
+    # repr, np.float64(...)
+    with pytest.raises(ValueError) as e:
+        check_uniform_grid([0.0, 0.005, 10.005, 0.01])
+    assert str(e.value) == ("time grid is not uniform (spacings from "
+                            "-9.995000000000001 to 10.0)")
+
+
 @pytest.mark.parametrize("ending, text", [
     (COMPLETED, "completed"),
     (Ending("blowup", 1.0010000000000001), "blowup(t*=1.0010000000000001)"),
@@ -302,7 +311,7 @@ def _reference_flow(vf, x0, t_span, step=1e-3, bound=1e8):
             acc = acc + a * a
         return math.sqrt(acc)
 
-    n_steps = max(1, math.ceil((t_b - t_a) / step - 1e-12))
+    n_steps = max(1, math.ceil((t_b - t_a) / step * (1.0 - 1e-12)))
     times, points = [t_a], [list(x)]
     t, table = t_a, vf.table
 
