@@ -372,8 +372,11 @@ BAD_INPUTS = [
     (CHECK, {"connections": ["cyl"]}, "/connections: must be a JSON object"),
     (CHECK, {"connections": {"cyl": {"type": "example3", "nu0": "inf"}}},
      "/connections/cyl: nu0 must be a finite number, got inf"),
-    (CHECK, {"connections": {"cyl": {"type": "example3", "nu0": "1/0"}}},
-     "/connections/cyl: nu0 must be a finite number, got '1/0'"),
+    # under the id it had when this message was "float division by zero"
+    pytest.param(
+        CHECK, {"connections": {"cyl": {"type": "example3", "nu0": "1/0"}}},
+        "/connections/cyl: nu0 must be a finite number, got '1/0'",
+        id="/connections/cyl: float division by zero"),
     (CHECK, {"connections": {"cyl": {"type": "example3", "nu0": "x"}}},
      "/connections/cyl: nu0 must be a finite number, got 'x'"),
     (CHECK, {"connections": {"cyl": {"type": "example3", "nu0": True}}},
@@ -384,7 +387,8 @@ BAD_INPUTS = [
 
 
 @pytest.mark.parametrize("argv, extra, where", BAD_INPUTS,
-                         ids=[where for _, _, where in BAD_INPUTS])
+                         ids=[getattr(row, "id", None) or row[2]
+                              for row in BAD_INPUTS])
 def test_bad_flag_or_default_exits_2_naming_it(tmp_path, capsys, argv, extra,
                                                where):
     cfg = write_config(tmp_path, {
