@@ -18,6 +18,7 @@ supported on [a,b], equal to 1 at the midpoint.
 so -x^2 parses as -(x^2). Everything is immutable after construction.
 """
 
+import ast
 import functools
 import itertools
 import math
@@ -880,6 +881,8 @@ _COMPILE_GLOBALS = {**SOURCE_GLOBALS, "__builtins__": {},
 
 # a parameter (_v0, _v1, ...) or a temporary (_t1, _t2, ...) of a body
 _BODY_NAME = re.compile(r"\b_[vt]\d+\b")
+# a temporary that a line assigns, by = or :=
+_ASSIGNED = re.compile(r"\b(_t\d+) :?=(?!=)")
 
 
 class Body:
@@ -887,7 +890,8 @@ class Body:
     kept on it as `fn.body`: the function takes `params` arguments, its
     `lines`, indented by four spaces, compute its temporaries, and `outs`
     are the sources of its return values, in order; `inline` writes it
-    into other source. Besides its own names, the source reads only the
+    into other source, and `split` divides it around the parameters a
+    loop keeps fixed. Besides its own names, the source reads only the
     names in `SOURCE_GLOBALS`. `loops` holds the stepping loops
     `numkernel.flow` writes around the body, so they live as long as the
     function: while a caller holds it or `_function` keeps it cached."""
@@ -928,6 +932,80 @@ class Body:
         lines += [f"{indent}{o} = {rename(src)}"
                   for o, src in zip(outs, self.outs)]
         return lines
+
+    def split(self, fixed):
+        """The body as two bodies (pre, rest) for a loop in which the
+        parameters numbered in `fixed` keep their values: pre, over the
+        same parameters, computes as its values what depends on those
+        parameters and constants only, and rest takes pre's values as
+        further parameters, after `params`, and computes the body's.
+
+        Moved to pre are each top-level line, or gate block as a whole,
+        that reads only fixed parameters, moved temporaries and
+        constants, and each largest such subexpression of a remaining
+        top-level line or value that reads a parameter or temporary (an
+        inline estep's branches read what its test reads, so it moves
+        whole); a gate's arm, run only when its guard is not 0.0, keeps
+        its own. So pre computes only what every run of the body
+        computes, and raises where the body's first run would."""
+        known = {f"_v{i}" for i in fixed}
+        units, pre, rest = [], [], []
+        for line in self.lines:
+            if line.startswith("     ") or line == "    else:":
+                units[-1].append(line)          # inside a gate block
+            else:
+                units.append([line])
+        for unit in units:
+            text = "\n".join(unit)
+            made = set(_ASSIGNED.findall(text))
+            if set(_BODY_NAME.findall(text)) - made <= known:
+                pre += unit
+                known |= made
+            else:
+                rest.append(unit)
+        moved = {}          # source of a pre value -> its parameter in rest
+
+        def param(src):
+            return moved.setdefault(src, f"_v{self.params + len(moved)}")
+
+        def hoist(src):
+            if known.isdisjoint(_BODY_NAME.findall(src)):
+                return src
+            spans = []
+
+            def visit(node):
+                text = src[node.col_offset:node.end_col_offset]
+                # the names it reads but does not bind with :=
+                reads = (set(_BODY_NAME.findall(text))
+                         - set(_ASSIGNED.findall(text)))
+                if reads and reads <= known:
+                    spans.append(node)
+                    return
+                for child in ast.iter_child_nodes(node):
+                    if isinstance(child, ast.expr):
+                        visit(child)
+
+            visit(ast.parse(src, mode="eval").body)
+            names = [param(src[s.col_offset:s.end_col_offset])
+                     for s in spans]
+            for s, name in reversed(list(zip(spans, names))):
+                src = src[:s.col_offset] + name + src[s.end_col_offset:]
+            return src
+
+        def rename(src):
+            return _BODY_NAME.sub(
+                lambda m: param(m[0]) if m[0] in known else m[0], src)
+
+        lines = []
+        for unit in rest:
+            if len(unit) > 1:               # a gate block: its names only
+                lines += map(rename, unit)
+            else:
+                target, src = unit[0].split(" = ", 1)
+                lines.append(f"{target} = {hoist(src)}")
+        outs = tuple(map(hoist, self.outs))
+        return (Body(self.params, tuple(pre), tuple(moved)),
+                Body(self.params + len(moved), tuple(lines), outs))
 
 
 def compile_exprs(exprs, variables):

@@ -331,6 +331,22 @@ def _rk4_source(n, width, field, m, dom):
     None) or k1 or the new state is not finite (v is k1's first n values),
     "domain" when the new state v is outside the domain, "bound" when its
     norm exceeds bound (v None).
+
+    Work that no step changes runs once, before the steps. A coordinate
+    whose field value is the constant 0.0 or -0.0 keeps its value: as
+    h >= 0, y_i = x_i + h6 * (...) adds 0.0, which only turns a -0.0
+    start into 0.0, or adds -0.0. So the first stage of the first step reads
+    the start x_i, and every later stage and domain test z_i = x_i + 0.0
+    (x_i for -0.0). `Body.split` moves what the field and the domain
+    compute from those coordinates and constants alone (never the time,
+    a table cell or a gate's arm) before the steps: the field's at x_i
+    (pa0.., for the first stage, which takes pz's values after each
+    step) and at z_i (pz0..), the domain's at z_i (py0..). A moved field
+    value that raises ends the flow as its first step would ("stage" at
+    t_a); a moved domain value that raises becomes nan, which fails the
+    first step's domain test as the raise did: each moved value is read
+    outside gates' arms, and compiled source turns a nan operand into
+    nan or raises. y_i and every test are written as before.
     """
     idx = range(n)
 
@@ -339,6 +355,9 @@ def _rk4_source(n, width, field, m, dom):
 
     def each(fmt, sep=", "):
         return sep.join(seq(fmt))
+
+    def block(lines):
+        return "".join(line + "\n" for line in lines)
 
     if width is None:
         fetch = ""
@@ -349,21 +368,46 @@ def _rk4_source(n, width, field, m, dom):
             f"        {', '.join(row)}, = table[{at}]\n"
             for row, at in zip(rows, ["j", "j + 1", "j + 2"]) if width)
         inputs = [rows[0], rows[1], rows[1], rows[2]]
+    # the coordinates whose value never changes, and z: the state as every
+    # stage but the first reads it
+    zero = {i: f"x{i} + 0.0" if field.outs[i] == "0.0" else f"x{i}"
+            for i in idx if field.outs[i] in ("0.0", "(-0.0)")}
+    z = [zero.get(i, f"x{i}") for i in idx]
+    pre, field = field.split([len(inputs[0]) + i for i in zero])
+    pa, pz = ([f"p{s}{j}" for j in range(len(pre.outs))] for s in "az")
     stages = "\n".join(
-        line for tag, args, state in zip(
+        line for tag, args, state, moved in zip(
             "abcd", inputs, ["x{i}", "x{i} + hh * a{i}", "x{i} + hh * b{i}",
-                             "x{i} + h * c{i}"])
-        for line in field.inline(args + seq(state), seq(tag + "{i}"), tag,
-                                 " " * 12))
+                             "x{i} + h * c{i}"], [pa, pz, pz, pz])
+        for line in field.inline(args + seq(state) + moved, seq(tag + "{i}"),
+                                 tag, " " * 12))
 
     x, y = each("x{i}"), each("y{i}")
+    before = "" if not pa else f"""\
+    try:
+{block(pre.inline(inputs[0] + seq("x{i}"), pa, "pa", " " * 8))}\
+{block(pre.inline(inputs[0] + z, pz, "pz", " " * 8))}\
+    except EVAL_ERRORS:
+        return "stage", t, [{x}], t_b if last == 0 else t_a + step, None
+"""
+    py = []
+    if m:
+        dpre, dom = dom.split(list(zero))
+        py = [f"py{j}" for j in range(len(dpre.outs))]
+    if py:
+        before += f"""\
+    try:
+{block(dpre.inline(z, py, "py", " " * 8))}\
+    except EVAL_ERRORS:
+        {" = ".join(py)} = _nan
+"""
     # -_inf < v < _inf is math.isfinite(v) for floats and numpy scalars
     # alike, and comparing a nan raises no warning
     finite = " and ".join(f"-_inf < {v}{i} < _inf" for v in "ay" for i in idx)
     domain_test = "" if not m else f"""\
         try:
-{chr(10).join(dom.inline(seq("y{i}"), [f"g{i}" for i in range(m)], "y",
-                         " " * 12))}
+{chr(10).join(dom.inline(seq("y{i}") + py, [f"g{i}" for i in range(m)],
+                         "y", " " * 12))}
         except EVAL_ERRORS:
             return "domain", t, [{x}], t_next, [{y}]
         if not ({" and ".join(f"g{i} > 0.0" for i in range(m))}):
@@ -374,6 +418,7 @@ def rk4_loop(table, x, t_a, t_b, step, n_steps, bound, times, points):
     {x}, = x
     t = t_a
     last = n_steps - 1
+{before}\
     for k in range(n_steps):
         t_next = t_b if k == last else t_a + (k + 1) * step
         h = t_next - t
@@ -393,6 +438,7 @@ def rk4_loop(table, x, t_a, t_b, step, n_steps, bound, times, points):
             return "bound", t, [{x}], t_next, None
         t = t_next
 {each("        x{i} = y{i}", chr(10))}
+{block(f"        {a} = {z}" for a, z in zip(pa, pz))}\
         times.append(t)
         points += {y},
     return None

@@ -1009,25 +1009,28 @@ NESTED = {
 }
 
 
-def nested_commands(tmp_path, e):
+def nested_commands(tmp_path, e, second="i"):
     """check-algebroid of an anchor e, integrate-path of a section e and
-    compose of the map (e, e) with itself."""
+    compose of the map (e, e) with the identity i, or with itself for
+    second "c"."""
     cfg = write_config(tmp_path, {
         "algebroids": {"line": {"base_dim": 1, "rank": 1, "anchor": [[e]]},
                        "flat": {"base_dim": 1, "rank": 1, "anchor": [["1"]]},
                        "zero": {"base_dim": 1, "rank": 1, "anchor": [["0"]]}},
         "comorphisms": {"c": {"source": "zero", "target": "zero",
-                              "phi": [e], "M": [[e]]}}})
+                              "phi": [e], "M": [[e]]},
+                        "i": {"source": "zero", "target": "zero",
+                              "phi": ["x1"], "M": [["1"]]}}})
     return [["check-algebroid", "--config", cfg, "--name", "line"],
             ["integrate-path", "--config", cfg, "--name", "flat",
              "--section=" + e, "--x0", "0", "--grid", "10"],
-            ["compose", "--config", cfg, "--first", "c", "--second", "c"]]
+            ["compose", "--config", cfg, "--first", "c", "--second", second]]
 
 
 @pytest.mark.parametrize("kind", NESTED)
 def test_an_expression_at_the_nesting_bound_runs(tmp_path, capsys, kind):
     # the spot-checks differentiate e, and compose builds, differentiates
-    # and prints a composite nested twice as deep
+    # and prints a composite as deep as e
     assert ex.MAX_DEPTH == 64
     nested, n = NESTED[kind]
     for argv in nested_commands(tmp_path, nested(n)):
@@ -1046,6 +1049,21 @@ def test_an_expression_past_the_nesting_bound_exits_2(tmp_path, capsys,
         captured = capsys.readouterr()
         assert "expression nested more than 64 levels deep" in captured.err
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind", ["sin", "sum", "estep", "bump"])
+def test_a_composite_past_the_nesting_bound_exits_2(tmp_path, capsys, kind):
+    # (e, e) composed with itself nests e in e; its printed phi would
+    # not parse back (parentheses and signs fold away and stay shallow)
+    nested, n = NESTED[kind]
+    argv = nested_commands(tmp_path, nested(n), second="c")[-1]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "usage error: the composite's phi[0] does not parse back "
+        "(expression nested more than 64 levels deep")
+    assert "expr.MAX_DEPTH = 64" in captured.err
+    assert captured.out == ""
 
 
 def test_poisson_lift_comorphism(poisson_cfg, capsys):

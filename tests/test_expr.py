@@ -389,6 +389,26 @@ def test_common_subexpressions_compile_to_the_reference_values(exprs, point):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
+@given(expression_lists(), st.sets(st.integers(0, 2)),
+       *[st.lists(st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.5, 1.5, 3.0]),
+                  min_size=3, max_size=3)] * 2)
+def test_a_split_body_computes_the_body(exprs, fixed, point, other):
+    # pre reads only the fixed coordinates, so it takes them from point
+    # and the others from anywhere; it computes only what every run of
+    # the body computes, so it raises only where the body raises; and
+    # rest, given pre's values, computes the body's
+    def run(body, *args):
+        return ex._function(body.params, body.lines, body.outs)(*args)
+
+    body = compile_exprs(exprs, XYZ).body
+    pre, rest = body.split(fixed)
+    assert pre.params == 3 and rest.params == 3 + len(pre.outs)
+    at = [point[i] if i in fixed else other[i] for i in range(3)]
+    assert (_outcome(lambda: run(rest, *point, *run(pre, *at)))
+            == _outcome(lambda: run(body, *point)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(expression_lists())
 def test_printed_expressions_read_back_to_the_same_values(exprs):
     # reports write expressions with str(), built by the folding

@@ -533,6 +533,47 @@ def test_a_flow_that_fails_at_its_first_step_keeps_its_start_point():
         assert traj.endpoint.tolist() == [1.0, 2.0]
 
 
+@pytest.mark.parametrize("zero, first, later", [
+    # the first stage reads the start x2 = -0.0, every later stage and
+    # step x2 + 0.0 = 0.0
+    ("0", 4 * math.pi / 6, math.pi),
+    # x2 + -0.0 stays -0.0
+    ("-0.0", -math.pi, -math.pi)], ids=["0.0", "-0.0"])
+def test_a_constant_coordinate_that_starts_at_minus_zero(zero, first, later):
+    # atan2(x2, -1) is -pi at x2 = -0.0 and pi at 0.0
+    vf = compiled_field(["atan2(x2, -1)", zero], coords=("x1", "x2"))
+    traj = assert_same_fused_flow(vf, [0.0, -0.0], (0.0, 1.0), 0.1)
+    assert np.diff(traj.points[:, 0]).tolist() == pytest.approx(
+        [0.1 * first] + [0.1 * later] * 9, rel=1e-12)
+    assert np.signbit(traj.points[1:, 1]).all() == (zero == "-0.0")
+
+
+@pytest.mark.parametrize("field, domain, x0, status", [
+    # log(x2 - 1) raises at x2 = 1, in the first step's first stage
+    (["log(x2 - 1)", "0"], (), [0.0, 1.0], "blowup"),
+    # log(-atan2(x2, -1)) is log(pi) at the start x2 = -0.0 and raises
+    # at x2 = 0.0, where the first step lands
+    (["1", "0"], ["2 - x1 + log(-atan2(x2, -1))"], [0.0, -0.0],
+     "domain_exit"),
+    # atan2(x2, -1) * 1e308 * 1e308 is -inf at the start, +inf after it
+    (["1", "0"], ["2 - x1 - atan2(x2, -1) * 1e308 * 1e308"], [0.0, -0.0],
+     "domain_exit"),
+], ids=["field-raises", "domain-raises", "domain-not-finite"])
+def test_a_moved_term_that_fails_ends_the_first_step(field, domain, x0,
+                                                     status):
+    # each failing term reads only x2, whose field value is the constant
+    # 0.0, so the loop computes it once, before its steps
+    vf = compiled_field(field, domain, coords=("x1", "x2"))
+    traj = assert_same_fused_flow(vf, x0, (0.0, 1.0), 0.1)
+    assert traj.status == status and traj.times.tolist() == [0.0]
+    assert traj.points.tobytes() == np.array([x0]).tobytes()
+    assert status == "domain_exit" or traj.ending.t_star == 0.1
+    dom = vf.domain
+    src = numkernel._rk4_source(2, None, vf.fn.body, dom.m,
+                                dom.m and dom.fn.body)
+    assert _step_calls(src) == {"range", "sqrt", "times.append"}
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(1, 6), st.data())
 def test_random_linear_fields_match_the_reference(n, data):
@@ -611,17 +652,23 @@ def test_fused_blowups_match_the_reference(field, bound, domain):
 
 
 def _field_exprs(names):
-    """Random expressions over names: sums, products, quotients, esteps
-    and gates of the variables and small constants."""
-    leaves = st.one_of(st.sampled_from(names).map(ex.Var),
-                       st.sampled_from([-1.5, -0.5, 0.25, 1.0, 2.0])
-                       .map(ex.Const))
+    """Random expressions over names: sums, products, quotients, esteps,
+    atan2s and gates of the variables and small constants, with leaves
+    atan2(x, c) and c / x, which tell 0.0 from -0.0 (a zero divisor
+    raises)."""
+    var = st.sampled_from(names).map(ex.Var)
+    const = st.sampled_from([-1.5, -0.5, 0.25, 1.0, 2.0]).map(ex.Const)
+    leaves = st.one_of(var, const,
+                       st.tuples(var, const).map(lambda vc: ex.fun(
+                           "atan2", *vc)),
+                       st.tuples(const, var).map(lambda cv: ex.div(*cv)))
 
     def grow(sub):
         return st.one_of(
             st.tuples(sub, sub).map(lambda ab: ex.add(*ab)),
             st.tuples(sub, sub).map(lambda ab: ex.mul(*ab)),
             st.tuples(sub, sub).map(lambda ab: ex.div(*ab)),
+            st.tuples(sub, sub).map(lambda ab: ex.fun("atan2", *ab)),
             sub.map(lambda a: ex.fun("estep", a)),
             st.tuples(sub, sub).map(lambda ge: ex.fun("gate", ex.fun(
                 "estep", ge[0]), ge[1])))
@@ -632,10 +679,16 @@ def _field_exprs(names):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(1, 6), st.data())
 def test_random_fused_fields_match_the_reference(n, data):
+    # a coordinate whose field value is 0.0 or -0.0 never changes,
+    # and the loop computes what reads only such coordinates once; starts
+    # of 0.0 and -0.0 tell the first stage's reads from the later ones
     coords = [f"x{i + 1}" for i in range(n)]
-    exprs = data.draw(st.lists(_field_exprs(["t", *coords]), min_size=n,
-                               max_size=n))
-    x0 = [data.draw(st.floats(-1.0, 1.0)) for _ in range(n)]
+    zero = st.sampled_from([0.0, -0.0]).map(ex.Const)
+    exprs = [data.draw(st.one_of(zero, _field_exprs(["t", *coords])))
+             for _ in range(n)]
+    x0 = [data.draw(st.one_of(st.floats(-1.0, 1.0),
+                              st.sampled_from([0.0, -0.0])))
+          for _ in range(n)]
     # the domain p(x) < p(x0) + 1/20, for p = ±x_i or a random p, when
     # p(x0) is finite
     axes = [ex.Var(v) for v in coords] + [ex.neg(ex.Var(v)) for v in coords]
@@ -655,6 +708,14 @@ def test_random_fused_fields_match_the_reference(n, data):
 
 
 # ------------------------------------------------ the generated loop's calls --
+
+def _step_calls(src):
+    """The functions that the step loop of the loop source src calls."""
+    (steps,) = [node for node in ast.walk(ast.parse(src))
+                if isinstance(node, ast.For)]
+    return {ast.unparse(node.func) for node in ast.walk(steps)
+            if isinstance(node, ast.Call)}
+
 
 def test_each_step_runs_the_field_four_times_and_the_domain_once():
     from algpaths.algebroid import make_tangent
@@ -687,6 +748,19 @@ def test_each_step_runs_the_field_four_times_and_the_domain_once():
     traj = flow(vf, [1.0, 0.0], (0.0, 1.0), step=0.01)
     assert traj.completed and len(traj.times) == 101
     assert len(preds) == 1                          # x0's test only
+
+
+def test_the_holonomy_lift_computes_its_bump_gate_before_its_steps():
+    # the lift field's value for its last coordinate, the height h, is
+    # 0.0: the bump gate and the domain's two esteps read only h, and
+    # their exps run once per flow
+    from algpaths.ehresmann import ExampleConnection
+    conn = ExampleConnection(1.0 / 3.0)
+    dom = conn.source.in_domain
+    src = numkernel._rk4_source(5, 2, conn._lift_field.body, dom.m,
+                                dom.fn.body)
+    assert src.count("math.exp") == 6
+    assert "math.exp" not in _step_calls(src)
 
 
 def _callable_fields():
