@@ -140,10 +140,15 @@ def _finite(name, value, interval=False):
 
 def circle_loop(fc, radius=1.0, center=(0.0, 0.0), turns=1, grid=1000):
     """Closed circle in the base of fc's target, with exact fiber data
-    eta = dy/dt."""
+    eta = dy/dt; ValueError, before sampling, where samples, at most
+    |centre| + |radius| and |radius * 2 pi turns| in size, are not finite."""
     tgt = fc.target
     times = np.linspace(0.0, 1.0, grid + 1)
     w = 2.0 * math.pi * turns
+    if not all(map(math.isfinite, (abs(center[0]) + abs(radius),
+                                   abs(center[1]) + abs(radius), radius * w))):
+        raise ValueError(f"a loop of radius {radius!r} about {tuple(center)} "
+                         f"has samples that are not finite")
     base = np.stack([center[0] + radius * np.cos(w * times),
                      center[1] + radius * np.sin(w * times)], axis=1)
     eta = np.stack([-radius * w * np.sin(w * times),

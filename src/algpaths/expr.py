@@ -11,8 +11,10 @@ and a fixed set of smooth functions:
 estep(t) is exp(-1/t) for t > 0 and 0 otherwise (smooth, not analytic).
 gate(g, e) is the product g*e except that e is not evaluated when g
 evaluates to exactly 0.0; its derivative is gate(g',e) + gate(g,e').
-bump(a, b, t) is sugar for exp(4)*estep(s)*estep(1-s) with s=(t-a)/(b-a):
-supported on [a,b], equal to 1 at the midpoint.
+bump(a, b, t) is exp(4)*estep(s)*estep(1-s) with s=(t-a)/(b-a), supported
+on [a,b] and equal to 1 at the midpoint; it stays one node, bump(a, b, t),
+expanded only where it is compiled or derived. A sum or a product is one
+flat chain of its operands, evaluated left to right.
 
 '^' takes an integer literal exponent and binds tighter than unary minus,
 so -x^2 parses as -(x^2). Everything is immutable after construction.
@@ -46,40 +48,70 @@ class DomainError(ExprError):
 # ---------------------------------------------------------------- nodes ---
 
 class Expr:
-    __slots__ = ()
+    """A node of an expression DAG: `args` are its subexpressions, in
+    evaluation order, and a subexpression may be shared; `d`, `variables`
+    and `substitute` visit a shared node once per call. `_rebuild(f)` is
+    the node over f of each argument, built by the folding constructors;
+    `_parts()`, of all but chains, the node's Python source as a format
+    string over its arguments' sources, and those arguments."""
 
-    # printing precedences: Add/Sub 1, Neg 1.5, Mul/Div 2, Pow 4, atoms 5
+    __slots__ = ("_hash",)
+    args = ()
+
+    # printing precedences: Sum 1, Neg 1.5, Product 2, Pow 4, atoms 5
     prec = 5
 
     def __eq__(self, other):
-        return type(self) is type(other) and self._key() == other._key()
+        return self is other or (type(self) is type(other)
+                                 and hash(self) == hash(other)
+                                 and self._key() == other._key())
 
     def __hash__(self):
-        return hash((type(self).__name__, self._key()))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash((type(self).__name__, self._key()))
+            return h
 
     def __repr__(self):
         return f"{type(self).__name__}({str(self)!r})"
 
+    def _key(self):
+        return self.args
+
     def d(self, var):
-        raise NotImplementedError
+        """The exact partial derivative in var."""
+        return _memoized(lambda e, D: e._d(var, D))(self)
+
+    def _d(self, var, D):
+        return self._rebuild(D)
 
     def variables(self):
-        out = set()
-        self._collect_vars(out)
+        out, seen, todo = set(), set(), list(self.args)
+        if type(self) is Var:
+            out.add(self.name)
+        while todo:
+            e = todo.pop()
+            if type(e) is Var:
+                out.add(e.name)
+            elif e.args and id(e) not in seen:
+                seen.add(id(e))
+                todo += e.args
         return out
 
-    def _collect_vars(self, out):
-        for a in self._parts()[1]:
-            a._collect_vars(out)
 
-    def _parts(self):
-        """(template, args): the node's Python source as a format string
-        over its arguments' sources, and the argument subexpressions in
-        evaluation order. Two nodes with equal templates and equal
-        arguments compute the same value. Beside it, each node class has
-        `_substitute(mapping)`, which rebuilds the node bottom-up with the
-        folding constructors."""
-        raise NotImplementedError
+def _memoized(rule):
+    """e -> rule(e, itself), computed once per node: the memo of one walk
+    over a DAG. It keeps the nodes it saw, so their ids stay theirs."""
+    memo = {}
+
+    def f(e):
+        hit = memo.get(id(e))
+        if hit is None:
+            hit = memo[id(e)] = (e, rule(e, f))
+        return hit[1]
+
+    return f
 
 
 class Const(Expr):
@@ -91,7 +123,7 @@ class Const(Expr):
     def _key(self):
         return self.value
 
-    def d(self, var):
+    def _d(self, var, D):
         return Const(0.0)
 
     def __str__(self):
@@ -101,10 +133,7 @@ class Const(Expr):
             return str(int(self.value))
         return repr(self.value)
 
-    def _collect_vars(self, out):
-        pass
-
-    def _substitute(self, mapping):
+    def _rebuild(self, f):
         return self
 
 
@@ -117,243 +146,163 @@ class Var(Expr):
     def _key(self):
         return self.name
 
-    def d(self, var):
+    def _d(self, var, D):
         return Const(1.0 if self.name == var else 0.0)
 
     def __str__(self):
         return self.name
 
-    def _collect_vars(self, out):
-        out.add(self.name)
 
-    def _substitute(self, mapping):
-        return mapping.get(self.name, self)
+class _Chain(Expr):
+    """args[0], then each further operand applied with its operator in
+    `ops`, left to right: the left-deep tree of binary operations the
+    folding constructors build, kept flat. A first operand of the chain's
+    own kind continues the chain, so each such tree has one form."""
 
+    __slots__ = ("args", "ops")
 
-class _Binary(Expr):
-    __slots__ = ("a", "b")
-    op = "?"
-
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
+    def __init__(self, args, ops):
+        if type(args[0]) is type(self):
+            args, ops = args[0].args + tuple(args[1:]), args[0].ops + ops
+        self.args = tuple(args)
+        self.ops = ops
 
     def _key(self):
-        return (self.a, self.b)
-
-    def _parts(self):
-        return self.template, (self.a, self.b)
-
-    def _substitute(self, mapping):
-        return self.fold(self.a._substitute(mapping),
-                         self.b._substitute(mapping))
+        return (self.args, self.ops)
 
     def __str__(self):
-        left = _paren(self.a, self.prec, left=True)
-        right = _paren(self.b, self.prec, left=False)
-        return f"{left} {self.op} {right}"
+        return _paren(self.args[0], self.prec, left=True) + "".join(
+            f" {op} {_paren(a, self.prec, left=False)}"
+            for op, a in zip(self.ops, self.args[1:]))
+
+    def _rebuild(self, f):
+        acc = f(self.args[0])
+        for op, a in zip(self.ops, self.args[1:]):
+            acc = _FOLD[op](acc, f(a))
+        return acc
 
 
-class Add(_Binary):
+class Sum(_Chain):
     __slots__ = ()
-    op = "+"
-    template = "({0} + {1})"
     prec = 1
 
-    def d(self, var):
-        return add(self.a.d(var), self.b.d(var))
 
-
-class Sub(_Binary):
+class Product(_Chain):
     __slots__ = ()
-    op = "-"
-    template = "({0} - {1})"
-    prec = 1
-
-    def d(self, var):
-        return sub(self.a.d(var), self.b.d(var))
-
-
-class Mul(_Binary):
-    __slots__ = ()
-    op = "*"
-    template = "({0} * {1})"
     prec = 2
 
-    def d(self, var):
-        return add(mul(self.a.d(var), self.b), mul(self.a, self.b.d(var)))
-
-
-class Div(_Binary):
-    __slots__ = ()
-    op = "/"
-    template = "({0} / {1})"
-    prec = 2
-
-    def d(self, var):
-        # (a/b)' = (a'b - ab')/b^2
-        num = sub(mul(self.a.d(var), self.b), mul(self.a, self.b.d(var)))
-        return div(num, pow_(self.b, 2))
+    def _d(self, var, D):
+        # (p * b)' = p'b + pb' and (p / b)' = (p'b - pb')/b^2 for each
+        # prefix p, as the binary tree the chain stands for is derived
+        p, acc = self.args[0], D(self.args[0])
+        for k, (op, b) in enumerate(zip(self.ops, self.args[1:]), 1):
+            if op == "*":
+                acc = add(mul(acc, b), mul(p, D(b)))
+            else:
+                acc = div(sub(mul(acc, b), mul(p, D(b))), pow_(b, 2))
+            p = Product(self.args[:k + 1], self.ops[:k])
+        return acc
 
 
 class Neg(Expr):
-    __slots__ = ("a",)
+    __slots__ = ("args",)
     prec = 1.5
 
     def __init__(self, a):
-        self.a = a
-
-    def _key(self):
-        return self.a
-
-    def d(self, var):
-        return neg(self.a.d(var))
+        self.args = (a,)
 
     def __str__(self):
-        return f"-{_paren(self.a, self.prec, left=False)}"
+        # a sign binds tighter than * and /: -(x * y) is not -x * y
+        return f"-{_paren(self.args[0], Product.prec, left=False)}"
 
     def _parts(self):
-        return "(-{0})", (self.a,)
+        return "(-{0})", self.args
 
-    def _substitute(self, mapping):
-        return neg(self.a._substitute(mapping))
+    def _rebuild(self, f):
+        return neg(f(self.args[0]))
 
 
 class Pow(Expr):
     """Integer power; the exponent is a plain int, not a subexpression."""
 
-    __slots__ = ("a", "n")
+    __slots__ = ("args", "n")
     prec = 4
 
     def __init__(self, a, n):
-        self.a = a
+        self.args = (a,)
         self.n = int(n)
 
     def _key(self):
-        return (self.a, self.n)
+        return (self.args, self.n)
 
-    def d(self, var):
-        return mul(mul(Const(self.n), pow_(self.a, self.n - 1)), self.a.d(var))
+    def _d(self, var, D):
+        a = self.args[0]
+        return mul(mul(Const(self.n), pow_(a, self.n - 1)), D(a))
 
     def __str__(self):
-        base = _paren(self.a, self.prec, left=True)
-        return f"{base}^{self.n}"
+        return f"{_paren(self.args[0], self.prec, left=True)}^{self.n}"
 
     def _parts(self):
-        return f"({{0}} ** {self.n})", (self.a,)
+        return f"({{0}} ** {self.n})", self.args
 
-    def _substitute(self, mapping):
-        return pow_(self.a._substitute(mapping), self.n)
+    def _rebuild(self, f):
+        return pow_(f(self.args[0]), self.n)
 
 
-class Fun1(Expr):
-    """One-argument named function: sin cos tan exp log sqrt estep."""
+class Fun(Expr):
+    """A named function of its arguments: one of `FUNCTION_ARITY`. A bump
+    computes, and is derived as, its `expansion` (see `_bump`), built with
+    the node; gate(g, e) is written as a block that evaluates e only
+    where g != 0.0."""
 
-    __slots__ = ("name", "a")
+    __slots__ = ("name", "args", "expansion")
 
-    def __init__(self, name, a):
+    def __init__(self, name, args):
         self.name = name
-        self.a = a
+        self.args = tuple(args)
+        if name == "bump":
+            self.expansion = _bump(*self.args)
 
     def _key(self):
-        return (self.name, self.a)
+        return (self.name, self.args)
 
-    def d(self, var):
-        u, du = self.a, self.a.d(var)
-        if self.name == "sin":
-            return mul(Fun1("cos", u), du)
-        if self.name == "cos":
-            return neg(mul(Fun1("sin", u), du))
-        if self.name == "tan":
-            return mul(add(Const(1.0), pow_(Fun1("tan", u), 2)), du)
-        if self.name == "exp":
-            return mul(Fun1("exp", u), du)
-        if self.name == "log":
-            return div(du, u)
-        if self.name == "sqrt":
-            return div(du, mul(Const(2.0), Fun1("sqrt", u)))
+    def _d(self, var, D):
+        name, args = self.name, self.args
+        if name == "bump":
+            return D(self.expansion)
+        if name == "gate":
+            g, e = args
+            return add(Fun(name, (D(g), e)), Fun(name, (g, D(e))))
+        if name == "atan2":
+            # d atan2(y, x) = (y' x - y x') / (x^2 + y^2)
+            y, x = args
+            num = sub(mul(D(y), x), mul(y, D(x)))
+            return div(num, add(pow_(x, 2), pow_(y, 2)))
+        return _CHAIN_RULE[name](args[0], D(args[0]))
+
+    def __str__(self):
+        return f"{self.name}({', '.join(map(str, self.args))})"
+
+    def _parts(self):
+        if self.name == "bump":
+            return "{0}", (self.expansion,)
+        if self.name == "gate":
+            return None, self.args          # written as a guarded block
         if self.name == "estep":
-            # d/dt exp(-1/t) = exp(-1/t)/t^2; the gate keeps 1/t^2
-            # unevaluated wherever estep is identically zero
-            return mul(Gate(Fun1("estep", u), div(Const(1.0), pow_(u, 2))), du)
-        raise ExprError(f"no derivative rule for {self.name}")
+            return _ESTEP, self.args
+        if self.name == "atan2":
+            return "math.atan2({0}, {1})", self.args
+        return f"math.{self.name}({{0}})", self.args
 
-    def __str__(self):
-        return f"{self.name}({self.a})"
-
-    def _parts(self):
-        if self.name == "estep":
-            return _ESTEP, (self.a,)
-        return f"math.{self.name}({{0}})", (self.a,)
-
-    def _substitute(self, mapping):
-        return fun(self.name, self.a._substitute(mapping))
-
-
-class Atan2(Expr):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
-
-    def _key(self):
-        return (self.a, self.b)
-
-    def d(self, var):
-        # d atan2(y, x) = (y' x - y x') / (x^2 + y^2)
-        y, x = self.a, self.b
-        num = sub(mul(y.d(var), x), mul(y, x.d(var)))
-        return div(num, add(pow_(x, 2), pow_(y, 2)))
-
-    def __str__(self):
-        return f"atan2({self.a}, {self.b})"
-
-    def _parts(self):
-        return "math.atan2({0}, {1})", (self.a, self.b)
-
-    def _substitute(self, mapping):
-        return fun("atan2", self.a._substitute(mapping),
-                   self.b._substitute(mapping))
-
-
-class Gate(Expr):
-    """g*e, with e not evaluated when g == 0.0 exactly."""
-
-    __slots__ = ("g", "e")
-
-    def __init__(self, g, e):
-        self.g = g
-        self.e = e
-
-    def _key(self):
-        return (self.g, self.e)
-
-    def d(self, var):
-        return add(Gate(self.g.d(var), self.e), Gate(self.g, self.e.d(var)))
-
-    def __str__(self):
-        return f"gate({self.g}, {self.e})"
-
-    def _parts(self):
-        return None, (self.g, self.e)      # written as a guarded block
-
-    def _substitute(self, mapping):
-        return fun("gate", self.g._substitute(mapping),
-                   self.e._substitute(mapping))
+    def _rebuild(self, f):
+        return fun(self.name, *map(f, self.args))
 
 
 def _paren(child, parent_prec, left):
-    s = str(child)
-    cp = child.prec
-    if left:
-        need = cp < parent_prec
-    else:
-        need = cp <= parent_prec
-    # chains of equal-precedence left-assoc operators never wrap the left arm
-    if left and cp == parent_prec:
-        need = False
-    return f"({s})" if need else s
+    # a left operand as tight as its parent continues its chain unwrapped
+    if child.prec < parent_prec or (not left and child.prec == parent_prec):
+        return f"({child})"
+    return str(child)
 
 
 def as_expr(v):
@@ -384,7 +333,7 @@ def add(a, b):
         return b
     if cb == 0.0:
         return a
-    return Add(a, b)
+    return Sum((a, b), "+")
 
 
 def sub(a, b):
@@ -395,7 +344,7 @@ def sub(a, b):
         return a
     if ca == 0.0:
         return neg(b)
-    return Sub(a, b)
+    return Sum((a, b), "-")
 
 
 def mul(a, b):
@@ -408,7 +357,7 @@ def mul(a, b):
         return b
     if cb == 1.0:
         return a
-    return Mul(a, b)
+    return Product((a, b), "*")
 
 
 def dot(us, vs):
@@ -429,7 +378,11 @@ def div(a, b):
             return a
     if ca == 0.0 and cb != 0.0:
         return Const(0.0)
-    return Div(a, b)
+    return Product((a, b), "/")
+
+
+# the folding constructor of each chain operator
+_FOLD = {"+": add, "-": sub, "*": mul, "/": div}
 
 
 def neg(a):
@@ -437,13 +390,8 @@ def neg(a):
     if ca is not None:
         return Const(-ca)
     if isinstance(a, Neg):
-        return a.a
+        return a.args[0]
     return Neg(a)
-
-
-# the folding constructor with which a binary node rebuilds itself
-Add.fold, Sub.fold, Mul.fold, Div.fold = map(staticmethod,
-                                             (add, sub, mul, div))
 
 
 def pow_(a, n):
@@ -463,35 +411,48 @@ def pow_(a, n):
     return Pow(a, n)
 
 
+def _bump(a, b, t):
+    """bump(a, b, t) as it is computed: exp(4) * estep(s) * estep(1 - s)
+    with s = (t - a) / (b - a), folded."""
+    s = div(sub(t, a), sub(b, a))
+    return mul(mul(fun("exp", Const(4.0)), fun("estep", s)),
+               fun("estep", sub(Const(1.0), s)))
+
+
 def fun(name, *args):
     """Build a function application with constant folding."""
-    if name == "atan2":
-        a, b = args
-        if isinstance(a, Const) and isinstance(b, Const):
-            return Const(math.atan2(a.value, b.value))
-        return Atan2(a, b)
     if name == "gate":
-        g, e = args
-        if _const(g) == 0.0:
-            return Const(0.0)
-        return Gate(g, e)
+        return Const(0.0) if _const(args[0]) == 0.0 else Fun(name, args)
     if name == "bump":
-        a, b, t = args
-        s = div(sub(t, a), sub(b, a))
-        return mul(mul(fun("exp", Const(4.0)), fun("estep", s)),
-                   fun("estep", sub(Const(1.0), s)))
-    (a,) = args
-    if isinstance(a, Const):
-        z = a.value
+        f = Fun(name, args)
+        return f.expansion if isinstance(f.expansion, Const) else f
+    if all(isinstance(a, Const) for a in args):
+        z = [a.value for a in args]
         try:
             # as compiled: -1.0 / z at a subnormal z is -inf, not an error
-            v = ((0.0 if z <= 0.0 else math.exp(-1.0 / z)) if name == "estep"
-                 else getattr(math, name)(z))
+            v = ((0.0 if z[0] <= 0.0 else math.exp(-1.0 / z[0]))
+                 if name == "estep" else getattr(math, name)(*z))
             if math.isfinite(v):
                 return Const(v)
         except (ValueError, OverflowError):
             pass
-    return Fun1(name, a)
+    return Fun(name, args)
+
+
+# f(u)' of each function of one argument, given u and u'
+_CHAIN_RULE = {
+    "sin": lambda u, du: mul(Fun("cos", (u,)), du),
+    "cos": lambda u, du: neg(mul(Fun("sin", (u,)), du)),
+    "tan": lambda u, du: mul(add(Const(1.0), pow_(Fun("tan", (u,)), 2)), du),
+    "exp": lambda u, du: mul(Fun("exp", (u,)), du),
+    "log": lambda u, du: div(du, u),
+    "sqrt": lambda u, du: div(du, mul(Const(2.0), Fun("sqrt", (u,)))),
+    # d/dt exp(-1/t) = exp(-1/t)/t^2; the gate keeps 1/t^2 unevaluated
+    # wherever estep is identically zero
+    "estep": lambda u, du: mul(Fun("gate", (Fun("estep", (u,)),
+                                            div(Const(1.0), pow_(u, 2)))),
+                               du),
+}
 
 
 FUNCTION_ARITY = {
@@ -548,15 +509,18 @@ def _tokenize(source):
     return tokens
 
 
-# Deepest expression that `parse` accepts, in levels: each operator,
-# function call and parenthesised group is one, and estep two, the
-# parentheses it adds to compiled source. CPython refuses source nested
-# 200 parentheses deep, which a composite of two maps nested 100 levels
-# each reaches. A bump adds six parentheses and writes its argument twice,
-# so the composite of two maps of k nested bumps prints 4^k copies of the
-# innermost argument: counting a bump twelve keeps k at most 5.
+# Deepest expression that `parse` accepts, in levels: the parentheses its
+# compiled source nests. A sign, power, call or group is one, a sum one
+# however long, a product one per operator (its derivative nests once per
+# factor), an estep two (:= names its argument) and a bump six (the
+# product, an estep, 1 - s, s and t - a). CPython refuses source nested
+# 200 parentheses deep, as a composite of two maps 100 levels deep is.
 MAX_DEPTH = 64
-_CALL_LEVELS = {"estep": 2, "bump": 12}
+_CALL_LEVELS = {"estep": 2}
+_BUMP_LEVELS = 6
+# Longest sum or product that `parse` accepts, in terms: CPython compiles
+# a chain by recursing once per operator, and fails near 3000 terms.
+MAX_TERMS = 1000
 
 
 class _Parser:
@@ -577,12 +541,6 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind):
-        tok = self.take()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
-
     def deeper(self, depth, offset, levels=1):
         """depth + levels, refused past MAX_DEPTH at the source offset."""
         if depth + levels > MAX_DEPTH:
@@ -598,26 +556,29 @@ class _Parser:
         return e
 
     def expr(self):
-        e, depth = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op, _, offset = self.take()
-            rhs, d = self.term()
-            e = add(e, rhs) if op == "+" else sub(e, rhs)
-            depth = self.deeper(max(depth, d), offset)
-        return e, depth
+        return self.chain(self.term, "+-")
 
     def term(self):
-        e, depth = self.unary()
-        while self.peek()[0] in ("*", "/"):
+        return self.chain(self.unary, "*/")
+
+    def chain(self, operand, ops):
+        """A sum (ops "+-") or product ("*/") of operands, folded left to
+        right: one level for a sum, one per operator for a product."""
+        e, depth = operand()
+        inner = depth
+        while self.peek()[0] in ops:
             op, _, offset = self.take()
-            rhs, d = self.unary()
-            e = mul(e, rhs) if op == "*" else div(e, rhs)
-            depth = self.deeper(max(depth, d), offset)
+            rhs, d = operand()
+            e = _FOLD[op](e, rhs)
+            if isinstance(e, _Chain) and len(e.args) > MAX_TERMS:
+                raise ParseError(f"sum or product of more than {MAX_TERMS} "
+                                 f"terms", offset)
+            inner = max(inner, d)
+            depth = self.deeper(max(depth, d) if ops == "*/" else inner,
+                                offset)
         return e, depth
 
     def unary(self):
-        if self.peek()[0] != "-":
-            return self.power()
         signs = []          # a loop, not a recursion per sign
         while self.peek()[0] == "-":
             signs.append(self.take()[2])
@@ -630,10 +591,9 @@ class _Parser:
         e, depth = self.atom()
         while self.peek()[0] == "^":
             offset = self.take()[2]
-            negate = False
-            if self.peek()[0] == "-":
+            negate = self.peek()[0] == "-"
+            if negate:
                 self.take()
-                negate = True
             tok = self.take()
             if tok[0] != "num" or tok[1] != int(tok[1]):
                 raise ParseError("exponent must be an integer literal", tok[2])
@@ -642,8 +602,7 @@ class _Parser:
         return e, depth
 
     def atom(self):
-        tok = self.take()
-        kind, value, offset = tok
+        kind, value, offset = self.take()
         if kind == "num":
             return Const(value), 0
         if kind == "(":
@@ -669,7 +628,7 @@ class _Parser:
     def call(self, name, offset):
         if name not in FUNCTION_ARITY:
             raise ParseError(f"unknown function {name!r}", offset)
-        self.expect("(")
+        self.take()                                 # the "("
         self.groups = self.deeper(self.groups, offset)
         e, depth = self.expr()
         args = [e]
@@ -686,8 +645,9 @@ class _Parser:
         if len(args) != arity:
             raise ParseError(f"{name} takes {arity} argument(s), got {len(args)}",
                              offset)
-        return (fun(name, *args),
-                self.deeper(depth, offset, _CALL_LEVELS.get(name, 1)))
+        levels = (_BUMP_LEVELS if name == "bump"
+                  else _CALL_LEVELS.get(name, 1))
+        return fun(name, *args), self.deeper(depth, offset, levels)
 
 
 def parse(source, variables):
@@ -708,8 +668,10 @@ def _distinct(variables):
 
 
 def substitute(e, mapping):
-    """Replace variables by expressions (used for symbolic composition)."""
-    return e._substitute(mapping)
+    """Replace variables by expressions (used for symbolic composition),
+    rebuilding with the folding constructors."""
+    return _memoized(lambda node, S: mapping.get(node.name, node)
+                     if type(node) is Var else node._rebuild(S))(e)
 
 
 # ----------------------------------------------------------- compilation ---
@@ -725,11 +687,17 @@ class _Scope:
     def __init__(self, parent=None, indent="    "):
         self.parent = parent
         self.indent = indent
-        self.values = {}      # (template, argument values) -> _Value
-        self.seen = {}        # id(Expr) -> its value
+        self.values = {}      # (template, arg values) or id(Expr) -> _Value
         self.arms = {}        # guard value -> arm _Scope
         self.lines = []
         self.gate = None
+
+    def find(self, key):
+        """The value of key in this scope or an enclosing one, or None."""
+        scope = self
+        while scope is not None and (v := scope.values.get(key)) is None:
+            scope = scope.parent
+        return scope and v
 
 
 class _Value:
@@ -751,6 +719,10 @@ class _Value:
 
 # estep(z) written inline: {0} is z, {1} a name that holds it
 _ESTEP = "(0.0 if {0} <= 0.0 else math.exp(-1.0 / {1}))"
+# a chain's operations, and the kind of each: + and - continue a sum,
+# * and / a product
+_OPS = {op: f"{{0}} {op} {{1}}" for op in "+-*/"}
+_SPINE = {_OPS["+"]: 1, _OPS["-"]: 1, _OPS["*"]: 2, _OPS["/"]: 2}
 
 
 def _const_src(v):
@@ -794,40 +766,42 @@ class _Compiler:
                 raise ExprError(f"unbound variable {e.name!r}") from None
         if cls is Const:
             return _const_src(e.value)
-        key = id(e)
-        s = scope
-        while s is not None:
-            v = s.seen.get(key)
-            if v is not None:
-                return v
-            s = s.parent
-        template, parts = e._parts()
-        arm = None
-        if template is None:                            # a gate
-            g = self.value(parts[0], scope)
-            arm = scope.arms.get(g)
-            if arm is None:
-                arm = scope.arms[g] = _Scope(scope, scope.indent + "    ")
-            args = (g, self.value(parts[1], arm))
-        elif len(parts) == 1:
-            args = (self.value(parts[0], scope),)
+        v = scope.find(id(e))
+        if v is not None:
+            return v
+        if isinstance(e, _Chain):
+            # each prefix is a value, as the binary tree's nodes were
+            v = self.value(e.args[0], scope)
+            for op, a in zip(e.ops, e.args[1:]):
+                v = self.number(_OPS[op], (v, self.value(a, scope)), scope)
         else:
-            args = (self.value(parts[0], scope), self.value(parts[1], scope))
-        node = (template, args)
-        s = scope
-        while s is not None:
-            v = s.values.get(node)
-            if v is not None:
-                break
-            s = s.parent
-        else:
-            v = scope.values[node] = _Value(template, args, scope, arm)
-            for a in args:
-                if type(a) is _Value:
-                    a.uses += 1
-            if arm is not None and type(args[0]) is _Value:
-                args[0].uses += 1           # tested, then multiplied
-        scope.seen[key] = v
+            template, parts = e._parts()
+            if template is None:                        # a gate
+                g = self.value(parts[0], scope)
+                arm = scope.arms.get(g)
+                if arm is None:
+                    arm = scope.arms[g] = _Scope(scope, scope.indent + "    ")
+                v = self.number(None, (g, self.value(parts[1], arm)), scope,
+                                arm)
+            else:
+                args = tuple([self.value(p, scope) for p in parts])
+                v = (args[0] if template == "{0}"       # a bump's expansion
+                     else self.number(template, args, scope))
+        scope.values[id(e)] = v
+        return v
+
+    def number(self, template, args, scope, arm=None):
+        """The value of the node (template, args): the one computed in
+        scope or an enclosing scope, else a new value of scope."""
+        v = scope.find((template, args))
+        if v is not None:
+            return v
+        v = scope.values[template, args] = _Value(template, args, scope, arm)
+        for a in args:
+            if type(a) is _Value:
+                a.uses += 1
+        if arm is not None and type(args[0]) is _Value:
+            args[0].uses += 1           # tested, then multiplied
         return v
 
     def src(self, v):
@@ -837,17 +811,9 @@ class _Compiler:
             return v.src
         scope = v.scope
         if v.arm is None:
-            args = list(map(self.src, v.args))
-            if v.template is _ESTEP:
-                z = args[0]
-                if z.isidentifier():
-                    args.append(z)
-                else:
-                    name = self.temp()
-                    args = [f"({name} := {z})", name]
-            text = v.template.format(*args)
+            text = self.text(v)
             if v.uses < 2:
-                return text
+                return f"({text})" if v.template in _SPINE else text
             v.src = self.temp()
             scope.lines.append(f"{scope.indent}{v.src} = {text}")
             return v.src
@@ -866,6 +832,31 @@ class _Compiler:
         lines += [*v.arm.lines, f"{ind}    {v.src} = {g} * {e}"]
         scope.gate = (g, at, len(lines))
         return v.src
+
+    def text(self, v):
+        """v's template over its arguments' sources; for a chain operation,
+        without outer parentheses, continuing in place each inlined left
+        operand of its kind, so a chain of any length is one level."""
+        kind = _SPINE.get(v.template)
+        if kind is None:
+            args = list(map(self.src, v.args))
+            if v.template is _ESTEP:
+                z = args[0]
+                if z.isidentifier():
+                    args.append(z)
+                else:
+                    name = self.temp()
+                    args = [f"({name} := {z})", name]
+            return v.template.format(*args)
+        spine, left = [v], v.args[0]
+        while (type(left) is _Value and _SPINE.get(left.template) == kind
+               and left.uses < 2):
+            spine.append(left)
+            left = left.args[0]
+        text = self.src(left)
+        for op in reversed(spine):
+            text = op.template.format(text, self.src(op.args[1]))
+        return text
 
     def temp(self):
         self.temps += 1
@@ -972,20 +963,20 @@ class Body:
             if known.isdisjoint(_BODY_NAME.findall(src)):
                 return src
             spans = []
-
-            def visit(node):
+            # a walk in source order, with a stack: a chain nests once
+            # per operator
+            stack = [ast.parse(src, mode="eval").body]
+            while stack:
+                node = stack.pop()
                 text = src[node.col_offset:node.end_col_offset]
                 # the names it reads but does not bind with :=
                 reads = (set(_BODY_NAME.findall(text))
                          - set(_ASSIGNED.findall(text)))
                 if reads and reads <= known:
                     spans.append(node)
-                    return
-                for child in ast.iter_child_nodes(node):
-                    if isinstance(child, ast.expr):
-                        visit(child)
-
-            visit(ast.parse(src, mode="eval").body)
+                    continue
+                stack += reversed([c for c in ast.iter_child_nodes(node)
+                                   if isinstance(c, ast.expr)])
             names = [param(src[s.col_offset:s.end_col_offset])
                      for s in spans]
             for s, name in reversed(list(zip(spans, names))):
@@ -1122,7 +1113,10 @@ class Domain:
         if k != n and pts.size:
             raise ValueError(f"{what} {point(pts.reshape(-1, k)[0])} has "
                              f"{k} coordinates, not {n}")
-        pts = pts.reshape(-1, n)
+        # points in R^0 are counted by the leading axes: reshape(-1, 0)
+        # is ambiguous
+        pts = (pts.reshape(-1, n) if n
+               else pts.reshape(math.prod(pts.shape[:-1]), 0))
         for p in pts.tolist() if self.m else ():
             if not self(p):
                 raise error(f"{what} {point(p)} is outside the domain")
@@ -1197,8 +1191,8 @@ class SmoothMap:
 
 
 __all__ = [
-    "Expr", "Const", "Var", "Add", "Sub", "Mul", "Div", "Neg", "Pow",
-    "Fun1", "Atan2", "Gate", "parse", "substitute", "fun",
+    "Expr", "Const", "Var", "Sum", "Product", "Neg", "Pow", "Fun", "parse",
+    "substitute", "fun",
     "add", "sub", "mul", "dot", "div", "neg", "pow_", "as_expr", "point",
     "compile_exprs", "Domain", "domain_predicate", "SmoothMap",
     "ExprError", "ParseError", "DomainError",

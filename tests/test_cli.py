@@ -8,8 +8,10 @@ the module entry point.  Workspace configs are written to ``tmp_path``.
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -77,6 +79,18 @@ def test_module_entrypoint_sheets():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "3\n"
+
+
+def test_the_runtime_checks_pass():
+    # the script continuous integration runs without scipy; its commands
+    # run in a temporary directory, so the package is found by its path
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = os.path.join(os.path.dirname(__file__), "runtime_checks.py")
+    proc = subprocess.run([sys.executable, script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_sheets_irrational_prints_inf(capsys):
@@ -785,6 +799,20 @@ def test_holonomy_connection_needs_a_config(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("extra", [[], ["--h-grid", "0:0.6:2"]],
+                         ids=["loop", "sweep"])
+def test_holonomy_of_a_loop_whose_samples_overflow_exits_2(capsys, extra):
+    # radius * 2 pi overflows: the loop used to be sampled with numpy
+    # warnings and its x0 refused as outside the domain, exit 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["holonomy", "--radius", "1e308", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("usage error: a loop of radius 1e+308 about "
+                            "(0.0, 0.0) has samples that are not finite\n")
+    assert captured.out == ""
+
+
 def test_holonomy_on_a_grid_of_23294_steps_completes(capsys):
     # the loop's step 1 / 23294 used to be counted as 23295 steps, which
     # refused the loop's table of 23294
@@ -997,15 +1025,18 @@ def test_an_overflowing_number_literal_exits_2(poisson_cfg, tmp_path,
     assert captured.out == "" and not out.exists()
 
 
-# expressions over x1 nested n levels, and the largest n that parses: a
-# call, group, sign or operator is a level, an estep two, a bump twelve
+# expressions over x1 nested n times, and the largest n that parses: a
+# call, group, sign, sum or product operator is a level, an estep two, a
+# bump six; "sum" nests each sum in the right operand of the last, a sum
+# and a group per level, since a flat sum is one level however long
 NESTED = {
     "sin": (lambda n: "sin(" * n + "x1" + ")" * n, 64),
     "parentheses": (lambda n: "(" * n + "x1" + ")" * n, 64),
     "minus": (lambda n: "-" * n + "x1", 64),
-    "sum": (lambda n: "+".join(["x1"] * (n + 1)), 64),
+    "sum": (lambda n: "x1 + (" * n + "x1" + ")" * n, 32),
+    "product": (lambda n: "*".join(["x1"] * (n + 1)), 64),
     "estep": (lambda n: "estep(" * n + "x1" + ")" * n, 32),
-    "bump": (lambda n: "bump(-1, 1, " * n + "x1" + ")" * n, 5),
+    "bump": (lambda n: "bump(-1, 1, " * n + "x1" + ")" * n, 10),
 }
 
 
@@ -1064,6 +1095,40 @@ def test_a_composite_past_the_nesting_bound_exits_2(tmp_path, capsys, kind):
         "(expression nested more than 64 levels deep")
     assert "expr.MAX_DEPTH = 64" in captured.err
     assert captured.out == ""
+
+
+def _long_sum_commands(tmp_path, terms):
+    """integrate-path of the section (x1 + x2 + ... + x2, 1) of terms
+    terms, on the plane and on an algebroid whose anchor fixes x2, so that
+    the flow moves the x2 terms before its steps."""
+    cfg = write_config(tmp_path, {"algebroids": {
+        "plane": PLANE,
+        "fixed": {"base_dim": 2, "rank": 2,
+                  "anchor": [["1", "0"], ["0", "0"]], "bracket": {}}}})
+    section = " + ".join(["x1"] + ["x2"] * (terms - 1)) + "; 1"
+    return [["integrate-path", "--config", cfg, "--name", name,
+             "--section", section, "--x0", "0,0.001", "--grid", "10",
+             "--out", str(tmp_path / f"{name}.csv")]
+            for name in ("plane", "fixed")]
+
+
+def test_a_sum_of_max_terms_flows(tmp_path, capsys):
+    # a 250-term sum used to end in CPython's "too many nested
+    # parentheses", and a 66-term one was refused as 65 levels deep
+    assert ex.MAX_TERMS == 1000
+    for argv in _long_sum_commands(tmp_path, ex.MAX_TERMS):
+        code, payload = run_json(capsys, argv)
+        assert code == 0 and payload["status"] == "completed", argv[4]
+
+
+def test_a_sum_past_max_terms_exits_2(tmp_path, capsys):
+    for argv in _long_sum_commands(tmp_path, ex.MAX_TERMS + 1):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        offset = argv[6].rindex("+")
+        assert (f"sum or product of more than 1000 terms (at offset "
+                f"{offset})") in captured.err
+        assert captured.out == ""
 
 
 def test_poisson_lift_comorphism(poisson_cfg, capsys):
@@ -1182,6 +1247,27 @@ def test_develop_refuses_a_path_csv_with_other_column_names(tmp_path,
     captured = capsys.readouterr()
     assert f"{path}: APath CSV header must be t,x1,x2,eta1" in captured.err
     assert captured.out == ""
+
+
+def test_develop_reads_an_apath_over_a_point_without_its_x_column(
+        tmp_path, capsys):
+    # over a point, t,eta1 holds the path as t,x1,eta1 does; it used to
+    # fail with numpy's "cannot reshape array of size 0 into shape (0)"
+    rows = [[k / 4, 0.0, 1.5] for k in range(5)]
+    with_x = _grid_csv(tmp_path, "with_x.csv", rows, "t,x1,eta1")
+    without = _grid_csv(tmp_path, "without.csv",
+                        [[t, eta] for t, _, eta in rows], "t,eta1")
+    develop = ["develop", "--basis", "[[[0]]]", "--path"]
+    reports = []
+    for path in (with_x, without):
+        code, payload = run_json(capsys, develop + [
+            path, "--out", path + ".gamma.csv"])
+        assert code == 0
+        reports.append(payload)
+    assert reports[0] == reports[1]
+    assert reports[1]["endpoint"] == [[1.0]]
+    assert ((tmp_path / "with_x.csv.gamma.csv").read_text()
+            == (tmp_path / "without.csv.gamma.csv").read_text())
 
 
 def test_logderiv_rejects_bad_header(tmp_path, capsys):

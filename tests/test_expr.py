@@ -1,11 +1,12 @@
 import math
 import operator
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algpaths import expr as ex
+from algpaths import comorph, expr as ex
 from algpaths.algebroid import LieAlgebroid
 from algpaths.ehresmann import ExampleConnection, FlatConnection
 from algpaths.expr import (Const, DomainError, ExprError, ParseError,
@@ -30,28 +31,36 @@ def val(e, **point):
 def tree_eval(e, env):
     """The reference value of e at the point env, by a walk of its tree:
     each node computed by the float operation or math function it names,
-    a gate's e only where g != 0.0. Compiled functions must return the
-    same floats, and raise where this raises."""
+    a chain's operations one at a time, left to right, a gate's e only
+    where g != 0.0, and a bump as its expansion. Compiled functions must
+    return the same floats, and raise where this raises."""
     cls = type(e)
     if cls is Const:
         return e.value
     if cls is Var:
         return env[e.name]
-    if cls is ex.Gate:
-        g = tree_eval(e.g, env)
-        return 0.0 if g == 0.0 else g * tree_eval(e.e, env)
-    a = tree_eval(e.a, env)
+    if cls is ex.Fun and e.name == "gate":
+        g = tree_eval(e.args[0], env)
+        return 0.0 if g == 0.0 else g * tree_eval(e.args[1], env)
+    if cls is ex.Fun and e.name == "bump":
+        return tree_eval(e.expansion, env)
+    if cls in (ex.Sum, ex.Product):
+        acc = tree_eval(e.args[0], env)
+        for op, a in zip(e.ops, e.args[1:]):
+            acc = OPERATORS[op](acc, tree_eval(a, env))
+        return acc
+    args = [tree_eval(a, env) for a in e.args]
     if cls is ex.Neg:
-        return -a
+        return -args[0]
     if cls is ex.Pow:
-        return a ** e.n
-    if cls is ex.Fun1:
-        if e.name == "estep":
-            return 0.0 if a <= 0.0 else math.exp(-1.0 / a)
-        return getattr(math, e.name)(a)
-    return {ex.Add: operator.add, ex.Sub: operator.sub, ex.Mul: operator.mul,
-            ex.Div: operator.truediv, ex.Atan2: math.atan2}[cls](
-                a, tree_eval(e.b, env))
+        return args[0] ** e.n
+    if e.name == "estep":
+        return 0.0 if args[0] <= 0.0 else math.exp(-1.0 / args[0])
+    return getattr(math, e.name)(*args)
+
+
+OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+             "/": operator.truediv}
 
 
 # ------------------------------------------------------------ parsing
@@ -188,7 +197,7 @@ def test_bump_is_one_at_midpoint_zero_outside():
 
 def test_gate_short_circuits_singular_branch():
     # gate(g, e) must not evaluate e when g == 0
-    g = ex.Gate(parse("estep(x)", XY), parse("log(x)", XY))
+    g = ex.fun("gate", parse("estep(x)", XY), parse("log(x)", XY))
     fn = compile_exprs([g], XY)
     assert fn(-2.0, 0.0)[0] == 0.0     # log(-2) never evaluated
     assert fn(1.0, 0.0)[0] == pytest.approx(math.exp(-1.0) * 0.0, abs=1e-12)
@@ -301,6 +310,10 @@ def test_domain_require_tests_every_point_and_names_the_first_outside():
         with pytest.raises(ValueError, match=r"^seed \(0\.1, 0\.2, 0\.3\) "
                                              r"has 3 coordinates, not 2$"):
             dom.require([[0.1, 0.2, 0.3]], 2, "seed")
+    # points of R^0: an (N, 0) stack is N points, an empty vector one
+    for dom in (domain_predicate([], []), domain_predicate([Const(1.0)], [])):
+        assert dom.require(np.empty((3, 0)), 0, "point").shape == (3, 0)
+        assert dom.require([], 0, "point").shape == (1, 0)
     # the predicate sees plain floats: 1/x is outside at 0 only if it raises
     inv = domain_predicate([parse("1 / x", ["x"])], ["x"])
     with pytest.raises(DomainError, match=r"\(0\.0,\)"):
@@ -337,6 +350,151 @@ def test_compiled_matches_tree_eval(x):
     assert fn(x)[0] == pytest.approx(ref, rel=1e-14, abs=1e-14)
 
 
+# ------------------------------------------------------------ chains
+
+def test_a_chain_is_the_left_deep_tree_kept_flat():
+    x, y, z = Var("x"), Var("y"), Var("z")
+    e = ex.div(ex.mul(ex.mul(x, y), z), Const(3.0))
+    assert type(e) is ex.Product and e.args == (x, y, z, Const(3.0))
+    assert e.ops == "**/" and str(e) == "x * y * z / 3"
+    # a right operand nests; a first operand of the same kind continues
+    r = ex.sub(x, ex.add(y, z))
+    assert r.args == (x, ex.add(y, z)) and str(r) == "x - (y + z)"
+    assert ex.Sum((ex.Sum((x, y), "-"), z), "+") == parse("x - y + z", XYZ)
+    assert parse("(x - y) + z", XYZ) == parse("x - y + z", XYZ)
+    # derived as the binary tree: each prefix times the next factor's
+    # derivative
+    assert parse("x * y * z", XYZ).d("z") == parse("x * y", XYZ)
+    assert parse("x / y * z * x", XYZ).d("z") == parse("x / y * x", XYZ)
+    # compiled without inner parentheses, left to right
+    assert compile_exprs([parse("x - y + z", XYZ)], XYZ).body.outs == (
+        "(_v0 - _v1 + _v2)",)
+
+
+def test_a_bump_prints_whole_and_computes_its_expansion():
+    e = parse("bump(-1, 1, x * y)", XY)
+    assert str(e) == "bump(-1, 1, x * y)" and parse(str(e), XY) == e
+    assert type(e) is ex.Fun and e.args[2] == parse("x * y", XY)
+    s = "((x * y - -1) / 2)"
+    expansion = parse(f"54.598150033144236 * estep({s}) * estep(1 - {s})",
+                      XY)
+    assert e.expansion == expansion
+    assert e.d("x") == expansion.d("x")
+    fn = compile_exprs([e, e.d("x")], XY)
+    assert (fn(0.3, 0.5)
+            == compile_exprs([expansion, expansion.d("x")], XY)(0.3, 0.5))
+    # constant arguments fold to the value
+    assert ex.fun("bump", Const(-1.0), Const(1.0), Const(0.0)) == Const(1.0)
+
+
+@st.composite
+def chains(draw, depth=3):
+    """An expression built by the folding constructors: sums and products
+    of mixed operators whose right operands nest, atan2 and bump calls,
+    over x, y, z and a few constants."""
+    leaves = st.sampled_from([Var("x"), Var("y"), Var("z"), Const(2.0),
+                              Const(0.5), Const(-1.5), Const(3.0)])
+
+    def build(level):
+        if level == 0 or draw(st.integers(0, 3)) == 0:
+            return draw(leaves)
+        kind = draw(st.sampled_from(["chain", "chain", "atan2", "bump"]))
+        if kind == "atan2":
+            return ex.fun("atan2", build(level - 1), build(level - 1))
+        if kind == "bump":
+            return ex.fun("bump", draw(leaves), draw(leaves), build(level - 1))
+        e = build(level - 1)
+        for op in draw(st.lists(st.sampled_from("+-*/"), min_size=1,
+                                max_size=6)):
+            e = {"+": ex.add, "-": ex.sub, "*": ex.mul, "/": ex.div}[op](
+                e, build(level - 1))
+        return e
+
+    return build(depth)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(chains(), st.lists(st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.5, 1.5]),
+                          min_size=3, max_size=3))
+def test_a_chain_prints_parses_and_compiles_as_its_tree(e, point):
+    assert parse(str(e), XYZ) == e
+    fn = compile_exprs([e], XYZ)
+    env = dict(zip(XYZ, point))
+    assert (_outcome(lambda: fn(*point))
+            == _outcome(lambda: [tree_eval(e, env)]))
+
+
+def test_a_sum_of_max_terms_parses_compiles_and_splits():
+    assert ex.MAX_TERMS == 1000
+    terms = ["x"] + ["y"] * (ex.MAX_TERMS - 1)
+    e = parse(" + ".join(terms), XY)
+    assert len(e.args) == ex.MAX_TERMS
+    fn = compile_exprs([e, e.d("y")], XY)
+    assert fn(0.5, 0.25) == [0.5 + 999 * 0.25, 999.0]
+    # the fixed y's are moved out of the chain, which is walked at its
+    # full depth
+    pre, rest = fn.body.split([1])
+    assert len(pre.outs) == 1
+    run = ex._function
+    moved = run(pre.params, pre.lines, pre.outs)(9.0, 0.25)
+    assert (run(rest.params, rest.lines, rest.outs)(0.5, 0.25, *moved)
+            == fn(0.5, 0.25))
+    # a term past the bound is refused at the operator that adds it, also
+    # where groups continue a chain
+    source = " + ".join(terms + ["x"])
+    with pytest.raises(ParseError, match="more than 1000 terms") as info:
+        parse(source, XY)
+    assert info.value.offset == source.rindex("+")
+    with pytest.raises(ParseError, match="more than 1000 terms"):
+        parse(f"({' + '.join(terms)}) - x", XY)
+    # a product counts a level per operator, as its derivative nests
+    with pytest.raises(ParseError, match="nested more than 64 levels"):
+        parse(" * ".join(terms[:66]), XY)
+
+
+def _nested_bumps(k):
+    return parse("bump(-1, 1, " * k + "x1" + ")" * k, ["x1"])
+
+
+def _distinct_nodes(e):
+    seen, todo = set(), [e]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo += node.args
+    return len(seen)
+
+
+def test_nested_bumps_grow_linearly():
+    # each bump adds a fixed number of nodes to its derivative (the bump,
+    # its expansion, the chain rule's terms) and a fixed text to the
+    # composite; a bump written out as its expansion, t twice, doubled
+    # both with each level
+    zero = LieAlgebroid(1, 1, [[0.0]], {})
+    for k in range(1, 11):
+        e = _nested_bumps(k)
+        assert _distinct_nodes(e.d("x1")) <= 30 * k
+        c = comorph.Comorphism(zero, zero, [e], [[e]])
+        cc = comorph.compose(c, c)
+        assert len(str(cc.phi[0])) <= 30 * k
+        assert len(str(cc.M[0][0])) <= 50 * k
+
+
+def test_the_composite_of_ten_nested_bumps_runs_in_a_second():
+    start = time.perf_counter()
+    zero = LieAlgebroid(1, 1, [[0.0]], {})
+    e = _nested_bumps(10)
+    c = comorph.Comorphism(zero, zero, [e], [[e]])
+    cc = comorph.compose(c, c)
+    text = str(cc.phi[0]) + str(cc.M[0][0])
+    residual = comorph.anchor_compat_residual(
+        cc, np.linspace(-0.9, 0.9, 10).reshape(10, 1))
+    assert time.perf_counter() - start < 1.0
+    # phi(phi(x)), and M(x) M(phi(x))
+    assert text.count("bump(") == 20 + 30 and residual == 0.0
+
+
 # --------------------------------------------- common subexpressions
 
 _UNARY = ("neg", "sin", "exp", "log", "sqrt", "estep", "square", "inverse")
@@ -356,12 +514,16 @@ def expression_lists(draw):
         if draw(st.booleans()):
             op = draw(st.sampled_from(_UNARY))
             node = {"neg": ex.Neg(a), "square": ex.Pow(a, 2),
-                    "inverse": ex.Pow(a, -1)}.get(op) or ex.Fun1(op, a)
+                    "inverse": ex.Pow(a, -1)}.get(op) or ex.Fun(op, (a,))
         else:
             b = draw(st.sampled_from(pool))
             op = draw(st.sampled_from(_BINARY))
-            node = {"add": ex.Add, "sub": ex.Sub, "mul": ex.Mul,
-                    "div": ex.Div, "atan2": ex.Atan2, "gate": ex.Gate}[op](a, b)
+            node = {"add": lambda: ex.Sum((a, b), "+"),
+                    "sub": lambda: ex.Sum((a, b), "-"),
+                    "mul": lambda: ex.Product((a, b), "*"),
+                    "div": lambda: ex.Product((a, b), "/"),
+                    "atan2": lambda: ex.Fun("atan2", (a, b)),
+                    "gate": lambda: ex.Fun("gate", (a, b))}[op]()
         pool.append(node)
         if draw(st.booleans()):
             pool.append(substitute(node, {}))       # an equal copy
@@ -413,8 +575,8 @@ def test_a_split_body_computes_the_body(exprs, fixed, point, other):
 def test_printed_expressions_read_back_to_the_same_values(exprs):
     # reports write expressions with str(), built by the folding
     # constructors; read back, each must compute the same values. Not the
-    # same tree: Neg(Div(z, 0)) prints as -z / 0, which parses as
-    # Div(Neg(z), 0)
+    # same tree: the negation of z / 0 prints as -z / 0, which parses as
+    # the quotient of -z and 0
     for e in exprs:
         e = substitute(e, {})
         fn = compile_exprs([e], XYZ)
@@ -488,8 +650,9 @@ def test_shared_gate_arms_stay_guarded():
     # the arms of both gates share 1/x but must not run when estep(x) == 0
     g = parse("estep(x)", XY)
     inv = parse("1 / x", XY)
-    exprs = [ex.Gate(g, inv), ex.Gate(g, ex.mul(inv, Var("y"))),
-             ex.Gate(parse("estep(y)", XY), inv)]
+    exprs = [ex.fun("gate", g, inv),
+             ex.fun("gate", g, ex.mul(inv, Var("y"))),
+             ex.fun("gate", parse("estep(y)", XY), inv)]
     fn = compile_exprs(exprs, XY)
     assert fn(0.0, -1.0) == [0.0, 0.0, 0.0]
     assert fn(-1.0, -1.0) == [0.0, 0.0, 0.0]
