@@ -510,8 +510,8 @@ def cmd_compose(args, ws):
                         np.random.default_rng(args.seed))
     names = {id(A): name for name, A in ws.algebroids.items()}
     d = c.to_dict(names[id(c1.source)], names[id(c2.target)])
-    # two maps within the nesting bound can compose past it; the report's
-    # expressions must read back into a workspace
+    # two maps within the nesting and length bounds can compose past them;
+    # the report's expressions must read back into a workspace
     cells = [(f"phi[{i}]", s) for i, s in enumerate(d["phi"])] + [
         (f"M[{i}][{j}]", s) for i, row in enumerate(d["M"])
         for j, s in enumerate(row)]
@@ -520,8 +520,8 @@ def cmd_compose(args, ws):
             ex.parse(s, c.source.coords)
         except ex.ParseError as e:
             raise ValueError(f"the composite's {where} does not parse back "
-                             f"({e}); an expression nests at most "
-                             f"expr.MAX_DEPTH = {ex.MAX_DEPTH} levels")
+                             f"({e}); see expr.MAX_DEPTH = {ex.MAX_DEPTH} "
+                             f"and expr.MAX_TERMS = {ex.MAX_TERMS}")
     _emit({"command": "compose", "first": args.first, "second": args.second,
            "seed": args.seed, "params": {"samples": SPOT_SAMPLES},
            "anchor_compat_residual": anchor_compat_residual(c, pts),

@@ -1097,6 +1097,19 @@ def test_a_composite_past_the_nesting_bound_exits_2(tmp_path, capsys, kind):
     assert captured.out == ""
 
 
+def test_a_composite_past_max_terms_exits_2(tmp_path, capsys):
+    # x1 + ... + x1 in itself continues the chain with each copy of it
+    e = " + ".join(["x1"] * ex.MAX_TERMS)
+    argv = nested_commands(tmp_path, e, second="c")[-1]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "usage error: the composite's phi[0] does not parse back "
+        "(sum or product of more than 1000 terms")
+    assert "expr.MAX_TERMS = 1000" in captured.err
+    assert captured.out == ""
+
+
 def _long_sum_commands(tmp_path, terms):
     """integrate-path of the section (x1 + x2 + ... + x2, 1) of terms
     terms, on the plane and on an algebroid whose anchor fixes x2, so that
