@@ -105,14 +105,13 @@ def integrate_apath(A, s, x0, grid_size=1000, bound=1e8):
     Returns an APath whose status records blowup/domain exit; the samples
     then cover only the integrated prefix.
     """
-    n = A.n
-    # one compiled function of (t, *x) gives rho(x) s(t, x), then s(t, x);
-    # the flow reads the first n values
+    # one compiled function of (t, *x) gives rho(x) s(t, x), then s(t, x),
+    # which the flow records at every sample but the last
     fn = A.anchored_field(s.exprs, extra=s.exprs)
     traj = flow(A.flow_field(fn), x0, (0.0, 1.0), step=1.0 / grid_size,
                 bound=bound)
-    tx = np.column_stack([traj.times, traj.points])
-    eta = evaluate(fn, tx, (n + A.r,))[:, n:]
+    last = evaluate(fn, [traj.times[-1], *traj.points[-1]], (A.n + A.r,))
+    eta = np.concatenate([traj.extras, last[A.n:]])
     return APath._from_flow(A, traj, eta)
 
 

@@ -11,7 +11,8 @@ Lifting integrates x' = rho_A(x) M(x) xi(t) with the fiber data xi of the
 path to lift interpolated between its samples (`numkernel.stage_table`,
 by default with the not-a-knot cubic spline); blowup or domain exit of
 that flow is the numerical witness that the lift fails to exist over the
-full interval.
+full interval. The flow also records M(x_k) at each lifted point x_k but
+the last, for the lifted fiber M(x_k) xi_k.
 """
 
 from functools import cached_property
@@ -56,11 +57,12 @@ class Comorphism:
     @cached_property
     def _lift_field(self):
         """rho_A(x) M(x) xi compiled into one function of (*xi, *x), with
-        the target fiber coordinates xi as inputs."""
+        the target fiber coordinates xi as inputs, followed by M(x)'s
+        entries row by row, which a flow records (see `_M_along`)."""
         xi = ex.fresh_names([f"xi{b+1}" for b in range(self.target.r)],
                             self.source.coords)
         section = [ex.dot(row, [ex.Var(v) for v in xi]) for row in self.M]
-        return self.source.anchored_field(section, xi)
+        return self.source.anchored_field(section, xi, extra=sum(self.M, []))
 
     def phi_at(self, x):
         """phi(x) as a (target.n,) array; stacked for a stack of points."""
@@ -219,6 +221,14 @@ def _lift_flow(c, g, x0, m, rows, bound=1e8):
     return flow(vf, x0, (t0, t1), step=(t1 - t0) / m, bound=bound)
 
 
+def _M_along(c, traj):
+    """M at the points of a lift flow, (len(points), rank A, rank B): as
+    the flow recorded it, and evaluated at the last point."""
+    rows = (len(traj.points) - 1, c.source.r, c.target.r)
+    return np.concatenate([np.reshape(traj.extras, rows),
+                           c.M_at(traj.points[-1:])])
+
+
 def _check_starts(c, starts, sources):
     """Raise LiftError unless phi maps each of the stacked start points
     to within 1e-6 of its path source: sources is one point, or one per
@@ -254,7 +264,7 @@ def lift_path(c, g, x0, interp="cubic", bound=1e8):
         traj = _lift_flow(c, g, start, m, rows, bound)
         points = traj.points
         lifted = APath._from_flow(
-            c.source, traj, matvec(c.M_at(points), g.eta[:len(points)]))
+            c.source, traj, matvec(_M_along(c, traj), g.eta[:len(points)]))
         lifted.phi_projection_error = float(np.max(np.abs(
             c.phi_at(points) - g.base[:len(points)])))
         lifts.append(lifted)
@@ -290,7 +300,7 @@ def lift_homotopy(c, H, x0, interp="cubic", bound=1e8):
             raise LiftError(
                 f"slice s={s_vals[l]!r} failed to lift: "
                 f"{traj.ending}")
-        M = c.M_at(traj.points)
+        M = _M_along(c, traj)
         xs[:, l] = traj.points
         etas[:, l] = matvec(M, H.eta[:, l])
         betas[:, l] = matvec(M, H.beta[:, l])

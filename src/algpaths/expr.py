@@ -874,6 +874,8 @@ _COMPILE_GLOBALS = {**SOURCE_GLOBALS, "__builtins__": {},
 _BODY_NAME = re.compile(r"\b_[vt]\d+\b")
 # a temporary that a line assigns, by = or :=
 _ASSIGNED = re.compile(r"\b(_t\d+) :?=(?!=)")
+# a value's source that is a name or a number (see _const_src)
+_PLAIN = re.compile(r"\(?-?[\w.]+(e[-+]\d+)?\)?")
 
 
 class Body:
@@ -898,8 +900,9 @@ class Body:
     def inline(self, args, targets, tag, indent):
         """Source lines at `indent` that compute the body at the argument
         sources args and assign its values in order to the targets, those
-        past them to the throwaway `_`, so that the lines raise where a
-        call would. A parameter the body reads is replaced by its argument
+        past them that may raise (not a name or a number) to the throwaway
+        `_`, so that the lines raise where a call would. A parameter the
+        body reads is replaced by its argument
         when that is a name and bound to `_v{i}_{tag}` first otherwise;
         the temporaries keep their names, since the lines compute each
         before they read it."""
@@ -921,7 +924,8 @@ class Body:
         lines += [indent + rename(line[4:]) for line in self.lines]
         outs = targets + ["_"] * (len(self.outs) - len(targets))
         lines += [f"{indent}{o} = {rename(src)}"
-                  for o, src in zip(outs, self.outs)]
+                  for o, src in zip(outs, self.outs)
+                  if o != "_" or not _PLAIN.fullmatch(src)]
         return lines
 
     def split(self, fixed):

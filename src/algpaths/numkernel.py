@@ -38,13 +38,18 @@ class FlowError(Exception):
     pass
 
 
+class StartError(FlowError, ValueError):
+    """A start point outside the field's domain: bad input, so also a
+    ValueError, where an escape later on is a flow's result."""
+
+
 class VectorFieldTD:
     """Time-dependent field (t, x) -> dx/dt on an open subset of R^n.
 
     fn is a function compiled by `expr.compile_exprs` over ("t", *coords):
-    fn(t, x0, ..., x{n-1}) returns dx/dt as its first n values; further
-    values are computed but not used (`apath.integrate_apath` appends the
-    section's values). domain is the `expr.Domain` that guards the open
+    fn(t, x0, ..., x{n-1}) returns dx/dt as its first n values; `flow`
+    records the further ones (a section's values, a lift's M) on its
+    trajectory. domain is the `expr.Domain` that guards the open
     set; None means all of R^n. `flow` writes the kept bodies of fn and of
     domain.fn into its stepping loop, and refuses functions without them.
     """
@@ -128,12 +133,14 @@ class FlowOutcome:
 
 
 class Trajectory(FlowOutcome):
-    """Samples of an integral curve plus the reason integration ended."""
+    """Samples of an integral curve plus the reason integration ended, and
+    the field's extra values at every sample but the last, flat: `extras`."""
 
-    def __init__(self, times, points, ending=COMPLETED):
+    def __init__(self, times, points, ending=COMPLETED, extras=()):
         self.times = np.asarray(times, dtype=float)
         self.points = np.asarray(points, dtype=float)
         self.ending = ending
+        self.extras = extras
         if self.points.ndim == 1:
             self.points = self.points.reshape(len(self.times), -1)
 
@@ -322,10 +329,12 @@ def _rk4_source(n, width, field, m, dom):
     The state lives in the scalar locals x0..x{n-1}. Each stage runs field
     inline (`Body.inline`) at the time, or at the stage's row of the
     table, and the stage's state: step k reads rows 2k, 2k+1, 2k+1, 2k+2,
-    unpacked before the stages. The new state y0.. is then tested with dom
-    inline, each predicate compared with 0.0 (no test when m is 0). The
-    loop appends every accepted step's time to times and its state, flat,
-    to the flat list points, and returns None when all n_steps are taken.
+    unpacked before the stages, the first of which keeps field's values
+    past the n in e0... The new state y0.. is then tested with dom inline,
+    each predicate compared with 0.0 (no test when m is 0). The loop
+    appends every accepted step's time to times, and its state and e0..
+    to the flat lists points and extras; it returns None when all n_steps
+    are taken.
     At the first step that fails it returns (cause, t, x, t_next, v) with
     the last accepted time and state: cause "stage" when a stage raised (v
     None) or k1 or the new state is not finite (v is k1's first n values),
@@ -375,12 +384,15 @@ def _rk4_source(n, width, field, m, dom):
     z = [zero.get(i, f"x{i}") for i in idx]
     pre, field = field.split([len(inputs[0]) + i for i in zero])
     pa, pz = ([f"p{s}{j}" for j in range(len(pre.outs))] for s in "az")
+    extras = [f"e{j}" for j in range(len(field.outs) - n)]
+    record = "" if not extras else f"        extras += {', '.join(extras)},\n"
     stages = "\n".join(
-        line for tag, args, state, moved in zip(
+        line for tag, args, state, moved, kept in zip(
             "abcd", inputs, ["x{i}", "x{i} + hh * a{i}", "x{i} + hh * b{i}",
-                             "x{i} + h * c{i}"], [pa, pz, pz, pz])
-        for line in field.inline(args + seq(state) + moved, seq(tag + "{i}"),
-                                 tag, " " * 12))
+                             "x{i} + h * c{i}"], [pa, pz, pz, pz],
+            [extras, [], [], []])
+        for line in field.inline(args + seq(state) + moved,
+                                 seq(tag + "{i}") + kept, tag, " " * 12))
 
     x, y = each("x{i}"), each("y{i}")
     before = "" if not pa else f"""\
@@ -414,7 +426,8 @@ def _rk4_source(n, width, field, m, dom):
             return "domain", t, [{x}], t_next, [{y}]
 """
     return f"""\
-def rk4_loop(table, x, t_a, t_b, step, n_steps, bound, times, points):
+def rk4_loop(table, x, t_a, t_b, step, n_steps, bound, times, points,
+             extras):
     {x}, = x
     t = t_a
     last = n_steps - 1
@@ -441,6 +454,7 @@ def rk4_loop(table, x, t_a, t_b, step, n_steps, bound, times, points):
 {block(f"        {a} = {z}" for a, z in zip(pa, pz))}\
         times.append(t)
         points += {y},
+{record}\
     return None
 """
 
@@ -494,13 +508,14 @@ def flow(vf, x0, t_span, step=1e-3, bound=1e8):
                         f"table rows, got {len(table)}")
     loop = _rk4_loop(vf, None if table is None else len(table[0]))
     if not vf.in_domain(x):
-        raise FlowError(f"x0 = {point(x)} is outside the field's domain")
+        raise StartError(f"x0 = {point(x)} is outside the field's domain")
     times = [t_a]
     # the states flat, one after another; Trajectory reshapes them
-    points = list(x)
-    failed = loop(table, x, t_a, t_b, step, n_steps, bound, times, points)
+    points, extras = list(x), []
+    failed = loop(table, x, t_a, t_b, step, n_steps, bound, times, points,
+                  extras)
     if failed is None:
-        return Trajectory(times, points)
+        return Trajectory(times, points, extras=extras)
     cause, t, x, t_next, v = failed
     if cause == "stage" and v is not None and _finite(v):
         # a stage blew through the domain boundary or diverged; decide
@@ -511,8 +526,8 @@ def flow(vf, x0, t_span, step=1e-3, bound=1e8):
             cause = "domain"
     if cause == "domain":
         return Trajectory(times, points, Ending(
-            "domain_exit", _bisect_exit(vf, t, x, t_next, v)))
-    return Trajectory(times, points, Ending("blowup", t_next))
+            "domain_exit", _bisect_exit(vf, t, x, t_next, v)), extras)
+    return Trajectory(times, points, Ending("blowup", t_next), extras)
 
 
 def _slope_equations(x, m):

@@ -99,6 +99,27 @@ def checks():
     write("ws.json", PLANE_WS)
     ok("integrate-path", "--config", "ws.json", "--section", "0 - x2; x1",
        "--x0", "0.5,0", "--grid", "20", "--out", "path.csv")
+
+    # the flow records each row's eta: it equals the section, compiled
+    # again, at the row's (t, x), also where x2 = 0 keeps its value and
+    # atan2 tells the -0.0 start from the 0.0 of the later rows
+    section = ["t * x1 + atan2(x2, -1)", "0"]
+    ok("integrate-path", "--config", "ws.json", "--section",
+       "; ".join(section), "--x0=0.5,-0.0", "--grid", "20", "--out",
+       "eta_rows.csv")
+    from algpaths.expr import compile_exprs, parse
+    names = ["t", "x1", "x2"]
+    fn = compile_exprs([parse(e, names) for e in section], names)
+    with open("eta_rows.csv") as f:
+        rows = [list(map(float, line.split(","))) for line in f
+                if line[0] not in "t#"]
+    if len(rows) != 21 or math.copysign(1.0, rows[0][2]) != -1.0:
+        fail(f"integrate-path --x0=0.5,-0.0 wrote {len(rows)} rows from "
+             f"{rows[0][:3]}")
+    for row in rows:
+        if row[3:] != fn(*row[:3]):
+            fail(f"integrate-path row {row}: the section there is "
+                 f"{fn(*row[:3])}")
     ok("lift-path", "--config", "ws.json", "--comorphism", "id", "--path",
        "path.csv", "--x0", "0.5,0", "--interp", "cubic", "--out",
        "lifted.csv")
@@ -107,7 +128,6 @@ def checks():
     # and compiled: id o id is the identity
     ok("compose", "--config", "ws.json", "--first", "id", "--second", "id",
        out="compose.json")
-    from algpaths.expr import compile_exprs, parse
     d = report("compose.json")["comorphism"]
     xs, point = ["x1", "x2"], (0.3, -0.2)
 
@@ -247,6 +267,18 @@ def checks():
     write("nu0x.json", {"connections": {"c": {"type": "example3",
                                               "nu0": "x"}}})
     expect_2("holonomy", "--config", "nu0x.json", "--connection", "c")
+
+    # a start point outside the domain is bad input (exit 2), not an
+    # escape (exit 1): a loop on the removed axis, whose radius squares
+    # to 0.0, and a path from outside the unit disk
+    for radius in ("0", "1e-200"):
+        expect_2("holonomy", "--radius", radius)
+        expect_2("holonomy", "--radius", radius, "--h-grid=0:0.1:2")
+    write("disk.json", {"algebroids": {"disk": {
+        "base_dim": 2, "rank": 2, "anchor": [["1", "0"], ["0", "1"]],
+        "domain": ["1 - x1^2 - x2^2"]}}})
+    expect_2("integrate-path", "--config", "disk.json", "--section", "1;0",
+             "--x0", "2,0")
 
 
 if __name__ == "__main__":

@@ -813,6 +813,29 @@ def test_holonomy_of_a_loop_whose_samples_overflow_exits_2(capsys, extra):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("extra", [[], ["--h-grid=0:0.1:2"]],
+                         ids=["loop", "sweep"])
+@pytest.mark.parametrize("radius", ["0", "1e-200"])
+def test_holonomy_from_the_axis_exits_2(capsys, extra, radius):
+    # the loop starts on the removed axis x1^2 + x2^2 > 0 (1e-200 squared
+    # is 0.0): bad input, not an escape (exit 1)
+    assert run(["holonomy", "--radius", radius, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"usage error: x0 = ({float(radius)!r}, 0.0, "
+                            f"1.0, 0.0, 0.0) is outside the field's "
+                            f"domain\n")
+    assert captured.out == ""
+
+
+def test_integrate_path_from_outside_the_domain_exits_2(lift_cfg, capsys):
+    assert run(["integrate-path", "--config", lift_cfg, "--name", "disk",
+                "--section", "1;0", "--x0", "2,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("usage error: x0 = (2.0, 0.0) is outside the "
+                            "field's domain\n")
+    assert captured.out == ""
+
+
 def test_holonomy_on_a_grid_of_23294_steps_completes(capsys):
     # the loop's step 1 / 23294 used to be counted as 23295 steps, which
     # refused the loop's table of 23294

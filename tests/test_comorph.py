@@ -318,6 +318,23 @@ def test_a_lift_through_a_rank_0_target_is_the_constant_path(interp):
     assert lifted.phi_projection_error == 0.0
 
 
+@pytest.mark.parametrize("r_source, r_target", [(0, 0), (0, 1), (1, 0)])
+def test_a_lift_with_an_empty_M_is_the_constant_path(r_source, r_target):
+    # M has no entries, so the flow records none: the lift reads an empty
+    # M at the steps' starts and evaluates it at the last point; with a
+    # rank-1 source its fiber is M xi = 0
+    line = {0: LieAlgebroid(1, 0, [[]]), 1: make_tangent(1)}
+    c = Comorphism(line[r_source], line[r_target], [ex.Var("x1")],
+                   [[]] * r_source)
+    g = APath(c.target, [0.0, 0.25, 0.5, 0.75, 1.0], [[0.3]] * 5,
+              np.zeros((5, r_target)))
+    lifted = lift_path(c, g, [0.3])
+    assert lifted.ending == ("completed", None)
+    assert lifted.base.tolist() == [[0.3]] * 5
+    assert lifted.eta.tolist() == [[0.0] * r_source] * 5
+    assert lifted.phi_projection_error == 0.0
+
+
 def test_a_rank_0_lift_still_refuses_an_unknown_interpolation():
     c = rank_0_identity()
     g = APath(c.target, [0.0, 1.0], [[0.3]] * 2, np.zeros((2, 0)))
@@ -772,7 +789,8 @@ def test_homotopy_lift_builds_one_table_per_step_and_one_M_per_slice(
                         lambda x: M_points.append(len(x)) or M_at(x))
     lifted = lift_homotopy(c, H, x0)
     assert refines == ([1] if case == "interval" else [1, 2])
-    assert M_points == [len(H.t_grid)] * len(H.s_grid)
+    # the flow records M at each slice's points but the last
+    assert M_points == [1] * len(H.s_grid)
     for field in ("x", "eta", "beta"):
         assert (getattr(lifted, field).tobytes()
                 == getattr(reference, field).tobytes())

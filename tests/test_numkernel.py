@@ -707,6 +707,91 @@ def test_random_fused_fields_match_the_reference(n, data):
     assert_same_fused_flow(vf, x0, (0.0, span), step, bound)
 
 
+# ------------------------------------------------------ recorded extra values --
+
+def assert_recorded_extras(vf, x0, t_span, step, bound=1e8):
+    """flow's recorded extras are, bit for bit, the field's values past
+    the first n at every returned point but the last, at its time or its
+    step's first table row; returns the trajectory."""
+    traj = assert_same_fused_flow(vf, x0, t_span, step, bound)
+    k = len(traj.times) - 1
+    inputs = (traj.times[:k, None] if vf.table is None
+              else np.asarray(vf.table, dtype=float)[:2 * k:2])
+    values = len(vf.fn.body.outs)
+    expected = ex.evaluate(vf.fn, np.column_stack([inputs, traj.points[:k]]),
+                           (values,))[:, vf.n:]
+    got = np.reshape(np.array(traj.extras, dtype=float),
+                     (k, values - vf.n))
+    assert got.tobytes() == expected.tobytes()
+    return traj
+
+
+def _gated_zeros(names):
+    """Gates whose value is 0.0 or -0.0 where they are tested: a guard
+    estep(v) of 0.0 gives 0.0, one above it g * (-0.0) = -0.0."""
+    var = st.sampled_from(names).map(ex.Var)
+    zero = st.sampled_from([0.0, -0.0]).map(ex.Const)
+    return st.tuples(var, zero).map(
+        lambda vz: ex.fun("gate", ex.fun("estep", vz[0]), vz[1]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 4), st.integers(0, 4), st.data())
+def test_recorded_extras_are_the_field_at_the_returned_points(n, extras,
+                                                              data):
+    # time-dependent and tabulated fields, with coordinates whose field
+    # value is 0.0 or -0.0 (their terms move before the loop) starting at
+    # 0.0 or -0.0, extra values that are gates of 0.0 or -0.0, and flows
+    # that complete, blow up, leave the domain or raise in a stage
+    coords = [f"x{i + 1}" for i in range(n)]
+    width = data.draw(st.sampled_from([None, 0, 1, 2]))
+    inputs = (["t"] if width is None
+              else [f"q{j}" for j in range(width)])
+    names = [*inputs, *coords]
+    zero = st.sampled_from([0.0, -0.0]).map(ex.Const)
+    exprs = [data.draw(st.one_of(zero, _field_exprs(names)))
+             for _ in range(n)]
+    exprs += [data.draw(st.one_of(zero, _gated_zeros(names),
+                                  _field_exprs(names)))
+              for _ in range(extras)]
+    x0 = [data.draw(st.one_of(st.floats(-1.0, 1.0),
+                              st.sampled_from([0.0, -0.0])))
+          for _ in range(n)]
+    dom = None
+    if data.draw(st.booleans()):
+        # |x1| < |x1(0)| + 1/2
+        level = abs(x0[0]) + 0.5
+        dom = ex.domain_predicate(
+            [ex.parse(f"{level!r} - x1", coords),
+             ex.parse(f"{level!r} + x1", coords)], coords)
+    fn = ex.compile_exprs(exprs, names)
+    steps = data.draw(st.integers(1, 40))
+    span = data.draw(st.floats(0.01, 2.0))
+    if width is None:
+        vf = VectorFieldTD(n, fn, dom)
+    else:
+        cell = st.floats(-2.0, 2.0)
+        vf = numkernel.TabulatedField(
+            n, fn, [[data.draw(cell) for _ in range(width)]
+                    for _ in range(2 * steps + 1)], dom)
+    bound = data.draw(st.sampled_from([1e8, 5.0]))
+    assert_recorded_extras(vf, x0, (0.0, span), span / steps, bound)
+
+
+@pytest.mark.parametrize("field, extra, domain, status", [
+    ("x1^2", "x1 * t", (), "blowup"),
+    ("1.0", "gate(estep(x1), -0.0)", ("1.0 - x1",), "domain_exit"),
+    ("0 - 1", "log(x1)", (), "blowup"),             # a stage raises
+], ids=["blowup", "domain-exit", "stage-raises"])
+def test_a_flow_that_escapes_records_its_accepted_steps(field, extra, domain,
+                                                        status):
+    vf = compiled_field([field, extra], domain)
+    traj = assert_recorded_extras(vf, [1.0] if field != "1.0" else [0.0],
+                                  (0.0, 2.0), 0.01, 1e6)
+    assert traj.status == status
+    assert len(traj.extras) == len(traj.times) - 1 > 0
+
+
 # ------------------------------------------------ the generated loop's calls --
 
 def _step_calls(src):
@@ -733,7 +818,7 @@ def test_each_step_runs_the_field_four_times_and_the_domain_once():
              if isinstance(node, ast.Call)}
     assert calls == {"range", "sqrt", "times.append"}
     assert src.startswith("def rk4_loop(table, x, t_a, t_b, step, n_steps, "
-                          "bound, times, points):")
+                          "bound, times, points,\n             extras):")
 
     preds = []
     pred = A.in_domain.fn
