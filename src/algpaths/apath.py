@@ -111,7 +111,7 @@ def integrate_apath(A, s, x0, grid_size=1000, bound=1e8):
     traj = flow(A.flow_field(fn), x0, (0.0, 1.0), step=1.0 / grid_size,
                 bound=bound)
     last = evaluate(fn, [traj.times[-1], *traj.points[-1]], (A.n + A.r,))
-    eta = np.concatenate([traj.extras, last[A.n:]])
+    eta = np.concatenate([traj.extras, last[None, A.n:]])
     return APath._from_flow(A, traj, eta)
 
 

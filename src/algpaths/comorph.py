@@ -24,11 +24,16 @@ from . import expr as ex
 from .algebroid import AlgebroidError, SectionTD, matvec
 from .apath import APath, AHomotopy, homotopy_residual
 from .expr import point
-from .numkernel import TabulatedField, flow, stage_table
+from .numkernel import StartError, TabulatedField, flow, stage_table
 
 
 class LiftError(Exception):
     pass
+
+
+class StartMismatchError(LiftError, ValueError):
+    """A start point whose image under phi misses the path's source: bad
+    input, so also a ValueError, where a lift that escapes is a result."""
 
 
 class Comorphism:
@@ -183,9 +188,10 @@ def first_escape(vf, horizon, bound, seeds, step):
 
     Returns the witness of the first seed whose flow escapes, or the
     (inconclusive) no-escape verdict. Every seed is tested against vf's
-    domain before the first flow (`expr.Domain.require`).
+    domain before the first flow (`expr.Domain.require`); one outside it
+    raises `numkernel.StartError`.
     """
-    for seed in vf.domain.require(seeds, vf.n, "seed").tolist():
+    for seed in vf.domain.require(seeds, vf.n, "seed", StartError).tolist():
         traj = flow(vf, seed, (0.0, horizon), step=step, bound=bound)
         if not traj.completed:
             return ProbeVerdict(True, horizon, bound,
@@ -224,19 +230,19 @@ def _lift_flow(c, g, x0, m, rows, bound=1e8):
 def _M_along(c, traj):
     """M at the points of a lift flow, (len(points), rank A, rank B): as
     the flow recorded it, and evaluated at the last point."""
-    rows = (len(traj.points) - 1, c.source.r, c.target.r)
+    rows = (len(traj.extras), c.source.r, c.target.r)
     return np.concatenate([np.reshape(traj.extras, rows),
                            c.M_at(traj.points[-1:])])
 
 
 def _check_starts(c, starts, sources):
-    """Raise LiftError unless phi maps each of the stacked start points
-    to within 1e-6 of its path source: sources is one point, or one per
-    start."""
+    """Raise StartMismatchError unless phi maps each of the stacked start
+    points to within 1e-6 of its path source: sources is one point, or
+    one per start."""
     images = c.phi_at(starts)
     for y0, source in zip(*np.broadcast_arrays(images, sources)):
         if float(np.max(np.abs(y0 - source))) > 1e-6:
-            raise LiftError(
+            raise StartMismatchError(
                 f"phi(x0) = {point(y0)} does not match the path source "
                 f"{point(source)}")
 
@@ -385,8 +391,8 @@ def lift_uniqueness_check(c, g, x0, bound=1e8):
 
 
 __all__ = [
-    "Comorphism", "LiftError", "ProbeVerdict", "UniquenessReport",
-    "identity_comorphism", "anchor_compat_residual", "pullback_section",
-    "compose", "first_escape", "completeness_probe", "lift_path",
-    "lift_homotopy", "lift_uniqueness_check",
+    "Comorphism", "LiftError", "StartMismatchError", "ProbeVerdict",
+    "UniquenessReport", "identity_comorphism", "anchor_compat_residual",
+    "pullback_section", "compose", "first_escape", "completeness_probe",
+    "lift_path", "lift_homotopy", "lift_uniqueness_check",
 ]

@@ -26,7 +26,9 @@ linearly or by the not-a-knot cubic spline (`not_a_knot_table`), for the
 fields driven by sampled paths: lifts and matrix-group developments.
 """
 
+import ast
 import math
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -39,8 +41,8 @@ class FlowError(Exception):
 
 
 class StartError(FlowError, ValueError):
-    """A start point outside the field's domain: bad input, so also a
-    ValueError, where an escape later on is a flow's result."""
+    """A start point or probe seed outside the field's domain: bad input,
+    so also a ValueError, where an escape later on is a flow's result."""
 
 
 class VectorFieldTD:
@@ -134,13 +136,15 @@ class FlowOutcome:
 
 class Trajectory(FlowOutcome):
     """Samples of an integral curve plus the reason integration ended, and
-    the field's extra values at every sample but the last, flat: `extras`."""
+    `extras`, the field's e extra values at every sample but the last:
+    one (len(times) - 1, e) float array, with e = 0 when none are given."""
 
-    def __init__(self, times, points, ending=COMPLETED, extras=()):
+    def __init__(self, times, points, ending=COMPLETED, extras=None):
         self.times = np.asarray(times, dtype=float)
         self.points = np.asarray(points, dtype=float)
         self.ending = ending
-        self.extras = extras
+        self.extras = (np.empty((len(self.times) - 1, 0)) if extras is None
+                       else extras)
         if self.points.ndim == 1:
             self.points = self.points.reshape(len(self.times), -1)
 
@@ -320,6 +324,19 @@ def _compiled_body(fn, params, values, what):
     return body
 
 
+def _constant_extras(body, n):
+    """Per value of the kept body past its first n: the float that its
+    source is when that is a number literal, which no step changes, else
+    None, a value the loop records."""
+    consts = []
+    for src in body.outs[n:]:
+        try:
+            consts.append(float(ast.literal_eval(src)))
+        except (ValueError, TypeError, SyntaxError):
+            consts.append(None)
+    return consts
+
+
 def _rk4_source(n, width, field, m, dom):
     """Source of the RK4 stepping loop for states of dimension n, the kept
     `expr.Body` field of a field that takes the time (width None) or
@@ -330,32 +347,39 @@ def _rk4_source(n, width, field, m, dom):
     inline (`Body.inline`) at the time, or at the stage's row of the
     table, and the stage's state: step k reads rows 2k, 2k+1, 2k+1, 2k+2,
     unpacked before the stages, the first of which keeps field's values
-    past the n in e0... The new state y0.. is then tested with dom inline,
+    past the n in e0..; a value whose source is a number literal
+    (`_constant_extras`) is neither kept nor recorded, and `flow` fills
+    its column. The new state y0.. is then tested with dom inline,
     each predicate compared with 0.0 (no test when m is 0). The loop
-    appends every accepted step's time to times, and its state and e0..
-    to the flat lists points and extras; it returns None when all n_steps
-    are taken.
+    appends every accepted step's state and kept e0.. to the flat lists
+    points and extras; it returns None when all n_steps are taken, and
+    `flow` builds the accepted times.
     At the first step that fails it returns (cause, t, x, t_next, v) with
     the last accepted time and state: cause "stage" when a stage raised (v
     None) or k1 or the new state is not finite (v is k1's first n values),
     "domain" when the new state v is outside the domain, "bound" when its
     norm exceeds bound (v None).
 
-    Work that no step changes runs once, before the steps. A coordinate
-    whose field value is the constant 0.0 or -0.0 keeps its value: as
-    h >= 0, y_i = x_i + h6 * (...) adds 0.0, which only turns a -0.0
-    start into 0.0, or adds -0.0. So the first stage of the first step reads
-    the start x_i, and every later stage and domain test z_i = x_i + 0.0
-    (x_i for -0.0). `Body.split` moves what the field and the domain
-    compute from those coordinates and constants alone (never the time,
-    a table cell or a gate's arm) before the steps: the field's at x_i
-    (pa0.., for the first stage, which takes pz's values after each
-    step) and at z_i (pz0..), the domain's at z_i (py0..). A moved field
-    value that raises ends the flow as its first step would ("stage" at
-    t_a); a moved domain value that raises becomes nan, which fails the
-    first step's domain test as the raise did: each moved value is read
+    Work that no step changes runs once, before the steps: the bounds
+    -inf and inf of the finiteness tests are bound to locals there, and
+    the stage time th is written only when the field reads it. A
+    coordinate whose field value is the constant 0.0 or -0.0 keeps its
+    value: as h >= 0 is finite, y_i = x_i + h6 * (...) adds 0.0, which
+    only turns a -0.0 start into 0.0, or adds -0.0. So the first stage of
+    the first step reads the start x_i, and every later stage, new state
+    and domain test z_i = x_i + 0.0 (x_i for -0.0), which the loop writes
+    in place of that sum: such a coordinate binds no k_i, and neither its
+    k1 nor its new value is tested for finiteness (x_i was, when the flow
+    started). `Body.split` moves what the field and the domain compute
+    from those coordinates and constants alone (never the time, a table
+    cell or a gate's arm) before the steps: the field's at x_i (pa0..,
+    for the first stage, which takes pz's values after each step) and at
+    z_i (pz0..), the domain's at z_i (py0..). A moved field value that
+    raises ends the flow as its first step would ("stage" at t_a); a
+    moved domain value that raises becomes nan, which fails the first
+    step's domain test as the raise did: each moved value is read
     outside gates' arms, and compiled source turns a nan operand into
-    nan or raises. y_i and every test are written as before.
+    nan or raises. Every other y_i and test is written as before.
     """
     idx = range(n)
 
@@ -382,17 +406,30 @@ def _rk4_source(n, width, field, m, dom):
     zero = {i: f"x{i} + 0.0" if field.outs[i] == "0.0" else f"x{i}"
             for i in idx if field.outs[i] in ("0.0", "(-0.0)")}
     z = [zero.get(i, f"x{i}") for i in idx]
+    moving = [i for i in idx if i not in zero]
+    extras = ["_" if c is not None else f"e{j}"
+              for j, c in enumerate(_constant_extras(field, n))]
+    kept = [e for e in extras if e != "_"]
     pre, field = field.split([len(inputs[0]) + i for i in zero])
     pa, pz = ([f"p{s}{j}" for j in range(len(pre.outs))] for s in "az")
-    extras = [f"e{j}" for j in range(len(field.outs) - n)]
-    record = "" if not extras else f"        extras += {', '.join(extras)},\n"
+
+    def later(fmt):
+        return [zero[i] if i in zero else fmt.format(i=i) for i in idx]
+
+    # a fixed coordinate's value is a number, which is not written
     stages = "\n".join(
-        line for tag, args, state, moved, kept in zip(
-            "abcd", inputs, ["x{i}", "x{i} + hh * a{i}", "x{i} + hh * b{i}",
-                             "x{i} + h * c{i}"], [pa, pz, pz, pz],
-            [extras, [], [], []])
-        for line in field.inline(args + seq(state) + moved,
-                                 seq(tag + "{i}") + kept, tag, " " * 12))
+        line for tag, args, state, moved in zip(
+            "abcd", inputs, [seq("x{i}"), later("x{i} + hh * a{i}"),
+                             later("x{i} + hh * b{i}"),
+                             later("x{i} + h * c{i}")], [pa, pz, pz, pz])
+        for line in field.inline(
+            args + state + moved,
+            [f"{tag}{i}" if i not in zero else "_" for i in idx]
+            + (extras if tag == "a" else []), tag, " " * 12))
+    new_state = "\n".join(
+        f"            y{i} = {zero[i]}" if i in zero else
+        f"            y{i} = x{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i}"
+        f" + d{i})" for i in idx)
 
     x, y = each("x{i}"), each("y{i}")
     before = "" if not pa else f"""\
@@ -413,9 +450,15 @@ def _rk4_source(n, width, field, m, dom):
     except EVAL_ERRORS:
         {" = ".join(py)} = _nan
 """
-    # -_inf < v < _inf is math.isfinite(v) for floats and numpy scalars
+    # ninf < v < inf is math.isfinite(v) for floats and numpy scalars
     # alike, and comparing a nan raises no warning
-    finite = " and ".join(f"-_inf < {v}{i} < _inf" for v in "ay" for i in idx)
+    finite = " and ".join(f"ninf < {v}{i} < inf" for v in "ay"
+                          for i in moving)
+    k1 = ", ".join(field.outs[i] if i in zero else f"a{i}" for i in idx)
+    finite_test = "" if not moving else f"""\
+        if not ({finite}):
+            return "stage", t, [{x}], t_next, [{k1}]
+"""
     domain_test = "" if not m else f"""\
         try:
 {chr(10).join(dom.inline(seq("y{i}") + py, [f"g{i}" for i in range(m)],
@@ -425,34 +468,35 @@ def _rk4_source(n, width, field, m, dom):
         if not ({" and ".join(f"g{i} > 0.0" for i in range(m))}):
             return "domain", t, [{x}], t_next, [{y}]
 """
+    stage_time = ("        th = t + hh\n" if re.search(r"\bth\b", stages)
+                  else "")
+    record = "" if not kept else f"        extras += {', '.join(kept)},\n"
     return f"""\
-def rk4_loop(table, x, t_a, t_b, step, n_steps, bound, times, points,
-             extras):
+def rk4_loop(table, x, t_a, t_b, step, n_steps, bound, points, extras):
     {x}, = x
     t = t_a
     last = n_steps - 1
+    ninf, inf = -_inf, _inf
 {before}\
     for k in range(n_steps):
         t_next = t_b if k == last else t_a + (k + 1) * step
         h = t_next - t
         hh = 0.5 * h
-        th = t + hh
+{stage_time}\
 {fetch}\
         try:
 {stages}
             h6 = h / 6.0
-{each("            y{i} = x{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})", chr(10))}
+{new_state}
         except EVAL_ERRORS:
             return "stage", t, [{x}], t_next, None
-        if not ({finite}):
-            return "stage", t, [{x}], t_next, [{each("a{i}")}]
+{finite_test}\
 {domain_test}\
         if sqrt({each("y{i} * y{i}", " + ")}) > bound:
             return "bound", t, [{x}], t_next, None
         t = t_next
 {each("        x{i} = y{i}", chr(10))}
 {block(f"        {a} = {z}" for a, z in zip(pa, pz))}\
-        times.append(t)
         points += {y},
 {record}\
     return None
@@ -462,8 +506,11 @@ def rk4_loop(table, x, t_a, t_b, step, n_steps, bound, times, points,
 def _rk4_loop(vf, width):
     """The stepping loop for vf and a table row width (None: untabulated),
     generated and compiled on first use (see _rk4_source) and kept in the
-    `body.loops` of the field's function. Its scope's __name__ attributes
-    a warning raised in the loop to this module."""
+    `body.loops` of the field's function, with the field's extra values
+    as `loop.extra_row`, the constant ones in place and 0.0 for the
+    others, and `loop.kept`, the indices of the others, which the loop
+    records. Its scope's __name__ attributes a warning raised in the loop
+    to this module."""
     dom = vf.domain
     field = _compiled_body(vf.fn, vf.n + (1 if width is None else width),
                            vf.n, "the field")
@@ -480,6 +527,10 @@ def _rk4_loop(vf, width):
         # popped, so that the loop and its scope are no reference cycle
         # and go with the field's function
         loop = field.loops[key] = scope.pop("rk4_loop")
+        consts = _constant_extras(field, vf.n)
+        loop.extra_row = np.array(
+            [0.0 if c is None else c for c in consts])
+        loop.kept = [j for j, c in enumerate(consts) if c is None]
     return loop
 
 
@@ -487,7 +538,11 @@ def flow(vf, x0, t_span, step=1e-3, bound=1e8):
     """Integrate vf from x0 over t_span=[t_a,t_b] with fixed-step RK4, in
     the fewest steps that cover the span, the last ending at t_b. The
     count is rounded up from span / step less a relative 1e-12, so that
-    a step of span / m takes exactly m steps."""
+    a step of span / m takes exactly m steps. The loop keeps no times:
+    the j-th accepted one is built after it as t_a + j * step, the
+    loop's t_next, and a completed flow's last is t_b. The field's extra
+    values come as one array (see `Trajectory`), their constant columns
+    filled here."""
     # plain floats, so that event times print as numbers in status trailers
     t_a, t_b, step = float(t_span[0]), float(t_span[1]), float(step)
     if not t_b > t_a:
@@ -509,13 +564,18 @@ def flow(vf, x0, t_span, step=1e-3, bound=1e8):
     loop = _rk4_loop(vf, None if table is None else len(table[0]))
     if not vf.in_domain(x):
         raise StartError(f"x0 = {point(x)} is outside the field's domain")
-    times = [t_a]
     # the states flat, one after another; Trajectory reshapes them
     points, extras = list(x), []
-    failed = loop(table, x, t_a, t_b, step, n_steps, bound, times, points,
-                  extras)
+    failed = loop(table, x, t_a, t_b, step, n_steps, bound, points, extras)
+    k = len(points) // vf.n - 1             # the accepted steps
+    times = np.empty(k + 1)
+    times[0] = t_a
+    times[1:] = t_a + np.arange(1, k + 1) * step
+    recorded = np.repeat(loop.extra_row[None], k, axis=0)
+    recorded[:, loop.kept] = np.reshape(extras, (k, len(loop.kept)))
     if failed is None:
-        return Trajectory(times, points, extras=extras)
+        times[-1] = t_b
+        return Trajectory(times, points, extras=recorded)
     cause, t, x, t_next, v = failed
     if cause == "stage" and v is not None and _finite(v):
         # a stage blew through the domain boundary or diverged; decide
@@ -526,8 +586,8 @@ def flow(vf, x0, t_span, step=1e-3, bound=1e8):
             cause = "domain"
     if cause == "domain":
         return Trajectory(times, points, Ending(
-            "domain_exit", _bisect_exit(vf, t, x, t_next, v)), extras)
-    return Trajectory(times, points, Ending("blowup", t_next), extras)
+            "domain_exit", _bisect_exit(vf, t, x, t_next, v)), recorded)
+    return Trajectory(times, points, Ending("blowup", t_next), recorded)
 
 
 def _slope_equations(x, m):

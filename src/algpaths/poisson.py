@@ -21,6 +21,7 @@ from . import expr as ex
 from .algebroid import (Antisymmetric, SectionTD, cyclic_sum,
                         make_cotangent_poisson, sample_points)
 from .comorph import Comorphism, first_escape, pullback_section
+from .numkernel import StartError
 
 
 class PoissonError(Exception):
@@ -207,7 +208,7 @@ def complete_map_probe(phi, PX, PY, test_functions=None, horizon=2.0,
     c = cotangent_lift(phi, PX, PY, samples=map_samples)
     if test_functions is None:
         test_functions = default_test_functions(PY)
-    pts = PX.in_domain.require(seeds, PX.dim, "seed")
+    pts = PX.in_domain.require(seeds, PX.dim, "seed", StartError)
     seeds = pts.tolist()
     # the seeds at t = 0, where both route fields are compared
     tpts = np.insert(pts, 0, 0.0, axis=1)

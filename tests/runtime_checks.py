@@ -280,6 +280,24 @@ def checks():
     expect_2("integrate-path", "--config", "disk.json", "--section", "1;0",
              "--x0", "2,0")
 
+    # so are a probe seed outside the domain and a start whose image
+    # misses the path's source
+    write("probe.json", {
+        "algebroids": {"disk": {
+            "base_dim": 2, "rank": 2, "anchor": [["1", "0"], ["0", "1"]],
+            "domain": ["1 - x1^2 - x2^2"]}, **PLANE_WS["algebroids"]},
+        "comorphisms": {"incl": {"source": "disk", "target": "plane",
+                                 "phi": ["x1", "x2"],
+                                 "M": [["1", "0"], ["0", "1"]]}},
+        "poisson": {"pdisk": {"dim": 2, "Pi": {"1,2": "1"},
+                              "domain": ["1 - x1^2 - x2^2"]},
+                    "pplane": {"dim": 2, "Pi": {"1,2": "1"}}}})
+    expect_2("completeness-probe", "--config", "probe.json", "--comorphism",
+             "incl", "--section", "1;0", "--x0", "2,0")
+    expect_2("poisson", "probe", "--config", "probe.json", "--source",
+             "pdisk", "--target", "pplane", "--map", "x1;x2", "--x0", "2,0")
+    expect_2("holonomy", "--radius", "0.5", "--x0", "0,0,1,0,0")
+
 
 if __name__ == "__main__":
     main()

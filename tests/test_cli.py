@@ -836,6 +836,54 @@ def test_integrate_path_from_outside_the_domain_exits_2(lift_cfg, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["holonomy", "lift-path",
+                                     "lift-homotopy"])
+def test_a_start_whose_image_misses_the_path_source_exits_2(
+        lift_cfg, tmp_path, capsys, command):
+    # bad input, as a start outside the domain is; an escape exits 1
+    if command == "holonomy":
+        argv = ["--radius", "0.5", "--x0", "0,0,1,0,0"]
+        image, source = "(0.0, 0.0)", "(0.5, 0.0)"
+    elif command == "lift-path":
+        path = _grid_csv(tmp_path, "path.csv",
+                         _apath_rows([k / 10 for k in range(11)]),
+                         "t,x1,x2,eta1,eta2")
+        argv = ["--config", lift_cfg, "--comorphism", "incl", "--path",
+                path, "--x0", "0.5,0"]
+        image, source = "(0.5, 0.0)", "(0.0, 0.0)"
+    else:
+        path = _grid_csv(tmp_path, "homotopy.csv",
+                         _ahomotopy_rows([k / 10 for k in range(11)],
+                                         [0.0, 0.5, 1.0]),
+                         "t,s,x1,x2,eta1,eta2,beta1,beta2")
+        argv = ["--config", lift_cfg, "--comorphism", "incl", "--homotopy",
+                path, "--x0", "0.5,0"]
+        image, source = "(0.5, 0.0)", "(0.0, 0.0)"
+    assert run([command, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"usage error: phi(x0) = {image} does not match "
+                            f"the path source {source}\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["completeness-probe", "poisson-probe"])
+def test_a_probe_seed_outside_the_domain_exits_2(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, {
+        **DISK_ID, "poisson": {
+            "pdisk": {"dim": 2, "Pi": {"1,2": "1"},
+                      "domain": ["1 - x1^2 - x2^2"]},
+            "pplane": {"dim": 2, "Pi": {"1,2": "1"}}}})
+    argv = (["completeness-probe", "--config", cfg, "--comorphism", "id",
+             "--section", "1;0"] if command == "completeness-probe" else
+            ["poisson", "probe", "--config", cfg, "--source", "pdisk",
+             "--target", "pplane", "--map", "x1;x2"])
+    assert run([*argv, "--x0", "0,0;2,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("usage error: seed (2.0, 0.0) is outside the "
+                            "domain\n")
+    assert captured.out == ""
+
+
 def test_holonomy_on_a_grid_of_23294_steps_completes(capsys):
     # the loop's step 1 / 23294 used to be counted as 23295 steps, which
     # refused the loop's table of 23294

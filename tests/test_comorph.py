@@ -12,7 +12,7 @@ from algpaths.algebroid import (AlgebroidError, LieAlgebroid, SectionTD,
 from algpaths.apath import (AHomotopy, APath, concat, develop,
                             integrate_apath, read_apath_csv)
 from algpaths.ehresmann import FlatConnection
-from algpaths.numkernel import VectorFieldTD
+from algpaths.numkernel import StartError, VectorFieldTD
 from test_numkernel import _reference_flow
 from algpaths.comorph import (Comorphism, LiftError, anchor_compat_residual,
                               completeness_probe, compose, first_escape,
@@ -239,7 +239,7 @@ def test_probe_rejects_seeds_outside_the_source():
     B = make_tangent(2)
     c = inclusion(disk(), B)
     s = SectionTD.from_strings(B, ["1", "0"])
-    with pytest.raises(ex.DomainError, match="seed"):
+    with pytest.raises(StartError, match="seed"):
         completeness_probe(c, s, 1.0, 1e8, [(2.0, 0.0)])
 
 
@@ -635,7 +635,7 @@ def test_a_seed_outside_the_domain_is_named_whatever_its_type(seeds):
     A = LieAlgebroid(1, 1, [[ex.Const(1.0)]], {},
                      domain=[ex.parse("1/x1", ["x1"])])
     vf = A.flow_field(A.anchored_field([ex.Const(1.0)]))
-    with pytest.raises(ex.DomainError,
+    with pytest.raises(StartError,
                        match=r"seed \(0\.0,\) is outside the domain"):
         first_escape(vf, 1.0, 1e8, seeds, 0.1)
 

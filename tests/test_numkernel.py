@@ -571,7 +571,7 @@ def test_a_moved_term_that_fails_ends_the_first_step(field, domain, x0,
     dom = vf.domain
     src = numkernel._rk4_source(2, None, vf.fn.body, dom.m,
                                 dom.m and dom.fn.body)
-    assert _step_calls(src) == {"range", "sqrt", "times.append"}
+    assert _step_calls(src) == {"range", "sqrt"}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -712,7 +712,7 @@ def test_random_fused_fields_match_the_reference(n, data):
 def assert_recorded_extras(vf, x0, t_span, step, bound=1e8):
     """flow's recorded extras are, bit for bit, the field's values past
     the first n at every returned point but the last, at its time or its
-    step's first table row; returns the trajectory."""
+    step's first table row, one row per point; returns the trajectory."""
     traj = assert_same_fused_flow(vf, x0, t_span, step, bound)
     k = len(traj.times) - 1
     inputs = (traj.times[:k, None] if vf.table is None
@@ -720,9 +720,9 @@ def assert_recorded_extras(vf, x0, t_span, step, bound=1e8):
     values = len(vf.fn.body.outs)
     expected = ex.evaluate(vf.fn, np.column_stack([inputs, traj.points[:k]]),
                            (values,))[:, vf.n:]
-    got = np.reshape(np.array(traj.extras, dtype=float),
-                     (k, values - vf.n))
-    assert got.tobytes() == expected.tobytes()
+    assert traj.extras.shape == (k, values - vf.n)
+    assert traj.extras.dtype == float
+    assert traj.extras.tobytes() == expected.tobytes()
     return traj
 
 
@@ -794,11 +794,16 @@ def test_a_flow_that_escapes_records_its_accepted_steps(field, extra, domain,
 
 # ------------------------------------------------ the generated loop's calls --
 
-def _step_calls(src):
-    """The functions that the step loop of the loop source src calls."""
+def _steps(src):
+    """The `for` statement of the loop source src: the work of each step."""
     (steps,) = [node for node in ast.walk(ast.parse(src))
                 if isinstance(node, ast.For)]
-    return {ast.unparse(node.func) for node in ast.walk(steps)
+    return steps
+
+
+def _step_calls(src):
+    """The functions that the step loop of the loop source src calls."""
+    return {ast.unparse(node.func) for node in ast.walk(_steps(src))
             if isinstance(node, ast.Call)}
 
 
@@ -816,9 +821,9 @@ def test_each_step_runs_the_field_four_times_and_the_domain_once():
     # and the loop calls neither
     calls = {ast.unparse(node.func) for node in ast.walk(ast.parse(src))
              if isinstance(node, ast.Call)}
-    assert calls == {"range", "sqrt", "times.append"}
+    assert calls == {"range", "sqrt"}
     assert src.startswith("def rk4_loop(table, x, t_a, t_b, step, n_steps, "
-                          "bound, times, points,\n             extras):")
+                          "bound, points, extras):")
 
     preds = []
     pred = A.in_domain.fn
@@ -846,6 +851,62 @@ def test_the_holonomy_lift_computes_its_bump_gate_before_its_steps():
                                 dom.fn.body)
     assert src.count("math.exp") == 6
     assert "math.exp" not in _step_calls(src)
+
+
+def test_the_holonomy_lift_steps_only_what_changes():
+    # the height h = x4 is fixed (field value 0.0): a step binds no
+    # a4..d4 and writes y4 = x4 + 0.0, which no finiteness test reads; M's
+    # six constant entries are neither bound nor recorded; the tabulated
+    # field reads no stage time th; the tests' bounds are locals
+    from algpaths import comorph
+    from algpaths.ehresmann import ExampleConnection, circle_loop
+    conn = ExampleConnection(1.0 / 3.0)
+    dom = conn.source.in_domain
+    src = numkernel._rk4_source(5, 2, conn._lift_field.body, dom.m,
+                                dom.fn.body)
+    steps = _steps(src)
+    names = [node for node in ast.walk(steps) if isinstance(node, ast.Name)]
+    stored = {node.id for node in names if isinstance(node.ctx, ast.Store)}
+    assert {"a3", "d3", "y4", "e4", "e5", "e6", "e7"} <= stored
+    assert not stored & {"th", "a4", "b4", "c4", "d4",
+                         "e0", "e1", "e2", "e3", "e8", "e9"}
+    assert "_inf" not in {node.id for node in names}
+    assert "            y4 = x4 + 0.0\n" in src
+    tested = [ast.unparse(node) for node in ast.walk(steps)
+              if isinstance(node, ast.Compare) and len(node.ops) == 2]
+    assert tested == [f"ninf < {v}{i} < inf" for v in "ay" for i in range(4)]
+    (record,) = [node for node in ast.walk(steps)
+                 if isinstance(node, ast.AugAssign)
+                 and ast.unparse(node.target) == "extras"]
+    assert ast.unparse(record.value) == "(e4, e5, e6, e7)"
+
+    # flow fills the constant columns: the extras are M's ten entries
+    loop = circle_loop(conn, grid=50)
+    m, table = comorph._fiber_table(loop.times, loop.eta, "cubic", 1)
+    for h in (-0.7, 0.3):           # outside and inside the bump's support
+        vf = numkernel.TabulatedField(5, conn._lift_field, table.tolist(),
+                                      domain=dom)
+        traj = assert_recorded_extras(vf, [1.0, 0.0, 1.0, 0.0, h],
+                                      (0.0, 1.0), 1.0 / m)
+        assert traj.completed and traj.extras.shape == (m, 10)
+        assert (traj.extras[:, [0, 3]] == 1.0).all()
+
+
+@pytest.mark.parametrize("t_a, span, step", [
+    (-0.0, 1.0, 0.1),       # the first time keeps its sign
+    (0.1, 0.7, 0.1),        # t_a + k * step, not a sum of k steps
+    (1e16, 2.0, 0.5),       # steps below the time's half ulp: h = 0.0
+    (-1.0, 1.0, 0.3),       # a short last step, which ends at t_b
+], ids=["minus-zero", "tenths", "zero-steps", "short-last"])
+def test_the_accepted_times_are_the_loops_step_times(t_a, span, step):
+    # flow builds the times after the loop with the loop's t_next; x2 and
+    # x3 are fixed, by 0.0 and -0.0, also over a step of h = 0.0
+    vf = compiled_field(["1 - x1", "0", "-0.0"], coords=("x1", "x2", "x3"))
+    traj = assert_same_fused_flow(vf, [0.5, -0.0, -0.0], (t_a, t_a + span),
+                                  step)
+    assert traj.completed and traj.times[-1] == t_a + span
+    assert np.signbit(traj.points[1:, 1:]).tolist() == [[False, True]] * (
+        len(traj.times) - 1)
 
 
 def _callable_fields():
