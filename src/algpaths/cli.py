@@ -530,6 +530,10 @@ def cmd_compose(args, ws):
 
 
 def cmd_holonomy(args, ws):
+    for flag in ("x0", "h"):
+        if args.h_grid is not None and getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} does not apply to a --h-grid sweep, "
+                             f"which starts each lane at (radius, 0, z0, h)")
     if args.connection is None:
         conn_name = f"example3(nu0={args.nu0})"
         fc = ExampleConnection(_num(args.nu0))
@@ -550,14 +554,15 @@ def cmd_holonomy(args, ws):
                               "h_count": len(args.h_grid)},
                    "rows": len(rows)})
         return 0
+    h = 0.0 if args.h is None else args.h
     loop = circle_loop(fc, radius=args.radius, grid=args.grid)
-    x0 = args.x0 or [args.radius, 0.0, z0[0], z0[1], args.h]
+    x0 = args.x0 or [args.radius, 0.0, z0[0], z0[1], h]
     lifted = holonomy(fc, loop, x0)
-    nu = fc.nu(args.h) if hasattr(fc, "nu") else None
+    nu = fc.nu(h) if hasattr(fc, "nu") else None
     payload = {"command": "holonomy", "connection": conn_name,
                "seed": args.seed,
                "params": {"grid": args.grid, "radius": args.radius,
-                          "h": args.h},
+                          "h": h},
                **lifted.ending._asdict(), "phase": lifted.phase,
                "phi_projection_error": lifted.phi_projection_error,
                "start": list(lifted.source), "end": list(lifted.target)}
@@ -761,6 +766,8 @@ def _commands():
          "--config --connection --nu0 --h --h-grid --radius --grid --z0 "
          "--x0 --k-max --out",
          {"--config": optional,
+          # absent unless given, so that a sweep can refuse it
+          "--h": {"default": None, "help": "lift height (default: 0)"},
           "--x0": {"required": False,
                    "help": "explicit lift start point (default: loop start "
                            "with --z0 fiber and --h)"}}),

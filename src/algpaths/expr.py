@@ -20,7 +20,6 @@ flat chain of its operands, evaluated left to right.
 so -x^2 parses as -(x^2). Everything is immutable after construction.
 """
 
-import ast
 import functools
 import itertools
 import math
@@ -703,8 +702,9 @@ class _Scope:
 class _Value:
     """A node's value in a compiled function: its source template, the
     values of its arguments (a leaf's value is its source text), its scope
-    and its number of users; `src` is the temporary that holds it once
-    written. A gate's value has no template and its arm's scope."""
+    and its number of users, counted by `_Compiler.emit`; `src` is the
+    name that holds it once written. A gate's value has no template and
+    its arm's scope."""
 
     __slots__ = ("template", "args", "scope", "arm", "uses", "src")
 
@@ -744,18 +744,21 @@ class _Compiler:
     enclosing one reuses that value. A gate's guard is a value of the
     gate's scope and its arm is numbered in the scope of that guard's arms,
     so nothing is hoisted out of an arm and e stays unevaluated when
-    g == 0. `src` then writes a value used more than once (and every gate)
-    to a temporary at its first use, and inlines the rest. An estep names
-    an argument that is not a name with `:=` where it computes it, so that
+    g == 0. `emit` then writes the values that some given values read:
+    `src` writes a value used more than once (and every gate) to a
+    temporary at its first use, and inlines the rest. An estep names an
+    argument that is not a name with `:=` where it computes it, so that
     it is tested and divided without a call. A gate block that directly
     follows one with the same guard joins it: one test of the guard for
-    both, their values still computed in order.
+    both, their values still computed in order. `made` lists the values
+    in the order they were numbered, each after its arguments.
     """
 
     def __init__(self, variables):
         self.names = dict(zip(variables, map("_v{}".format,
                                              range(len(variables)))))
         self.temps = 0
+        self.made = []
 
     def value(self, e, scope):
         cls = type(e)
@@ -794,15 +797,35 @@ class _Compiler:
         """The value of the node (template, args): the one computed in
         scope or an enclosing scope, else a new value of scope."""
         v = scope.find((template, args))
-        if v is not None:
-            return v
-        v = scope.values[template, args] = _Value(template, args, scope, arm)
-        for a in args:
-            if type(a) is _Value:
-                a.uses += 1
-        if arm is not None and type(args[0]) is _Value:
-            args[0].uses += 1           # tested, then multiplied
+        if v is None:
+            v = scope.values[template, args] = _Value(template, args, scope,
+                                                      arm)
+            self.made.append(v)
         return v
+
+    def emit(self, top, outs, read=None):
+        """The lines, at the level of the scope top, that compute the
+        values outs, numbered in top, and the sources of outs: a value
+        that `read` maps by id to a name is read as that name, and what
+        only it reads is not written. Each value's users are counted
+        anew, so one numbering can be written more than once."""
+        read = read or {}
+        top.lines, top.gate, self.temps = [], None, 0
+        seen, todo = set(), list(outs)      # each entry one read of a value
+        while todo:
+            v = todo.pop()
+            if type(v) is not _Value:
+                continue
+            if id(v) not in seen:
+                seen.add(id(v))
+                v.uses, v.src = 0, read.get(id(v))
+                if v.src is None:
+                    todo += v.args
+                    if v.arm is not None:
+                        todo.append(v.args[0])  # tested, then multiplied
+            v.uses += 1
+        outs = tuple(map(self.src, outs))
+        return tuple(top.lines), outs
 
     def src(self, v):
         if type(v) is str:
@@ -835,8 +858,9 @@ class _Compiler:
 
     def text(self, v):
         """v's template over its arguments' sources; for a chain operation,
-        without outer parentheses, continuing in place each inlined left
-        operand of its kind, so a chain of any length is one level."""
+        without outer parentheses, continuing in place each left operand
+        of its kind that is inlined (used once and not read as a name), so
+        a chain of any length is one level."""
         kind = _SPINE.get(v.template)
         if kind is None:
             args = list(map(self.src, v.args))
@@ -850,7 +874,7 @@ class _Compiler:
             return v.template.format(*args)
         spine, left = [v], v.args[0]
         while (type(left) is _Value and _SPINE.get(left.template) == kind
-               and left.uses < 2):
+               and left.uses < 2 and left.src is None):
             spine.append(left)
             left = left.args[0]
         text = self.src(left)
@@ -872,8 +896,6 @@ _COMPILE_GLOBALS = {**SOURCE_GLOBALS, "__builtins__": {},
 
 # a parameter (_v0, _v1, ...) or a temporary (_t1, _t2, ...) of a body
 _BODY_NAME = re.compile(r"\b_[vt]\d+\b")
-# a temporary that a line assigns, by = or :=
-_ASSIGNED = re.compile(r"\b(_t\d+) :?=(?!=)")
 # a value's source that is a name or a number (see _const_src)
 _PLAIN = re.compile(r"\(?-?[\w.]+(e[-+]\d+)?\)?")
 
@@ -884,17 +906,20 @@ class Body:
     `lines`, indented by four spaces, compute its temporaries, and `outs`
     are the sources of its return values, in order; `inline` writes it
     into other source, and `split` divides it around the parameters a
-    loop keeps fixed. Besides its own names, the source reads only the
-    names in `SOURCE_GLOBALS`. `loops` holds the stepping loops
-    `numkernel.flow` writes around the body, so they live as long as the
-    function: while a caller holds it or `_function` keeps it cached."""
+    loop keeps fixed. `exprs` and `variables` are the expressions and
+    variable names it was first compiled from (None for the two parts of
+    a split). Besides its own names, the source reads only the names in
+    `SOURCE_GLOBALS`. `loops` holds the stepping loops `numkernel.flow`
+    writes around the body, so they live as long as the function: while
+    a caller holds it or `_function` keeps it cached."""
 
-    __slots__ = ("params", "lines", "outs", "loops")
+    __slots__ = ("params", "lines", "outs", "exprs", "variables", "loops")
 
     def __init__(self, params, lines, outs):
         self.params = params
         self.lines = lines
         self.outs = outs
+        self.exprs = self.variables = None
         self.loops = {}
 
     def inline(self, args, targets, tag, indent):
@@ -931,76 +956,40 @@ class Body:
     def split(self, fixed):
         """The body as two bodies (pre, rest) for a loop in which the
         parameters numbered in `fixed` keep their values: pre, over the
-        same parameters, computes as its values what depends on those
-        parameters and constants only, and rest takes pre's values as
-        further parameters, after `params`, and computes the body's.
+        same parameters, computes the roots, and rest takes their values
+        as further parameters, after `params`, and computes the body's.
 
-        Moved to pre are each top-level line, or gate block as a whole,
-        that reads only fixed parameters, moved temporaries and
-        constants, and each largest such subexpression of a remaining
-        top-level line or value that reads a parameter or temporary (an
-        inline estep's branches read what its test reads, so it moves
-        whole); a gate's arm, run only when its guard is not 0.0, keeps
-        its own. So pre computes only what every run of the body
-        computes, and raises where the body's first run would."""
-        known = {f"_v{i}" for i in fixed}
-        units, pre, rest = [], [], []
-        for line in self.lines:
-            if line.startswith("     ") or line == "    else:":
-                units[-1].append(line)          # inside a gate block
-            else:
-                units.append([line])
-        for unit in units:
-            text = "\n".join(unit)
-            made = set(_ASSIGNED.findall(text))
-            if set(_BODY_NAME.findall(text)) - made <= known:
-                pre += unit
-                known |= made
-            else:
-                rest.append(unit)
-        moved = {}          # source of a pre value -> its parameter in rest
-
-        def param(src):
-            return moved.setdefault(src, f"_v{self.params + len(moved)}")
-
-        def hoist(src):
-            if known.isdisjoint(_BODY_NAME.findall(src)):
-                return src
-            spans = []
-            # a walk in source order, with a stack: a chain nests once
-            # per operator
-            stack = [ast.parse(src, mode="eval").body]
-            while stack:
-                node = stack.pop()
-                text = src[node.col_offset:node.end_col_offset]
-                # the names it reads but does not bind with :=
-                reads = (set(_BODY_NAME.findall(text))
-                         - set(_ASSIGNED.findall(text)))
-                if reads and reads <= known:
-                    spans.append(node)
-                    continue
-                stack += reversed([c for c in ast.iter_child_nodes(node)
-                                   if isinstance(c, ast.expr)])
-            names = [param(src[s.col_offset:s.end_col_offset])
-                     for s in spans]
-            for s, name in reversed(list(zip(spans, names))):
-                src = src[:s.col_offset] + name + src[s.end_col_offset:]
-            return src
-
-        def rename(src):
-            return _BODY_NAME.sub(
-                lambda m: param(m[0]) if m[0] in known else m[0], src)
-
-        lines = []
-        for unit in rest:
-            if len(unit) > 1:               # a gate block: its names only
-                lines += map(rename, unit)
-            else:
-                target, src = unit[0].split(" = ", 1)
-                lines.append(f"{target} = {hoist(src)}")
-        outs = tuple(map(hoist, self.outs))
-        return (Body(self.params, tuple(pre), tuple(moved)),
-                Body(self.params + len(moved), tuple(lines), outs))
+        Both are written from one numbering of `exprs` (see `_Compiler`).
+        The roots are the largest values that read only fixed parameters
+        and constants and that every run computes: never a bare parameter
+        or number, nor a value of a gate's arm, which runs only when its
+        guard is not 0.0. A chain's prefixes are values, so its leading
+        fixed operands are one root; equal subexpressions are one value.
+        So pre raises only where every run of the body would. When there
+        is no root, rest is the body itself."""
+        comp, top = _Compiler(self.variables), _Scope()
+        outs = [comp.value(e, top) for e in self.exprs]
+        free = {f"_v{i}" for i in range(self.params) if i not in fixed}
+        moving = set()      # ids of the values that read a free parameter
+        for v in comp.made:
+            if any(id(a) in moving if type(a) is _Value else a in free
+                   for a in v.args):
+                moving.add(id(v))
+        roots, seen, todo = set(), set(), list(outs)
+        while todo:
+            v = todo.pop()
+            if type(v) is _Value and id(v) not in seen:
+                seen.add(id(v))
+                if v.scope is top and id(v) not in moving:
+                    roots.add(id(v))
+                else:
+                    todo += v.args
+        if not roots:
+            return Body(self.params, (), ()), self
+        roots = [v for v in comp.made if id(v) in roots]
+        names = {id(v): f"_v{self.params + j}" for j, v in enumerate(roots)}
+        return (Body(self.params, *comp.emit(top, roots)),
+                Body(self.params + len(roots), *comp.emit(top, outs, names)))
 
 
 def compile_exprs(exprs, variables):
@@ -1015,14 +1004,13 @@ def compile_exprs(exprs, variables):
     so equal expressions over other variable names give the same source,
     and the same source gives the same callable (see `_function`); the
     variable names must be distinct."""
-    comp = _Compiler(_distinct(variables))
-    body = _Scope()
-    outs = [comp.value(e, body) for e in exprs]
-    for v in outs:
-        if type(v) is _Value:
-            v.uses += 1
-    outs = tuple(map(comp.src, outs))       # writes the body's lines
-    return _function(len(variables), tuple(body.lines), outs)
+    exprs = tuple(exprs)
+    comp, top = _Compiler(_distinct(variables)), _Scope()
+    fn = _function(len(variables),
+                   *comp.emit(top, [comp.value(e, top) for e in exprs]))
+    if fn.body.exprs is None:
+        fn.body.exprs, fn.body.variables = exprs, tuple(variables)
+    return fn
 
 
 @functools.lru_cache(maxsize=128)

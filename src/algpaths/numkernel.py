@@ -15,8 +15,8 @@ table sampled at the stage times. A trajectory stops early in two ways:
 * blowup(t*): the euclidean norm of the state exceeds `bound`, or a field
   evaluation produces a non-finite number or raises.
 * domain_exit(t*): the domain predicate fails at the new point; t* is then
-  bisected to 1e-9 time resolution along the linear interpolant of the last
-  accepted RK4 segment.
+  bisected to BISECT_RESOLUTION in time along the linear interpolant of
+  the last accepted RK4 segment.
 
 In both cases the last recorded sample strictly precedes t*. One `Ending`
 records how a flow ended, for its trajectory, trailer, witness and report.
@@ -26,14 +26,13 @@ linearly or by the not-a-knot cubic spline (`not_a_knot_table`), for the
 fields driven by sampled paths: lifts and matrix-group developments.
 """
 
-import ast
 import math
 import re
 from typing import NamedTuple
 
 import numpy as np
 
-from .expr import SOURCE_GLOBALS, Body, Domain, point
+from .expr import SOURCE_GLOBALS, Body, Const, Domain, point
 
 
 class FlowError(Exception):
@@ -145,8 +144,6 @@ class Trajectory(FlowOutcome):
         self.ending = ending
         self.extras = (np.empty((len(self.times) - 1, 0)) if extras is None
                        else extras)
-        if self.points.ndim == 1:
-            self.points = self.points.reshape(len(self.times), -1)
 
     @property
     def endpoint(self):
@@ -294,14 +291,17 @@ def read_trajectory_csv(f):
     return Trajectory(rows[:, 0], rows[:, 1:], ending)
 
 
-def _bisect_exit(vf, t0, x0, t1, x1, resolution=1e-9):
+BISECT_RESOLUTION = 1e-9      # in time, of a domain exit's t*
+
+
+def _bisect_exit(vf, t0, x0, t1, x1):
     """Bisect the linear segment (t0,x0)->(t1,x1) for the domain boundary.
 
     Precondition: x0 in domain, x1 not. Returns the first out-of-domain
-    time, within `resolution` of the true crossing of the interpolant.
+    time, within BISECT_RESOLUTION of the interpolant's true crossing.
     """
     lo, hi = t0, t1
-    while hi - lo > resolution:
+    while hi - lo > BISECT_RESOLUTION:
         mid = 0.5 * (lo + hi)
         w = (mid - t0) / (t1 - t0)
         xm = [a + w * (b - a) for a, b in zip(x0, x1)]
@@ -313,28 +313,20 @@ def _bisect_exit(vf, t0, x0, t1, x1, resolution=1e-9):
 
 
 def _compiled_body(fn, params, values, what):
-    """fn's `expr.Body`, kept by `expr.compile_exprs`, for the loop to inline:
+    """fn's `expr.Body`, kept by `expr.compile_exprs` with its expressions:
     TypeError unless it takes `params` arguments and has `values` or more."""
     body = getattr(fn, "body", None)
-    if not (isinstance(body, Body) and body.params == params
-            and len(body.outs) >= values):
+    if not (isinstance(body, Body) and body.exprs is not None
+            and body.params == params and len(body.outs) >= values):
         raise TypeError(f"{what} must be compiled by expr.compile_exprs "
                         f"over {params} variables with at least {values} "
                         f"values, got {fn!r}")
     return body
 
 
-def _constant_extras(body, n):
-    """Per value of the kept body past its first n: the float that its
-    source is when that is a number literal, which no step changes, else
-    None, a value the loop records."""
-    consts = []
-    for src in body.outs[n:]:
-        try:
-            consts.append(float(ast.literal_eval(src)))
-        except (ValueError, TypeError, SyntaxError):
-            consts.append(None)
-    return consts
+def _constants(body):
+    """Per value of the kept body: the number its expression is, else None."""
+    return [e.value if type(e) is Const else None for e in body.exprs]
 
 
 def _rk4_source(n, width, field, m, dom):
@@ -347,40 +339,37 @@ def _rk4_source(n, width, field, m, dom):
     inline (`Body.inline`) at the time, or at the stage's row of the
     table, and the stage's state: step k reads rows 2k, 2k+1, 2k+1, 2k+2,
     unpacked before the stages, the first of which keeps field's values
-    past the n in e0..; a value whose source is a number literal
-    (`_constant_extras`) is neither kept nor recorded, and `flow` fills
-    its column. The new state y0.. is then tested with dom inline,
-    each predicate compared with 0.0 (no test when m is 0). The loop
-    appends every accepted step's state and kept e0.. to the flat lists
-    points and extras; it returns None when all n_steps are taken, and
-    `flow` builds the accepted times.
-    At the first step that fails it returns (cause, t, x, t_next, v) with
-    the last accepted time and state: cause "stage" when a stage raised (v
-    None) or k1 or the new state is not finite (v is k1's first n values),
-    "domain" when the new state v is outside the domain, "bound" when its
-    norm exceeds bound (v None).
+    past the n in e0..; a value whose expression is a number is neither
+    kept nor recorded, and `flow` fills its column. The new state y0.. is
+    then tested with dom inline, each predicate compared with 0.0 (no test
+    when m is 0). The loop appends every accepted step's state and kept
+    e0.. to the flat lists points and extras; it returns None when all
+    n_steps are taken, and `flow` builds the accepted times. At the first
+    step k that fails it returns (cause, k, x, t_next, v), x the last
+    accepted state: cause "stage" when a stage raised (v None) or k1 or
+    the new state is not finite (v is k1's first n values), "domain" when
+    the new state v is outside the domain, "bound" when its norm exceeds
+    bound (v None). On R^0 there is no state and no norm.
 
     Work that no step changes runs once, before the steps: the bounds
     -inf and inf of the finiteness tests are bound to locals there, and
     the stage time th is written only when the field reads it. A
-    coordinate whose field value is the constant 0.0 or -0.0 keeps its
+    coordinate whose field value is the number 0.0 or -0.0 keeps its
     value: as h >= 0 is finite, y_i = x_i + h6 * (...) adds 0.0, which
-    only turns a -0.0 start into 0.0, or adds -0.0. So the first stage of
-    the first step reads the start x_i, and every later stage, new state
-    and domain test z_i = x_i + 0.0 (x_i for -0.0), which the loop writes
-    in place of that sum: such a coordinate binds no k_i, and neither its
-    k1 nor its new value is tested for finiteness (x_i was, when the flow
-    started). `Body.split` moves what the field and the domain compute
-    from those coordinates and constants alone (never the time, a table
-    cell or a gate's arm) before the steps: the field's at x_i (pa0..,
-    for the first stage, which takes pz's values after each step) and at
-    z_i (pz0..), the domain's at z_i (py0..). A moved field value that
-    raises ends the flow as its first step would ("stage" at t_a); a
-    moved domain value that raises becomes nan, which fails the first
-    step's domain test as the raise did: each moved value is read
-    outside gates' arms, and compiled source turns a nan operand into
-    nan or raises. Every other y_i and test is written as before.
-    """
+    only turns a -0.0 start into 0.0, or adds -0.0. So the loop binds
+    z_i = x_i + 0.0 (x_i for -0.0) before the steps, which every stage
+    but the first reads, as do y_i = z_i and the domain test. Such a
+    coordinate binds no k_i, and neither its k1 nor its new value is
+    tested for finiteness (x_i was, when the flow started). `Body.split`
+    moves what the field and the domain compute from those coordinates
+    and constants alone (never the time, a table cell or a gate's arm)
+    before the steps: the field's at x_i (pa0.., for the first stage,
+    which takes pz's values after each step) and at z_i (pz0..), the
+    domain's at z_i (py0..). A moved field value that raises ends the
+    flow as its first step would; a moved domain value that raises
+    becomes nan, which fails the first step's domain test as the raise
+    did: every run of the body computes each moved value, and compiled
+    source turns a nan operand into nan or raises."""
     idx = range(n)
 
     def seq(fmt):
@@ -401,20 +390,21 @@ def _rk4_source(n, width, field, m, dom):
             f"        {', '.join(row)}, = table[{at}]\n"
             for row, at in zip(rows, ["j", "j + 1", "j + 2"]) if width)
         inputs = [rows[0], rows[1], rows[1], rows[2]]
-    # the coordinates whose value never changes, and z: the state as every
-    # stage but the first reads it
-    zero = {i: f"x{i} + 0.0" if field.outs[i] == "0.0" else f"x{i}"
-            for i in idx if field.outs[i] in ("0.0", "(-0.0)")}
-    z = [zero.get(i, f"x{i}") for i in idx]
+    consts = _constants(field)
+    # the coordinates whose value never changes, with the source of their
+    # z_i, and z: the state as every stage but the first reads it
+    zero = {i: f"x{i}" + " + 0.0" * (math.copysign(1.0, c) > 0)
+            for i, c in enumerate(consts[:n]) if c == 0.0}
+    z = [f"z{i}" if i in zero else f"x{i}" for i in idx]
     moving = [i for i in idx if i not in zero]
     extras = ["_" if c is not None else f"e{j}"
-              for j, c in enumerate(_constant_extras(field, n))]
+              for j, c in enumerate(consts[n:])]
     kept = [e for e in extras if e != "_"]
     pre, field = field.split([len(inputs[0]) + i for i in zero])
     pa, pz = ([f"p{s}{j}" for j in range(len(pre.outs))] for s in "az")
 
     def later(fmt):
-        return [zero[i] if i in zero else fmt.format(i=i) for i in idx]
+        return [z[i] if i in zero else fmt.format(i=i) for i in idx]
 
     # a fixed coordinate's value is a number, which is not written
     stages = "\n".join(
@@ -427,17 +417,19 @@ def _rk4_source(n, width, field, m, dom):
             [f"{tag}{i}" if i not in zero else "_" for i in idx]
             + (extras if tag == "a" else []), tag, " " * 12))
     new_state = "\n".join(
-        f"            y{i} = {zero[i]}" if i in zero else
+        f"            y{i} = z{i}" if i in zero else
         f"            y{i} = x{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i}"
         f" + d{i})" for i in idx)
 
     x, y = each("x{i}"), each("y{i}")
-    before = "" if not pa else f"""\
+    before = block(f"    z{i} = {src}" for i, src in zero.items())
+    if pa:
+        before += f"""\
     try:
 {block(pre.inline(inputs[0] + seq("x{i}"), pa, "pa", " " * 8))}\
 {block(pre.inline(inputs[0] + z, pz, "pz", " " * 8))}\
     except EVAL_ERRORS:
-        return "stage", t, [{x}], t_b if last == 0 else t_a + step, None
+        return "stage", 0, [{x}], t_b if last == 0 else t_a + step, None
 """
     py = []
     if m:
@@ -457,23 +449,27 @@ def _rk4_source(n, width, field, m, dom):
     k1 = ", ".join(field.outs[i] if i in zero else f"a{i}" for i in idx)
     finite_test = "" if not moving else f"""\
         if not ({finite}):
-            return "stage", t, [{x}], t_next, [{k1}]
+            return "stage", k, [{x}], t_next, [{k1}]
 """
     domain_test = "" if not m else f"""\
         try:
 {chr(10).join(dom.inline(seq("y{i}") + py, [f"g{i}" for i in range(m)],
                          "y", " " * 12))}
         except EVAL_ERRORS:
-            return "domain", t, [{x}], t_next, [{y}]
+            return "domain", k, [{x}], t_next, [{y}]
         if not ({" and ".join(f"g{i} > 0.0" for i in range(m))}):
-            return "domain", t, [{x}], t_next, [{y}]
+            return "domain", k, [{x}], t_next, [{y}]
+"""
+    bound_test = "" if not n else f"""\
+        if sqrt({each("y{i} * y{i}", " + ")}) > bound:
+            return "bound", k, [{x}], t_next, None
 """
     stage_time = ("        th = t + hh\n" if re.search(r"\bth\b", stages)
                   else "")
     record = "" if not kept else f"        extras += {', '.join(kept)},\n"
     return f"""\
 def rk4_loop(table, x, t_a, t_b, step, n_steps, bound, points, extras):
-    {x}, = x
+{f"    {x}, = x{chr(10)}" if n else ""}\
     t = t_a
     last = n_steps - 1
     ninf, inf = -_inf, _inf
@@ -489,15 +485,14 @@ def rk4_loop(table, x, t_a, t_b, step, n_steps, bound, points, extras):
             h6 = h / 6.0
 {new_state}
         except EVAL_ERRORS:
-            return "stage", t, [{x}], t_next, None
+            return "stage", k, [{x}], t_next, None
 {finite_test}\
 {domain_test}\
-        if sqrt({each("y{i} * y{i}", " + ")}) > bound:
-            return "bound", t, [{x}], t_next, None
+{bound_test}\
         t = t_next
-{each("        x{i} = y{i}", chr(10))}
-{block(f"        {a} = {z}" for a, z in zip(pa, pz))}\
-        points += {y},
+{block(seq("        x{i} = y{i}"))}\
+{block(f"        {a} = {b}" for a, b in zip(pa, pz))}\
+{f"        points += {y},{chr(10)}" if n else ""}\
 {record}\
     return None
 """
@@ -507,10 +502,10 @@ def _rk4_loop(vf, width):
     """The stepping loop for vf and a table row width (None: untabulated),
     generated and compiled on first use (see _rk4_source) and kept in the
     `body.loops` of the field's function, with the field's extra values
-    as `loop.extra_row`, the constant ones in place and 0.0 for the
-    others, and `loop.kept`, the indices of the others, which the loop
-    records. Its scope's __name__ attributes a warning raised in the loop
-    to this module."""
+    as `loop.extra_row`, the numbers in place and 0.0 for the others, and
+    `loop.kept`, the indices of the others, which the loop records. Its
+    scope's __name__ attributes a warning raised in the loop to this
+    module."""
     dom = vf.domain
     field = _compiled_body(vf.fn, vf.n + (1 if width is None else width),
                            vf.n, "the field")
@@ -527,7 +522,7 @@ def _rk4_loop(vf, width):
         # popped, so that the loop and its scope are no reference cycle
         # and go with the field's function
         loop = field.loops[key] = scope.pop("rk4_loop")
-        consts = _constant_extras(field, vf.n)
+        consts = _constants(field)[vf.n:]
         loop.extra_row = np.array(
             [0.0 if c is None else c for c in consts])
         loop.kept = [j for j, c in enumerate(consts) if c is None]
@@ -542,7 +537,7 @@ def flow(vf, x0, t_span, step=1e-3, bound=1e8):
     the j-th accepted one is built after it as t_a + j * step, the
     loop's t_next, and a completed flow's last is t_b. The field's extra
     values come as one array (see `Trajectory`), their constant columns
-    filled here."""
+    filled here. On R^0 (vf.n = 0) the points have shape (K + 1, 0)."""
     # plain floats, so that event times print as numbers in status trailers
     t_a, t_b, step = float(t_span[0]), float(t_span[1]), float(step)
     if not t_b > t_a:
@@ -564,19 +559,20 @@ def flow(vf, x0, t_span, step=1e-3, bound=1e8):
     loop = _rk4_loop(vf, None if table is None else len(table[0]))
     if not vf.in_domain(x):
         raise StartError(f"x0 = {point(x)} is outside the field's domain")
-    # the states flat, one after another; Trajectory reshapes them
+    # the states flat, one after another
     points, extras = list(x), []
     failed = loop(table, x, t_a, t_b, step, n_steps, bound, points, extras)
-    k = len(points) // vf.n - 1             # the accepted steps
-    times = np.empty(k + 1)
-    times[0] = t_a
-    times[1:] = t_a + np.arange(1, k + 1) * step
+    k = n_steps if failed is None else failed[1]    # the accepted steps
+    times = t_a + np.arange(k + 1) * step
+    times[0] = t_a                          # a -0.0 keeps its sign
+    points = np.reshape(points, (k + 1, vf.n))
     recorded = np.repeat(loop.extra_row[None], k, axis=0)
     recorded[:, loop.kept] = np.reshape(extras, (k, len(loop.kept)))
     if failed is None:
         times[-1] = t_b
         return Trajectory(times, points, extras=recorded)
-    cause, t, x, t_next, v = failed
+    cause, _, x, t_next, v = failed
+    t = times[k].item()                     # the loop's last accepted time
     if cause == "stage" and v is not None and _finite(v):
         # a stage blew through the domain boundary or diverged; decide
         # which by probing an Euler predictor v

@@ -30,6 +30,9 @@ class PoissonError(Exception):
 
 _PI = (PoissonError, "Pi", "i,j")
 
+# complete_map_probe's two route fields are equal, by the chain rule
+ROUTE_FIELD_TOL = 1e-9
+
 
 class PoissonManifold:
     """Bivector on an open subset of R^n, upper-triangle Exprs.
@@ -194,16 +197,16 @@ def default_test_functions(PY):
 
 def complete_map_probe(phi, PX, PY, test_functions=None, horizon=2.0,
                        bound=1e8, seeds=((0.0, 0.0),), map_samples=None,
-                       field_tol=1e-9, step=1e-3):
+                       step=1e-3):
     """Probe phi's completeness along both routes of the equivalence.
 
     For each test function f: flow xi_{phi*f} = Pi_X# d(f o phi) from the
     seeds, and independently run the comorphism completeness probe on
     cotangent_lift(phi) with the section df, both with RK4 step `step`.
     Each route's field is compiled once; the two are asserted pointwise
-    equal at the seeds (they coincide by the chain rule), evaluating the
-    very functions that are flowed. The verdicts must classify alike, with
-    escape times within 1e-3.
+    equal at the seeds, within ROUTE_FIELD_TOL (they coincide by the chain
+    rule), evaluating the very functions that are flowed. The verdicts
+    must classify alike, with escape times within 1e-3.
     """
     c = cotangent_lift(phi, PX, PY, samples=map_samples)
     if test_functions is None:
@@ -223,9 +226,9 @@ def complete_map_probe(phi, PX, PY, test_functions=None, horizon=2.0,
         worst = float(np.max(np.abs(
             ex.evaluate(com_fn, tpts, (A.n,))
             - ex.evaluate(ham.fn, tpts, (A.n,))), initial=0.0))
-        if not worst <= field_tol:
-            raise PoissonError(
-                f"route fields disagree by {worst:.3e} (> {field_tol:.1e})")
+        if not worst <= ROUTE_FIELD_TOL:
+            raise PoissonError(f"route fields disagree by {worst:.3e} "
+                               f"(> ROUTE_FIELD_TOL = {ROUTE_FIELD_TOL:.1e})")
 
         v_ham = _flow_field_probe(ham, horizon, bound, seeds, step)
         v_com = first_escape(A.flow_field(com_fn), horizon, bound, seeds,

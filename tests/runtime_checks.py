@@ -298,6 +298,12 @@ def checks():
              "pdisk", "--target", "pplane", "--map", "x1;x2", "--x0", "2,0")
     expect_2("holonomy", "--radius", "0.5", "--x0", "0,0,1,0,0")
 
+    # a sweep starts each lane at (radius, 0, z0, h), so a start point or
+    # a height given to it would be ignored: both exit 2
+    expect_2("holonomy", "--h-grid", "0:0.1:2", "--x0", "5,5,1,0,0",
+             "--grid", "50")
+    expect_2("holonomy", "--h-grid", "0:0.1:2", "--h", "0.3", "--grid", "50")
+
 
 if __name__ == "__main__":
     main()

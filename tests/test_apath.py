@@ -246,6 +246,24 @@ def test_an_so3_action_path_ends_at_the_inverse_development():
     assert np.max(np.abs(g.target - gamma @ x0)) > 1.0
 
 
+def test_an_apath_over_a_point_carries_its_section_and_develops():
+    # over R^0 the flow keeps no state: the A-path's eta is s(t_k) at every
+    # sample, and develop takes it like any path over a point
+    A = LieAlgebroid(0, 1, [], {})
+    quarter = SectionTD(A, [ex.Const(math.pi / 2.0)])
+    g = integrate_apath(A, quarter, [])
+    assert g.completed and g.base.shape == (1001, 0)
+    assert g.eta.tolist() == [[math.pi / 2.0]] * 1001
+    exact = expm((math.pi / 2.0) * SO2_BASIS[0])
+    assert np.max(np.abs(develop(SO2_BASIS, g).endpoint - exact)) <= 1e-8
+
+    A = LieAlgebroid(0, 2, [], {})
+    s = SectionTD.from_strings(A, ["sin(3*t)", "t^2 - 1"])
+    g = integrate_apath(A, s, [], grid_size=50)
+    assert g.completed and g.base.shape == (51, 0)
+    assert g.eta.tobytes() == np.array([s(t, []) for t in g.times]).tobytes()
+
+
 def test_develop_rejects_rank_mismatch():
     g = quarter_turn_path(10)
     with pytest.raises(AlgebroidError, match="rank"):

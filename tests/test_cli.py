@@ -6,12 +6,14 @@ the module entry point.  Workspace configs are written to ``tmp_path``.
 """
 
 import argparse
+import ast
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +95,19 @@ def test_the_runtime_checks_pass():
     assert proc.stderr == ""
 
 
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("top", ["src", "tests", "bench"])
+def test_every_source_file_parses_as_python_3_10(top):
+    # pyproject's requires-python floor, the first leg of the CI matrix:
+    # no syntax newer than 3.10 may reach a module
+    files = sorted((REPO / top).rglob("*.py"))
+    assert files
+    for path in files:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
 def test_sheets_irrational_prints_inf(capsys):
     assert run(["example3", "sheets", "--nu", "0.41421356237309515",
                 "--k-max", "10000"]) == 0
@@ -130,8 +145,8 @@ FLAG_SURFACE = {
     "compose": ("--config --first --second", "--seed", {}, {}),
     "holonomy": ("", "--config --connection --nu0 --h --h-grid --radius "
                      "--grid --z0 --x0 --k-max --out --seed",
-                 {"--nu0": "1/3", "--h": "0.0", "--radius": 1.0,
-                  "--z0": "1,0", "--k-max": 1e6}, {}),
+                 {"--nu0": "1/3", "--radius": 1.0, "--z0": "1,0",
+                  "--k-max": 1e6}, {}),
     "example3 sheets": ("--nu", "--k-max --tol --seed",
                         {"--k-max": 1e6, "--tol": 1e-9}, {}),
     "example3 density": ("--nu", "--theta0 --z0 --tau-max --bins --seed",
@@ -864,6 +879,29 @@ def test_a_start_whose_image_misses_the_path_source_exits_2(
     assert captured.err == (f"usage error: phi(x0) = {image} does not match "
                             f"the path source {source}\n")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", [["--x0", "5,5,1,0,0"], ["--h", "0.3"],
+                                  ["--h=0.0"]], ids=["x0", "h", "h-zero"])
+def test_a_sweep_refuses_the_flags_of_a_single_run(capsys, flag):
+    # a sweep starts each lane at (radius, 0, z0, h): a start point or a
+    # height of its own would be ignored, so it is refused by name
+    assert run(["holonomy", "--h-grid", "0:0.1:2", "--grid", "50",
+                *flag]) == 2
+    captured = capsys.readouterr()
+    name = flag[0].split("=")[0]
+    assert captured.err == (f"usage error: {name} does not apply to a "
+                            f"--h-grid sweep, which starts each lane at "
+                            f"(radius, 0, z0, h)\n")
+    assert captured.out == ""
+
+
+def test_a_single_run_reads_an_absent_h_as_zero(capsys):
+    code, payload = run_json(capsys, ["holonomy", "--grid", "50"])
+    code_h, payload_h = run_json(capsys, ["holonomy", "--grid", "50",
+                                          "--h", "0"])
+    assert code == code_h == 0 and payload == payload_h
+    assert payload["params"]["h"] == 0.0
 
 
 @pytest.mark.parametrize("command", ["completeness-probe", "poisson-probe"])

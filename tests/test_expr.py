@@ -431,10 +431,14 @@ def test_a_sum_of_max_terms_parses_compiles_and_splits():
     assert len(e.args) == ex.MAX_TERMS
     fn = compile_exprs([e, e.d("y")], XY)
     assert fn(0.5, 0.25) == [0.5 + 999 * 0.25, 999.0]
-    # the fixed y's are moved out of the chain, which is walked at its
-    # full depth
+    # a bare fixed y is no root: nothing moves
     pre, rest = fn.body.split([1])
-    assert len(pre.outs) == 1
+    assert pre.outs == () and rest is fn.body
+    # the 999 leading fixed y's of a chain are one root, its prefix, found
+    # at the chain's full depth
+    fn = compile_exprs([parse(" + ".join(terms[::-1]), XY)], XY)
+    pre, rest = fn.body.split([1])
+    assert len(pre.outs) == 1 and rest.outs == ("(_v2 + _v0)",)
     run = ex._function
     moved = run(pre.params, pre.lines, pre.outs)(9.0, 0.25)
     assert (run(rest.params, rest.lines, rest.outs)(0.5, 0.25, *moved)
@@ -568,6 +572,39 @@ def test_a_split_body_computes_the_body(exprs, fixed, point, other):
     at = [point[i] if i in fixed else other[i] for i in range(3)]
     assert (_outcome(lambda: run(rest, *point, *run(pre, *at)))
             == _outcome(lambda: run(body, *point)))
+
+
+def test_a_gates_arm_keeps_what_reads_only_fixed_parameters():
+    # log(y) reads only the fixed y but runs only where estep(x) != 0, so
+    # it stays in its arm: moved, it would raise at y < 0 where the body
+    # returns 0.0. The guard, read every run, moves when it is fixed
+    body = compile_exprs([ex.fun("gate", parse("estep(x)", XY),
+                                 parse("log(y) * x", XY))], XY).body
+    pre, rest = body.split([1])
+    assert pre.outs == () and rest is body
+    body = compile_exprs([ex.fun("gate", parse("estep(y)", XY),
+                                 parse("log(y) * x", XY))], XY).body
+    pre, rest = body.split([1])
+    assert pre.outs == ("(0.0 if _v1 <= 0.0 else math.exp(-1.0 / _v1))",)
+    assert "math.log(_v1)" in "".join(rest.lines)
+
+
+def test_equal_subexpressions_parsed_apart_are_one_moved_value():
+    # the two exp(y) are distinct nodes, and one value of the numbering:
+    # pre computes it once, and rest reads it in both places; the leading
+    # fixed operands y * 2 of a product are one root too
+    exprs = [parse("exp(y) * x", XY), parse("x - exp(y)", XY),
+             parse("y * 2 * x", XY)]
+    assert exprs[0].args[0] is not exprs[1].args[1]
+    fn = compile_exprs(exprs, XY)
+    pre, rest = fn.body.split([1])
+    assert pre.outs == ("math.exp(_v1)", "(_v1 * 2.0)")
+    assert rest.lines == () and rest.outs == (
+        "(_v2 * _v0)", "(_v0 - _v2)", "(_v3 * _v0)")
+    run = ex._function
+    moved = run(pre.params, pre.lines, pre.outs)(9.0, 0.5)
+    assert run(rest.params, rest.lines, rest.outs)(1.5, 0.5, *moved) == fn(
+        1.5, 0.5)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -854,8 +854,9 @@ def test_the_holonomy_lift_computes_its_bump_gate_before_its_steps():
 
 
 def test_the_holonomy_lift_steps_only_what_changes():
-    # the height h = x4 is fixed (field value 0.0): a step binds no
-    # a4..d4 and writes y4 = x4 + 0.0, which no finiteness test reads; M's
+    # the height h = x4 is fixed (field value 0.0): the loop binds
+    # z4 = x4 + 0.0 before its steps, and a step binds no a4..d4 and
+    # writes y4 = z4, which no finiteness test reads; M's
     # six constant entries are neither bound nor recorded; the tabulated
     # field reads no stage time th; the tests' bounds are locals
     from algpaths import comorph
@@ -871,7 +872,7 @@ def test_the_holonomy_lift_steps_only_what_changes():
     assert not stored & {"th", "a4", "b4", "c4", "d4",
                          "e0", "e1", "e2", "e3", "e8", "e9"}
     assert "_inf" not in {node.id for node in names}
-    assert "            y4 = x4 + 0.0\n" in src
+    assert "\n    z4 = x4 + 0.0\n" in src and "            y4 = z4\n" in src
     tested = [ast.unparse(node) for node in ast.walk(steps)
               if isinstance(node, ast.Compare) and len(node.ops) == 2]
     assert tested == [f"ninf < {v}{i} < inf" for v in "ay" for i in range(4)]
@@ -890,6 +891,103 @@ def test_the_holonomy_lift_steps_only_what_changes():
                                       (0.0, 1.0), 1.0 / m)
         assert traj.completed and traj.extras.shape == (m, 10)
         assert (traj.extras[:, [0, 3]] == 1.0).all()
+
+
+def test_a_fixed_coordinate_read_in_a_gates_arm_is_bound_once():
+    # x2 is fixed and read only in the arm of a gate whose guard moves:
+    # no root moves, and every stage reads the z1 bound before the steps,
+    # a name, for which no stage binds a _v2_b, _v2_c or _v2_d
+    vf = compiled_field(["gate(x1, x2 * x1)", "0"], coords=("x1", "x2"))
+    src = numkernel._rk4_source(2, None, vf.fn.body, 0, 0)
+    assert "\n    z1 = x1 + 0.0\n    for k in range(n_steps):\n" in src
+    assert not re.search(r"_v2_[bcd] =", src) and "pa0" not in src
+    stored = {node.id for node in ast.walk(_steps(src))
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    assert "z1" not in stored
+    for x0 in ([0.5, 2.0], [-0.5, -0.0], [0.0, 3.0]):
+        assert_same_fused_flow(vf, x0, (0.0, 1.0), 0.1)
+
+
+def _step_nodes(src):
+    """The AST nodes of the work of each step of the loop source src."""
+    return sum(1 for stmt in _steps(src).body for _ in ast.walk(stmt))
+
+
+def _dual_route_fixtures():
+    """The three dual-route fixtures of the benchmark: the so(3)* identity
+    (complete), the open disk into the plane (exits its domain) and
+    x1^2 x2 from the plane to the line (blows up), with a seed each."""
+    from algpaths.poisson import PoissonManifold
+    xyz, xy = ["x1", "x2", "x3"], ["x1", "x2"]
+    so3 = PoissonManifold(3, {(0, 1): ex.parse("x3", xyz),
+                              (0, 2): ex.parse("0 - x2", xyz),
+                              (1, 2): ex.parse("x1", xyz)})
+    plane = PoissonManifold(2, {(0, 1): ex.Const(1.0)})
+    disk = PoissonManifold(2, {(0, 1): ex.Const(1.0)},
+                           domain=[ex.parse("1 - x1^2 - x2^2", xy)])
+
+    def smooth(components, P):
+        return ex.SmoothMap(P.coords, [ex.parse(c, P.coords)
+                                       for c in components], P.domain)
+
+    return {"so3": (smooth(xyz, so3), so3, so3, (0.1, 0.2, 0.3), 1e8),
+            "disk": (smooth(xy, disk), disk, plane, (0.0, 0.0), 1e8),
+            "blowup": (smooth(["x1^2 * x2"], plane), plane,
+                       PoissonManifold(1, {}), (1.0, 0.5), 1e6)}
+
+
+# The per-step AST nodes of each loop the holonomy lift and the dual-route
+# fixtures generate (one per distinct field, in the order they first
+# flow), as the loops of the text-based `Body.split` wrote them: no loop
+# may do more work per step.
+STEP_NODE_CEILINGS = {"holonomy": [1387], "so3": [410, 410, 410, 1831],
+                      "disk": [300, 295, 1354], "blowup": [432, 1380, 1204]}
+
+
+def test_no_loop_does_more_per_step_than_its_ceiling(monkeypatch):
+    from algpaths.ehresmann import ExampleConnection
+    from algpaths.poisson import complete_map_probe
+    conn = ExampleConnection(1.0 / 3.0)
+    dom = conn.source.in_domain
+    nodes = {"holonomy": [_step_nodes(numkernel._rk4_source(
+        5, 2, conn._lift_field.body, dom.m, dom.fn.body))]}
+    loop_of = numkernel._rk4_loop
+    for name, (phi, PX, PY, seed, bound) in _dual_route_fixtures().items():
+        seen = {}
+
+        def generated(vf, width):
+            d = vf.domain
+            key = (id(vf.fn.body), width, d.m and d.fn.body.outs)
+            if key not in seen:
+                seen[key] = _step_nodes(numkernel._rk4_source(
+                    vf.n, width, vf.fn.body, d.m, d.m and d.fn.body))
+            return loop_of(vf, width)
+
+        monkeypatch.setattr(numkernel, "_rk4_loop", generated)
+        complete_map_probe(phi, PX, PY, horizon=0.01, bound=bound,
+                           seeds=[seed])
+        nodes[name] = list(seen.values())
+    assert nodes.keys() == STEP_NODE_CEILINGS.keys()
+    for name, ceilings in STEP_NODE_CEILINGS.items():
+        assert len(nodes[name]) == len(ceilings), name
+        assert all(n <= c for n, c in zip(nodes[name], ceilings)), (
+            name, nodes[name])
+
+
+def test_a_field_on_r0_flows():
+    # no state: the loop unpacks, tests and appends none, counts its
+    # accepted steps, and records the field's extra values
+    fn = ex.compile_exprs([ex.parse("log(1.5 - t)", ["t"])], ["t"])
+    traj = assert_recorded_extras(VectorFieldTD(0, fn), [], (0.0, 1.0), 0.1)
+    assert traj.completed and traj.points.shape == (11, 0)
+    assert traj.times.tolist() == [k * 0.1 for k in range(10)] + [1.0]
+    assert traj.extras[:, 0].tolist() == [math.log(1.5 - t)
+                                          for t in traj.times[:-1]]
+    # log(0.55 - t) raises at the stage time 0.55 of the sixth step
+    fn = ex.compile_exprs([ex.parse("log(0.55 - t)", ["t"])], ["t"])
+    traj = assert_recorded_extras(VectorFieldTD(0, fn), [], (0.0, 1.0), 0.1)
+    assert traj.status == "blowup" and traj.ending.t_star == 6 * 0.1
+    assert traj.points.shape == (6, 0) and traj.extras.shape == (5, 1)
 
 
 @pytest.mark.parametrize("t_a, span, step", [
