@@ -554,9 +554,19 @@ def cmd_holonomy(args, ws):
                               "h_count": len(args.h_grid)},
                    "rows": len(rows)})
         return 0
-    h = 0.0 if args.h is None else args.h
+    if args.x0 is None:
+        h = 0.0 if args.h is None else args.h
+        x0 = [args.radius, 0.0, z0[0], z0[1], h]
+    else:
+        # the height is the start's, which --h may only repeat
+        x0 = args.x0
+        h = x0[4] if len(x0) > 4 else None
+        if args.h is not None and args.h != h:
+            height = ("has no height x0[4]" if h is None
+                      else f"has the height x0[4] = {h!r}")
+            raise ValueError(f"--h {args.h!r} does not match --x0, which "
+                             f"{height}")
     loop = circle_loop(fc, radius=args.radius, grid=args.grid)
-    x0 = args.x0 or [args.radius, 0.0, z0[0], z0[1], h]
     lifted = holonomy(fc, loop, x0)
     nu = fc.nu(h) if hasattr(fc, "nu") else None
     payload = {"command": "holonomy", "connection": conn_name,
@@ -767,10 +777,12 @@ def _commands():
          "--x0 --k-max --out",
          {"--config": optional,
           # absent unless given, so that a sweep can refuse it
-          "--h": {"default": None, "help": "lift height (default: 0)"},
+          "--h": {"default": None,
+                  "help": "lift height (default: 0, or x0[4] with --x0)"},
           "--x0": {"required": False,
-                   "help": "explicit lift start point (default: loop start "
-                           "with --z0 fiber and --h)"}}),
+                   "help": "explicit lift start point, whose x0[4] is the "
+                           "height (default: loop start with --z0 fiber "
+                           "and --h)"}}),
         ("example3 sheets", "order of nu in R/Z", cmd_sheets,
          "--nu --k-max --tol", {"--tol": {"default": 1e-9}}),
         ("example3 density",

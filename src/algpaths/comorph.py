@@ -11,8 +11,9 @@ Lifting integrates x' = rho_A(x) M(x) xi(t) with the fiber data xi of the
 path to lift interpolated between its samples (`numkernel.stage_table`,
 by default with the not-a-knot cubic spline); blowup or domain exit of
 that flow is the numerical witness that the lift fails to exist over the
-full interval. The flow also records M(x_k) at each lifted point x_k but
-the last, for the lifted fiber M(x_k) xi_k.
+full interval. The flow also records M(x_k) and phi(x_k) at each lifted
+point x_k but the last, for the lifted fiber M(x_k) xi_k and the lift's
+distance from the path, max_k |phi(x_k) - y_k|.
 """
 
 from functools import cached_property
@@ -63,11 +64,13 @@ class Comorphism:
     def _lift_field(self):
         """rho_A(x) M(x) xi compiled into one function of (*xi, *x), with
         the target fiber coordinates xi as inputs, followed by M(x)'s
-        entries row by row, which a flow records (see `_M_along`)."""
+        entries row by row and then phi(x)'s components, which a flow
+        records (see `_M_along` and `_phi_along`)."""
         xi = ex.fresh_names([f"xi{b+1}" for b in range(self.target.r)],
                             self.source.coords)
         section = [ex.dot(row, [ex.Var(v) for v in xi]) for row in self.M]
-        return self.source.anchored_field(section, xi, extra=sum(self.M, []))
+        return self.source.anchored_field(section, xi,
+                                          extra=sum(self.M, []) + self.phi)
 
     def phi_at(self, x):
         """phi(x) as a (target.n,) array; stacked for a stack of points."""
@@ -229,10 +232,19 @@ def _lift_flow(c, g, x0, m, rows, bound=1e8):
 
 def _M_along(c, traj):
     """M at the points of a lift flow, (len(points), rank A, rank B): as
-    the flow recorded it, and evaluated at the last point."""
-    rows = (len(traj.extras), c.source.r, c.target.r)
-    return np.concatenate([np.reshape(traj.extras, rows),
-                           c.M_at(traj.points[-1:])])
+    the flow recorded it, in its first rank A * rank B extra values, and
+    evaluated at the last point."""
+    r, q = c.source.r, c.target.r
+    recorded = traj.extras[:, :r * q].reshape(len(traj.extras), r, q)
+    return np.concatenate([recorded, c.M_at(traj.points[-1:])])
+
+
+def _phi_along(c, traj):
+    """phi at the points of a lift flow, (len(points), target.n): as the
+    flow recorded it, after M's entries, and evaluated at the last
+    point."""
+    return np.concatenate([traj.extras[:, c.source.r * c.target.r:],
+                           c.phi_at(traj.points[-1:])])
 
 
 def _check_starts(c, starts, sources):
@@ -255,7 +267,8 @@ def lift_path(c, g, x0, interp="cubic", bound=1e8):
     table. A lift carries status blowup/domain_exit with partial data
     when the horizontal flow escapes (the numerical witness that the lift
     does not exist globally), and its phi_projection_error reports
-    max_k |phi(x_k) - y_k| over the integrated prefix.
+    max_k |phi(x_k) - y_k| over the integrated prefix, phi as the flow
+    recorded it and at the last point (`_phi_along`).
     """
     starts = np.asarray(x0, dtype=float)
     if starts.ndim not in (1, 2) or starts.shape[-1] != c.source.n:
@@ -272,7 +285,7 @@ def lift_path(c, g, x0, interp="cubic", bound=1e8):
         lifted = APath._from_flow(
             c.source, traj, matvec(_M_along(c, traj), g.eta[:len(points)]))
         lifted.phi_projection_error = float(np.max(np.abs(
-            c.phi_at(points) - g.base[:len(points)])))
+            _phi_along(c, traj) - g.base[:len(points)])))
         lifts.append(lifted)
     return lifts if starts.ndim == 2 else lifts[0]
 

@@ -28,6 +28,7 @@ fields driven by sampled paths: lifts and matrix-group developments.
 
 import math
 import re
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -136,7 +137,9 @@ class FlowOutcome:
 class Trajectory(FlowOutcome):
     """Samples of an integral curve plus the reason integration ended, and
     `extras`, the field's e extra values at every sample but the last:
-    one (len(times) - 1, e) float array, with e = 0 when none are given."""
+    one (len(times) - 1, e) float array, with e = 0 when none are given.
+    `flow` builds points[1:] and extras from one record of its loop, a row
+    per accepted step."""
 
     def __init__(self, times, points, ending=COMPLETED, extras=None):
         self.times = np.asarray(times, dtype=float)
@@ -340,15 +343,22 @@ def _rk4_source(n, width, field, m, dom):
     table, and the stage's state: step k reads rows 2k, 2k+1, 2k+1, 2k+2,
     unpacked before the stages, the first of which keeps field's values
     past the n in e0..; a value whose expression is a number is neither
-    kept nor recorded, and `flow` fills its column. The new state y0.. is
-    then tested with dom inline, each predicate compared with 0.0 (no test
-    when m is 0). The loop appends every accepted step's state and kept
-    e0.. to the flat lists points and extras; it returns None when all
+    kept nor recorded, and `flow` fills its column. The loop binds the
+    new state's squared norm s = y0 * y0 + ... (left to right) and tests
+    the new state y0.. in this order: finiteness, only when not
+    s <= thr; the domain, with dom inline, each predicate compared with
+    0.0 (no test when m is 0); the bound, s > over. `flow` passes over,
+    the largest double whose sqrt is at most the bound (`_square_bound`),
+    so s > over is sqrt(s) > bound, and thr = min(over, the largest
+    finite double), so s <= thr shows every y_i finite. A k1 value that
+    is not finite makes its y_i not finite, since h6 is finite, so only
+    the y_i are tested. The loop appends every accepted step's state and
+    kept e0.. to the one flat list record; it returns None when all
     n_steps are taken, and `flow` builds the accepted times. At the first
     step k that fails it returns (cause, k, x, t_next, v), x the last
-    accepted state: cause "stage" when a stage raised (v None) or k1 or
-    the new state is not finite (v is k1's first n values), "domain" when
-    the new state v is outside the domain, "bound" when its norm exceeds
+    accepted state: cause "stage" when a stage raised (v None) or the new
+    state is not finite (v is k1's first n values), "domain" when the new
+    state v is outside the domain, "bound" when its norm exceeds the
     bound (v None). On R^0 there is no state and no norm.
 
     Work that no step changes runs once, before the steps: the bounds
@@ -359,8 +369,8 @@ def _rk4_source(n, width, field, m, dom):
     only turns a -0.0 start into 0.0, or adds -0.0. So the loop binds
     z_i = x_i + 0.0 (x_i for -0.0) before the steps, which every stage
     but the first reads, as do y_i = z_i and the domain test. Such a
-    coordinate binds no k_i, and neither its k1 nor its new value is
-    tested for finiteness (x_i was, when the flow started). `Body.split`
+    coordinate binds no k_i, and its new value is not tested for
+    finiteness (x_i was, when the flow started). `Body.split`
     moves what the field and the domain compute from those coordinates
     and constants alone (never the time, a table cell or a gate's arm)
     before the steps: the field's at x_i (pa0.., for the first stage,
@@ -442,14 +452,15 @@ def _rk4_source(n, width, field, m, dom):
     except EVAL_ERRORS:
         {" = ".join(py)} = _nan
 """
-    # ninf < v < inf is math.isfinite(v) for floats and numpy scalars
-    # alike, and comparing a nan raises no warning
-    finite = " and ".join(f"ninf < {v}{i} < inf" for v in "ay"
-                          for i in moving)
+    # s <= thr shows every y_i finite; ninf < v < inf is math.isfinite(v)
+    # for floats and numpy scalars alike, and comparing a nan raises no
+    # warning
+    finite = " and ".join(f"ninf < y{i} < inf" for i in moving)
     k1 = ", ".join(field.outs[i] if i in zero else f"a{i}" for i in idx)
     finite_test = "" if not moving else f"""\
-        if not ({finite}):
-            return "stage", k, [{x}], t_next, [{k1}]
+        if not s <= thr:
+            if not ({finite}):
+                return "stage", k, [{x}], t_next, [{k1}]
 """
     domain_test = "" if not m else f"""\
         try:
@@ -460,15 +471,17 @@ def _rk4_source(n, width, field, m, dom):
         if not ({" and ".join(f"g{i} > 0.0" for i in range(m))}):
             return "domain", k, [{x}], t_next, [{y}]
 """
+    square = "" if not n else f"        s = {each('y{i} * y{i}', ' + ')}\n"
     bound_test = "" if not n else f"""\
-        if sqrt({each("y{i} * y{i}", " + ")}) > bound:
+        if s > over:
             return "bound", k, [{x}], t_next, None
 """
     stage_time = ("        th = t + hh\n" if re.search(r"\bth\b", stages)
                   else "")
-    record = "" if not kept else f"        extras += {', '.join(kept)},\n"
+    recorded = ", ".join(seq("y{i}") + kept)
+    record = recorded and f"        record += {recorded},\n"
     return f"""\
-def rk4_loop(table, x, t_a, t_b, step, n_steps, bound, points, extras):
+def rk4_loop(table, x, t_a, t_b, step, n_steps, over, thr, record):
 {f"    {x}, = x{chr(10)}" if n else ""}\
     t = t_a
     last = n_steps - 1
@@ -486,13 +499,13 @@ def rk4_loop(table, x, t_a, t_b, step, n_steps, bound, points, extras):
 {new_state}
         except EVAL_ERRORS:
             return "stage", k, [{x}], t_next, None
+{square}\
 {finite_test}\
 {domain_test}\
 {bound_test}\
         t = t_next
 {block(seq("        x{i} = y{i}"))}\
 {block(f"        {a} = {b}" for a, b in zip(pa, pz))}\
-{f"        points += {y},{chr(10)}" if n else ""}\
 {record}\
     return None
 """
@@ -503,9 +516,9 @@ def _rk4_loop(vf, width):
     generated and compiled on first use (see _rk4_source) and kept in the
     `body.loops` of the field's function, with the field's extra values
     as `loop.extra_row`, the numbers in place and 0.0 for the others, and
-    `loop.kept`, the indices of the others, which the loop records. Its
-    scope's __name__ attributes a warning raised in the loop to this
-    module."""
+    `loop.kept`, the indices of the others, which the loop records after
+    each state. Its scope's __name__ attributes a warning raised in the
+    loop to this module."""
     dom = vf.domain
     field = _compiled_body(vf.fn, vf.n + (1 if width is None else width),
                            vf.n, "the field")
@@ -515,7 +528,7 @@ def _rk4_loop(vf, width):
     key = (vf.n, width, dom.m, dom_body and (dom_body.lines, dom_body.outs))
     loop = field.loops.get(key)
     if loop is None:
-        scope = {**SOURCE_GLOBALS, "sqrt": math.sqrt, "__name__": __name__,
+        scope = {**SOURCE_GLOBALS, "__name__": __name__,
                  "EVAL_ERRORS": (ArithmeticError, ValueError)}
         src = _rk4_source(vf.n, width, field, dom.m, dom_body)
         exec(compile(src, "<rk4 loop>", "exec"), scope)
@@ -529,15 +542,36 @@ def _rk4_loop(vf, width):
     return loop
 
 
+def _square_bound(bound):
+    """The largest double whose sqrt is at most bound, inf for an infinite
+    bound: as sqrt is correctly rounded, and so never decreases,
+    sqrt(s) > bound exactly when s > _square_bound(bound), for any s >= 0
+    up to inf."""
+    if bound == math.inf:
+        return bound
+    big = sys.float_info.max
+    over = min(bound * bound, big)
+    while math.sqrt(over) > bound:
+        over = math.nextafter(over, 0.0)
+    while over < big and math.sqrt(math.nextafter(over, big)) <= bound:
+        over = math.nextafter(over, big)
+    return over
+
+
 def flow(vf, x0, t_span, step=1e-3, bound=1e8):
     """Integrate vf from x0 over t_span=[t_a,t_b] with fixed-step RK4, in
     the fewest steps that cover the span, the last ending at t_b. The
     count is rounded up from span / step less a relative 1e-12, so that
     a step of span / m takes exactly m steps. The loop keeps no times:
     the j-th accepted one is built after it as t_a + j * step, the
-    loop's t_next, and a completed flow's last is t_b. The field's extra
-    values come as one array (see `Trajectory`), their constant columns
-    filled here. On R^0 (vf.n = 0) the points have shape (K + 1, 0)."""
+    loop's t_next, and a completed flow's last is t_b. The bound enters
+    the loop as over = `_square_bound`(bound) and thr = min(over, the
+    largest finite double), computed once per flow. The loop records each
+    of its K accepted steps' state and kept extra values in one flat
+    list, which is converted once (`np.fromiter`) and split into the
+    points after x0 and the field's extra values: one array (see
+    `Trajectory`), their constant columns filled here. On R^0 (vf.n = 0)
+    the points have shape (K + 1, 0)."""
     # plain floats, so that event times print as numbers in status trailers
     t_a, t_b, step = float(t_span[0]), float(t_span[1]), float(step)
     if not t_b > t_a:
@@ -559,15 +593,19 @@ def flow(vf, x0, t_span, step=1e-3, bound=1e8):
     loop = _rk4_loop(vf, None if table is None else len(table[0]))
     if not vf.in_domain(x):
         raise StartError(f"x0 = {point(x)} is outside the field's domain")
-    # the states flat, one after another
-    points, extras = list(x), []
-    failed = loop(table, x, t_a, t_b, step, n_steps, bound, points, extras)
+    over = _square_bound(float(bound))
+    # each accepted step's new state and kept extra values, flat
+    record = []
+    failed = loop(table, x, t_a, t_b, step, n_steps, over,
+                  min(over, sys.float_info.max), record)
     k = n_steps if failed is None else failed[1]    # the accepted steps
     times = t_a + np.arange(k + 1) * step
     times[0] = t_a                          # a -0.0 keeps its sign
-    points = np.reshape(points, (k + 1, vf.n))
+    width = vf.n + len(loop.kept)
+    rows = np.fromiter(record, float, count=k * width).reshape(k, width)
+    points = np.concatenate([np.array([x], dtype=float), rows[:, :vf.n]])
     recorded = np.repeat(loop.extra_row[None], k, axis=0)
-    recorded[:, loop.kept] = np.reshape(extras, (k, len(loop.kept)))
+    recorded[:, loop.kept] = rows[:, vf.n:]
     if failed is None:
         times[-1] = t_b
         return Trajectory(times, points, extras=recorded)

@@ -78,6 +78,19 @@ def checks():
     if rep["status"] != "completed" or rep["sheets"] != 3:
         fail(f"holonomy reported {rep['status']}, {rep['sheets']} sheets")
 
+    # a lane from --x0 reports the start's height x0[4] and its nu; an
+    # --h that differs from that height is refused
+    ok("holonomy", "--x0", "1,0,1,0,0.3", "--grid", "200",
+       out="holonomy_x0.json")
+    rep = report("holonomy_x0.json")
+    nu = rep.get("nu")
+    if not (rep["params"]["h"] == 0.3 and 0.0 < nu < 0.1
+            and rep["expected_phase"] == 2 * math.pi * nu
+            and abs(rep["phase"] - rep["expected_phase"]) <= 1e-6):
+        fail(f"holonomy --x0 ...,0.3 reported h = {rep['params']['h']}, "
+             f"nu = {nu}, phase {rep['phase']} for {rep['expected_phase']}")
+    expect_2("holonomy", "--x0", "1,0,1,0,0.3", "--h", "0")
+
     # a sweep with lanes outside the bump's support (the gate, computed
     # once before the steps, reads 0.0) and inside it: each lane's phase
     # is 2 pi nu, and nu = 0 is one sheet

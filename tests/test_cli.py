@@ -22,6 +22,7 @@ from algpaths import cli, numkernel
 from algpaths.algebroid import make_tangent
 from algpaths.apath import AHomotopy
 from algpaths.cli import build_parser, run
+from algpaths.ehresmann import ExampleConnection
 
 PLANE = {"base_dim": 2, "rank": 2,
          "anchor": [["1", "0"], ["0", "1"]], "bracket": {}}
@@ -805,6 +806,31 @@ def test_holonomy_of_a_workspace_connection_matches_the_builtin(tmp_path,
     assert from_ws.pop("connection") == "c"
     assert builtin.pop("connection") == "example3(nu0=1/4)"
     assert from_ws == builtin
+
+
+def test_holonomy_from_x0_reports_the_starts_height(capsys):
+    # nu, the expected phase and the sheets are those of the height x0[4]
+    # of the start, not of --h's default 0
+    conn = ExampleConnection(1.0 / 3.0)
+    nu = conn.nu(0.3)
+    argv = ["holonomy", "--x0", "1,0,1,0,0.3", "--grid", "200"]
+    code, payload = run_json(capsys, argv)
+    assert code == 0 and payload["status"] == "completed"
+    assert payload["params"]["h"] == 0.3 and payload["start"][4] == 0.3
+    assert payload["nu"] == nu != 1.0 / 3.0
+    assert payload["expected_phase"] == 2.0 * math.pi * nu
+    assert payload["phase"] == pytest.approx(2.0 * math.pi * nu, abs=1e-6)
+    assert payload["sheets"] == "inf"
+    # an --h that repeats the height changes nothing
+    assert run_json(capsys, argv + ["--h", "0.3"]) == (code, payload)
+    # one that differs, or a start without a height, is refused
+    for x0, height in (("1,0,1,0,0.3", "has the height x0[4] = 0.3"),
+                       ("1,0,1,0", "has no height x0[4]")):
+        assert run(["holonomy", "--x0", x0, "--h", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"usage error: --h 0.0 does not match "
+                                f"--x0, which {height}\n")
+        assert captured.out == ""
 
 
 def test_holonomy_connection_needs_a_config(capsys):

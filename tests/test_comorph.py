@@ -11,7 +11,8 @@ from algpaths.algebroid import (AlgebroidError, LieAlgebroid, SectionTD,
                                 make_tangent, matvec, sample_points)
 from algpaths.apath import (AHomotopy, APath, concat, develop,
                             integrate_apath, read_apath_csv)
-from algpaths.ehresmann import FlatConnection
+from algpaths.ehresmann import (ExampleConnection, FlatConnection,
+                               circle_loop)
 from algpaths.numkernel import StartError, VectorFieldTD
 from test_numkernel import _reference_flow
 from algpaths.comorph import (Comorphism, LiftError, anchor_compat_residual,
@@ -627,6 +628,49 @@ def test_tabulated_lift_matches_the_rhs_closure(case, interp, refine):
     assert got.times.tobytes() == ref.times.tobytes()
     assert got.points.tobytes() == ref.points.tobytes()
     assert repr(got.ending) == repr(ref.ending)
+
+
+def twisted_cylinder_lift(h, composed=False):
+    """The lift of the unit circle through ExampleConnection(1/3) from
+    height h, or through its composite with a map of the plane that
+    bends the first axis, x + 0.5 sin(y), which fixes the circle's start."""
+    conn = ExampleConnection(1.0 / 3.0)
+    loop = circle_loop(conn, grid=200)
+    x0 = [1.0, 0.0, 1.0, 0.0, h]
+    if not composed:
+        return conn, loop, x0
+    xy = conn.target.coords
+    bend = Comorphism(conn.target, make_tangent(2),
+                      [ex.parse("x + 0.5 * sin(y)", xy), ex.Var("y")],
+                      [[1.0, 0.0], [0.0, 1.0]])
+    return (compose(conn, bend),
+            APath(bend.target, loop.times, loop.base, loop.eta), x0)
+
+
+PHI_CASES = {
+    "h=-0.7": lambda: twisted_cylinder_lift(-0.7),
+    "h=0.0": lambda: twisted_cylinder_lift(0.0),
+    "h=0.3": lambda: twisted_cylinder_lift(0.3),
+    "composed": lambda: twisted_cylinder_lift(0.3, composed=True),
+    "domain_exit": LIFT_CASES["domain_exit"],
+    "blowup": blowup_setup,
+}
+
+
+@pytest.mark.parametrize("case", list(PHI_CASES))
+def test_a_lift_records_phi_at_its_points(case):
+    # the lift flow records phi after M's entries, at every point but the
+    # last; lift_path's phi_projection_error reads those
+    c, g, x0 = PHI_CASES[case]()
+    m, table = comorph._fiber_table(g.times, g.eta, "cubic", 1)
+    traj = comorph._lift_flow(c, g, x0, m, table.tolist())
+    assert traj.status == (case if case in LIFT_CASES else "completed")
+    recorded = traj.extras[:, c.source.r * c.target.r:]
+    assert recorded.shape == (len(traj.points) - 1, c.target.n)
+    assert recorded.tobytes() == c.phi_at(traj.points[:-1]).tobytes()
+    lifted = lift_path(c, g, x0)
+    assert lifted.phi_projection_error == float(np.max(np.abs(
+        c.phi_at(traj.points) - g.base[:len(traj.points)])))
 
 
 @pytest.mark.parametrize("seeds", [np.array([[0.0]]), [[0.0]]],

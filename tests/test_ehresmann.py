@@ -141,9 +141,10 @@ def test_compiled_coefficients_stay_gated_on_the_axis(h):
     x = [0.0, 0.0, 1.0, 0.5, h]
     assert conn.M_at(x)[2:4].tolist() == [[0.0, 0.0], [0.0, 0.0]]
     lift = conn._lift_field
-    # the field's 5 values, then M's 10 entries row by row
+    # the field's 5 values, then M's 10 entries row by row, then phi's 2
     assert lift(0.3, -0.7, *x) == [0.3, -0.7, 0.0, 0.0, 0.0,
-                                   *conn.M_at(x).ravel().tolist()]
+                                   *conn.M_at(x).ravel().tolist(),
+                                   *conn.phi_at(x).tolist()]
 
 
 def test_contractible_loop_has_no_holonomy():

@@ -510,9 +510,13 @@ def expression_lists(draw):
     """Expression lists over x, y, z whose nodes reuse earlier subtrees,
     both as the same object and as an equal copy, with gates nested in
     gates (guards include the constant 0 and estep, which vanishes on
-    half the line)."""
-    pool = [Var("x"), Var("y"), Var("z"), Const(0.0),
-            Const(draw(st.floats(-3.0, 3.0)))]
+    half the line). Half of the lists end in six gates, one for each pair
+    of distinct variables u, v, whose arm is log, sqrt or the inverse of
+    v alone and whose guard estep(u) * estep(v) is 0.0 where the arm
+    raises, so that they never raise: a split that took such an arm out
+    of its gate, for a fixed v, would raise."""
+    variables = [Var("x"), Var("y"), Var("z")]
+    pool = variables + [Const(0.0), Const(draw(st.floats(-3.0, 3.0)))]
     for _ in range(draw(st.integers(1, 30))):
         a = draw(st.sampled_from(pool))
         if draw(st.booleans()):
@@ -533,7 +537,17 @@ def expression_lists(draw):
             pool.append(substitute(node, {}))       # an equal copy
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
                           max_size=6))
-    return [pool[-1]] + [pool[i] for i in picks]
+    gates = []
+    if draw(st.booleans()):
+        arms = [draw(st.sampled_from([ex.Fun("log", (v,)),
+                                      ex.Fun("sqrt", (v,)), ex.Pow(v, -1)]))
+                for v in variables]
+        gates = [ex.Fun("gate", (ex.Product((ex.Fun("estep", (u,)),
+                                             ex.Fun("estep", (v,))), "*"),
+                                 arm))
+                 for v, arm in zip(variables, arms)
+                 for u in variables if u is not v]
+    return [pool[-1]] + [pool[i] for i in picks] + gates
 
 
 def _outcome(fn):

@@ -4,6 +4,7 @@ import gc
 import io
 import math
 import re
+import sys
 import warnings
 import weakref
 
@@ -456,6 +457,68 @@ def test_bisected_domain_exit_matches_the_reference():
     assert traj.ending.t_star == pytest.approx(math.asin(0.9), abs=1e-3)
 
 
+# The loop's guard: it binds s = y0 * y0 + ..., tests finiteness only when
+# not s <= thr (and then only the new state, not k1), and blows up when
+# s > over. `_reference_flow` runs the per-step checks that guard stands
+# for, in their order: k1 and the new state finite, then the domain, then
+# the norm sqrt(...) > bound.
+
+@pytest.mark.parametrize("sources, domain, x0, t_span, step, bound, status", [
+    # the norm passes the bound
+    (["x1^2", "0.5"], (), [1.0, 0.0], (0.0, 2.0), 0.01, 1e6, "blowup"),
+    # the first value overflows to inf past x1 = 0.55: not finite
+    (["1 + estep(x1 - 0.55) * 1e308 * 1e308", "-x2"], (), [0.0, 1.0],
+     (0.0, 2.0), 0.1, math.inf, "blowup"),
+    # the step to x1 = 1.1 leaves the domain x1 < 1.05 and passes the
+    # bound 1.0: the domain wins
+    (["1"], ["1.05 - x1"], [0.5], (0.0, 2.0), 0.3, 1.0, "domain_exit"),
+    # the squares overflow to inf, s > thr, while every value is finite:
+    # with no bound the flow goes on, inside the domain too
+    (["1", "0 - x2"], (), [1e200, 1e160], (0.0, 1.0), 0.1, math.inf,
+     "completed"),
+    (["1", "0"], ["1e300 - x1"], [1e200, 1e160], (0.0, 1.0), 0.1, math.inf,
+     "completed"),
+    # and overflow to inf passes any finite bound
+    (["1"], (), [1e200], (0.0, 1.0), 0.1, 1e300, "blowup"),
+    # steps below half an ulp of the time: h = 0.0, so h6 = 0.0 and
+    # y = x + 0.0 * (...); a k1 of inf makes the new state nan
+    (["1 - x1"], (), [0.5], (1e16, 1e16 + 2.0), 0.5, 1e8, "completed"),
+    (["estep(x1) * 1e308 * 1e308"], (), [1.0], (1e16, 1e16 + 2.0), 0.5,
+     1e8, "blowup"),
+    # fixed coordinates of field value 0.0 and -0.0 count in the norm,
+    # also from -0.0 starts
+    (["x1", "0", "-0.0"], (), [1.0, -0.0, 3.0], (0.0, 5.0), 0.1, 5.0,
+     "blowup"),
+    (["x1", "0", "-0.0"], ["4 - x1"], [1.0, 0.0, -0.0], (0.0, 5.0), 0.1,
+     1e8, "domain_exit"),
+    # every coordinate fixed: no finiteness test, the norm 5 > 4.9
+    (["0", "-0.0"], (), [3.0, -4.0], (0.0, 1.0), 0.1, 4.9, "blowup"),
+], ids=["bound", "not-finite", "domain-and-bound", "overflow-no-bound",
+        "overflow-in-domain", "overflow-over-bound", "zero-steps",
+        "zero-steps-not-finite", "fixed-zeros-bound", "fixed-zeros-domain",
+        "all-fixed"])
+def test_the_guard_ends_flows_as_the_per_step_checks_do(sources, domain, x0,
+                                                        t_span, step, bound,
+                                                        status):
+    coords = tuple(f"x{i + 1}" for i in range(len(x0)))
+    vf = compiled_field(sources, domain, coords=coords)
+    traj = assert_same_fused_flow(vf, x0, t_span, step, bound)
+    assert traj.status == status
+    assert len(traj.points) == len(traj.times) == len(traj.extras) + 1
+
+
+@pytest.mark.parametrize("bound", [1e8, 1e6, 1.0, 5e-324, 1e-300, 1.34e154,
+                                   1e300, sys.float_info.max, math.inf])
+def test_the_squared_bound_is_the_last_square_within_the_bound(bound):
+    # sqrt(s) > bound exactly when s > over
+    over = numkernel._square_bound(bound)
+    assert math.sqrt(over) <= bound
+    if bound == math.inf:
+        assert over == math.inf
+    else:
+        assert math.sqrt(math.nextafter(over, math.inf)) > bound
+
+
 def _product_field():
     names = ["t", "x1", "x2"]
     return ex.compile_exprs([ex.parse("x1 * x2", names), ex.Const(1.0)],
@@ -571,7 +634,7 @@ def test_a_moved_term_that_fails_ends_the_first_step(field, domain, x0,
     dom = vf.domain
     src = numkernel._rk4_source(2, None, vf.fn.body, dom.m,
                                 dom.m and dom.fn.body)
-    assert _step_calls(src) == {"range", "sqrt"}
+    assert _step_calls(src) == {"range"}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -821,9 +884,9 @@ def test_each_step_runs_the_field_four_times_and_the_domain_once():
     # and the loop calls neither
     calls = {ast.unparse(node.func) for node in ast.walk(ast.parse(src))
              if isinstance(node, ast.Call)}
-    assert calls == {"range", "sqrt"}
+    assert calls == {"range"}
     assert src.startswith("def rk4_loop(table, x, t_a, t_b, step, n_steps, "
-                          "bound, points, extras):")
+                          "over, thr, record):")
 
     preds = []
     pred = A.in_domain.fn
@@ -856,9 +919,11 @@ def test_the_holonomy_lift_computes_its_bump_gate_before_its_steps():
 def test_the_holonomy_lift_steps_only_what_changes():
     # the height h = x4 is fixed (field value 0.0): the loop binds
     # z4 = x4 + 0.0 before its steps, and a step binds no a4..d4 and
-    # writes y4 = z4, which no finiteness test reads; M's
-    # six constant entries are neither bound nor recorded; the tabulated
-    # field reads no stage time th; the tests' bounds are locals
+    # writes y4 = z4, which no finiteness test reads; the finiteness test
+    # reads no k1 value; M's six constant entries are neither bound nor
+    # recorded; the tabulated field reads no stage time th; the tests'
+    # bounds are locals; one list records the new state, M's four other
+    # entries and phi = (x, y)
     from algpaths import comorph
     from algpaths.ehresmann import ExampleConnection, circle_loop
     conn = ExampleConnection(1.0 / 3.0)
@@ -868,20 +933,22 @@ def test_the_holonomy_lift_steps_only_what_changes():
     steps = _steps(src)
     names = [node for node in ast.walk(steps) if isinstance(node, ast.Name)]
     stored = {node.id for node in names if isinstance(node.ctx, ast.Store)}
-    assert {"a3", "d3", "y4", "e4", "e5", "e6", "e7"} <= stored
+    assert {"a3", "d3", "y4", "e4", "e5", "e6", "e7", "e10", "e11"} <= stored
     assert not stored & {"th", "a4", "b4", "c4", "d4",
                          "e0", "e1", "e2", "e3", "e8", "e9"}
     assert "_inf" not in {node.id for node in names}
     assert "\n    z4 = x4 + 0.0\n" in src and "            y4 = z4\n" in src
     tested = [ast.unparse(node) for node in ast.walk(steps)
               if isinstance(node, ast.Compare) and len(node.ops) == 2]
-    assert tested == [f"ninf < {v}{i} < inf" for v in "ay" for i in range(4)]
+    assert tested == [f"ninf < y{i} < inf" for i in range(4)]
     (record,) = [node for node in ast.walk(steps)
-                 if isinstance(node, ast.AugAssign)
-                 and ast.unparse(node.target) == "extras"]
-    assert ast.unparse(record.value) == "(e4, e5, e6, e7)"
+                 if isinstance(node, ast.AugAssign)]
+    assert ast.unparse(record.target) == "record"
+    assert ast.unparse(record.value) == ("(y0, y1, y2, y3, y4, e4, e5, e6, "
+                                         "e7, e10, e11)")
 
-    # flow fills the constant columns: the extras are M's ten entries
+    # flow fills the constant columns: the extras are M's ten entries and
+    # phi's two components
     loop = circle_loop(conn, grid=50)
     m, table = comorph._fiber_table(loop.times, loop.eta, "cubic", 1)
     for h in (-0.7, 0.3):           # outside and inside the bump's support
@@ -889,7 +956,7 @@ def test_the_holonomy_lift_steps_only_what_changes():
                                       domain=dom)
         traj = assert_recorded_extras(vf, [1.0, 0.0, 1.0, 0.0, h],
                                       (0.0, 1.0), 1.0 / m)
-        assert traj.completed and traj.extras.shape == (m, 10)
+        assert traj.completed and traj.extras.shape == (m, 12)
         assert (traj.extras[:, [0, 3]] == 1.0).all()
 
 
