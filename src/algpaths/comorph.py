@@ -11,9 +11,10 @@ Lifting integrates x' = rho_A(x) M(x) xi(t) with the fiber data xi of the
 path to lift interpolated between its samples (`numkernel.stage_table`,
 by default with the not-a-knot cubic spline); blowup or domain exit of
 that flow is the numerical witness that the lift fails to exist over the
-full interval. The flow also records M(x_k) and phi(x_k) at each lifted
+full interval. The flow also returns M(x_k) and phi(x_k) at each lifted
 point x_k but the last, for the lifted fiber M(x_k) xi_k and the lift's
-distance from the path, max_k |phi(x_k) - y_k|.
+distance from the path, max_k |phi(x_k) - y_k|; its loop records those
+that are neither constants nor coordinates of x_k.
 """
 
 from functools import cached_property
@@ -65,7 +66,7 @@ class Comorphism:
         """rho_A(x) M(x) xi compiled into one function of (*xi, *x), with
         the target fiber coordinates xi as inputs, followed by M(x)'s
         entries row by row and then phi(x)'s components, which a flow
-        records (see `_M_along` and `_phi_along`)."""
+        returns as its extras (see `_M_along` and `_phi_along`)."""
         xi = ex.fresh_names([f"xi{b+1}" for b in range(self.target.r)],
                             self.source.coords)
         section = [ex.dot(row, [ex.Var(v) for v in xi]) for row in self.M]

@@ -215,7 +215,7 @@ class Neg(Expr):
         return f"-{_paren(self.args[0], Product.prec, left=False)}"
 
     def _parts(self):
-        return "(-{0})", self.args
+        return _NEG, self.args
 
     def _rebuild(self, f):
         return neg(f(self.args[0]))
@@ -242,6 +242,9 @@ class Pow(Expr):
         return f"{_paren(self.args[0], self.prec, left=True)}^{self.n}"
 
     def _parts(self):
+        # a * a is the correctly rounded square; a ** 2, libm's pow, is not
+        if self.n == 2:
+            return _OPS["*"], self.args * 2
         return f"({{0}} ** {self.n})", self.args
 
     def _rebuild(self, f):
@@ -402,7 +405,7 @@ def pow_(a, n):
     ca = _const(a)
     if ca is not None and not (ca == 0.0 and n < 0):
         try:
-            v = ca ** n
+            v = ca * ca if n == 2 else ca ** n     # as a square compiles
         except OverflowError:
             v = math.inf
         if math.isfinite(v):
@@ -723,6 +726,8 @@ _ESTEP = "(0.0 if {0} <= 0.0 else math.exp(-1.0 / {1}))"
 # * and / a product
 _OPS = {op: f"{{0}} {op} {{1}}" for op in "+-*/"}
 _SPINE = {_OPS["+"]: 1, _OPS["-"]: 1, _OPS["*"]: 2, _OPS["/"]: 2}
+_NEG = "(-{0})"
+_MINUS_ONE = "(-1.0)"       # the source of Const(-1.0) (see _const_src)
 
 
 def _const_src(v):
@@ -773,10 +778,18 @@ class _Compiler:
         if v is not None:
             return v
         if isinstance(e, _Chain):
-            # each prefix is a value, as the binary tree's nodes were
+            # each prefix is a value, as the binary tree's nodes were; a
+            # negative constant's sign flips its + or -, and a factor -1.0
+            # is a negation, both exact in IEEE 754
             v = self.value(e.args[0], scope)
             for op, a in zip(e.ops, e.args[1:]):
-                v = self.number(_OPS[op], (v, self.value(a, scope)), scope)
+                c = _const(a)
+                if op in "+-" and c is not None and -math.inf < c < 0.0:
+                    op, a = "+-"[op == "+"], Const(-c)
+                w = self.value(a, scope)
+                v = (self.number(_NEG, (w if v == _MINUS_ONE else v,), scope)
+                     if op == "*" and _MINUS_ONE in (v, w)
+                     else self.number(_OPS[op], (v, w), scope))
         else:
             template, parts = e._parts()
             if template is None:                        # a gate
@@ -1044,7 +1057,7 @@ def evaluate(fn, x, shape):
     to (N, *shape). ValueError when fn's value count is not the size of
     shape. The calls take plain floats: numpy scalars would return inf or
     nan with a warning where a float raises (a zero divisor, an
-    overflowing power)."""
+    overflowing power other than a square)."""
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 1:
         return np.array(fn(*pts.tolist()), dtype=float).reshape(shape)

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expr import SOURCE_GLOBALS, Body, Const, Domain, point
+from .expr import SOURCE_GLOBALS, Body, Const, Domain, Var, point
 
 
 class FlowError(Exception):
@@ -139,7 +139,8 @@ class Trajectory(FlowOutcome):
     `extras`, the field's e extra values at every sample but the last:
     one (len(times) - 1, e) float array, with e = 0 when none are given.
     `flow` builds points[1:] and extras from one record of its loop, a row
-    per accepted step."""
+    per accepted step; an extra value that is a number or a coordinate
+    (from points[:-1]) it fills in itself."""
 
     def __init__(self, times, points, ending=COMPLETED, extras=None):
         self.times = np.asarray(times, dtype=float)
@@ -332,6 +333,14 @@ def _constants(body):
     return [e.value if type(e) is Const else None for e in body.exprs]
 
 
+def _copies(body, n):
+    """Per extra value of the kept body of a field on R^n (past its n
+    components): the state coordinate i its expression is, else None."""
+    state = body.variables[body.params - n:]
+    return [state.index(e.name) if type(e) is Var and e.name in state
+            else None for e in body.exprs[n:]]
+
+
 def _rk4_source(n, width, field, m, dom):
     """Source of the RK4 stepping loop for states of dimension n, the kept
     `expr.Body` field of a field that takes the time (width None) or
@@ -342,8 +351,9 @@ def _rk4_source(n, width, field, m, dom):
     inline (`Body.inline`) at the time, or at the stage's row of the
     table, and the stage's state: step k reads rows 2k, 2k+1, 2k+1, 2k+2,
     unpacked before the stages, the first of which keeps field's values
-    past the n in e0..; a value whose expression is a number is neither
-    kept nor recorded, and `flow` fills its column. The loop binds the
+    past the n in e0..; a value whose expression is a number or a state
+    coordinate x_i is neither kept nor recorded, and `flow` fills its
+    column, with the number or the x_i of the points. The loop binds the
     new state's squared norm s = y0 * y0 + ... (left to right) and tests
     the new state y0.. in this order: finiteness, only when not
     s <= thr; the domain, with dom inline, each predicate compared with
@@ -407,8 +417,8 @@ def _rk4_source(n, width, field, m, dom):
             for i, c in enumerate(consts[:n]) if c == 0.0}
     z = [f"z{i}" if i in zero else f"x{i}" for i in idx]
     moving = [i for i in idx if i not in zero]
-    extras = ["_" if c is not None else f"e{j}"
-              for j, c in enumerate(consts[n:])]
+    extras = ["_" if c is not None or i is not None else f"e{j}"
+              for j, (c, i) in enumerate(zip(consts[n:], _copies(field, n)))]
     kept = [e for e in extras if e != "_"]
     pre, field = field.split([len(inputs[0]) + i for i in zero])
     pa, pz = ([f"p{s}{j}" for j in range(len(pre.outs))] for s in "az")
@@ -515,10 +525,11 @@ def _rk4_loop(vf, width):
     """The stepping loop for vf and a table row width (None: untabulated),
     generated and compiled on first use (see _rk4_source) and kept in the
     `body.loops` of the field's function, with the field's extra values
-    as `loop.extra_row`, the numbers in place and 0.0 for the others, and
-    `loop.kept`, the indices of the others, which the loop records after
-    each state. Its scope's __name__ attributes a warning raised in the
-    loop to this module."""
+    as `loop.extra_row`, the numbers in place and 0.0 for the others,
+    `loop.copies`, the pairs (j, i) of an extra value j that is the state
+    coordinate x_i, and `loop.kept`, the indices of the rest, which the
+    loop records after each state. Its scope's __name__ attributes a
+    warning raised in the loop to this module."""
     dom = vf.domain
     field = _compiled_body(vf.fn, vf.n + (1 if width is None else width),
                            vf.n, "the field")
@@ -538,7 +549,10 @@ def _rk4_loop(vf, width):
         consts = _constants(field)[vf.n:]
         loop.extra_row = np.array(
             [0.0 if c is None else c for c in consts])
-        loop.kept = [j for j, c in enumerate(consts) if c is None]
+        copies = _copies(field, vf.n)
+        loop.kept = [j for j, (c, i) in enumerate(zip(consts, copies))
+                     if c is None and i is None]
+        loop.copies = [(j, i) for j, i in enumerate(copies) if i is not None]
     return loop
 
 
@@ -570,8 +584,8 @@ def flow(vf, x0, t_span, step=1e-3, bound=1e8):
     of its K accepted steps' state and kept extra values in one flat
     list, which is converted once (`np.fromiter`) and split into the
     points after x0 and the field's extra values: one array (see
-    `Trajectory`), their constant columns filled here. On R^0 (vf.n = 0)
-    the points have shape (K + 1, 0)."""
+    `Trajectory`), their columns of numbers and of coordinates (from the
+    points) filled here. On R^0 (vf.n = 0) the points are (K + 1, 0)."""
     # plain floats, so that event times print as numbers in status trailers
     t_a, t_b, step = float(t_span[0]), float(t_span[1]), float(step)
     if not t_b > t_a:
@@ -606,6 +620,8 @@ def flow(vf, x0, t_span, step=1e-3, bound=1e8):
     points = np.concatenate([np.array([x], dtype=float), rows[:, :vf.n]])
     recorded = np.repeat(loop.extra_row[None], k, axis=0)
     recorded[:, loop.kept] = rows[:, vf.n:]
+    for j, i in loop.copies:
+        recorded[:, j] = points[:-1, i]
     if failed is None:
         times[-1] = t_b
         return Trajectory(times, points, extras=recorded)

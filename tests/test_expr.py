@@ -1,6 +1,9 @@
 import math
 import operator
+import re
+import struct
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -718,6 +721,55 @@ def test_non_finite_constants_compile():
                        ["x"])
     a, b, c = fn(0.0)
     assert a == math.inf and b == -math.inf and math.isnan(c)
+
+
+def test_a_square_folds_and_compiles_as_the_product():
+    # glibc's pow gives x ** 2 = 17.75692493526031, an ulp low; x * x is
+    # the correctly rounded 17.756924935260315, and a folded square agrees
+    # with a compiled one
+    x = -4.21389664506147
+    assert ex.pow_(Const(x), 2) == Const(17.756924935260315)
+    fn = compile_exprs([parse("x1^2", ["x1"])], ["x1"])
+    assert fn(x) == [17.756924935260315]
+
+
+def _bits(v):
+    """v's bits, with every nan alike."""
+    return "nan" if v != v else struct.pack("<d", v)
+
+
+# doubles that include both zeros, both infinities, subnormals and values
+# whose square is near the overflow threshold
+EDGE_DOUBLES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                2.2250738585072014e-308, -1.1e-308, 1.3407807929942596e154,
+                -1.3407807929942597e154, 1.7976931348623157e308, -1e300]
+doubles = st.one_of(st.floats(), st.sampled_from(EDGE_DOUBLES))
+negatives = st.one_of(
+    st.floats(max_value=-5e-324, allow_infinity=False),
+    st.sampled_from([-5e-324, -1.0, -1.7976931348623157e308]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(doubles, doubles, negatives)
+def test_squares_and_sign_rewrites_are_exact(x, y, c):
+    # compiled x1^2 is the product x * x, the correctly rounded square
+    # (inf past the overflow threshold); x1 - c and x1 + c are written
+    # with |c| and the flipped sign, and a factor -1.0 as a negation: each
+    # gives the bits of the unrewritten float operations
+    x1, e = Var("x1"), ex.add(Var("x1"), Var("x2"))
+    fn = compile_exprs([ex.pow_(x1, 2), ex.sub(x1, Const(c)),
+                        ex.add(x1, Const(c)), ex.mul(Const(-1.0), e),
+                        ex.mul(e, Const(-1.0))], ["x1", "x2"])
+    src = "\n".join(fn.body.lines + fn.body.outs)
+    assert "**" not in src and not re.search(r"\(-\d", src)
+    expected = [x * x, x - c, x + c, -1.0 * (x + y), (x + y) * -1.0]
+    assert list(map(_bits, fn(x, y))) == list(map(_bits, expected))
+    if math.isfinite(x):
+        try:
+            square = float(Fraction(x) ** 2)
+        except OverflowError:
+            square = math.inf
+        assert _bits(x * x) == _bits(square)
 
 
 def test_evaluate_stacks_the_values_of_each_point():

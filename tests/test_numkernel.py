@@ -855,6 +855,42 @@ def test_a_flow_that_escapes_records_its_accepted_steps(field, extra, domain,
     assert len(traj.extras) == len(traj.times) - 1 > 0
 
 
+@pytest.mark.parametrize("fields, x0, domain, status", [
+    (["1 - x1", "0", "-0.0"], [0.5, -0.0, -0.0], (), "completed"),
+    (["x1^3", "0", "0"], [1.0, 0.0, -0.0], (), "blowup"),
+    (["1.0", "0", "-0.0"], [0.0, -0.0, 0.0], ("1.0 - x1",), "domain_exit"),
+    (["0 - 1", "log(x1)", "0"], [1.0, -0.0, -0.0], (), "blowup"),
+], ids=["completes", "blowup", "domain-exit", "stage-raises"])
+def test_an_extra_that_is_a_coordinate_is_copied_from_the_points(
+        fields, x0, domain, status):
+    # the extras x3, x1 and x2 are neither bound nor recorded: flow copies
+    # them from the points, also for a fixed coordinate whose -0.0 start
+    # turns 0.0 after the first step
+    vf = compiled_field(fields + ["x3", "x1", "t * x2", "x2"], domain,
+                        coords=("x1", "x2", "x3"))
+    loop = numkernel._rk4_loop(vf, None)
+    assert loop.kept == [2] and loop.copies == [(0, 2), (1, 0), (3, 1)]
+    traj = assert_recorded_extras(vf, x0, (0.0, 2.0), 0.01, 1e6)
+    assert traj.status == status and len(traj.extras) > 0
+
+
+@pytest.mark.parametrize("x0, span, bound, domain, status", [
+    (1.0, 2.0, 1e6, (), "blowup"),
+    (1e100, 1.0, math.inf, (), "blowup"),
+    (1e100, 1.0, math.inf, ("1e150 - x1",), "domain_exit"),
+], ids=["bound", "overflowing-stage", "overflow-leaves-domain"])
+def test_a_square_flows_as_the_product(x0, span, bound, domain, status):
+    # an overflowing square is inf, not an error: the stage is not finite,
+    # and the Euler predictor of k1 decides between blowup and domain exit
+    square = compiled_field(["x1^2"], domain)
+    product = compiled_field(["x1 * x1"], domain)
+    got = assert_same_fused_flow(square, [x0], (0.0, span), 0.1, bound)
+    ref = flow(product, [x0], (0.0, span), step=0.1, bound=bound)
+    assert got.times.tobytes() == ref.times.tobytes()
+    assert got.points.tobytes() == ref.points.tobytes()
+    assert repr(got.ending) == repr(ref.ending) and got.status == status
+
+
 # ------------------------------------------------ the generated loop's calls --
 
 def _steps(src):
@@ -922,8 +958,9 @@ def test_the_holonomy_lift_steps_only_what_changes():
     # writes y4 = z4, which no finiteness test reads; the finiteness test
     # reads no k1 value; M's six constant entries are neither bound nor
     # recorded; the tabulated field reads no stage time th; the tests'
-    # bounds are locals; one list records the new state, M's four other
-    # entries and phi = (x, y)
+    # bounds are locals; one list records the new state and M's four other
+    # entries, and phi = (x, y), the previous row's state, is neither
+    # bound nor recorded
     from algpaths import comorph
     from algpaths.ehresmann import ExampleConnection, circle_loop
     conn = ExampleConnection(1.0 / 3.0)
@@ -933,9 +970,9 @@ def test_the_holonomy_lift_steps_only_what_changes():
     steps = _steps(src)
     names = [node for node in ast.walk(steps) if isinstance(node, ast.Name)]
     stored = {node.id for node in names if isinstance(node.ctx, ast.Store)}
-    assert {"a3", "d3", "y4", "e4", "e5", "e6", "e7", "e10", "e11"} <= stored
+    assert {"a3", "d3", "y4", "e4", "e5", "e6", "e7"} <= stored
     assert not stored & {"th", "a4", "b4", "c4", "d4",
-                         "e0", "e1", "e2", "e3", "e8", "e9"}
+                         "e0", "e1", "e2", "e3", "e8", "e9", "e10", "e11"}
     assert "_inf" not in {node.id for node in names}
     assert "\n    z4 = x4 + 0.0\n" in src and "            y4 = z4\n" in src
     tested = [ast.unparse(node) for node in ast.walk(steps)
@@ -945,10 +982,10 @@ def test_the_holonomy_lift_steps_only_what_changes():
                  if isinstance(node, ast.AugAssign)]
     assert ast.unparse(record.target) == "record"
     assert ast.unparse(record.value) == ("(y0, y1, y2, y3, y4, e4, e5, e6, "
-                                         "e7, e10, e11)")
+                                         "e7)")
 
-    # flow fills the constant columns: the extras are M's ten entries and
-    # phi's two components
+    # flow fills the constant columns and phi's from the points: the
+    # extras are M's ten entries and phi's two components
     loop = circle_loop(conn, grid=50)
     m, table = comorph._fiber_table(loop.times, loop.eta, "cubic", 1)
     for h in (-0.7, 0.3):           # outside and inside the bump's support
@@ -958,6 +995,7 @@ def test_the_holonomy_lift_steps_only_what_changes():
                                       (0.0, 1.0), 1.0 / m)
         assert traj.completed and traj.extras.shape == (m, 12)
         assert (traj.extras[:, [0, 3]] == 1.0).all()
+        assert np.array_equal(traj.extras[:, 10:], traj.points[:-1, :2])
 
 
 def test_a_fixed_coordinate_read_in_a_gates_arm_is_bound_once():
@@ -1005,19 +1043,21 @@ def _dual_route_fixtures():
 
 # The per-step AST nodes of each loop the holonomy lift and the dual-route
 # fixtures generate (one per distinct field, in the order they first
-# flow), as the loops of the text-based `Body.split` wrote them: no loop
-# may do more work per step.
-STEP_NODE_CEILINGS = {"holonomy": [1387], "so3": [410, 410, 410, 1831],
-                      "disk": [300, 295, 1354], "blowup": [432, 1380, 1204]}
+# flow), as the loops with squares written as products and signs folded
+# into their operations wrote them: no loop may do more work per step.
+STEP_NODE_CEILINGS = {"holonomy": [1363], "so3": [400, 400, 400, 1827],
+                      "disk": [298, 293, 1345], "blowup": [417, 1369, 1193]}
 
 
-def test_no_loop_does_more_per_step_than_its_ceiling(monkeypatch):
+def _fixture_loops(monkeypatch):
+    """The loop sources of the holonomy lift and of each dual-route
+    fixture, one per distinct field, in the order they first flow."""
     from algpaths.ehresmann import ExampleConnection
     from algpaths.poisson import complete_map_probe
     conn = ExampleConnection(1.0 / 3.0)
     dom = conn.source.in_domain
-    nodes = {"holonomy": [_step_nodes(numkernel._rk4_source(
-        5, 2, conn._lift_field.body, dom.m, dom.fn.body))]}
+    loops = {"holonomy": [numkernel._rk4_source(
+        5, 2, conn._lift_field.body, dom.m, dom.fn.body)]}
     loop_of = numkernel._rk4_loop
     for name, (phi, PX, PY, seed, bound) in _dual_route_fixtures().items():
         seen = {}
@@ -1026,19 +1066,48 @@ def test_no_loop_does_more_per_step_than_its_ceiling(monkeypatch):
             d = vf.domain
             key = (id(vf.fn.body), width, d.m and d.fn.body.outs)
             if key not in seen:
-                seen[key] = _step_nodes(numkernel._rk4_source(
-                    vf.n, width, vf.fn.body, d.m, d.m and d.fn.body))
+                seen[key] = numkernel._rk4_source(
+                    vf.n, width, vf.fn.body, d.m, d.m and d.fn.body)
             return loop_of(vf, width)
 
         monkeypatch.setattr(numkernel, "_rk4_loop", generated)
         complete_map_probe(phi, PX, PY, horizon=0.01, bound=bound,
                            seeds=[seed])
-        nodes[name] = list(seen.values())
+        loops[name] = list(seen.values())
+    return loops
+
+
+def test_no_loop_does_more_per_step_than_its_ceiling(monkeypatch):
+    nodes = {name: list(map(_step_nodes, sources))
+             for name, sources in _fixture_loops(monkeypatch).items()}
     assert nodes.keys() == STEP_NODE_CEILINGS.keys()
     for name, ceilings in STEP_NODE_CEILINGS.items():
         assert len(nodes[name]) == len(ceilings), name
         assert all(n <= c for n, c in zip(nodes[name], ceilings)), (
             name, nodes[name])
+
+
+def _negative_literal(node):
+    return (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+            and isinstance(node.operand, ast.Constant))
+
+
+def test_no_loop_squares_with_pow_or_adds_a_negative_literal(monkeypatch):
+    # a square is a product, x - (-c) is x + c, and (-1.0) * e is (-e)
+    for name, sources in _fixture_loops(monkeypatch).items():
+        for src in sources:
+            for node in ast.walk(ast.parse(src)):
+                if not isinstance(node, ast.BinOp):
+                    continue
+                op, right = type(node.op), node.right
+                assert not (op is ast.Pow and isinstance(right, ast.Constant)
+                            and right.value == 2), (name, ast.unparse(node))
+                assert not (op in (ast.Add, ast.Sub)
+                            and _negative_literal(right)), (
+                    name, ast.unparse(node))
+                assert not (op is ast.Mult and any(
+                    _negative_literal(a) and a.operand.value == 1.0
+                    for a in (node.left, right))), (name, ast.unparse(node))
 
 
 def test_a_field_on_r0_flows():

@@ -213,9 +213,9 @@ def test_stacked_evaluators_stack_the_point_values(A, data, seed, count):
 
 
 def test_compiled_code_gets_plain_floats_at_one_point_and_at_a_stack():
-    # a numpy scalar would square 1e200 to inf with a warning; a float
+    # a numpy scalar would cube 1e200 to inf with a warning; a float
     # raises, and so must both paths of the one evaluator
-    fn = ex.compile_exprs([ex.parse("x1^2", ["x1"])], ["x1"])
+    fn = ex.compile_exprs([ex.parse("x1^3", ["x1"])], ["x1"])
     for x in (np.array([1e200]), np.array([[1e200]]), [np.float64(1e200)]):
         with pytest.raises(OverflowError):
             ex.evaluate(fn, x, (1,))
