@@ -28,6 +28,10 @@ from .numkernel import (COMPLETED, FlowOutcome, TabulatedField, Trajectory,
                         write_csv_rows)
 
 
+class BasisError(AlgebroidError, ValueError):
+    """A basis that does not fit the A-path to develop: bad input."""
+
+
 class APath(FlowOutcome):
     """Sampled A-path: uniform grid on [0,1], base and fiber samples. An
     uneven time grid raises ValueError (`numkernel.check_uniform_grid`).
@@ -241,13 +245,14 @@ class AHomotopy:
 
 def read_ahomotopy_csv(f, algebroid):
     """Inverse of AHomotopy.write_csv for a known algebroid. A malformed
-    header, a non-finite cell, a grid point missing or repeated, or an
-    uneven t or s grid raises ValueError."""
+    header, a non-finite cell, fewer than 2 t or s values, a grid point
+    missing or repeated, or an uneven t or s grid raises ValueError."""
     n, r = algebroid.n, algebroid.r
     rows = read_csv(f, lambda _: AHomotopy.columns(n, r), "AHomotopy")[0]
     t_grid = np.unique(rows[:, 0])
     s_grid = np.unique(rows[:, 1])
     nt, ns = len(t_grid), len(s_grid)
+    _check_grid_size(nt, ns)
     data = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
     # sorted, the (t, s) columns of a full grid list each point once
     if not (np.array_equal(data[:, 0], np.repeat(t_grid, ns))
@@ -260,11 +265,20 @@ def read_ahomotopy_csv(f, algebroid):
     return AHomotopy(algebroid, t_grid, s_grid, x, eta, beta)
 
 
+def _check_grid_size(nt, ns):
+    """ValueError unless a homotopy grid has 2 or more t and s values."""
+    if nt < 2 or ns < 2:
+        raise ValueError(f"an A-homotopy needs at least 2 t values and 2 s "
+                         f"values, got {nt} and {ns}")
+
+
 def homotopy_residual(H):
     """(res_x, res_eta): sup-norm residuals of the two homotopy equations
     over the interior of the (t, s) grid, derivatives by central
-    differences, rho and f evaluated symbolically."""
+    differences, rho and f evaluated symbolically. ValueError for a grid
+    with fewer than 2 t or s values."""
     A = H.algebroid
+    _check_grid_size(len(H.t_grid), len(H.s_grid))
     ht = H.t_grid[1] - H.t_grid[0]
     hs = H.s_grid[1] - H.s_grid[0]
     dx_ds = (H.x[:, 2:] - H.x[:, :-2]) / (2.0 * hs)
@@ -330,16 +344,16 @@ def develop(basis, g):
 
     gamma . (sum_a xi_a E_a) is compiled once over (xi, gamma's entries)
     and flowed by `numkernel.flow`, xi being eta interpolated linearly.
-    A development that goes non-finite raises AlgebroidError.
+    A basis that is not rank-many square matrices of one shape raises
+    BasisError, a development that goes non-finite AlgebroidError.
     """
     basis = [np.asarray(E, dtype=float) for E in basis]
     if len(basis) != g.algebroid.r:
-        raise AlgebroidError(
-            f"rank mismatch: {len(basis)} basis matrices for rank "
-            f"{g.algebroid.r}")
+        raise BasisError(f"rank mismatch: {len(basis)} basis matrices for "
+                         f"rank {g.algebroid.r}")
     m = basis[0].shape[0]
     if any(E.shape != (m, m) for E in basis):
-        raise AlgebroidError("basis matrices must share a square shape")
+        raise BasisError("basis matrices must share a square shape")
     if len(g.times) == 1:
         return MatrixPath(g.times, [np.eye(m)])
     xi = [ex.Var(f"xi{a+1}") for a in range(len(basis))]
@@ -422,7 +436,7 @@ def log_derivative(gamma, basis, algebroid=None, span_tol=1e-6):
 
 
 __all__ = [
-    "APath", "AHomotopy", "MatrixPath", "integrate_apath",
+    "APath", "AHomotopy", "BasisError", "MatrixPath", "integrate_apath",
     "admissibility_residual", "concat", "constant_apath",
     "homotopy_residual", "develop", "log_derivative",
     "read_apath_csv", "read_ahomotopy_csv", "read_matrix_csv",

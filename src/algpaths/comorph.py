@@ -222,10 +222,10 @@ def _fiber_table(times, eta, interp, refine):
     return m, table.reshape(len(table), *eta.shape[1:])
 
 
-def _lift_flow(c, g, x0, m, rows, bound=1e8):
-    """Integrate x' = rho_A(x) M(x) xi(t) over g's time span in m steps,
-    xi read from the fiber table's rows at the stage times."""
-    t0, t1 = float(g.times[0]), float(g.times[-1])
+def _lift_flow(c, times, x0, m, rows, bound=1e8):
+    """Integrate x' = rho_A(x) M(x) xi(t) over the span of the time grid
+    in m steps, xi read from the fiber table's rows at the stage times."""
+    t0, t1 = float(times[0]), float(times[-1])
     vf = TabulatedField(c.source.n, c._lift_field, rows,
                         domain=c.source.in_domain)
     return flow(vf, x0, (t0, t1), step=(t1 - t0) / m, bound=bound)
@@ -281,7 +281,7 @@ def lift_path(c, g, x0, interp="cubic", bound=1e8):
     rows = table.tolist()
     lifts = []
     for start in stack.tolist():
-        traj = _lift_flow(c, g, start, m, rows, bound)
+        traj = _lift_flow(c, g.times, start, m, rows, bound)
         points = traj.points
         lifted = APath._from_flow(
             c.source, traj, matvec(_M_along(c, traj), g.eta[:len(points)]))
@@ -294,42 +294,38 @@ def lift_path(c, g, x0, interp="cubic", bound=1e8):
 def lift_homotopy(c, H, x0, interp="cubic", bound=1e8):
     """Lift a B-homotopy slice by slice from the common start point x0.
 
-    beta lifts as beta_A(t, s) = M(x(t, s)) beta_B(t, s). The fiber data
-    of all slices is interpolated as one table. A failing slice raises
-    LiftError naming the failing s. Lifted endpoints must agree across s
-    to 1e-9 plus four times the lift's discretisation error (see
-    _endpoint_error), which is only estimated when the spread exceeds
-    1e-9; a larger drift (a lift through a connection that is not flat)
-    raises LiftError naming the two slices whose endpoints are farthest
-    apart. The lifted homotopy's residuals, its endpoint spread across s
-    and the tolerance applied to it (`endpoint_tol`) are attached to the
-    result.
+    Every base sample must lie in B's domain: the first outside it, in
+    slice order, raises AlgebroidError. beta lifts as beta_A(t, s) =
+    M(x(t, s)) beta_B(t, s). The fiber data of all slices is interpolated
+    as one table. A failing slice raises LiftError naming the failing s.
+    Lifted endpoints must agree across s to 1e-9 plus four times the
+    lift's discretisation error (see _endpoint_error), which is only
+    estimated when the spread exceeds 1e-9; a larger drift (a lift through
+    a connection that is not flat) raises LiftError naming the two slices
+    whose endpoints are farthest apart. The lifted homotopy's residuals,
+    its endpoint spread across s and the tolerance applied to it
+    (`endpoint_tol`) are attached to the result.
     """
-    B = c.target
-    nt, ns = len(H.t_grid), len(H.s_grid)
-    xs = np.empty((nt, ns, c.source.n))
-    etas = np.empty((nt, ns, c.source.r))
-    betas = np.empty((nt, ns, c.source.r))
-    slices = [APath(B, H.t_grid, H.x[:, l], H.eta[:, l]) for l in range(ns)]
+    c.target.in_domain.require(np.swapaxes(H.x, 0, 1), c.target.n,
+                               "base sample", AlgebroidError)
     s_vals = H.s_grid.tolist()          # plain floats, for messages
     _check_starts(c, [x0], H.x[0])
     m, table = _fiber_table(H.t_grid, H.eta, interp, 1)
-    for l, g in enumerate(slices):
-        traj = _lift_flow(c, g, x0, m, table[:, l].tolist(), bound)
+    lifts = []                          # (x, eta, beta) of each slice
+    for l, s in enumerate(s_vals):
+        traj = _lift_flow(c, H.t_grid, x0, m, table[:, l].tolist(), bound)
         if not traj.completed:
-            raise LiftError(
-                f"slice s={s_vals[l]!r} failed to lift: "
-                f"{traj.ending}")
+            raise LiftError(f"slice s={s!r} failed to lift: {traj.ending}")
         M = _M_along(c, traj)
-        xs[:, l] = traj.points
-        etas[:, l] = matvec(M, H.eta[:, l])
-        betas[:, l] = matvec(M, H.beta[:, l])
+        lifts.append((traj.points, matvec(M, H.eta[:, l]),
+                      matvec(M, H.beta[:, l])))
+    xs, etas, betas = (np.stack(a, axis=1) for a in zip(*lifts))
     ends = xs[-1]
     ranges = np.ptp(ends, axis=0)
     spread = float(np.max(ranges))
     tol = 1e-9
     if spread > tol:
-        tol += 4.0 * _endpoint_error(c, H, slices, x0, ends, interp, bound)
+        tol += 4.0 * _endpoint_error(c, H, x0, ends, interp, bound)
         if not spread <= tol:
             # the spread is the widest range of one coordinate
             k = int(np.argmax(ranges))
@@ -346,7 +342,7 @@ def lift_homotopy(c, H, x0, interp="cubic", bound=1e8):
     return out
 
 
-def _endpoint_error(c, H, slices, x0, ends, interp, bound):
+def _endpoint_error(c, H, x0, ends, interp, bound):
     """Largest discretisation error estimate of the lifted slice endpoints.
 
     Per slice it is the endpoint's change under a 2x refined step (the
@@ -357,13 +353,13 @@ def _endpoint_error(c, H, slices, x0, ends, interp, bound):
     """
     err = 0.0
     m, table = _fiber_table(H.t_grid, H.eta, interp, 2)
-    for l, (s, g, end) in enumerate(zip(H.s_grid.tolist(), slices, ends)):
-        fine = _lift_flow(c, g, x0, m, table[:, l].tolist(), bound)
+    for l, (s, end) in enumerate(zip(H.s_grid.tolist(), ends)):
+        fine = _lift_flow(c, H.t_grid, x0, m, table[:, l].tolist(), bound)
         if not fine.completed:
             raise LiftError(f"slice s={s!r} failed to lift at the refined "
                             f"step: {fine.ending}")
         step_err = np.max(np.abs(np.asarray(fine.endpoint) - end))
-        sample_err = np.max(np.abs(c.phi_at(end) - g.target))
+        sample_err = np.max(np.abs(c.phi_at(end) - H.x[-1, l]))
         err = max(err, float(step_err + sample_err))
     return err
 
@@ -386,7 +382,7 @@ def lift_uniqueness_check(c, g, x0, bound=1e8):
     for interp in ("cubic", "linear"):
         for refine in (1, 2):
             m, table = _fiber_table(g.times, g.eta, interp, refine)
-            traj = _lift_flow(c, g, x0, m, table.tolist(), bound)
+            traj = _lift_flow(c, g.times, x0, m, table.tolist(), bound)
             runs.append({
                 "interp": interp, "refine": refine,
                 "ending": traj.ending, "endpoint": list(traj.endpoint),

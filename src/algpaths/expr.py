@@ -24,6 +24,7 @@ import functools
 import itertools
 import math
 import re
+from collections import namedtuple
 
 import numpy as np
 
@@ -252,10 +253,9 @@ class Pow(Expr):
 
 
 class Fun(Expr):
-    """A named function of its arguments: one of `FUNCTION_ARITY`. A bump
+    """A named function of its arguments: a row of `FUNCTIONS`. A bump
     computes, and is derived as, its `expansion` (see `_bump`), built with
-    the node; gate(g, e) is written as a block that evaluates e only
-    where g != 0.0."""
+    the node."""
 
     __slots__ = ("name", "args", "expansion")
 
@@ -269,32 +269,16 @@ class Fun(Expr):
         return (self.name, self.args)
 
     def _d(self, var, D):
-        name, args = self.name, self.args
-        if name == "bump":
+        if self.name == "bump":
             return D(self.expansion)
-        if name == "gate":
-            g, e = args
-            return add(Fun(name, (D(g), e)), Fun(name, (g, D(e))))
-        if name == "atan2":
-            # d atan2(y, x) = (y' x - y x') / (x^2 + y^2)
-            y, x = args
-            num = sub(mul(D(y), x), mul(y, D(x)))
-            return div(num, add(pow_(x, 2), pow_(y, 2)))
-        return _CHAIN_RULE[name](args[0], D(args[0]))
+        return FUNCTIONS[self.name].d(*self.args, *map(D, self.args))
 
     def __str__(self):
         return f"{self.name}({', '.join(map(str, self.args))})"
 
     def _parts(self):
-        if self.name == "bump":
-            return "{0}", (self.expansion,)
-        if self.name == "gate":
-            return None, self.args          # written as a guarded block
-        if self.name == "estep":
-            return _ESTEP, self.args
-        if self.name == "atan2":
-            return "math.atan2({0}, {1})", self.args
-        return f"math.{self.name}({{0}})", self.args
+        args = (self.expansion,) if self.name == "bump" else self.args
+        return FUNCTIONS[self.name].template, args
 
     def _rebuild(self, f):
         return fun(self.name, *map(f, self.args))
@@ -441,25 +425,45 @@ def fun(name, *args):
     return Fun(name, args)
 
 
-# f(u)' of each function of one argument, given u and u'
-_CHAIN_RULE = {
-    "sin": lambda u, du: mul(Fun("cos", (u,)), du),
-    "cos": lambda u, du: neg(mul(Fun("sin", (u,)), du)),
-    "tan": lambda u, du: mul(add(Const(1.0), pow_(Fun("tan", (u,)), 2)), du),
-    "exp": lambda u, du: mul(Fun("exp", (u,)), du),
-    "log": lambda u, du: div(du, u),
-    "sqrt": lambda u, du: div(du, mul(Const(2.0), Fun("sqrt", (u,)))),
-    # d/dt exp(-1/t) = exp(-1/t)/t^2; the gate keeps 1/t^2 unevaluated
-    # wherever estep is identically zero
-    "estep": lambda u, du: mul(Fun("gate", (Fun("estep", (u,)),
-                                            div(Const(1.0), pow_(u, 2)))),
-                               du),
-}
+# A row of FUNCTIONS: the number of arguments; the levels (see MAX_DEPTH)
+# its compiled source nests; that source, a format string over its
+# arguments' sources (None for a gate, written as a block that evaluates e
+# only where g != 0.0; a bump is its expansion, "{0}"); and its
+# derivative, of its arguments followed by theirs (None for a bump, which
+# is derived as its expansion).
+Function = namedtuple("Function", "arity levels template d")
 
 
-FUNCTION_ARITY = {
-    "sin": 1, "cos": 1, "tan": 1, "exp": 1, "log": 1, "sqrt": 1,
-    "estep": 1, "atan2": 2, "gate": 2, "bump": 3,
+def _math(name, d):
+    """The row of the function math.name of one argument."""
+    return Function(1, 1, f"math.{name}({{0}})", d)
+
+
+# estep(z) written inline: {0} is z, {1} a name that holds it
+_ESTEP = "(0.0 if {0} <= 0.0 else math.exp(-1.0 / {1}))"
+
+FUNCTIONS = {
+    "sin": _math("sin", lambda u, du: mul(Fun("cos", (u,)), du)),
+    "cos": _math("cos", lambda u, du: neg(mul(Fun("sin", (u,)), du))),
+    "tan": _math("tan", lambda u, du: mul(
+        add(Const(1.0), pow_(Fun("tan", (u,)), 2)), du)),
+    "exp": _math("exp", lambda u, du: mul(Fun("exp", (u,)), du)),
+    "log": _math("log", lambda u, du: div(du, u)),
+    "sqrt": _math("sqrt", lambda u, du: div(
+        du, mul(Const(2.0), Fun("sqrt", (u,))))),
+    # two levels, as := names the argument; d/dt exp(-1/t) =
+    # exp(-1/t)/t^2, the gate keeping 1/t^2 unevaluated wherever estep is
+    # identically zero
+    "estep": Function(1, 2, _ESTEP, lambda u, du: mul(Fun("gate", (
+        Fun("estep", (u,)), div(Const(1.0), pow_(u, 2)))), du)),
+    # d atan2(y, x) = (y' x - y x') / (x^2 + y^2)
+    "atan2": Function(2, 1, "math.atan2({0}, {1})",
+                      lambda y, x, dy, dx: div(sub(mul(dy, x), mul(y, dx)),
+                                               add(pow_(x, 2), pow_(y, 2)))),
+    "gate": Function(2, 1, None, lambda g, e, dg, de: add(
+        Fun("gate", (dg, e)), Fun("gate", (g, de)))),
+    # six levels: the product, an estep, 1 - s, s and t - a
+    "bump": Function(3, 6, "{0}", None),
 }
 
 
@@ -512,14 +516,11 @@ def _tokenize(source):
 
 
 # Deepest expression that `parse` accepts, in levels: the parentheses its
-# compiled source nests. A sign, power, call or group is one, a sum one
-# however long, a product one per operator (its derivative nests once per
-# factor), an estep two (:= names its argument) and a bump six (the
-# product, an estep, 1 - s, s and t - a). CPython refuses source nested
-# 200 parentheses deep, as a composite of two maps 100 levels deep is.
+# compiled source nests. A sign, power or group is one, a sum one however
+# long, a product one per operator (its derivative nests once per factor)
+# and a call its function's `levels`. CPython refuses source nested 200
+# parentheses deep, as a composite of two maps 100 levels deep is.
 MAX_DEPTH = 64
-_CALL_LEVELS = {"estep": 2}
-_BUMP_LEVELS = 6
 # Longest sum or product that `parse` accepts, in terms: CPython compiles
 # a chain by recursing once per operator, and fails near 3000 terms.
 MAX_TERMS = 1000
@@ -628,7 +629,8 @@ class _Parser:
         raise ParseError(f"unexpected {value!r}", offset)
 
     def call(self, name, offset):
-        if name not in FUNCTION_ARITY:
+        row = FUNCTIONS.get(name)
+        if row is None:
             raise ParseError(f"unknown function {name!r}", offset)
         self.take()                                 # the "("
         self.groups = self.deeper(self.groups, offset)
@@ -643,13 +645,10 @@ class _Parser:
         if closing[0] != ")":
             raise ParseError("unbalanced parentheses", closing[2])
         self.groups -= 1
-        arity = FUNCTION_ARITY[name]
-        if len(args) != arity:
-            raise ParseError(f"{name} takes {arity} argument(s), got {len(args)}",
-                             offset)
-        levels = (_BUMP_LEVELS if name == "bump"
-                  else _CALL_LEVELS.get(name, 1))
-        return fun(name, *args), self.deeper(depth, offset, levels)
+        if len(args) != row.arity:
+            raise ParseError(f"{name} takes {row.arity} argument(s), got "
+                             f"{len(args)}", offset)
+        return fun(name, *args), self.deeper(depth, offset, row.levels)
 
 
 def parse(source, variables):
@@ -720,8 +719,6 @@ class _Value:
         self.src = None
 
 
-# estep(z) written inline: {0} is z, {1} a name that holds it
-_ESTEP = "(0.0 if {0} <= 0.0 else math.exp(-1.0 / {1}))"
 # a chain's operations, and the kind of each: + and - continue a sum,
 # * and / a product
 _OPS = {op: f"{{0}} {op} {{1}}" for op in "+-*/"}
@@ -1033,19 +1030,12 @@ def _function(params, lines, outs):
     `Body`. It carries no state besides the loops kept on its body, which
     depend only on the source too, so one function serves every caller
     that compiles equal source."""
-    ret = ", ".join(outs)
     params_src = ", ".join(map("_v{}".format, range(params)))
-    if not lines:
-        # without temporaries the body is one expression, and a lambda
-        # compiles faster than a def
-        fn = eval(compile(f"lambda {params_src}: [{ret}]", "<expr>", "eval"),
-                  _COMPILE_GLOBALS)
-    else:
-        src = "\n".join([f"def _f({params_src}):", *lines,
-                         f"    return [{ret}]", ""])
-        scope = {}
-        exec(compile(src, "<expr>", "exec"), _COMPILE_GLOBALS, scope)
-        fn = scope["_f"]
+    src = "\n".join([f"def _f({params_src}):", *lines,
+                     f"    return [{', '.join(outs)}]", ""])
+    scope = {}
+    exec(compile(src, "<expr>", "exec"), _COMPILE_GLOBALS, scope)
+    fn = scope["_f"]
     fn.body = Body(params, lines, outs)
     return fn
 

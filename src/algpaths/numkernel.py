@@ -137,10 +137,7 @@ class FlowOutcome:
 class Trajectory(FlowOutcome):
     """Samples of an integral curve plus the reason integration ended, and
     `extras`, the field's e extra values at every sample but the last:
-    one (len(times) - 1, e) float array, with e = 0 when none are given.
-    `flow` builds points[1:] and extras from one record of its loop, a row
-    per accepted step; an extra value that is a number or a coordinate
-    (from points[:-1]) it fills in itself."""
+    one (len(times) - 1, e) float array, with e = 0 when none are given."""
 
     def __init__(self, times, points, ending=COMPLETED, extras=None):
         self.times = np.asarray(times, dtype=float)
@@ -328,17 +325,16 @@ def _compiled_body(fn, params, values, what):
     return body
 
 
-def _constants(body):
-    """Per value of the kept body: the number its expression is, else None."""
-    return [e.value if type(e) is Const else None for e in body.exprs]
-
-
-def _copies(body, n):
-    """Per extra value of the kept body of a field on R^n (past its n
-    components): the state coordinate i its expression is, else None."""
+def _plan(body, n):
+    """Per value of the kept body of a field on R^n, a pair (c, i): the
+    number c its expression is, else None, and the state coordinate x_i
+    it is, else None. Only an extra value (past the n) with neither is
+    kept by the loop and recorded; `flow` fills the column of each other
+    with its number, or with the x_i of the points."""
     state = body.variables[body.params - n:]
-    return [state.index(e.name) if type(e) is Var and e.name in state
-            else None for e in body.exprs[n:]]
+    return [(e.value if type(e) is Const else None,
+             state.index(e.name) if type(e) is Var and e.name in state
+             else None) for e in body.exprs]
 
 
 def _rk4_source(n, width, field, m, dom):
@@ -350,26 +346,24 @@ def _rk4_source(n, width, field, m, dom):
     The state lives in the scalar locals x0..x{n-1}. Each stage runs field
     inline (`Body.inline`) at the time, or at the stage's row of the
     table, and the stage's state: step k reads rows 2k, 2k+1, 2k+1, 2k+2,
-    unpacked before the stages, the first of which keeps field's values
-    past the n in e0..; a value whose expression is a number or a state
-    coordinate x_i is neither kept nor recorded, and `flow` fills its
-    column, with the number or the x_i of the points. The loop binds the
-    new state's squared norm s = y0 * y0 + ... (left to right) and tests
-    the new state y0.. in this order: finiteness, only when not
-    s <= thr; the domain, with dom inline, each predicate compared with
-    0.0 (no test when m is 0); the bound, s > over. `flow` passes over,
-    the largest double whose sqrt is at most the bound (`_square_bound`),
-    so s > over is sqrt(s) > bound, and thr = min(over, the largest
-    finite double), so s <= thr shows every y_i finite. A k1 value that
-    is not finite makes its y_i not finite, since h6 is finite, so only
-    the y_i are tested. The loop appends every accepted step's state and
-    kept e0.. to the one flat list record; it returns None when all
-    n_steps are taken, and `flow` builds the accepted times. At the first
-    step k that fails it returns (cause, k, x, t_next, v), x the last
-    accepted state: cause "stage" when a stage raised (v None) or the new
-    state is not finite (v is k1's first n values), "domain" when the new
-    state v is outside the domain, "bound" when its norm exceeds the
-    bound (v None). On R^0 there is no state and no norm.
+    unpacked before the stages, the first of which keeps field's computed
+    extra values (see `_plan`) in e0.., and the loop binds the new state's
+    squared norm s = y0 * y0 + ... (left to right) and tests the new state
+    y0.. in this order: finiteness, only when not s <= thr; the domain,
+    with dom inline, each predicate compared with 0.0 (no test
+    when m is 0); the bound, s > over. `flow` passes over, the largest
+    double whose sqrt is at most the bound (`_square_bound`), so s > over
+    is sqrt(s) > bound, and thr = min(over, the largest finite double), so
+    s <= thr shows every y_i finite. A k1 value that is not finite makes
+    its y_i not finite, since h6 is finite, so only the y_i are tested.
+    The loop appends every accepted step's state and kept e0.. to the one
+    flat list record; it returns None when all n_steps are taken, and
+    `flow` builds the accepted times. At the first step k that fails it
+    returns (cause, k, x, t_next, v), x the last accepted state: cause
+    "stage" when a stage raised (v None) or the new state is not finite (v
+    is k1's first n values), "domain" when the new state v is outside the
+    domain, "bound" when its norm exceeds the bound (v None). On R^0 there
+    is no state and no norm.
 
     Work that no step changes runs once, before the steps: the bounds
     -inf and inf of the finiteness tests are bound to locals there, and
@@ -410,15 +404,15 @@ def _rk4_source(n, width, field, m, dom):
             f"        {', '.join(row)}, = table[{at}]\n"
             for row, at in zip(rows, ["j", "j + 1", "j + 2"]) if width)
         inputs = [rows[0], rows[1], rows[1], rows[2]]
-    consts = _constants(field)
+    plan = _plan(field, n)
     # the coordinates whose value never changes, with the source of their
     # z_i, and z: the state as every stage but the first reads it
     zero = {i: f"x{i}" + " + 0.0" * (math.copysign(1.0, c) > 0)
-            for i, c in enumerate(consts[:n]) if c == 0.0}
+            for i, (c, _) in enumerate(plan[:n]) if c == 0.0}
     z = [f"z{i}" if i in zero else f"x{i}" for i in idx]
     moving = [i for i in idx if i not in zero]
-    extras = ["_" if c is not None or i is not None else f"e{j}"
-              for j, (c, i) in enumerate(zip(consts[n:], _copies(field, n)))]
+    extras = [f"e{j}" if p == (None, None) else "_"
+              for j, p in enumerate(plan[n:])]
     kept = [e for e in extras if e != "_"]
     pre, field = field.split([len(inputs[0]) + i for i in zero])
     pa, pz = ([f"p{s}{j}" for j in range(len(pre.outs))] for s in "az")
@@ -524,12 +518,11 @@ def rk4_loop(table, x, t_a, t_b, step, n_steps, over, thr, record):
 def _rk4_loop(vf, width):
     """The stepping loop for vf and a table row width (None: untabulated),
     generated and compiled on first use (see _rk4_source) and kept in the
-    `body.loops` of the field's function, with the field's extra values
-    as `loop.extra_row`, the numbers in place and 0.0 for the others,
-    `loop.copies`, the pairs (j, i) of an extra value j that is the state
-    coordinate x_i, and `loop.kept`, the indices of the rest, which the
-    loop records after each state. Its scope's __name__ attributes a
-    warning raised in the loop to this module."""
+    `body.loops` of the field's function, with the `_plan` of the field's
+    extra values: `loop.extra_row` (the numbers, 0.0 for the others),
+    `loop.copies` (pairs (j, i), value j the x_i) and `loop.kept` (the
+    computed ones, recorded after each state). Its scope's __name__
+    attributes a warning raised in the loop to this module."""
     dom = vf.domain
     field = _compiled_body(vf.fn, vf.n + (1 if width is None else width),
                            vf.n, "the field")
@@ -546,13 +539,11 @@ def _rk4_loop(vf, width):
         # popped, so that the loop and its scope are no reference cycle
         # and go with the field's function
         loop = field.loops[key] = scope.pop("rk4_loop")
-        consts = _constants(field)[vf.n:]
-        loop.extra_row = np.array(
-            [0.0 if c is None else c for c in consts])
-        copies = _copies(field, vf.n)
-        loop.kept = [j for j, (c, i) in enumerate(zip(consts, copies))
-                     if c is None and i is None]
-        loop.copies = [(j, i) for j, i in enumerate(copies) if i is not None]
+        plan = _plan(field, vf.n)[vf.n:]
+        loop.extra_row = np.array([0.0 if c is None else c for c, _ in plan])
+        loop.kept = [j for j, p in enumerate(plan) if p == (None, None)]
+        loop.copies = [(j, i) for j, (_, i) in enumerate(plan)
+                       if i is not None]
     return loop
 
 
@@ -578,14 +569,12 @@ def flow(vf, x0, t_span, step=1e-3, bound=1e8):
     count is rounded up from span / step less a relative 1e-12, so that
     a step of span / m takes exactly m steps. The loop keeps no times:
     the j-th accepted one is built after it as t_a + j * step, the
-    loop's t_next, and a completed flow's last is t_b. The bound enters
-    the loop as over = `_square_bound`(bound) and thr = min(over, the
-    largest finite double), computed once per flow. The loop records each
-    of its K accepted steps' state and kept extra values in one flat
-    list, which is converted once (`np.fromiter`) and split into the
-    points after x0 and the field's extra values: one array (see
-    `Trajectory`), their columns of numbers and of coordinates (from the
-    points) filled here. On R^0 (vf.n = 0) the points are (K + 1, 0)."""
+    loop's t_next, and a completed flow's last is t_b. The bounds over
+    and thr of the loop (see `_rk4_source`) are computed once per flow.
+    The one flat record of the loop's K accepted steps is converted once
+    (`np.fromiter`) and split into the points after x0 and the field's
+    extra values, the columns the loop does not record filled as `_plan`
+    says. On R^0 (vf.n = 0) the points are (K + 1, 0)."""
     # plain floats, so that event times print as numbers in status trailers
     t_a, t_b, step = float(t_span[0]), float(t_span[1]), float(step)
     if not t_b > t_a:

@@ -201,6 +201,14 @@ def checks():
                                               "slab": [1]}}})
     expect_2("holonomy", "--config", "slab.json", "--connection", "c")
 
+    # so do a homotopy CSV with one s value and a basis of one matrix for
+    # the rank-2 path of path.csv
+    write("one_s.csv", "t,s,x1,x2,eta1,eta2,beta1,beta2\n" + "".join(
+        f"{t},0.0,0.0,0.0,0.0,0.0,0.0,0.0\n" for t in (0.0, 0.5, 1.0)))
+    expect_2("lift-homotopy", "--config", "ws.json", "--comorphism", "id",
+             "--homotopy", "one_s.csv", "--x0", "0,0")
+    expect_2("develop", "--path", "path.csv", "--basis", SO2)
+
     # a workspace key its entry does not read (a misspelt nu0 or domain)
     # and a non-finite nu0 exit 2
     write("nu.json", {"connections": {"c": {"type": "example3", "nu": 0.5}}})

@@ -11,7 +11,7 @@ from algpaths import expr as ex
 from algpaths.algebroid import (AlgebroidError, LieAlgebroid, SectionTD,
                                 check_axioms, make_lie_algebra, make_tangent,
                                 sample_points)
-from algpaths.apath import (AHomotopy, APath, MatrixPath,
+from algpaths.apath import (AHomotopy, APath, BasisError, MatrixPath,
                             admissibility_residual, concat, constant_apath,
                             develop, homotopy_residual, integrate_apath,
                             log_derivative, read_apath_csv,
@@ -165,6 +165,18 @@ def test_an_uneven_homotopy_grid_is_refused(axis):
         AHomotopy(H.algebroid, grids["t"], grids["s"], H.x, H.eta, H.beta)
 
 
+@pytest.mark.parametrize("nt, ns", [(3, 1), (1, 3), (1, 1)])
+def test_the_residual_of_a_grid_with_one_value_on_an_axis_is_refused(nt, ns):
+    # the constant homotopy at the origin; there is no spacing to
+    # difference with on the axis of one value
+    H = AHomotopy(make_tangent(1), np.linspace(0.0, 1.0, nt),
+                  np.linspace(0.0, 1.0, ns), np.zeros((nt, ns, 1)),
+                  np.zeros((nt, ns, 1)), np.zeros((nt, ns, 1)))
+    with pytest.raises(ValueError, match=f"an A-homotopy needs at least 2 "
+                       f"t values and 2 s values, got {nt} and {ns}"):
+        homotopy_residual(H)
+
+
 def test_homotopy_endpoints_enforced():
     A = make_tangent(1)
     with pytest.raises(AlgebroidError, match="beta"):
@@ -268,6 +280,16 @@ def test_develop_rejects_rank_mismatch():
     g = quarter_turn_path(10)
     with pytest.raises(AlgebroidError, match="rank"):
         develop(SO3_BASIS, g)
+
+
+@pytest.mark.parametrize("basis, message", [
+    (SO3_BASIS, "rank mismatch: 3 basis matrices for rank 1"),
+    ([np.zeros((2, 3))], "basis matrices must share a square shape")])
+def test_a_basis_that_does_not_fit_the_path_is_bad_input(basis, message):
+    # a ValueError too, which the CLI reports as a usage error (exit 2)
+    with pytest.raises(BasisError, match=message) as info:
+        develop(basis, quarter_turn_path(10))
+    assert isinstance(info.value, ValueError)
 
 
 def test_log_derivative_develop_round_trip_so3():

@@ -313,6 +313,23 @@ def test_bare_algebroid_config_accepted(tmp_path, capsys):
     assert payload["name"] == "main"
 
 
+def test_bare_poisson_config_accepted(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"dim": 2, "Pi": {"1,2": "1"}})
+    code, payload = run_json(capsys, [
+        "poisson", "flow", "--config", cfg, "--f", "(x1^2 + x2^2)/2",
+        "--x0", "1,0", "--t1", "0.1", "--out", str(tmp_path / "orbit.csv")])
+    assert code == 0
+    assert payload["name"] == "main" and payload["status"] == "completed"
+
+
+def test_a_config_that_is_not_a_json_object_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, [PLANE])
+    assert run(["check-algebroid", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: /: config must be a JSON object\n"
+    assert captured.out == ""
+
+
 # ---------------------------------------------- flag and default validation
 
 INTEGRATE = ["integrate-path", "--config", "{cfg}", "--name", "plane",
@@ -413,6 +430,11 @@ BAD_INPUTS = [
      "/connections/cyl: nu0 must be a finite number, got True"),
     (CHECK, {"connections": {"cyl": {"type": ["example3"]}}},
      "/connections/cyl/type: unknown type ['example3']"),
+    # one name in two sections: the algebroid plane and a Poisson plane
+    (CHECK, {"poisson": {"plane": {"dim": 2, "Pi": {"1,2": "1"}}}},
+     "config error: /poisson/plane: duplicate name 'plane'"),
+    (["logderiv", "--gamma", "g.csv", "--basis", "[[[0, 1]"], {},
+     "argument --basis: not a JSON list of matrices"),
 ]
 
 
@@ -680,6 +702,36 @@ def test_lift_homotopy_rejects_bad_homotopy_csv(lift_cfg, tmp_path, capsys,
     assert run(["lift-homotopy", "--config", lift_cfg, "--comorphism",
                 "incl", "--homotopy", path, "--x0", "0,0"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_grid, s_grid, interp, counts", [
+    ([0.0, 0.5, 1.0], [0.0], "cubic", "3 and 1"),
+    ([0.0], [0.0, 0.5, 1.0], "cubic", "1 and 3"),
+    ([0.0], [0.0, 0.5, 1.0], "linear", "1 and 3")],
+    ids=["one s value", "one t value", "one t value, linear"])
+def test_a_homotopy_csv_with_one_value_on_an_axis_exits_2_naming_it(
+        lift_cfg, tmp_path, capsys, t_grid, s_grid, interp, counts):
+    path = _grid_csv(tmp_path, "thin.csv", _ahomotopy_rows(t_grid, s_grid),
+                     "t,s,x1,x2,eta1,eta2,beta1,beta2")
+    assert run(["lift-homotopy", "--config", lift_cfg, "--comorphism",
+                "incl", "--homotopy", path, "--x0", "0,0", "--interp",
+                interp]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"usage error: {path}: an A-homotopy needs at "
+                            f"least 2 t values and 2 s values, got "
+                            f"{counts}\n")
+    assert captured.out == ""
+
+
+def test_a_basis_of_the_wrong_size_exits_2(tmp_path, capsys):
+    path = _grid_csv(tmp_path, "p.csv", _apath_rows([0.0, 0.5, 1.0]),
+                     "t,x1,x2,eta1,eta2")
+    assert run(["develop", "--path", path,
+                "--basis", "[[[0, -1], [1, 0]]]"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("usage error: rank mismatch: 1 basis matrices "
+                            "for rank 2\n")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("defect, message", [

@@ -622,7 +622,7 @@ LIFT_CASES = {
 def test_tabulated_lift_matches_the_rhs_closure(case, interp, refine):
     c, g, x0 = LIFT_CASES[case]()
     m, table = comorph._fiber_table(g.times, g.eta, interp, refine)
-    got = comorph._lift_flow(c, g, x0, m, table.tolist())
+    got = comorph._lift_flow(c, g.times, x0, m, table.tolist())
     ref = _rhs_closure_lift(c, g, x0, interp, refine)
     assert got.status == ref.status == case
     assert got.times.tobytes() == ref.times.tobytes()
@@ -663,7 +663,7 @@ def test_a_lift_records_phi_at_its_points(case):
     # last; lift_path's phi_projection_error reads those
     c, g, x0 = PHI_CASES[case]()
     m, table = comorph._fiber_table(g.times, g.eta, "cubic", 1)
-    traj = comorph._lift_flow(c, g, x0, m, table.tolist())
+    traj = comorph._lift_flow(c, g.times, x0, m, table.tolist())
     assert traj.status == (case if case in LIFT_CASES else "completed")
     recorded = traj.extras[:, c.source.r * c.target.r:]
     assert recorded.shape == (len(traj.points) - 1, c.target.n)
@@ -777,6 +777,21 @@ def test_lift_homotopy_names_the_failing_slice():
     H = sine_homotopy(B, amp=2.0, nt=50, ns=20)   # large-s slices leave (-2, 2)
     with pytest.raises(LiftError, match=r"slice s=.* failed to lift"):
         lift_homotopy(c, H, [0.0])
+
+
+def test_lift_homotopy_names_the_first_base_sample_outside_the_target():
+    # x1 < 1.05 on the target: the slices from s = 0.9 on leave it. The
+    # samples are tested slice by slice, so the error names the first
+    # outside on slice s = 0.9, not the earliest in t (1.05114..., on
+    # slice s = 1)
+    B = LieAlgebroid(1, 1, [[ex.Const(1.0)]], {},
+                     domain=[ex.parse("1.05 - x1", ["x1"])])
+    c = Comorphism(make_tangent(1), B, [ex.Var("x1")], [[1.0]])
+    H = sine_homotopy(B, amp=0.5)
+    with pytest.raises(AlgebroidError) as info:
+        lift_homotopy(c, H, [0.0])
+    assert str(info.value) == ("base sample (1.0505203820042828,) is "
+                               "outside the domain")
 
 
 def flat_plane_homotopy():

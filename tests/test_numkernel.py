@@ -804,8 +804,9 @@ def test_recorded_extras_are_the_field_at_the_returned_points(n, extras,
                                                               data):
     # time-dependent and tabulated fields, with coordinates whose field
     # value is 0.0 or -0.0 (their terms move before the loop) starting at
-    # 0.0 or -0.0, extra values that are gates of 0.0 or -0.0, and flows
-    # that complete, blow up, leave the domain or raise in a stage
+    # 0.0 or -0.0, extra values that are gates of 0.0 or -0.0 or bare
+    # state coordinates (copied from the points), and flows that
+    # complete, blow up, leave the domain or raise in a stage
     coords = [f"x{i + 1}" for i in range(n)]
     width = data.draw(st.sampled_from([None, 0, 1, 2]))
     inputs = (["t"] if width is None
@@ -815,6 +816,7 @@ def test_recorded_extras_are_the_field_at_the_returned_points(n, extras,
     exprs = [data.draw(st.one_of(zero, _field_exprs(names)))
              for _ in range(n)]
     exprs += [data.draw(st.one_of(zero, _gated_zeros(names),
+                                  st.sampled_from(coords).map(ex.Var),
                                   _field_exprs(names)))
               for _ in range(extras)]
     x0 = [data.draw(st.one_of(st.floats(-1.0, 1.0),
