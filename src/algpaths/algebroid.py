@@ -268,7 +268,7 @@ def make_lie_algebra(constants, tol=1e-10):
     if c.ndim != 3 or len(set(c.shape)) != 1:
         raise AlgebroidError("constants must be an r x r x r array")
     r = c.shape[0]
-    if np.max(np.abs(c + np.swapaxes(c, 1, 2))) != 0.0:
+    if np.max(np.abs(c + np.swapaxes(c, 1, 2)), initial=0.0) != 0.0:
         raise AlgebroidError("constants must be exactly antisymmetric in (i, j)")
     res = lie_jacobi_residual(c)
     if res > tol:
@@ -287,7 +287,7 @@ def lie_jacobi_residual(c):
     c = np.asarray(c, dtype=float)
     # term[d,i,j,k] = sum_e c^e_{jk} c^d_{ie}
     term = np.einsum("ejk,die->dijk", c, c)
-    return float(np.max(np.abs(cyclic_sum(term))))
+    return float(np.max(np.abs(cyclic_sum(term)), initial=0.0))
 
 
 def make_cotangent_poisson(P):

@@ -82,8 +82,7 @@ class APath(FlowOutcome):
 
     def write_csv(self, f):
         write_csv_rows(f, self.columns(self.algebroid.n, self.algebroid.r),
-                       np.column_stack([self.times, self.base, self.eta]),
-                       self.ending)
+                       [self.times, *self.base.T, *self.eta.T], self.ending)
 
     def __repr__(self):
         return (f"APath({len(self.times)} samples, n={self.algebroid.n}, "
@@ -207,7 +206,7 @@ class AHomotopy:
         if not bmax <= tol:
             raise AlgebroidError(
                 f"beta must vanish at t = 0, 1 (max |beta| there: {bmax:.3e})")
-        drift = float(np.ptp(self.x[[0, -1]], axis=1).max())
+        drift = float(np.ptp(self.x[[0, -1]], axis=1).max(initial=0.0))
         if not drift <= tol:
             raise AlgebroidError(
                 f"base endpoints must be constant in s (drift {drift:.3e} "
@@ -230,13 +229,17 @@ class AHomotopy:
                 + [f"beta{a+1}" for a in range(r)])
 
     def write_csv(self, f):
+        """One row per grid point (k, l), row-major: t varies slowest. The
+        t and s values are formatted once each and their text repeated,
+        so the grid columns cost nt + ns reprs, not 2 nt ns."""
         n, r = self.algebroid.n, self.algebroid.r
         nt, ns = len(self.t_grid), len(self.s_grid)
-        # one row per grid point (k, l), row-major: t varies slowest
-        write_csv_rows(f, self.columns(n, r), np.column_stack([
-            np.repeat(self.t_grid, ns), np.tile(self.s_grid, nt),
-            self.x.reshape(nt * ns, n), self.eta.reshape(nt * ns, r),
-            self.beta.reshape(nt * ns, r)]))
+        t_text = list(map(repr, self.t_grid.tolist()))
+        s_text = list(map(repr, self.s_grid.tolist()))
+        write_csv_rows(f, self.columns(n, r), [
+            [v for v in t_text for _ in range(ns)], s_text * nt,
+            *self.x.reshape(nt * ns, n).T, *self.eta.reshape(nt * ns, r).T,
+            *self.beta.reshape(nt * ns, r).T])
 
     def __repr__(self):
         return (f"AHomotopy({len(self.t_grid)}x{len(self.s_grid)} grid, "
@@ -319,8 +322,8 @@ class MatrixPath:
 
     def write_csv(self, f):
         m = self.matrices.shape[-1]
-        write_csv_rows(f, self.columns(m), np.column_stack(
-            [self.times, self.matrices.reshape(len(self.times), m * m)]))
+        write_csv_rows(f, self.columns(m), [
+            self.times, *self.matrices.reshape(len(self.times), m * m).T])
 
     def __repr__(self):
         m = self.matrices.shape[-1]

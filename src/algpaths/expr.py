@@ -1044,14 +1044,23 @@ def evaluate(fn, x, shape):
     """The values of a function compiled by `compile_exprs` at the point x,
     as an array of `shape`; at a stack of points x of shape (N, n), one
     call per point, their values chained into one flat list and reshaped
-    to (N, *shape). ValueError when fn's value count is not the size of
-    shape. The calls take plain floats: numpy scalars would return inf or
-    nan with a warning where a float raises (a zero divisor, an
-    overflowing power other than a square)."""
+    to (N, *shape). When every value of fn is a `Const`, fn is called at
+    the first point only and its values fill the N rows: the same bits.
+    ValueError when fn's value count is not the size of shape. The calls
+    take plain floats: numpy scalars would return inf or nan with a
+    warning where a float raises (a zero divisor, an overflowing power
+    other than a square)."""
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 1:
         return np.array(fn(*pts.tolist()), dtype=float).reshape(shape)
-    vals = itertools.chain.from_iterable(map(fn, *pts.T.tolist()))
+    if len(pts) and all(type(e) is Const for e in fn.body.exprs):
+        out = np.empty((len(pts), len(fn.body.exprs)))
+        out[:] = fn(*pts[0].tolist())
+        return out.reshape(len(pts), *shape)
+    cols = pts.T.tolist()
+    # map needs an iterable: over a point (n = 0), one call per point
+    calls = map(fn, *cols) if cols else (fn() for _ in pts)
+    vals = itertools.chain.from_iterable(calls)
     return np.array(list(vals), dtype=float).reshape(len(pts), *shape)
 
 

@@ -157,8 +157,7 @@ class Trajectory(FlowOutcome):
 
     def write_csv(self, f):
         write_csv_rows(f, self.columns(self.points.shape[1]),
-                       np.column_stack([self.times, self.points]),
-                       self.ending)
+                       [self.times, *self.points.T], self.ending)
 
     def __repr__(self):
         return f"Trajectory({len(self.times)} samples, status={self.ending})"
@@ -180,18 +179,20 @@ MAX_COUNT = 1_000_000
 CSV_BLOCK_ROWS = 2048
 
 
-def write_csv_rows(f, header, table, ending=None):
-    """Write the header names, one line per row of the 2-D table, and the
-    '# status=' trailer of an `Ending` when one is given; the inverse of
-    read_csv_rows. Each cell is the repr of a Python float, which reads
-    back to the same bits. Rows are formatted in blocks of up to
-    CSV_BLOCK_ROWS, each with one '%r' format over the block's floats."""
-    table = np.asarray(table, dtype=float)
+def write_csv_rows(f, header, columns, ending=None):
+    """Write the header names, one line per row of the table given by its
+    columns, one per name, and the '# status=' trailer of an `Ending` when
+    one is given; the inverse of read_csv_rows. A column is a float array,
+    each cell written as the repr of a Python float, which reads back to
+    the same bits, or a list of str, the text of its cells (so a caller
+    that repeats values formats each once). Rows are written in blocks of
+    up to CSV_BLOCK_ROWS, each with one join over the block's cells."""
     f.write(",".join(header) + "\n")
-    line = ",".join(["%r"] * table.shape[1]) + "\n"
-    for i in range(0, len(table), CSV_BLOCK_ROWS):
-        block = table[i:i + CSV_BLOCK_ROWS]
-        f.write(line * len(block) % tuple(block.ravel().tolist()))
+    for i in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        cells = [c[i:i + CSV_BLOCK_ROWS] if isinstance(c, list)
+                 else map(repr, c[i:i + CSV_BLOCK_ROWS].tolist())
+                 for c in columns]
+        f.write("\n".join(map(",".join, zip(*cells))) + "\n")
     if ending is not None:
         f.write(f"# status={ending}\n")
 

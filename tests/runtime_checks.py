@@ -137,6 +137,29 @@ def checks():
        "path.csv", "--x0", "0.5,0", "--interp", "cubic", "--out",
        "lifted.csv")
 
+    # a homotopy of the plane, x = (t, s t (1 - t)) with eta = dx/dt and
+    # beta = dx/ds, lifts through id; the lifted CSV reads back, and each
+    # of its cells is the repr of its float
+    write("homotopy.csv", "t,s,x1,x2,eta1,eta2,beta1,beta2\n" + "".join(
+        ",".join(map(repr, (t, s, t, s * t * (1 - t), 1.0, s * (1 - 2 * t),
+                            0.0, t * (1 - t)))) + "\n"
+        for t in (0.0, 0.25, 0.5, 0.75, 1.0) for s in (0.0, 0.5, 1.0)))
+    ok("lift-homotopy", "--config", "ws.json", "--comorphism", "id",
+       "--homotopy", "homotopy.csv", "--x0", "0,0", "--out",
+       "homotopy_lift.csv")
+    from algpaths.algebroid import make_tangent
+    from algpaths.apath import read_ahomotopy_csv
+    with open("homotopy_lift.csv") as f:
+        lifted = read_ahomotopy_csv(f, make_tangent(2))
+    with open("homotopy_lift.csv") as f:
+        cells = [c for line in f.read().splitlines()[1:]
+                 if not line.startswith("#") for c in line.split(",")]
+    if lifted.x.shape != (5, 3, 2) or len(cells) != 15 * 8:
+        fail(f"lift-homotopy wrote {lifted!r}, {len(cells)} cells")
+    for c in cells:
+        if repr(float(c)) != c:
+            fail(f"lift-homotopy wrote the cell {c!r}, not a float's repr")
+
     # the composite's expressions, as the report prints them, read back
     # and compiled: id o id is the identity
     ok("compose", "--config", "ws.json", "--first", "id", "--second", "id",

@@ -41,6 +41,14 @@ def test_flipped_sign_constants_are_still_a_lie_algebra():
     make_lie_algebra(-so3_constants())    # so(3) with e -> -e: no raise
 
 
+def test_the_rank_0_lie_algebra_builds():
+    # its antisymmetry and Jacobi maxima are taken over no constants
+    A = make_lie_algebra(np.zeros((0, 0, 0)))
+    assert (A.n, A.r) == (1, 0)
+    assert A.anchor_matrix(np.zeros((3, 1))).shape == (3, 1, 0)
+    assert A.bracket_tensor(np.zeros((3, 1))).shape == (3, 0, 0, 0)
+
+
 def test_perturbing_one_cyclic_constant_keeps_jacobi():
     # scaling c^1_23 alone rescales so(3) to an isomorphic algebra, so
     # make_lie_algebra must accept it (Jacobi residual is exactly zero)

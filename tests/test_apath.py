@@ -276,6 +276,19 @@ def test_an_apath_over_a_point_carries_its_section_and_develops():
     assert g.eta.tobytes() == np.array([s(t, []) for t in g.times]).tobytes()
 
 
+def test_an_ahomotopy_over_a_point_builds_and_round_trips_bitwise():
+    # over R^0 the base endpoints have no coordinate that could drift
+    A = LieAlgebroid(0, 1, [], {})
+    H = AHomotopy.from_functions(
+        A, lambda t, s: [],
+        lambda t, s: [-0.0 if s == 0.0 else math.sin(t + s)],
+        lambda t, s: [s * math.sin(math.pi * t)], nt=5, ns=4)
+    assert H.x.shape == (6, 5, 0)
+    back = round_trip(H, lambda f: read_ahomotopy_csv(f, A))
+    for field in ("t_grid", "s_grid", "x", "eta", "beta"):
+        assert same_bits(getattr(back, field), getattr(H, field))
+
+
 def test_develop_rejects_rank_mismatch():
     g = quarter_turn_path(10)
     with pytest.raises(AlgebroidError, match="rank"):

@@ -1,3 +1,4 @@
+import functools
 import math
 import operator
 import re
@@ -790,6 +791,55 @@ def test_evaluate_stacks_the_values_of_each_point():
     for shape in ((4,), (2, 2)):
         empty = ex.evaluate(fn, np.empty((0, 2)), shape)
         assert empty.shape == (0, *shape) and empty.dtype == float
+
+
+def counted(fn):
+    """fn as a function that also records the arguments of each call (its
+    `body` kept), and the list it records them in."""
+    calls = []
+
+    @functools.wraps(fn)
+    def f(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return f, calls
+
+
+@pytest.mark.parametrize("N", [0, 1, 9801])
+def test_a_constant_map_on_a_stack_is_its_values_at_every_point(N):
+    # one call gives the rows of all N points, with the bits of N calls
+    consts = [Const(-0.0), Const(1.0), Const(5e-324), Const(-2.5)]
+    fn, calls = counted(compile_exprs(consts, XY))
+    pts = np.random.default_rng(N).normal(size=(N, 2))
+    want = np.array([compile_exprs(consts, XY)(*p) for p in pts.tolist()],
+                    dtype=float).reshape(N, 2, 2)
+    got = ex.evaluate(fn, pts, (2, 2))
+    assert got.shape == (N, 2, 2) and got.tobytes() == want.tobytes()
+    assert len(calls) == min(N, 1)
+
+
+def test_a_map_with_a_value_that_is_not_constant_is_called_at_every_point():
+    fn, calls = counted(compile_exprs([Const(1.0), parse("x * y", XY)], XY))
+    pts = np.random.default_rng(0).normal(size=(50, 2))
+    got = ex.evaluate(fn, pts, (2,))
+    assert calls == list(map(tuple, pts.tolist()))
+    assert got.tolist() == [[1.0, x * y] for x, y in pts.tolist()]
+
+
+@pytest.mark.parametrize("value, calls_at_3", [
+    (Const(1.5), 1), (ex.Fun("sin", (Const(1.0),)), 3)])
+def test_a_map_over_a_point_evaluates_at_a_stack(value, calls_at_3):
+    # a stack of points in R^0 has no coordinate columns to map over
+    plain = compile_exprs([value], [])
+    fn, calls = counted(plain)
+    for N in (0, 1, 3):
+        calls.clear()
+        got = ex.evaluate(fn, np.zeros((N, 0)), (1,))
+        assert got.tolist() == [plain()] * N
+    assert len(calls) == calls_at_3
+    assert ex.SmoothMap([], [[value]]).eval_unchecked(
+        np.zeros((2, 0))).shape == (2, 1, 1)
 
 
 @pytest.mark.parametrize("shape", [(3,), (5,), (2, 3), ()])

@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from algpaths import cli, numkernel
 from algpaths import expr as ex
+from algpaths.algebroid import LieAlgebroid
+from algpaths.apath import AHomotopy
 from algpaths.expr import Domain
 from algpaths.numkernel import (COMPLETED, Ending, FlowError, Trajectory,
                                 VectorFieldTD, check_uniform_grid, flow,
@@ -1228,6 +1230,18 @@ def test_a_numpy_scalar_warning_in_the_loop_is_attributed_to_numkernel():
 
 # --------------------------------------------------------------- CSV writer --
 
+class _Writes(io.StringIO):
+    """A text buffer that records the line count of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines = []
+
+    def write(self, text):
+        self.lines.append(text.count("\n"))
+        return super().write(text)
+
+
 def _per_row_csv(header, table, ending=None):
     """The former writer: one join of reprs per row."""
     lines = [",".join(header)]
@@ -1246,7 +1260,33 @@ def test_bulk_csv_writer_matches_the_per_row_join(rows):
     flat = table.reshape(-1)
     flat[:len(special)] = special[:len(flat)]
     for ending in (None, Ending("blowup", 0.5)):
-        buf = io.StringIO()
-        write_csv_rows(buf, ["t", "x1", "x2"], table, ending)
+        buf = _Writes()
+        write_csv_rows(buf, ["t", "x1", "x2"], list(table.T), ending)
         assert buf.getvalue() == _per_row_csv(["t", "x1", "x2"], table,
                                               ending)
+        assert max(buf.lines) <= numkernel.CSV_BLOCK_ROWS
+
+
+def test_a_homotopy_csv_is_the_per_row_join_of_its_grid():
+    # 41 x 53 = 2173 rows cross CSV_BLOCK_ROWS, which 53 does not divide:
+    # the second block starts inside a sweep of s
+    nt, ns = 41, 53
+    A = LieAlgebroid(2, 1, [[ex.Const(1.0)], [ex.Const(0.0)]], {})
+    rng = np.random.default_rng(41)
+    t_grid = 0.3 + 0.07 * np.arange(nt)
+    s_grid = -1.0 + 0.1 * np.arange(ns)
+    x = rng.normal(size=(nt, ns, 2))
+    x[0], x[-1] = x[0, 0], x[-1, 0]
+    eta = rng.normal(size=(nt, ns, 1))
+    eta[1, :3, 0] = eta[-2, -3:, 0] = [-0.0, 5e-324, 1e16]
+    beta = rng.normal(size=(nt, ns, 1))
+    beta[[0, -1]] = -0.0
+    x[1, :3, 1] = [-0.0, 5e-324, 1e16]
+    H = AHomotopy(A, t_grid, s_grid, x, eta, beta)
+    f = _Writes()
+    H.write_csv(f)
+    table = np.column_stack([np.repeat(t_grid, ns), np.tile(s_grid, nt),
+                             x.reshape(-1, 2), eta.reshape(-1, 1),
+                             beta.reshape(-1, 1)])
+    assert f.getvalue() == _per_row_csv(AHomotopy.columns(2, 1), table)
+    assert max(f.lines) <= numkernel.CSV_BLOCK_ROWS
