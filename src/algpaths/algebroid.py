@@ -100,8 +100,6 @@ class Antisymmetric(dict):
 
     def at(self, x):
         """The full table at x, an array of `shape`; stacked at a stack."""
-        if not self:
-            return np.zeros(np.shape(x)[:-1] + self.shape)
         return self.map.eval_unchecked(x)
 
     def d_at(self, x):
@@ -135,9 +133,10 @@ class LieAlgebroid:
         self.coords = list(coords) if coords is not None else _coords(self.n)
         if len(self.coords) != self.n:
             raise AlgebroidError("need one coordinate name per base dimension")
-        self.anchor_map = ex.SmoothMap(
-            self.coords, [[anchor[i][a] for a in range(self.r)]
-                          for i in range(self.n)], domain, AlgebroidError)
+        # an object array keeps the anchor's shape when n is 0
+        self.anchor_map = ex.SmoothMap(self.coords, np.array(
+            [[anchor[i][a] for a in range(self.r)] for i in range(self.n)],
+            dtype=object).reshape(self.n, self.r), domain, AlgebroidError)
         self.anchor = self.anchor_map.components
         self.domain = self.anchor_map.domain
         self.in_domain = self.anchor_map.in_domain

@@ -288,10 +288,10 @@ def homotopy_residual(H):
     deta_ds = (H.eta[:, 2:] - H.eta[:, :-2]) / (2.0 * hs)
     dbeta_dt = (H.beta[2:] - H.beta[:-2]) / (2.0 * ht)
     # the interior points (k, l), 0 < k < nt - 1 and 0 < l < ns - 1, as
-    # one stack of N points in row-major order (N given: r may be 0)
+    # one stack of N points in row-major order (N given: n or r may be 0)
     n, r = A.n, A.r
-    x = H.x[1:-1, 1:-1].reshape(-1, n)
-    N = len(x)
+    N = (len(H.t_grid) - 2) * (len(H.s_grid) - 2)
+    x = H.x[1:-1, 1:-1].reshape(N, n)
     eta = H.eta[1:-1, 1:-1].reshape(N, r)
     beta = H.beta[1:-1, 1:-1].reshape(N, r)
     rho = A.anchor_matrix(x)

@@ -90,12 +90,10 @@ class ExampleConnection(FlatConnection):
         self.support = support = _finite("support", support, interval=True)
         self.slab = slab = _finite("slab", slab, interval=True)
         h = ex.Var("h")
-        if nu0 == 0.0:
-            self.nu_expr = ex.Const(0.0)
-        else:
-            self.nu_expr = ex.mul(
-                ex.Const(nu0),
-                ex.fun("bump", ex.Const(support[0]), ex.Const(support[1]), h))
+        # Const(0.0) for nu0 = 0.0 or -0.0, which folds every gate on it
+        self.nu_expr = ex.mul(
+            ex.Const(nu0),
+            ex.fun("bump", ex.Const(support[0]), ex.Const(support[1]), h))
         self._nu_map = ex.SmoothMap(["h"], self.nu_expr)
         x, y, z1, z2 = (ex.Var(v) for v in ("x", "y", "z1", "z2"))
         r2 = ex.add(ex.pow_(x, 2), ex.pow_(y, 2))

@@ -23,7 +23,6 @@ so -x^2 parses as -(x^2). Everything is immutable after construction.
 import functools
 import itertools
 import math
-import re
 from collections import namedtuple
 
 import numpy as np
@@ -719,6 +718,13 @@ class _Value:
         self.src = None
 
 
+def _plain(v):
+    """Whether the value v, as just emitted, is a leaf, is written as a
+    name or negates one: source that cannot raise."""
+    return (type(v) is str or v.src is not None
+            or v.template is _NEG and _plain(v.args[0]))
+
+
 # a chain's operations, and the kind of each: + and - continue a sum,
 # * and / a product
 _OPS = {op: f"{{0}} {op} {{1}}" for op in "+-*/"}
@@ -737,23 +743,34 @@ def _const_src(v):
     return "_inf" if v > 0 else "(-_inf)"
 
 
+def _leaf_plan(src):
+    """The plan (see `Body`) of the leaf of source src: a parameter _vi
+    or a number, as `_const_src` writes it."""
+    return ((None, int(src[2:])) if src.startswith("_v")
+            else (float(src.strip("()").replace("_", "")), None))
+
+
 class _Compiler:
     """Common-subexpression elimination and emission of straight-line code.
 
     `value` numbers every node by its template and its arguments' values,
     so the pass is linear in the size of the expression DAG and never
     hashes a subtree. A node equal to one computed in its scope or an
-    enclosing one reuses that value. A gate's guard is a value of the
-    gate's scope and its arm is numbered in the scope of that guard's arms,
-    so nothing is hoisted out of an arm and e stays unevaluated when
-    g == 0. `emit` then writes the values that some given values read:
-    `src` writes a value used more than once (and every gate) to a
-    temporary at its first use, and inlines the rest. An estep names an
-    argument that is not a name with `:=` where it computes it, so that
-    it is tested and divided without a call. A gate block that directly
-    follows one with the same guard joins it: one test of the guard for
-    both, their values still computed in order. `made` lists the values
-    in the order they were numbered, each after its arguments.
+    enclosing one reuses that value. A variable or a number is a leaf,
+    its source, and so is a negated number whose source is the source of
+    the number it equals: Neg(Const(2.5)) is the leaf (-2.5), as
+    Const(-2.5) is, so that equal source has one numbering. A gate's
+    guard is a value of the gate's scope and its arm is numbered in the
+    scope of that guard's arms, so nothing is hoisted out of an arm and e
+    stays unevaluated when g == 0. `emit` then writes the values that
+    some given values read: `src` writes a value used more than once (and
+    every gate) to a temporary at its first use, and inlines the rest.
+    An estep names an argument that is not a name with `:=` where it
+    computes it, so that it is tested and divided without a call. A gate
+    block that directly follows one with the same guard joins it: one
+    test of the guard for both, their values still computed in order.
+    `made` lists the values in the order they were numbered, each after
+    its arguments.
     """
 
     def __init__(self, variables):
@@ -771,6 +788,9 @@ class _Compiler:
                 raise ExprError(f"unbound variable {e.name!r}") from None
         if cls is Const:
             return _const_src(e.value)
+        if cls is Neg and type(a := e.args[0]) is Const and _NEG.format(
+                _const_src(a.value)) == _const_src(-a.value):
+            return _const_src(-a.value)     # the number it equals, a leaf
         v = scope.find(id(e))
         if v is not None:
             return v
@@ -813,35 +833,41 @@ class _Compiler:
             self.made.append(v)
         return v
 
-    def emit(self, top, outs, read=None):
+    def emit(self, top, outs, read, rename):
         """The lines, at the level of the scope top, that compute the
         values outs, numbered in top, and the sources of outs: a value
-        that `read` maps by id to a name is read as that name, and what
-        only it reads is not written. Each value's users are counted
+        that the dict `read` maps to a parameter is read as that
+        parameter, and what only it reads is not written; a parameter is
+        read as the name the dict `rename` maps it to, if any. `leaves`
+        is then the set of the leaves they read, parameters and numbers
+        by their sources in the numbering. Each value's users are counted
         anew, so one numbering can be written more than once."""
-        read = read or {}
-        top.lines, top.gate, self.temps = [], None, 0
-        seen, todo = set(), list(outs)      # each entry one read of a value
+        top.lines, top.gate, self.temps, self.rename = [], None, 0, rename
+        # each entry of todo is one read of a value or a leaf
+        seen, todo, self.leaves = set(), list(outs), set()
         while todo:
             v = todo.pop()
             if type(v) is not _Value:
+                self.leaves.add(v)
                 continue
-            if id(v) not in seen:
-                seen.add(id(v))
-                v.uses, v.src = 0, read.get(id(v))
+            if v not in seen:
+                seen.add(v)
+                v.uses, v.src = 0, read.get(v)
                 if v.src is None:
                     todo += v.args
                     if v.arm is not None:
                         todo.append(v.args[0])  # tested, then multiplied
+                else:
+                    todo.append(v.src)          # read as that leaf
             v.uses += 1
         outs = tuple(map(self.src, outs))
         return tuple(top.lines), outs
 
     def src(self, v):
         if type(v) is str:
-            return v
+            return self.rename.get(v, v)
         if v.src is not None:
-            return v.src
+            return self.rename.get(v.src, v.src)
         scope = v.scope
         if v.arm is None:
             text = self.text(v)
@@ -904,64 +930,57 @@ _COMPILE_GLOBALS = {**SOURCE_GLOBALS, "__builtins__": {},
                     "__name__": __name__}
 
 
-# a parameter (_v0, _v1, ...) or a temporary (_t1, _t2, ...) of a body
-_BODY_NAME = re.compile(r"\b_[vt]\d+\b")
-# a value's source that is a name or a number (see _const_src)
-_PLAIN = re.compile(r"\(?-?[\w.]+(e[-+]\d+)?\)?")
-
-
 class Body:
     """The straight-line source of a function compiled by `compile_exprs`,
     kept on it as `fn.body`: the function takes `params` arguments, its
     `lines`, indented by four spaces, compute its temporaries, and `outs`
-    are the sources of its return values, in order; `inline` writes it
-    into other source, and `split` divides it around the parameters a
-    loop keeps fixed. `exprs` and `variables` are the expressions and
-    variable names it was first compiled from (None for the two parts of
-    a split). Besides its own names, the source reads only the names in
-    `SOURCE_GLOBALS`. `loops` holds the stepping loops `numkernel.flow`
-    writes around the body, so they live as long as the function: while
-    a caller holds it or `_function` keeps it cached."""
+    are the sources of its return values, in order. Besides its own
+    names, the source reads only the names in `SOURCE_GLOBALS`.
 
-    __slots__ = ("params", "lines", "outs", "exprs", "variables", "loops")
+    `numbering` is a view of the `_Compiler` numbering that wrote the
+    source, kept by the first compile of it: the compiler, its top scope,
+    the values of the outs, and the dict of the values read as parameters
+    (see `_Compiler.emit`). `inline` writes the body into other source
+    from it, and `split` divides it around the parameters a loop keeps
+    fixed. `plan` gives, per value, a pair: the number the value is,
+    else None, and the index of the parameter it is, else None. Equal
+    source has one numbering and one plan, however it was reached.
+    A body `compile_exprs` has not reached has neither; the parts of a
+    split have a numbering and no plan. `loops` holds the stepping loops
+    `numkernel.flow` writes around the body, so they live as long as the
+    function: while a caller holds it or `_function` keeps it cached."""
 
-    def __init__(self, params, lines, outs):
+    __slots__ = ("params", "lines", "outs", "numbering", "plan", "loops")
+
+    def __init__(self, params, lines, outs, numbering=None):
         self.params = params
         self.lines = lines
         self.outs = outs
-        self.exprs = self.variables = None
+        self.numbering = numbering
+        self.plan = None
         self.loops = {}
 
     def inline(self, args, targets, tag, indent):
         """Source lines at `indent` that compute the body at the argument
         sources args and assign its values in order to the targets, those
-        past them that may raise (not a name or a number) to the throwaway
-        `_`, so that the lines raise where a call would. A parameter the
-        body reads is replaced by its argument
-        when that is a name and bound to `_v{i}_{tag}` first otherwise;
-        the temporaries keep their names, since the lines compute each
-        before they read it."""
-        used = set(_BODY_NAME.findall("\n".join(self.lines + self.outs)))
-        names, lines = {}, []
-        for i, a in enumerate(args):
-            v = f"_v{i}"
-            if v not in used:
-                continue
-            if a.isidentifier():
-                names[v] = a
-            else:
-                names[v] = f"{v}_{tag}"
-                lines.append(f"{indent}{names[v]} = {a}")
-
-        def rename(src):
-            return _BODY_NAME.sub(lambda m: names.get(m[0], m[0]), src)
-
-        lines += [indent + rename(line[4:]) for line in self.lines]
-        outs = targets + ["_"] * (len(self.outs) - len(targets))
-        lines += [f"{indent}{o} = {rename(src)}"
-                  for o, src in zip(outs, self.outs)
-                  if o != "_" or not _PLAIN.fullmatch(src)]
-        return lines
+        past them that may raise (not a leaf or a name, nor the negation
+        of one) to the throwaway `_`, so that the lines raise where a call
+        would. The numbering emits them with each parameter read as its
+        argument when that is a name; a parameter it reads whose argument
+        is not a name is bound to `_v{i}_{tag}` first. The temporaries
+        keep their names, since the lines compute each before they read
+        it."""
+        comp, top, values, read = self.numbering
+        rename = {f"_v{i}": a if a.isidentifier() else f"_v{i}_{tag}"
+                  for i, a in enumerate(args)}
+        body, outs = comp.emit(top, values, read, rename)
+        lines = [f"{indent}{rename[p]} = {a}" for p, a in zip(rename, args)
+                 if p in comp.leaves and not a.isidentifier()]
+        lines += [indent + line[4:] for line in body]
+        return lines + [f"{indent}{o} = {src}" for o, src, v in
+                        itertools.zip_longest(targets, outs, values,
+                                              fillvalue="_")
+                        if o != "_" or not _plain(v)]
 
     def split(self, fixed):
         """The body as two bodies (pre, rest) for a loop in which the
@@ -969,37 +988,38 @@ class Body:
         same parameters, computes the roots, and rest takes their values
         as further parameters, after `params`, and computes the body's.
 
-        Both are written from one numbering of `exprs` (see `_Compiler`).
-        The roots are the largest values that read only fixed parameters
-        and constants and that every run computes: never a bare parameter
-        or number, nor a value of a gate's arm, which runs only when its
-        guard is not 0.0. A chain's prefixes are values, so its leading
-        fixed operands are one root; equal subexpressions are one value.
-        So pre raises only where every run of the body would. When there
-        is no root, rest is the body itself."""
-        comp, top = _Compiler(self.variables), _Scope()
-        outs = [comp.value(e, top) for e in self.exprs]
-        free = {f"_v{i}" for i in range(self.params) if i not in fixed}
-        moving = set()      # ids of the values that read a free parameter
+        Both are views of the body's numbering (see `_Compiler`), which
+        is walked, not made again. The roots are the largest values that
+        read only fixed parameters and constants and that every run
+        computes: never a bare parameter or number, nor a value of a
+        gate's arm, which runs only when its guard is not 0.0. A chain's
+        prefixes are values, so its leading fixed operands are one root;
+        equal subexpressions are one value. So pre raises only where
+        every run of the body would. When there is no root, rest is the
+        body itself."""
+        comp, top, outs, _ = self.numbering
+        # the free parameters, and the values that read one
+        moving = {f"_v{i}" for i in range(self.params) if i not in fixed}
         for v in comp.made:
-            if any(id(a) in moving if type(a) is _Value else a in free
-                   for a in v.args):
-                moving.add(id(v))
-        roots, seen, todo = set(), set(), list(outs)
+            if any(a in moving for a in v.args):
+                moving.add(v)
+        seen, todo = set(), list(outs)      # from the outs down to the roots
         while todo:
             v = todo.pop()
-            if type(v) is _Value and id(v) not in seen:
-                seen.add(id(v))
-                if v.scope is top and id(v) not in moving:
-                    roots.add(id(v))
-                else:
+            if type(v) is _Value and v not in seen:
+                seen.add(v)
+                if v.scope is not top or v in moving:
                     todo += v.args
+        roots = [v for v in comp.made
+                 if v in seen and v.scope is top and v not in moving]
         if not roots:
             return Body(self.params, (), ()), self
-        roots = [v for v in comp.made if id(v) in roots]
-        names = {id(v): f"_v{self.params + j}" for j, v in enumerate(roots)}
-        return (Body(self.params, *comp.emit(top, roots)),
-                Body(self.params + len(roots), *comp.emit(top, outs, names)))
+        names = {v: f"_v{self.params + j}" for j, v in enumerate(roots)}
+        return (Body(self.params, *comp.emit(top, roots, {}, {}),
+                     (comp, top, roots, {})),
+                Body(self.params + len(roots),
+                     *comp.emit(top, outs, names, {}),
+                     (comp, top, outs, names)))
 
 
 def compile_exprs(exprs, variables):
@@ -1013,13 +1033,15 @@ def compile_exprs(exprs, variables):
     ArithmeticError or ValueError. Its parameters are named by position,
     so equal expressions over other variable names give the same source,
     and the same source gives the same callable (see `_function`); the
-    variable names must be distinct."""
-    exprs = tuple(exprs)
+    variable names must be distinct. The first compile of a source keeps
+    its numbering and plan on the body; a later one finds them there."""
     comp, top = _Compiler(_distinct(variables)), _Scope()
-    fn = _function(len(variables),
-                   *comp.emit(top, [comp.value(e, top) for e in exprs]))
-    if fn.body.exprs is None:
-        fn.body.exprs, fn.body.variables = exprs, tuple(variables)
+    values = [comp.value(e, top) for e in exprs]
+    fn = _function(len(variables), *comp.emit(top, values, {}, {}))
+    if fn.body.numbering is None:
+        fn.body.numbering = (comp, top, values, {})
+        fn.body.plan = tuple(_leaf_plan(v) if type(v) is str
+                             else (None, None) for v in values)
     return fn
 
 
@@ -1044,8 +1066,9 @@ def evaluate(fn, x, shape):
     """The values of a function compiled by `compile_exprs` at the point x,
     as an array of `shape`; at a stack of points x of shape (N, n), one
     call per point, their values chained into one flat list and reshaped
-    to (N, *shape). When every value of fn is a `Const`, fn is called at
-    the first point only and its values fill the N rows: the same bits.
+    to (N, *shape). When the plan of fn's body gives every value a
+    number, fn is called at the first point only and its values fill the
+    N rows: the same bits.
     ValueError when fn's value count is not the size of shape. The calls
     take plain floats: numpy scalars would return inf or nan with a
     warning where a float raises (a zero divisor, an overflowing power
@@ -1053,10 +1076,9 @@ def evaluate(fn, x, shape):
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 1:
         return np.array(fn(*pts.tolist()), dtype=float).reshape(shape)
-    if len(pts) and all(type(e) is Const for e in fn.body.exprs):
-        out = np.empty((len(pts), len(fn.body.exprs)))
-        out[:] = fn(*pts[0].tolist())
-        return out.reshape(len(pts), *shape)
+    if len(pts) and all(c is not None for c, _ in fn.body.plan):
+        row = np.array(fn(*pts[0].tolist()), dtype=float)
+        return np.tile(row, (len(pts), 1)).reshape(len(pts), *shape)
     cols = pts.T.tolist()
     # map needs an iterable: over a point (n = 0), one call per point
     calls = map(fn, *cols) if cols else (fn() for _ in pts)

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expr import SOURCE_GLOBALS, Body, Const, Domain, Var, point
+from .expr import SOURCE_GLOBALS, Body, Domain, point
 
 
 class FlowError(Exception):
@@ -315,10 +315,11 @@ def _bisect_exit(vf, t0, x0, t1, x1):
 
 
 def _compiled_body(fn, params, values, what):
-    """fn's `expr.Body`, kept by `expr.compile_exprs` with its expressions:
-    TypeError unless it takes `params` arguments and has `values` or more."""
+    """fn's `expr.Body`, kept by `expr.compile_exprs` with its numbering
+    and plan: TypeError unless it takes `params` arguments and has
+    `values` or more."""
     body = getattr(fn, "body", None)
-    if not (isinstance(body, Body) and body.exprs is not None
+    if not (isinstance(body, Body) and body.plan is not None
             and body.params == params and len(body.outs) >= values):
         raise TypeError(f"{what} must be compiled by expr.compile_exprs "
                         f"over {params} variables with at least {values} "
@@ -328,14 +329,14 @@ def _compiled_body(fn, params, values, what):
 
 def _plan(body, n):
     """Per value of the kept body of a field on R^n, a pair (c, i): the
-    number c its expression is, else None, and the state coordinate x_i
-    it is, else None. Only an extra value (past the n) with neither is
-    kept by the loop and recorded; `flow` fills the column of each other
-    with its number, or with the x_i of the points."""
-    state = body.variables[body.params - n:]
-    return [(e.value if type(e) is Const else None,
-             state.index(e.name) if type(e) is Var and e.name in state
-             else None) for e in body.exprs]
+    number c it is, else None, and the state coordinate x_i it is, else
+    None, read from the body's `plan` (the state is its last n
+    parameters). Only an extra value (past the n) with neither is kept by
+    the loop and recorded; `flow` fills the column of each other with
+    its number, or with the x_i of the points."""
+    first = body.params - n
+    return [(c, None if p is None or p < first else p - first)
+            for c, p in body.plan]
 
 
 def _rk4_source(n, width, field, m, dom):

@@ -68,8 +68,26 @@ def main():
         checks()
 
 
+def expect_field(name, field, want, *args):
+    """Run the CLI with args, its report written to the file name; fail
+    unless it exits 0 and the report's field is want."""
+    ok(*args, out=name)
+    got = report(name)[field]
+    if got != want:
+        fail(f"algpaths {' '.join(args)} reported {field} = {got!r}, not "
+             f"{want!r}")
+
+
 def checks():
     ok("example3", "sheets", "--nu", "1/3")
+    # nu = 1/3 winds the (theta', arg z') relation onto three lines; the
+    # tau and tau + 2 pi images meet at z = 0; the default element of the
+    # groupoid, at tau = 0, is a unit
+    expect_field("density.json", "line_count", 3, "example3", "density",
+                 "--nu", "1/3", "--tau-max", "100", "--bins", "8")
+    expect_field("self.json", "image_mismatch", 0.0, "example3",
+                 "self-intersect", "--nu", "1/3")
+    expect_field("gamma.json", "is_unit", True, "example3", "gamma")
 
     # one holonomy lane: the lift's compiled field runs fused into the
     # generated RK4 loop
@@ -110,6 +128,13 @@ def checks():
             fail(f"h = {row['h']}: nu = 0 but {row['sheets']} sheets")
 
     write("ws.json", PLANE_WS)
+    # the plane satisfies the axioms, and a constant section pulled back
+    # through id flows from every seed without escaping
+    expect_field("axioms.json", "ok", True, "check-algebroid", "--config",
+                 "ws.json")
+    expect_field("complete.json", "escaped", False, "completeness-probe",
+                 "--config", "ws.json", "--comorphism", "id", "--section",
+                 "1;0", "--horizon", "2")
     ok("integrate-path", "--config", "ws.json", "--section", "0 - x2; x1",
        "--x0", "0.5,0", "--grid", "20", "--out", "path.csv")
 
@@ -184,6 +209,15 @@ def checks():
     rep = report("probe.json")
     if rep["all_agree"] is not True:
         fail(f"identity probe: all_agree = {rep['all_agree']}")
+
+    # the identity is a Poisson map, and its cotangent lift is compatible
+    # with the anchors
+    identity = ["--config", "poisson.json", "--source", "plane", "--target",
+                "plane", "--map", "x1;x2"]
+    expect_field("check_map.json", "is_poisson_map", True, "poisson",
+                 "check-map", *identity)
+    expect_field("cotangent.json", "anchor_compat_residual", 0.0, "poisson",
+                 "lift", *identity)
 
     # a Hamiltonian flow: the cotangent algebroid's anchored field of df,
     # flowed without scipy, conserves f on the harmonic oscillator

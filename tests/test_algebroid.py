@@ -165,6 +165,26 @@ def test_from_dict_rejects_equal_pair_key():
         LieAlgebroid.from_dict(d)
 
 
+def test_an_empty_table_is_zero_at_a_point_and_at_a_stack():
+    # a table without entries is a constant map, evaluated by one call
+    T = Antisymmetric({}, 2, ["x1", "x2"], (AlgebroidError, "bracket",
+                                            "c,a,b"))
+    assert T.at([0.5, -1.0]).tobytes() == np.zeros((2, 2, 2)).tobytes()
+    for N in (0, 1, 9801):
+        pts = np.random.default_rng(N).normal(size=(N, 2))
+        got = T.at(pts)
+        assert got.shape == (N, 2, 2, 2)
+        assert got.tobytes() == np.zeros((N, 2, 2, 2)).tobytes()
+
+
+@pytest.mark.parametrize("r", [0, 1, 3])
+def test_an_algebroid_over_a_point_keeps_its_anchor_shape(r):
+    # the anchor map of R^0 has n x r = 0 x r entries, not 0
+    A = LieAlgebroid(0, r, [], {})
+    assert A.anchor_matrix(np.zeros((3, 0))).shape == (3, 0, r)
+    assert A.anchor_matrix([]).shape == (0, r)
+
+
 # ----------------------------------------------------- cotangent algebroid
 
 class _PoissonStub:

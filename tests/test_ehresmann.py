@@ -147,6 +147,18 @@ def test_compiled_coefficients_stay_gated_on_the_axis(h):
                                    *conn.phi_at(x).tolist()]
 
 
+@pytest.mark.parametrize("nu0", [0.0, -0.0])
+def test_a_zero_nu0_folds_nu_and_every_gate(nu0):
+    # 0 * bump is Const(0.0), of either zero, and a gate on it folds: the
+    # lift field is xi, M's constant entries and phi
+    conn = ExampleConnection(nu0)
+    assert conn.nu_expr == ex.Const(0.0) and str(conn.nu_expr) == "0"
+    body = conn._lift_field.body
+    assert body.lines == () and body.outs == (
+        "_v0", "_v1", "0.0", "0.0", "0.0", "1.0", "0.0", "0.0", "1.0",
+        "0.0", "0.0", "0.0", "0.0", "0.0", "0.0", "_v2", "_v3")
+
+
 def test_contractible_loop_has_no_holonomy():
     # a loop not encircling the removed axis transports z trivially
     conn = ExampleConnection(0.25)

@@ -629,6 +629,65 @@ def test_equal_subexpressions_parsed_apart_are_one_moved_value():
         1.5, 0.5)
 
 
+def _run(lines, **names):
+    """The names that the source lines bind, run with the given ones."""
+    env = {**ex.SOURCE_GLOBALS, **names}
+    exec("\n".join(lines), env)
+    return env
+
+
+def test_inline_binds_an_argument_exactly_where_the_numbering_reads_it():
+    # x is read as the guard, y only in the gate's arm and z nowhere: the
+    # arguments of x and y that are not names are bound, z's is not, and
+    # a name is read as itself
+    guard, arm = parse("estep(x)", XYZ), parse("log(y) * 2", XYZ)
+    fn = compile_exprs([ex.fun("gate", guard, arm), Const(1.0)], XYZ)
+    lines = fn.body.inline(["a + 0.5", "b * 2.0", "c - 3.0"], ["o"], "q",
+                           "")
+    assert lines[:2] == ["_v0_q = a + 0.5", "_v1_q = b * 2.0"]
+    assert not any(re.search(r"_v2|\bc\b", line) for line in lines[2:])
+    for a in (-1.0, 1.0):           # the arm is skipped, then taken
+        env = _run(lines, a=a, b=2.0, c=7.0)
+        assert [env["o"]] == fn(a + 0.5, 4.0, 4.0)[:1]
+    named = fn.body.inline(["a", "b", "c"], ["o", "p"], "q", "")
+    assert not any(re.search(r"_q|\bc\b", line) for line in named)
+    assert "p = 1.0" in named
+
+    # the rest of a split reads its root exp(y) as the parameter _v2, and
+    # y no more
+    pre, rest = compile_exprs([parse("exp(y) * x", XY)], XY).body.split([1])
+    lines = rest.inline(["a", "b + 1.0", "p + 0.5"], ["o"], "r", "")
+    assert lines == ["_v2_r = p + 0.5", "o = (_v2_r * a)"]
+    assert _run(lines, a=3.0, p=1.5)["o"] == 6.0
+
+
+def test_a_cache_hit_over_other_names_splits_and_plans_as_the_first(
+        monkeypatch):
+    # equal source compiled over other names finds the body of the first
+    # compile, which splits from its kept numbering: no _Compiler again
+    ex._function.cache_clear()
+    first = compile_exprs([parse("exp(x1) * t + x1", ["t", "x1"]),
+                           Var("x1"), Const(0.5), Var("t")], ["t", "x1"])
+    parts = [(b.params, b.lines, b.outs) for b in first.body.split([1])]
+    assert first.body.plan == ((None, None), (None, 1), (0.5, None),
+                               (None, 0))
+    made = []
+
+    class Counted(ex._Compiler):
+        def __init__(self, variables):
+            made.append(variables)
+            super().__init__(variables)
+
+    monkeypatch.setattr(ex, "_Compiler", Counted)
+    again = compile_exprs([parse("exp(y) * s + y", ["s", "y"]), Var("y"),
+                           Const(0.5), Var("s")], ["s", "y"])
+    assert again is first and made == [["s", "y"]]
+    assert again.body.plan == first.body.plan
+    assert [(b.params, b.lines, b.outs)
+            for b in again.body.split([1])] == parts
+    assert parts[0][2] == ("math.exp(_v1)",) and made == [["s", "y"]]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(expression_lists())
 def test_printed_expressions_read_back_to_the_same_values(exprs):
@@ -840,6 +899,27 @@ def test_a_map_over_a_point_evaluates_at_a_stack(value, calls_at_3):
     assert len(calls) == calls_at_3
     assert ex.SmoothMap([], [[value]]).eval_unchecked(
         np.zeros((2, 0))).shape == (2, 1, 1)
+
+
+@pytest.mark.parametrize("negated_first", [True, False])
+def test_a_negated_number_is_constant_in_either_compile_order(negated_first):
+    # Neg(Const(2.5)) and Const(-2.5) compile to the one source (-2.5);
+    # whichever compile of it comes first, the body plans the number, and
+    # a stack of points is evaluated by one call
+    ex._function.cache_clear()
+    forms = [[ex.Neg(Const(2.5))], [Const(-2.5)]]
+    fns = [compile_exprs(f, XY)
+           for f in (forms if negated_first else forms[::-1])]
+    assert fns[0] is fns[1] and fns[0].body.outs == ("(-2.5)",)
+    assert fns[0].body.plan == ((-2.5, None),)
+    fn, calls = counted(fns[0])
+    got = ex.evaluate(fn, np.random.default_rng(1).normal(size=(9801, 2)),
+                      ())
+    assert len(calls) == 1 and got.shape == (9801,)
+    assert (got == -2.5).all()
+    # -(-2.5) is written as a negation, which the plan does not read
+    assert compile_exprs([ex.Neg(Const(-2.5))], XY).body.plan == (
+        (None, None),)
 
 
 @pytest.mark.parametrize("shape", [(3,), (5,), (2, 3), ()])

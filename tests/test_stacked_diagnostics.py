@@ -322,6 +322,21 @@ def test_homotopy_residual_of_an_empty_interior_is_zero(nt, ns):
     assert homotopy_residual(H) == (0.0, 0.0)
 
 
+def test_homotopy_residual_over_a_point():
+    # R^0 has no base equation, and with no bracket the fiber equation is
+    # d eta/ds = d beta/dt, by the same central differences
+    A = LieAlgebroid(0, 1, [], {})
+    H = AHomotopy.from_functions(
+        A, lambda t, s: [], lambda t, s: [np.sin(t + 2.0 * s)],
+        lambda t, s: [s * np.sin(np.pi * t)], nt=5, ns=4)
+    ht, hs = H.t_grid[1] - H.t_grid[0], H.s_grid[1] - H.s_grid[0]
+    deta_ds = (H.eta[1:-1, 2:] - H.eta[1:-1, :-2]) / (2.0 * hs)
+    dbeta_dt = (H.beta[2:, 1:-1] - H.beta[:-2, 1:-1]) / (2.0 * ht)
+    res_x, res_eta = homotopy_residual(H)
+    assert res_x == 0.0 and res_eta > 0.0
+    assert res_eta == float(np.max(np.abs(deta_ds - dbeta_dt)))
+
+
 def test_residuals_over_no_points_are_zero():
     A = LieAlgebroid(1, 2, [[ex.Var("x1"), ex.Const(1.0)]],
                      {(0, 0, 1): ex.Const(1.0)})
