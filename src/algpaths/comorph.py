@@ -14,7 +14,8 @@ that flow is the numerical witness that the lift fails to exist over the
 full interval. The flow also returns M(x_k) and phi(x_k) at each lifted
 point x_k but the last, for the lifted fiber M(x_k) xi_k and the lift's
 distance from the path, max_k |phi(x_k) - y_k|; its loop records those
-that are neither constants nor coordinates of x_k.
+that are neither constants nor coordinates of x_k. The s-slices of a
+homotopy are the lanes of one `numkernel.flow_lanes` call.
 """
 
 from functools import cached_property
@@ -26,7 +27,8 @@ from . import expr as ex
 from .algebroid import AlgebroidError, SectionTD, matvec
 from .apath import APath, AHomotopy, homotopy_residual
 from .expr import point
-from .numkernel import StartError, TabulatedField, flow, stage_table
+from .numkernel import (StartError, TabulatedField, flow, flow_lanes,
+                        stage_table)
 
 
 class LiftError(Exception):
@@ -231,6 +233,17 @@ def _lift_flow(c, times, x0, m, rows, bound=1e8):
     return flow(vf, x0, (t0, t1), step=(t1 - t0) / m, bound=bound)
 
 
+def _lift_lanes(c, times, x0, m, table, bound):
+    """`_lift_flow` from x0 for each of the L paths of a (2m + 1, L, r)
+    fiber table (see `_fiber_table`), as the lanes of one `flow_lanes`
+    call, lane l reading column l: the list of their trajectories."""
+    t0, t1 = float(times[0]), float(times[-1])
+    vf = TabulatedField(c.source.n, c._lift_field, None,
+                        domain=c.source.in_domain)
+    return flow_lanes(vf, [x0] * table.shape[1], (t0, t1),
+                      step=(t1 - t0) / m, bound=bound, tables=table)
+
+
 def _M_along(c, traj):
     """M at the points of a lift flow, (len(points), rank A, rank B): as
     the flow recorded it, in its first rank A * rank B extra values, and
@@ -292,12 +305,16 @@ def lift_path(c, g, x0, interp="cubic", bound=1e8):
 
 
 def lift_homotopy(c, H, x0, interp="cubic", bound=1e8):
-    """Lift a B-homotopy slice by slice from the common start point x0.
+    """Lift a B-homotopy from the common start point x0, each s-slice a
+    lane of one flow call.
 
     Every base sample must lie in B's domain: the first outside it, in
     slice order, raises AlgebroidError. beta lifts as beta_A(t, s) =
-    M(x(t, s)) beta_B(t, s). The fiber data of all slices is interpolated
-    as one table. A failing slice raises LiftError naming the failing s.
+    M(x(t, s)) beta_B(t, s), with M taken over all slices at once (one
+    `M_at` at their last points) and one `matvec` each for eta and beta.
+    The fiber data of all slices is interpolated as one table, whose
+    column l slice l reads. A failing slice raises LiftError naming the
+    first failing s.
     Lifted endpoints must agree across s to 1e-9 plus four times the
     lift's discretisation error (see _endpoint_error), which is only
     estimated when the spread exceeds 1e-9; a larger drift (a lift through
@@ -311,15 +328,16 @@ def lift_homotopy(c, H, x0, interp="cubic", bound=1e8):
     s_vals = H.s_grid.tolist()          # plain floats, for messages
     _check_starts(c, [x0], H.x[0])
     m, table = _fiber_table(H.t_grid, H.eta, interp, 1)
-    lifts = []                          # (x, eta, beta) of each slice
-    for l, s in enumerate(s_vals):
-        traj = _lift_flow(c, H.t_grid, x0, m, table[:, l].tolist(), bound)
-        if not traj.completed:
-            raise LiftError(f"slice s={s!r} failed to lift: {traj.ending}")
-        M = _M_along(c, traj)
-        lifts.append((traj.points, matvec(M, H.eta[:, l]),
-                      matvec(M, H.beta[:, l])))
-    xs, etas, betas = (np.stack(a, axis=1) for a in zip(*lifts))
+    trajs = _lift_lanes(c, H.t_grid, x0, m, table, bound)
+    _require_completed(trajs, s_vals, "")
+    xs = np.stack([traj.points for traj in trajs], axis=1)
+    nt, ns, r, q = *xs.shape[:2], c.source.r, c.target.r
+    # M at every sample: as the flows recorded it, and at the last points
+    M = np.concatenate([np.stack([traj.extras[:, :r * q] for traj in trajs],
+                                 axis=1).reshape(nt - 1, ns, r, q),
+                        c.M_at(xs[-1])[None]]).reshape(nt * ns, r, q)
+    etas, betas = (matvec(M, v.reshape(nt * ns, q)).reshape(nt, ns, r)
+                   for v in (H.eta, H.beta))
     ends = xs[-1]
     ranges = np.ptp(ends, axis=0)
     spread = float(np.max(ranges))
@@ -351,17 +369,24 @@ def _endpoint_error(c, H, x0, ends, interp, bound):
     A flat lift's endpoints differ across s by at most twice the largest
     per-slice error; the second term only sees the directions phi maps.
     """
-    err = 0.0
     m, table = _fiber_table(H.t_grid, H.eta, interp, 2)
-    for l, (s, end) in enumerate(zip(H.s_grid.tolist(), ends)):
-        fine = _lift_flow(c, H.t_grid, x0, m, table[:, l].tolist(), bound)
-        if not fine.completed:
-            raise LiftError(f"slice s={s!r} failed to lift at the refined "
-                            f"step: {fine.ending}")
-        step_err = np.max(np.abs(np.asarray(fine.endpoint) - end))
-        sample_err = np.max(np.abs(c.phi_at(end) - H.x[-1, l]))
-        err = max(err, float(step_err + sample_err))
-    return err
+    fine = _lift_lanes(c, H.t_grid, x0, m, table, bound)
+    _require_completed(fine, H.s_grid.tolist(), " at the refined step")
+    step_err = np.max(np.abs(np.array([traj.endpoint for traj in fine])
+                             - ends), axis=1)
+    sample_err = np.max(np.abs(c.phi_at(ends) - H.x[-1]), axis=1)
+    # folded as max(err, e) over the slices from 0.0, so that a nan is
+    # skipped
+    return max([0.0, *(step_err + sample_err).tolist()])
+
+
+def _require_completed(trajs, s_vals, where):
+    """Raise LiftError naming the first slice, in s order, whose lift
+    failed."""
+    for s, traj in zip(s_vals, trajs):
+        if not traj.completed:
+            raise LiftError(f"slice s={s!r} failed to lift{where}: "
+                            f"{traj.ending}")
 
 
 class UniquenessReport(NamedTuple):

@@ -23,6 +23,7 @@ so -x^2 parses as -(x^2). Everything is immutable after construction.
 import functools
 import itertools
 import math
+import re
 from collections import namedtuple
 
 import numpy as np
@@ -838,17 +839,15 @@ class _Compiler:
         values outs, numbered in top, and the sources of outs: a value
         that the dict `read` maps to a parameter is read as that
         parameter, and what only it reads is not written; a parameter is
-        read as the name the dict `rename` maps it to, if any. `leaves`
-        is then the set of the leaves they read, parameters and numbers
-        by their sources in the numbering. Each value's users are counted
-        anew, so one numbering can be written more than once."""
+        read as the name the dict `rename` maps it to, if any. Each
+        value's users are counted anew, so one numbering can be written
+        more than once."""
         top.lines, top.gate, self.temps, self.rename = [], None, 0, rename
         # each entry of todo is one read of a value or a leaf
-        seen, todo, self.leaves = set(), list(outs), set()
+        seen, todo = set(), list(outs)
         while todo:
             v = todo.pop()
             if type(v) is not _Value:
-                self.leaves.add(v)
                 continue
             if v not in seen:
                 seen.add(v)
@@ -967,20 +966,23 @@ class Body:
         of one) to the throwaway `_`, so that the lines raise where a call
         would. The numbering emits them with each parameter read as its
         argument when that is a name; a parameter it reads whose argument
-        is not a name is bound to `_v{i}_{tag}` first. The temporaries
-        keep their names, since the lines compute each before they read
-        it."""
+        is not a name is bound to `_v{i}_{tag}` first, when a line that is
+        emitted reads it: an out that is not written, such as a copied
+        coordinate, reads nothing. The temporaries keep their names, since
+        the lines compute each before they read it."""
         comp, top, values, read = self.numbering
         rename = {f"_v{i}": a if a.isidentifier() else f"_v{i}_{tag}"
                   for i, a in enumerate(args)}
         body, outs = comp.emit(top, values, read, rename)
-        lines = [f"{indent}{rename[p]} = {a}" for p, a in zip(rename, args)
-                 if p in comp.leaves and not a.isidentifier()]
-        lines += [indent + line[4:] for line in body]
-        return lines + [f"{indent}{o} = {src}" for o, src, v in
-                        itertools.zip_longest(targets, outs, values,
-                                              fillvalue="_")
-                        if o != "_" or not _plain(v)]
+        lines = [indent + line[4:] for line in body]
+        lines += [f"{indent}{o} = {src}" for o, src, v in
+                  itertools.zip_longest(targets, outs, values, fillvalue="_")
+                  if o != "_" or not _plain(v)]
+        reads = set(re.findall(rf"\b_v\d+_{re.escape(tag)}\b",
+                               "\n".join(lines)))
+        return [f"{indent}{name} = {a}"
+                for name, a in zip(rename.values(), args)
+                if name in reads] + lines
 
     def split(self, fixed):
         """The body as two bodies (pre, rest) for a loop in which the

@@ -1,8 +1,10 @@
 """Fixed-step RK4 integration for time-dependent vector fields, with
 blowup and domain-exit detection.
 
-The single integration routine is `flow`; adaptive behaviour is obtained by
-the caller halving the step and rerunning (see `flow_endpoint_order`).
+The integration routine is `flow_lanes`, which flows one field from many
+start points, or over many tables, as independent lanes of one call; `flow`
+is its one-lane case. Adaptive behaviour is obtained by the caller halving
+the step and rerunning (see `flow_endpoint_order`).
 Fields and domain predicates are functions compiled by
 `expr.compile_exprs`; the stepping loop (`_rk4_source`) is straight-line
 Python that runs their kept bodies inline, with no call, in each stage
@@ -74,10 +76,12 @@ class VectorFieldTD:
 
 class TabulatedField(VectorFieldTD):
     """Field x' = fn(*row, x0, ..., x{n-1}) whose inputs other than the
-    state are rows of a table sampled at the RK4 stage times of one flow:
+    state are rows of a table sampled at the RK4 stage times of a flow:
     step k's four stages read rows 2k, 2k+1, 2k+1 and 2k+2. A flow of
-    n_steps steps needs 2 * n_steps + 1 rows; `flow` raises FlowError
-    otherwise."""
+    n_steps steps needs 2 * n_steps + 1 rows; `flow_lanes` raises
+    FlowError otherwise. Every lane of a `flow_lanes` call reads the
+    field's table, unless the call gives each lane its own; the table
+    may then be None."""
 
     def __init__(self, n, fn, table, domain=None):
         super().__init__(n, fn, domain)
@@ -565,18 +569,28 @@ def _square_bound(bound):
     return over
 
 
-def flow(vf, x0, t_span, step=1e-3, bound=1e8):
-    """Integrate vf from x0 over t_span=[t_a,t_b] with fixed-step RK4, in
-    the fewest steps that cover the span, the last ending at t_b. The
-    count is rounded up from span / step less a relative 1e-12, so that
-    a step of span / m takes exactly m steps. The loop keeps no times:
-    the j-th accepted one is built after it as t_a + j * step, the
-    loop's t_next, and a completed flow's last is t_b. The bounds over
-    and thr of the loop (see `_rk4_source`) are computed once per flow.
-    The one flat record of the loop's K accepted steps is converted once
-    (`np.fromiter`) and split into the points after x0 and the field's
-    extra values, the columns the loop does not record filled as `_plan`
-    says. On R^0 (vf.n = 0) the points are (K + 1, 0)."""
+def flow_lanes(vf, starts, t_span, step=1e-3, bound=1e8, tables=None):
+    """Integrate vf over t_span=[t_a,t_b] with fixed-step RK4 from each of
+    the start points, one independent lane each: the list of their
+    `Trajectory`s, each with its own prefix and `Ending`. Every lane reads
+    vf.table, or, with tables, a float array (rows, L, width) for L
+    lanes, lane l reads tables[:, l], converted to lists just before it
+    runs, so that one lane's rows are nested at a time.
+
+    A lane takes the fewest steps that cover the span, the last ending at
+    t_b. The count is rounded up from span / step less a relative 1e-12,
+    so that a step of span / m takes exactly m steps. The checks, the
+    loop (`_rk4_loop`) and its bounds over and thr (see `_rk4_source`)
+    are taken once per call, and every start point is checked before the
+    first lane runs. The loop then runs once per lane, in order, each
+    lane appending its accepted steps to one flat record, which is
+    converted once (`np.fromiter`), the field's extra values of all lanes
+    filled in one pass, the columns the loop does not record as `_plan`
+    says; each lane then takes its rows, its points after its start and
+    its extra values. The loop keeps no times: the j-th
+    accepted one is built after it as t_a + j * step, the loop's t_next,
+    and a completed lane's last is t_b. On R^0 (vf.n = 0) a lane's points
+    are (K + 1, 0)."""
     # plain floats, so that event times print as numbers in status trailers
     t_a, t_b, step = float(t_span[0]), float(t_span[1]), float(step)
     if not t_b > t_a:
@@ -584,40 +598,69 @@ def flow(vf, x0, t_span, step=1e-3, bound=1e8):
     # negated, so that nan is refused too; an infinite bound is no bound
     if not step > 0 or not bound > 0:
         raise FlowError("step and bound must be positive")
-    x = [float(v) for v in x0]
-    if len(x) != vf.n:
-        raise FlowError(f"x0 has {len(x)} components, the field needs "
-                        f"{vf.n}")
-    if not _finite(x):
-        raise FlowError("x0 is not finite")
+    xs = [[float(v) for v in x0] for x0 in starts]
+    for x in xs:
+        if len(x) != vf.n:
+            raise FlowError(f"x0 has {len(x)} components, the field needs "
+                            f"{vf.n}")
+        if not _finite(x):
+            raise FlowError("x0 is not finite")
     n_steps = max(1, math.ceil((t_b - t_a) / step * (1.0 - 1e-12)))
-    table = vf.table
+    if tables is None:
+        table = vf.table
+        cells = None if table is None else len(table[0])
+    else:
+        table, cells = tables, tables.shape[2]
+        if tables.shape[1] != len(xs):
+            raise FlowError(f"{len(xs)} lanes need as many tables, got "
+                            f"{tables.shape[1]}")
     if table is not None and len(table) != 2 * n_steps + 1:
         raise FlowError(f"a flow of {n_steps} steps needs {2 * n_steps + 1} "
                         f"table rows, got {len(table)}")
-    loop = _rk4_loop(vf, None if table is None else len(table[0]))
-    if not vf.in_domain(x):
-        raise StartError(f"x0 = {point(x)} is outside the field's domain")
+    loop = _rk4_loop(vf, cells)
+    for x in xs:
+        if not vf.in_domain(x):
+            raise StartError(f"x0 = {point(x)} is outside the field's "
+                             f"domain")
     over = _square_bound(float(bound))
-    # each accepted step's new state and kept extra values, flat
-    record = []
-    failed = loop(table, x, t_a, t_b, step, n_steps, over,
-                  min(over, sys.float_info.max), record)
-    k = n_steps if failed is None else failed[1]    # the accepted steps
-    times = t_a + np.arange(k + 1) * step
+    thr = min(over, sys.float_info.max)
+    # each accepted step's new state and kept extra values, flat, lane
+    # after lane
+    record, fails = [], []
+    for l, x in enumerate(xs):
+        lane_table = table if tables is None else tables[:, l].tolist()
+        fails.append(loop(lane_table, x, t_a, t_b, step, n_steps, over,
+                          thr, record))
+    counts = [n_steps if f is None else f[1] for f in fails]
+    total, width = sum(counts), vf.n + len(loop.kept)
+    rows = np.fromiter(record, float, count=total * width).reshape(total,
+                                                                   width)
+    extras = np.repeat(loop.extra_row[None], total, axis=0)
+    extras[:, loop.kept] = rows[:, vf.n:]
+    times = t_a + np.arange(n_steps + 1) * step
     times[0] = t_a                          # a -0.0 keeps its sign
-    width = vf.n + len(loop.kept)
-    rows = np.fromiter(record, float, count=k * width).reshape(k, width)
-    points = np.concatenate([np.array([x], dtype=float), rows[:, :vf.n]])
-    recorded = np.repeat(loop.extra_row[None], k, axis=0)
-    recorded[:, loop.kept] = rows[:, vf.n:]
-    for j, i in loop.copies:
-        recorded[:, j] = points[:-1, i]
-    if failed is None:
-        times[-1] = t_b
-        return Trajectory(times, points, extras=recorded)
+    times[-1] = t_b
+    lanes, at = [], 0                       # at: the lane's first row
+    for x, failed, k in zip(xs, fails, counts):
+        points = np.empty((k + 1, vf.n))
+        points[0], points[1:] = x, rows[at:at + k, :vf.n]
+        lane_extras = extras[at:at + k]
+        for j, i in loop.copies:
+            lane_extras[:, j] = points[:-1, i]
+        # a lane that stops early has accepted k < n_steps steps, so its
+        # times are a prefix that ends before t_b
+        ending = (COMPLETED if failed is None
+                  else _ending(vf, failed, times[k].item()))
+        lanes.append(Trajectory(times[:k + 1].copy(), points, ending,
+                                lane_extras))
+        at += k
+    return lanes
+
+
+def _ending(vf, failed, t):
+    """The `Ending` of a lane whose loop returned failed, (cause, k, x,
+    t_next, v) as `_rk4_source` says, after its last accepted time t."""
     cause, _, x, t_next, v = failed
-    t = times[k].item()                     # the loop's last accepted time
     if cause == "stage" and v is not None and _finite(v):
         # a stage blew through the domain boundary or diverged; decide
         # which by probing an Euler predictor v
@@ -626,9 +669,14 @@ def flow(vf, x0, t_span, step=1e-3, bound=1e8):
         if _finite(v) and not vf.in_domain(v):
             cause = "domain"
     if cause == "domain":
-        return Trajectory(times, points, Ending(
-            "domain_exit", _bisect_exit(vf, t, x, t_next, v)), recorded)
-    return Trajectory(times, points, Ending("blowup", t_next), recorded)
+        return Ending("domain_exit", _bisect_exit(vf, t, x, t_next, v))
+    return Ending("blowup", t_next)
+
+
+def flow(vf, x0, t_span, step=1e-3, bound=1e8):
+    """Integrate vf from x0 over t_span=[t_a,t_b] with fixed-step RK4: the
+    `Trajectory` of the one lane of `flow_lanes`."""
+    return flow_lanes(vf, [x0], t_span, step, bound)[0]
 
 
 def _slope_equations(x, m):
@@ -660,17 +708,43 @@ def _slope_equations(x, m):
     return lower, diag, upper, rhs
 
 
+# The column count from which `not_a_knot_table` sweeps all columns at
+# once, one numpy row operation per knot, rather than one column at a time
+# on plain floats: a row operation costs about 1.6 us per knot, a column
+# about 75 ns per knot
+SWEEP_ALL_COLUMNS = 24
+
+
+def _thomas(v, facts, pivots, upper):
+    """The forward and backward passes of a Thomas sweep, in place, with
+    the elimination factors and pivots of tridiagonal equations whose
+    upper diagonal is upper: v[i] is the right-hand side at knot i, a
+    float (one column) or a numpy row (all columns), and the solution
+    once the passes are done; returns v. Each entry of a row takes the
+    float operations of a column, in the same order."""
+    for i, f in enumerate(facts, 1):
+        v[i] = v[i] - f * v[i - 1]
+    v[-1] = v[-1] / pivots[-1]
+    for i in range(len(v) - 2, -1, -1):
+        v[i] = (v[i] - upper[i] * v[i + 1]) / pivots[i]
+    return v
+
+
 def not_a_knot_table(x, y, t):
     """Values at the times t of the not-a-knot cubic spline through
     (x[i], y[i]), splining each column of the (n, k) array y on its own.
 
     t holds (n-1)*q + 1 times: q in each interval [x[i], x[i+1]), the
     last at x[-1]. The knot slopes solve the spline's tridiagonal
-    equations by one Thomas sweep: the elimination factors depend on x
-    only, then one forward and one backward pass per column. Each time
-    is evaluated in its own interval. Equations, coefficients and order
-    of operations are those of scipy's CubicSpline, so on 4 or more knots
-    the values are its values to the bit, unless its solver pivots.
+    equations by one Thomas sweep (`_thomas`): the pivots and elimination
+    factors depend on x only and are plain floats, computed knot by knot;
+    the forward and backward passes then run column by column on plain
+    floats, or, from SWEEP_ALL_COLUMNS columns on, as one numpy row
+    operation per knot for all the columns at once, with the same bits.
+    Each time is evaluated in its own interval. Equations, coefficients
+    and order of operations are those of scipy's CubicSpline, so on 4 or
+    more knots the values are its values to the bit, unless its solver
+    pivots.
     Fewer than 2 knots raise ValueError.
     """
     x = np.asarray(x, dtype=float)
@@ -681,29 +755,19 @@ def not_a_knot_table(x, y, t):
     dx = np.diff(x)
     m = np.diff(yt) / dx
     lower, diag, upper, rhs = _slope_equations(x, m)
-    # the sweep runs on plain floats: numpy scalars cost 10x per operation
+    # the pivots, on plain floats: numpy scalars cost 10x per operation
     p = diag[0].item()
     pivots = [p]
     for a, b, c in zip(lower[1:].tolist(), diag[1:].tolist(),
                        upper.tolist()):
         p = b - a / p * c
         pivots.append(p)
-    facts = (lower[1:] / pivots[:-1]).tolist()
-    up_rev, piv_rev = upper[-2::-1].tolist(), pivots[-2::-1]
-    s = []
-    for row in rhs.tolist():
-        acc = row[0]
-        fwd = [acc]
-        for f, r in zip(facts, row[1:]):
-            acc = r - f * acc
-            fwd.append(acc)
-        acc /= pivots[-1]
-        back = [acc]
-        for r, u, piv in zip(fwd[-2::-1], up_rev, piv_rev):
-            acc = (r - u * acc) / piv
-            back.append(acc)
-        s.append(back[::-1])
-    s = np.array(s)
+    facts, up = (lower[1:] / pivots[:-1]).tolist(), upper.tolist()
+    if len(rhs) < SWEEP_ALL_COLUMNS:
+        s = np.array([_thomas(row, facts, pivots, up)
+                      for row in rhs.tolist()])
+    else:
+        s = _thomas(rhs.T.copy(), facts, pivots, up).T
     tt = (s[:, :-1] + s[:, 1:] - 2 * m) / dx
     coef = [tt / dx, (m - s[:, :-1]) / dx - tt, s[:, :-1], yt[:, :-1]]
 
@@ -766,6 +830,7 @@ def flow_endpoint_order(vf, x0, t_span, step, reference=None):
 
 
 __all__ = ["VectorFieldTD", "Ending", "COMPLETED", "FlowOutcome",
-           "Trajectory", "flow", "flow_endpoint_order", "not_a_knot_table",
-           "stage_table", "read_csv", "read_csv_rows", "write_csv_rows",
-           "check_uniform_grid", "read_trajectory_csv", "FlowError"]
+           "Trajectory", "flow", "flow_lanes", "flow_endpoint_order",
+           "not_a_knot_table", "stage_table", "read_csv", "read_csv_rows",
+           "write_csv_rows", "check_uniform_grid", "read_trajectory_csv",
+           "FlowError"]

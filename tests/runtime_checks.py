@@ -34,7 +34,7 @@ def fail(message):
 
 def algpaths(status, *args, out=None):
     """Run the CLI with args, its stdout written to the file out; fail,
-    with its stderr, unless it exits with status."""
+    with its stderr, unless it exits with status. Returns its stderr."""
     with open(out, "w") if out else open(os.devnull, "w") as stdout:
         proc = subprocess.run([sys.executable, "-m", "algpaths.cli", *args],
                               stdout=stdout, stderr=subprocess.PIPE,
@@ -42,6 +42,7 @@ def algpaths(status, *args, out=None):
     if proc.returncode != status:
         fail(f"algpaths {' '.join(args)} exited {proc.returncode}, not "
              f"{status}:\n{proc.stderr}")
+    return proc.stderr
 
 
 def ok(*args, out=None):
@@ -184,6 +185,31 @@ def checks():
     for c in cells:
         if repr(float(c)) != c:
             fail(f"lift-homotopy wrote the cell {c!r}, not a float's repr")
+
+    # through the unit disk's inclusion, a homotopy of the plane whose
+    # middle slices bulge out of the disk, x = (t / 2, 4 a(s) t (1 - t))
+    # with a(s) = 6 s (1 - s): the slices s = 0.25, 0.5 and 0.75 leave it,
+    # and the error names the first
+    write("incl.json", {
+        "algebroids": {"disk": {"base_dim": 2, "rank": 2,
+                                "anchor": [["1", "0"], ["0", "1"]],
+                                "domain": ["1 - x1^2 - x2^2"]},
+                       **PLANE_WS["algebroids"]},
+        "comorphisms": {"incl": {"source": "disk", "target": "plane",
+                                 "phi": ["x1", "x2"],
+                                 "M": [["1", "0"], ["0", "1"]]}}})
+    write("bulge.csv", "t,s,x1,x2,eta1,eta2,beta1,beta2\n" + "".join(
+        ",".join(map(repr, (t, s, t / 2, 24 * s * (1 - s) * t * (1 - t),
+                            0.5, 24 * s * (1 - s) * (1 - 2 * t), 0.0,
+                            24 * (1 - 2 * s) * t * (1 - t)))) + "\n"
+        for t in (k / 16 for k in range(17))
+        for s in (0.0, 0.25, 0.5, 0.75, 1.0)))
+    err = algpaths(1, "lift-homotopy", "--config", "incl.json",
+                   "--comorphism", "incl", "--homotopy", "bulge.csv",
+                   "--x0", "0,0")
+    if not err.startswith("error: slice s=0.25 failed to lift: "
+                          "domain_exit(t*="):
+        fail(f"lift-homotopy through the disk reported {err!r}")
 
     # the composite's expressions, as the report prints them, read back
     # and compiled: id o id is the identity

@@ -775,8 +775,12 @@ def test_lift_homotopy_accepts_a_flat_connection_at_a_coarse_grid(h31, shape):
 def test_lift_homotopy_names_the_failing_slice():
     _, B, c = interval_setup()
     H = sine_homotopy(B, amp=2.0, nt=50, ns=20)   # large-s slices leave (-2, 2)
-    with pytest.raises(LiftError, match=r"slice s=.* failed to lift"):
+    with pytest.raises(LiftError) as info:
         lift_homotopy(c, H, [0.0])
+    # x = t + 2 s sin(pi t) reaches 2 first on slice s = 0.75, at t = 1/2,
+    # and every later slice leaves too: the first, in s order, is named
+    assert str(info.value) == ("slice s=0.75 failed to lift: "
+                               "domain_exit(t*=0.5000000125169753)")
 
 
 def test_lift_homotopy_names_the_first_base_sample_outside_the_target():
@@ -848,8 +852,9 @@ def test_homotopy_lift_builds_one_table_per_step_and_one_M_per_slice(
                         lambda x: M_points.append(len(x)) or M_at(x))
     lifted = lift_homotopy(c, H, x0)
     assert refines == ([1] if case == "interval" else [1, 2])
-    # the flow records M at each slice's points but the last
-    assert M_points == [1] * len(H.s_grid)
+    # the flow records M at each slice's points but the last, and one
+    # M_at takes it at the last points of all slices
+    assert M_points == [len(H.s_grid)]
     for field in ("x", "eta", "beta"):
         assert (getattr(lifted, field).tobytes()
                 == getattr(reference, field).tobytes())
@@ -857,6 +862,33 @@ def test_homotopy_lift_builds_one_table_per_step_and_one_M_per_slice(
     for l in range(len(H.s_grid)):
         beta = matvec(M_at(lifted.x[:, l]), H.beta[:, l])
         assert lifted.beta[:, l].tobytes() == beta.tobytes()
+
+
+def test_a_stack_of_lifts_that_end_apart_is_each_lift_alone():
+    # rho_A = (1, x2^3) / (1 + x2^2) and M = 1 + x2^2 on x2 > -2, through
+    # phi = x1: x1' = xi and x2' = x2^3 xi up to each lane's own rounding,
+    # so from the same path the lanes complete, exit the domain (t =
+    # 0.375), blow up (near t = 0.5) and complete; each keeps its own
+    # prefix, its own M for its lifted fiber and its own phi
+    xy = ["x1", "x2"]
+    A = LieAlgebroid(2, 1, [[ex.parse("1 / (1 + x2^2)", xy)],
+                            [ex.parse("x2^3 / (1 + x2^2)", xy)]], {},
+                     domain=[ex.parse("x2 + 2", xy)])
+    c = Comorphism(A, make_tangent(1), [ex.Var("x1")],
+                   [[ex.parse("1 + x2^2", xy)]])
+    times = np.linspace(0.0, 1.0, 101)
+    g = APath(c.target, times, times[:, None], np.ones((101, 1)))
+    starts = [[0.0, 0.1], [0.0, -1.0], [0.0, 1.0], [0.0, 0.3]]
+    lifts = lift_path(c, g, np.array(starts), bound=1e3)
+    assert [lifted.ending.status for lifted in lifts] == [
+        "completed", "domain_exit", "blowup", "completed"]
+    for x0, got in zip(starts, lifts):
+        ref = lift_path(c, g, x0, bound=1e3)
+        for field in ("times", "base", "eta"):
+            assert (getattr(got, field).tobytes()
+                    == getattr(ref, field).tobytes())
+        assert repr(got.ending) == repr(ref.ending)
+        assert got.phi_projection_error == ref.phi_projection_error
 
 
 def test_a_stack_of_start_points_lifts_from_one_table(monkeypatch):

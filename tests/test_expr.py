@@ -661,6 +661,26 @@ def test_inline_binds_an_argument_exactly_where_the_numbering_reads_it():
     assert _run(lines, a=3.0, p=1.5)["o"] == 6.0
 
 
+def test_inline_binds_no_argument_that_only_an_unwritten_out_reads():
+    # the second value is the parameter x itself: with no target its line
+    # is not written, so x's argument is not bound, unless a written line
+    # reads it, its own or another value's
+    copied = compile_exprs([parse("2 * y", ["y", "x"]), Var("x")],
+                           ["y", "x"])
+    assert copied.body.inline(["q", "x0 + h"], ["a"], "b", "") == [
+        "a = (2.0 * q)"]
+    assert copied.body.inline(["q", "x0 + h"], ["a", "e"], "b", "") == [
+        "_v1_b = x0 + h", "a = (2.0 * q)", "e = _v1_b"]
+    negated = compile_exprs([parse("2 * y", ["y", "x"]),
+                             parse("-x", ["y", "x"])], ["y", "x"])
+    assert negated.body.inline(["q", "x0 + h"], ["a"], "b", "") == [
+        "a = (2.0 * q)"]
+    read = compile_exprs([parse("2 * y * x", ["y", "x"]), Var("x")],
+                         ["y", "x"])
+    assert read.body.inline(["q", "x0 + h"], ["a"], "b", "") == [
+        "_v1_b = x0 + h", "a = (2.0 * q * _v1_b)"]
+
+
 def test_a_cache_hit_over_other_names_splits_and_plans_as_the_first(
         monkeypatch):
     # equal source compiled over other names finds the body of the first

@@ -1045,23 +1045,37 @@ def _dual_route_fixtures():
                        PoissonManifold(1, {}), (1.0, 0.5), 1e6)}
 
 
-# The per-step AST nodes of each loop the holonomy lift and the dual-route
-# fixtures generate (one per distinct field, in the order they first
-# flow), as the loops with squares written as products and signs folded
-# into their operations wrote them: no loop may do more work per step.
-STEP_NODE_CEILINGS = {"holonomy": [1363], "so3": [400, 400, 400, 1827],
+# The per-step AST nodes of each loop the holonomy and homotopy lifts and
+# the dual-route fixtures generate (one per distinct field, in the order
+# they first flow), as the loops with squares written as products and
+# signs folded into their operations wrote them, and, for the homotopy
+# lift, with no stage binding a copied coordinate's unread input: no loop
+# may do more work per step.
+STEP_NODE_CEILINGS = {"holonomy": [1363], "homotopy": [305],
+                      "so3": [400, 400, 400, 1827],
                       "disk": [298, 293, 1345], "blowup": [417, 1369, 1193]}
 
 
 def _fixture_loops(monkeypatch):
-    """The loop sources of the holonomy lift and of each dual-route
-    fixture, one per distinct field, in the order they first flow."""
+    """The loop sources of the holonomy and homotopy lifts and of each
+    dual-route fixture, one per distinct field, in the order they first
+    flow."""
+    from algpaths.algebroid import make_tangent
+    from algpaths.comorph import Comorphism
     from algpaths.ehresmann import ExampleConnection
     from algpaths.poisson import complete_map_probe
     conn = ExampleConnection(1.0 / 3.0)
     dom = conn.source.in_domain
     loops = {"holonomy": [numkernel._rk4_source(
         5, 2, conn._lift_field.body, dom.m, dom.fn.body)]}
+    # the homotopy-lift benchmark's: the interval (-2, 2) included in the
+    # line, whose phi = x1 is a copied coordinate
+    A = LieAlgebroid(1, 1, [[ex.Const(1.0)]], {},
+                     domain=[ex.parse("4 - x1^2", ["x1"])])
+    c = Comorphism(A, make_tangent(1), [ex.Var("x1")], [[ex.Const(1.0)]])
+    dom = A.in_domain
+    loops["homotopy"] = [numkernel._rk4_source(
+        1, 1, c._lift_field.body, dom.m, dom.fn.body)]
     loop_of = numkernel._rk4_loop
     for name, (phi, PX, PY, seed, bound) in _dual_route_fixtures().items():
         seen = {}
@@ -1214,6 +1228,68 @@ def test_a_tabulated_field_needs_two_rows_per_step_and_one():
     vf = _table_field([[1.0]] * 20)
     with pytest.raises(FlowError, match="needs 21 table rows, got 20"):
         flow(vf, [0.0], (0.0, 1.0), step=0.1)
+
+
+# ------------------------------------------------------------------ lanes --
+
+LANE_STARTS = [[0.1, 10.0], [-1.0, 10.0], [1.0, 10.0], [0.1, 0.3],
+               [0.2, 10.0]]
+
+
+def _lanes(tabulated):
+    """x1' = x1^3 + xi / 100, x2' = 0 and the extra value log(x2 - xi) on
+    x1 > -2, with xi the time, or with tabulated lane l's own column, xi =
+    (1 + l / 10) t at the stage times of 100 steps over [0, 1]: the field
+    and the lanes' tables, None when untabulated. From LANE_STARTS, with
+    bound 1e3, the lanes complete, exit the domain (near t = 0.375), blow
+    up (near t = 0.5), end in a stage that raises (once xi reaches 0.3)
+    and complete."""
+    xi = "xi" if tabulated else "t"
+    names = [xi, "x1", "x2"]
+    fn = ex.compile_exprs([ex.parse(src, names) for src in (
+        f"x1^3 + {xi} / 100", "0", f"log(x2 - {xi})")], names)
+    dom = ex.domain_predicate([ex.parse("x1 + 2", ["x1", "x2"])],
+                              ["x1", "x2"])
+    if not tabulated:
+        return VectorFieldTD(2, fn, dom), None
+    stage_t = np.linspace(0.0, 1.0, 201)
+    tables = np.stack([(1 + l / 10) * stage_t
+                       for l in range(len(LANE_STARTS))], axis=1)[:, :, None]
+    return numkernel.TabulatedField(2, fn, None, dom), tables
+
+
+@pytest.mark.parametrize("tabulated", [False, True],
+                         ids=["time", "own-tables"])
+def test_one_lane_call_is_the_flows_of_its_lanes(tabulated):
+    # each lane keeps its own prefix, extras and ending, also after a lane
+    # that ends early, and reads its own column of the tables
+    vf, tables = _lanes(tabulated)
+    lanes = numkernel.flow_lanes(vf, LANE_STARTS, (0.0, 1.0), 0.01, 1e3,
+                                 tables)
+    assert [lane.status for lane in lanes] == [
+        "completed", "domain_exit", "blowup", "blowup", "completed"]
+    assert len({len(lane.times) for lane in lanes}) == 4
+    for l, (x0, lane) in enumerate(zip(LANE_STARTS, lanes)):
+        alone = flow(vf if tables is None else numkernel.TabulatedField(
+            2, vf.fn, tables[:, l].tolist(), vf.domain),
+            x0, (0.0, 1.0), 0.01, 1e3)
+        assert lane.times.tobytes() == alone.times.tobytes()
+        assert lane.points.tobytes() == alone.points.tobytes()
+        assert lane.extras.tobytes() == alone.extras.tobytes()
+        assert lane.extras.shape == alone.extras.shape
+        assert repr(lane.ending) == repr(alone.ending)
+
+
+def test_a_lane_call_checks_its_lanes():
+    vf, tables = _lanes(True)
+    assert numkernel.flow_lanes(vf, [], (0.0, 1.0), 0.01,
+                                tables=tables[:, :0]) == []
+    with pytest.raises(FlowError, match="2 lanes need as many tables, got 5"):
+        numkernel.flow_lanes(vf, LANE_STARTS[:2], (0.0, 1.0), 0.01,
+                             tables=tables)
+    with pytest.raises(numkernel.StartError, match=r"x0 = \(-3.0, 10.0\)"):
+        numkernel.flow_lanes(vf, [*LANE_STARTS[:4], [-3.0, 10.0]],
+                             (0.0, 1.0), 0.01, tables=tables)
 
 
 def test_a_numpy_scalar_warning_in_the_loop_is_attributed_to_numkernel():
