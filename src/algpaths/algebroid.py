@@ -79,10 +79,6 @@ class Antisymmetric(dict):
             entries[idx] = ex.parse(str(text), coords)
         return entries
 
-    def to_json(self):
-        return {",".join(str(k + 1) for k in key): str(e)
-                for key, e in sorted(self.items())}
-
     def expr(self, *key):
         """The entry at any index tuple as an Expr: Const 0 on the
         diagonal and where the table holds no entry."""
@@ -198,17 +194,6 @@ class LieAlgebroid:
         bracket = Antisymmetric.parse(d.get("bracket"), coords, _BRACKET)
         domain = [ex.parse(str(s), coords) for s in d.get("domain") or []]
         return cls(n, r, anchor, bracket, domain)
-
-    def to_dict(self):
-        out = {
-            "base_dim": self.n,
-            "rank": self.r,
-            "anchor": [[str(e) for e in row] for row in self.anchor],
-            "bracket": self.bracket.to_json(),
-        }
-        if self.domain:
-            out["domain"] = [str(e) for e in self.domain]
-        return out
 
     def __repr__(self):
         return (f"LieAlgebroid(base_dim={self.n}, rank={self.r}, "

@@ -1,5 +1,5 @@
-"""A-paths and A-homotopies as sampled data, with residual diagnostics,
-concatenation, and matrix-group development.
+"""A-paths and A-homotopies as sampled data, with residual diagnostics
+and matrix-group development.
 
 An A-path over an algebroid A is a pair (x(t), eta(t)) on [0,1] with
 dx/dt = rho(x) eta; the defining equation is never assumed — it is
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import expr as ex
 from .algebroid import AlgebroidError, make_lie_algebra, matvec
-from .expr import evaluate, point
+from .expr import evaluate
 from .numkernel import (COMPLETED, FlowOutcome, TabulatedField, Trajectory,
                         check_uniform_grid, flow, read_csv, stage_table,
                         write_csv_rows)
@@ -36,14 +36,12 @@ class APath(FlowOutcome):
     """Sampled A-path: uniform grid on [0,1], base and fiber samples. An
     uneven time grid raises ValueError (`numkernel.check_uniform_grid`).
 
-    junctions: indices excluded from residual maxima (concatenation
-    points, where the path is only piecewise smooth). ending is the
-    `numkernel.Ending` of the flow it came from, COMPLETED for samples.
+    ending is the `numkernel.Ending` of the flow it came from, COMPLETED
+    for samples.
     """
 
-    def __init__(self, algebroid, times, base, eta, ending=COMPLETED,
-                 junctions=()):
-        self._store(algebroid, times, base, eta, ending, junctions)
+    def __init__(self, algebroid, times, base, eta, ending=COMPLETED):
+        self._store(algebroid, times, base, eta, ending)
         check_uniform_grid(self.times)
         algebroid.in_domain.require(self.base, algebroid.n, "base sample",
                                     AlgebroidError)
@@ -54,10 +52,10 @@ class APath(FlowOutcome):
         domain, which are not tested again: `flow` keeps a sample only
         after its field's domain predicate accepted it."""
         g = cls.__new__(cls)
-        g._store(algebroid, traj.times, traj.points, eta, traj.ending, ())
+        g._store(algebroid, traj.times, traj.points, eta, traj.ending)
         return g
 
-    def _store(self, algebroid, times, base, eta, ending, junctions):
+    def _store(self, algebroid, times, base, eta, ending):
         self.algebroid = algebroid
         self.times = np.asarray(times, dtype=float)
         self.base = np.asarray(base, dtype=float).reshape(len(self.times),
@@ -65,7 +63,6 @@ class APath(FlowOutcome):
         self.eta = np.asarray(eta, dtype=float).reshape(len(self.times),
                                                         algebroid.r)
         self.ending = ending
-        self.junctions = frozenset(int(j) for j in junctions)
 
     @property
     def source(self):
@@ -129,56 +126,15 @@ def _path_derivative(values, h):
 
 
 def admissibility_residual(g):
-    """max_k |finite-difference dx/dt - rho(x_k) eta_k|, junctions skipped.
+    """max_k |finite-difference dx/dt - rho(x_k) eta_k|.
 
     Central differences at interior grid points, one-sided second-order
     stencils at the two endpoints.
     """
     h = g.times[1] - g.times[0]
     dx = _path_derivative(g.base, h)
-    keep = np.ones(len(g.times), dtype=bool)
-    keep[list(g.junctions)] = False
-    rho = g.algebroid.anchor_matrix(g.base[keep])
-    r = dx[keep] - matvec(rho, g.eta[keep])
+    r = dx - matvec(g.algebroid.anchor_matrix(g.base), g.eta)
     return float(np.max(np.abs(r), initial=0.0))
-
-
-def concat(g, g2):
-    """Time-rescaled concatenation: first half 2g(2t), second half 2g'(2t-1).
-
-    Requires matching grids and matching junction point; the junction
-    becomes a grid index recorded in `junctions` (the concatenated path is
-    only piecewise smooth there).
-    """
-    if g.algebroid is not g2.algebroid:
-        raise AlgebroidError("concat needs paths over the same algebroid")
-    if not (g.completed and g2.completed):
-        raise AlgebroidError("concat needs completed paths")
-    if len(g.times) != len(g2.times):
-        raise AlgebroidError("concat needs equal grid sizes "
-                             f"({len(g.times)} vs {len(g2.times)})")
-    if float(np.max(np.abs(g.target - g2.source))) > 1e-9:
-        raise AlgebroidError(
-            f"endpoint mismatch: target {point(g.target)} vs "
-            f"source {point(g2.source)}")
-    m = len(g.times) - 1
-    times = np.concatenate([0.5 * g.times, 0.5 + 0.5 * g2.times[1:]])
-    base = np.concatenate([g.base, g2.base[1:]], axis=0)
-    # the shared sample at t=1/2 takes the second path's fiber value
-    # (the t >= 1/2 branch of the piecewise formula)
-    eta = np.concatenate([2.0 * g.eta[:-1], 2.0 * g2.eta], axis=0)
-    junctions = ({m}
-                 | {j for j in g.junctions}
-                 | {m + j for j in g2.junctions})
-    return APath(g.algebroid, times, base, eta, junctions=junctions)
-
-
-def constant_apath(A, x0, grid_size=1000):
-    """The unit element at x0: constant base, zero fiber."""
-    times = np.linspace(0.0, 1.0, grid_size + 1)
-    base = np.tile(np.asarray(x0, dtype=float), (grid_size + 1, 1))
-    eta = np.zeros((grid_size + 1, A.r))
-    return APath(A, times, base, eta)
 
 
 class AHomotopy:
@@ -440,7 +396,6 @@ def log_derivative(gamma, basis, algebroid=None, span_tol=1e-6):
 
 __all__ = [
     "APath", "AHomotopy", "BasisError", "MatrixPath", "integrate_apath",
-    "admissibility_residual", "concat", "constant_apath",
-    "homotopy_residual", "develop", "log_derivative",
+    "admissibility_residual", "homotopy_residual", "develop", "log_derivative",
     "read_apath_csv", "read_ahomotopy_csv", "read_matrix_csv",
 ]

@@ -121,14 +121,6 @@ class Comorphism:
                 f"{self.target.n}d/r{self.target.r})")
 
 
-def identity_comorphism(A):
-    """The identity comorphism (id, id) on A."""
-    phi = [ex.Var(v) for v in A.coords]
-    M = [[ex.Const(1.0 if a == b else 0.0) for b in range(A.r)]
-         for a in range(A.r)]
-    return Comorphism(A, A, phi, M)
-
-
 def anchor_compat_residual(c, samples):
     """max over samples of |Dphi(x) rho_A(x) M(x) - rho_B(phi(x))|, after
     the spot check that the samples and their images lie in the domains."""
@@ -264,13 +256,15 @@ def _phi_along(c, traj):
 def _check_starts(c, starts, sources):
     """Raise StartMismatchError unless phi maps each of the stacked start
     points to within 1e-6 of its path source: sources is one point, or
-    one per start."""
-    images = c.phi_at(starts)
-    for y0, source in zip(*np.broadcast_arrays(images, sources)):
-        if float(np.max(np.abs(y0 - source))) > 1e-6:
-            raise StartMismatchError(
-                f"phi(x0) = {point(y0)} does not match the path source "
-                f"{point(source)}")
+    one per start. The first start that misses raises; the comparison is
+    negated, so that a nan image misses."""
+    images, sources = np.broadcast_arrays(c.phi_at(starts), sources)
+    bad = np.flatnonzero(~(np.abs(images - sources) <= 1e-6).all(axis=-1))
+    if len(bad):
+        k = bad[0]
+        raise StartMismatchError(
+            f"phi(x0) = {point(images[k])} does not match the path source "
+            f"{point(sources[k])}")
 
 
 def lift_path(c, g, x0, interp="cubic", bound=1e8):
@@ -427,7 +421,7 @@ def lift_uniqueness_check(c, g, x0, bound=1e8):
 
 __all__ = [
     "Comorphism", "LiftError", "StartMismatchError", "ProbeVerdict",
-    "UniquenessReport", "identity_comorphism", "anchor_compat_residual",
-    "pullback_section", "compose", "first_escape", "completeness_probe",
-    "lift_path", "lift_homotopy", "lift_uniqueness_check",
+    "UniquenessReport", "anchor_compat_residual", "pullback_section",
+    "compose", "first_escape", "completeness_probe", "lift_path",
+    "lift_homotopy", "lift_uniqueness_check",
 ]

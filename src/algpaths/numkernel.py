@@ -4,7 +4,7 @@ blowup and domain-exit detection.
 The integration routine is `flow_lanes`, which flows one field from many
 start points, or over many tables, as independent lanes of one call; `flow`
 is its one-lane case. Adaptive behaviour is obtained by the caller halving
-the step and rerunning (see `flow_endpoint_order`).
+the step and rerunning.
 Fields and domain predicates are functions compiled by
 `expr.compile_exprs`; the stepping loop (`_rk4_source`) is straight-line
 Python that runs their kept bodies inline, with no call, in each stage
@@ -272,29 +272,16 @@ def _parse_rows(lines, width):
     return np.array(rows)
 
 
-def check_uniform_grid(times, what="time", short_last=False):
+def check_uniform_grid(times, what="time"):
     """Raise ValueError unless the grid steps up evenly: every spacing
-    equal to the first up to GRID_RTOL of it. With short_last the last
-    spacing may be shorter, as when a flow's span is not a whole number of
-    steps."""
+    equal to the first up to GRID_RTOL of it."""
     d = np.diff(np.asarray(times, dtype=float))
     if len(d) == 0:
         return
     h = d[0]
-    body = d[:-1] if short_last else d
-    if not (h > 0.0 and np.all(np.abs(body - h) <= GRID_RTOL * h)
-            and (not short_last or 0.0 < d[-1] <= h * (1.0 + GRID_RTOL))):
+    if not (h > 0.0 and np.all(np.abs(d - h) <= GRID_RTOL * h)):
         raise ValueError(f"{what} grid is not uniform (spacings from "
                          f"{float(d.min())!r} to {float(d.max())!r})")
-
-
-def read_trajectory_csv(f):
-    """Inverse of Trajectory.write_csv (header + rows + status comment)."""
-    rows, ending = read_csv(
-        f, lambda header: Trajectory.columns(max(len(header) - 1, 1)),
-        "trajectory")
-    check_uniform_grid(rows[:, 0], short_last=True)
-    return Trajectory(rows[:, 0], rows[:, 1:], ending)
 
 
 BISECT_RESOLUTION = 1e-9      # in time, of a domain exit's t*
@@ -804,33 +791,7 @@ def stage_table(times, values, interp, refine=1):
     return m, table
 
 
-def flow_endpoint_order(vf, x0, t_span, step, reference=None):
-    """Observed RK4 convergence order from endpoint errors at h and h/2.
-
-    With a `reference` endpoint the errors are measured against it;
-    otherwise a run at h/4 serves as the Richardson reference. Returns the
-    log2 error ratio (≈ 4 for smooth fields), or the string "exact" when
-    both errors vanish identically.
-    """
-    ends = []
-    for h in (step, step / 2.0) + (() if reference is not None else (step / 4.0,)):
-        traj = flow(vf, x0, t_span, step=h)
-        if not traj.completed:
-            raise FlowError(f"order estimate needs completed flows, "
-                            f"got {traj.ending} at step {h}")
-        ends.append(np.asarray(traj.endpoint))
-    ref = np.asarray(reference, dtype=float) if reference is not None else ends[2]
-    err_h = float(np.linalg.norm(ends[0] - ref))
-    err_h2 = float(np.linalg.norm(ends[1] - ref))
-    if err_h == 0.0 and err_h2 == 0.0:
-        return "exact"
-    if err_h2 == 0.0:
-        return math.inf
-    return math.log2(err_h / err_h2)
-
-
 __all__ = ["VectorFieldTD", "Ending", "COMPLETED", "FlowOutcome",
-           "Trajectory", "flow", "flow_lanes", "flow_endpoint_order",
-           "not_a_knot_table", "stage_table", "read_csv", "read_csv_rows",
-           "write_csv_rows", "check_uniform_grid", "read_trajectory_csv",
-           "FlowError"]
+           "Trajectory", "flow", "flow_lanes", "not_a_knot_table",
+           "stage_table", "read_csv", "read_csv_rows", "write_csv_rows",
+           "check_uniform_grid", "FlowError"]

@@ -1,15 +1,12 @@
 """Poisson manifolds, Hamiltonian dynamics, Poisson-map residuals,
-cotangent-lift comorphisms, the tangent-lift bivector, and the probe-level
-completeness equivalence.
+cotangent-lift comorphisms, and the probe-level completeness equivalence.
 
 Sign conventions, pinned once and asserted by the harmonic-oscillator
 fixture: (Pi# xi)^i = Pi^{ij} xi_j and xi_f = Pi# df, so on standard
 symplectic R^2 (Pi^{12} = 1) the Hamiltonian field of (x^2+y^2)/2 is
 (y, -x). The bivector is stored as upper-triangle expressions in an
 `algebroid.Antisymmetric` table, the one that holds an algebroid's
-bracket; the full matrix is always expanded antisymmetrically (in
-particular the tangent lift below is antisymmetric by construction, entry
-by entry).
+bracket; the full matrix is always expanded antisymmetrically.
 """
 
 from functools import cached_property
@@ -81,12 +78,6 @@ class PoissonManifold:
         domain = [ex.parse(str(s), coords) for s in d.get("domain") or []]
         return cls(n, pi, domain)
 
-    def to_dict(self):
-        out = {"dim": self.dim, "Pi": self.pi.to_json()}
-        if self.domain:
-            out["domain"] = [str(e) for e in self.domain]
-        return out
-
     def __repr__(self):
         return (f"PoissonManifold(dim={self.dim}, "
                 f"{len(self.pi)} Pi entries)")
@@ -140,27 +131,6 @@ def cotangent_lift(phi, PX, PY, samples=None, tol=1e-8):
     M = [[phi.components[b].d(PX.coords[a]) for b in range(PY.dim)]
          for a in range(PX.dim)]
     return Comorphism(PX.cotangent, PY.cotangent, list(phi.components), M)
-
-
-def tangent_lift_bivector(P):
-    """The lifted Poisson structure on TX ~ R^{2n} in coordinates
-    (x, v): block form [[0, Pi(x)], [-Pi(x)^T, d_k Pi(x) v^k]], realized
-    as upper-triangle entries (so antisymmetry is structural)."""
-    n = P.dim
-    coords = list(P.coords) + [f"v{i+1}" for i in range(n)]
-    vvars = [ex.Var(c) for c in coords[n:]]
-    pi = {}
-    for i in range(n):
-        for j in range(n):
-            e = P.pi.expr(i, j)
-            if e != ex.Const(0.0):
-                pi[(i, n + j)] = e
-    for i in range(n):
-        for j in range(i + 1, n):
-            acc = ex.dot(vvars, [P.pi.expr(i, j).d(v) for v in P.coords])
-            if acc != ex.Const(0.0):
-                pi[(n + i, n + j)] = acc
-    return PoissonManifold(2 * n, pi, domain=P.domain, coords=coords)
 
 
 class ProbeComparison(NamedTuple):
@@ -252,6 +222,6 @@ def complete_map_probe(phi, PX, PY, test_functions=None, horizon=2.0,
 __all__ = [
     "PoissonManifold", "PoissonError", "ProbeComparison",
     "standard_symplectic", "hamiltonian_vf",
-    "poisson_map_residual", "cotangent_lift", "tangent_lift_bivector",
-    "complete_map_probe", "default_test_functions",
+    "poisson_map_residual", "cotangent_lift", "complete_map_probe",
+    "default_test_functions",
 ]

@@ -5,19 +5,18 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import expm
 
 from algpaths import expr as ex
 from algpaths.algebroid import (AlgebroidError, LieAlgebroid, SectionTD,
                                 check_axioms, make_lie_algebra, make_tangent,
                                 sample_points)
 from algpaths.apath import (AHomotopy, APath, BasisError, MatrixPath,
-                            admissibility_residual, concat, constant_apath,
-                            develop, homotopy_residual, integrate_apath,
+                            admissibility_residual, develop,
+                            homotopy_residual, integrate_apath,
                             log_derivative, read_apath_csv,
                             read_ahomotopy_csv, read_matrix_csv)
-from algpaths.numkernel import (COMPLETED, Ending, Trajectory, flow,
-                                read_trajectory_csv)
+from algpaths.numkernel import COMPLETED, Ending, Trajectory, flow
+from test_numkernel import read_trajectory
 
 
 def so3_constants():
@@ -29,6 +28,8 @@ def so3_constants():
 
 
 SO2_BASIS = [np.array([[0.0, -1.0], [1.0, 0.0]])]
+# exp(pi/2 E) of the so(2) generator E: the quarter turn, exact in floats
+QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
 SO3_BASIS = [np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]),
              np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
              np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])]
@@ -93,40 +94,6 @@ def test_admissibility_detects_wrong_eta():
     g = APath(A, [0.0, 0.5, 1.0], [[0.0], [0.5], [1.0]],
               [[1.0], [0.75], [1.0]])            # middle eta off by 0.25
     assert admissibility_residual(g) == pytest.approx(0.25)
-
-
-# ----------------------------------------------------------------- concat
-
-def test_concat_l_shape():
-    A = make_tangent(2)
-    right = integrate_apath(A, SectionTD.from_strings(A, ["1", "0"]),
-                            [0.0, 0.0], grid_size=100)
-    up = integrate_apath(A, SectionTD.from_strings(A, ["0", "1"]),
-                         [1.0, 0.0], grid_size=100)
-    g = concat(right, up)
-    assert list(g.source) == [0.0, 0.0]
-    assert g.target == pytest.approx([1.0, 1.0], abs=1e-12)
-    assert len(g.times) == 201
-    assert g.junctions == frozenset({100})
-    # the junction sample carries the second path's (time-scaled) fiber
-    assert g.eta[100] == pytest.approx([0.0, 2.0])
-    # concatenated path is admissible away from the junction
-    assert admissibility_residual(g) <= 1e-3
-
-
-def test_concat_requires_matching_endpoints():
-    A = make_tangent(1)
-    g1 = constant_apath(A, [0.0], grid_size=10)
-    g2 = constant_apath(A, [1.0], grid_size=10)
-    with pytest.raises(AlgebroidError, match="endpoint"):
-        concat(g1, g2)
-
-
-def test_constant_apath_has_zero_eta():
-    A = make_tangent(2)
-    g = constant_apath(A, [0.3, -0.4], grid_size=10)
-    assert np.all(np.asarray(g.eta) == 0.0)
-    assert admissibility_residual(g) <= 1e-12   # stencil FP noise only
 
 
 # ------------------------------------------------------------- homotopies
@@ -224,8 +191,7 @@ def quarter_turn_path(grid=1000):
 def test_develop_so2_quarter_turn_matches_expm():
     g = quarter_turn_path()
     mp = develop(SO2_BASIS, g)
-    exact = expm((math.pi / 2.0) * SO2_BASIS[0])
-    assert np.max(np.abs(mp.endpoint - exact)) <= 1e-8
+    assert np.max(np.abs(mp.endpoint - QUARTER_TURN)) <= 1e-8
 
 
 def so3_action():
@@ -266,8 +232,8 @@ def test_an_apath_over_a_point_carries_its_section_and_develops():
     g = integrate_apath(A, quarter, [])
     assert g.completed and g.base.shape == (1001, 0)
     assert g.eta.tolist() == [[math.pi / 2.0]] * 1001
-    exact = expm((math.pi / 2.0) * SO2_BASIS[0])
-    assert np.max(np.abs(develop(SO2_BASIS, g).endpoint - exact)) <= 1e-8
+    assert np.max(np.abs(develop(SO2_BASIS, g).endpoint
+                         - QUARTER_TURN)) <= 1e-8
 
     A = LieAlgebroid(0, 2, [], {})
     s = SectionTD.from_strings(A, ["sin(3*t)", "t^2 - 1"])
@@ -629,7 +595,7 @@ def test_trajectory_csv_round_trip_is_bitwise(size, n, data):
                                                              - times[0])
     ending = data.draw(outcomes())
     traj = Trajectory(times, data.draw(tables(size, n)), ending)
-    back = round_trip(traj, read_trajectory_csv)
+    back = round_trip(traj, read_trajectory)
     assert same_bits(back.times, traj.times)
     assert same_bits(back.points, traj.points)
     assert repr(back.ending) == repr(ending)

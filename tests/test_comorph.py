@@ -9,16 +9,16 @@ from hypothesis import example, given, settings, strategies as st
 from algpaths import comorph, expr as ex
 from algpaths.algebroid import (AlgebroidError, LieAlgebroid, SectionTD,
                                 make_tangent, matvec, sample_points)
-from algpaths.apath import (AHomotopy, APath, concat, develop,
-                            integrate_apath, read_apath_csv)
+from algpaths.apath import (AHomotopy, APath, develop, integrate_apath,
+                            read_apath_csv)
 from algpaths.ehresmann import (ExampleConnection, FlatConnection,
                                circle_loop)
 from algpaths.numkernel import StartError, VectorFieldTD
 from test_numkernel import _reference_flow
 from algpaths.comorph import (Comorphism, LiftError, anchor_compat_residual,
                               completeness_probe, compose, first_escape,
-                              identity_comorphism, lift_homotopy, lift_path,
-                              lift_uniqueness_check, pullback_section)
+                              lift_homotopy, lift_path, lift_uniqueness_check,
+                              pullback_section)
 
 
 def disk(radius=1.0):
@@ -44,6 +44,12 @@ def circle_path(B, N=500, radius=0.5):
     return APath(B, times, base, eta)
 
 
+def identity(A):
+    """The identity comorphism (id, id) on A."""
+    return Comorphism(A, A, [ex.Var(v) for v in A.coords],
+                      np.eye(A.r).tolist())
+
+
 def line_path(B, N=200, speed=2.0):
     times = np.linspace(0.0, 1.0, N + 1)
     base = [[speed * t, 0.0] for t in times]
@@ -55,7 +61,7 @@ def line_path(B, N=200, speed=2.0):
 
 def test_identity_comorphism_is_exactly_compatible():
     P = make_tangent(2)
-    c = identity_comorphism(P)
+    c = identity(P)
     pts = sample_points(P, 20, np.random.default_rng(0))
     assert anchor_compat_residual(c, pts) == 0.0
 
@@ -198,7 +204,7 @@ def test_compose_rejects_mismatched_chain():
     line = make_tangent(1)
     # a different shape, and the same shape over another algebroid
     for c2 in (Comorphism(line, line, [ex.Var("x1")], [[1.0]]),
-               identity_comorphism(disk())):
+               identity(disk())):
         with pytest.raises(AlgebroidError, match="chain"):
             compose(c1, c2)
 
@@ -267,6 +273,21 @@ def test_lift_rejects_start_point_off_the_fiber():
         lift_path(c, g, (0.7, 0.0))
 
 
+def test_a_start_whose_image_is_nan_does_not_match():
+    # phi is inf - inf, nan wherever x1 != 0: the start check must read a
+    # nan image as a miss, for one start and for the second of a stack
+    A = make_tangent(1)
+    c = Comorphism(A, A, [ex.parse("x1 * 1e300 * 1e300 - x1 * 1e300 * 1e300",
+                                   A.coords)], [[1.0]])
+    times = np.linspace(0.0, 1.0, 11)
+    g = APath(A, times, times[:, None], np.ones((11, 1)))
+    assert lift_path(c, g, [0.0]).completed
+    for x0 in ([1.0], [[0.0], [1.0]]):
+        with pytest.raises(comorph.StartMismatchError, match=re.escape(
+                "phi(x0) = (nan,) does not match the path source (0.0,)")):
+            lift_path(c, g, x0)
+
+
 def test_lift_escape_is_the_non_existence_witness():
     B = make_tangent(2)
     c = inclusion(disk(), B)
@@ -290,7 +311,7 @@ def test_a_path_of_m_steps_lifts_and_develops_in_m_steps(t1, m):
     times = np.linspace(0.0, t1, m + 1)
     g = APath(B, times, (times / t1)[:, None], np.full((m + 1, 1), 1.0 / t1))
     for interp in ("cubic", "linear"):
-        lifted = lift_path(identity_comorphism(B), g, [0.0], interp=interp)
+        lifted = lift_path(identity(B), g, [0.0], interp=interp)
         assert lifted.completed and len(lifted.times) == m + 1
         assert lifted.target == pytest.approx([1.0], abs=1e-12)
     mp = develop([np.array([[0.0, -1.0], [1.0, 0.0]])], g)
@@ -303,8 +324,7 @@ def test_a_path_of_m_steps_lifts_and_develops_in_m_steps(t1, m):
 def rank_0_identity():
     """The identity of the rank-0 algebroid over the line, whose A-paths
     stand still: no fiber, and x' = 0."""
-    A = LieAlgebroid(1, 0, [[]])
-    return Comorphism(A, A, [ex.Var("x1")], [])
+    return identity(LieAlgebroid(1, 0, [[]]))
 
 
 @pytest.mark.parametrize("interp", ["cubic", "linear"])
@@ -412,6 +432,16 @@ def test_lift_uniqueness_on_an_escaping_path():
 # C = 1.3e-3. Each drawn case's tolerance is C h^4 at N = 100 scaled by its
 # `_growth` over the two paths (t in [0, 2]) and by a margin of 10.
 MULT_N = 100
+
+
+def concat(g1, g2):
+    """The product of A-paths g1 and g2, g2 starting at g1's target: first
+    half 2 g1(2t), second half 2 g2(2t - 1), on equal grids. The shared
+    sample at t = 1/2 takes g2's fiber value."""
+    times = np.concatenate([0.5 * g1.times, 0.5 + 0.5 * g2.times[1:]])
+    base = np.concatenate([g1.base, g2.base[1:]])
+    eta = np.concatenate([2.0 * g1.eta[:-1], 2.0 * g2.eta])
+    return APath(g1.algebroid, times, base, eta)
 
 
 def _mult_tol(sec, f, g):

@@ -15,12 +15,11 @@ from hypothesis import given, settings, strategies as st
 from algpaths import cli, numkernel
 from algpaths import expr as ex
 from algpaths.algebroid import LieAlgebroid
-from algpaths.apath import AHomotopy
+from algpaths.apath import AHomotopy, read_apath_csv
 from algpaths.expr import Domain
 from algpaths.numkernel import (COMPLETED, Ending, FlowError, Trajectory,
                                 VectorFieldTD, check_uniform_grid, flow,
-                                flow_endpoint_order, read_csv_rows,
-                                read_trajectory_csv, write_csv_rows)
+                                read_csv, read_csv_rows, write_csv_rows)
 
 
 def compiled_field(sources, domain=(), coords=("x1",)):
@@ -42,14 +41,29 @@ def test_flow_exponential_accuracy():
     assert traj.times[0] == 0.0 and traj.times[-1] == pytest.approx(1.0)
 
 
+def endpoint_order(vf, x0, t_span, step):
+    """Observed RK4 order by step halving: log2 of the ratio of the
+    endpoint errors at step h and h/2, each against the run at h/4, or
+    "exact" when both vanish."""
+    ends = []
+    for h in (step, step / 2.0, step / 4.0):
+        traj = flow(vf, x0, t_span, step=h)
+        assert traj.completed
+        ends.append(traj.endpoint)
+    err_h, err_h2 = (float(np.linalg.norm(e - ends[2])) for e in ends[:2])
+    if err_h == 0.0 and err_h2 == 0.0:
+        return "exact"
+    return math.log2(err_h / err_h2)
+
+
 def test_flow_is_fourth_order():
-    p = flow_endpoint_order(exp_field(), [1.0], (0.0, 1.0), step=0.05)
+    p = endpoint_order(exp_field(), [1.0], (0.0, 1.0), step=0.05)
     assert 3.5 <= p <= 4.5
 
 
 def test_flow_endpoint_order_exact_field():
     vf = compiled_field(["2.0"])                  # RK4 integrates it exactly
-    assert flow_endpoint_order(vf, [0.0], (0.0, 1.0), step=0.1) == "exact"
+    assert endpoint_order(vf, [0.0], (0.0, 1.0), step=0.1) == "exact"
 
 
 def test_reversed_time_span_rejected():
@@ -129,13 +143,21 @@ def test_time_dependent_field():
     assert traj.endpoint[0] == pytest.approx(1.0, abs=1e-12)
 
 
+def read_trajectory(f):
+    """A trajectory CSV as `Trajectory.write_csv` writes it: the header
+    t,x1..xn, the rows and the '# status=' trailer."""
+    rows, ending = read_csv(
+        f, lambda header: Trajectory.columns(len(header) - 1), "trajectory")
+    return Trajectory(rows[:, 0], rows[:, 1:], ending)
+
+
 def test_csv_round_trip_exact():
     vf = compiled_field(["x2", "-x1"], coords=("x1", "x2"))
     traj = flow(vf, [1.0, 0.0], (0.0, 1.0), step=0.01)
     buf = io.StringIO()
     traj.write_csv(buf)
     buf.seek(0)
-    back = read_trajectory_csv(buf)
+    back = read_trajectory(buf)
     assert back.status == traj.status
     assert np.array_equal(np.asarray(back.times), np.asarray(traj.times))
     assert np.array_equal(np.asarray(back.points), np.asarray(traj.points))
@@ -150,7 +172,7 @@ def test_csv_round_trip_keeps_event_status():
     assert text.splitlines()[0] == "t,x1"
     assert "# status=blowup(t*=" in text
     buf.seek(0)
-    back = read_trajectory_csv(buf)
+    back = read_trajectory(buf)
     assert back.status == "blowup"
     assert back.ending.t_star == pytest.approx(traj.ending.t_star, abs=0)
 
@@ -161,7 +183,7 @@ def test_csv_round_trip_keeps_a_short_last_step():
     buf = io.StringIO()
     traj.write_csv(buf)
     buf.seek(0)
-    assert np.array_equal(read_trajectory_csv(buf).times, traj.times)
+    assert np.array_equal(read_trajectory(buf).times, traj.times)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -185,8 +207,12 @@ def test_csv_round_trip_keeps_a_short_last_step():
      r"ending 'blowup\(t\*=0.5' is not"),
 ])
 def test_trajectory_csv_rejects_bad_input(text, message):
+    # read as an A-path of the rank-0 algebroid on R^n, whose header is a
+    # trajectory's, t,x1..xn, with n one less than the header's cells
+    n = max(text.split("\n")[0].count(","), 1)
+    A = LieAlgebroid(n, 0, [[]] * n)
     with pytest.raises(ValueError, match=message):
-        read_trajectory_csv(io.StringIO(text))
+        read_apath_csv(io.StringIO(text), A)
 
 
 def test_an_uneven_grid_is_named_by_plain_numbers():

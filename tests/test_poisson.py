@@ -11,8 +11,7 @@ from algpaths.numkernel import flow
 from algpaths.poisson import (PoissonError, PoissonManifold,
                               complete_map_probe, cotangent_lift,
                               default_test_functions, hamiltonian_vf,
-                              poisson_map_residual, standard_symplectic,
-                              tangent_lift_bivector)
+                              poisson_map_residual, standard_symplectic)
 
 XY = ["x1", "x2"]
 
@@ -198,41 +197,6 @@ def test_cotangent_lifts_compose_as_the_lift_of_the_composite():
     assert np.array_equal(chained.M_at(pts), direct.M_at(pts))
 
 
-# ------------------------------------------------------------ tangent lift
-
-def test_tangent_lift_blocks_of_so3_dual():
-    P = so3_dual()
-    L = tangent_lift_bivector(P)
-    assert L.dim == 6
-    assert L.coords == ["x1", "x2", "x3", "v1", "v2", "v3"]
-    x = [0.3, -0.7, 1.1, 0.2, 0.5, -0.4]
-    M = L.pi_matrix(x)
-    # upper-right block is Pi(x); lower-left is -Pi(x)^T = Pi(x)
-    assert np.array_equal(M[:3, 3:], P.pi_matrix(x[:3]))
-    assert np.array_equal(M[3:, :3], -P.pi_matrix(x[:3]).T)
-    assert np.array_equal(M[:3, :3], np.zeros((3, 3)))
-    # lower-right block is v^k d_k Pi: for so(3)* just Pi evaluated at v
-    assert np.array_equal(M[3:, 3:], P.pi_matrix(x[3:]))
-
-
-def test_tangent_lift_is_poisson():
-    L = tangent_lift_bivector(so3_dual())
-    assert L.jacobi_residual(cube_samples(6, 30)) == 0.0
-
-
-def test_tangent_lift_of_a_constant_bivector_has_no_velocity_block():
-    L = tangent_lift_bivector(standard_symplectic(2))
-    assert set(L.pi) == {(0, 3), (1, 2)}
-    M = L.pi_matrix([0.0, 0.0, 1.0, 2.0])
-    assert M[0, 3] == 1.0 and M[1, 2] == -1.0
-    assert np.array_equal(M[2:, 2:], np.zeros((2, 2)))
-
-
-def test_tangent_lift_of_the_zero_structure_is_zero():
-    L = tangent_lift_bivector(PoissonManifold(2, {}))
-    assert L.dim == 4 and L.pi == {}
-
-
 # ------------------------------------------------------ completeness probe
 
 def test_probe_projection_is_complete():
@@ -384,9 +348,8 @@ def test_pi_completion_and_antisymmetry():
 def test_json_round_trip():
     P = PoissonManifold(3, {(0, 1): ex.parse("x3", ["x1", "x2", "x3"])},
                         domain=[ex.parse("x3", ["x1", "x2", "x3"])])
-    d = P.to_dict()
-    assert d["Pi"] == {"1,2": "x3"} and d["domain"] == ["x3"]
-    Q = PoissonManifold.from_dict(d)
+    Q = PoissonManifold.from_dict({"dim": 3, "Pi": {"1,2": "x3"},
+                                   "domain": ["x3"]})
     x = (0.1, 0.2, 0.7)
     assert np.array_equal(Q.pi_matrix(x), P.pi_matrix(x))
     assert not Q.in_domain((0.0, 0.0, -1.0))
