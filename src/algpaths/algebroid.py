@@ -12,7 +12,8 @@ structure function is an `expr.SmoothMap`, the anchor's of shape (n, r)
 and a table's of its full shape: it is compiled once and evaluated at one
 point or at a stack of points, always with plain floats, and its partials
 come last, [..., j] = d_j. Sample points are tested against the domain by
-its `expr.Domain.require`.
+its `expr.Domain.require`; `sample_points` draws them from a `Draws`
+stream, numpy's seeded uniform stream without numpy's random package.
 
 The axioms are not assumed: `check_axioms` evaluates the anchor-morphism
 and Jacobi residuals at sample points, with all derivatives symbolic.
@@ -355,11 +356,89 @@ def check_axioms(A, samples):
     return AxiomReport(float(anchor_res), float(jacobi_res), len(pts))
 
 
-def sample_points(A, count, rng, low=-1.5, high=1.5, max_tries=10000):
-    """Rejection-sample `count` points of R^n inside the domain predicate."""
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_state(seed):
+    """numpy's `SeedSequence(seed).generate_state(4, np.uint64)` (NEP 19):
+    the seed's 32-bit words, least significant first, hashed into a pool
+    of four words; eight words hashed out of the pool, paired low word
+    first into four 64-bit words."""
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    mult = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal mult
+        value ^= mult
+        mult = mult * 0x931E8875 & _MASK32
+        value = value * mult & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out, mult = [], 0x8B51F9DD
+    for i in range(8):
+        value = pool[i % 4] ^ mult
+        mult = mult * 0x58F38DED & _MASK32
+        value = value * mult & _MASK32
+        out.append(value ^ value >> 16)
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class Draws:
+    """The uniform draws of numpy's `default_rng(seed)` generator, bit for
+    bit, in plain integer arithmetic, so that no process imports numpy's
+    random package for them: PCG64 (O'Neill, HMC-CS-2014-0905; a 128-bit
+    LCG state and its XSL-RR output) seeded through numpy's SeedSequence.
+    One object is one stream, which later calls continue."""
+
+    def __init__(self, seed):
+        if seed < 0:
+            raise ValueError(f"a seed must be non-negative, got {seed}")
+        s_hi, s_lo, i_hi, i_lo = _seed_state(seed)
+        self._inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        # from state 0: step, add the initial state, step
+        self._state = ((self._inc + (s_hi << 64 | s_lo)) * _PCG_MULT
+                       + self._inc) & _MASK128
+
+    def uniform(self, low, high, size):
+        """`size` floats, each low + (high - low) * u with u the next 53
+        bits of the stream over 2**53, as `Generator.uniform` draws them."""
+        span = high - low
+        state, inc, out = self._state, self._inc, []
+        for _ in range(size):
+            state = (state * _PCG_MULT + inc) & _MASK128
+            rot = state >> 122
+            word = (state >> 64 ^ state) & _MASK64
+            word = (word >> rot | word << (64 - rot)) & _MASK64
+            out.append(low + span * ((word >> 11) * 2.0 ** -53))
+        self._state = state
+        return out
+
+
+def sample_points(A, count, draws, low=-1.5, high=1.5, max_tries=10000):
+    """Rejection-sample `count` points of R^n inside the domain predicate,
+    each point's coordinates the next A.n uniform values of `draws` (a
+    `Draws` stream) from low to high."""
     pts = []
     for _ in range(max_tries):
-        x = rng.uniform(low, high, size=A.n).tolist()
+        x = draws.uniform(low, high, A.n)
         if A.in_domain(x):
             pts.append(x)
             if len(pts) == count:
@@ -371,6 +450,6 @@ def sample_points(A, count, rng, low=-1.5, high=1.5, max_tries=10000):
 __all__ = [
     "LieAlgebroid", "SectionTD", "AxiomReport", "AlgebroidError",
     "make_tangent", "make_lie_algebra", "make_cotangent_poisson",
-    "check_axioms", "lie_jacobi_residual", "sample_points",
+    "check_axioms", "lie_jacobi_residual", "Draws", "sample_points",
     "anchor_morphism_residual_at", "jacobi_residual_at",
 ]

@@ -129,8 +129,13 @@ def admissibility_residual(g):
     """max_k |finite-difference dx/dt - rho(x_k) eta_k|.
 
     Central differences at interior grid points, one-sided second-order
-    stencils at the two endpoints.
+    stencils at the two endpoints: ValueError for a path of fewer than
+    the 3 samples a stencil reads, such as the prefix of a flow that
+    escaped in its first step.
     """
+    if len(g.times) < 3:
+        raise ValueError(f"the admissibility residual's stencils need at "
+                         f"least 3 samples, got {len(g.times)}")
     h = g.times[1] - g.times[0]
     dx = _path_derivative(g.base, h)
     r = dx - matvec(g.algebroid.anchor_matrix(g.base), g.eta)

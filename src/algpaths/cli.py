@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import expr as ex
-from .algebroid import (AlgebroidError, LieAlgebroid, SectionTD,
+from .algebroid import (AlgebroidError, Draws, LieAlgebroid, SectionTD,
                         check_axioms, sample_points)
 from .apath import (develop, integrate_apath, admissibility_residual,
                     log_derivative, read_apath_csv, read_ahomotopy_csv,
@@ -102,7 +102,8 @@ def _count(value):
 
 
 def _seed(value):
-    """A non-negative integer, the seeds numpy's generators take."""
+    """A non-negative integer, the seeds `algebroid.Draws` takes: its
+    stream is numpy's `default_rng(seed).uniform`."""
     try:
         n = int(value)
     except (TypeError, ValueError):
@@ -329,7 +330,7 @@ def load_workspace(path):
             raise ConfigError(f"/defaults/{key}: {e}")
     # load-time checks are deterministic
     sample = functools.partial(sample_points, count=SPOT_SAMPLES,
-                               rng=np.random.default_rng(0))
+                               draws=Draws(0))
 
     for section, (keys, build, residual, check, measure) in SECTIONS.items():
         for name, d in (data.get(section) or {}).items():
@@ -425,8 +426,7 @@ def _pick(table, name, kind):
 
 def cmd_check_algebroid(args, ws):
     name, A = _pick(ws.algebroids, args.name, "algebroids")
-    rng = np.random.default_rng(args.seed)
-    rep = check_axioms(A, sample_points(A, args.samples, rng))
+    rep = check_axioms(A, sample_points(A, args.samples, Draws(args.seed)))
     ok = rep.ok(args.tol)
     _emit({"command": "check-algebroid", "name": name, "seed": args.seed,
            "params": {"samples": args.samples, "tol": args.tol},
@@ -441,16 +441,16 @@ def cmd_integrate_path(args, ws):
     s = SectionTD(A, _expr_list(args.section, ["t"] + A.coords))
     g = integrate_apath(A, s, args.x0, grid_size=args.grid, bound=args.bound)
     if _write_csv(g.write_csv, args.out):
-        payload = {"command": "integrate-path", "algebroid": name,
-                   "seed": args.seed,
-                   "params": {"grid": args.grid, "bound": args.bound},
-                   **g.ending._asdict(),
-                   "source": list(g.source), "target": list(g.target)}
         try:
-            payload["admissibility_residual"] = admissibility_residual(g)
-        except (AlgebroidError, ValueError, IndexError):
-            pass
-        _emit(payload)
+            residual = admissibility_residual(g)
+        except ValueError:
+            residual = None    # a prefix shorter than the stencils
+        _emit({"command": "integrate-path", "algebroid": name,
+               "seed": args.seed,
+               "params": {"grid": args.grid, "bound": args.bound},
+               **g.ending._asdict(),
+               "source": list(g.source), "target": list(g.target),
+               "admissibility_residual": residual})
     return 0 if g.completed else 1
 
 
@@ -490,8 +490,7 @@ def cmd_completeness_probe(args, ws):
     s = SectionTD(c.target, _expr_list(args.section,
                                        ["t"] + c.target.coords))
     _steps(args.horizon, "horizon", args.step)
-    seeds = args.x0 or sample_points(c.source, args.seeds,
-                                     np.random.default_rng(args.seed))
+    seeds = args.x0 or sample_points(c.source, args.seeds, Draws(args.seed))
     verdict = completeness_probe(c, s, args.horizon, args.bound, seeds,
                                  args.step)
     _emit({"command": "completeness-probe", "comorphism": name,
@@ -506,8 +505,7 @@ def cmd_compose(args, ws):
     _, c1 = _pick(ws.comorphisms, args.first, "comorphisms")
     _, c2 = _pick(ws.comorphisms, args.second, "comorphisms")
     c = compose(c1, c2)
-    pts = sample_points(c.source, SPOT_SAMPLES,
-                        np.random.default_rng(args.seed))
+    pts = sample_points(c.source, SPOT_SAMPLES, Draws(args.seed))
     names = {id(A): name for name, A in ws.algebroids.items()}
     d = c.to_dict(names[id(c1.source)], names[id(c2.target)])
     # two maps within the nesting and length bounds can compose past them;
@@ -627,8 +625,8 @@ def cmd_gamma(args, ws):
 
 
 def _poisson_map(args, ws):
-    """Source, target and map of a Poisson-map command, its random
-    generator and the head of its report."""
+    """Source, target and map of a Poisson-map command, its stream of
+    sample draws and the head of its report."""
     _, PX = _pick(ws.poisson, args.source, "poisson manifolds")
     _, PY = _pick(ws.poisson, args.target, "poisson manifolds")
     phi = ex.SmoothMap(PX.coords,
@@ -640,13 +638,13 @@ def _poisson_map(args, ws):
             f"dim {PY.dim}")
     head = {"command": f"poisson {args.action}", "source": args.source,
             "target": args.target, "seed": args.seed}
-    return PX, PY, phi, np.random.default_rng(args.seed), head
+    return PX, PY, phi, Draws(args.seed), head
 
 
 def cmd_check_map(args, ws):
-    PX, PY, phi, rng, head = _poisson_map(args, ws)
+    PX, PY, phi, draws, head = _poisson_map(args, ws)
     res = poisson_map_residual(phi, PX, PY,
-                               sample_points(PX, args.samples, rng))
+                               sample_points(PX, args.samples, draws))
     ok = res <= args.tol
     _emit({**head, "params": {"samples": args.samples, "tol": args.tol},
            "residual": res, "is_poisson_map": ok})
@@ -674,23 +672,23 @@ def cmd_poisson_flow(args, ws):
 
 
 def cmd_poisson_lift(args, ws):
-    PX, PY, phi, rng, head = _poisson_map(args, ws)
-    pts = sample_points(PX, args.samples, rng)
+    PX, PY, phi, draws, head = _poisson_map(args, ws)
+    pts = sample_points(PX, args.samples, draws)
     c = cotangent_lift(phi, PX, PY, samples=pts, tol=args.tol)
     _emit({**head, "params": {"samples": args.samples, "tol": args.tol},
            "anchor_compat_residual": anchor_compat_residual(
-               c, sample_points(c.source, SPOT_SAMPLES, rng)),
+               c, sample_points(c.source, SPOT_SAMPLES, draws)),
            "comorphism": c.to_dict(f"T*{args.source}",
                                    f"T*{args.target}")})
     return 0
 
 
 def cmd_poisson_probe(args, ws):
-    PX, PY, phi, rng, head = _poisson_map(args, ws)
+    PX, PY, phi, draws, head = _poisson_map(args, ws)
     _steps(args.horizon, "horizon", args.step)
-    seeds = args.x0 or sample_points(PX, args.seeds, rng)
+    seeds = args.x0 or sample_points(PX, args.seeds, draws)
     fs = _expr_list(args.f, PY.coords) if args.f else None
-    map_samples = sample_points(PX, args.samples, rng)
+    map_samples = sample_points(PX, args.samples, draws)
     rep = complete_map_probe(phi, PX, PY, test_functions=fs,
                              horizon=args.horizon, bound=args.bound,
                              seeds=seeds, map_samples=map_samples,

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expr as ex
-from .algebroid import (Antisymmetric, SectionTD, cyclic_sum,
+from .algebroid import (Antisymmetric, Draws, SectionTD, cyclic_sum,
                         make_cotangent_poisson, sample_points)
 from .comorph import Comorphism, first_escape, pullback_section
 from .numkernel import StartError
@@ -121,8 +121,8 @@ def cotangent_lift(phi, PX, PY, samples=None, tol=1e-8):
     condition on the probe samples.
     """
     if samples is None:
-        samples = sample_points(PX, 20, np.random.default_rng(0), low=-1.0,
-                                high=1.0, max_tries=4000)
+        samples = sample_points(PX, 20, Draws(0), low=-1.0, high=1.0,
+                                max_tries=4000)
     res = poisson_map_residual(phi, PX, PY, samples)
     if not res <= tol:
         raise PoissonError(

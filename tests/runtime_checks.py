@@ -32,11 +32,13 @@ def fail(message):
     sys.exit(message)
 
 
-def algpaths(status, *args, out=None):
-    """Run the CLI with args, its stdout written to the file out; fail,
-    with its stderr, unless it exits with status. Returns its stderr."""
+def algpaths(status, *args, out=None, options=()):
+    """Run the CLI with args, its stdout written to the file out, under
+    the interpreter options; fail, with its stderr, unless it exits with
+    status. Returns its stderr."""
     with open(out, "w") if out else open(os.devnull, "w") as stdout:
-        proc = subprocess.run([sys.executable, "-m", "algpaths.cli", *args],
+        proc = subprocess.run([sys.executable, *options, "-m", "algpaths.cli",
+                               *args],
                               stdout=stdout, stderr=subprocess.PIPE,
                               text=True)
     if proc.returncode != status:
@@ -133,6 +135,14 @@ def checks():
     # through id flows from every seed without escaping
     expect_field("axioms.json", "ok", True, "check-algebroid", "--config",
                  "ws.json")
+    # its seeded samples are the library's own stream: the process never
+    # imports numpy.random (11 modules, about 5 MB of memory)
+    err = algpaths(0, "check-algebroid", "--config", "ws.json",
+                   options=("-X", "importtime"))
+    imported = {line.rsplit("|", 1)[-1].strip() for line in err.splitlines()
+                if line.startswith("import time:")}
+    if "numpy" not in imported or "numpy.random" in imported:
+        fail("check-algebroid --config imported numpy.random")
     expect_field("complete.json", "escaped", False, "completeness-probe",
                  "--config", "ws.json", "--comorphism", "id", "--section",
                  "1;0", "--horizon", "2")

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from algpaths import expr as ex
-from algpaths.algebroid import (AlgebroidError, Antisymmetric, LieAlgebroid,
-                                SectionTD, check_axioms,
+from algpaths.algebroid import (AlgebroidError, Antisymmetric, Draws,
+                                LieAlgebroid, SectionTD, check_axioms,
                                 make_cotangent_poisson, make_lie_algebra,
                                 make_tangent, sample_points)
 
@@ -17,7 +18,7 @@ def so3_constants():
 
 
 def seeded_samples(A, count=100, seed=0):
-    return sample_points(A, count, np.random.default_rng(seed))
+    return sample_points(A, count, Draws(seed))
 
 
 # ----------------------------------------------------------- construction
@@ -118,11 +119,40 @@ def test_sample_points_respect_domain():
     assert all(p[0] > 0 for p in pts)
 
 
+FINITE = st.floats(-1e300, 1e300)
+BOUNDS = st.one_of(
+    st.sampled_from([(-1.5, 1.5), (-1.0, 1.0)]),
+    st.tuples(FINITE, FINITE).filter(lambda b: b[0] < b[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@example(seed=0, bounds=(-1.5, 1.5), first=3, second=5)
+@example(seed=2**32 - 1, bounds=(-1.0, 1.0), first=8, second=0)
+@example(seed=2**32, bounds=(-1.5, 1.5), first=0, second=8)
+@example(seed=2**64, bounds=(-1.0, 1.0), first=2, second=2)
+@example(seed=2**130 - 1, bounds=(-1.5, 1.5), first=1, second=7)
+@given(seed=st.integers(0, 2**130 - 1), bounds=BOUNDS,
+       first=st.integers(0, 8), second=st.integers(0, 8))
+def test_draws_are_numpys_default_rng_bit_for_bit(seed, bounds, first,
+                                                  second):
+    # numpy's own generator is the oracle; two calls continue one stream
+    draws = Draws(seed)
+    got = draws.uniform(*bounds, first) + draws.uniform(*bounds, second)
+    want = np.random.default_rng(seed).uniform(*bounds, first + second)
+    assert all(type(v) is float for v in got)
+    assert np.array(got, dtype=float).tobytes() == want.tobytes()
+
+
+def test_a_negative_seed_is_refused():
+    with pytest.raises(ValueError, match="non-negative"):
+        Draws(-1)
+
+
 def test_sample_points_give_up_on_empty_domain():
     A = LieAlgebroid(1, 1, [[ex.Const(1.0)]], {},
                      domain=[ex.parse("-1 - x1^2", ["x1"])])
     with pytest.raises(AlgebroidError, match="could not draw"):
-        sample_points(A, 5, np.random.default_rng(0), max_tries=200)
+        sample_points(A, 5, Draws(0), max_tries=200)
 
 
 # ------------------------------------------------------ bracket plumbing

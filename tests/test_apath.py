@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algpaths import expr as ex
-from algpaths.algebroid import (AlgebroidError, LieAlgebroid, SectionTD,
-                                check_axioms, make_lie_algebra, make_tangent,
-                                sample_points)
+from algpaths.algebroid import (AlgebroidError, Draws, LieAlgebroid,
+                                SectionTD, check_axioms, make_lie_algebra,
+                                make_tangent, sample_points)
 from algpaths.apath import (AHomotopy, APath, BasisError, MatrixPath,
                             admissibility_residual, develop,
                             homotopy_residual, integrate_apath,
@@ -94,6 +94,14 @@ def test_admissibility_detects_wrong_eta():
     g = APath(A, [0.0, 0.5, 1.0], [[0.0], [0.5], [1.0]],
               [[1.0], [0.75], [1.0]])            # middle eta off by 0.25
     assert admissibility_residual(g) == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_admissibility_residual_names_the_stencils_minimum(n):
+    g = APath(make_tangent(1), [0.0, 1.0][:n], [[0.0], [1.0]][:n],
+              [[1.0], [1.0]][:n])
+    with pytest.raises(ValueError, match=f"at least 3 samples, got {n}"):
+        admissibility_residual(g)
 
 
 # ------------------------------------------------------------- homotopies
@@ -213,7 +221,7 @@ def test_an_so3_action_path_ends_at_the_inverse_development():
     # err / h^2 = 0.1645 measured at N = 500, 1000 and 2000 on another
     # section, (sin 2t, t^2 - 1, 0.7 + t) from (-0.5, 0.2, 0.6).
     A = so3_action()
-    samples = sample_points(A, 20, np.random.default_rng(0))
+    samples = sample_points(A, 20, Draws(0))
     assert check_axioms(A, samples).max_residual() == 0.0
     x0 = np.array([0.3, -0.4, 0.8])
     s = SectionTD.from_strings(A, ["1 + t", "cos(3*t)", "0.5 - t^2"])

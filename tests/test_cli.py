@@ -497,6 +497,24 @@ def test_integrate_path_out_file_and_summary(plane_cfg, tmp_path, capsys):
     assert text.rstrip().endswith("# status=completed")
 
 
+@pytest.mark.parametrize("section, grid, rows", [("1000", 10, 1),
+                                                 ("4", 10, 2)])
+def test_a_prefix_shorter_than_the_stencils_reports_no_residual(
+        tmp_path, capsys, section, grid, rows):
+    # the line leaves its domain x1 < 0.5 in the first or second step
+    cfg = write_config(tmp_path, {"algebroids": {"line": {
+        "base_dim": 1, "rank": 1, "anchor": [["1"]],
+        "domain": ["0.5 - x1"]}}})
+    out = tmp_path / "prefix.csv"
+    code, payload = run_json(capsys, [
+        "integrate-path", "--config", cfg, "--section", section, "--x0", "0",
+        "--grid", str(grid), "--out", str(out)])
+    assert code == 1
+    assert payload["status"] == "domain_exit"
+    assert payload["admissibility_residual"] is None
+    assert len(out.read_text().splitlines()) == 1 + rows + 1
+
+
 def test_lift_path_completed(lift_cfg, tmp_path, capsys):
     path_csv = tmp_path / "circle.csv"
     assert run(["integrate-path", "--config", lift_cfg, "--name", "plane",

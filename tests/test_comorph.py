@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from algpaths import comorph, expr as ex
-from algpaths.algebroid import (AlgebroidError, LieAlgebroid, SectionTD,
-                                make_tangent, matvec, sample_points)
+from algpaths.algebroid import (AlgebroidError, Draws, LieAlgebroid,
+                                SectionTD, make_tangent, matvec,
+                                sample_points)
 from algpaths.apath import (AHomotopy, APath, develop, integrate_apath,
                             read_apath_csv)
 from algpaths.ehresmann import (ExampleConnection, FlatConnection,
@@ -62,7 +63,7 @@ def line_path(B, N=200, speed=2.0):
 def test_identity_comorphism_is_exactly_compatible():
     P = make_tangent(2)
     c = identity(P)
-    pts = sample_points(P, 20, np.random.default_rng(0))
+    pts = sample_points(P, 20, Draws(0))
     assert anchor_compat_residual(c, pts) == 0.0
 
 
@@ -71,7 +72,7 @@ def test_wrong_fiber_map_residual_is_exactly_one():
     P = make_tangent(2)
     c = Comorphism(P, P, [ex.Var("x1"), ex.Var("x2")],
                    [[1.0, 0.0], [0.0, 0.0]])
-    pts = sample_points(P, 20, np.random.default_rng(0))
+    pts = sample_points(P, 20, Draws(0))
     assert anchor_compat_residual(c, pts) == 1.0
 
 
@@ -81,7 +82,7 @@ def test_scaling_core_needs_inverse_fiber_scale():
     c = Comorphism(P, P, [ex.parse("2*x1", P.coords),
                           ex.parse("2*x2", P.coords)],
                    [[0.5, 0.0], [0.0, 0.5]])
-    pts = sample_points(P, 20, np.random.default_rng(1))
+    pts = sample_points(P, 20, Draws(1))
     assert anchor_compat_residual(c, pts) == 0.0
     assert np.array_equal(c.dphi_at([0.3, -0.7]), 2.0 * np.eye(2))
 
@@ -180,7 +181,7 @@ def test_compose_chains_core_and_fiber_maps():
     comp = compose(c1, c2)                       # first c1, then c2
     assert np.allclose(comp.phi_at((0.3, -0.2)), [1.6, -0.4])
     assert np.allclose(comp.M_at((0.3, -0.2)), 0.5 * np.eye(2))
-    pts = sample_points(P, 20, np.random.default_rng(2))
+    pts = sample_points(P, 20, Draws(2))
     assert anchor_compat_residual(comp, pts) == 0.0
 
 

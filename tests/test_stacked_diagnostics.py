@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algpaths import expr as ex
-from algpaths.algebroid import (AlgebroidError, AxiomReport, LieAlgebroid,
-                                anchor_morphism_residual_at, check_axioms,
-                                jacobi_residual_at, make_tangent,
-                                sample_points)
+from algpaths.algebroid import (AlgebroidError, AxiomReport, Draws,
+                                LieAlgebroid, anchor_morphism_residual_at,
+                                check_axioms, jacobi_residual_at,
+                                make_tangent, sample_points)
 from algpaths.apath import (AHomotopy, APath, MatrixPath,
                             admissibility_residual, homotopy_residual,
                             log_derivative)
@@ -223,9 +223,8 @@ def test_domain_tests_see_plain_floats():
     # 1/x1 is outside at x1 = 0 only when it raises, that is for a float
     inv = [ex.parse("1/x1", ["x1"])]
     A = LieAlgebroid(1, 1, [[ex.Const(1.0)]], {}, domain=inv)
-    rng = np.random.default_rng(0)
     assert all(type(v) is float
-               for x in sample_points(A, 5, rng) for v in x)
+               for x in sample_points(A, 5, Draws(0)) for v in x)
     c = Comorphism(make_tangent(1), A, [ex.parse("x1 - 1", ["x1"])],
                    [[ex.Const(1.0)]])
     c.spot_check(np.array([[2.0]]))
