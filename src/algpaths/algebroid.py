@@ -166,8 +166,9 @@ class LieAlgebroid:
                                 list(inputs) + self.coords)
 
     def flow_field(self, fn):
-        """The field x' = fn(t, *x) on the domain, for a function compiled
-        by `anchored_field` with the time as its one input."""
+        """The field x' = fn(*inputs, *x) on the domain, for a function
+        compiled by `anchored_field`: a flow hands it the time, or, given
+        a table, the row of the stage's inputs (see `numkernel.flow`)."""
         return VectorFieldTD(self.n, fn, domain=self.in_domain)
 
     def _danchor(self, x):

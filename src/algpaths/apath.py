@@ -23,7 +23,7 @@ import numpy as np
 from . import expr as ex
 from .algebroid import AlgebroidError, make_lie_algebra, matvec
 from .expr import evaluate
-from .numkernel import (COMPLETED, FlowOutcome, TabulatedField, Trajectory,
+from .numkernel import (COMPLETED, FlowOutcome, Trajectory, VectorFieldTD,
                         check_uniform_grid, flow, read_csv, stage_table,
                         write_csv_rows)
 
@@ -329,8 +329,8 @@ def develop(basis, g):
                           [v.name for v in xi + sum(gam, [])])
     steps, table = stage_table(g.times, g.eta, "linear")
     t0, t1 = float(g.times[0]), float(g.times[-1])
-    traj = flow(TabulatedField(m * m, fn, table.tolist()), np.eye(m).ravel(),
-                (t0, t1), step=(t1 - t0) / steps, bound=math.inf)
+    traj = flow(VectorFieldTD(m * m, fn), np.eye(m).ravel(), (t0, t1),
+                step=(t1 - t0) / steps, bound=math.inf, table=table)
     if not traj.completed:
         raise AlgebroidError(f"the development is not finite: "
                              f"{traj.ending}")

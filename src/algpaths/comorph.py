@@ -27,8 +27,7 @@ from . import expr as ex
 from .algebroid import AlgebroidError, SectionTD, matvec
 from .apath import APath, AHomotopy, homotopy_residual
 from .expr import point
-from .numkernel import (StartError, TabulatedField, flow, flow_lanes,
-                        stage_table)
+from .numkernel import StartError, flow, flow_lanes, stage_table
 
 
 class LiftError(Exception):
@@ -220,9 +219,8 @@ def _lift_flow(c, times, x0, m, rows, bound=1e8):
     """Integrate x' = rho_A(x) M(x) xi(t) over the span of the time grid
     in m steps, xi read from the fiber table's rows at the stage times."""
     t0, t1 = float(times[0]), float(times[-1])
-    vf = TabulatedField(c.source.n, c._lift_field, rows,
-                        domain=c.source.in_domain)
-    return flow(vf, x0, (t0, t1), step=(t1 - t0) / m, bound=bound)
+    return flow(c.source.flow_field(c._lift_field), x0, (t0, t1),
+                step=(t1 - t0) / m, bound=bound, table=rows)
 
 
 def _lift_lanes(c, times, x0, m, table, bound):
@@ -230,19 +228,21 @@ def _lift_lanes(c, times, x0, m, table, bound):
     fiber table (see `_fiber_table`), as the lanes of one `flow_lanes`
     call, lane l reading column l: the list of their trajectories."""
     t0, t1 = float(times[0]), float(times[-1])
-    vf = TabulatedField(c.source.n, c._lift_field, None,
-                        domain=c.source.in_domain)
-    return flow_lanes(vf, [x0] * table.shape[1], (t0, t1),
-                      step=(t1 - t0) / m, bound=bound, tables=table)
+    return flow_lanes(c.source.flow_field(c._lift_field),
+                      [x0] * table.shape[1], (t0, t1), step=(t1 - t0) / m,
+                      bound=bound, tables=np.swapaxes(table, 0, 1))
 
 
-def _M_along(c, traj):
-    """M at the points of a lift flow, (len(points), rank A, rank B): as
-    the flow recorded it, in its first rank A * rank B extra values, and
-    evaluated at the last point."""
+def _M_along(c, trajs):
+    """M at the points of the lift flows trajs, which have as many points
+    each, (len(points), len(trajs), rank A, rank B): as the flows recorded
+    it, in their first rank A * rank B extra values, and at their last
+    points by one `M_at`."""
     r, q = c.source.r, c.target.r
-    recorded = traj.extras[:, :r * q].reshape(len(traj.extras), r, q)
-    return np.concatenate([recorded, c.M_at(traj.points[-1:])])
+    recorded = np.stack([traj.extras[:, :r * q] for traj in trajs], axis=1)
+    last = c.M_at(np.stack([traj.points[-1] for traj in trajs]))
+    return np.concatenate([recorded.reshape(len(recorded), len(trajs), r, q),
+                           last[None]])
 
 
 def _phi_along(c, traj):
@@ -290,8 +290,8 @@ def lift_path(c, g, x0, interp="cubic", bound=1e8):
     for start in stack.tolist():
         traj = _lift_flow(c, g.times, start, m, rows, bound)
         points = traj.points
-        lifted = APath._from_flow(
-            c.source, traj, matvec(_M_along(c, traj), g.eta[:len(points)]))
+        lifted = APath._from_flow(c.source, traj, matvec(
+            _M_along(c, [traj])[:, 0], g.eta[:len(points)]))
         lifted.phi_projection_error = float(np.max(np.abs(
             _phi_along(c, traj) - g.base[:len(points)])))
         lifts.append(lifted)
@@ -326,10 +326,7 @@ def lift_homotopy(c, H, x0, interp="cubic", bound=1e8):
     _require_completed(trajs, s_vals, "")
     xs = np.stack([traj.points for traj in trajs], axis=1)
     nt, ns, r, q = *xs.shape[:2], c.source.r, c.target.r
-    # M at every sample: as the flows recorded it, and at the last points
-    M = np.concatenate([np.stack([traj.extras[:, :r * q] for traj in trajs],
-                                 axis=1).reshape(nt - 1, ns, r, q),
-                        c.M_at(xs[-1])[None]]).reshape(nt * ns, r, q)
+    M = _M_along(c, trajs).reshape(nt * ns, r, q)
     etas, betas = (matvec(M, v.reshape(nt * ns, q)).reshape(nt, ns, r)
                    for v in (H.eta, H.beta))
     ends = xs[-1]
@@ -396,7 +393,10 @@ class UniquenessReport(NamedTuple):
 def lift_uniqueness_check(c, g, x0, bound=1e8):
     """Lift g through x0 with cubic and linear fiber interpolation at the
     path's grid and at a 2x refined grid; report the max pairwise endpoint
-    distance (completed case) or exit-time spread (escaping case)."""
+    distance (completed case) or exit-time spread (escaping case). A
+    start point whose image misses the path's source raises
+    StartMismatchError, as in `lift_path`."""
+    _check_starts(c, [x0], g.source)
     runs = []
     for interp in ("cubic", "linear"):
         for refine in (1, 2):
@@ -404,7 +404,7 @@ def lift_uniqueness_check(c, g, x0, bound=1e8):
             traj = _lift_flow(c, g.times, x0, m, table.tolist(), bound)
             runs.append({
                 "interp": interp, "refine": refine,
-                "ending": traj.ending, "endpoint": list(traj.endpoint),
+                "ending": traj.ending, "endpoint": traj.endpoint.tolist(),
             })
     statuses = {r["ending"].status for r in runs}
     endpoint_spread = None

@@ -80,8 +80,11 @@ class Expr:
         return self.args
 
     def d(self, var):
-        """The exact partial derivative in var."""
-        return _memoized(lambda e, D: e._d(var, D))(self)
+        """The exact partial derivative in var. The partial of each node
+        that is identically zero is Const(0.0), never -0.0, which a sign
+        flip of a zero (in -x or in cos's rule) would give: adding 0.0
+        folds -0.0 to 0.0 and leaves any other partial as it is."""
+        return _memoized(lambda e, D: add(e._d(var, D), Const(0.0)))(self)
 
     def _d(self, var, D):
         return self._rebuild(D)

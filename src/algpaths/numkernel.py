@@ -10,9 +10,11 @@ Fields and domain predicates are functions compiled by
 Python that runs their kept bodies inline, with no call, in each stage
 and in the domain test after each step, with scalar locals for the state
 and the floats of a plain per-step loop. It is kept on the field's body,
-so equal sources share one loop. A `TabulatedField`, such as the field of
-a lift of a sampled path, reads its inputs other than the state from a
-table sampled at the stage times. A trajectory stops early in two ways:
+so equal sources share one loop. A field is its function and its domain;
+what drives it besides the state is an argument of the flow: the time, or
+a table sampled at the stage times, one per lane, such as the fiber data
+of a sampled path that a lift follows. A trajectory stops early in two
+ways:
 
 * blowup(t*): the euclidean norm of the state exceeds `bound`, or a field
   evaluation produces a non-finite number or raises.
@@ -50,15 +52,14 @@ class StartError(FlowError, ValueError):
 class VectorFieldTD:
     """Time-dependent field (t, x) -> dx/dt on an open subset of R^n.
 
-    fn is a function compiled by `expr.compile_exprs` over ("t", *coords):
-    fn(t, x0, ..., x{n-1}) returns dx/dt as its first n values; `flow`
-    records the further ones (a section's values, a lift's M) on its
-    trajectory. domain is the `expr.Domain` that guards the open
-    set; None means all of R^n. `flow` writes the kept bodies of fn and of
-    domain.fn into its stepping loop, and refuses functions without them.
+    fn is a function compiled by `expr.compile_exprs` over ("t", *coords),
+    or, for a flow given a table, over (*row, *coords): fn(t, x0, ...,
+    x{n-1}) returns dx/dt as its first n values; `flow` records the
+    further ones (a section's values, a lift's M) on its trajectory.
+    domain is the `expr.Domain` that guards the open set; None means all
+    of R^n. `flow` writes the kept bodies of fn and of domain.fn into its
+    stepping loop, and refuses functions without them.
     """
-
-    table = None
 
     def __init__(self, n, fn, domain=None):
         if domain is None:
@@ -66,26 +67,10 @@ class VectorFieldTD:
         elif not isinstance(domain, Domain):
             raise TypeError(f"domain must be an expr.Domain, got "
                             f"{type(domain).__name__}")
-        self.n = n
-        self.fn = fn
-        self.domain = domain
+        self.n, self.fn, self.domain = n, fn, domain
 
     def in_domain(self, x):
         return self.domain(x)
-
-
-class TabulatedField(VectorFieldTD):
-    """Field x' = fn(*row, x0, ..., x{n-1}) whose inputs other than the
-    state are rows of a table sampled at the RK4 stage times of a flow:
-    step k's four stages read rows 2k, 2k+1, 2k+1 and 2k+2. A flow of
-    n_steps steps needs 2 * n_steps + 1 rows; `flow_lanes` raises
-    FlowError otherwise. Every lane of a `flow_lanes` call reads the
-    field's table, unless the call gives each lane its own; the table
-    may then be None."""
-
-    def __init__(self, n, fn, table, domain=None):
-        super().__init__(n, fn, domain)
-        self.table = table
 
 
 class Ending(NamedTuple):
@@ -307,9 +292,11 @@ def _bisect_exit(vf, t0, x0, t1, x1):
 
 def _compiled_body(fn, params, values, what):
     """fn's `expr.Body`, kept by `expr.compile_exprs` with its numbering
-    and plan: TypeError unless it takes `params` arguments and has
-    `values` or more."""
+    and plan: TypeError unless it takes `params` arguments (with params
+    None, `values` or more) and has `values` or more values."""
     body = getattr(fn, "body", None)
+    if params is None:
+        params = max(getattr(body, "params", 0), values)
     if not (isinstance(body, Body) and body.plan is not None
             and body.params == params and len(body.outs) >= values):
         raise TypeError(f"{what} must be compiled by expr.compile_exprs "
@@ -508,17 +495,19 @@ def rk4_loop(table, x, t_a, t_b, step, n_steps, over, thr, record):
 """
 
 
-def _rk4_loop(vf, width):
-    """The stepping loop for vf and a table row width (None: untabulated),
-    generated and compiled on first use (see _rk4_source) and kept in the
-    `body.loops` of the field's function, with the `_plan` of the field's
-    extra values: `loop.extra_row` (the numbers, 0.0 for the others),
+def _rk4_loop(vf, tabulated):
+    """The stepping loop for vf, whose field reads the time or, tabulated,
+    its inputs other than the state from table rows, generated and
+    compiled on first use (see _rk4_source) and kept in the `body.loops`
+    of the field's function, with the `_plan` of the field's extra
+    values: `loop.extra_row` (the numbers, 0.0 for the others),
     `loop.copies` (pairs (j, i), value j the x_i) and `loop.kept` (the
     computed ones, recorded after each state). Its scope's __name__
     attributes a warning raised in the loop to this module."""
     dom = vf.domain
-    field = _compiled_body(vf.fn, vf.n + (1 if width is None else width),
-                           vf.n, "the field")
+    field = _compiled_body(vf.fn, None if tabulated else vf.n + 1, vf.n,
+                           "the field")
+    width = field.params - vf.n if tabulated else None
     dom_body = dom.m and _compiled_body(dom.fn, vf.n, dom.m, "the domain")
     # the domain by its source, so that a domain compiled again (after
     # expr evicted it) finds the loop it had
@@ -559,17 +548,23 @@ def _square_bound(bound):
 def flow_lanes(vf, starts, t_span, step=1e-3, bound=1e8, tables=None):
     """Integrate vf over t_span=[t_a,t_b] with fixed-step RK4 from each of
     the start points, one independent lane each: the list of their
-    `Trajectory`s, each with its own prefix and `Ending`. Every lane reads
-    vf.table, or, with tables, a float array (rows, L, width) for L
-    lanes, lane l reads tables[:, l], converted to lists just before it
-    runs, so that one lane's rows are nested at a time.
+    `Trajectory`s, each with its own prefix and `Ending`.
+
+    The field reads the time, or, given tables, lane l reads tables[l]:
+    step k's four stages read its rows 2k, 2k+1, 2k+1 and 2k+2, each the
+    field's inputs other than the state, so a flow of n_steps steps needs
+    2 * n_steps + 1 rows of `fn.body.params - vf.n` cells. A table is a
+    list of rows, read as it is, or a float array, converted by `tolist()`
+    just before its lane runs, so that one lane's rows are nested at a
+    time.
 
     A lane takes the fewest steps that cover the span, the last ending at
     t_b. The count is rounded up from span / step less a relative 1e-12,
     so that a step of span / m takes exactly m steps. The checks, the
     loop (`_rk4_loop`) and its bounds over and thr (see `_rk4_source`)
-    are taken once per call, and every start point is checked before the
-    first lane runs. The loop then runs once per lane, in order, each
+    are taken once per call, and every start point and table is checked
+    before the first lane runs: a table of another shape raises FlowError
+    naming its lane. The loop then runs once per lane, in order, each
     lane appending its accepted steps to one flat record, which is
     converted once (`np.fromiter`), the field's extra values of all lanes
     filled in one pass, the columns the loop does not record as `_plan`
@@ -585,27 +580,17 @@ def flow_lanes(vf, starts, t_span, step=1e-3, bound=1e8, tables=None):
     # negated, so that nan is refused too; an infinite bound is no bound
     if not step > 0 or not bound > 0:
         raise FlowError("step and bound must be positive")
+    n_steps = max(1, math.ceil((t_b - t_a) / step * (1.0 - 1e-12)))
+    loop = _rk4_loop(vf, tables is not None)
     xs = [[float(v) for v in x0] for x0 in starts]
+    if tables is not None:
+        _check_tables(vf, tables, len(xs), n_steps)
     for x in xs:
         if len(x) != vf.n:
             raise FlowError(f"x0 has {len(x)} components, the field needs "
                             f"{vf.n}")
         if not _finite(x):
             raise FlowError("x0 is not finite")
-    n_steps = max(1, math.ceil((t_b - t_a) / step * (1.0 - 1e-12)))
-    if tables is None:
-        table = vf.table
-        cells = None if table is None else len(table[0])
-    else:
-        table, cells = tables, tables.shape[2]
-        if tables.shape[1] != len(xs):
-            raise FlowError(f"{len(xs)} lanes need as many tables, got "
-                            f"{tables.shape[1]}")
-    if table is not None and len(table) != 2 * n_steps + 1:
-        raise FlowError(f"a flow of {n_steps} steps needs {2 * n_steps + 1} "
-                        f"table rows, got {len(table)}")
-    loop = _rk4_loop(vf, cells)
-    for x in xs:
         if not vf.in_domain(x):
             raise StartError(f"x0 = {point(x)} is outside the field's "
                              f"domain")
@@ -614,10 +599,10 @@ def flow_lanes(vf, starts, t_span, step=1e-3, bound=1e8, tables=None):
     # each accepted step's new state and kept extra values, flat, lane
     # after lane
     record, fails = [], []
-    for l, x in enumerate(xs):
-        lane_table = table if tables is None else tables[:, l].tolist()
-        fails.append(loop(lane_table, x, t_a, t_b, step, n_steps, over,
-                          thr, record))
+    for x, table in zip(xs, [None] * len(xs) if tables is None else tables):
+        fails.append(loop(table.tolist() if isinstance(table, np.ndarray)
+                          else table, x, t_a, t_b, step, n_steps, over, thr,
+                          record))
     counts = [n_steps if f is None else f[1] for f in fails]
     total, width = sum(counts), vf.n + len(loop.kept)
     rows = np.fromiter(record, float, count=total * width).reshape(total,
@@ -660,10 +645,32 @@ def _ending(vf, failed, t):
     return Ending("blowup", t_next)
 
 
-def flow(vf, x0, t_span, step=1e-3, bound=1e8):
-    """Integrate vf from x0 over t_span=[t_a,t_b] with fixed-step RK4: the
-    `Trajectory` of the one lane of `flow_lanes`."""
-    return flow_lanes(vf, [x0], t_span, step, bound)[0]
+def _check_tables(vf, tables, n, n_steps):
+    """Raise FlowError unless there is one table for each of the n lanes,
+    each of 2 * n_steps + 1 rows of the field's inputs other than the
+    state: an array's shape, or a list's row count and the one length of
+    its rows, must be (rows, inputs)."""
+    shape = (2 * n_steps + 1, vf.fn.body.params - vf.n)
+    if len(tables) != n:
+        raise FlowError(f"{n} lanes need as many tables, got {len(tables)}")
+    for l, table in enumerate(tables):
+        try:
+            got = (table.shape if isinstance(table, np.ndarray)
+                   else (len(table), *sorted(set(map(len, table)))))
+        except TypeError:                   # a row that is no sequence
+            got = None
+        if got != shape:
+            raise FlowError(f"lane {l}'s table must have {shape[0]} rows "
+                            f"of the field's {shape[1]} inputs other than "
+                            f"the state, got shape {got}")
+
+
+def flow(vf, x0, t_span, step=1e-3, bound=1e8, table=None):
+    """Integrate vf from x0 over t_span=[t_a,t_b] with fixed-step RK4, the
+    field reading the time or the table's rows: the `Trajectory` of the
+    one lane of `flow_lanes`."""
+    return flow_lanes(vf, [x0], t_span, step, bound,
+                      None if table is None else [table])[0]
 
 
 def _slope_equations(x, m):
@@ -775,8 +782,8 @@ def stage_table(times, values, interp, refine=1):
     """Each column of the (len(times), k) array values, interpolated
     ("cubic": `not_a_knot_table`, or "linear") at the 2m + 1 stage times
     of an m-step flow over the grid refined `refine` times: returns m and
-    the (2m + 1, k) table, whose `tolist()` a `TabulatedField` takes;
-    with no columns (k = 0, a rank-0 fiber) the table is empty."""
+    the (2m + 1, k) table, which a flow of m steps reads (see
+    `flow_lanes`); with no columns (k = 0, a rank-0 fiber) it is empty."""
     if interp not in ("cubic", "linear"):
         raise ValueError(f"unknown interpolation {interp!r}")
     m = (len(times) - 1) * refine

@@ -1361,6 +1361,15 @@ def test_poisson_lift_comorphism(poisson_cfg, capsys):
     assert M == [[1.0], [0.0]]
 
 
+def test_poisson_lift_prints_a_zero_partial_as_zero(poisson_cfg, capsys):
+    # the partial of 0 - x1 by x2 printed as "-0.0"
+    code, payload = run_json(capsys, [
+        "poisson", "lift", "--config", poisson_cfg,
+        "--source", "plane", "--target", "plane", "--map", "x2;0-x1"])
+    assert code == 0
+    assert payload["comorphism"]["M"] == [["0", "-1"], ["1", "0"]]
+
+
 def test_poisson_lift_rejects_non_poisson_map(poisson_cfg, capsys):
     assert run(["poisson", "lift", "--config", poisson_cfg,
                 "--source", "plane", "--target", "plane",

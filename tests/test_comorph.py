@@ -420,6 +420,20 @@ def test_lift_uniqueness_on_an_escaping_path():
     assert rep.exit_spread <= 1e-6
 
 
+def test_lift_uniqueness_refuses_a_start_that_misses_the_path():
+    # the identity of the plane lifts a path from (0, 0) only from (0, 0):
+    # from (5, 5) the check reported an endpoint spread of 0.0
+    B = make_tangent(2)
+    c, g = identity(B), line_path(B, N=20)
+    with pytest.raises(comorph.StartMismatchError, match=re.escape(
+            "phi(x0) = (5.0, 5.0) does not match the path source "
+            "(0.0, 0.0)")):
+        lift_uniqueness_check(c, g, (5.0, 5.0))
+    rep = lift_uniqueness_check(c, g, (0.0, 0.0))
+    assert rep.endpoint_spread == 0.0
+    assert all(type(v) is float for run in rep.runs for v in run["endpoint"])
+
+
 # ------------------------------------------------------ multiplicativity --
 # lift(concat(g1, g2)) = concat(lift g1, lift g2 from its endpoint), for a
 # submersion R^3 -> R^2, phi = (x1, x2), whose M has the rows (1, 0),
@@ -611,14 +625,13 @@ def test_the_lift_of_the_reversed_path_is_the_reversed_lift(sec, f, g):
     assert _inverse_error(sec, f, g) <= _inv_tol(sec, f, g)
 
 
-def _rhs_closure_lift(c, g, x0, interp, refine, bound=1e8):
-    """The former lift flow, kept as the oracle: a right-hand side closure
-    that rounds its stage time to a row of the fiber table, called once
-    per stage by the reference RK4 loop of test_numkernel."""
-    m, table = comorph._fiber_table(g.times, g.eta, interp, refine)
-    table = table.tolist()
+def _rhs_closure_lift(c, times, x0, m, table, bound=1e8):
+    """The former lift flow, kept as the oracle, with `_lift_flow`'s
+    arguments: a right-hand side closure that rounds its stage time to a
+    row of the fiber table, called once per stage by the reference RK4
+    loop of test_numkernel."""
     fn = c._lift_field
-    t0, t1 = float(g.times[0]), float(g.times[-1])
+    t0, t1 = float(times[0]), float(times[-1])
     scale = 2.0 * m / (t1 - t0)
 
     def rhs(t, *x):
@@ -654,7 +667,7 @@ def test_tabulated_lift_matches_the_rhs_closure(case, interp, refine):
     c, g, x0 = LIFT_CASES[case]()
     m, table = comorph._fiber_table(g.times, g.eta, interp, refine)
     got = comorph._lift_flow(c, g.times, x0, m, table.tolist())
-    ref = _rhs_closure_lift(c, g, x0, interp, refine)
+    ref = _rhs_closure_lift(c, g.times, x0, m, table.tolist())
     assert got.status == ref.status == case
     assert got.times.tobytes() == ref.times.tobytes()
     assert got.points.tobytes() == ref.points.tobytes()

@@ -159,6 +159,26 @@ def test_atan2_gradient():
     assert val(d("atan2(y, x)", "y"), x=1.0, y=1.0) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("text, var, partial", [
+    ("0 - x", "y", "0"),                # neg of the partial 0.0
+    ("-x * y", "z", "0"),
+    ("cos(x)", "y", "0"),               # cos's rule negates sin(x) * 0.0
+    ("cos(x) + cos(y)", "z", "0"),
+    ("exp(-x) * cos(y)", "z", "0"),
+    ("0 - x", "x", "-1"),               # a partial that is not zero
+    ("cos(x)", "x", "-sin(x)"),
+])
+def test_a_partial_that_is_identically_zero_is_plus_zero(text, var, partial):
+    # a sign flip of a zero partial gave Const(-0.0), printed "-0.0"; -0.0
+    # == 0.0, so the sign is tested, not only equality
+    e = parse(text, XYZ).d(var)
+    assert str(e) == partial
+    assert parse(str(e), XYZ) == e
+    if isinstance(e, Const):
+        assert math.copysign(1.0, e.value) == (1.0 if partial == "0"
+                                              else -1.0)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.floats(min_value=-2.0, max_value=2.0),
        st.floats(min_value=0.1, max_value=2.0))

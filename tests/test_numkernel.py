@@ -323,12 +323,12 @@ def test_csv_reader_matches_the_row_loop(lines, width, newline):
 # flow's stepping loop is generated per field, with the field's compiled
 # body written into each stage; the reference below is the plain per-step
 # RK4 loop it replaced, kept as the oracle. It calls the field once per
-# stage, with the time or, for a TabulatedField, with rows 2k, 2k+1,
-# 2k+1, 2k+2 of its table at step k. Each case runs flow with a field
-# that fails when called (`_uncalled`) and compares it bit for bit with
-# the reference.
+# stage, with the time or, given a table, with rows 2k, 2k+1, 2k+1, 2k+2
+# of the table at step k. Each case runs flow with a field that fails
+# when called (`_uncalled`) and compares it bit for bit with the
+# reference.
 
-def _reference_flow(vf, x0, t_span, step=1e-3, bound=1e8):
+def _reference_flow(vf, x0, t_span, step=1e-3, bound=1e8, table=None):
     t_a, t_b, step = float(t_span[0]), float(t_span[1]), float(step)
     x = [float(v) for v in x0]
     assert vf.in_domain(x)
@@ -342,7 +342,7 @@ def _reference_flow(vf, x0, t_span, step=1e-3, bound=1e8):
 
     n_steps = max(1, math.ceil((t_b - t_a) / step * (1.0 - 1e-12)))
     times, points = [t_a], [list(x)]
-    t, table = t_a, vf.table
+    t = t_a
 
     def f(k, row, t, *x):
         if table is None:
@@ -393,13 +393,14 @@ def _uncalled(fn):
     return uncalled
 
 
-def assert_same_fused_flow(vf, x0, t_span, step, bound=1e8):
+def assert_same_fused_flow(vf, x0, t_span, step, bound=1e8, table=None):
     """flow, run with a field that must not be called, and the reference,
     which calls it once per stage, give the same bits."""
     fused = copy.copy(vf)
     fused.fn = _uncalled(vf.fn)
-    got = flow(fused, x0, t_span, step=step, bound=bound)
-    ref = _reference_flow(vf, x0, t_span, step=step, bound=bound)
+    got = flow(fused, x0, t_span, step=step, bound=bound, table=table)
+    ref = _reference_flow(vf, x0, t_span, step=step, bound=bound,
+                          table=table)
     assert got.times.tobytes() == ref.times.tobytes()
     assert got.points.tobytes() == ref.points.tobytes()
     assert repr(got.ending) == repr(ref.ending)
@@ -616,9 +617,11 @@ def test_a_flow_that_fails_at_its_first_step_keeps_its_start_point():
     names = ["xi", "x1", "x2"]
     fn = ex.compile_exprs([ex.parse(s, names)
                            for s in ("xi / (x1 - 1)", "2 * x2")], names)
-    for vf in (compiled_field(["1 / (x1 - 1)", "2 * x2"], coords=("x1", "x2")),
-               numkernel.TabulatedField(2, fn, [[1.0]] * 21)):
-        traj = flow(vf, [1.0, 2.0], (0.0, 1.0), step=0.1)
+    for vf, table in (
+            (compiled_field(["1 / (x1 - 1)", "2 * x2"], coords=("x1", "x2")),
+             None),
+            (VectorFieldTD(2, fn), [[1.0]] * 21)):
+        traj = flow(vf, [1.0, 2.0], (0.0, 1.0), step=0.1, table=table)
         assert traj.status == "blowup" and traj.ending.t_star == 0.1
         assert traj.points.shape == (1, 2) and traj.times.shape == (1,)
         assert traj.endpoint.tolist() == [1.0, 2.0]
@@ -691,11 +694,11 @@ def test_fused_lift_of_the_twisted_cylinder_matches_the_reference():
     m, table = comorph._fiber_table(loop.times, loop.eta, "cubic", 1)
     # h = -0.7 and 0.55 lie outside the bump support, where the guard
     # reads 0.0; the others inside it
+    vf = conn.source.flow_field(conn._lift_field)
     for h in (-0.7, -0.2, 0.0, 0.3, 0.55):
-        vf = numkernel.TabulatedField(5, conn._lift_field, table.tolist(),
-                                      domain=conn.source.in_domain)
         traj = assert_same_fused_flow(vf, [1.0, 0.0, 1.0, 0.0, h],
-                                      (0.0, 1.0), 1.0 / m)
+                                      (0.0, 1.0), 1.0 / m,
+                                      table=table.tolist())
         assert traj.completed and len(traj.times) == m + 1
 
 
@@ -800,14 +803,14 @@ def test_random_fused_fields_match_the_reference(n, data):
 
 # ------------------------------------------------------ recorded extra values --
 
-def assert_recorded_extras(vf, x0, t_span, step, bound=1e8):
+def assert_recorded_extras(vf, x0, t_span, step, bound=1e8, table=None):
     """flow's recorded extras are, bit for bit, the field's values past
     the first n at every returned point but the last, at its time or its
     step's first table row, one row per point; returns the trajectory."""
-    traj = assert_same_fused_flow(vf, x0, t_span, step, bound)
+    traj = assert_same_fused_flow(vf, x0, t_span, step, bound, table)
     k = len(traj.times) - 1
-    inputs = (traj.times[:k, None] if vf.table is None
-              else np.asarray(vf.table, dtype=float)[:2 * k:2])
+    inputs = (traj.times[:k, None] if table is None
+              else np.asarray(table, dtype=float)[:2 * k:2])
     values = len(vf.fn.body.outs)
     expected = ex.evaluate(vf.fn, np.column_stack([inputs, traj.points[:k]]),
                            (values,))[:, vf.n:]
@@ -860,15 +863,13 @@ def test_recorded_extras_are_the_field_at_the_returned_points(n, extras,
     fn = ex.compile_exprs(exprs, names)
     steps = data.draw(st.integers(1, 40))
     span = data.draw(st.floats(0.01, 2.0))
-    if width is None:
-        vf = VectorFieldTD(n, fn, dom)
-    else:
+    vf, table = VectorFieldTD(n, fn, dom), None
+    if width is not None:
         cell = st.floats(-2.0, 2.0)
-        vf = numkernel.TabulatedField(
-            n, fn, [[data.draw(cell) for _ in range(width)]
-                    for _ in range(2 * steps + 1)], dom)
+        table = [[data.draw(cell) for _ in range(width)]
+                 for _ in range(2 * steps + 1)]
     bound = data.draw(st.sampled_from([1e8, 5.0]))
-    assert_recorded_extras(vf, x0, (0.0, span), span / steps, bound)
+    assert_recorded_extras(vf, x0, (0.0, span), span / steps, bound, table)
 
 
 @pytest.mark.parametrize("field, extra, domain, status", [
@@ -898,7 +899,7 @@ def test_an_extra_that_is_a_coordinate_is_copied_from_the_points(
     # turns 0.0 after the first step
     vf = compiled_field(fields + ["x3", "x1", "t * x2", "x2"], domain,
                         coords=("x1", "x2", "x3"))
-    loop = numkernel._rk4_loop(vf, None)
+    loop = numkernel._rk4_loop(vf, False)
     assert loop.kept == [2] and loop.copies == [(0, 2), (1, 0), (3, 1)]
     traj = assert_recorded_extras(vf, x0, (0.0, 2.0), 0.01, 1e6)
     assert traj.status == status and len(traj.extras) > 0
@@ -1018,11 +1019,11 @@ def test_the_holonomy_lift_steps_only_what_changes():
     # extras are M's ten entries and phi's two components
     loop = circle_loop(conn, grid=50)
     m, table = comorph._fiber_table(loop.times, loop.eta, "cubic", 1)
+    vf = VectorFieldTD(5, conn._lift_field, dom)
     for h in (-0.7, 0.3):           # outside and inside the bump's support
-        vf = numkernel.TabulatedField(5, conn._lift_field, table.tolist(),
-                                      domain=dom)
         traj = assert_recorded_extras(vf, [1.0, 0.0, 1.0, 0.0, h],
-                                      (0.0, 1.0), 1.0 / m)
+                                      (0.0, 1.0), 1.0 / m,
+                                      table=table.tolist())
         assert traj.completed and traj.extras.shape == (m, 12)
         assert (traj.extras[:, [0, 3]] == 1.0).all()
         assert np.array_equal(traj.extras[:, 10:], traj.points[:-1, :2])
@@ -1106,13 +1107,14 @@ def _fixture_loops(monkeypatch):
     for name, (phi, PX, PY, seed, bound) in _dual_route_fixtures().items():
         seen = {}
 
-        def generated(vf, width):
+        def generated(vf, tabulated):
             d = vf.domain
+            width = vf.fn.body.params - vf.n if tabulated else None
             key = (id(vf.fn.body), width, d.m and d.fn.body.outs)
             if key not in seen:
                 seen[key] = numkernel._rk4_source(
                     vf.n, width, vf.fn.body, d.m, d.m and d.fn.body)
-            return loop_of(vf, width)
+            return loop_of(vf, tabulated)
 
         monkeypatch.setattr(numkernel, "_rk4_loop", generated)
         complete_map_probe(phi, PX, PY, horizon=0.01, bound=bound,
@@ -1188,35 +1190,38 @@ def test_the_accepted_times_are_the_loops_step_times(t_a, span, step):
 
 
 def _callable_fields():
-    """Fields that flow cannot inline: (field, the function it names)."""
+    """Fields that flow cannot inline: (field, the function it names, the
+    table the flow is given)."""
     fn = compiled_field(["1 - x1"]).fn
-    two = compiled_field(["x2", "x1"], coords=("x1", "x2")).fn
     pred = ex.domain_predicate([ex.parse("1 - x1", ["x1"])], ["x1"])
     return [
-        (VectorFieldTD(1, lambda t, x1: [1.0 - x1]), "the field"),
+        (VectorFieldTD(1, lambda t, x1: [1.0 - x1]), "the field", None),
         # refused before x0 is tested: x0 = 0 is outside this domain, and
         # the error is TypeError, not FlowError
-        (VectorFieldTD(1, fn, Domain(lambda x1: [-1.0], 1)), "the domain"),
+        (VectorFieldTD(1, fn, Domain(lambda x1: [-1.0], 1)), "the domain",
+         None),
         (VectorFieldTD(1, ex.compile_exprs([ex.Var("x1")], ["x1"])),
-         "the field"),                              # no time parameter
-        (VectorFieldTD(2, fn), "the field"),        # 2 parameters, not 3
+         "the field", None),                        # no time parameter
+        (VectorFieldTD(2, fn), "the field", None),  # 2 parameters, not 3
         (VectorFieldTD(2, ex.compile_exprs([ex.Var("x2")], ["t", "x1",
                                                             "x2"])),
-         "the field"),                              # 1 value, not 2
-        (VectorFieldTD(1, fn, Domain(fn, 1)), "the domain"),
-        (VectorFieldTD(1, fn, Domain(pred.fn, 2)), "the domain"),
-        (numkernel.TabulatedField(2, two, [[1.0, 2.0]] * 21), "the field"),
+         "the field", None),                        # 1 value, not 2
+        (VectorFieldTD(1, fn, Domain(fn, 1)), "the domain", None),
+        (VectorFieldTD(1, fn, Domain(pred.fn, 2)), "the domain", None),
+        # a table row for a field over (x1,) on R^2 would have -1 cells
+        (VectorFieldTD(2, ex.compile_exprs([ex.Var("x1")] * 2, ["x1"])),
+         "the field", [[]] * 21),
     ]
 
 
 @pytest.mark.parametrize("case", range(8), ids=[
     "lambda", "lambda-domain", "no-time", "parameters", "values",
-    "domain-parameters", "domain-values", "table-width"])
+    "domain-parameters", "domain-values", "tabulated-parameters"])
 def test_flow_refuses_a_field_it_cannot_inline(case):
-    vf, what = _callable_fields()[case]
+    vf, what, table = _callable_fields()[case]
     with pytest.raises(TypeError, match=f"^{what} must be compiled by "
                                         f"expr.compile_exprs"):
-        flow(vf, [0.0] * vf.n, (0.0, 1.0), step=0.1)
+        flow(vf, [0.0] * vf.n, (0.0, 1.0), step=0.1, table=table)
 
 
 @pytest.mark.parametrize("pred, step", [("1/x1", 0.25),
@@ -1244,16 +1249,17 @@ def test_a_domain_is_a_domain_object():
         VectorFieldTD(1, lambda t, x1: [1.0], domain=lambda x: True)
 
 
-def _table_field(table):
-    """x1' = xi, xi read from the one-column table."""
-    fn = ex.compile_exprs([ex.Var("xi")], ["xi", "x1"])
-    return numkernel.TabulatedField(1, fn, table)
+def _table_field():
+    """x1' = xi, xi read from a one-column table."""
+    return VectorFieldTD(1, ex.compile_exprs([ex.Var("xi")], ["xi", "x1"]))
 
 
 def test_a_tabulated_field_needs_two_rows_per_step_and_one():
-    vf = _table_field([[1.0]] * 20)
-    with pytest.raises(FlowError, match="needs 21 table rows, got 20"):
-        flow(vf, [0.0], (0.0, 1.0), step=0.1)
+    with pytest.raises(FlowError, match="lane 0's table must have 21 rows "
+                                        "of the field's 1 inputs other "
+                                        "than the state, got shape"):
+        flow(_table_field(), [0.0], (0.0, 1.0), step=0.1,
+             table=[[1.0]] * 20)
 
 
 # ------------------------------------------------------------------ lanes --
@@ -1264,12 +1270,12 @@ LANE_STARTS = [[0.1, 10.0], [-1.0, 10.0], [1.0, 10.0], [0.1, 0.3],
 
 def _lanes(tabulated):
     """x1' = x1^3 + xi / 100, x2' = 0 and the extra value log(x2 - xi) on
-    x1 > -2, with xi the time, or with tabulated lane l's own column, xi =
+    x1 > -2, with xi the time, or with tabulated lane l's own table, xi =
     (1 + l / 10) t at the stage times of 100 steps over [0, 1]: the field
-    and the lanes' tables, None when untabulated. From LANE_STARTS, with
-    bound 1e3, the lanes complete, exit the domain (near t = 0.375), blow
-    up (near t = 0.5), end in a stage that raises (once xi reaches 0.3)
-    and complete."""
+    and the lanes' tables, an (L, 201, 1) array, None when untabulated.
+    From LANE_STARTS, with bound 1e3, the lanes complete, exit the domain
+    (near t = 0.375), blow up (near t = 0.5), end in a stage that raises
+    (once xi reaches 0.3) and complete."""
     xi = "xi" if tabulated else "t"
     names = [xi, "x1", "x2"]
     fn = ex.compile_exprs([ex.parse(src, names) for src in (
@@ -1279,16 +1285,24 @@ def _lanes(tabulated):
     if not tabulated:
         return VectorFieldTD(2, fn, dom), None
     stage_t = np.linspace(0.0, 1.0, 201)
-    tables = np.stack([(1 + l / 10) * stage_t
-                       for l in range(len(LANE_STARTS))], axis=1)[:, :, None]
-    return numkernel.TabulatedField(2, fn, None, dom), tables
+    return VectorFieldTD(2, fn, dom), np.stack(
+        [(1 + l / 10) * stage_t for l in range(len(LANE_STARTS))])[:, :, None]
+
+
+def assert_same_trajectory(got, want):
+    """Two trajectories with the same bits, extras and ending."""
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.extras.tobytes() == want.extras.tobytes()
+    assert got.extras.shape == want.extras.shape
+    assert repr(got.ending) == repr(want.ending)
 
 
 @pytest.mark.parametrize("tabulated", [False, True],
                          ids=["time", "own-tables"])
 def test_one_lane_call_is_the_flows_of_its_lanes(tabulated):
     # each lane keeps its own prefix, extras and ending, also after a lane
-    # that ends early, and reads its own column of the tables
+    # that ends early, and reads its own table
     vf, tables = _lanes(tabulated)
     lanes = numkernel.flow_lanes(vf, LANE_STARTS, (0.0, 1.0), 0.01, 1e3,
                                  tables)
@@ -1296,20 +1310,31 @@ def test_one_lane_call_is_the_flows_of_its_lanes(tabulated):
         "completed", "domain_exit", "blowup", "blowup", "completed"]
     assert len({len(lane.times) for lane in lanes}) == 4
     for l, (x0, lane) in enumerate(zip(LANE_STARTS, lanes)):
-        alone = flow(vf if tables is None else numkernel.TabulatedField(
-            2, vf.fn, tables[:, l].tolist(), vf.domain),
-            x0, (0.0, 1.0), 0.01, 1e3)
-        assert lane.times.tobytes() == alone.times.tobytes()
-        assert lane.points.tobytes() == alone.points.tobytes()
-        assert lane.extras.tobytes() == alone.extras.tobytes()
-        assert lane.extras.shape == alone.extras.shape
-        assert repr(lane.ending) == repr(alone.ending)
+        alone = flow(vf, x0, (0.0, 1.0), 0.01, 1e3,
+                     None if tables is None else tables[l].tolist())
+        assert_same_trajectory(lane, alone)
+
+
+def test_a_table_is_read_alike_as_a_list_and_as_an_array():
+    # an array is converted by tolist() before its lane runs, and a list
+    # of lanes' tables is read as the array of them
+    vf, tables = _lanes(True)
+    as_lists = [table.tolist() for table in tables]
+    for got, want in zip(
+            numkernel.flow_lanes(vf, LANE_STARTS, (0.0, 1.0), 0.01, 1e3,
+                                 as_lists),
+            numkernel.flow_lanes(vf, LANE_STARTS, (0.0, 1.0), 0.01, 1e3,
+                                 tables)):
+        assert_same_trajectory(got, want)
+    for x0, table, rows in zip(LANE_STARTS, tables, as_lists):
+        assert_same_trajectory(flow(vf, x0, (0.0, 1.0), 0.01, 1e3, table),
+                               flow(vf, x0, (0.0, 1.0), 0.01, 1e3, rows))
 
 
 def test_a_lane_call_checks_its_lanes():
     vf, tables = _lanes(True)
     assert numkernel.flow_lanes(vf, [], (0.0, 1.0), 0.01,
-                                tables=tables[:, :0]) == []
+                                tables=tables[:0]) == []
     with pytest.raises(FlowError, match="2 lanes need as many tables, got 5"):
         numkernel.flow_lanes(vf, LANE_STARTS[:2], (0.0, 1.0), 0.01,
                              tables=tables)
@@ -1318,16 +1343,55 @@ def test_a_lane_call_checks_its_lanes():
                              (0.0, 1.0), 0.01, tables=tables)
 
 
+@pytest.mark.parametrize("bad, shape", [
+    (lambda t: t[:-1], (200, 1)),
+    (lambda t: t[:, [0, 0]], (201, 2)),
+    (lambda t: t[:, :0], (201, 0)),
+    (lambda t: t[:, 0], (201,)),
+    (lambda t: t.tolist()[:-1], (200, 1)),
+    (lambda t: [*t.tolist()[:-1], [0.0, 0.0]], (201, 1, 2)),
+    (lambda t: [row + row for row in t.tolist()], (201, 2)),
+    (lambda t: t[:, 0].tolist(), None),
+], ids=["rows", "width", "no-cells", "one-dimensional", "list-rows",
+        "list-ragged", "list-width", "list-of-floats"])
+def test_a_lane_table_of_another_shape_is_refused_before_any_lane_runs(
+        bad, shape, monkeypatch):
+    # lane 3's table is bad; its lane would raise from the loop's row
+    # unpacking, or read past its rows, where the check names it first
+    ran = []
+    rk4_loop = numkernel._rk4_loop
+
+    def counted(vf, tabulated):
+        loop = rk4_loop(vf, tabulated)
+
+        def run(*args):
+            ran.append(1)
+            return loop(*args)
+
+        run.__dict__.update(loop.__dict__)
+        return run
+
+    monkeypatch.setattr(numkernel, "_rk4_loop", counted)
+    vf, tables = _lanes(True)
+    tables = [*tables[:3], bad(tables[3]), tables[4]]
+    with pytest.raises(FlowError) as e:
+        numkernel.flow_lanes(vf, LANE_STARTS, (0.0, 1.0), 0.01, 1e3, tables)
+    assert str(e.value) == (
+        f"lane 3's table must have 201 rows of the field's 1 inputs other "
+        f"than the state, got shape {shape}")
+    assert ran == []
+
+
 def test_a_numpy_scalar_warning_in_the_loop_is_attributed_to_numkernel():
-    # a table that is an ndarray hands the stages numpy scalars, which
-    # overflow in the loop's own sums
-    vf = _table_field(np.full((5, 1), 1e308))
+    # a table of numpy scalars hands them to the stages, which overflow in
+    # the loop's own sums (an array table is converted to floats first)
+    table = [[np.float64(1e308)]] * 5
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         warnings.filterwarnings("error", category=RuntimeWarning,
                                 module=r"algpaths\.numkernel\Z")
         with pytest.raises(RuntimeWarning, match="overflow"):
-            flow(vf, [0.0], (0.0, 1.0), step=0.5)
+            flow(_table_field(), [0.0], (0.0, 1.0), step=0.5, table=table)
 
 
 # --------------------------------------------------------------- CSV writer --

@@ -16,12 +16,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.interpolate import CubicSpline
 
 import algpaths
 from algpaths.numkernel import _slope_equations, not_a_knot_table
 
 EPS = np.finfo(float).eps
+
 # Agreement with CubicSpline, fixed before any comparison was run: 4 ulps
 # of the largest sample. Both solve the same equations; on 4 or more knots
 # the two differ only where scipy's banded solver pivots, on 3 knots its
@@ -37,6 +37,14 @@ TOL_ULPS = 4
 # whose spacings are within a factor of 2; twice scipy's bound leaves room
 # for the two solvers' own distance from the exact spline.
 EXACT_ULPS = 8
+
+
+def cubic_spline(x, y, t):
+    """scipy's CubicSpline through (x[i], y[i]) at the times t, the
+    test-only oracle: imported where it is called, so that the tests that
+    compare with it skip where scipy is not installed, and no other."""
+    scipy_interpolate = pytest.importorskip("scipy.interpolate")
+    return scipy_interpolate.CubicSpline(x, y, axis=0)(t)
 
 
 def stage_times(x, q):
@@ -155,7 +163,7 @@ def test_matches_cubic_spline(data):
     x, y, q = data
     t = stage_times(x, q)
     got = not_a_knot_table(x, y, t)
-    want = CubicSpline(x, y, axis=0)(t)
+    want = cubic_spline(x, y, t)
     assert got.shape == want.shape == (len(t), y.shape[1])
     assert np.max(np.abs(got - want)) <= TOL_ULPS * EPS * np.max(np.abs(y))
 
@@ -225,7 +233,7 @@ def test_two_points_give_the_line():
     line = y[0] + (t[:, None] - x[0]) * (y[1] - y[0]) / (x[1] - x[0])
     got = not_a_knot_table(x, y, t)
     assert np.allclose(got, line, rtol=0, atol=4 * EPS * 5.0)
-    assert np.array_equal(got, CubicSpline(x, y, axis=0)(t))
+    assert np.array_equal(got, cubic_spline(x, y, t))
 
 
 def test_three_points_give_the_parabola():
@@ -235,7 +243,7 @@ def test_three_points_give_the_parabola():
     parabola = np.polyval(np.polyfit(x, y[:, 0], 2), t)
     got = not_a_knot_table(x, y, t)
     assert np.allclose(got[:, 0], parabola, rtol=0, atol=64 * EPS * 4.0)
-    want = CubicSpline(x, y, axis=0)(t)
+    want = cubic_spline(x, y, t)
     assert np.max(np.abs(got - want)) <= TOL_ULPS * EPS * 4.0
 
 
@@ -248,7 +256,7 @@ def test_four_points_give_the_interpolating_cubic():
     got = not_a_knot_table(x, y, t)
     assert np.allclose(got[:, 0], np.polyval(cubic, t), rtol=0,
                        atol=64 * EPS * np.max(np.abs(y)))
-    want = CubicSpline(x, y, axis=0)(t)
+    want = cubic_spline(x, y, t)
     assert np.max(np.abs(got - want)) <= TOL_ULPS * EPS * np.max(np.abs(y))
 
 
