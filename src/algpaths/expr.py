@@ -13,8 +13,9 @@ gate(g, e) is the product g*e except that e is not evaluated when g
 evaluates to exactly 0.0; its derivative is gate(g',e) + gate(g,e').
 bump(a, b, t) is exp(4)*estep(s)*estep(1-s) with s=(t-a)/(b-a), supported
 on [a,b] and equal to 1 at the midpoint; it stays one node, bump(a, b, t),
-expanded only where it is compiled or derived. A sum or a product is one
-flat chain of its operands, evaluated left to right.
+compiled as that expansion and differentiated through its slope: its
+partial is gate(slope(s), ds), with one slope node per bump. A sum or a
+product is one flat chain of its operands, evaluated left to right.
 
 '^' takes an integer literal exponent and binds tighter than unary minus,
 so -x^2 parses as -(x^2). Everything is immutable after construction.
@@ -257,23 +258,29 @@ class Pow(Expr):
 
 class Fun(Expr):
     """A named function of its arguments: a row of `FUNCTIONS`. A bump
-    computes, and is derived as, its `expansion` (see `_bump`), built with
-    the node."""
+    is compiled as its `expansion` and differentiated through its `slope`,
+    d bump / ds at its `s` (see `_bump`), all three built with the node:
+    each partial is gate(slope, ds), so the partials in every variable
+    share the one slope, and each is +0.0 outside the support."""
 
-    __slots__ = ("name", "args", "expansion")
+    __slots__ = ("name", "args", "expansion", "s", "slope")
 
     def __init__(self, name, args):
         self.name = name
         self.args = tuple(args)
         if name == "bump":
-            self.expansion = _bump(*self.args)
+            self.expansion, self.s, self.slope = _bump(*self.args)
 
     def _key(self):
         return (self.name, self.args)
 
     def _d(self, var, D):
         if self.name == "bump":
-            return D(self.expansion)
+            # gated, not multiplied: +0.0 outside the support, where slope
+            # is 0.0, whatever the sign of ds
+            ds = D(self.s)
+            return Const(0.0) if _const(ds) == 0.0 else fun(
+                "gate", self.slope, ds)
         return FUNCTIONS[self.name].d(*self.args, *map(D, self.args))
 
     def __str__(self):
@@ -401,11 +408,17 @@ def pow_(a, n):
 
 
 def _bump(a, b, t):
-    """bump(a, b, t) as it is computed: exp(4) * estep(s) * estep(1 - s)
-    with s = (t - a) / (b - a), folded."""
+    """bump(a, b, t) as it is computed, exp(4) * estep(s) * estep(1 - s)
+    with s = (t - a) / (b - a), folded; s; and the slope d bump / ds,
+    exp(4) * (estep'(s) * estep(1 - s) - estep(s) * estep'(1 - s)), each
+    estep' the gated derivative of estep's row."""
     s = div(sub(t, a), sub(b, a))
-    return mul(mul(fun("exp", Const(4.0)), fun("estep", s)),
-               fun("estep", sub(Const(1.0), s)))
+    u = sub(Const(1.0), s)
+    c, es, eu = fun("exp", Const(4.0)), fun("estep", s), fun("estep", u)
+    d_estep = FUNCTIONS["estep"].d
+    slope = mul(c, sub(mul(d_estep(s, Const(1.0)), eu),
+                       mul(es, d_estep(u, Const(1.0)))))
+    return mul(mul(c, es), eu), s, slope
 
 
 def fun(name, *args):
@@ -430,10 +443,10 @@ def fun(name, *args):
 
 # A row of FUNCTIONS: the number of arguments; the levels (see MAX_DEPTH)
 # its compiled source nests; that source, a format string over its
-# arguments' sources (None for a gate, written as a block that evaluates e
-# only where g != 0.0; a bump is its expansion, "{0}"); and its
-# derivative, of its arguments followed by theirs (None for a bump, which
-# is derived as its expansion).
+# arguments' sources (None for a gate, written so that it evaluates e only
+# where g != 0.0; a bump is its expansion, "{0}"); and its derivative, of
+# its arguments followed by theirs (None for a bump, which `Fun` derives
+# through its slope).
 Function = namedtuple("Function", "arity levels template d")
 
 
@@ -767,8 +780,11 @@ class _Compiler:
     guard is a value of the gate's scope and its arm is numbered in the
     scope of that guard's arms, so nothing is hoisted out of an arm and e
     stays unevaluated when g == 0. `emit` then writes the values that
-    some given values read: `src` writes a value used more than once (and
-    every gate) to a temporary at its first use, and inlines the rest.
+    some given values read: `src` writes a value used more than once to a
+    temporary at its first use, and inlines the rest. A gate whose guard
+    no other gate of its scope tests and whose arm writes no line is the
+    expression (0.0 if g == 0.0 else g * e); any other gate is a block,
+    written to a temporary.
     An estep names an argument that is not a name with `:=` where it
     computes it, so that it is tested and divided without a call. A gate
     block that directly follows one with the same guard joins it: one
@@ -846,6 +862,7 @@ class _Compiler:
         value's users are counted anew, so one numbering can be written
         more than once."""
         top.lines, top.gate, self.temps, self.rename = [], None, 0, rename
+        self.guards = {}    # (scope, guard) -> how many gates test it
         # each entry of todo is one read of a value or a leaf
         seen, todo = set(), list(outs)
         while todo:
@@ -859,6 +876,8 @@ class _Compiler:
                     todo += v.args
                     if v.arm is not None:
                         todo.append(v.args[0])  # tested, then multiplied
+                        key = (v.scope, v.args[0])
+                        self.guards[key] = self.guards.get(key, 0) + 1
                 else:
                     todo.append(v.src)          # read as that leaf
             v.uses += 1
@@ -873,15 +892,25 @@ class _Compiler:
         scope = v.scope
         if v.arm is None:
             text = self.text(v)
-            if v.uses < 2:
-                return f"({text})" if v.template in _SPINE else text
-            v.src = self.temp()
-            scope.lines.append(f"{scope.indent}{v.src} = {text}")
-            return v.src
-        g = self.src(v.args[0])
-        v.arm.lines, v.arm.gate = [], None
-        e = self.src(v.args[1])
+        else:
+            g = self.src(v.args[0])
+            v.arm.lines, v.arm.gate = [], None
+            e = self.src(v.args[1])
+            if v.arm.lines or self.guards[scope, v.args[0]] > 1:
+                return self.block(v, g, e)
+            text = f"(0.0 if {g} == 0.0 else {g} * {e})"
+        if v.uses < 2:
+            return f"({text})" if v.template in _SPINE else text
         v.src = self.temp()
+        scope.lines.append(f"{scope.indent}{v.src} = {text}")
+        return v.src
+
+    def block(self, v, g, e):
+        """The temporary that holds the gate v, of guard source g and arm
+        source e, written as a block after v's arm lines; it joins the
+        block just before it that tests the same guard."""
+        v.src = self.temp()
+        scope = v.scope
         ind, lines, last = scope.indent, scope.lines, scope.gate
         if last is not None and last[0] == g and last[2] == len(lines):
             lines.insert(last[1], f"{ind}    {v.src} = 0.0")

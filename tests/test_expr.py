@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import operator
 import re
@@ -404,12 +405,78 @@ def test_a_bump_prints_whole_and_computes_its_expansion():
     expansion = parse(f"54.598150033144236 * estep({s}) * estep(1 - {s})",
                       XY)
     assert e.expansion == expansion
-    assert e.d("x") == expansion.d("x")
-    fn = compile_exprs([e, e.d("x")], XY)
-    assert (fn(0.3, 0.5)
-            == compile_exprs([expansion, expansion.d("x")], XY)(0.3, 0.5))
+    assert compile_exprs([e], XY)(0.3, 0.5) == compile_exprs(
+        [expansion], XY)(0.3, 0.5)
     # constant arguments fold to the value
     assert ex.fun("bump", Const(-1.0), Const(1.0), Const(0.0)) == Const(1.0)
+
+
+def test_a_bump_is_differentiated_through_one_slope():
+    # each partial is gate(slope, ds), the product of the one slope node
+    # d bump / ds, built with the bump from estep's gated derivative, and
+    # the partial of the expansion's own s; x and y share that node
+    e = parse("bump(-1, 1, x * y)", XY)
+    s = "((x * y - -1) / 2)"
+    assert e.s == parse(s, XY) and e.expansion.args[1].args[0] is e.s
+    assert e.slope == parse(
+        f"54.598150033144236 * (gate(estep({s}), 1 / {s}^2) * estep(1 - {s})"
+        f" - estep({s}) * gate(estep(1 - {s}), 1 / (1 - {s})^2))", XY)
+    dx, dy = e.d("x"), e.d("y")
+    assert dx == ex.fun("gate", e.slope, e.s.d("x"))
+    assert dy == ex.fun("gate", e.slope, e.s.d("y"))
+    assert dx.args[0] is e.slope and dy.args[0] is e.slope
+    assert parse("bump(-1, 1, x)", XY).d("y") == Const(0.0)
+    # the chain rule moves the last bits only: within 8 ulps of 4, above
+    # the largest |partial| on the grid
+    bound = 8 * math.ulp(4.0)
+    fn = compile_exprs([dx, dy], XY)
+    ref = compile_exprs([e.expansion.d("x"), e.expansion.d("y")], XY)
+    grid = np.linspace(-1.5, 1.5, 13).tolist()
+    largest = 0.0
+    for x, y in itertools.product(grid, grid):
+        want = ref(x, y)
+        largest = max(largest, *map(abs, want))
+        assert all(abs(g - w) <= bound for g, w in zip(fn(x, y), want))
+    assert 3.0 < largest < 4.0
+    # the slope is computed once for both partials, and tested once
+    assert "".join(fn.body.lines).count("54.598150033144236") == 1
+    assert sum(line.lstrip().startswith("if ") for line in fn.body.lines) \
+        == 1
+
+
+def test_a_bump_of_variable_ends_matches_central_differences():
+    # a, b and t all vary; s = (t - a) / (b - a)
+    e = parse("bump(y - 2, x^2 + 1, x * y + sin(x))", XY)
+    first = [e.d(v) for v in XY]
+    second = [first[0].d("x"), first[0].d("y"), first[1].d("y")]
+    f = compile_exprs([e], XY)
+    f1 = compile_exprs(first, XY)
+    f2 = compile_exprs(second, XY)
+    s = compile_exprs([e.s, e.s.d("x")], XY)
+    h = 1e-6
+
+    def central(fn, x, y):
+        # the central differences of fn's values in x and in y
+        return [[(p - m) / (2 * h) for p, m in zip(fn(x + h, y),
+                                                   fn(x - h, y))],
+                [(p - m) / (2 * h) for p, m in zip(fn(x, y + h),
+                                                   fn(x, y - h))]]
+
+    for x, y in [(0.5, 0.5), (1.2, -0.3), (3.0, 0.2), (2.5, 1.5)]:
+        assert 0.2 < s(x, y)[0] < 0.9                # inside the support
+        (fx,), (fy,) = central(f, x, y)
+        assert f1(x, y) == pytest.approx([fx, fy], rel=0, abs=1e-8)
+        (fxx, fyx), (fxy, fyy) = central(f1, x, y)
+        assert fxy == pytest.approx(fyx, rel=0, abs=1e-8)
+        assert f2(x, y) == pytest.approx([fxx, fxy, fyy], rel=0, abs=1e-8)
+    # outside the support on both sides, for both signs of ds/dx, every
+    # first and second partial is +0.0
+    for x, y, side, sign in [(-0.7, 0.9, "<", 1), (-2.5, 1.5, "<", -1),
+                             (0.5, 2.0, ">", 1), (2.0, 3.0, ">", -1)]:
+        sv, ds = s(x, y)
+        assert (sv < 0.0 if side == "<" else sv > 1.0) and ds * sign > 0.0
+        assert f(x, y) == [0.0]
+        assert list(map(_bits, f1(x, y) + f2(x, y))) == [_bits(0.0)] * 5
 
 
 @st.composite
@@ -628,7 +695,7 @@ def test_a_gates_arm_keeps_what_reads_only_fixed_parameters():
                                  parse("log(y) * x", XY))], XY).body
     pre, rest = body.split([1])
     assert pre.outs == ("(0.0 if _v1 <= 0.0 else math.exp(-1.0 / _v1))",)
-    assert "math.log(_v1)" in "".join(rest.lines)
+    assert "math.log(_v1)" in "".join(rest.lines + rest.outs)
 
 
 def test_equal_subexpressions_parsed_apart_are_one_moved_value():
@@ -818,6 +885,27 @@ def test_shared_gate_arms_stay_guarded():
         fn(0.0, 1.0)                  # estep(y) != 0 opens the third arm
     assert fn(0.5, 2.0) == [tree_eval(e, {"x": 0.5, "y": 2.0})
                             for e in exprs]
+
+
+def test_a_gate_of_its_own_guard_with_an_empty_arm_is_a_conditional():
+    # such a gate is the expression (0.0 if g == 0.0 else g * e): inline
+    # where it is read once, else named; gates sharing a guard keep one
+    # block, so that the guard is tested once for all of them
+    g, inv = parse("estep(x)", XY), parse("1 / x", XY)
+    fn = compile_exprs([ex.mul(ex.fun("gate", g, inv), Var("y"))], XY)
+    assert fn.body.outs == ("((0.0 if _t1 == 0.0 else _t1 * (1.0 / _v0))"
+                            " * _v1)",)
+    lone = ex.fun("gate", g, ex.fun("log", Var("y")))
+    fn = compile_exprs([lone, ex.mul(lone, Var("x"))], XY)
+    assert fn.body.lines[-1] == (
+        "    _t2 = (0.0 if _t1 == 0.0 else _t1 * math.log(_v1))")
+    assert fn(-1.0, -1.0) == [0.0, 0.0]         # log(-1) never evaluated
+    with pytest.raises(ValueError):
+        fn(1.0, -1.0)
+    shared = [ex.fun("gate", g, inv), ex.fun("gate", g, Var("y"))]
+    lines = compile_exprs(shared, XY).body.lines
+    assert sum(line.lstrip().startswith("if ") for line in lines) == 1
+    assert not any(" if _t1 == 0.0 else" in line for line in lines)
 
 
 def test_non_finite_constants_compile():

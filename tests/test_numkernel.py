@@ -1076,11 +1076,14 @@ def _dual_route_fixtures():
 # the dual-route fixtures generate (one per distinct field, in the order
 # they first flow), as the loops with squares written as products and
 # signs folded into their operations wrote them, and, for the homotopy
-# lift, with no stage binding a copied coordinate's unread input: no loop
-# may do more work per step.
+# lift, with no stage binding a copied coordinate's unread input; the
+# loops of the bump test function (so3's and disk's last, blowup's last
+# two) as they were written with a bump's partials gate(slope, ds) and a
+# gate of its own guard with an empty arm a conditional expression: no
+# loop may do more work per step.
 STEP_NODE_CEILINGS = {"holonomy": [1363], "homotopy": [305],
-                      "so3": [400, 400, 400, 1827],
-                      "disk": [298, 293, 1345], "blowup": [417, 1369, 1193]}
+                      "so3": [400, 400, 400, 1571],
+                      "disk": [298, 293, 1217], "blowup": [417, 1241, 1121]}
 
 
 def _fixture_loops(monkeypatch):
