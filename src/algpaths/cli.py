@@ -490,7 +490,8 @@ def cmd_completeness_probe(args, ws):
     s = SectionTD(c.target, _expr_list(args.section,
                                        ["t"] + c.target.coords))
     _steps(args.horizon, "horizon", args.step)
-    seeds = args.x0 or sample_points(c.source, args.seeds, Draws(args.seed))
+    seeds = (args.x0 if args.x0 is not None
+             else sample_points(c.source, args.seeds, Draws(args.seed)))
     verdict = completeness_probe(c, s, args.horizon, args.bound, seeds,
                                  args.step)
     _emit({"command": "completeness-probe", "comorphism": name,
@@ -686,8 +687,9 @@ def cmd_poisson_lift(args, ws):
 def cmd_poisson_probe(args, ws):
     PX, PY, phi, draws, head = _poisson_map(args, ws)
     _steps(args.horizon, "horizon", args.step)
-    seeds = args.x0 or sample_points(PX, args.seeds, draws)
-    fs = _expr_list(args.f, PY.coords) if args.f else None
+    seeds = (args.x0 if args.x0 is not None
+             else sample_points(PX, args.seeds, draws))
+    fs = _expr_list(args.f, PY.coords) if args.f is not None else None
     map_samples = sample_points(PX, args.samples, draws)
     rep = complete_map_probe(phi, PX, PY, test_functions=fs,
                              horizon=args.horizon, bound=args.bound,

@@ -186,9 +186,12 @@ def first_escape(vf, horizon, bound, seeds, step):
     Returns the witness of the first seed whose flow escapes, or the
     (inconclusive) no-escape verdict. Every seed is tested against vf's
     domain before the first flow (`expr.Domain.require`); one outside it
-    raises `numkernel.StartError`.
+    raises `numkernel.StartError`, and no seed at all `ValueError`.
     """
-    for seed in vf.domain.require(seeds, vf.n, "seed", StartError).tolist():
+    pts = vf.domain.require(seeds, vf.n, "seed", StartError)
+    if not len(pts):
+        raise ValueError("no seeds to flow from")
+    for seed in pts.tolist():
         traj = flow(vf, seed, (0.0, horizon), step=step, bound=bound)
         if not traj.completed:
             return ProbeVerdict(True, horizon, bound,

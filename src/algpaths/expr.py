@@ -278,9 +278,7 @@ class Fun(Expr):
         if self.name == "bump":
             # gated, not multiplied: +0.0 outside the support, where slope
             # is 0.0, whatever the sign of ds
-            ds = D(self.s)
-            return Const(0.0) if _const(ds) == 0.0 else fun(
-                "gate", self.slope, ds)
+            return fun("gate", self.slope, D(self.s))
         return FUNCTIONS[self.name].d(*self.args, *map(D, self.args))
 
     def __str__(self):
@@ -424,7 +422,9 @@ def _bump(a, b, t):
 def fun(name, *args):
     """Build a function application with constant folding."""
     if name == "gate":
-        return Const(0.0) if _const(args[0]) == 0.0 else Fun(name, args)
+        # 0.0 when either factor is a constant 0, as `mul` folds one
+        return (Const(0.0) if 0.0 in (_const(args[0]), _const(args[1]))
+                else Fun(name, args))
     if name == "bump":
         f = Fun(name, args)
         return f.expansion if isinstance(f.expansion, Const) else f
@@ -477,7 +477,7 @@ FUNCTIONS = {
                       lambda y, x, dy, dx: div(sub(mul(dy, x), mul(y, dx)),
                                                add(pow_(x, 2), pow_(y, 2)))),
     "gate": Function(2, 1, None, lambda g, e, dg, de: add(
-        Fun("gate", (dg, e)), Fun("gate", (g, de)))),
+        fun("gate", dg, e), fun("gate", g, de))),
     # six levels: the product, an estep, 1 - s, s and t - a
     "bump": Function(3, 6, "{0}", None),
 }

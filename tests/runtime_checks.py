@@ -255,6 +255,13 @@ def checks():
     expect_field("cotangent.json", "anchor_compat_residual", 0.0, "poisson",
                  "lift", *identity)
 
+    # a probe of no seed or of no test function exits 2: ";" is neither
+    # the sampled seeds nor a probe of nothing that agrees
+    expect_2("poisson", "probe", *identity, "--x0", ";")
+    expect_2("poisson", "probe", *identity, "--f", ";")
+    expect_2("completeness-probe", "--config", "ws.json", "--comorphism",
+             "id", "--section", "1;0", "--x0", ";")
+
     # a Hamiltonian flow: the cotangent algebroid's anchored field of df,
     # flowed without scipy, conserves f on the harmonic oscillator
     ok("poisson", "flow", "--config", "poisson.json", "--f",

@@ -1018,6 +1018,26 @@ def test_a_probe_seed_outside_the_domain_exits_2(tmp_path, capsys, command):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command, flag, message", [
+    ("completeness-probe", "--x0", "no seeds to flow from"),
+    ("poisson-probe", "--x0", "no seeds to flow from"),
+    ("poisson-probe", "--f", "no test functions to probe with"),
+])
+def test_an_empty_probe_exits_2(tmp_path, capsys, command, flag, message):
+    # ";" lists no seed or no test function: refused, not read as the
+    # default (sampled seeds) or as a probe of nothing that agrees
+    cfg = write_config(tmp_path, {
+        **DISK_ID, "poisson": {"pplane": {"dim": 2, "Pi": {"1,2": "1"}}}})
+    argv = (["completeness-probe", "--config", cfg, "--comorphism", "id",
+             "--section", "1;0"] if command == "completeness-probe" else
+            ["poisson", "probe", "--config", cfg, "--source", "pplane",
+             "--target", "pplane", "--map", "x1;x2"])
+    assert run([*argv, flag, ";", "--horizon", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {message}\n"
+    assert captured.out == ""
+
+
 def test_holonomy_on_a_grid_of_23294_steps_completes(capsys):
     # the loop's step 1 / 23294 used to be counted as 23295 steps, which
     # refused the loop's table of 23294

@@ -717,6 +717,16 @@ def test_a_lift_records_phi_at_its_points(case):
         c.phi_at(traj.points) - g.base[:len(traj.points)])))
 
 
+@pytest.mark.parametrize("seeds", [(), [], np.empty((0, 1))],
+                         ids=["tuple", "list", "numpy"])
+def test_a_probe_from_no_seed_is_refused(seeds):
+    # no flow at all is no verdict, not "no escape detected"
+    A = LieAlgebroid(1, 1, [[ex.Const(1.0)]], {})
+    vf = A.flow_field(A.anchored_field([ex.Const(1.0)]))
+    with pytest.raises(ValueError, match="no seeds to flow from"):
+        first_escape(vf, 1.0, 1e8, seeds, 0.1)
+
+
 @pytest.mark.parametrize("seeds", [np.array([[0.0]]), [[0.0]]],
                          ids=["numpy", "list"])
 def test_a_seed_outside_the_domain_is_named_whatever_its_type(seeds):

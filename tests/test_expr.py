@@ -168,11 +168,18 @@ def test_atan2_gradient():
     ("exp(-x) * cos(y)", "z", "0"),
     ("0 - x", "x", "-1"),               # a partial that is not zero
     ("cos(x)", "x", "-sin(x)"),
+    # d gate(g, e) = gate(g', e) + gate(g, e'): a term whose guard or arm
+    # is the constant 0 is 0
+    ("estep(x)", "xy", "0"),
+    ("gate(x, y)", "x", "gate(1, y)"),
 ])
 def test_a_partial_that_is_identically_zero_is_plus_zero(text, var, partial):
     # a sign flip of a zero partial gave Const(-0.0), printed "-0.0"; -0.0
-    # == 0.0, so the sign is tested, not only equality
-    e = parse(text, XYZ).d(var)
+    # == 0.0, so the sign is tested, not only equality; var names the
+    # variables of a repeated partial, in order
+    e = parse(text, XYZ)
+    for v in var:
+        e = e.d(v)
     assert str(e) == partial
     assert parse(str(e), XYZ) == e
     if isinstance(e, Const):
@@ -869,6 +876,14 @@ def test_estep_is_written_inline_and_a_shared_guard_tested_once():
     lines = fc._lift_field.body.lines
     assert not any("_estep" in line for line in lines)
     assert sum(line.lstrip().startswith("if ") for line in lines) == 1
+
+
+def test_the_twisted_cylinders_partials_test_no_constant_guard():
+    # each coefficient is gate(nu(h), e), whose partial in x has the term
+    # gate(d nu / dx, e) with the guard d nu / dx = 0: folded, not
+    # compiled as a block under "if 0.0 == 0.0:"
+    lines = ExampleConnection(1.0 / 3.0).M_map._jac_fn.body.lines
+    assert not any("0.0 ==" in line for line in lines)
 
 
 def test_shared_gate_arms_stay_guarded():

@@ -1,11 +1,14 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from algpaths import expr as ex
-from algpaths.comorph import anchor_compat_residual, compose
+from algpaths import comorph, expr as ex
+from algpaths.algebroid import SectionTD
+from algpaths.comorph import (anchor_compat_residual, compose, first_escape,
+                              pullback_section)
 from algpaths.expr import SmoothMap
 from algpaths.numkernel import flow
 from algpaths.poisson import (PoissonError, PoissonManifold,
@@ -303,6 +306,108 @@ def test_the_two_routes_share_their_fused_loops(monkeypatch):
     assert names == []
     assert json.dumps(again) == json.dumps(first)
     assert first["all_agree"]
+
+
+def _counting_flows(monkeypatch):
+    """The (function, seed) of every flow a first-escape probe makes."""
+    flows = []
+    flow = comorph.flow
+
+    def counting(vf, x0, *args, **kwargs):
+        flows.append((vf.fn, tuple(x0)))
+        return flow(vf, x0, *args, **kwargs)
+
+    monkeypatch.setattr(comorph, "flow", counting)
+    return flows
+
+
+def _probe_flowing_both_routes(phi, PX, PY, seeds, bound):
+    """complete_map_probe's report, with its default test functions and
+    horizon, as it reads when each route is flowed on its own: the
+    reference of a probe that flows a route both share once."""
+    c = cotangent_lift(phi, PX, PY)
+    A = c.source
+    mapping = {v: phi.components[j] for j, v in enumerate(PY.coords)}
+    tpts = np.insert(np.asarray(seeds, dtype=float), 0, 0.0, axis=1)
+    entries = []
+    for f in default_test_functions(PY):
+        ham = hamiltonian_vf(PX, ex.substitute(f, mapping))
+        s = SectionTD(c.target, [f.d(v) for v in PY.coords])
+        com = A.flow_field(A.anchored_field(pullback_section(c, s).exprs))
+        worst = float(np.max(np.abs(ex.evaluate(com.fn, tpts, (A.n,))
+                                    - ex.evaluate(ham.fn, tpts, (A.n,))),
+                             initial=0.0))
+        v_ham, v_com = (first_escape(vf, 2.0, bound, seeds, 1e-3)
+                        for vf in (ham, com))
+        t_diff = (abs(v_ham.witness[1].t_star - v_com.witness[1].t_star)
+                  if v_ham.escaped and v_com.escaped else None)
+        entries.append({
+            "f": str(f), "hamiltonian": v_ham.to_json(),
+            "comorphism": v_com.to_json(), "field_mismatch": worst,
+            "agree": (v_ham.escaped == v_com.escaped
+                      and (t_diff is None or t_diff <= 1e-3)),
+            "t_star_diff": t_diff})
+    return {"horizon": 2.0, "bound": bound,
+            "all_agree": all(e["agree"] for e in entries),
+            "entries": entries}
+
+
+@pytest.mark.parametrize("fixture, flows", [
+    # four test functions, each route the Hamiltonian one: one flow each,
+    # not two
+    ("so3", 4),
+    # x1's route is shared and blows up from the seed; the bump's two
+    # fields have different source, and each flows
+    ("blowup", 1 + 2),
+])
+def test_a_shared_route_flows_once_and_reports_as_both(monkeypatch, fixture,
+                                                      flows):
+    if fixture == "so3":
+        PX = PY = so3_dual()
+        phi = SmoothMap.from_strings(PX.coords, PX.coords)
+        seeds, bound = ((0.3, -0.2, 0.5),), 1e8
+    else:
+        PX, PY = standard_symplectic(2), PoissonManifold(1, {})
+        phi = SmoothMap.from_strings(XY, ["x1^2 * x2"])
+        seeds, bound = ((1.0, 0.5),), 1e6
+    made = _counting_flows(monkeypatch)
+    rep = complete_map_probe(phi, PX, PY, seeds=seeds, bound=bound)
+    assert len(made) == flows
+    reference = _probe_flowing_both_routes(phi, PX, PY, seeds, bound)
+    assert json.dumps(rep.to_json()) == json.dumps(reference)
+
+
+def test_routes_of_different_source_each_flow_from_every_seed(monkeypatch):
+    # on x1^2 x2 from the plane to the line, the bump's Hamiltonian and
+    # comorphism fields are equal, but not the same function
+    P, R = standard_symplectic(2), PoissonManifold(1, {})
+    phi = SmoothMap.from_strings(XY, ["x1^2 * x2"])
+    seeds = [(1.0, 0.5), (0.2, -0.3), (-0.4, 0.1)]
+    made = _counting_flows(monkeypatch)
+    coord, bump = complete_map_probe(phi, P, R, seeds=seeds,
+                                     bound=1e6).entries
+    assert coord["hamiltonian"]["witness"]["seed"] == [1.0, 0.5]
+    assert not bump["hamiltonian"]["escaped"]
+    assert not bump["comorphism"]["escaped"]
+    # x1's shared route escapes from the first seed, in one flow
+    assert len(made) == 1 + 2 * len(seeds)
+    fns = {fn for fn, _ in made[1:]}
+    assert len(fns) == 2
+    assert Counter(made[1:]) == Counter((fn, s) for fn in fns for s in seeds)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"seeds": ()}, "no seeds to flow from"),
+    ({"test_functions": []}, "no test functions to probe with"),
+], ids=["no seeds", "no test functions"])
+def test_an_empty_probe_is_refused(monkeypatch, kwargs, message):
+    # a probe that flows nothing has no verdict, so it cannot agree
+    P = standard_symplectic(2)
+    phi = SmoothMap.from_strings(XY, XY)
+    made = _counting_flows(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        complete_map_probe(phi, P, P, **kwargs)
+    assert made == []
 
 
 def test_probe_rejects_non_poisson_maps():
