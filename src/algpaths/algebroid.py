@@ -243,12 +243,12 @@ def make_tangent(n, coords=None, domain=()):
     return LieAlgebroid(n, n, anchor, {}, domain=domain, coords=coords)
 
 
-def make_lie_algebra(constants, tol=1e-10):
+def make_lie_algebra(constants):
     """Lie algebra as an algebroid over a point (modeled as a 1-dim base
     with zero anchor and constant bracket).
 
     constants: full array c[k][i][j], antisymmetric in (i, j). Constants
-    whose Jacobi residual exceeds tol are rejected.
+    whose Jacobi residual exceeds 1e-10 are rejected.
     """
     c = np.asarray(constants, dtype=float)
     if c.ndim != 3 or len(set(c.shape)) != 1:
@@ -257,10 +257,10 @@ def make_lie_algebra(constants, tol=1e-10):
     if np.max(np.abs(c + np.swapaxes(c, 1, 2)), initial=0.0) != 0.0:
         raise AlgebroidError("constants must be exactly antisymmetric in (i, j)")
     res = lie_jacobi_residual(c)
-    if res > tol:
+    if res > 1e-10:
         raise AlgebroidError(
             f"structure constants violate the Jacobi identity "
-            f"(residual {res:.3e} > {tol:.1e})")
+            f"(residual {res:.3e} > 1.0e-10)")
     anchor = [[ex.Const(0.0) for _ in range(r)]]
     bracket = {(k, i, j): ex.Const(c[k, i, j])
                for k in range(r) for i in range(r) for j in range(i + 1, r)

@@ -118,6 +118,15 @@ def _vector(text):
     return [_finite(v) for v in str(text).split(",")]
 
 
+def _complex(text):
+    """A point of C, 're,im': exactly two finite numbers."""
+    z = _vector(text)
+    if len(z) != 2:
+        raise argparse.ArgumentTypeError(
+            f"expected two finite numbers 're,im', got {text!r}")
+    return z
+
+
 def _point_list(text):
     return [_vector(part) for part in str(text).split(";") if part.strip()]
 
@@ -197,8 +206,8 @@ FLAGS = {
     "--nu": {"required": True, "type": _as_typed(_fraction)},
     "--h-grid": {"type": _range, "help": "'lo:hi:count' sweep over h values"},
     "--tau-max": {"type": _fraction},
-    "--z0": {"type": _as_typed(_vector), "default": "1,0"},
-    "--z": {"type": _vector, "default": "1,0"},
+    "--z0": {"type": _as_typed(_complex), "default": "1,0"},
+    "--z": {"type": _complex, "default": "1,0"},
     # sheet_count takes O(log k_max) steps, so k_max has no cap
     "--k-max": {"type": functools.partial(_finite, low=1, integral=True),
                 "default": 1e6},
@@ -540,10 +549,13 @@ def cmd_holonomy(args, ws):
         raise ConfigError("--connection needs --config")
     else:
         conn_name, fc = _pick(ws.connections, args.connection, "connections")
-    z0 = _vector(args.z0)
+    twisted = isinstance(fc, ExampleConnection)
+    if args.x0 is None and not twisted:
+        raise ValueError(f"connection {conn_name!r} is no twisted cylinder: "
+                         f"a --h-grid sweep or a lift without --x0 needs one")
     if args.h_grid is not None:
         rows = holonomy_sweep(fc, args.h_grid, radius=args.radius,
-                              grid=args.grid, z0=tuple(z0),
+                              grid=args.grid, z0=_complex(args.z0),
                               k_max=int(args.k_max))
         if _write_csv(lambda f: write_sweep_csv(rows, f), args.out):
             _emit({"command": "holonomy", "connection": conn_name,
@@ -555,7 +567,7 @@ def cmd_holonomy(args, ws):
         return 0
     if args.x0 is None:
         h = 0.0 if args.h is None else args.h
-        x0 = [args.radius, 0.0, z0[0], z0[1], h]
+        x0 = fc.start(args.radius, _complex(args.z0), h)
     else:
         # the height is the start's, which --h may only repeat
         x0 = args.x0
@@ -567,7 +579,6 @@ def cmd_holonomy(args, ws):
                              f"{height}")
     loop = circle_loop(fc, radius=args.radius, grid=args.grid)
     lifted = holonomy(fc, loop, x0)
-    nu = fc.nu(h) if hasattr(fc, "nu") else None
     payload = {"command": "holonomy", "connection": conn_name,
                "seed": args.seed,
                "params": {"grid": args.grid, "radius": args.radius,
@@ -575,7 +586,8 @@ def cmd_holonomy(args, ws):
                **lifted.ending._asdict(), "phase": lifted.phase,
                "phi_projection_error": lifted.phi_projection_error,
                "start": list(lifted.source), "end": list(lifted.target)}
-    if nu is not None:
+    if twisted:
+        nu = fc.nu(h)
         payload["nu"] = nu
         payload["expected_phase"] = 2.0 * math.pi * nu
         payload["sheets"] = sheet_count(nu, k_max=int(args.k_max))
@@ -592,7 +604,7 @@ def cmd_sheets(args, ws):
 def cmd_density(args, ws):
     tau_max = (args.tau_max if args.tau_max is not None
                else 1e4 * 2.0 * math.pi)
-    rep = density_scan(_num(args.nu), args.theta0, _vector(args.z0),
+    rep = density_scan(_num(args.nu), args.theta0, _complex(args.z0),
                        tau_max, args.bins)
     _emit({"command": "example3 density", "seed": args.seed,
            "params": {"theta0": args.theta0, "z0": args.z0},
@@ -614,8 +626,8 @@ def cmd_self_intersect(args, ws):
 def cmd_gamma(args, ws):
     fc = ExampleConnection(_num(args.nu))
     try:
-        g = GammaElement(fc, args.r, args.theta, args.rp, args.tau,
-                         (args.z[0], args.z[1]), args.h)
+        g = GammaElement(fc, args.r, args.theta, args.rp, args.tau, args.z,
+                         args.h)
     except ValueError as e:
         raise ConfigError(str(e))
     _emit({"command": "example3 gamma", "seed": args.seed,

@@ -256,18 +256,27 @@ def _phi_along(c, traj):
                            c.phi_at(traj.points[-1:])])
 
 
-def _check_starts(c, starts, sources):
-    """Raise StartMismatchError unless phi maps each of the stacked start
-    points to within 1e-6 of its path source: sources is one point, or
-    one per start. The first start that misses raises; the comparison is
-    negated, so that a nan image misses."""
-    images, sources = np.broadcast_arrays(c.phi_at(starts), sources)
+def _check_starts(c, x0, sources, stacks=False):
+    """x0, one start point or, where stacks, a stack of them, as an
+    (N, source.n) float stack. Raise ValueError for another shape, and
+    StartMismatchError unless phi maps each start to within 1e-6 of its
+    path source: sources is one point, or one per start. The first start
+    that misses raises; the comparison is negated, so that a nan image
+    misses."""
+    starts, n = np.asarray(x0, dtype=float), c.source.n
+    if starts.ndim not in (1, 1 + stacks) or starts.shape[-1] != n:
+        raise ValueError(f"x0 must be a point of {n} coordinates"
+                         f"{' or a stack of them' * stacks}, got shape "
+                         f"{starts.shape}")
+    stack = starts.reshape(-1, n)
+    images, sources = np.broadcast_arrays(c.phi_at(stack), sources)
     bad = np.flatnonzero(~(np.abs(images - sources) <= 1e-6).all(axis=-1))
     if len(bad):
         k = bad[0]
         raise StartMismatchError(
             f"phi(x0) = {point(images[k])} does not match the path source "
             f"{point(sources[k])}")
+    return stack
 
 
 def lift_path(c, g, x0, interp="cubic", bound=1e8):
@@ -281,12 +290,7 @@ def lift_path(c, g, x0, interp="cubic", bound=1e8):
     max_k |phi(x_k) - y_k| over the integrated prefix, phi as the flow
     recorded it and at the last point (`_phi_along`).
     """
-    starts = np.asarray(x0, dtype=float)
-    if starts.ndim not in (1, 2) or starts.shape[-1] != c.source.n:
-        raise ValueError(f"x0 must be a point of {c.source.n} coordinates "
-                         f"or a stack of them, got shape {starts.shape}")
-    stack = starts.reshape(-1, c.source.n)
-    _check_starts(c, stack, g.source)
+    stack = _check_starts(c, x0, g.source, stacks=True)
     m, table = _fiber_table(g.times, g.eta, interp, 1)
     rows = table.tolist()
     lifts = []
@@ -298,7 +302,7 @@ def lift_path(c, g, x0, interp="cubic", bound=1e8):
         lifted.phi_projection_error = float(np.max(np.abs(
             _phi_along(c, traj) - g.base[:len(points)])))
         lifts.append(lifted)
-    return lifts if starts.ndim == 2 else lifts[0]
+    return lifts if np.ndim(x0) == 2 else lifts[0]
 
 
 def lift_homotopy(c, H, x0, interp="cubic", bound=1e8):
@@ -323,7 +327,7 @@ def lift_homotopy(c, H, x0, interp="cubic", bound=1e8):
     c.target.in_domain.require(np.swapaxes(H.x, 0, 1), c.target.n,
                                "base sample", AlgebroidError)
     s_vals = H.s_grid.tolist()          # plain floats, for messages
-    _check_starts(c, [x0], H.x[0])
+    _check_starts(c, x0, H.x[0])
     m, table = _fiber_table(H.t_grid, H.eta, interp, 1)
     trajs = _lift_lanes(c, H.t_grid, x0, m, table, bound)
     _require_completed(trajs, s_vals, "")
@@ -393,18 +397,18 @@ class UniquenessReport(NamedTuple):
     exit_spread: "float | None"
 
 
-def lift_uniqueness_check(c, g, x0, bound=1e8):
+def lift_uniqueness_check(c, g, x0):
     """Lift g through x0 with cubic and linear fiber interpolation at the
     path's grid and at a 2x refined grid; report the max pairwise endpoint
-    distance (completed case) or exit-time spread (escaping case). A
-    start point whose image misses the path's source raises
-    StartMismatchError, as in `lift_path`."""
-    _check_starts(c, [x0], g.source)
+    distance (completed case) or exit-time spread (escaping case), each
+    lift bounded by 1e8. A start point whose image misses the path's
+    source raises StartMismatchError, as in `lift_path`."""
+    _check_starts(c, x0, g.source)
     runs = []
     for interp in ("cubic", "linear"):
         for refine in (1, 2):
             m, table = _fiber_table(g.times, g.eta, interp, refine)
-            traj = _lift_flow(c, g.times, x0, m, table.tolist(), bound)
+            traj = _lift_flow(c, g.times, x0, m, table.tolist())
             runs.append({
                 "interp": interp, "refine": refine,
                 "ending": traj.ending, "endpoint": traj.endpoint.tolist(),

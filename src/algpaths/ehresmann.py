@@ -19,8 +19,11 @@ algebroids with core phi and fiber matrix H, and nothing else: it is
 compiled, evaluated, spot-checked (`anchor_compat_residual`, which for
 tangent algebroids is |Dphi H - I|) and lifted through as one.
 
-The complex fiber is stored as (z1, z2) = (Re z, Im z); phases are atan2
-angles unwrapped by continuity along trajectories.
+`ExampleConnection` is the one place that knows the twisted cylinder's
+coordinates (x, y, z1, z2, h), with the complex fiber stored as (z1, z2) =
+(Re z, Im z): it builds a loop's start (`start`) and marks the fiber
+(`z_indices`) whose angle a lift's phase measures, an atan2 angle
+unwrapped by continuity along the lift; a `FlatConnection` marks none.
 """
 
 import math
@@ -32,6 +35,7 @@ from . import expr as ex
 from .algebroid import AlgebroidError, make_tangent
 from .apath import APath
 from .comorph import Comorphism, lift_path
+from .numkernel import write_csv_rows
 
 
 class FlatConnection(Comorphism):
@@ -40,7 +44,11 @@ class FlatConnection(Comorphism):
     in X to that of Y. H, its fiber matrix M, is (dim X) x (dim Y) with
     Dphi(x) H(x) = I; neither this section property
     (`anchor_compat_residual`) nor flatness (`flatness_residual`) is
-    assumed: both are measured on samples."""
+    assumed: both are measured on samples. z_indices are the coordinates
+    (Re z, Im z) of a complex fiber whose angle `holonomy` measures, None
+    for no such fiber."""
+
+    z_indices = None
 
     def __init__(self, x_coords, phi, H, domain=(), y_coords=None):
         x_coords = list(x_coords)
@@ -85,6 +93,8 @@ class ExampleConnection(FlatConnection):
     nu0 must be finite, and support and slab two finite numbers lo < hi.
     """
 
+    z_indices = (2, 3)
+
     def __init__(self, nu0, support=(-0.5, 0.5), slab=(-1.0, 1.0)):
         self.nu0 = nu0 = _finite("nu0", nu0)
         self.support = support = _finite("support", support, interval=True)
@@ -116,10 +126,15 @@ class ExampleConnection(FlatConnection):
         domain = [ex.add(ex.add(r2, ex.fun("estep", ex.sub(h, ex.Const(slab[1])))),
                          ex.fun("estep", ex.sub(ex.Const(slab[0]), h)))]
         super().__init__(_XC, [x, y], H, domain, y_coords=["x", "y"])
-        self.z_indices = (2, 3)
 
     def nu(self, h):
         return self._nu_map.eval_unchecked([h]).item()
+
+    def start(self, radius, z0, h):
+        """(radius, 0, z0, h), where the circle loop of that radius about
+        the origin starts its lift; ValueError unless z0 = (Re z0, Im z0)
+        is nonzero (see `_nonzero`)."""
+        return [float(radius), 0.0, *_nonzero(z0), float(h)]
 
 
 def _finite(name, value, interval=False):
@@ -134,6 +149,15 @@ def _finite(name, value, interval=False):
         what = "two finite numbers lo < hi" if interval else "a finite number"
         raise ValueError(f"{name} must be {what}, got {value!r}")
     return xs if interval else xs[0]
+
+
+def _nonzero(z0):
+    """z0 = (Re z0, Im z0) as two floats; ValueError for z0 = 0, which has
+    no phase, or for another number of coordinates."""
+    z1, z2 = map(float, z0)
+    if z1 == z2 == 0.0:
+        raise ValueError("z0 must be nonzero")
+    return z1, z2
 
 
 def circle_loop(fc, radius=1.0, center=(0.0, 0.0), turns=1, grid=1000):
@@ -158,25 +182,22 @@ def circle_loop(fc, radius=1.0, center=(0.0, 0.0), turns=1, grid=1000):
 
 
 def holonomy(fc, loop, x0):
-    """Lift the closed base loop through x0: the lifted A-path, which
-    transports the fiber from `source` to `target`, with `phase`, the
-    unwrapped angle z sweeps (None when fc marks no complex fiber)."""
+    """Lift the closed base loop through x0, one start point or a stack
+    of them as for `lift_path`: the lifted A-path, which transports the
+    fiber from `source` to `target`, or the list of them, each with
+    `phase`, the unwrapped angle that fc's complex fiber sweeps (None
+    when fc marks none or the lift has one sample)."""
     if float(np.max(np.abs(loop.base[0] - loop.base[-1]))) > 1e-9:
         raise AlgebroidError("holonomy needs a closed loop")
-    lifted = lift_path(fc, loop, x0)
-    lifted.phase = _phase(fc, lifted)
-    return lifted
-
-
-def _phase(fc, lifted):
-    """The unwrapped angle that (z1, z2) sweeps along a lifted loop; None
-    when fc marks no complex fiber or the lift has one sample."""
-    zi = getattr(fc, "z_indices", None)
-    if zi is None or len(lifted.base) < 2:
-        return None
-    angles = np.unwrap(np.arctan2(lifted.base[:, zi[1]],
-                                  lifted.base[:, zi[0]]))
-    return float(angles[-1] - angles[0])
+    lifts = lift_path(fc, loop, x0)
+    zi = fc.z_indices
+    for lifted in lifts if isinstance(lifts, list) else [lifts]:
+        lifted.phase = None
+        if zi is not None and len(lifted.base) > 1:
+            angles = np.unwrap(np.arctan2(lifted.base[:, zi[1]],
+                                          lifted.base[:, zi[0]]))
+            lifted.phase = float(angles[-1] - angles[0])
+    return lifts
 
 
 def sheet_count(nu_value, k_max=10**6, tol=1e-9):
@@ -243,14 +264,14 @@ class GammaElement:
         w = (c * self.z[0] - s * self.z[1], s * self.z[0] + c * self.z[1])
         return (self.rp, self.theta + self.tau, w[0], w[1], self.h)
 
-    def then(self, other, tol=1e-9):
+    def then(self, other):
         """Composite doing self first, then other: taus add, radii chain.
-        Requires source(other) to match target(self)."""
+        Requires source(other) to match target(self) to within 1e-9."""
         if other.conn is not self.conn:
             raise ValueError("elements belong to different connections")
         tgt = self.target()
         src = other.source()
-        if max(abs(a - b) for a, b in zip(tgt, src)) > tol:
+        if max(abs(a - b) for a, b in zip(tgt, src)) > 1e-9:
             raise ValueError(f"cannot compose: target {tgt} != source {src}")
         return GammaElement(self.conn, self.r, self.theta, other.rp,
                             self.tau + other.tau, self.z, self.h)
@@ -289,9 +310,7 @@ def density_scan(nu_value, theta_offset, z0, tau_max, bins):
     lines arg z' = nu theta' + b (cluster count of the intercepts b), and
     the maximum circular gap between consecutive intercepts.
     """
-    z0 = (float(z0[0]), float(z0[1]))
-    if z0 == (0.0, 0.0):
-        raise ValueError("z0 must be nonzero")
+    z0 = _nonzero(z0)
     if bins < 2:
         raise ValueError("bins must be >= 2")
     nu_value = float(nu_value)
@@ -366,25 +385,26 @@ def _ts_jacobian(nu, r, theta, rp, tau):
     return J
 
 
-def _ts_image(nu, r, theta, rp, tau):
-    return np.array([r, theta % TWO_PI, 0.0, 0.0, 0.0,
-                     rp, (theta + tau) % TWO_PI, 0.0, 0.0, 0.0])
-
-
 def self_intersection_witness(conn, h, tau, r=1.0, theta=0.0, rp=1.0):
     """Compare the target-source immersion at tau and tau + 2pi, at z = 0.
 
-    Verifies the image points coincide (angles reduced mod 2pi) and
-    returns the Frobenius gap between the two tangent planes' orthogonal
-    projectors; for the rotated z-columns this equals the chord distance
+    The two images are the (source, target) of the `GammaElement`s at tau
+    and tau + 2pi, which check r, r' > 0 and h inside the slab. Verifies
+    the image points coincide (angles reduced mod 2pi) and returns the
+    Frobenius gap between the two tangent planes' orthogonal projectors;
+    for the rotated z-columns this equals the chord distance
     2 |sin(pi nu)| of the rotation by 2 pi nu.
     """
     nu = conn.nu(h)
-    img1 = _ts_image(nu, r, theta, rp, tau)
-    img2 = _ts_image(nu, r, theta, rp, tau + TWO_PI)
-    # the h column of the image is the evaluation point, identical by
-    # construction; the mismatch is carried by the reduced angles
-    mismatch = float(np.max(np.abs(img1 - img2)))
+
+    def image(t):
+        g = GammaElement(conn, r, theta, rp, t, (0.0, 0.0), h)
+        img = np.array([*g.source(), *g.target()])
+        img[[1, 6]] %= TWO_PI          # the angles theta and theta + tau
+        return img
+
+    # the mismatch is carried by the reduced angles
+    mismatch = float(np.max(np.abs(image(tau) - image(tau + TWO_PI))))
     J1 = _ts_jacobian(nu, r, theta, rp, tau)
     J2 = _ts_jacobian(nu, r, theta, rp, tau + TWO_PI)
 
@@ -401,30 +421,27 @@ def self_intersection_witness(conn, h, tau, r=1.0, theta=0.0, rp=1.0):
 
 def holonomy_sweep(conn, h_values, radius=1.0, grid=1000, z0=(1.0, 0.0),
                    k_max=10**6):
-    """Numeric holonomy phase, nu(h), and sheet count across h values;
-    the loop is lifted from all their start points in one call.
+    """Numeric holonomy phase, nu(h), and sheet count across h values:
+    one `holonomy` of the loop from the stack of their `start`s.
 
     Rows serialize to the CSV schema 'h,nu,holonomy_angle,sheets'.
     """
-    rows = []
     loop = circle_loop(conn, radius=radius, grid=grid)
-    starts = [[radius, 0.0, z0[0], z0[1], float(h)] for h in h_values]
-    lifts = lift_path(conn, loop, np.reshape(starts, (len(starts), 5)))
-    for h, lifted in zip(h_values, lifts):
-        nu = conn.nu(h)
-        rows.append({"h": float(h), "nu": nu,
-                     "holonomy_angle": _phase(conn, lifted),
-                     "sheets": sheet_count(nu, k_max=k_max)})
-    return rows
+    starts = [conn.start(radius, z0, h) for h in h_values]
+    lifts = holonomy(conn, loop, np.reshape(starts, (-1, conn.source.n)))
+    nus = [conn.nu(h) for h in h_values]
+    return [{"h": float(h), "nu": nu, "holonomy_angle": lifted.phase,
+             "sheets": sheet_count(nu, k_max=k_max)}
+            for h, nu, lifted in zip(h_values, nus, lifts)]
 
 
 def write_sweep_csv(rows, f):
-    f.write("h,nu,holonomy_angle,sheets\n")
-    for row in rows:
-        sheets = row["sheets"]
-        sheets_str = "inf" if sheets == math.inf else str(int(sheets))
-        f.write(f"{row['h']!r},{row['nu']!r},"
-                f"{row['holonomy_angle']!r},{sheets_str}\n")
+    """Write sweep rows as their CSV, an infinite sheet count as inf."""
+    floats = ["h", "nu", "holonomy_angle"]
+    write_csv_rows(f, floats + ["sheets"], [
+        *(np.array([row[k] for row in rows], dtype=float) for k in floats),
+        ["inf" if row["sheets"] == math.inf else str(int(row["sheets"]))
+         for row in rows]])
 
 
 __all__ = [

@@ -45,8 +45,9 @@ class FlowError(Exception):
 
 
 class StartError(FlowError, ValueError):
-    """A start point or probe seed outside the field's domain: bad input,
-    so also a ValueError, where an escape later on is a flow's result."""
+    """A start point or probe seed that is no point of the field's domain
+    (of another length, not finite, or outside it): bad input, so also a
+    ValueError, where an escape later on is a flow's result."""
 
 
 class VectorFieldTD:
@@ -499,11 +500,12 @@ def _rk4_loop(vf, tabulated):
     """The stepping loop for vf, whose field reads the time or, tabulated,
     its inputs other than the state from table rows, generated and
     compiled on first use (see _rk4_source) and kept in the `body.loops`
-    of the field's function, with the `_plan` of the field's extra
-    values: `loop.extra_row` (the numbers, 0.0 for the others),
-    `loop.copies` (pairs (j, i), value j the x_i) and `loop.kept` (the
-    computed ones, recorded after each state). Its scope's __name__
-    attributes a warning raised in the loop to this module."""
+    of the field's function, with its source, `loop.source`, and the
+    `_plan` of the field's extra values: `loop.extra_row` (the numbers,
+    0.0 for the others), `loop.copies` (pairs (j, i), value j the x_i)
+    and `loop.kept` (the computed ones, recorded after each state). Its
+    scope's __name__ attributes a warning raised in the loop to this
+    module."""
     dom = vf.domain
     field = _compiled_body(vf.fn, None if tabulated else vf.n + 1, vf.n,
                            "the field")
@@ -521,6 +523,7 @@ def _rk4_loop(vf, tabulated):
         # popped, so that the loop and its scope are no reference cycle
         # and go with the field's function
         loop = field.loops[key] = scope.pop("rk4_loop")
+        loop.source = src
         plan = _plan(field, vf.n)[vf.n:]
         loop.extra_row = np.array([0.0 if c is None else c for c, _ in plan])
         loop.kept = [j for j, p in enumerate(plan) if p == (None, None)]
@@ -587,10 +590,10 @@ def flow_lanes(vf, starts, t_span, step=1e-3, bound=1e8, tables=None):
         _check_tables(vf, tables, len(xs), n_steps)
     for x in xs:
         if len(x) != vf.n:
-            raise FlowError(f"x0 has {len(x)} components, the field needs "
-                            f"{vf.n}")
+            raise StartError(f"x0 has {len(x)} components, the field needs "
+                             f"{vf.n}")
         if not _finite(x):
-            raise FlowError("x0 is not finite")
+            raise StartError("x0 is not finite")
         if not vf.in_domain(x):
             raise StartError(f"x0 = {point(x)} is outside the field's "
                              f"domain")

@@ -35,15 +35,15 @@ def fail(message):
 def algpaths(status, *args, out=None, options=()):
     """Run the CLI with args, its stdout written to the file out, under
     the interpreter options; fail, with its stderr, unless it exits with
-    status. Returns its stderr."""
+    status and prints no traceback. Returns its stderr."""
     with open(out, "w") if out else open(os.devnull, "w") as stdout:
         proc = subprocess.run([sys.executable, *options, "-m", "algpaths.cli",
                                *args],
                               stdout=stdout, stderr=subprocess.PIPE,
                               text=True)
-    if proc.returncode != status:
+    if proc.returncode != status or "Traceback" in proc.stderr:
         fail(f"algpaths {' '.join(args)} exited {proc.returncode}, not "
-             f"{status}:\n{proc.stderr}")
+             f"{status}, or with a traceback:\n{proc.stderr}")
     return proc.stderr
 
 
@@ -111,6 +111,31 @@ def checks():
         fail(f"holonomy --x0 ...,0.3 reported h = {rep['params']['h']}, "
              f"nu = {nu}, phase {rep['phase']} for {rep['expected_phase']}")
     expect_2("holonomy", "--x0", "1,0,1,0,0.3", "--h", "0")
+
+    # a point of C is two finite numbers: one ended in a traceback, and a
+    # third was dropped; z = 0 has no phase
+    for flag, command in (("--z0", ["holonomy", "--grid", "50"]),
+                          ("--z0", ["example3", "density", "--nu", "1/3"]),
+                          ("--z", ["example3", "gamma"])):
+        for z in ("1", "1,0,7"):
+            expect_2(*command, flag, z)
+    expect_2("holonomy", "--z0", "0,0", "--grid", "50")
+    expect_2("holonomy", "--z0", "0,0", "--h-grid", "0:0.1:2", "--grid",
+             "50")
+    # the witness's images are two groupoid elements, which need r, r' > 0
+    # and h inside the slab
+    for flag in ("--r=0", "--rp=-1", "--h=2"):
+        expect_2("example3", "self-intersect", "--nu", "1/3", flag)
+    # a sweep, and a lift without --x0, start on the twisted cylinder: a
+    # plain flat connection needs --x0
+    write("flat.json", {"connections": {"fc": {
+        "x_coords": ["a", "b", "c", "d", "e"], "phi": ["a", "b"],
+        "H": [["1", "0"], ["0", "1"], ["0", "0"], ["0", "0"], ["0", "0"]]}}})
+    flat = ["holonomy", "--config", "flat.json", "--connection", "fc",
+            "--grid", "50"]
+    expect_2(*flat, "--h-grid", "0:1:3")
+    expect_2(*flat)
+    ok(*flat, "--x0", "1,0,2,3,4")
 
     # a sweep with lanes outside the bump's support (the gate, computed
     # once before the steps, reads 0.0) and inside it: each lane's phase
@@ -400,6 +425,16 @@ def checks():
         "domain": ["1 - x1^2 - x2^2"]}}})
     expect_2("integrate-path", "--config", "disk.json", "--section", "1;0",
              "--x0", "2,0")
+    # and so is a start of another length, in every command that flows
+    # one
+    expect_2("integrate-path", "--config", "disk.json", "--section", "1;0",
+             "--x0", "0.1")
+    expect_2("poisson", "flow", "--config", "poisson.json", "--f", "x1",
+             "--x0", "0.1")
+    expect_2("lift-path", "--config", "ws.json", "--comorphism", "id",
+             "--path", "path.csv", "--x0", "0.1")
+    expect_2("lift-homotopy", "--config", "ws.json", "--comorphism", "id",
+             "--homotopy", "homotopy.csv", "--x0", "0.1")
 
     # so are a probe seed outside the domain and a start whose image
     # misses the path's source

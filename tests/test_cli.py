@@ -947,6 +947,36 @@ def test_integrate_path_from_outside_the_domain_exits_2(lift_cfg, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["integrate-path", "poisson-flow",
+                                     "lift-homotopy"])
+def test_a_start_of_the_wrong_length_exits_2(lift_cfg, tmp_path, capsys,
+                                             command):
+    # bad input, as a start outside the domain is: a flow's start exited
+    # 1, and a homotopy's start leaked a compiled function's arguments
+    # where lift-path's is named
+    if command == "integrate-path":
+        argv = ["integrate-path", "--config", lift_cfg, "--name", "disk",
+                "--section", "1;0"]
+        message = "x0 has 1 components, the field needs 2"
+    elif command == "poisson-flow":
+        cfg = write_config(tmp_path, {"poisson": {"plane": {
+            "dim": 2, "Pi": {"1,2": "1"}}}}, name="poisson.json")
+        argv = ["poisson", "flow", "--config", cfg, "--f", "x1"]
+        message = "x0 has 1 components, the field needs 2"
+    else:
+        path = _grid_csv(tmp_path, "homotopy.csv",
+                         _ahomotopy_rows([k / 10 for k in range(11)],
+                                         [0.0, 0.5, 1.0]),
+                         "t,s,x1,x2,eta1,eta2,beta1,beta2")
+        argv = ["lift-homotopy", "--config", lift_cfg, "--comorphism",
+                "incl", "--homotopy", path]
+        message = "x0 must be a point of 2 coordinates, got shape (1,)"
+    assert run([*argv, "--x0", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {message}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["holonomy", "lift-path",
                                      "lift-homotopy"])
 def test_a_start_whose_image_misses_the_path_source_exits_2(
@@ -1129,6 +1159,82 @@ def test_example3_gamma_slab_violation(capsys):
     assert run(["example3", "gamma", "--h", "1.5"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "slab" in err
+
+
+POINT_OF_C = "expected two finite numbers 're,im', got "
+
+
+@pytest.mark.parametrize("argv, flag, text", [
+    (["holonomy"], "--z0", "1"),
+    (["holonomy"], "--z0", "1,0,7"),
+    (["holonomy", "--h-grid", "0:0.1:2"], "--z0", "1,0,7"),
+    (["example3", "density", "--nu", "1/3"], "--z0", "1"),
+    (["example3", "density", "--nu", "1/3"], "--z0", "1,0,5"),
+    (["example3", "gamma"], "--z", "1"),
+    (["example3", "gamma"], "--z", "1,0,0"),
+], ids=["holonomy-1", "holonomy-3", "sweep-3", "density-1", "density-3",
+        "gamma-1", "gamma-3"])
+def test_a_point_of_c_is_two_numbers(capsys, argv, flag, text):
+    # one number ended in an IndexError, a third one was dropped
+    assert run([*argv, flag, text, "--grid", "50"] if argv[0] == "holonomy"
+               else [*argv, flag, text]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.endswith(f"error: argument {flag}: {POINT_OF_C}"
+                                 f"{text!r}\n")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("extra", [[], ["--h-grid", "0:0.1:2"]],
+                         ids=["loop", "sweep"])
+def test_a_holonomy_from_z0_0_exits_2(capsys, extra):
+    # z = 0 has no phase: it used to report 0.0 against 2 pi / 3
+    assert run(["holonomy", "--z0", "0,-0", "--grid", "50", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "usage error: z0 must be nonzero\n"
+    assert captured.out == ""
+
+
+FLAT_5 = {"connections": {"fc": {
+    "x_coords": ["a", "b", "c", "d", "e"], "phi": ["a", "b"],
+    "H": [["1", "0"], ["0", "1"], ["0", "0"], ["0", "0"], ["0", "0"]]}}}
+
+
+@pytest.mark.parametrize("extra", [[], ["--h-grid", "0:1:3"]],
+                         ids=["loop", "sweep"])
+def test_the_twisted_cylinders_start_needs_the_twisted_cylinder(
+        tmp_path, capsys, extra):
+    # a plain flat connection has no (radius, 0, z0, h): a sweep ended in
+    # an AttributeError, and a lift without --x0 started there anyway
+    cfg = write_config(tmp_path, FLAT_5)
+    argv = ["holonomy", "--config", cfg, "--connection", "fc", "--grid",
+            "50"]
+    assert run([*argv, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "usage error: connection 'fc' is no twisted cylinder: a --h-grid "
+        "sweep or a lift without --x0 needs one\n")
+    assert captured.out == ""
+    # a start of its own lifts it: no phase and no nu
+    code, payload = run_json(capsys, [*argv, "--x0", "1,0,2,3,4"])
+    assert code == 0 and payload["status"] == "completed"
+    assert payload["phase"] is None and "nu" not in payload
+    assert payload["start"] == [1.0, 0.0, 2.0, 3.0, 4.0]
+    assert payload["end"] == pytest.approx(payload["start"], abs=1e-5)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--r", "0", "need r, r' > 0"), ("--rp", "-1", "need r, r' > 0"),
+    ("--h", "2", "need h strictly inside the slab interval (-1.0, 1.0)"),
+    ("--h", "-1", "need h strictly inside the slab interval (-1.0, 1.0)")])
+def test_a_self_intersection_needs_a_groupoid_element(capsys, flag, value,
+                                                      message):
+    # the witness's images are two GammaElements', checked as gamma
+    # checks them; they used to be reported
+    assert run(["example3", "self-intersect", "--nu", "1/3",
+                f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {message}\n"
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------- poisson

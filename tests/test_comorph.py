@@ -826,6 +826,17 @@ def test_lift_homotopy_accepts_a_flat_connection_at_a_coarse_grid(h31, shape):
     assert np.allclose(lifted.x[-1], [1.0, 0.0, x3_end], atol=1e-5)
 
 
+@pytest.mark.parametrize("x0", [[0.0, 0.0], [[0.0]], []])
+def test_a_homotopy_lifts_from_one_start_point(x0):
+    # a start of another shape is named, as lift_path names it
+    _, B, c = interval_setup()
+    H = sine_homotopy(B, amp=0.5, nt=10, ns=3)
+    shape = np.shape(x0)
+    with pytest.raises(ValueError, match=re.escape(
+            f"x0 must be a point of 1 coordinates, got shape {shape}")):
+        lift_homotopy(c, H, x0)
+
+
 def test_lift_homotopy_names_the_failing_slice():
     _, B, c = interval_setup()
     H = sine_homotopy(B, amp=2.0, nt=50, ns=20)   # large-s slices leave (-2, 2)

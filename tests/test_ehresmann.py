@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algpaths import comorph, expr as ex
+from algpaths import comorph, ehresmann, expr as ex
 from algpaths.algebroid import AlgebroidError
 from algpaths.apath import APath
 from algpaths.cli import ConfigError, load_workspace
@@ -173,6 +173,55 @@ def test_holonomy_is_additive_over_turns():
     loop = circle_loop(conn, turns=3, grid=3000)
     rep = holonomy(conn, loop, [1.0, 0.0, 1.0, 0.0, 0.0])
     assert abs(rep.phase - 3 * TWO_PI * 0.25) <= 1e-6
+
+
+def test_the_twisted_cylinder_owns_its_start_and_fiber():
+    conn = ExampleConnection(0.25)
+    assert conn.start(1.5, (1, -2), 0.3) == [1.5, 0.0, 1.0, -2.0, 0.3]
+    # z = 0 has no phase, in either zero's sign
+    for z0 in ((0.0, 0.0), (-0.0, 0.0), [0, -0.0]):
+        with pytest.raises(ValueError, match="z0 must be nonzero"):
+            conn.start(1.0, z0, 0.0)
+    with pytest.raises(ValueError):
+        conn.start(1.0, (1.0, 0.0, 7.0), 0.0)
+    # the fiber is marked by the class: a plain flat connection has none
+    assert "z_indices" not in vars(conn)
+    assert ExampleConnection.z_indices == (2, 3)
+    assert FlatConnection.z_indices is None
+
+
+def test_holonomy_lifts_a_stack_of_starts_as_each_alone():
+    conn = ExampleConnection(1.0 / 3.0)
+    loop = circle_loop(conn, grid=300)
+    starts = [conn.start(1.0, (1.0, 0.0), h) for h in (-0.7, 0.0, 0.3)]
+    lifts = holonomy(conn, loop, starts)
+    assert isinstance(lifts, list) and len(lifts) == 3
+    for start, lifted in zip(starts, lifts):
+        alone = holonomy(conn, loop, start)
+        assert lifted.phase == alone.phase
+        assert lifted.base.tobytes() == alone.base.tobytes()
+        assert lifted.eta.tobytes() == alone.eta.tobytes()
+    assert lifts[0].phase == 0.0
+    assert abs(lifts[1].phase - TWO_PI / 3.0) <= 1e-6
+    assert holonomy(conn, loop, np.empty((0, 5))) == []
+
+
+def test_a_sweep_is_one_holonomy_of_its_starts(monkeypatch):
+    conn = ExampleConnection(1.0 / 3.0)
+    calls = []
+    for name in ("holonomy", "lift_path"):
+        inner = getattr(ehresmann, name)
+        monkeypatch.setattr(ehresmann, name, lambda *a, inner=inner,
+                            name=name: calls.append(name) or inner(*a))
+    rows = holonomy_sweep(conn, [0.0, 0.6], grid=200, z0=(0.0, 2.0))
+    assert calls == ["holonomy", "lift_path"]
+    loop = circle_loop(conn, grid=200)
+    lifts = holonomy(conn, loop, [[1.0, 0.0, 0.0, 2.0, 0.0],
+                                  [1.0, 0.0, 0.0, 2.0, 0.6]])
+    assert [row["holonomy_angle"] for row in rows] == [
+        lifted.phase for lifted in lifts]
+    with pytest.raises(ValueError, match="z0 must be nonzero"):
+        holonomy_sweep(conn, [0.0], grid=200, z0=(0.0, 0.0))
 
 
 def test_holonomy_requires_a_closed_loop():
@@ -373,6 +422,15 @@ def test_self_intersection_witness_third():
     assert abs(rep.gap - math.sqrt(3.0)) <= 1e-6     # 2 |sin(pi/3)|
 
 
+@pytest.mark.parametrize("r, rp, h", [(0.0, 1.0, 0.0), (1.0, -1.0, 0.0),
+                                       (1.0, 1.0, 2.0), (1.0, 1.0, -1.0)])
+def test_self_intersection_witness_needs_a_groupoid_element(r, rp, h):
+    # its images are the source and target of two GammaElements
+    conn = ExampleConnection(1.0 / 3.0)
+    with pytest.raises(ValueError, match="need r, r' > 0|slab"):
+        self_intersection_witness(conn, h, 0.7, r=r, rp=rp)
+
+
 def test_self_intersection_degenerates_at_integer_twist():
     conn = ExampleConnection(1.0)
     rep = self_intersection_witness(conn, 0.0, 0.7)
@@ -467,6 +525,33 @@ def test_holonomy_sweep_builds_one_fiber_table(monkeypatch):
         assert rows == alone
     assert len(builds) == 2
     assert holonomy_sweep(conn, [], grid=300) == []
+
+
+def _sweep_csv_reference(rows):
+    """The sweep CSV as one line per row, written by hand."""
+    out = "h,nu,holonomy_angle,sheets\n"
+    for row in rows:
+        sheets = row["sheets"]
+        out += (f"{row['h']!r},{row['nu']!r},{row['holonomy_angle']!r},"
+                f"{'inf' if sheets == math.inf else int(sheets)}\n")
+    return out
+
+
+def test_a_sweep_csv_is_written_as_every_csv(monkeypatch):
+    writes = []
+    write = ehresmann.write_csv_rows
+    monkeypatch.setattr(ehresmann, "write_csv_rows",
+                        lambda *a: writes.append(1) or write(*a))
+    rows = [{"h": -0.0, "nu": 1.0 / 3.0, "holonomy_angle": 2.0943951023931953,
+             "sheets": 3},
+            {"h": 0.1 + 0.2, "nu": 5e-324, "holonomy_angle": -1e300,
+             "sheets": math.inf},
+            {"h": 1e-7, "nu": 0.0, "holonomy_angle": 0.0, "sheets": 1.0}]
+    for some in (rows, rows[:1], []):
+        buf = io.StringIO()
+        write_sweep_csv(some, buf)
+        assert buf.getvalue() == _sweep_csv_reference(some)
+    assert len(writes) == 3
 
 
 def test_holonomy_sweep_reports_infinite_sheets():

@@ -117,6 +117,33 @@ def test_flow_rejects_bad_inputs():
         flow(vf, [1.0], (0.0, 1.0))                 # starts outside
 
 
+@pytest.mark.parametrize("x0, message", [
+    ([1.0, 2.0], r"x0 has 2 components, the field needs 1"),
+    ([], r"x0 has 0 components, the field needs 1"),
+    ([math.nan], r"x0 is not finite"), ([-math.inf], r"x0 is not finite")])
+def test_a_start_that_is_no_point_of_the_domain_is_a_start_error(x0,
+                                                                 message):
+    # bad input, which the CLI reports with exit 2, as a start outside
+    # the domain, not an escape
+    vf = compiled_field(["1.0"], domain=["x1"])
+    for lanes in ([x0], [[0.5], x0]):
+        with pytest.raises(numkernel.StartError, match=message):
+            numkernel.flow_lanes(vf, lanes, (0.0, 1.0), 0.1)
+
+
+def test_a_generated_loop_keeps_the_source_it_runs():
+    from algpaths.ehresmann import ExampleConnection
+    conn = ExampleConnection(1.0 / 3.0)
+    for vf, tabulated in ((exp_field(), False),
+                          (conn.source.flow_field(conn._lift_field), True)):
+        loop = numkernel._rk4_loop(vf, tabulated)
+        scope = dict(ex.SOURCE_GLOBALS)
+        exec(compile(loop.source, "<rk4 loop>", "exec"), scope)
+        code = scope["rk4_loop"].__code__
+        assert (code.co_code, code.co_consts) == (loop.__code__.co_code,
+                                                  loop.__code__.co_consts)
+
+
 @pytest.mark.parametrize("step, bound", [
     (math.nan, 1e8), (0.0, 1e8), (-1e-3, 1e8), (1e-3, math.nan),
     (1e-3, 0.0), (1e-3, -math.inf)])
@@ -662,9 +689,7 @@ def test_a_moved_term_that_fails_ends_the_first_step(field, domain, x0,
     assert traj.status == status and traj.times.tolist() == [0.0]
     assert traj.points.tobytes() == np.array([x0]).tobytes()
     assert status == "domain_exit" or traj.ending.t_star == 0.1
-    dom = vf.domain
-    src = numkernel._rk4_source(2, None, vf.fn.body, dom.m,
-                                dom.m and dom.fn.body)
+    src = numkernel._rk4_loop(vf, False).source
     assert _step_calls(src) == {"range"}
 
 
@@ -941,7 +966,7 @@ def test_each_step_runs_the_field_four_times_and_the_domain_once():
     from algpaths.algebroid import make_tangent
     A = make_tangent(2, domain=[ex.parse("4 - x1^2 - x2^2", ["x1", "x2"])])
     fn = A.anchored_field([ex.parse("0 - x2", ["x1", "x2"]), ex.Var("x1")])
-    src = numkernel._rk4_source(2, None, fn.body, 1, A.in_domain.fn.body)
+    src = numkernel._rk4_loop(A.flow_field(fn), False).source
     # the field's two values are assigned in each stage, the predicate's
     # once after the step
     lines = [line.strip() for line in src.splitlines()]
@@ -976,9 +1001,8 @@ def test_the_holonomy_lift_computes_its_bump_gate_before_its_steps():
     # their exps run once per flow
     from algpaths.ehresmann import ExampleConnection
     conn = ExampleConnection(1.0 / 3.0)
-    dom = conn.source.in_domain
-    src = numkernel._rk4_source(5, 2, conn._lift_field.body, dom.m,
-                                dom.fn.body)
+    src = numkernel._rk4_loop(conn.source.flow_field(conn._lift_field),
+                              True).source
     assert src.count("math.exp") == 6
     assert "math.exp" not in _step_calls(src)
 
@@ -995,9 +1019,8 @@ def test_the_holonomy_lift_steps_only_what_changes():
     from algpaths import comorph
     from algpaths.ehresmann import ExampleConnection, circle_loop
     conn = ExampleConnection(1.0 / 3.0)
-    dom = conn.source.in_domain
-    src = numkernel._rk4_source(5, 2, conn._lift_field.body, dom.m,
-                                dom.fn.body)
+    vf = conn.source.flow_field(conn._lift_field)
+    src = numkernel._rk4_loop(vf, True).source
     steps = _steps(src)
     names = [node for node in ast.walk(steps) if isinstance(node, ast.Name)]
     stored = {node.id for node in names if isinstance(node.ctx, ast.Store)}
@@ -1019,7 +1042,6 @@ def test_the_holonomy_lift_steps_only_what_changes():
     # extras are M's ten entries and phi's two components
     loop = circle_loop(conn, grid=50)
     m, table = comorph._fiber_table(loop.times, loop.eta, "cubic", 1)
-    vf = VectorFieldTD(5, conn._lift_field, dom)
     for h in (-0.7, 0.3):           # outside and inside the bump's support
         traj = assert_recorded_extras(vf, [1.0, 0.0, 1.0, 0.0, h],
                                       (0.0, 1.0), 1.0 / m,
@@ -1034,7 +1056,7 @@ def test_a_fixed_coordinate_read_in_a_gates_arm_is_bound_once():
     # no root moves, and every stage reads the z1 bound before the steps,
     # a name, for which no stage binds a _v2_b, _v2_c or _v2_d
     vf = compiled_field(["gate(x1, x2 * x1)", "0"], coords=("x1", "x2"))
-    src = numkernel._rk4_source(2, None, vf.fn.body, 0, 0)
+    src = numkernel._rk4_loop(vf, False).source
     assert "\n    z1 = x1 + 0.0\n    for k in range(n_steps):\n" in src
     assert not re.search(r"_v2_[bcd] =", src) and "pa0" not in src
     stored = {node.id for node in ast.walk(_steps(src))
@@ -1095,34 +1117,28 @@ def _fixture_loops(monkeypatch):
     from algpaths.ehresmann import ExampleConnection
     from algpaths.poisson import complete_map_probe
     conn = ExampleConnection(1.0 / 3.0)
-    dom = conn.source.in_domain
-    loops = {"holonomy": [numkernel._rk4_source(
-        5, 2, conn._lift_field.body, dom.m, dom.fn.body)]}
+    loop_of = numkernel._rk4_loop
+    loops = {"holonomy": [loop_of(conn.source.flow_field(conn._lift_field),
+                                  True).source]}
     # the homotopy-lift benchmark's: the interval (-2, 2) included in the
     # line, whose phi = x1 is a copied coordinate
     A = LieAlgebroid(1, 1, [[ex.Const(1.0)]], {},
                      domain=[ex.parse("4 - x1^2", ["x1"])])
     c = Comorphism(A, make_tangent(1), [ex.Var("x1")], [[ex.Const(1.0)]])
-    dom = A.in_domain
-    loops["homotopy"] = [numkernel._rk4_source(
-        1, 1, c._lift_field.body, dom.m, dom.fn.body)]
-    loop_of = numkernel._rk4_loop
+    loops["homotopy"] = [loop_of(A.flow_field(c._lift_field), True).source]
     for name, (phi, PX, PY, seed, bound) in _dual_route_fixtures().items():
+        # each loop the probe runs, kept alive so that no id is reused
         seen = {}
 
         def generated(vf, tabulated):
-            d = vf.domain
-            width = vf.fn.body.params - vf.n if tabulated else None
-            key = (id(vf.fn.body), width, d.m and d.fn.body.outs)
-            if key not in seen:
-                seen[key] = numkernel._rk4_source(
-                    vf.n, width, vf.fn.body, d.m, d.m and d.fn.body)
-            return loop_of(vf, tabulated)
+            loop = loop_of(vf, tabulated)
+            seen.setdefault(id(loop), loop)
+            return loop
 
         monkeypatch.setattr(numkernel, "_rk4_loop", generated)
         complete_map_probe(phi, PX, PY, horizon=0.01, bound=bound,
                            seeds=[seed])
-        loops[name] = list(seen.values())
+        loops[name] = [loop.source for loop in seen.values()]
     return loops
 
 

@@ -56,3 +56,15 @@ def test_every_public_name_is_read_outside_the_tests():
     assert sorted(public - read - set(UNREAD)) == []
     # an exception that gained a reader, or left the surface, is stale
     assert sorted(set(UNREAD) - (public - read)) == []
+
+
+def test_options_that_no_caller_sets_are_constants():
+    # no call in the package, the bench or the tests passes them
+    import inspect
+    from algpaths.algebroid import make_lie_algebra
+    from algpaths.comorph import lift_uniqueness_check
+    from algpaths.ehresmann import GammaElement
+    for fn, params in ((make_lie_algebra, ["constants"]),
+                       (lift_uniqueness_check, ["c", "g", "x0"]),
+                       (GammaElement.then, ["self", "other"])):
+        assert list(inspect.signature(fn).parameters) == params
