@@ -2,7 +2,8 @@
 and report emission.
 
 Exit codes: 0 on success, 1 on a domain/numeric failure (the report
-carries the witness), 2 on usage or configuration errors. JSON reports
+carries the witness) or a stdout whose reader is gone, 2 on usage or
+configuration errors, whose kind run() alone decides. JSON reports
 go to stdout and embed the numeric parameters and the PRNG seed used;
 CSV payloads go to --out when given (with a JSON summary on stdout),
 otherwise to stdout on their own. The sampling seed is taken from
@@ -47,7 +48,8 @@ SPOT_SAMPLES = 10
 
 
 class ConfigError(Exception):
-    """Configuration problem; the message carries a JSON-pointer path."""
+    """A fault of the workspace file, whose message carries a JSON-pointer
+    path, or of ALGPATHS_SEED. A flag's fault is a ValueError."""
 
 
 # ------------------------------------------------------------- converters
@@ -201,7 +203,7 @@ FLAGS = {
     "--basis": {"required": True, "type": _basis},
     "--f": {"help": "test functions on the target, semicolon-separated "
                     "(default: coordinates plus a cutoff quadratic)"},
-    "--nu0": {"type": _as_typed(_fraction), "default": "1/3",
+    "--nu0": {"type": _as_typed(_fraction),
               "help": "built-in connection twist (fractions allowed)"},
     "--nu": {"required": True, "type": _as_typed(_fraction)},
     "--h-grid": {"type": _range, "help": "'lo:hi:count' sweep over h values"},
@@ -417,14 +419,21 @@ def _steps(span, name, step):
                          f"{MAX_COUNT} RK4 steps")
 
 
+def _refuse(args, flags, target):
+    """Refuse each of the flags, given to a run that would not read it."""
+    for flag in flags.split():
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ValueError(f"{flag} does not apply to {target}")
+
+
 def _pick(table, name, kind):
     if name is None:
         if len(table) == 1:
             return next(iter(table.items()))
-        raise ConfigError(
+        raise ValueError(
             f"--name required: the workspace defines {len(table)} {kind}")
     if name not in table:
-        raise ConfigError(f"unknown {kind.rstrip('s')} {name!r}")
+        raise ValueError(f"unknown {kind.rstrip('s')} {name!r}")
     return name, table[name]
 
 
@@ -538,16 +547,21 @@ def cmd_compose(args, ws):
 
 
 def cmd_holonomy(args, ws):
-    for flag in ("x0", "h"):
-        if args.h_grid is not None and getattr(args, flag) is not None:
-            raise ValueError(f"--{flag} does not apply to a --h-grid sweep, "
-                             f"which starts each lane at (radius, 0, z0, h)")
+    if args.h_grid is not None:
+        _refuse(args, "--x0 --h", "a --h-grid sweep, which starts each lane "
+                                  "at (radius, 0, z0, h)")
+    if args.x0 is not None:
+        _refuse(args, "--z0", "a lift from --x0, which gives the whole start")
+    z0 = _complex(args.z0 or "1,0")
     if args.connection is None:
-        conn_name = f"example3(nu0={args.nu0})"
-        fc = ExampleConnection(_num(args.nu0))
+        nu0 = args.nu0 or "1/3"
+        conn_name = f"example3(nu0={nu0})"
+        fc = ExampleConnection(_num(nu0))
     elif ws is None:
-        raise ConfigError("--connection needs --config")
+        raise ValueError("--connection needs --config")
     else:
+        _refuse(args, "--nu0", "a workspace connection, only to the "
+                               "built-in twisted cylinder")
         conn_name, fc = _pick(ws.connections, args.connection, "connections")
     twisted = isinstance(fc, ExampleConnection)
     if args.x0 is None and not twisted:
@@ -555,8 +569,7 @@ def cmd_holonomy(args, ws):
                          f"a --h-grid sweep or a lift without --x0 needs one")
     if args.h_grid is not None:
         rows = holonomy_sweep(fc, args.h_grid, radius=args.radius,
-                              grid=args.grid, z0=_complex(args.z0),
-                              k_max=int(args.k_max))
+                              grid=args.grid, z0=z0, k_max=int(args.k_max))
         if _write_csv(lambda f: write_sweep_csv(rows, f), args.out):
             _emit({"command": "holonomy", "connection": conn_name,
                    "seed": args.seed,
@@ -567,7 +580,7 @@ def cmd_holonomy(args, ws):
         return 0
     if args.x0 is None:
         h = 0.0 if args.h is None else args.h
-        x0 = fc.start(args.radius, _complex(args.z0), h)
+        x0 = fc.start(args.radius, z0, h)
     else:
         # the height is the start's, which --h may only repeat
         x0 = args.x0
@@ -625,11 +638,8 @@ def cmd_self_intersect(args, ws):
 
 def cmd_gamma(args, ws):
     fc = ExampleConnection(_num(args.nu))
-    try:
-        g = GammaElement(fc, args.r, args.theta, args.rp, args.tau, args.z,
-                         args.h)
-    except ValueError as e:
-        raise ConfigError(str(e))
+    g = GammaElement(fc, args.r, args.theta, args.rp, args.tau, args.z,
+                     args.h)
     _emit({"command": "example3 gamma", "seed": args.seed,
            "params": {"nu0": args.nu},
            "source": list(g.source()), "target": list(g.target()),
@@ -646,7 +656,7 @@ def _poisson_map(args, ws):
                        _expr_list(args.map, PX.coords),
                        domain=PX.domain)
     if len(phi.components) != PY.dim:
-        raise ConfigError(
+        raise ValueError(
             f"--map has {len(phi.components)} components, target has "
             f"dim {PY.dim}")
     head = {"command": f"poisson {args.action}", "source": args.source,
@@ -717,9 +727,11 @@ def cmd_poisson_probe(args, ws):
 
 
 def _read_apath_auto(path, ws, name):
-    if ws is not None and (name is not None or len(ws.algebroids) == 1):
+    if ws is not None:
         _, A = _pick(ws.algebroids, name, "algebroids")
         return _read_csv(path, read_apath_csv, A)
+    if name is not None:
+        raise ValueError("--name needs --config")
     with open(path) as f:
         header = f.readline().strip().split(",")
     # n and r from the counts; read_apath_csv checks the names
@@ -788,7 +800,9 @@ def _commands():
          "--config --connection --nu0 --h --h-grid --radius --grid --z0 "
          "--x0 --k-max --out",
          {"--config": optional,
-          # absent unless given, so that a sweep can refuse it
+          # absent unless given, so that a run that would not read it
+          # can refuse it
+          "--z0": {"default": None},
           "--h": {"default": None,
                   "help": "lift height (default: 0, or x0[4] with --x0)"},
           "--x0": {"required": False,
@@ -854,7 +868,15 @@ def run(argv=None):
     workspace and the flags that fall back to workspace defaults are
     resolved here, once, before the handler runs."""
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        # argparse before Python 3.13 reads "--flag=--" as the value []
+        # and skips the flag's converter: "--" is no value, as in
+        # "--flag --"
+        for a in argv:
+            flag, _, value = a.partition("=")
+            if value == "--" and flag.startswith("--"):
+                parser.error(f"argument {flag}: expected one argument")
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
@@ -869,14 +891,21 @@ def run(argv=None):
         for key, value in (DEFAULTS if ws is None else ws.defaults).items():
             if getattr(args, key, None) is None:
                 setattr(args, key, value)
-        return args.handler(args, ws)
-    except (ConfigError, OSError, json.JSONDecodeError) as e:
+        code = args.handler(args, ws)
+        sys.stdout.flush()       # a closed stdout fails here, not at exit
+        return code
+    except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except ex.ParseError as e:
         print(f"expression error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError, KeyError) as e:
+    except BrokenPipeError:
+        # stdout's reader is gone: what is left of the report goes to
+        # devnull, so that the flush at exit has nothing to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (ValueError, OSError) as e:     # a flag, or a file a flag names
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     except (ex.ExprError, AlgebroidError, FlowError, LiftError,

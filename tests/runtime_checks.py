@@ -26,24 +26,33 @@ PLANE_WS = {
                            "phi": ["x1", "x2"],
                            "M": [["1", "0"], ["0", "1"]]}}}
 SO2 = "[[[0, -1], [1, 0]]]"
+# the kinds of an exit-2 fault, each the start of its stderr: argparse's
+# refusal of a flag's value, and the three report prefixes of run()
+ARGUMENT = "usage: algpaths "
+USAGE = "usage error: "
+CONFIG = "config error: "
+EXPRESSION = "expression error: "
 
 
 def fail(message):
     sys.exit(message)
 
 
-def algpaths(status, *args, out=None, options=()):
+def algpaths(status, *args, out=None, options=(), error=""):
     """Run the CLI with args, its stdout written to the file out, under
     the interpreter options; fail, with its stderr, unless it exits with
-    status and prints no traceback. Returns its stderr."""
+    status, its stderr starts with error and it prints no traceback.
+    Returns its stderr."""
     with open(out, "w") if out else open(os.devnull, "w") as stdout:
         proc = subprocess.run([sys.executable, *options, "-m", "algpaths.cli",
                                *args],
                               stdout=stdout, stderr=subprocess.PIPE,
                               text=True)
-    if proc.returncode != status or "Traceback" in proc.stderr:
-        fail(f"algpaths {' '.join(args)} exited {proc.returncode}, not "
-             f"{status}, or with a traceback:\n{proc.stderr}")
+    if (proc.returncode != status or "Traceback" in proc.stderr
+            or not proc.stderr.startswith(error)):
+        fail(f"algpaths {' '.join(args)} exited {proc.returncode}; want "
+             f"{status}, a stderr that starts with {error!r} and no "
+             f"traceback:\n{proc.stderr}")
     return proc.stderr
 
 
@@ -51,8 +60,10 @@ def ok(*args, out=None):
     algpaths(0, *args, out=out)
 
 
-def expect_2(*args):
-    algpaths(2, *args)
+def expect_2(error, *args):
+    """Fail unless the CLI exits 2 on args with a stderr that starts with
+    error, the fault's kind."""
+    algpaths(2, *args, error=error)
 
 
 def write(name, content):
@@ -91,6 +102,10 @@ def checks():
     expect_field("self.json", "image_mismatch", 0.0, "example3",
                  "self-intersect", "--nu", "1/3")
     expect_field("gamma.json", "is_unit", True, "example3", "gamma")
+    # a fault a flag causes is a usage error, whichever command checks
+    # it: gamma refuses r = 0 as self-intersect does, below
+    expect_2(USAGE, "example3", "gamma", "--r", "0")
+    expect_2(USAGE, "example3", "gamma", "--h", "1.5")
 
     # one holonomy lane: the lift's compiled field runs fused into the
     # generated RK4 loop
@@ -110,7 +125,7 @@ def checks():
             and abs(rep["phase"] - rep["expected_phase"]) <= 1e-6):
         fail(f"holonomy --x0 ...,0.3 reported h = {rep['params']['h']}, "
              f"nu = {nu}, phase {rep['phase']} for {rep['expected_phase']}")
-    expect_2("holonomy", "--x0", "1,0,1,0,0.3", "--h", "0")
+    expect_2(USAGE, "holonomy", "--x0", "1,0,1,0,0.3", "--h", "0")
 
     # a point of C is two finite numbers: one ended in a traceback, and a
     # third was dropped; z = 0 has no phase
@@ -118,14 +133,17 @@ def checks():
                           ("--z0", ["example3", "density", "--nu", "1/3"]),
                           ("--z", ["example3", "gamma"])):
         for z in ("1", "1,0,7"):
-            expect_2(*command, flag, z)
-    expect_2("holonomy", "--z0", "0,0", "--grid", "50")
-    expect_2("holonomy", "--z0", "0,0", "--h-grid", "0:0.1:2", "--grid",
+            expect_2(ARGUMENT, *command, flag, z)
+        # "--" is no value, also after "=", where argparse before Python
+        # 3.13 read it as [] and skipped the flag's converter
+        expect_2(ARGUMENT, *command, f"{flag}=--")
+    expect_2(USAGE, "holonomy", "--z0", "0,0", "--grid", "50")
+    expect_2(USAGE, "holonomy", "--z0", "0,0", "--h-grid", "0:0.1:2", "--grid",
              "50")
     # the witness's images are two groupoid elements, which need r, r' > 0
     # and h inside the slab
     for flag in ("--r=0", "--rp=-1", "--h=2"):
-        expect_2("example3", "self-intersect", "--nu", "1/3", flag)
+        expect_2(USAGE, "example3", "self-intersect", "--nu", "1/3", flag)
     # a sweep, and a lift without --x0, start on the twisted cylinder: a
     # plain flat connection needs --x0
     write("flat.json", {"connections": {"fc": {
@@ -133,8 +151,8 @@ def checks():
         "H": [["1", "0"], ["0", "1"], ["0", "0"], ["0", "0"], ["0", "0"]]}}})
     flat = ["holonomy", "--config", "flat.json", "--connection", "fc",
             "--grid", "50"]
-    expect_2(*flat, "--h-grid", "0:1:3")
-    expect_2(*flat)
+    expect_2(USAGE, *flat, "--h-grid", "0:1:3")
+    expect_2(USAGE, *flat)
     ok(*flat, "--x0", "1,0,2,3,4")
 
     # a sweep with lanes outside the bump's support (the gate, computed
@@ -282,10 +300,10 @@ def checks():
 
     # a probe of no seed or of no test function exits 2: ";" is neither
     # the sampled seeds nor a probe of nothing that agrees
-    expect_2("poisson", "probe", *identity, "--x0", ";")
-    expect_2("poisson", "probe", *identity, "--f", ";")
-    expect_2("completeness-probe", "--config", "ws.json", "--comorphism",
-             "id", "--section", "1;0", "--x0", ";")
+    expect_2(USAGE, "poisson", "probe", *identity, "--x0", ";")
+    expect_2(USAGE, "poisson", "probe", *identity, "--f", ";")
+    expect_2(USAGE, "completeness-probe", "--config", "ws.json",
+             "--comorphism", "id", "--section", "1;0", "--x0", ";")
 
     # a Hamiltonian flow: the cotangent algebroid's anchored field of df,
     # flowed without scipy, conserves f on the harmonic oscillator
@@ -300,51 +318,51 @@ def checks():
     # bad input exits 2: a flow of 10^12 RK4 steps (refused before it
     # allocates), a seed of 3 coordinates on the 2-dim plane of ws.json,
     # and a k_max below 1
-    expect_2("poisson", "flow", "--config", "poisson.json", "--name",
+    expect_2(USAGE, "poisson", "flow", "--config", "poisson.json", "--name",
              "plane", "--f", "x1", "--x0", "0,0", "--t1", "1e6", "--step",
              "1e-6")
-    expect_2("completeness-probe", "--config", "ws.json", "--comorphism",
-             "id", "--section", "1;0", "--x0", "0.1,0.2,0.3")
-    expect_2("example3", "sheets", "--nu", "1/3", "--k-max", "0")
+    expect_2(USAGE, "completeness-probe", "--config", "ws.json",
+             "--comorphism", "id", "--section", "1;0", "--x0", "0.1,0.2,0.3")
+    expect_2(ARGUMENT, "example3", "sheets", "--nu", "1/3", "--k-max", "0")
 
     # a path CSV whose '# status=' trailer is no flow ending exits 2
     with open("path.csv") as f:
         lines = [("# status=bogus\n" if line.startswith("# status=")
                   else line) for line in f]
     write("bogus.csv", "".join(lines))
-    expect_2("lift-path", "--config", "ws.json", "--comorphism", "id",
+    expect_2(USAGE, "lift-path", "--config", "ws.json", "--comorphism", "id",
              "--path", "bogus.csv", "--x0", "0.5,0")
 
     # a path CSV with the right counts under other names (eta1 first), a
     # one-sample matrix path and an example3 slab that is not two numbers
     # lo < hi exit 2
     write("swapped.csv", "t,eta1,x1,x2\n0.0,1.0,0.0,0.0\n1.0,1.0,0.0,0.0\n")
-    expect_2("develop", "--path", "swapped.csv", "--basis", SO2)
+    expect_2(USAGE, "develop", "--path", "swapped.csv", "--basis", SO2)
     write("one.csv", "t,g11,g12,g21,g22\n0.0,1.0,0.0,0.0,1.0\n")
-    expect_2("logderiv", "--gamma", "one.csv", "--basis", SO2)
+    expect_2(USAGE, "logderiv", "--gamma", "one.csv", "--basis", SO2)
     write("slab.json", {"connections": {"c": {"type": "example3",
                                               "slab": [1]}}})
-    expect_2("holonomy", "--config", "slab.json", "--connection", "c")
+    expect_2(CONFIG, "holonomy", "--config", "slab.json", "--connection", "c")
 
     # so do a homotopy CSV with one s value and a basis of one matrix for
     # the rank-2 path of path.csv
     write("one_s.csv", "t,s,x1,x2,eta1,eta2,beta1,beta2\n" + "".join(
         f"{t},0.0,0.0,0.0,0.0,0.0,0.0,0.0\n" for t in (0.0, 0.5, 1.0)))
-    expect_2("lift-homotopy", "--config", "ws.json", "--comorphism", "id",
-             "--homotopy", "one_s.csv", "--x0", "0,0")
-    expect_2("develop", "--path", "path.csv", "--basis", SO2)
+    expect_2(USAGE, "lift-homotopy", "--config", "ws.json", "--comorphism",
+             "id", "--homotopy", "one_s.csv", "--x0", "0,0")
+    expect_2(USAGE, "develop", "--path", "path.csv", "--basis", SO2)
 
     # a workspace key its entry does not read (a misspelt nu0 or domain)
     # and a non-finite nu0 exit 2
     write("nu.json", {"connections": {"c": {"type": "example3", "nu": 0.5}}})
-    expect_2("holonomy", "--config", "nu.json", "--connection", "c")
+    expect_2(CONFIG, "holonomy", "--config", "nu.json", "--connection", "c")
     write("nu0.json", {"connections": {"c": {"type": "example3",
                                              "nu0": "inf"}}})
-    expect_2("holonomy", "--config", "nu0.json", "--connection", "c")
+    expect_2(CONFIG, "holonomy", "--config", "nu0.json", "--connection", "c")
     write("domian.json", {"algebroids": {"disk": {
         "base_dim": 2, "rank": 2, "anchor": [["1", "0"], ["0", "1"]],
         "domian": ["1 - x1^2 - x2^2"]}}})
-    expect_2("check-algebroid", "--config", "domian.json")
+    expect_2(CONFIG, "check-algebroid", "--config", "domian.json")
 
     # a lift through a rank-0 target flows x' = 0 and completes
     write("rank0.json", {
@@ -404,37 +422,37 @@ def checks():
     if rep["status"] != "completed":
         fail(f"a section of 1000 terms: {rep['status']}")
     deep = "sin(" * 65 + "x1" + ")" * 65
-    expect_2("integrate-path", "--config", "ws.json", "--section",
+    expect_2(EXPRESSION, "integrate-path", "--config", "ws.json", "--section",
              f"{deep}; x1", "--x0", "0,0")
     bumps = "bump(-1, 1, " * 11 + "x1" + ")" * 11
-    expect_2("integrate-path", "--config", "ws.json", "--section",
+    expect_2(EXPRESSION, "integrate-path", "--config", "ws.json", "--section",
              f"{bumps}; x1", "--x0", "0,0")
-    expect_2("holonomy", "--radius", "1e308")
+    expect_2(USAGE, "holonomy", "--radius", "1e308")
     write("nu0x.json", {"connections": {"c": {"type": "example3",
                                               "nu0": "x"}}})
-    expect_2("holonomy", "--config", "nu0x.json", "--connection", "c")
+    expect_2(CONFIG, "holonomy", "--config", "nu0x.json", "--connection", "c")
 
     # a start point outside the domain is bad input (exit 2), not an
     # escape (exit 1): a loop on the removed axis, whose radius squares
     # to 0.0, and a path from outside the unit disk
     for radius in ("0", "1e-200"):
-        expect_2("holonomy", "--radius", radius)
-        expect_2("holonomy", "--radius", radius, "--h-grid=0:0.1:2")
+        expect_2(USAGE, "holonomy", "--radius", radius)
+        expect_2(USAGE, "holonomy", "--radius", radius, "--h-grid=0:0.1:2")
     write("disk.json", {"algebroids": {"disk": {
         "base_dim": 2, "rank": 2, "anchor": [["1", "0"], ["0", "1"]],
         "domain": ["1 - x1^2 - x2^2"]}}})
-    expect_2("integrate-path", "--config", "disk.json", "--section", "1;0",
-             "--x0", "2,0")
+    expect_2(USAGE, "integrate-path", "--config", "disk.json", "--section",
+             "1;0", "--x0", "2,0")
     # and so is a start of another length, in every command that flows
     # one
-    expect_2("integrate-path", "--config", "disk.json", "--section", "1;0",
+    expect_2(USAGE, "integrate-path", "--config", "disk.json", "--section",
+             "1;0", "--x0", "0.1")
+    expect_2(USAGE, "poisson", "flow", "--config", "poisson.json", "--f", "x1",
              "--x0", "0.1")
-    expect_2("poisson", "flow", "--config", "poisson.json", "--f", "x1",
-             "--x0", "0.1")
-    expect_2("lift-path", "--config", "ws.json", "--comorphism", "id",
+    expect_2(USAGE, "lift-path", "--config", "ws.json", "--comorphism", "id",
              "--path", "path.csv", "--x0", "0.1")
-    expect_2("lift-homotopy", "--config", "ws.json", "--comorphism", "id",
-             "--homotopy", "homotopy.csv", "--x0", "0.1")
+    expect_2(USAGE, "lift-homotopy", "--config", "ws.json", "--comorphism",
+             "id", "--homotopy", "homotopy.csv", "--x0", "0.1")
 
     # so are a probe seed outside the domain and a start whose image
     # misses the path's source
@@ -448,17 +466,48 @@ def checks():
         "poisson": {"pdisk": {"dim": 2, "Pi": {"1,2": "1"},
                               "domain": ["1 - x1^2 - x2^2"]},
                     "pplane": {"dim": 2, "Pi": {"1,2": "1"}}}})
-    expect_2("completeness-probe", "--config", "probe.json", "--comorphism",
-             "incl", "--section", "1;0", "--x0", "2,0")
-    expect_2("poisson", "probe", "--config", "probe.json", "--source",
+    expect_2(USAGE, "completeness-probe", "--config", "probe.json",
+             "--comorphism", "incl", "--section", "1;0", "--x0", "2,0")
+    expect_2(USAGE, "poisson", "probe", "--config", "probe.json", "--source",
              "pdisk", "--target", "pplane", "--map", "x1;x2", "--x0", "2,0")
-    expect_2("holonomy", "--radius", "0.5", "--x0", "0,0,1,0,0")
+    expect_2(USAGE, "holonomy", "--radius", "0.5", "--x0", "0,0,1,0,0")
+
+    # so are a missing or unknown object name, --connection without
+    # --config, a --map of the wrong length, a --path that is no file and
+    # an --out that is a directory; a --config that is no file is a
+    # fault of the workspace
+    expect_2(USAGE, "check-algebroid", "--config", "incl.json")
+    expect_2(USAGE, "check-algebroid", "--config", "ws.json", "--name",
+             "nope")
+    expect_2(USAGE, "holonomy", "--connection", "c")
+    expect_2(USAGE, "poisson", "check-map", "--config", "poisson.json",
+             "--source", "plane", "--target", "plane", "--map", "x1")
+    expect_2(USAGE, "lift-path", "--config", "ws.json", "--comorphism", "id",
+             "--path", "nosuch.csv", "--x0", "0.5,0")
+    expect_2(USAGE, "integrate-path", "--config", "ws.json", "--section",
+             "1;0", "--x0", "0,0", "--out", ".")
+    expect_2(CONFIG, "check-algebroid", "--config", "nosuch.json")
+
+    # a flag that a run would not read is refused, not ignored: --nu0
+    # with a workspace connection, --z0 with --x0, and develop's --name
+    # without --config; a workspace of two algebroids needs --name
+    write("twist.json", {"connections": {"twist": {"type": "example3",
+                                                   "nu0": "2/7"}}})
+    expect_2(USAGE, "holonomy", "--config", "twist.json", "--connection",
+             "twist", "--nu0", "1/5")
+    expect_2(USAGE, "holonomy", "--x0", "1,0,1,0,0.3", "--z0", "5,5")
+    rank_2 = "[[[0, -1], [1, 0]], [[1, 0], [0, 0]]]"
+    expect_2(USAGE, "develop", "--path", "path.csv", "--basis", rank_2,
+             "--name", "nosuch")
+    expect_2(USAGE, "develop", "--path", "path.csv", "--basis", rank_2,
+             "--config", "incl.json")
 
     # a sweep starts each lane at (radius, 0, z0, h), so a start point or
     # a height given to it would be ignored: both exit 2
-    expect_2("holonomy", "--h-grid", "0:0.1:2", "--x0", "5,5,1,0,0",
+    expect_2(USAGE, "holonomy", "--h-grid", "0:0.1:2", "--x0", "5,5,1,0,0",
              "--grid", "50")
-    expect_2("holonomy", "--h-grid", "0:0.1:2", "--h", "0.3", "--grid", "50")
+    expect_2(USAGE, "holonomy", "--h-grid", "0:0.1:2", "--h", "0.3", "--grid",
+             "50")
 
 
 if __name__ == "__main__":

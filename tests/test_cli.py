@@ -16,6 +16,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import algpaths.expr as ex
 from algpaths import cli, numkernel
@@ -146,8 +147,7 @@ FLAG_SURFACE = {
     "compose": ("--config --first --second", "--seed", {}, {}),
     "holonomy": ("", "--config --connection --nu0 --h --h-grid --radius "
                      "--grid --z0 --x0 --k-max --out --seed",
-                 {"--nu0": "1/3", "--radius": 1.0, "--z0": "1,0",
-                  "--k-max": 1e6}, {}),
+                 {"--radius": 1.0, "--k-max": 1e6}, {}),
     "example3 sheets": ("--nu", "--k-max --tol --seed",
                         {"--k-max": 1e6, "--tol": 1e-9}, {}),
     "example3 density": ("--nu", "--theta0 --z0 --tau-max --bins --seed",
@@ -223,9 +223,9 @@ def test_check_algebroid_report(plane_cfg, capsys):
 
 def test_name_required_with_multiple_objects(lift_cfg, capsys):
     assert run(["check-algebroid", "--config", lift_cfg]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:")
-    assert "--name required" in err and "2 algebroids" in err
+    assert capsys.readouterr().err == (
+        "usage error: --name required: the workspace defines 2 "
+        "algebroids\n")
 
 
 def test_unknown_object_name(plane_cfg, capsys):
@@ -1156,9 +1156,11 @@ def test_example3_gamma_json(capsys):
 
 
 def test_example3_gamma_slab_violation(capsys):
+    # a flag's fault, as self-intersect reports the same check
     assert run(["example3", "gamma", "--h", "1.5"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "slab" in err
+    assert capsys.readouterr().err == (
+        "usage error: need h strictly inside the slab interval "
+        "(-1.0, 1.0)\n")
 
 
 POINT_OF_C = "expected two finite numbers 're,im', got "
@@ -1657,3 +1659,209 @@ def test_infinite_sheets_serialized_as_string(capsys):
         "--k-max", "10000"])
     assert code == 0
     assert payload["sheets"] == "inf"
+
+
+# ------------------------------------------------------------ fault kinds
+
+FAULT_WS = {"algebroids": {"plane": PLANE, "disk": DISK},
+            "comorphisms": {"incl": {"source": "disk", "target": "plane",
+                                     "phi": ["x1", "x2"], "M": IDENTITY_M}},
+            "connections": {"twist": {"type": "example3", "nu0": "2/7"}},
+            "poisson": {"pplane": {"dim": 2, "Pi": {"1,2": "1"}}}}
+NO_FILE = "[Errno 2] No such file or directory: "
+
+# run() alone chooses a fault's kind: what a flag causes, a file it names
+# included, is a usage error (these were config errors, as were the
+# cases of test_name_required_with_multiple_objects and
+# test_example3_gamma_slab_violation); a fault of the workspace file
+# stays a config error
+FAULT_KINDS = {
+    "gamma-r": (["example3", "gamma", "--r", "0"],
+                "usage error: need r, r' > 0"),
+    "unknown-name": (["check-algebroid", "--config", "{cfg}", "--name",
+                      "nope"], "usage error: unknown algebroid 'nope'"),
+    "connection-without-config": (["holonomy", "--connection", "twist"],
+                                  "usage error: --connection needs "
+                                  "--config"),
+    "map-length": (["poisson", "check-map", "--config", "{cfg}", "--source",
+                    "pplane", "--target", "pplane", "--map", "x1"],
+                   "usage error: --map has 1 components, target has dim 2"),
+    "missing-path": (["lift-path", "--config", "{cfg}", "--comorphism",
+                      "incl", "--path", "{tmp}/nosuch.csv", "--x0", "0,0"],
+                     "usage error: " + NO_FILE + "'{tmp}/nosuch.csv'"),
+    "unwritable-out": (["integrate-path", "--config", "{cfg}", "--name",
+                        "plane", "--section", "1;0", "--x0", "0,0", "--out",
+                        "{tmp}"],
+                       "usage error: [Errno 21] Is a directory: '{tmp}'"),
+    "missing-config": (["check-algebroid", "--config", "{tmp}/nosuch.json"],
+                       "config error: cannot read config {tmp}/nosuch.json: "
+                       + NO_FILE + "'{tmp}/nosuch.json'"),
+}
+
+
+@pytest.mark.parametrize("argv, line", FAULT_KINDS.values(),
+                         ids=FAULT_KINDS.keys())
+def test_run_alone_chooses_a_faults_kind(tmp_path, capsys, argv, line):
+    cfg = write_config(tmp_path, FAULT_WS)
+    argv = [a.format(cfg=cfg, tmp=tmp_path) for a in argv]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == line.format(tmp=tmp_path) + "\n"
+    assert captured.out == ""
+
+
+DEVELOP = ["develop", "--path", "{path}", "--basis",
+           "[[[0, -1], [1, 0]], [[1, 0], [0, 0]]]"]
+HOLONOMY_WS = ["holonomy", "--config", "{cfg}", "--connection", "twist",
+               "--grid", "50"]
+HOLONOMY_X0 = ["holonomy", "--x0", "1,0,1,0,0.3", "--grid", "50"]
+
+
+@pytest.mark.parametrize("runs, refused, message", [
+    (HOLONOMY_WS, HOLONOMY_WS + ["--nu0", "1/5"],
+     "--nu0 does not apply to a workspace connection, only to the "
+     "built-in twisted cylinder"),
+    (HOLONOMY_X0, HOLONOMY_X0 + ["--z0", "5,5"],
+     "--z0 does not apply to a lift from --x0, which gives the whole start"),
+    (DEVELOP, DEVELOP + ["--name", "nosuch"], "--name needs --config"),
+    (DEVELOP + ["--config", "{cfg}", "--name", "plane"],
+     DEVELOP + ["--config", "{cfg}"],
+     "--name required: the workspace defines 2 algebroids"),
+], ids=["nu0-with-connection", "z0-with-x0", "name-without-config",
+        "config-without-name"])
+def test_a_flag_the_run_would_not_read_is_refused(tmp_path, capsys, runs,
+                                                  refused, message):
+    # each refused run ignored the flag (or picked no algebroid) and
+    # exited 0
+    cfg = write_config(tmp_path, FAULT_WS)
+    path = _grid_csv(tmp_path, "path.csv",
+                     _apath_rows([k / 10 for k in range(11)]),
+                     "t,x1,x2,eta1,eta2")
+    assert run([a.format(cfg=cfg, path=path) for a in runs]) == 0
+    capsys.readouterr()
+    assert run([a.format(cfg=cfg, path=path) for a in refused]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("extra", [[], ["--h-grid", "0:0.1:2"]],
+                         ids=["loop", "sweep"])
+def test_holonomy_applies_its_defaults_in_the_handler(capsys, extra):
+    # --nu0 and --z0 default to None, so that a run can refuse them; the
+    # handler reads an absent one as 1/3 and 1,0, byte for byte
+    argv = ["holonomy", "--grid", "50", *extra]
+    assert run(argv) == 0
+    absent = capsys.readouterr().out
+    assert run(argv + ["--nu0", "1/3", "--z0", "1,0"]) == 0
+    assert capsys.readouterr().out == absent
+    if not extra:
+        assert json.loads(absent)["connection"] == "example3(nu0=1/3)"
+
+
+# one fast run of every leaf subcommand over the workspace and files that
+# test_no_malformed_flag_escapes_run writes; the test gives one flag of
+# the run a malformed value
+FUZZ_RUNS = {
+    "check-algebroid": "--config ws.json --name plane --samples 5",
+    "integrate-path": "--config ws.json --name plane --section 1;0 "
+                      "--x0 0,0 --grid 10",
+    "lift-path": "--config ws.json --comorphism id --path path.csv "
+                 "--x0 0,0",
+    "lift-homotopy": "--config ws.json --comorphism id --homotopy h.csv "
+                     "--x0 0,0",
+    "completeness-probe": "--config ws.json --comorphism id --section 1;0 "
+                          "--x0 0,0 --horizon 0.1",
+    "compose": "--config ws.json --first id --second id",
+    "holonomy": "--grid 20",
+    "example3 sheets": "--nu 1/3",
+    "example3 density": "--nu 1/3 --tau-max 10 --bins 4",
+    "example3 self-intersect": "--nu 1/3",
+    "example3 gamma": "",
+    "poisson check-map": "--config ws.json --source pplane --target pplane "
+                         "--map x1;x2 --samples 5",
+    "poisson flow": "--config ws.json --f x1 --x0 0,0 --t1 0.1",
+    "poisson lift": "--config ws.json --source pplane --target pplane "
+                    "--map x1;x2 --samples 5",
+    "poisson probe": "--config ws.json --source pplane --target pplane "
+                     "--map x1;x2 --x0 0,0 --horizon 0.1 --samples 5",
+    "develop": "--path path.csv --basis [[[0]],[[0]]]",
+    "logderiv": "--gamma g.csv --basis [[[0]]]",
+}
+MALFORMED = ["", "0", "-1", "2.5", "1/0", "nan", "-inf", "1e999", "x",
+             "nosuch", ";", "1,2,3", "0:1:0", "[[", "[]", "/", "--"]
+
+
+def test_no_malformed_flag_escapes_run(tmp_path, monkeypatch, capsys):
+    # every fault of a flag's value is an exit code of run(), never an
+    # exception out of it: run() names only the errors the program raises
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, {
+        "algebroids": {"plane": PLANE},
+        "comorphisms": {"id": {"source": "plane", "target": "plane",
+                               "phi": ["x1", "x2"], "M": IDENTITY_M}},
+        "poisson": {"pplane": {"dim": 2, "Pi": {"1,2": "1"}}}})
+    times = [k / 10 for k in range(11)]
+    _grid_csv(tmp_path, "path.csv", _apath_rows(times), "t,x1,x2,eta1,eta2")
+    _grid_csv(tmp_path, "h.csv", _ahomotopy_rows(times, [0.0, 0.5, 1.0]),
+              "t,s,x1,x2,eta1,eta2,beta1,beta2")
+    _grid_csv(tmp_path, "g.csv", [[t, 1.0] for t in times], "t,g11")
+    flags = {path: names.split() + ["--seed"]
+             for path, _, _, names, _ in cli._commands()}
+    assert flags.keys() == FUZZ_RUNS.keys()
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              database=None)
+    @given(st.sampled_from(sorted(FUZZ_RUNS)).flatmap(
+        lambda path: st.tuples(st.just(path), st.sampled_from(flags[path]),
+                               st.sampled_from(MALFORMED))))
+    def fuzz(case):
+        path, flag, value = case
+        argv = path.split() + FUZZ_RUNS[path].split() + [f"{flag}={value}"]
+        assert run(argv) in (0, 1, 2)
+        capsys.readouterr()
+
+    for path in FUZZ_RUNS:       # every handler runs at least once
+        fuzz = example((path, "--seed", "3"))(fuzz)
+    fuzz()
+
+
+@pytest.mark.parametrize("argv", [
+    ["example3", "gamma", "--z=--"], ["holonomy", "--z0=--"],
+    ["example3", "density", "--nu", "1/3", "--z0=--"],
+    ["holonomy", "--grid", "50", "--out=--"],
+    ["poisson", "flow", "--config", "{cfg}", "--x0", "0,0", "--f=--"]],
+    ids=["gamma-z", "holonomy-z0", "density-z0", "holonomy-out", "flow-f"])
+def test_dashes_are_no_value(tmp_path, capsys, argv):
+    # argparse before Python 3.13 read "--flag=--" as [] and skipped the
+    # flag's converter: the first four ended in a traceback, and --out=--
+    # wrote the CSV to stdout
+    cfg = write_config(tmp_path, {"poisson": {"plane": {
+        "dim": 2, "Pi": {"1,2": "1"}}}})
+    assert run([a.format(cfg=cfg) for a in argv]) == 2
+    captured = capsys.readouterr()
+    flag = argv[-1].split("=")[0]
+    assert captured.err.endswith(f"error: argument {flag}: expected one "
+                                 f"argument\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("buffered", [False, True],
+                         ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_exits_1_in_silence(buffered):
+    # the reader of stdout is gone before the report is written: exit 1,
+    # with no "config error: [Errno 32] Broken pipe" and nothing printed
+    # at exit, whether the write fails in the handler or at the flush
+    read, write = os.pipe()
+    os.close(read)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "algpaths.cli", "example3", "sheets",
+             "--nu", "1/3"], stdout=write, stderr=subprocess.PIPE,
+            text=True, env=env)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
